@@ -101,8 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_farm.add_argument(
         "--schedule", choices=("static", "demand", "adaptive"), default=None,
-        help="task scheduling: static upfront list, demand-driven block queue, "
-             "or adaptive sequence chains with tail-stealing "
+        help="task scheduling: static (the fixed unit list --mode implies), "
+             "demand (the hybrid block x frame-chunk list), or adaptive "
+             "sequence chains with tail-stealing; static and demand can "
+             "checkpoint with --run-dir on either transport "
              "(default: static for --transport process, adaptive for tcp)",
     )
     p_farm.add_argument(
@@ -430,8 +432,9 @@ def _cmd_table1(args) -> int:
 def _cmd_farm(args) -> int:
     from .api import render
 
-    # The network master serves a scheduling policy, so tcp cannot run the
-    # static upfront task list; default each transport to its natural mode.
+    # Every schedule runs on either transport; an unset --schedule picks
+    # each transport's natural one (tcp lanes keep a chain's coherence
+    # warm, so fine adaptive segments are cheap there).
     schedule = args.schedule
     if schedule is None:
         schedule = "adaptive" if args.transport == "tcp" else "static"

@@ -163,9 +163,10 @@ class FrameAssembler:
     """The run-wide compositor: every frame's :class:`FrameBuffer`.
 
     The master folds streamed tiles (``add_tile``) and whole-segment
-    results from pre-tile workers (``add_segment``) into the same state,
-    so final assembly, loss salvage, and the live preview are uniform
-    regardless of which workers streamed.  All methods are thread-safe.
+    results (``add_segment``: a task that does not stream, a unit loaded
+    from a checkpoint spool) into the same state, so final assembly, loss
+    salvage, and the live preview are uniform however the pixels arrived.
+    All methods are thread-safe.
     """
 
     def __init__(
@@ -215,7 +216,7 @@ class FrameAssembler:
             return newly, fb.complete
 
     def add_segment(self, box, frame0: int, frame1: int, frames: np.ndarray) -> None:
-        """Fold a whole-segment result (pre-tile worker, or local task).
+        """Fold a whole-segment result (non-streaming task, or checkpoint).
 
         ``frames`` is ``(n, h, w, 3)`` for the box, or the flat
         ``(n, h*w, 3)`` row-major layout the render task ships.
@@ -237,6 +238,20 @@ class FrameAssembler:
                 self._frames[self._check_frame(frame0 + i)].add_tile(
                     x0, y0, x1, y1, frames[i]
                 )
+
+    def segment(self, box, frame0: int, frame1: int) -> np.ndarray:
+        """Copy the box's pixels over ``[frame0, frame1)`` back out, in the
+        layout :meth:`add_segment` takes: ``(n, h*w, 3)`` for a box,
+        ``(n, H, W, 3)`` for whole frames (``box=None``).  The checkpoint
+        spool reads a streamed unit from here once its range is complete."""
+        x0, y0, x1, y1 = self._box(box)
+        with self._lock:
+            self._check_live()
+            out = np.stack([
+                self._frames[self._check_frame(f)].image[y0:y1, x0:x1]
+                for f in range(int(frame0), int(frame1))
+            ])
+        return out if box is None else out.reshape(len(out), -1, 3)
 
     def box_complete(self, box, frame: int) -> bool:
         x0, y0, x1, y1 = self._box(box)

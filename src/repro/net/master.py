@@ -106,8 +106,6 @@ class _Conn:
         "closed",
         "offset",
         "rtt_best",
-        "minor",
-        "tiles",
         "pid",
     )
 
@@ -131,8 +129,6 @@ class _Conn:
         # on one host perf_counter is shared and this converges to ~0).
         self.offset = 0.0
         self.rtt_best = float("inf")
-        self.minor = 0
-        self.tiles = False  # tile streaming granted at HELLO
         self.pid = 0  # worker process id from HELLO (black-box lookup)
 
 
@@ -166,21 +162,19 @@ class MasterServer:
     assembler / tile_px / tile_box / on_tile:
         The distributed framebuffer.  ``assembler`` (a
         :class:`repro.dfb.FrameAssembler`) turns tile streaming on:
-        minor-3 workers get a tile directive in every ASSIGN and their
-        TILE frames are composited incrementally; whole-segment results
-        from older workers are folded into the same assembler.
+        workers get a tile directive in every ASSIGN and their TILE
+        frames are composited incrementally; a whole-segment result (a
+        task that does not stream) is folded into the same assembler.
         ``tile_box(assignment)`` maps an assignment to its pixel box
         (``None`` = whole frame); ``on_tile(worker, frame, box, pixels,
         frame_complete)`` observes every composited tile.
-    session / minor_floor:
+    session:
         Object-space sharding (DESIGN §16).  A ``session`` (a
         :class:`repro.shard.net.ShardSession`) replaces the ASSIGN/RESULT
         dispatch loop: the master itself drives the wavefront trace,
         lanes serve RAYS/SHADE queries for the shards the policy binds to
         them, and losses route through ``session.on_worker_lost`` for
-        outbox-ledger replay.  ``minor_floor`` lets such a run raise the
-        HELLO admission floor to 4 (the revision that speaks RAYS/SHADE)
-        without bumping the protocol-wide floor for plain farms.
+        outbox-ledger replay.
     """
 
     def __init__(
@@ -210,7 +204,6 @@ class MasterServer:
         tile_box=None,
         on_tile=None,
         session=None,
-        minor_floor: int | None = None,
         blackbox_dir=None,
     ) -> None:
         self.policy = policy
@@ -238,9 +231,6 @@ class MasterServer:
         self.tile_box = tile_box or (lambda a: None)
         self.on_tile = on_tile
         self.session = session
-        self.minor_floor = (
-            int(minor_floor) if minor_floor is not None else wire.PROTO_MINOR_FLOOR
-        )
         #: Flight-recorder plumbing: where black-box dumps land (ours on a
         #: worker loss, a victim's when shipped over MSG_BLACKBOX) and
         #: where ``net.worker.lost`` looks for the victim's own dump.
@@ -386,7 +376,7 @@ class MasterServer:
                 self._lose(sel, conn, "error")
                 return
             minor = int(payload.get("minor", 0) or 0)
-            if minor < self.minor_floor:
+            if minor < wire.PROTO_MINOR_FLOOR:
                 self._reject(sel, conn, payload)
                 return
             conn.name = f"w{self._n_named}"
@@ -394,14 +384,10 @@ class MasterServer:
             conn.host = str(payload.get("host", "?"))
             conn.cores = int(payload.get("cores", 1))
             conn.score = float(payload.get("score", 1.0))
-            conn.minor = minor
             try:
                 conn.pid = int(payload.get("pid", 0) or 0)
             except (TypeError, ValueError):
                 conn.pid = 0
-            # Tile streaming is per-connection: the run must want it (an
-            # assembler is wired) and the worker must speak minor 3.
-            conn.tiles = self.assembler is not None and minor >= 3
             conn.registered = True
             conn.last_pong = now
             self.workers[conn.name] = {
@@ -417,7 +403,7 @@ class MasterServer:
                 "heartbeat_interval": self.heartbeat_interval,
                 "compress": self.net.compress,
                 "compress_min_bytes": self.compress_min_bytes,
-                "tiles": conn.tiles,
+                "tiles": self.assembler is not None,
                 "tile_px": self.tile_px,
             })
             self.net.n_workers_joined += 1
@@ -519,7 +505,7 @@ class MasterServer:
         a = conn.assignment
         if a is None or not isinstance(payload, dict) or payload.get("seq") != a.seq:
             return  # tile raced its assignment's loss; idempotency covers it
-        if self.assembler is None or not conn.tiles:
+        if self.assembler is None:
             self._lose(sel, conn, "invalid", detail="unsolicited TILE")
             return
         try:
@@ -552,9 +538,9 @@ class MasterServer:
         self._last_progress = now
 
     def _fold_result(self, a, result) -> None:
-        """Fold a whole-segment render result into the assembler (results
-        from pre-tile workers, and the pixels a streaming worker would
-        have tiled if it weren't).  By farm convention the result tuple is
+        """Fold a whole-segment render result into the assembler (the
+        pixels a streaming worker would have tiled if it weren't).  By
+        farm convention the result tuple is
         ``(box, frame0, frame1, frames, counts, events)``; a streaming
         result ships ``frames=None`` because its pixels already arrived
         tile by tile.  Non-farm shapes (echo tasks) are left alone."""
@@ -671,7 +657,7 @@ class MasterServer:
                 "task": self.task_name,
                 "args": args,
             }
-            if conn.tiles:
+            if self.assembler is not None:
                 # Tile directive: stream at this granularity, and skip
                 # tiles a lost predecessor already delivered.
                 assign["tiles"] = {

@@ -34,7 +34,8 @@ ASSIGN      m -> w     {seq, region, frame0, frame1, fresh, coherent,
                         task, args}
 RESULT      w -> m     {seq, result, duration, events}
 TILE        w -> m     {seq, frame, x0, y0, x1, y1, pixels}  (streamed
-                       before the closing RESULT; minor 3 workers only)
+                       before the closing RESULT, when ASSIGN carried a
+                       tile directive)
 RAYS        m <-> w    {rid, shard, frame, k, op, spec, arrays...} — a ray
                        batch routed to a shard owner (op nearest/occlude);
                        the owner answers with the same type + rid
@@ -68,9 +69,8 @@ vocabulary both sides must speak (minor 1 added PONG's ``tw`` clock
 sample and the trace context inside task args), and the master rejects a
 worker older than ``PROTO_MINOR_FLOOR`` *cleanly* at HELLO — SHUTDOWN,
 which every revision understands — rather than with a framing error
-mid-run.  Capabilities above the floor degrade gracefully: a minor-2
-worker never receives tile directives and ships whole sub-areas exactly
-as before, while a minor-3 worker streams TILE frames.
+mid-run.  Master and workers ship from one tree, so the floor is the
+current minor: there is no older fleet to negotiate capabilities with.
 """
 
 from __future__ import annotations
@@ -123,24 +123,22 @@ PROTO_VERSION = 1
 #: Minor 2: the JOB_SUBMIT/JOB_STATUS/JOB_CANCEL control-plane types for
 #: the persistent render service (workers are unaffected, but both sides
 #: of a farm must agree on the full message-type table).
-#: Minor 3: TILE streaming — workers that advertise it receive a tile
-#: directive in ASSIGN and ship finished tiles incrementally (the
+#: Minor 3: TILE streaming — workers receive a tile directive in ASSIGN
+#: when the run composites tiles and ship finished tiles incrementally (the
 #: distributed framebuffer); the closing RESULT then omits the pixels.
 #: Minor 4: RAYS/SHADE — object-space sharding.  The master routes
 #: wavefront ray batches to shard owners (``MSG_RAYS`` with op
 #: ``nearest``/``occlude``) and fetches pigment/finish data for hits
 #: (``MSG_SHADE``); owners answer with the same message type and a
-#: request id.  Capability-negotiated like tiles: a sharded master
-#: raises its HELLO floor to 4, plain farms keep serving older workers.
+#: request id.
 #: Minor 5: BLACKBOX — a reconnecting worker ships the flight-recorder
 #: dump its dead predecessor wrote, so the master can stitch the victim's
 #: last seconds into the merged trace.  Purely additive: masters ignore
 #: the type from workers that never send it, older workers never do.
 PROTO_MINOR = 5
-#: Oldest worker vocabulary the master still serves.  Minor-2 workers
-#: predate TILE and simply render whole sub-areas; anything older is
-#: rejected at HELLO.
-PROTO_MINOR_FLOOR = 2
+#: Oldest worker vocabulary the master still serves: the current one.
+#: Anything older is rejected at HELLO.
+PROTO_MINOR_FLOOR = PROTO_MINOR
 MAGIC = b"RNW1"
 
 MSG_HELLO = 1

@@ -76,7 +76,7 @@ def render_segment(args, emit_tile=None):
     spec = AnimationSpec(str(spec_dict["factory"]), dict(spec_dict["kwargs"]))
     box = None if box is None else tuple(int(v) for v in box)
     # tel_ctx passes through untouched: a trace-context dict (run id,
-    # parent flight span, namespace seed) or a legacy bool.
+    # parent flight span, namespace seed, lane), or falsy for telemetry off.
     return _render_segment_task(
         (spec, box, int(f0), int(f1), bool(fresh), str(label), int(grid), int(samples),
          tel_ctx, prof),

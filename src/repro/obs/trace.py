@@ -24,9 +24,9 @@ The pieces that make the merge sound:
   flight span for assignment ``seq`` as ``"A<seq>"`` *before* dispatch,
   so the id can ride to the worker inside the task envelope and the span
   itself is emitted later, when the outcome is known.
-* **The envelope slot is backward compatible.**  The context travels in
-  the task-args slot that used to carry a plain ``tel_on`` bool; ``True``
-  still means "telemetry on, no trace context" for old callers.
+* **The envelope slot doubles as the on/off switch.**  The context
+  travels in the task-args telemetry slot as a plain dict; a falsy slot
+  means telemetry is off for that task.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class TraceContext:
     run: str = ""
     parent: object = None  # master-side span id (int or str)
     seed: str = ""
-    worker: str = ""  # scheduling lane ("lane0", "w1"); "" = use local label
+    worker: str = ""  # scheduling lane ("lane0", "w1")
 
     def to_arg(self) -> dict:
         """Encode for the task-args telemetry slot (wire-safe plain dict)."""
@@ -92,40 +92,36 @@ class TraceContext:
 
     @classmethod
     def from_arg(cls, arg) -> "TraceContext | None":
-        """Decode the telemetry slot: dict -> context, truthy non-dict ->
-        empty context (legacy ``tel_on=True``), falsy -> None (disabled)."""
-        if isinstance(arg, dict):
-            return cls(
-                run=str(arg.get("run", "")),
-                parent=arg.get("parent"),
-                seed=str(arg.get("seed", "")),
-                worker=str(arg.get("worker", "")),
-            )
-        if arg:
-            return cls()
-        return None
+        """Decode the telemetry slot: dict -> context, anything else ->
+        None (telemetry off)."""
+        if not isinstance(arg, dict):
+            return None
+        return cls(
+            run=str(arg.get("run", "")),
+            parent=arg.get("parent"),
+            seed=str(arg.get("seed", "")),
+            worker=str(arg.get("worker", "")),
+        )
 
 
-def worker_session(ctx_arg, attempt: int = 0, index: int = 0):
+def worker_session(ctx_arg, attempt: int = 0):
     """Build the per-task worker :class:`Telemetry` from the envelope slot.
 
     Returns ``(telemetry, sink)``; ``(NULL, None)`` when telemetry is off.
-    The span namespace combines the context's seed (``s<seq>`` for
-    scheduled dispatches; falls back to ``t<index>`` for static task
-    lists, whose envelopes share one context) with ``attempt``, the local
-    retry counter — the supervised pool re-runs a failed task with
-    identical args, so the namespace must include it to keep retried
-    span ids distinct.
+    The span namespace combines the context's seed (``s<seq>``, unique per
+    dispatch) with ``attempt``, the local retry counter — the supervised
+    pool re-runs a failed task with identical args, so the namespace must
+    include it to keep retried span ids distinct.
     """
     ctx = TraceContext.from_arg(ctx_arg)
     if ctx is None:
         return NULL_TELEMETRY, None
     sink = InMemorySink()
-    if not (ctx.run or ctx.seed or ctx.parent is not None):
-        return Telemetry(sinks=(sink,)), sink
-    ns = f"{ctx.seed or f't{int(index)}'}a{int(attempt)}:"
     return (
-        Telemetry(sinks=(sink,), run_id=ctx.run, span_ns=ns, root_parent=ctx.parent),
+        Telemetry(
+            sinks=(sink,), run_id=ctx.run, span_ns=f"{ctx.seed}a{int(attempt)}:",
+            root_parent=ctx.parent,
+        ),
         sink,
     )
 

@@ -34,14 +34,8 @@ from ..imageio import targa_nbytes
 from ..sched.core import Chain as _Chain
 from ..sched.sim import (
     RunAccounting as _RunAccounting,
-)
-from ..sched.sim import (
     SimTelemetry as _SimTelemetry,
-)
-from ..sched.sim import (
     outcome_from as _outcome,
-)
-from ..sched.sim import (
     spawn_farm as _spawn_farm,
 )
 from .config import RenderFarmConfig

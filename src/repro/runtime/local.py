@@ -6,39 +6,39 @@ decomposition with live processes, demonstrating the protocol end-to-end
 and providing the ground truth that partitioned rendering assembles the
 same images as a single renderer.
 
-Both of the paper's schemes are implemented:
+There is one farm, the paper's master loop: a scheduling policy
+(:mod:`repro.sched`) hands *units* — frames ``[f0, f1)`` of one region —
+to whichever worker lane is free, a transport executes them
+(:func:`_render_segment_task` on the supervised pool, or on socket
+daemons), one validator gates every result, and one compositing step
+assembles the frames.  ``schedule`` only chooses the unit list:
 
-* ``frame`` mode — frame division: the image is tiled into blocks; each
-  worker owns a block and renders it coherently across every frame.
-* ``sequence`` mode — sequence division: each worker owns a contiguous
-  frame range and renders whole frames coherently inside it.
-* ``hybrid`` mode — the paper's "each processor computes pixels in a
-  subarea of a frame for a subsequence of the entire animation": one task
-  per (block, frame-chunk) pair.
+* ``"static"`` — the fixed list ``mode`` implies, dispatched FIFO:
+  ``frame`` (frame division: one unit per block, every frame),
+  ``sequence`` (sequence division: one whole-frame unit per contiguous
+  frame range) or ``hybrid`` (the paper's "subarea of a frame for a
+  subsequence of the entire animation": block x frame-chunk);
+* ``"demand"`` — a spelling of the ``hybrid`` list, whatever ``mode`` says;
+* ``"adaptive"`` — sequence chains cut into segments at run time, with
+  tail-stealing and a worker-side renderer-continuation cache so a
+  chain's coherence survives across its segment tasks.
 
-Executors: ``process`` (fork-based multiprocessing; the real thing),
-``thread`` (shared-memory; numpy releases the GIL enough to help), and
-``serial`` (deterministic in-process reference).
+Transports: ``process`` runs the units on this host through the supervised
+pool (executors ``process`` — fork-based, the real thing — ``thread``, or
+the deterministic in-process ``serial``); ``tcp`` serves them to spawned
+``python -m repro.worker`` daemons over loopback sockets, streaming tiles
+into a :class:`~repro.dfb.FrameAssembler` unless ``tile_px=0``.
 
-Scheduling: the default ``schedule="static"`` builds the task list
-upfront (one task per block / range / chunk).  ``"demand"`` and
-``"adaptive"`` instead drive the supervisor through a pure scheduling
-policy (:mod:`repro.sched`) — the same state machines the cluster
-simulator replays: demand-driven (block x frame-chunk) distribution, and
-adaptive sequence subdivision with tail-stealing plus a worker-side
-renderer-continuation cache so a chain's coherence survives across its
-segment tasks on the thread/serial executors.
-
-Dispatch is **supervised** (:mod:`repro.runtime.supervisor`): tasks are
-submitted individually with per-task deadlines, crashed or hung workers
-are detected and their tasks re-queued with capped retries, corrupted
-outputs are rejected by a shape/finiteness check before assembly, and a
-task that keeps failing degrades to in-process serial execution instead
+Dispatch is **supervised**: per-unit deadlines, crashed or hung workers
+detected and their units re-queued with capped retries, corrupted outputs
+rejected by a shape/finiteness check before assembly, and (on the pool) a
+unit that keeps failing degrades to in-process serial execution instead
 of aborting the render.  Passing ``run_dir`` to :meth:`LocalRenderFarm.
-render` spools each completed task to disk as it arrives; a later
-``render(resume=run_dir)`` skips the finished tasks — checkpoint/resume
-at the task granularity, complementing the intra-chain granularity of
-:mod:`repro.coherence.checkpoint`.
+render` spools each completed unit of a fixed list (``static`` or
+``demand``, either transport) to disk as it is accepted; a later
+``render(resume=run_dir)`` re-renders only the missing units —
+checkpoint/resume at the unit granularity, complementing the intra-chain
+granularity of :mod:`repro.coherence.checkpoint`.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from ..telemetry import Telemetry
 from ..telemetry.profiling import profile_into
 from .faults import FaultPlan
 from .spec import AnimationSpec
-from .supervisor import TaskAttempt, TaskSupervisor, task_context
+from .supervisor import SupervisorOutcome, TaskAttempt, task_context
 
 __all__ = ["LocalRenderFarm", "FarmResult"]
 
@@ -137,35 +137,6 @@ def _get_anim(spec: AnimationSpec):
     return anim
 
 
-def _worker_label() -> str:
-    """Stable-within-a-run worker identity: process id (process executor)
-    plus thread id (distinguishes the thread executor's workers)."""
-    return f"{os.getpid()}.{threading.get_ident() % 100000}"
-
-
-def _ctx_worker(ctx) -> str:
-    """The worker identity a task span should report: the scheduling lane
-    the dispatcher stamped into the trace context (stable, shared with
-    the master's flight spans), falling back to the local pid/thread
-    label for static task lists."""
-    if isinstance(ctx, dict) and ctx.get("worker"):
-        return str(ctx["worker"])
-    return _worker_label()
-
-
-def _worker_telemetry(ctx):
-    """(telemetry, sink) for one task; disabled tasks share NULL.
-
-    ``ctx`` is the envelope's telemetry slot: a trace-context dict (run
-    id, parent span, namespace seed — see :mod:`repro.obs.trace`), the
-    legacy ``True`` (telemetry on, untraced), or falsy (off).  The local
-    task index and attempt counter disambiguate the span namespace when
-    the supervised pool retries a task with identical args.
-    """
-    idx, attempt = task_context()
-    return worker_session(ctx, attempt=attempt, index=idx)
-
-
 def _worker_profile_path(profile_dir) -> str | None:
     if not profile_dir:
         return None
@@ -182,124 +153,7 @@ def _finish_worker_events(tel: Telemetry, sink) -> str:
     return tel.serialize_events(sink.events)
 
 
-def _render_block_task(args):
-    """Frame-division worker: render one block across all frames."""
-    spec, box, grid_resolution, samples, tel_ctx, profile_dir = args
-    anim = _get_anim(spec)
-    region = PixelRegion(*box, width=anim.camera_at(0).width).pixels
-    tel, sink = _worker_telemetry(tel_ctx)
-    _idx, attempt = task_context()
-    with profile_into(_worker_profile_path(profile_dir)):
-        with tel.span(
-            "task",
-            worker=_ctx_worker(tel_ctx),
-            mode="frame",
-            frame0=0,
-            frame1=anim.n_frames,
-            region=int(region.size),
-            rays=0,
-            n_computed=0,
-            attempt=attempt,
-        ) as sp:
-            renderer = CoherentRenderer(
-                anim,
-                region=region,
-                grid_resolution=grid_resolution,
-                samples_per_axis=samples,
-                telemetry=tel,
-            )
-            out_frames, frames = _frames_alloc((anim.n_frames, region.size, 3))
-            for f in range(anim.n_frames):
-                renderer.render_next()
-                frames[f] = renderer.framebuffer.gather(region)
-            stats = RayStats.merge(r.stats for r in renderer.reports)
-            sp.attrs["rays"] = stats.total
-            sp.attrs["n_computed"] = sum(r.n_computed for r in renderer.reports)
-    frames = None
-    _seal_frames(out_frames)
-    return box, region, out_frames, stats.counts, _finish_worker_events(tel, sink)
-
-
-def _render_sequence_task(args):
-    """Sequence-division worker: render whole frames for one range."""
-    spec, start, stop, grid_resolution, samples, tel_ctx, profile_dir = args
-    anim = _get_anim(spec)
-    tel, sink = _worker_telemetry(tel_ctx)
-    _idx, attempt = task_context()
-    cam = anim.camera_at(start)
-    with profile_into(_worker_profile_path(profile_dir)):
-        with tel.span(
-            "task",
-            worker=_ctx_worker(tel_ctx),
-            mode="sequence",
-            frame0=int(start),
-            frame1=int(stop),
-            region=int(cam.n_pixels),
-            rays=0,
-            n_computed=0,
-            attempt=attempt,
-        ) as sp:
-            renderer = CoherentRenderer(
-                anim,
-                grid_resolution=grid_resolution,
-                samples_per_axis=samples,
-                first_frame=start,
-                last_frame=stop,
-                telemetry=tel,
-            )
-            out_frames, frames = _frames_alloc((stop - start, cam.height, cam.width, 3))
-            for i in range(stop - start):
-                renderer.render_next()
-                frames[i] = renderer.frame_image()
-            stats = RayStats.merge(r.stats for r in renderer.reports)
-            sp.attrs["rays"] = stats.total
-            sp.attrs["n_computed"] = sum(r.n_computed for r in renderer.reports)
-    frames = None
-    _seal_frames(out_frames)
-    return start, stop, out_frames, stats.counts, _finish_worker_events(tel, sink)
-
-
-def _render_hybrid_task(args):
-    """Hybrid worker: one block over one frame chunk (subarea x subsequence)."""
-    spec, box, start, stop, grid_resolution, samples, tel_ctx, profile_dir = args
-    anim = _get_anim(spec)
-    region = PixelRegion(*box, width=anim.camera_at(0).width).pixels
-    tel, sink = _worker_telemetry(tel_ctx)
-    _idx, attempt = task_context()
-    with profile_into(_worker_profile_path(profile_dir)):
-        with tel.span(
-            "task",
-            worker=_ctx_worker(tel_ctx),
-            mode="hybrid",
-            frame0=int(start),
-            frame1=int(stop),
-            region=int(region.size),
-            rays=0,
-            n_computed=0,
-            attempt=attempt,
-        ) as sp:
-            renderer = CoherentRenderer(
-                anim,
-                region=region,
-                grid_resolution=grid_resolution,
-                samples_per_axis=samples,
-                first_frame=start,
-                last_frame=stop,
-                telemetry=tel,
-            )
-            out_frames, frames = _frames_alloc((stop - start, region.size, 3))
-            for i in range(stop - start):
-                renderer.render_next()
-                frames[i] = renderer.framebuffer.gather(region)
-            stats = RayStats.merge(r.stats for r in renderer.reports)
-            sp.attrs["rays"] = stats.total
-            sp.attrs["n_computed"] = sum(r.n_computed for r in renderer.reports)
-    frames = None
-    _seal_frames(out_frames)
-    return box, region, start, stop, out_frames, stats.counts, _finish_worker_events(tel, sink)
-
-
-# Renderer-continuation cache for the dynamic schedules: an adaptive
+# Renderer-continuation cache for the adaptive schedule: an adaptive
 # chain's segments arrive as separate tasks, and on the thread/serial
 # executors (shared memory) the renderer that just finished frame f-1 is
 # parked here so the task rendering frame f continues it coherently
@@ -317,7 +171,8 @@ def _segment_cache_key(spec, box, grid_resolution, samples, frame) -> tuple:
 
 
 def _render_segment_task(args, emit_tile=None):
-    """Policy-scheduled worker: render frames ``[f0, f1)`` of one region.
+    """The farm's one worker task: render frames ``[f0, f1)`` of one region
+    (``box=None``: whole frames).
 
     ``fresh`` marks a chain start (full render of ``f0``); a non-fresh
     segment tries to continue the renderer parked at ``f0`` by the chain's
@@ -335,8 +190,12 @@ def _render_segment_task(args, emit_tile=None):
     cam = anim.camera_at(0)
     region = None if box is None else PixelRegion(*box, width=cam.width).pixels
     n_px = int(cam.n_pixels if region is None else region.size)
-    tel, sink = _worker_telemetry(tel_ctx)
+    # tel_ctx is the dispatch's trace-context dict (run id, parent flight
+    # span, namespace seed, lane — see repro.obs.trace), falsy when
+    # telemetry is off; the pool retries a task with identical args, so
+    # the local attempt counter completes the span namespace.
     _idx, attempt = task_context()
+    tel, sink = worker_session(tel_ctx, attempt=attempt)
     renderer = None
     if not fresh:
         with _SEGMENT_CACHE_LOCK:
@@ -346,7 +205,7 @@ def _render_segment_task(args, emit_tile=None):
     with profile_into(_worker_profile_path(profile_dir)):
         with tel.span(
             "task",
-            worker=_ctx_worker(tel_ctx),
+            worker=tel_ctx["worker"] if tel_ctx else "",
             mode=label,
             frame0=int(f0),
             frame1=int(f1),
@@ -407,16 +266,12 @@ def _render_segment_task(args, emit_tile=None):
     return box, f0, f1, out_frames, stats.counts, _finish_worker_events(tel, sink)
 
 
-_TASK_FNS = {
-    "frame": _render_block_task,
-    "sequence": _render_sequence_task,
-    "hybrid": _render_hybrid_task,
-}
-
 _MANIFEST_NAME = "manifest.json"
-# Format 2 appended the serialized worker-telemetry events to every task
-# result tuple; old spools fail the manifest check and re-render.
-_SPOOL_FORMAT = 2
+# Format 3 spools one ``(region_index, frame0, frame1, frames, counts,
+# events)`` tuple per unit of the fixed unit list, named by the unit's
+# index in that list.  A directory whose manifest differs only by an older
+# format number is treated as an empty spool and re-rendered.
+_SPOOL_FORMAT = 3
 
 
 def _spool_path(run_dir: Path, idx: int) -> Path:
@@ -424,7 +279,7 @@ def _spool_path(run_dir: Path, idx: int) -> Path:
 
 
 def _save_task_result(path: Path, result: tuple) -> None:
-    """Spool one task result atomically (write-then-rename), so a render
+    """Spool one unit's result atomically (write-then-rename), so a render
     killed mid-write never leaves a half-readable checkpoint behind."""
     arrays = {f"f{i}": np.asarray(v) for i, v in enumerate(result)}
     tmp = path.with_name(f".{path.name}.tmp.npz")
@@ -477,18 +332,22 @@ class LocalRenderFarm:
     n_workers:
         Degree of parallelism; defaults to the CPU count (capped at 8).
     mode:
-        ``"frame"`` (block per task) or ``"sequence"`` (frame range per task).
+        The unit list ``schedule="static"`` dispatches: ``"frame"`` (one
+        unit per block, all frames), ``"sequence"`` (one whole-frame unit
+        per contiguous frame range, ``n_workers`` ranges) or ``"hybrid"``
+        (block x frame-chunk).
     executor:
-        ``"process"``, ``"thread"`` or ``"serial"``.
+        ``"process"``, ``"thread"`` or ``"serial"``: what the process
+        transport's pool is made of (unused on ``"tcp"``).
     transport:
         ``"process"`` executes on this host through the supervised pool;
         ``"tcp"`` runs a loopback network farm instead — a
         :class:`~repro.net.master.MasterServer` on 127.0.0.1 driving
         ``n_workers`` spawned ``python -m repro.worker`` daemons over
-        real sockets.  TCP requires a dynamic schedule (the policy is
-        what the master serves); each connection is one scheduling lane,
-        so chain affinity keeps a daemon's continuation cache warm
-        exactly like the thread/serial executors do.
+        real sockets.  Every schedule runs on either transport.  Each
+        connection is one scheduling lane, so chain affinity keeps a
+        daemon's continuation cache warm exactly like the thread/serial
+        executors do.
     net_die_after:
         TCP fault drill: maps a worker index to the assignment count
         after which that daemon is spawned to hard-crash
@@ -503,12 +362,14 @@ class LocalRenderFarm:
         spawned daemons; worker-loss events point at the victim's
         ``blackbox_worker_<pid>.jsonl`` here (DESIGN §17).
     schedule:
-        ``"static"`` (the upfront task list above), ``"demand"``
-        (demand-driven block x frame-chunk units from a shared queue) or
-        ``"adaptive"`` (sequence chains with tail-stealing).  The dynamic
-        schedules run the :mod:`repro.sched` policies — the same state
-        machines the cluster simulator replays — through the supervisor's
-        feed hook.
+        Which units the policy hands out.  ``"static"``: the fixed list
+        ``mode`` implies, first come first served.  ``"demand"``: the
+        ``hybrid`` list regardless of ``mode`` (block x frame-chunk units
+        from a shared queue).  ``"adaptive"``: sequence chains cut into
+        segments at run time, with tail-stealing.  All three run the
+        :mod:`repro.sched` policies — the same state machines the cluster
+        simulator replays; the two fixed lists can be checkpointed (see
+        :meth:`render`), the adaptive one cannot.
     segment_frames:
         Frames per dispatched segment for ``schedule="adaptive"``.
         Default: 1 on the thread/serial executors (segments continue the
@@ -547,8 +408,9 @@ class LocalRenderFarm:
         a :class:`~repro.dfb.TileEvent` per wire tile and ``on_frame`` a
         :class:`~repro.dfb.FrameEvent` as each frame's last tile lands;
         non-streaming paths synthesize one whole-frame tile plus a frame
-        event per frame after assembly, so callers observe the same
-        contract on every transport.
+        event per frame after assembly (as a resumed streaming run does
+        for frames its checkpoint spool already completes), so callers
+        observe the same contract on every transport.
     """
 
     def __init__(
@@ -590,11 +452,6 @@ class LocalRenderFarm:
             raise ValueError("schedule must be 'static', 'demand' or 'adaptive'")
         if transport not in ("process", "tcp"):
             raise ValueError("transport must be 'process' or 'tcp'")
-        if transport == "tcp" and schedule == "static":
-            raise ValueError(
-                "transport='tcp' requires a dynamic schedule ('demand' or 'adaptive'); "
-                "the network master serves a scheduling policy, not a fixed task list"
-            )
         self.spec = spec
         self.mode = mode
         self.executor = executor
@@ -630,20 +487,14 @@ class LocalRenderFarm:
         self._cam = self._anim.camera_at(0)
         self._run_span = None  # root span id, allocated by _begin_trace()
 
-    # -- task construction -----------------------------------------------------
-    def _block_layout(self):
-        return default_block_layout(
-            self._cam.width, self._cam.height, self.block_w, self.block_h
-        )
-
     # -- trace identity ----------------------------------------------------------
     def _begin_trace(self) -> float:
         """Stamp the run id, allocate the root ``run`` span, return its t0.
 
         Every record the run emits — master-side and absorbed worker-side
-        alike — carries the run id; worker spans parent (via per-dispatch
-        flight spans or directly) under the root span allocated here, so
-        the merged stream is one connected trace.
+        alike — carries the run id; worker spans parent, via their
+        dispatch's flight span, under the root span allocated here, so the
+        merged stream is one connected trace.
         """
         tel = self.telemetry
         if tel.enabled and not tel.run_id:
@@ -659,75 +510,50 @@ class LocalRenderFarm:
                 span=self._run_span, parent=None, engine="farm",
             )
 
-    def _static_ctx(self):
-        """The telemetry slot shared by a static task list: one context
-        parenting every task span under the run root (the per-task span
-        namespace is disambiguated worker-side from the task index)."""
-        tel = self.telemetry
-        if not tel.enabled:
-            return False
-        return TraceContext(run=tel.run_id, parent=self._run_span).to_arg()
+    # -- unit list / policy --------------------------------------------------------
+    def _block_layout(self):
+        return default_block_layout(
+            self._cam.width, self._cam.height, self.block_w, self.block_h
+        )
 
-    def _tasks(self):
-        tel_on = self._static_ctx()
-        prof = self.profile_dir
-        if self.mode == "frame":
-            return [
-                (
-                    self.spec,
-                    (r.x0, r.y0, r.x1, r.y1),
-                    self.grid_resolution,
-                    self.samples_per_axis,
-                    tel_on,
-                    prof,
-                )
-                for r in self._block_layout()
-            ]
-        if self.mode == "hybrid":
-            chunk = self.frames_per_chunk or max(1, self._anim.n_frames // 2)
-            chunks = [
-                (a, min(a + chunk, self._anim.n_frames))
-                for a in range(0, self._anim.n_frames, chunk)
-            ]
-            return [
-                (
-                    self.spec,
-                    (r.x0, r.y0, r.x1, r.y1),
-                    a,
-                    b,
-                    self.grid_resolution,
-                    self.samples_per_axis,
-                    tel_on,
-                    prof,
-                )
-                for r in self._block_layout()
-                for a, b in chunks
-            ]
-        ranges = sequence_ranges(self._anim.n_frames, self.n_workers)
-        return [
-            (self.spec, a, b, self.grid_resolution, self.samples_per_axis, tel_on, prof)
-            for a, b in ranges
-        ]
+    @property
+    def _layout(self) -> str:
+        """Which fixed unit list the schedule dispatches (``demand`` is a
+        spelling of the ``hybrid`` list)."""
+        return "hybrid" if self.schedule == "demand" else self.mode
 
-    def _sched_policy(self):
-        """Build the scheduling policy (and its region table) for this run."""
+    def _unit_list(self):
+        """``(units, regions)`` of a fixed-unit schedule: the deterministic
+        ``(region_index, frame0, frame1)`` list — a unit's position in it
+        names its checkpoint file — and the region table the indices point
+        into (``None``: whole frames, region index -1).  ``(None, None)``
+        for ``adaptive``, whose units are decided at run time."""
+        if self.schedule == "adaptive":
+            return None, None
+        n_frames = self._anim.n_frames
+        if self._layout == "sequence":
+            return [(-1, a, b) for a, b in sequence_ranges(n_frames, self.n_workers)], None
+        regions = self._block_layout()
+        chunk = n_frames
+        if self._layout == "hybrid":
+            chunk = self.frames_per_chunk or max(1, n_frames // 2)
+        spans = [(a, min(a + chunk, n_frames)) for a in range(0, n_frames, chunk)]
+        return [(ri, a, b) for ri in range(len(regions)) for a, b in spans], regions
+
+    def _policy(self, units, regions):
+        """The scheduling policy over ``units`` (``None``: adaptive chains)."""
         from ..sched.core import AdaptiveChainPolicy, Chain, DemandDrivenPolicy
 
-        n_frames = self._anim.n_frames
-        if self.schedule == "demand":
-            regions = self._block_layout()
-            chunk = self.frames_per_chunk or max(1, n_frames // 2)
-            chunks = [(a, min(a + chunk, n_frames)) for a in range(0, n_frames, chunk)]
-            units = [(ri, a, b) for ri in range(len(regions)) for a, b in chunks]
-            policy = DemandDrivenPolicy(
-                units, use_coherence=True, units_per_frame=len(regions)
+        if units is not None:
+            return DemandDrivenPolicy(
+                units, use_coherence=True, units_per_frame=len(regions) if regions else 1
             )
-            return policy, regions
         # adaptive: whole-frame chains over pre-split ranges, tail-stealing on.
         # A pool process can receive any segment, so continuations there must
         # render fresh; a TCP lane (like a thread/serial worker) is pinned to
         # one daemon, whose continuation cache carries a chain's coherence
         # across segments — so fine 1-frame segments stay cheap.
+        n_frames = self._anim.n_frames
         pooled = self.transport == "process" and self.executor == "process"
         if self.segment_frames is not None:
             seg = max(1, int(self.segment_frames))
@@ -739,7 +565,7 @@ class LocalRenderFarm:
             Chain(-1, a, b, fresh=True)
             for a, b in sequence_ranges(n_frames, self.n_workers)
         ]
-        policy = AdaptiveChainPolicy(
+        return AdaptiveChainPolicy(
             chains,
             use_coherence=True,
             units_per_frame=1,
@@ -747,52 +573,12 @@ class LocalRenderFarm:
             segment_frames=seg,
             continuation_fresh=pooled,
         )
-        return policy, None
 
     # -- output validity ----------------------------------------------------------
-    def _make_validator(self):
-        """Shape/finiteness check applied before a task result is accepted
-        (or a spooled checkpoint trusted): a corrupted block must never
-        reach assembly."""
-        n_frames = self._anim.n_frames
-        height, width = self._cam.height, self._cam.width
-        n_kinds = len(RayKind)
-        mode = self.mode
-
-        def counts_ok(counts) -> bool:
-            c = np.asarray(counts)
-            return c.shape == (n_kinds,) and c.dtype.kind in "iu"
-
-        def validate(task, result) -> bool:
-            if not isinstance(result, tuple):
-                return False
-            if mode == "frame":
-                if len(result) != 5:
-                    return False
-                _box, region, frames, counts, events = result
-                expected = (n_frames, np.asarray(region).size, 3)
-            elif mode == "sequence":
-                if len(result) != 5:
-                    return False
-                start, stop, frames, counts, events = result
-                expected = (int(stop) - int(start), height, width, 3)
-            else:
-                if len(result) != 7:
-                    return False
-                _box, region, start, stop, frames, counts, events = result
-                expected = (int(stop) - int(start), np.asarray(region).size, 3)
-            frames = np.asarray(frames)
-            return (
-                frames.shape == expected
-                and bool(np.isfinite(frames).all())
-                and counts_ok(counts)
-                and isinstance(events, str)
-            )
-
-        return validate
-
-    def _make_sched_validator(self, assembler=None):
-        """Same corruption gate for the policy-scheduled segment results."""
+    def _validator(self, assembler):
+        """Shape/finiteness check applied before a unit's result is
+        accepted (or a spooled checkpoint trusted): a corrupted block must
+        never reach assembly."""
         height, width = self._cam.height, self._cam.width
         n_kinds = len(RayKind)
 
@@ -829,23 +615,22 @@ class LocalRenderFarm:
         return validate
 
     # -- progress callbacks --------------------------------------------------------
-    def _fire_synthetic_events(self, frames: np.ndarray) -> None:
-        """Honor the streaming callback contract on paths that don't
-        stream: one whole-frame tile plus a frame event per frame, in
-        frame order, after assembly."""
+    def _fire_synthetic_events(self, images) -> None:
+        """Honor the streaming callback contract for frames that did not
+        stream: one whole-frame tile plus a frame event for each ``(frame
+        index, image)`` of ``images``."""
         if self.on_tile is None and self.on_frame is None:
             return
         from ..dfb import FrameEvent, TileEvent
 
-        h, w = int(frames.shape[1]), int(frames.shape[2])
-        for f in range(frames.shape[0]):
+        for f, image in images:
             if self.on_tile is not None:
                 self.on_tile(TileEvent(
-                    frame=f, x0=0, y0=0, x1=w, y1=h,
-                    pixels=frames[f], frame_complete=True,
+                    frame=f, x0=0, y0=0, x1=int(image.shape[1]), y1=int(image.shape[0]),
+                    pixels=image, frame_complete=True,
                 ))
             if self.on_frame is not None:
-                self.on_frame(FrameEvent(f, frames[f]))
+                self.on_frame(FrameEvent(f, image))
 
     # -- checkpoint spool ----------------------------------------------------------
     def _manifest(self, n_tasks: int) -> dict:
@@ -853,7 +638,7 @@ class LocalRenderFarm:
             "format": _SPOOL_FORMAT,
             "factory": self.spec.factory,
             "kwargs": repr(sorted(self.spec.kwargs.items())),
-            "mode": self.mode,
+            "mode": self._layout,
             "n_frames": int(self._anim.n_frames),
             "width": int(self._cam.width),
             "height": int(self._cam.height),
@@ -862,201 +647,82 @@ class LocalRenderFarm:
             "n_tasks": int(n_tasks),
         }
 
-    def _load_spooled(self, run_dir: Path, tasks: list, validate) -> dict:
-        """Recover finished tasks from a previous (interrupted) run.
+    def _load_spool(self, run_path: Path, units: list, box_of, validate) -> dict:
+        """Open (or create) a checkpoint directory; returns the finished
+        units it holds as ``{unit index: result tuple}``.
 
-        Unreadable or invalid spool files are treated as not-completed —
-        the task simply re-renders, so a truncated write costs one task,
-        never the run."""
-        completed: dict[int, tuple] = {}
-        for idx in range(len(tasks)):
-            path = _spool_path(run_dir, idx)
-            if not path.exists():
-                continue
-            try:
-                result = _load_task_result(path)
-            except Exception:
-                continue
-            if validate(tasks[idx], result):
-                completed[idx] = result
-        return completed
-
-    # -- entry point -------------------------------------------------------------
-    def render(
-        self, run_dir: str | Path | None = None, resume: str | Path | None = None
-    ) -> FarmResult:
-        """Render all frames; assemble and return them with merged stats.
-
-        ``run_dir`` spools each completed task to that directory;
-        ``resume`` points at such a directory and skips the tasks it
-        already holds (implies spooling new completions there too).
-        """
-        if self.schedule != "static":
-            if run_dir is not None or resume is not None:
-                raise ValueError(
-                    "checkpoint spooling (run_dir/resume) requires schedule='static'; "
-                    "dynamic schedules decide the task list at run time"
+        A manifest for a different render refuses to mix checkpoints; one
+        that differs only by an older ``format`` number is an empty spool,
+        cleared and overwritten.  Unreadable, invalid or mismatched spool
+        files count as not completed — that unit simply re-renders, so a
+        truncated write costs one unit, never the run."""
+        run_path.mkdir(parents=True, exist_ok=True)
+        manifest = self._manifest(len(units))
+        manifest_path = run_path / _MANIFEST_NAME
+        existing = json.loads(manifest_path.read_text()) if manifest_path.exists() else None
+        if existing != manifest:
+            if existing is not None:
+                older = (
+                    isinstance(existing, dict)
+                    and existing.get("format") in range(_SPOOL_FORMAT)
+                    and {**existing, "format": _SPOOL_FORMAT} == manifest
                 )
-            return self._render_scheduled()
-        if resume is not None:
-            if run_dir is not None and Path(run_dir) != Path(resume):
-                raise ValueError("pass either run_dir or resume, not two different dirs")
-            run_dir = resume
-        run_path = Path(run_dir) if run_dir is not None else None
-
-        anim = self._anim
-        cam = self._cam
-        tel = self.telemetry
-        t_run0 = self._begin_trace()
-        tasks = self._tasks()
-        validate = self._make_validator()
-        if self.profile_dir:
-            Path(self.profile_dir).mkdir(parents=True, exist_ok=True)
-
-        tel.event(
-            "run.start",
-            engine="farm",
-            workload=self.spec.factory,
-            n_frames=int(anim.n_frames),
-            width=int(cam.width),
-            height=int(cam.height),
-            n_workers=self.n_workers,
-            mode=self.mode,
-        )
-
-        completed: dict[int, tuple] = {}
-        on_result = None
-        if run_path is not None:
-            run_path.mkdir(parents=True, exist_ok=True)
-            manifest = self._manifest(len(tasks))
-            manifest_path = run_path / _MANIFEST_NAME
-            if manifest_path.exists():
-                existing = json.loads(manifest_path.read_text())
-                if existing != manifest:
+                if not older:
                     raise ValueError(
                         f"run directory {run_path} belongs to a different render "
                         "(manifest mismatch); refusing to mix checkpoints"
                     )
-                completed = self._load_spooled(run_path, tasks, validate)
-                for idx in sorted(completed):
-                    tel.event("checkpoint", task=idx, action="loaded")
-            else:
-                tmp = manifest_path.with_suffix(".json.tmp")
-                tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-                os.replace(tmp, manifest_path)
+                for stale in run_path.glob("task_*.npz"):
+                    stale.unlink()
+            tmp = manifest_path.with_suffix(".json.tmp")
+            tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+            os.replace(tmp, manifest_path)
+            return {}
+        loaded: dict[int, tuple] = {}
+        for idx, unit in enumerate(units):
+            path = _spool_path(run_path, idx)
+            if not path.exists():
+                continue
+            try:
+                ri, f0, f1, frames, counts, events = _load_task_result(path)
+                result = (box_of(unit[0]), f0, f1, frames, counts, events)
+                if (ri, f0, f1) == unit and validate(None, result):
+                    loaded[idx] = result
+            except Exception:
+                continue
+        return loaded
 
-            def on_result(idx: int, result: tuple) -> None:
-                _save_task_result(_spool_path(run_path, idx), result)
-                tel.event("checkpoint", task=idx, action="saved")
+    def _spooler(self, run_path: Path, units: list, assembler):
+        """The transports' ``on_result(assignment, result)`` hook that
+        spools each accepted unit under its index in ``units``."""
+        tel = self.telemetry
+        # A TCP unit whose first worker died comes home as the remainder
+        # partial salvage left, so key on what narrowing keeps: the region
+        # and the end frame.
+        index_of = {(ri, f1): i for i, (ri, _f0, f1) in enumerate(units)}
 
-        # Process pools get a shared-memory frame store: workers render
-        # into segments and return FrameRef handles, so no pixels are
-        # pickled back across the fork boundary.  The master (here)
-        # releases every ref after assembly and sweeps stragglers —
-        # segments of crashed attempts or discarded duplicates.
-        store = SharedFrameStore() if self.executor == "process" else None
-        supervisor = TaskSupervisor(
-            _TASK_FNS[self.mode],
-            tasks,
-            executor=self.executor,
-            n_workers=self.n_workers,
-            initializer=_worker_init,
-            initargs=(self.spec, store.token if store else None),
-            validate=validate,
-            max_attempts=self.max_attempts,
-            task_timeout=self.task_timeout,
-            timeout_factor=self.timeout_factor,
-            startup_timeout=self.startup_timeout,
-            backoff_base=self.backoff_base,
-            degrade_serial=self.degrade_serial,
-            fault_plan=self.fault_plan,
-            completed=completed,
-            on_result=on_result,
+        def on_result(a, result) -> None:
+            idx = index_of[(a.region_index, a.frame1)]
+            ri, f0, f1 = units[idx]
+            box, _f0, _f1, frames, counts, events = result
+            if assembler is not None:
+                # Streamed (or folded in on arrival): the validator, and
+                # any salvage before it, proved the unit's whole range
+                # composited.
+                frames = assembler.segment(box, f0, f1)
+            _save_task_result(_spool_path(run_path, idx), (ri, f0, f1, frames, counts, events))
+            tel.event("checkpoint", task=idx, action="saved")
+
+        return on_result
+
+    # -- transports ----------------------------------------------------------------
+    def _transport(self, policy, box_of, label, validate, assembler, on_result):
+        """The transport that will drive ``policy``: the supervised pool or
+        the loopback network farm, both executing the segment task."""
+        spec, grid, samples, prof = (
+            self.spec, self.grid_resolution, self.samples_per_axis, self.profile_dir
         )
-        out = None
-        try:
-            out = supervisor.run()
-
-            frames = np.zeros((anim.n_frames, cam.height, cam.width, 3), dtype=np.float64)
-            if self.mode == "frame":
-                flat = frames.reshape(anim.n_frames, cam.n_pixels, 3)
-                for _box, region, block_frames, _counts, _ev in out.results:
-                    flat[:, np.asarray(region), :] = block_frames
-            elif self.mode == "hybrid":
-                flat = frames.reshape(anim.n_frames, cam.n_pixels, 3)
-                for _box, region, start, stop, chunk_frames, _counts, _ev in out.results:
-                    flat[int(start) : int(stop)][:, np.asarray(region), :] = chunk_frames
-            else:
-                for start, stop, seq_frames, _counts, _ev in out.results:
-                    frames[int(start) : int(stop)] = seq_frames
-            stats = RayStats.merge(res[-2] for res in out.results)
-        finally:
-            if store is not None:
-                release_refs(out.results if out is not None else ())
-                store.cleanup()
-        self._fire_synthetic_events(frames)
-
-        if tel.enabled:
-            self._emit_run_telemetry(out, stats, len(tasks))
-        self._end_trace(t_run0)
-
-        return FarmResult(
-            frames=frames,
-            stats=stats,
-            n_tasks=len(tasks),
-            mode=self.mode,
-            n_retries=out.n_retries,
-            n_timeouts=out.n_timeouts,
-            n_crashes=out.n_crashes,
-            n_invalid=out.n_invalid,
-            n_degraded=out.n_degraded,
-            n_from_checkpoint=out.n_from_checkpoint,
-            attempts=out.attempts,
-        )
-
-    def _render_scheduled(self) -> FarmResult:
-        """Render under a dynamic (policy-driven) schedule.
-
-        The policy decides every dispatch; the supervised pool executes
-        them via :class:`~repro.sched.process.ProcessTransport`, one
-        assignment in flight per lane.  No spooling: the task list does
-        not exist upfront, so checkpoints have nothing stable to key on.
-        """
-        from ..sched.process import ProcessTransport
-
-        anim, cam, tel = self._anim, self._cam, self.telemetry
-        policy, regions = self._sched_policy()
-        # Distributed framebuffer: tiling is a TCP concern (the pool
-        # shares memory); tile_px=0 opts a TCP run out explicitly.
-        assembler = None
-        if self.transport == "tcp" and self.tile_px != 0:
-            from ..dfb import FrameAssembler
-
-            assembler = FrameAssembler(anim.n_frames, cam.width, cam.height)
-            if self.preview is not None:
-                self.preview.attach(
-                    assembler,
-                    workload=self.spec.factory,
-                    n_workers=int(self.n_workers),
-                )
-        validate = self._make_sched_validator(assembler)
-        if self.profile_dir:
-            Path(self.profile_dir).mkdir(parents=True, exist_ok=True)
-
-        t_run0 = self._begin_trace()
-        tel.event(
-            "run.start",
-            engine="farm",
-            workload=self.spec.factory,
-            n_frames=int(anim.n_frames),
-            width=int(cam.width),
-            height=int(cam.height),
-            n_workers=self.n_workers,
-            mode=self.schedule,
-        )
-
-        spec, grid, samples = self.spec, self.grid_resolution, self.samples_per_axis
-        prof, label = self.profile_dir, self.schedule
+        tel = self.telemetry
         run_id, run_span, enabled = tel.run_id, self._run_span, tel.enabled
 
         def ctx_of(a, lane):
@@ -1071,21 +737,18 @@ class LocalRenderFarm:
                 worker=str(lane),
             ).to_arg()
 
-        def box_of(a):
-            if regions is not None and a.region_index >= 0:
-                r = regions[a.region_index]
-                return (r.x0, r.y0, r.x1, r.y1)
-            return None
+        spec_arg = spec
+        if self.transport == "tcp":
+            from ..net.tasks import spec_to_wire
+
+            spec_arg = spec_to_wire(spec)
+
+        def materialize(a, lane):
+            return (spec_arg, box_of(a.region_index), int(a.frame0), int(a.frame1),
+                    bool(a.fresh), label, grid, samples, ctx_of(a, lane), prof)
 
         if self.transport == "tcp":
             from ..net.master import TcpTransport
-            from ..net.tasks import spec_to_wire
-
-            spec_wire = spec_to_wire(spec)
-
-            def materialize(a, lane):
-                return (spec_wire, box_of(a), int(a.frame0), int(a.frame1),
-                        bool(a.fresh), label, grid, samples, ctx_of(a, lane), prof)
 
             master_on_tile = None
             if assembler is not None and (
@@ -1106,7 +769,7 @@ class LocalRenderFarm:
                             FrameEvent(frame, assembler.frame_image(frame))
                         )
 
-            transport = TcpTransport(
+            return TcpTransport(
                 policy,
                 "render_segment",
                 materialize,
@@ -1117,114 +780,211 @@ class LocalRenderFarm:
                 telemetry=tel,
                 trace_root=run_span,
                 validate=validate,
+                on_result=on_result,
                 max_attempts=self.max_attempts,
                 task_timeout=self.task_timeout,
                 timeout_factor=self.timeout_factor,
                 startup_timeout=self.startup_timeout,
                 assembler=assembler,
                 tile_px=self.tile_px,
-                tile_box=box_of,
+                tile_box=lambda a: box_of(a.region_index),
                 on_tile=master_on_tile,
             )
-        else:
 
-            def materialize(a, lane):
-                return (spec, box_of(a), int(a.frame0), int(a.frame1), bool(a.fresh),
-                        label, grid, samples, ctx_of(a, lane), prof)
+        from ..sched.process import ProcessTransport
 
-            # Same shared-memory contract as the static path: pool workers
-            # park pixels in segments, only FrameRef handles ride back.
-            store = SharedFrameStore() if self.executor == "process" else None
-            transport = ProcessTransport(
-                policy,
-                _render_segment_task,
-                materialize,
-                n_workers=self.n_workers,
-                telemetry=tel,
-                trace_root=run_span,
-                frame_store=store,
-                executor=self.executor,
-                initializer=_worker_init,
-                initargs=(self.spec, store.token if store else None),
-                validate=validate,
-                max_attempts=self.max_attempts,
-                task_timeout=self.task_timeout,
-                timeout_factor=self.timeout_factor,
-                startup_timeout=self.startup_timeout,
-                backoff_base=self.backoff_base,
-                degrade_serial=self.degrade_serial,
-                fault_plan=self.fault_plan,
+        # Process pools get a shared-memory frame store: workers render
+        # into segments and return FrameRef handles, so no pixels are
+        # pickled back across the fork boundary.  The transport sweeps
+        # stragglers (crashed attempts, discarded duplicates); the farm
+        # releases the refs it composited.
+        store = SharedFrameStore() if self.executor == "process" else None
+        return ProcessTransport(
+            policy,
+            _render_segment_task,
+            materialize,
+            n_workers=self.n_workers,
+            on_result=on_result,
+            telemetry=tel,
+            trace_root=run_span,
+            frame_store=store,
+            executor=self.executor,
+            initializer=_worker_init,
+            initargs=(spec, store.token if store else None),
+            validate=validate,
+            max_attempts=self.max_attempts,
+            task_timeout=self.task_timeout,
+            timeout_factor=self.timeout_factor,
+            startup_timeout=self.startup_timeout,
+            backoff_base=self.backoff_base,
+            degrade_serial=self.degrade_serial,
+            fault_plan=self.fault_plan,
+        )
+
+    # -- entry point -------------------------------------------------------------
+    def render(
+        self, run_dir: str | Path | None = None, resume: str | Path | None = None
+    ) -> FarmResult:
+        """Render all frames; assemble and return them with merged stats.
+
+        ``run_dir`` spools each completed unit of a fixed unit list
+        (``schedule="static"`` or ``"demand"``, on either transport) to
+        that directory as ``task_NNNN.npz`` — ``NNNN`` is the unit's index
+        in the list — beside a ``manifest.json`` describing the render.
+        ``resume`` points at such a directory: the units it holds are
+        loaded instead of rendered, the rest render and spool there too.
+        ``schedule="adaptive"`` has no fixed list and refuses both.
+        """
+        if resume is not None:
+            if run_dir is not None and Path(run_dir) != Path(resume):
+                raise ValueError("pass either run_dir or resume, not two different dirs")
+            run_dir = resume
+        units, regions = self._unit_list()
+        if run_dir is not None and units is None:
+            raise ValueError(
+                "checkpoint spooling (run_dir/resume) requires schedule='static' or "
+                "'demand'; the adaptive schedule decides its units at run time"
             )
-        try:
-            out = transport.run()
-        finally:
-            if self.preview is not None and assembler is not None:
-                self.preview.detach()
+        anim, cam, tel = self._anim, self._cam, self.telemetry
+        label = self.mode if self.schedule == "static" else self.schedule
+
+        def box_of(region_index):
+            if regions is None or region_index < 0:
+                return None
+            r = regions[region_index]
+            return (r.x0, r.y0, r.x1, r.y1)
+
+        # Distributed framebuffer: tiling is a TCP concern (the pool
+        # shares memory); tile_px=0 opts a TCP run out explicitly.
+        assembler = None
+        if self.transport == "tcp" and self.tile_px != 0:
+            from ..dfb import FrameAssembler
+
+            assembler = FrameAssembler(anim.n_frames, cam.width, cam.height)
+        validate = self._validator(assembler)
+        if self.profile_dir:
+            Path(self.profile_dir).mkdir(parents=True, exist_ok=True)
+
+        t_run0 = self._begin_trace()
+        tel.event(
+            "run.start",
+            engine="farm",
+            workload=self.spec.factory,
+            n_frames=int(anim.n_frames),
+            width=int(cam.width),
+            height=int(cam.height),
+            n_workers=self.n_workers,
+            mode=label,
+        )
+
+        # Units a previous run already spooled join this run's results
+        # and never reach the policy.
+        results: list = []
+        on_result = None
+        if run_dir is not None:
+            loaded = self._load_spool(Path(run_dir), units, box_of, validate)
+            for idx in loaded:
+                tel.event("checkpoint", task=idx, action="loaded")
+            results = list(loaded.values())
+            on_result = self._spooler(Path(run_dir), units, assembler)
+            units = [u for idx, u in enumerate(units) if idx not in loaded]
+        n_loaded = len(results)
+        if assembler is not None and results:
+            for i, (box, f0, f1, seg_frames, counts, events) in enumerate(results):
+                assembler.add_segment(box, f0, f1, seg_frames)
+                results[i] = (box, f0, f1, None, counts, events)
+            self._fire_synthetic_events(
+                (f, assembler.frame_image(f))
+                for f in range(anim.n_frames)
+                if assembler.box_complete(None, f)
+            )
+
+        out = None
+        if units is None or units:  # else every unit was loaded: start nothing
+            transport = self._transport(
+                self._policy(units, regions), box_of, label, validate, assembler, on_result
+            )
+            previewing = self.preview is not None and assembler is not None
+            if previewing:
+                self.preview.attach(
+                    assembler,
+                    workload=self.spec.factory,
+                    n_workers=int(self.n_workers),
+                )
+            try:
+                out = transport.run()
+            finally:
+                if previewing:
+                    self.preview.detach()
+            results += out.results
+        sup = out.supervisor if out is not None else SupervisorOutcome(results=[])
+        n_tasks = n_loaded + (len(out.assignments) if out is not None else 0)
 
         if assembler is not None:
-            # Every result — streamed tiles and whole sub-areas from
-            # non-tiling workers alike — was folded into the compositor
-            # as it arrived; taking the frames hands the per-frame
-            # composite buffers back to the pool.
+            # Every result — streamed tiles, whole sub-areas and loaded
+            # checkpoints alike — was folded into the compositor as it
+            # arrived; taking the frames hands the per-frame composite
+            # buffers back to the pool.
             frames = assembler.take_frames()
         else:
             frames = np.zeros(
                 (anim.n_frames, cam.height, cam.width, 3), dtype=np.float64
             )
             flat = frames.reshape(anim.n_frames, cam.n_pixels, 3)
-            for box, f0, f1, seg_frames, _counts, _ev in out.results:
+            for box, f0, f1, seg_frames, _counts, _ev in results:
                 f0, f1 = int(f0), int(f1)
                 if box is None:
                     frames[f0:f1] = seg_frames
                 else:
                     region = PixelRegion(*box, width=cam.width).pixels
                     flat[f0:f1][:, region, :] = seg_frames
-            release_refs(out.results)
-        stats = RayStats.merge(res[-2] for res in out.results)
-        if assembler is None:
-            self._fire_synthetic_events(frames)
+            release_refs(results)
+            self._fire_synthetic_events(enumerate(frames))
+        stats = RayStats.merge(res[-2] for res in results)
 
-        sup = out.supervisor
         if tel.enabled:
             # The TCP master already absorbed worker event buffers live
             # (with clock-offset correction); re-emitting them here would
             # duplicate every span in the stream.
             self._emit_run_telemetry(
-                sup, stats, len(out.assignments),
+                results, n_loaded, sup, stats, n_tasks,
                 absorb_events=self.transport != "tcp",
             )
         self._end_trace(t_run0)
         return FarmResult(
             frames=frames,
             stats=stats,
-            n_tasks=len(out.assignments),
-            mode=self.schedule,
+            n_tasks=n_tasks,
+            mode=label,
             n_retries=sup.n_retries,
             n_timeouts=sup.n_timeouts,
             n_crashes=sup.n_crashes,
             n_invalid=sup.n_invalid,
             n_degraded=sup.n_degraded,
-            n_from_checkpoint=0,
+            n_from_checkpoint=n_loaded,
             attempts=sup.attempts,
-            net=getattr(transport, "master", None) and transport.master.net,
+            net=out.net if out is not None else None,
             streamed=assembler is not None,
         )
 
     def _emit_run_telemetry(
-        self, out, stats: RayStats, n_tasks: int, absorb_events: bool = True
+        self, results, n_loaded: int, sup, stats: RayStats, n_tasks: int,
+        absorb_events: bool,
     ) -> None:
         """Absorb worker event buffers and emit the run-level events
         (task.attempt / recovery timeline, per-worker utilization,
         run.end totals) into the farm's telemetry session.
 
-        ``absorb_events=False`` still folds the buffers into the summary
-        stats but skips re-emitting them — the TCP transport absorbs
-        each buffer at result time (clock-corrected), so only the
-        process/thread paths absorb here."""
+        The first ``n_loaded`` results came from a checkpoint spool: their
+        buffers count toward the pixel totals but are not re-emitted —
+        those spans belong to another run's trace and another process's
+        clock.  ``absorb_events=False`` likewise only folds this run's
+        buffers — the TCP transport absorbs each at result time
+        (clock-corrected), so only the process/thread paths absorb here."""
         tel = self.telemetry
         worker_busy: dict[str, list] = {}  # worker -> [busy_seconds, n_tasks]
         computed = copied = 0
-        for res in out.results:
+        for i, res in enumerate(results):
             payload = res[-1]
             if not payload:
                 continue
@@ -1232,11 +992,12 @@ class LocalRenderFarm:
                 events = json.loads(payload)
             except (TypeError, ValueError):
                 continue
-            if absorb_events:
+            ours = i >= n_loaded
+            if ours and absorb_events:
                 tel.absorb(events)
             for rec in events:
                 name, attrs = rec.get("name"), rec.get("attrs") or {}
-                if rec.get("type") == "span" and name == "task":
+                if ours and rec.get("type") == "span" and name == "task":
                     w = str(attrs.get("worker", "?"))
                     busy = worker_busy.setdefault(w, [0.0, 0])
                     busy[0] += float(rec.get("dur", 0.0))
@@ -1245,7 +1006,7 @@ class LocalRenderFarm:
                     computed += int(attrs.get("n_computed", 0))
                     copied += int(attrs.get("n_copied", 0))
 
-        for a in out.attempts:
+        for a in sup.attempts:
             tel.event(
                 "task.attempt",
                 task=a.task_index,
@@ -1268,7 +1029,7 @@ class LocalRenderFarm:
                     worker="?",
                 )
 
-        wall = out.wall_time
+        wall = sup.wall_time
         for w in sorted(worker_busy):
             busy, n = worker_busy[w]
             tel.event(

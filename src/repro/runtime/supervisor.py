@@ -96,7 +96,6 @@ class SupervisorOutcome:
     n_degraded: int = 0
     n_duplicates: int = 0
     n_pool_rebuilds: int = 0
-    n_from_checkpoint: int = 0
     wall_time: float = 0.0
 
 
@@ -138,12 +137,9 @@ class TaskSupervisor:
         deadline) covering the observation-free start-up window.
     degrade_serial:
         On retry exhaustion, run the task in-process instead of failing.
-    completed:
-        ``{task_index: result}`` already finished (checkpoint resume);
-        these tasks are not re-executed.
     on_result:
         ``on_result(task_index, result)`` called once per accepted
-        result, in completion order — the farm spools checkpoints here.
+        result, in completion order.
     feed:
         Optional ``feed() -> list | None`` called whenever the pending
         queue is empty and worker slots are free: a list of new task
@@ -175,7 +171,6 @@ class TaskSupervisor:
         max_pool_rebuilds: int = 4,
         poll_interval: float = 0.05,
         fault_plan: FaultPlan | None = None,
-        completed: dict | None = None,
         on_result=None,
         feed=None,
     ):
@@ -203,7 +198,6 @@ class TaskSupervisor:
         self.max_pool_rebuilds = max_pool_rebuilds
         self.poll_interval = poll_interval
         self.fault_plan = fault_plan
-        self.completed = dict(completed or {})
         self.on_result = on_result
         self.feed = feed
         self._feed_done = feed is None
@@ -221,11 +215,7 @@ class TaskSupervisor:
     def run(self) -> SupervisorOutcome:
         t0 = self._t0 = time.monotonic()
         out = self._out
-        out.n_from_checkpoint = len(self.completed)
-        self._results.update(self.completed)
-        self._pending = deque(
-            (i, 0, 0.0) for i in range(len(self.tasks)) if i not in self._results
-        )
+        self._pending = deque((i, 0, 0.0) for i in range(len(self.tasks)))
         try:
             if self.executor == "serial":
                 self._run_serial()

@@ -9,9 +9,10 @@ This module is that master:
   (``JOB_SUBMIT`` / ``JOB_STATUS`` / ``JOB_CANCEL``, protocol minor 2) —
   clients submit a render spec and poll for completion;
 * a **scheduler loop** that pops the most urgent admitted job and runs
-  it through :func:`repro.api.render` on the ``farm`` engine with a
-  static schedule, so every completed task spools to the job's
-  checkpoint directory exactly as PR 1's crash drills exercise;
+  it through :func:`repro.api.render` on the ``farm`` engine with the
+  static schedule's fixed unit list — on the process pool or over tcp —
+  so every completed unit spools to the job's checkpoint directory
+  exactly as PR 1's crash drills exercise;
 * the **JobLedger** write-ahead discipline: every transition is durable
   *before* the service acts on it, so ``kill -9`` plus
   ``repro serve --resume`` reconstructs the job table and continues
@@ -326,7 +327,7 @@ class RenderService:
         kwargs = {
             "workload": workload,
             "engine": "farm",
-            "schedule": "static",  # spooling requires the static schedule
+            "schedule": "static",
             "n_workers": spec.pop("n_workers", self.n_workers),
             "executor": spec.pop("executor", self.executor),
             "transport": spec.pop("transport", self.transport),

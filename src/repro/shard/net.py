@@ -365,7 +365,6 @@ def render_sharded_tcp(
         blackbox_dir=blackbox_dir,
         worker_verbose=worker_verbose,
         session=session,
-        minor_floor=4,  # shard lanes must speak RAYS/SHADE
         **({"telemetry": telemetry} if telemetry is not None else {}),
         **master_kwargs,
     )

@@ -6,6 +6,7 @@ must still be *exactly* the fault-free reference — with the recovery
 events on the record.  Also covers checkpoint spooling and resume.
 """
 
+import glob
 import json
 
 import numpy as np
@@ -86,13 +87,14 @@ def test_retry_exhaustion_degrades_to_serial(spec, reference):
 
 def test_all_workers_dead_error_path(spec):
     """Unrecoverable pool loss surfaces as SupervisorError, not a hang."""
-    from repro.runtime.local import _TASK_FNS, _worker_init
+    from repro.runtime.local import _render_segment_task, _worker_init
     from repro.runtime.supervisor import TaskSupervisor
 
     plan = FaultPlan((FaultPlan.crash(0, attempts=tuple(range(8))),))
+    whole_animation = (spec, None, 0, 3, True, "sequence", GRID, 1, False, None)
     sup = TaskSupervisor(
-        _TASK_FNS["frame"],
-        _farm(spec, n_workers=2)._tasks(),
+        _render_segment_task,
+        [whole_animation],
         executor="process",
         n_workers=2,
         initializer=_worker_init,
@@ -143,6 +145,56 @@ def test_resume_after_midway_failure_is_bit_identical(spec, reference, tmp_path)
     assert len(executed) == 12 - len(spooled)  # only unfinished tasks re-ran
 
 
+def _resume_drill(spec, reference, run_dir, **kw):
+    """Spool a full run, lose a third of the files (one of them torn, not
+    missing), resume twice: only the lost units re-run, then none do."""
+    first = _farm(spec, n_workers=2, **kw).render(run_dir=run_dir)
+    assert np.array_equal(first.frames, reference.frames)
+    spooled = sorted(run_dir.glob("task_*.npz"))
+    assert len(spooled) == first.n_tasks
+    lost = spooled[::3]
+    lost[0].write_bytes(b"not a zip at all")
+    for path in lost[1:]:
+        path.unlink()
+
+    res = _farm(spec, n_workers=2, **kw).render(resume=run_dir)
+    assert np.array_equal(res.frames, reference.frames)
+    assert res.n_tasks == first.n_tasks
+    assert res.n_from_checkpoint == first.n_tasks - len(lost)
+    assert len([a for a in res.attempts if a.outcome == "ok"]) == len(lost)
+    assert res.stats.total == first.stats.total  # spooled ray counts survive
+    assert sorted(run_dir.glob("task_*.npz")) == spooled  # the gaps were re-spooled
+
+    again = _farm(spec, n_workers=2, **kw).render(resume=run_dir)
+    assert np.array_equal(again.frames, reference.frames)
+    assert again.n_from_checkpoint == again.n_tasks == first.n_tasks
+    assert again.attempts == [] and again.net is None  # nothing was started
+    assert again.stats.total == first.stats.total
+    assert not glob.glob("/dev/shm/reprobuf_*")
+
+
+@pytest.mark.parametrize("schedule", ["static", "demand"])
+@pytest.mark.parametrize(
+    "transport, tile_px", [("process", None), ("tcp", None), ("tcp", 0)]
+)
+def test_resume_on_every_fixed_schedule_and_transport(
+    spec, reference, tmp_path, transport, tile_px, schedule
+):
+    _resume_drill(spec, reference, tmp_path / "run",
+                  transport=transport, tile_px=tile_px, schedule=schedule)
+
+
+def test_spool_is_portable_across_transports(spec, reference, tmp_path):
+    """What the service's last-chance serial attempt relies on: a spool
+    written over sockets resumes on the in-process executor."""
+    run_dir = tmp_path / "run"
+    _farm(spec, n_workers=2, transport="tcp").render(run_dir=run_dir)
+    (run_dir / "task_0005.npz").unlink()
+    res = _farm(spec, n_workers=1, executor="serial").render(resume=run_dir)
+    assert np.array_equal(res.frames, reference.frames)
+    assert res.n_from_checkpoint == 11
+
+
 def test_resume_with_everything_done_executes_nothing(spec, reference, tmp_path):
     run_dir = tmp_path / "run"
     first = _farm(spec, n_workers=2).render(run_dir=run_dir)
@@ -162,7 +214,24 @@ def test_corrupt_spool_file_re_renders_that_task(spec, reference, tmp_path):
     res = _farm(spec, n_workers=2).render(resume=run_dir)
     assert np.array_equal(res.frames, reference.frames)
     assert res.n_from_checkpoint == 11
-    assert {a.task_index for a in res.attempts} == {3}
+    # The supervisor numbers attempts by dispatch order, not by unit:
+    # exactly one ran, and it rewrote the victim's file.
+    assert len(res.attempts) == 1
+    with np.load(victim) as z:
+        assert (int(z["f0"]), int(z["f1"]), int(z["f2"])) == (3, 0, 3)
+
+
+def test_older_format_spool_is_an_empty_spool(spec, reference, tmp_path):
+    """A format bump must not dead-letter in-flight service jobs: a spool
+    whose manifest differs only by an older format is cleared and redone."""
+    run_dir = tmp_path / "run"
+    _farm(spec, executor="serial").render(run_dir=run_dir)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    (run_dir / "manifest.json").write_text(json.dumps({**manifest, "format": 2}))
+    res = _farm(spec, executor="serial").render(resume=run_dir)
+    assert np.array_equal(res.frames, reference.frames)
+    assert res.n_from_checkpoint == 0 and len(res.attempts) == 12
+    assert json.loads((run_dir / "manifest.json").read_text()) == manifest
 
 
 def test_resume_manifest_mismatch_rejected(spec, tmp_path):

@@ -276,6 +276,39 @@ def test_injected_worker_kill_is_reassigned():
     validate_events(sink.events)
 
 
+def test_older_worker_is_turned_away_at_hello():
+    """Master and workers ship from one tree, so the admission floor is
+    the current minor: an older HELLO gets a clean SHUTDOWN, never a lane."""
+    assert wire.PROTO_MINOR_FLOOR == wire.PROTO_MINOR
+    sink = InMemorySink()
+    tel = Telemetry(sinks=(sink,))
+    policy = make_policy("frame-division-nofc", 1, n_regions=1)
+    master = MasterServer(
+        policy, "echo", lambda a, lane: (a.seq, lane), accept_timeout=0.5, telemetry=tel
+    )
+    host, port = master.listen()
+    replies = []
+
+    def stale_worker():
+        with socket.create_connection((host, port)) as sock:
+            wire.send_frame(sock, wire.MSG_HELLO, {
+                "proto": wire.PROTO_VERSION, "minor": wire.PROTO_MINOR - 1,
+                "host": "old", "pid": 1, "cores": 1, "score": 1.0,
+            })
+            replies.append(wire.recv_frame(sock))
+
+    thread = threading.Thread(target=stale_worker)
+    thread.start()
+    with pytest.raises(RuntimeError, match="no workers connected"):
+        master.serve()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert replies and replies[0][0] == wire.MSG_SHUTDOWN
+    assert master.workers == {} and policy.log == []
+    lost = [r for r in sink.events if r["name"] == "net.worker.lost"]
+    assert [r["attrs"]["reason"] for r in lost] == ["proto"]
+
+
 def test_task_error_reconnect_then_max_attempts():
     """A worker that errors on its assignment is dropped and reconnects as
     a fresh lane; the same unit failing ``max_attempts`` times fails the
@@ -393,9 +426,35 @@ def test_tcp_farm_survives_worker_kill_bit_identically(tcp_spec, serial_referenc
     assert "net.worker.lost" in names and "recovery" in names
 
 
-def test_tcp_requires_dynamic_schedule(tcp_spec):
-    with pytest.raises(ValueError, match="dynamic schedule"):
-        LocalRenderFarm(tcp_spec, transport="tcp", schedule="static")
+def test_tcp_serves_the_static_unit_list(tcp_spec, serial_reference):
+    """The static schedule is a policy like the others, so sockets serve
+    it: 12 whole-animation block chains, the serial tracer's ray count."""
+    out = LocalRenderFarm(
+        tcp_spec, n_workers=2, schedule="static", transport="tcp", grid_resolution=12
+    ).render()
+    assert (out.mode, out.n_tasks, out.streamed) == ("frame", 12, True)
+    assert out.frames.tobytes() == serial_reference.frames.tobytes()
+    assert out.stats.total == serial_reference.stats.total
+
+
+def test_tcp_spool_survives_mid_unit_kill(tcp_spec, serial_reference, tmp_path):
+    """A daemon dies inside a unit: its landed frames are salvaged, the
+    remainder re-renders elsewhere, and the checkpoint written for that
+    unit still holds the unit's whole range — a resume re-renders nothing."""
+    kw = dict(n_workers=2, schedule="static", transport="tcp", grid_resolution=12)
+    run_dir = tmp_path / "run"
+    # The kill hook counts frame events, so the doomed run needs telemetry.
+    tel = Telemetry(sinks=(InMemorySink(),))
+    out = LocalRenderFarm(
+        tcp_spec, net_die_after_frames={0: 2}, telemetry=tel, **kw
+    ).render(run_dir=run_dir)
+    tel.close()
+    assert out.n_crashes >= 1 and out.net.n_frames_salvaged >= 1
+    assert out.frames.tobytes() == serial_reference.frames.tobytes()
+    assert len(list(run_dir.glob("task_*.npz"))) == 12
+    again = LocalRenderFarm(tcp_spec, **kw).render(resume=run_dir)
+    assert again.n_from_checkpoint == 12 and again.attempts == []
+    assert again.frames.tobytes() == serial_reference.frames.tobytes()
 
 
 def test_tcp_farm_streams_tiles_with_telemetry(tcp_spec, serial_reference):

@@ -47,10 +47,10 @@ from repro.telemetry import (
 def test_trace_context_round_trip():
     ctx = TraceContext(run="abc", parent="A7", seed="s7", worker="w1")
     assert TraceContext.from_arg(ctx.to_arg()) == ctx
-    # Legacy slot values: True = on without context, falsy = off.
-    assert TraceContext.from_arg(True) == TraceContext()
+    # Anything but a context dict means telemetry is off.
     assert TraceContext.from_arg(False) is None
     assert TraceContext.from_arg(None) is None
+    assert TraceContext.from_arg(True) is None
 
 
 def test_run_ids_and_flight_ids():
@@ -74,11 +74,9 @@ def test_worker_session_namespaces_span_ids():
     assert rec_a["run"] == "r1"
 
 
-def test_worker_session_disabled_and_legacy():
+def test_worker_session_disabled():
     tel, sink = worker_session(False)
     assert not tel.enabled and sink is None
-    tel, sink = worker_session(True)  # legacy bool: on, no trace context
-    assert tel.enabled and sink is not None
 
 
 def test_find_orphan_spans():

@@ -389,8 +389,53 @@ def test_farm_dynamic_schedules_bit_identical():
         assert np.array_equal(out.frames, ref.frames)
 
 
+def test_demand_is_the_static_hybrid_unit_list(monkeypatch):
+    """``schedule="demand"`` is a spelling of ``mode="hybrid"`` under the
+    static schedule: same dispatch log, same pixels, same rays."""
+    policies = []
+    build = LocalRenderFarm._policy
+
+    def capture(self, units, regions):
+        policies.append(build(self, units, regions))
+        return policies[-1]
+
+    monkeypatch.setattr(LocalRenderFarm, "_policy", capture)
+    spec = AnimationSpec.newton(n_frames=3, width=24, height=18)
+    kw = dict(n_workers=2, executor="serial", grid_resolution=12, frames_per_chunk=2)
+    static = LocalRenderFarm(spec, mode="hybrid", schedule="static", **kw).render()
+    demand = LocalRenderFarm(spec, mode="sequence", schedule="demand", **kw).render()
+    log_static, log_demand = ([a.key() for a in p.log] for p in policies)
+    assert log_static == log_demand and len(log_static) == 24
+    assert (static.mode, demand.mode) == ("hybrid", "demand")
+    assert np.array_equal(static.frames, demand.frames)
+    assert np.array_equal(static.stats.counts, demand.stats.counts)
+
+
+def test_static_run_traces_one_flight_per_unit():
+    """The default schedule shows up in the trace like any other: a flight
+    span per unit (what ``repro top`` lists as in flight), no orphans."""
+    from repro.obs import find_orphan_spans
+    from repro.telemetry import InMemorySink, Telemetry, validate_events
+
+    sink = InMemorySink()
+    tel = Telemetry(sinks=(sink,))
+    spec = AnimationSpec.newton(n_frames=3, width=24, height=18)
+    out = LocalRenderFarm(
+        spec, n_workers=2, executor="thread", grid_resolution=12, telemetry=tel
+    ).render()
+    tel.close()
+    validate_events(sink.events)
+    spans = [r for r in sink.events if r["type"] == "span"]
+    flights = [r for r in spans if r["name"] == "obs.flight"]
+    tasks = [r for r in spans if r["name"] == "task"]
+    assert len(flights) == len(tasks) == out.n_tasks == 12
+    assert {t["parent"] for t in tasks} == {f["span"] for f in flights}
+    assert {t["attrs"]["mode"] for t in tasks} == {"frame"}
+    assert find_orphan_spans(sink.events) == []
+
+
 def test_dynamic_schedule_rejects_spooling(tmp_path):
     spec = AnimationSpec.newton(n_frames=2, width=16, height=12)
-    farm = LocalRenderFarm(spec, executor="serial", schedule="demand")
-    with pytest.raises(ValueError, match="static"):
+    farm = LocalRenderFarm(spec, executor="serial", schedule="adaptive")
+    with pytest.raises(ValueError, match="adaptive"):
         farm.render(run_dir=tmp_path)

@@ -338,10 +338,26 @@ def test_resume_continues_mid_job_bit_identically(tmp_path):
     journal + partial spool), and ``resume=True`` finishes from the last
     spooled task — never re-rendering finished work, frames bit-identical
     to the crash-free run."""
+    _crash_drill(tmp_path)
+
+
+def test_tcp_job_finishes_first_attempt_and_resumes(tmp_path):
+    """A service on the socket transport renders jobs over its daemons at
+    the first attempt (not through the last-chance serial fallback), and
+    the same crash drill resumes such a job bit-identically."""
+    ref_job = _crash_drill(tmp_path, transport="tcp")
+    assert [a["outcome"] for a in ref_job.attempts] == ["ok"]
+    events = read_events(tmp_path / "ref" / "jobs" / ref_job.job_id / "events.jsonl")
+    validate_events(events)
+    assert sum(e["name"] == "net.worker.join" for e in events) == 2  # n_workers lanes
+
+
+def _crash_drill(tmp_path, **service_kw):
     # Crash-free reference.
-    ref = make_service(tmp_path / "ref")
+    ref = make_service(tmp_path / "ref", **service_kw)
     ref.submit(SPEC)
-    assert ref.step().state == "done"
+    ref_job = ref.step()
+    assert ref_job.state == "done"
     ref.stop()
     with np.load(tmp_path / "ref" / "jobs" / "j0001" / "frames.npz") as npz:
         ref_frames = npz["frames"]
@@ -351,7 +367,7 @@ def test_resume_continues_mid_job_bit_identically(tmp_path):
 
     # The "crashed" service: job journaled as running, spool half-written.
     crash_dir = tmp_path / "crash"
-    svc = make_service(crash_dir)
+    svc = make_service(crash_dir, **service_kw)
     job, _ = svc.submit(SPEC)
     svc.stop()  # releases the ledger handle; state stays on disk
     done_subset = spooled[: len(spooled) // 2]
@@ -367,7 +383,7 @@ def test_resume_continues_mid_job_bit_identically(tmp_path):
         shutil.copy(ref_spool / name, spool / name)
 
     # kill -9 happened here.  Restart with --resume.
-    resumed = make_service(crash_dir, resume=True)
+    resumed = make_service(crash_dir, resume=True, **service_kw)
     try:
         assert resumed.n_recovered == 1
         job2 = resumed.jobs[job.job_id]
@@ -382,6 +398,7 @@ def test_resume_continues_mid_job_bit_identically(tmp_path):
         resumed.stop()
     with np.load(crash_dir / "jobs" / job.job_id / "frames.npz") as npz:
         np.testing.assert_array_equal(npz["frames"], ref_frames)
+    return ref_job
 
 
 def test_resume_with_torn_ledger_tail(tmp_path):

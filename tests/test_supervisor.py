@@ -61,16 +61,6 @@ def test_corrupt_result_introduces_nan():
     assert bad[1] == 3
 
 
-def test_completed_tasks_are_skipped():
-    sup = TaskSupervisor(
-        _double, [1, 2, 3], executor="serial", completed={1: "from-checkpoint"}
-    )
-    out = sup.run()
-    assert out.results == [2, "from-checkpoint", 6]
-    assert out.n_from_checkpoint == 1
-    assert {a.task_index for a in out.attempts} == {0, 2}
-
-
 def test_on_result_fires_once_per_task():
     seen = []
     sup = TaskSupervisor(
