@@ -17,7 +17,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.cluster import ThrashModel, ncsu_testbed
-from repro.parallel import RenderFarmConfig, simulate_sequence_division_fc
+from repro.parallel import RenderFarmConfig
+from repro.sched import simulate
 
 from _bench_utils import write_result
 
@@ -28,11 +29,13 @@ THRASH = ThrashModel(alpha=0.0)
 def _run(oracle):
     machines = ncsu_testbed()
     base_cfg = RenderFarmConfig(pixel_scale=(320 * 240) / oracle.n_pixels)
-    adaptive = simulate_sequence_division_fc(
+    adaptive = simulate(
+        "sequence-division-fc",
         oracle, machines, base_cfg, sec_per_work_unit=SPU, thrash=THRASH
     )
     static_cfg = dataclasses.replace(base_cfg, min_steal_frames=10**6)
-    static = simulate_sequence_division_fc(
+    static = simulate(
+        "sequence-division-fc",
         oracle, machines, static_cfg, sec_per_work_unit=SPU, thrash=THRASH
     )
     return adaptive, static

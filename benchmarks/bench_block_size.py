@@ -17,13 +17,9 @@ from __future__ import annotations
 
 from repro.bench import cached_oracle
 from repro.cluster import ThrashModel, ncsu_testbed
-from repro.parallel import (
-    RenderFarmConfig,
-    block_regions,
-    pixel_regions,
-    simulate_frame_division_fc,
-)
+from repro.parallel import RenderFarmConfig, block_regions, pixel_regions
 from repro.runtime import AnimationSpec
+from repro.sched import simulate
 
 from _bench_utils import write_result
 
@@ -46,7 +42,8 @@ def _run_sweep(oracle):
         ("tiny 4x4 px blocks", 4, 4),
     ]:
         regions = block_regions(w, h, bw, bh)
-        out = simulate_frame_division_fc(
+        out = simulate(
+            "frame-division-fc",
             oracle, machines, cfg, regions=regions, sec_per_work_unit=SPU, thrash=THRASH
         )
         sweep.append((label, len(regions), out))
@@ -81,7 +78,8 @@ def test_pixel_division_extreme(benchmark, results_dir):
     cfg = RenderFarmConfig(pixel_scale=(320 * 240) / oracle.n_pixels)
 
     def run():
-        per_pixel = simulate_frame_division_fc(
+        per_pixel = simulate(
+            "frame-division-fc",
             oracle,
             machines,
             cfg,
@@ -89,7 +87,8 @@ def test_pixel_division_extreme(benchmark, results_dir):
             sec_per_work_unit=SPU,
             thrash=THRASH,
         )
-        blocks = simulate_frame_division_fc(
+        blocks = simulate(
+            "frame-division-fc",
             oracle,
             machines,
             cfg,

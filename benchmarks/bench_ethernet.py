@@ -15,7 +15,8 @@ badly on slow networks — the paper's per-pixel warning, in network form.
 from __future__ import annotations
 
 from repro.cluster import ThrashModel, ncsu_testbed
-from repro.parallel import RenderFarmConfig, block_regions, simulate_frame_division_fc
+from repro.parallel import RenderFarmConfig, block_regions
+from repro.sched import simulate
 
 from _bench_utils import write_result
 
@@ -41,7 +42,8 @@ def _run(oracle):
     rows = []
     for net_name, net_kw in NETWORKS:
         for grid_name, regions in grids.items():
-            out = simulate_frame_division_fc(
+            out = simulate(
+                "frame-division-fc",
                 oracle,
                 machines,
                 cfg,

@@ -12,13 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster import ThrashModel, ncsu_testbed
-from repro.parallel import (
-    RenderFarmConfig,
-    simulate_frame_division_fc,
-    simulate_frame_division_fc_fault_tolerant,
-    simulate_sequence_division_fc_fault_tolerant,
-)
+from repro.parallel import RenderFarmConfig
 from repro.runtime import AnimationSpec, FaultPlan, LocalRenderFarm
+from repro.sched import simulate
 
 from _bench_utils import write_result
 
@@ -29,15 +25,18 @@ THRASH = ThrashModel(alpha=0.0)
 def _run(oracle):
     machines = ncsu_testbed()
     cfg = RenderFarmConfig(pixel_scale=(320 * 240) / oracle.n_pixels)
-    base = simulate_frame_division_fc(
+    base = simulate(
+        "frame-division-fc",
         oracle, machines, cfg, sec_per_work_unit=SPU, thrash=THRASH
     )
-    clean = simulate_frame_division_fc_fault_tolerant(
+    clean = simulate(
+        "frame-division-fc-ft",
         oracle, machines, cfg, sec_per_work_unit=SPU, thrash=THRASH
     )
     rows = [("baseline (no FT)", base), ("FT, no failure", clean)]
     for label, frac in [("early", 0.1), ("midway", 0.5), ("late", 0.9)]:
-        out = simulate_frame_division_fc_fault_tolerant(
+        out = simulate(
+            "frame-division-fc-ft",
             oracle,
             machines,
             cfg,
@@ -46,7 +45,8 @@ def _run(oracle):
             failures=[("indigo2-100", clean.total_time * frac)],
         )
         rows.append((f"FT, slave dies {label}", out))
-    both = simulate_frame_division_fc_fault_tolerant(
+    both = simulate(
+        "frame-division-fc-ft",
         oracle,
         machines,
         cfg,
@@ -73,7 +73,8 @@ def test_fault_tolerance_recovery_cost(benchmark, newton_oracle, results_dir):
     for name, out in rows:
         lines.append(
             f"{name:24s} {out.total_time:>10.1f} {out.total_time / clean.total_time:>8.2f}x "
-            f"{out.total_rays:>10,d} {len(out.frame_completion_times):>7d} {out.n_steals:>7d}"
+            f"{out.total_rays:>10,d} {len(out.frame_completion_times):>7d} "
+            f"{out.n_steals + out.n_reassigned:>7d}"
         )
     write_result(results_dir, "ablation_fault_tolerance.txt", "\n".join(lines))
 
@@ -104,12 +105,14 @@ def test_fault_tolerance_sequence_division(benchmark, newton_oracle, results_dir
     def _run(oracle):
         machines = ncsu_testbed()
         cfg = RenderFarmConfig(pixel_scale=(320 * 240) / oracle.n_pixels)
-        clean = simulate_sequence_division_fc_fault_tolerant(
+        clean = simulate(
+            "sequence-division-fc-ft",
             oracle, machines, cfg, sec_per_work_unit=SPU, thrash=THRASH
         )
         rows = [("FT, no failure", clean)]
         for label, frac in [("early", 0.1), ("midway", 0.5)]:
-            out = simulate_sequence_division_fc_fault_tolerant(
+            out = simulate(
+                "sequence-division-fc-ft",
                 oracle,
                 machines,
                 cfg,

@@ -16,9 +16,8 @@ from repro.parallel import (
     block_regions,
     region_grid_shape,
     sequence_ranges,
-    simulate_frame_division_fc,
-    simulate_sequence_division_fc,
 )
+from repro.sched import simulate
 
 from _bench_utils import write_result
 
@@ -49,10 +48,12 @@ def test_figure4_layouts_and_balance(benchmark, newton_oracle, results_dir):
     )
 
     def run_both():
-        seq = simulate_sequence_division_fc(
+        seq = simulate(
+            "sequence-division-fc",
             newton_oracle, machines, cfg, sec_per_work_unit=1e-4, thrash=thrash, trace=True
         )
-        frame = simulate_frame_division_fc(
+        frame = simulate(
+            "frame-division-fc",
             newton_oracle,
             machines,
             cfg,

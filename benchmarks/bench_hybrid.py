@@ -14,12 +14,8 @@ price of chain-restart rays.
 from __future__ import annotations
 
 from repro.cluster import ThrashModel, ncsu_testbed
-from repro.parallel import (
-    RenderFarmConfig,
-    simulate_frame_division_fc,
-    simulate_hybrid_fc,
-    simulate_sequence_division_fc,
-)
+from repro.parallel import RenderFarmConfig
+from repro.sched import simulate
 
 from _bench_utils import write_result
 
@@ -33,13 +29,15 @@ def _run(oracle):
     rows = [
         (
             "sequence division",
-            simulate_sequence_division_fc(
+            simulate(
+                "sequence-division-fc",
                 oracle, machines, cfg, sec_per_work_unit=SPU, thrash=THRASH
             ),
         ),
         (
             "frame division",
-            simulate_frame_division_fc(
+            simulate(
+                "frame-division-fc",
                 oracle, machines, cfg, sec_per_work_unit=SPU, thrash=THRASH
             ),
         ),
@@ -48,7 +46,8 @@ def _run(oracle):
         rows.append(
             (
                 f"hybrid, chunk={chunk}",
-                simulate_hybrid_fc(
+                simulate(
+                    "hybrid-fc",
                     oracle,
                     machines,
                     cfg,

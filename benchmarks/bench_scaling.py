@@ -13,7 +13,8 @@ as well as more homogeneous ones".  This bench runs both:
 from __future__ import annotations
 
 from repro.cluster import Machine, ThrashModel, homogeneous_cluster
-from repro.parallel import RenderFarmConfig, simulate_frame_division_fc
+from repro.parallel import RenderFarmConfig
+from repro.sched import simulate
 
 from _bench_utils import write_result
 
@@ -26,7 +27,8 @@ def _scaling(oracle):
     rows = []
     for n in (1, 2, 4, 8, 16):
         machines = homogeneous_cluster(n, speed=1.0, memory_mb=128.0)
-        out = simulate_frame_division_fc(
+        out = simulate(
+            "frame-division-fc",
             oracle, machines, cfg, sec_per_work_unit=SPU, thrash=THRASH
         )
         rows.append((n, out))
@@ -45,7 +47,8 @@ def _heterogeneity(oracle):
         machines = [
             Machine(f"m{i}", speed=s, memory_mb=128.0) for i, s in enumerate(speeds)
         ]
-        out = simulate_frame_division_fc(
+        out = simulate(
+            "frame-division-fc",
             oracle, machines, cfg, sec_per_work_unit=SPU, thrash=THRASH
         )
         rows.append((label, out))

@@ -56,8 +56,7 @@ def _pixel_oracle(width: int, height: int, n_frames: int):
 
 def run(quick: bool = True, results_dir: Path = RESULTS_DIR) -> dict:
     from repro.cluster import ThrashModel
-    from repro.parallel.config import RenderFarmConfig
-    from repro.parallel.strategies import default_blocks
+    from repro.parallel import RenderFarmConfig, default_block_layout
     from repro.render import RayTracer
     from repro.scenes import newton_animation
     from repro.sched import OracleCostModel, SimTransport, make_policy
@@ -92,7 +91,7 @@ def run(quick: bool = True, results_dir: Path = RESULTS_DIR) -> dict:
     # -- 2: the 100/300/1000 heterogeneous sweep ---------------------------
     cfg = RenderFarmConfig()
     px_oracle = _pixel_oracle(width, height, n_frames)
-    regions = default_blocks(px_oracle)
+    regions = default_block_layout(width, height)
     pixel_cost = OracleCostModel(px_oracle, cfg, regions)
     no_thrash = ThrashModel(alpha=0.0)
     sweep_rows = []

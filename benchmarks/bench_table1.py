@@ -75,13 +75,15 @@ def test_table1_regeneration(benchmark, newton_oracle, results_dir):
 
 def test_bench_frame_division_sim(benchmark, newton_oracle, table1):
     """Micro-benchmark: one frame-division+FC cluster-simulation replay."""
-    from repro.parallel import RenderFarmConfig, simulate_frame_division_fc
+    from repro.parallel import RenderFarmConfig
+    from repro.sched import simulate
 
     settings = Table1Settings()
     pixel_scale = settings.paper_pixels / newton_oracle.n_pixels
     cfg = RenderFarmConfig(pixel_scale=pixel_scale)
     benchmark(
-        simulate_frame_division_fc,
+        simulate,
+        "frame-division-fc",
         newton_oracle,
         settings.machines,
         cfg,

@@ -15,7 +15,8 @@ Layered public API:
 * :mod:`repro.render` — the wavefront Whitted tracer.
 * :mod:`repro.coherence` — the paper's frame-coherence algorithm.
 * :mod:`repro.cluster` — discrete-event NOW simulator with a PVM-like API.
-* :mod:`repro.parallel` — partitioning schemes and Table-1 strategies.
+* :mod:`repro.parallel` — partitioning schemes, measured cost oracle, run outcome.
+* :mod:`repro.sched` — scheduling policies, the strategy table and ``simulate()``.
 * :mod:`repro.runtime` — real multiprocessing master/worker execution.
 * :mod:`repro.imageio` — Targa/PPM output and Figure-2 diff masks.
 * :mod:`repro.scenes` — the Newton and brick-room workloads.
@@ -26,7 +27,7 @@ Layered public API:
 * :mod:`repro.api` — the unified :func:`~repro.api.render` facade.
 
 Quickstart (the unified API — same call drives the single-process engine,
-the real farm, and the Table-1 simulators)::
+the real farm, and the Table-1 simulator)::
 
     from repro.api import RenderRequest, render
     from repro.imageio import write_targa

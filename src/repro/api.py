@@ -6,8 +6,8 @@ The reproduction grew three ways to turn an animation into pixels:
   coherence, the paper's extended POV-Ray renderer;
 * the **farm** (:mod:`repro.runtime`) — real master/worker parallelism with
   crash/hang recovery and checkpoint-resume;
-* the **simulators** (:mod:`repro.parallel`) — the discrete-event NOW model
-  behind Table 1.
+* the **simulator** (:func:`repro.sched.simulate`) — the discrete-event NOW
+  model behind Table 1.
 
 :func:`render` dispatches a :class:`RenderRequest` to any of them and
 returns a :class:`RenderResult`.  All three paths thread the same
@@ -54,7 +54,6 @@ __all__ = [
     "LazyFrames",
     "render",
     "ENGINES",
-    "SIM_STRATEGIES",
     # render-service client surface (thin re-exports of repro.service.client;
     # `render` runs one request here, `submit`/`wait` hand it to a daemon)
     "ServiceError",
@@ -66,19 +65,6 @@ __all__ = [
 ]
 
 ENGINES = ("animation", "farm", "simulate")
-
-#: CLI/Request strategy names -> Table-1 simulator entry points (resolved lazily).
-SIM_STRATEGIES = (
-    "single",
-    "single-fc",
-    "frame-division-nofc",
-    "sequence-division-nofc",
-    "sequence-division-fc",
-    "frame-division-fc",
-    "hybrid-fc",
-    "frame-division-fc-ft",
-    "sequence-division-fc-ft",
-)
 
 _WORKLOAD_FACTORIES = {
     "newton": "repro.scenes.newton:newton_animation",
@@ -484,18 +470,8 @@ def _run_farm(req: RenderRequest, tel, label, spec, preview=None) -> RenderResul
 
 def _run_simulate(req: RenderRequest, tel, label, spec, anim) -> RenderResult:
     from .cluster import ncsu_testbed
-    from .parallel import (
-        AnimationCostOracle,
-        build_oracle,
-        simulate_frame_division_fc,
-        simulate_frame_division_fc_fault_tolerant,
-        simulate_frame_division_nofc,
-        simulate_hybrid_fc,
-        simulate_sequence_division_fc,
-        simulate_sequence_division_fc_fault_tolerant,
-        simulate_sequence_division_nofc,
-        simulate_single_processor,
-    )
+    from .parallel import AnimationCostOracle, build_oracle
+    from .sched import STRATEGIES, simulate
 
     oracle = req.oracle
     if isinstance(oracle, (str, Path)):
@@ -508,39 +484,16 @@ def _run_simulate(req: RenderRequest, tel, label, spec, anim) -> RenderResult:
     if not machines:
         raise ValueError("engine='simulate' needs at least one machine")
 
-    common = {"sec_per_work_unit": req.sec_per_work_unit, "telemetry": tel}
-    ft = {"failures": req.failures, "worker_timeout": req.worker_timeout}
-    dispatch = {
-        "single": lambda: simulate_single_processor(oracle, machines[0], **common),
-        "single-fc": lambda: simulate_single_processor(
-            oracle, machines[0], use_coherence=True, **common
-        ),
-        "frame-division-nofc": lambda: simulate_frame_division_nofc(
-            oracle, machines, **common
-        ),
-        "sequence-division-nofc": lambda: simulate_sequence_division_nofc(
-            oracle, machines, **common
-        ),
-        "sequence-division-fc": lambda: simulate_sequence_division_fc(
-            oracle, machines, **common
-        ),
-        "frame-division-fc": lambda: simulate_frame_division_fc(oracle, machines, **common),
-        "hybrid-fc": lambda: simulate_hybrid_fc(oracle, machines, **common),
-        "frame-division-fc-ft": lambda: simulate_frame_division_fc_fault_tolerant(
-            oracle, machines, **common, **ft
-        ),
-        "sequence-division-fc-ft": lambda: simulate_sequence_division_fc_fault_tolerant(
-            oracle, machines, **common, **ft
-        ),
-    }
-    try:
-        run = dispatch[req.strategy]
-    except KeyError:
-        raise ValueError(
-            f"unknown strategy {req.strategy!r}; expected one of {list(SIM_STRATEGIES)}"
-        ) from None
     t0 = time.perf_counter()
-    outcome = run()
+    outcome = simulate(
+        req.strategy,
+        oracle,
+        machines,
+        sec_per_work_unit=req.sec_per_work_unit,
+        failures=req.failures,
+        worker_timeout=req.worker_timeout,
+        telemetry=tel,
+    )
     if req.on_frame is not None:
         from .dfb import FrameEvent
 
@@ -556,7 +509,7 @@ def _run_simulate(req: RenderRequest, tel, label, spec, anim) -> RenderResult:
         wall_time=time.perf_counter() - t0,
         mode=req.strategy,
         n_tasks=0,
-        n_workers=len(machines) if not req.strategy.startswith("single") else 1,
+        n_workers=1 if STRATEGIES[req.strategy].single else len(machines),
         outcome=outcome,
     )
 

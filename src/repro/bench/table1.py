@@ -23,16 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cluster import Machine, ThrashModel, ncsu_testbed
-from ..parallel import (
-    AnimationCostOracle,
-    RenderFarmConfig,
-    SimulationOutcome,
-    format_hms,
-    simulate_frame_division_fc,
-    simulate_frame_division_nofc,
-    simulate_sequence_division_fc,
-    simulate_single_processor,
-)
+from ..parallel import AnimationCostOracle, RenderFarmConfig, SimulationOutcome, format_hms
+from ..sched import simulate
 
 __all__ = ["PAPER_TABLE1", "Table1Settings", "Table1Result", "run_table1", "format_table1"]
 
@@ -129,8 +121,8 @@ def run_table1(
         # single no-FC run has no thrash (working set fits) and no
         # communication, so total = units * spu / speed + write time; solve
         # by one probe run at spu = 1.
-        probe = simulate_single_processor(
-            oracle, fast, cfg, use_coherence=False, sec_per_work_unit=1.0, thrash=s.thrash
+        probe = simulate(
+            "single", oracle, s.machines, cfg, sec_per_work_unit=1.0, thrash=s.thrash
         )
         write_time = probe.total_time - probe.total_units * 1.0 / fast.speed
         spu = (s.calibrate_total_s - write_time) * fast.speed / probe.total_units
@@ -139,27 +131,17 @@ def run_table1(
     else:
         spu = s.sec_per_work_unit
 
-    single = simulate_single_processor(
-        oracle, fast, cfg, use_coherence=False, sec_per_work_unit=spu, thrash=s.thrash
-    )
-    single_fc = simulate_single_processor(
-        oracle, fast, cfg, use_coherence=True, sec_per_work_unit=spu, thrash=s.thrash
-    )
-    distributed = simulate_frame_division_nofc(
-        oracle, s.machines, cfg, sec_per_work_unit=spu, thrash=s.thrash
-    )
-    seq_div = simulate_sequence_division_fc(
-        oracle, s.machines, cfg, sec_per_work_unit=spu, thrash=s.thrash
-    )
-    frame_div = simulate_frame_division_fc(
-        oracle, s.machines, cfg, sec_per_work_unit=spu, thrash=s.thrash
-    )
+    def run(strategy: str) -> SimulationOutcome:
+        return simulate(
+            strategy, oracle, s.machines, cfg, sec_per_work_unit=spu, thrash=s.thrash
+        )
+
     return Table1Result(
-        single=single,
-        single_fc=single_fc,
-        distributed=distributed,
-        seq_div_fc=seq_div,
-        frame_div_fc=frame_div,
+        single=run("single"),
+        single_fc=run("single-fc"),
+        distributed=run("frame-division-nofc"),
+        seq_div_fc=run("sequence-division-fc"),
+        frame_div_fc=run("frame-division-fc"),
         sec_per_work_unit=spu,
     )
 

@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("workload", choices=_WORKLOADS)
     _add_size_args(p_sim)
-    from .api import SIM_STRATEGIES
+    from .sched import SIM_STRATEGIES
 
     p_sim.add_argument(
         "--strategy", choices=SIM_STRATEGIES, default="sequence-division-fc"

@@ -331,8 +331,8 @@ class VirtualPVM:
 
         Every task placed on it dies permanently: in-flight computations
         never complete, queued messages to its tasks are dropped, and it
-        never sends again.  This is the failure model a fault-tolerant
-        master (see :mod:`repro.parallel.fault_tolerance`) must survive.
+        never sends again.  This is the failure model the deadline-sweeping
+        master (see :class:`repro.sched.sim.SimTransport`) must survive.
         """
         if machine_name not in self.machines:
             raise KeyError(f"unknown machine {machine_name!r}")

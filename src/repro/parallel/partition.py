@@ -103,8 +103,9 @@ def default_block_layout(
 
     The paper renders 320x240 frames in 80x80 blocks — a 4x3 grid; scaled
     to any resolution that is ``width//4 x height//3`` blocks.  Both the
-    simulator's ``default_blocks`` and the real farm's frame-division
-    layout call this, so the two systems always partition identically.
+    simulator (:func:`repro.sched.sim.simulate`) and the real farm's
+    frame-division layout call this, so the two systems always partition
+    identically.
     """
     bw = block_w or max(1, width // 4)
     bh = block_h or max(1, height // 3)

@@ -7,8 +7,8 @@ submits tasks individually through this supervisor, which:
 
 * enforces a **per-task deadline** derived from observed task durations
   (``timeout_factor`` x the slowest completion so far, the same 3x
-  heuristic :func:`repro.parallel.fault_tolerance.default_worker_timeout`
-  uses for the simulated cluster), or a fixed ``task_timeout``;
+  heuristic :func:`repro.sched.sim.default_worker_timeout` uses for the
+  simulated cluster), or a fixed ``task_timeout``;
 * detects **worker crashes** (a broken pool) — the pool is rebuilt and
   every in-flight task re-queued;
 * detects **hangs** — a task past its deadline is declared lost and

@@ -8,13 +8,16 @@ separates the two concerns:
 
 * :mod:`repro.sched.core` — each policy as a pure state machine
   (``next_assignment`` / ``on_result`` / ``on_worker_lost``) with no I/O,
-  no clocks and no knowledge of what executes its assignments;
+  no clocks and no knowledge of what executes its assignments, and
+  ``STRATEGIES``, the one table of strategy names (Table 1's columns,
+  the ablations, the deadline-supervised ``-ft`` pair, object-space);
 * :mod:`repro.sched.cost` — the oracle-backed cost model that prices an
   assignment for the simulator (rays, work units, working set, message
   bytes);
-* :mod:`repro.sched.sim` — ``SimTransport``: drives a policy over the
+* :mod:`repro.sched.sim` — ``simulate(strategy, oracle, machines)`` and
+  the ``SimTransport`` under it: drives a policy over the
   :class:`~repro.cluster.VirtualPVM` discrete-event cluster (the Table-1
-  replay path);
+  replay path), surviving injected machine failures by deadline sweep;
 * :mod:`repro.sched.process` — ``ProcessTransport``: drives the *same*
   policy over the supervised multiprocessing executor (the real farm);
 * :mod:`repro.net` — ``TcpTransport`` (re-exported here): drives it over
@@ -27,6 +30,7 @@ task-assignment sequence — the equivalence
 """
 
 from .core import (
+    STRATEGIES,
     AdaptiveChainPolicy,
     Assignment,
     Chain,
@@ -37,17 +41,17 @@ from .core import (
     single_processor_policy,
 )
 from .cost import AssignmentCost, OracleCostModel
-from .sim import SimTransport
+from .sim import SIM_STRATEGIES, SimTransport, default_worker_timeout, simulate
 
 _PROCESS_NAMES = ("ProcessTransport", "SchedOutcome", "assignment_echo_task")
 _NET_NAMES = ("TcpTransport", "MasterServer")
 
 
 def __getattr__(name: str):
-    # repro.sched.process pulls in repro.runtime (the supervisor), which in
-    # turn imports the renderer stack; loading it lazily keeps
-    # `import repro.parallel` -> strategies -> repro.sched free of that
-    # cycle and that weight.  Same story for the network transport.
+    # repro.sched.process pulls in repro.runtime (the supervisor) and the
+    # network transport pulls in repro.net, both of which import this
+    # package's core; loading them on first use keeps `import repro.sched`
+    # acyclic and light.
     if name in _PROCESS_NAMES:
         from . import process
 
@@ -68,11 +72,15 @@ __all__ = [
     "ObjectSpacePolicy",
     "OracleCostModel",
     "ProcessTransport",
+    "SIM_STRATEGIES",
+    "STRATEGIES",
     "SchedOutcome",
     "SchedulingPolicy",
     "SimTransport",
     "TcpTransport",
     "assignment_echo_task",
+    "default_worker_timeout",
     "make_policy",
+    "simulate",
     "single_processor_policy",
 ]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 __all__ = [
     "Assignment",
@@ -38,7 +38,8 @@ __all__ = [
     "ObjectSpacePolicy",
     "single_processor_policy",
     "make_policy",
-    "STRATEGY_POLICIES",
+    "Strategy",
+    "STRATEGIES",
 ]
 
 Worker = Hashable
@@ -424,17 +425,96 @@ def single_processor_policy(n_frames: int, *, use_coherence: bool) -> AdaptiveCh
     )
 
 
-#: Table-1 strategy name -> builder; see :func:`make_policy`.
-STRATEGY_POLICIES = (
-    "single",
-    "single-fc",
-    "frame-division-nofc",
-    "sequence-division-nofc",
-    "sequence-division-fc",
-    "frame-division-fc",
-    "hybrid-fc",
-    "object-space",
-)
+# -- the strategy table ------------------------------------------------------
+def _single(n_frames, coherent, **_):
+    return single_processor_policy(n_frames, use_coherence=coherent)
+
+
+def _blocks_on_demand(n_frames, coherent, *, n_regions, **_):
+    units = [(ri, f, f + 1) for f in range(n_frames) for ri in range(n_regions)]
+    return DemandDrivenPolicy(units, use_coherence=coherent, units_per_frame=n_regions)
+
+
+def _sequence_chains(n_frames, coherent, *, sequence_ranges, chain_kw, **_):
+    if sequence_ranges is None:
+        raise ValueError("sequence division needs sequence_ranges")
+    chains = [Chain(-1, a, b, fresh=True) for a, b in sequence_ranges]
+    return AdaptiveChainPolicy(chains, use_coherence=coherent, units_per_frame=1, **chain_kw)
+
+
+def _block_chains(n_frames, coherent, *, n_regions, chain_kw, **_):
+    chains = [Chain(ri, 0, n_frames, fresh=True) for ri in range(n_regions)]
+    return AdaptiveChainPolicy(
+        chains, use_coherence=coherent, units_per_frame=n_regions, **chain_kw
+    )
+
+
+def _hybrid_chains(n_frames, coherent, *, n_regions, frames_per_chunk, chain_kw, **_):
+    if frames_per_chunk < 1:
+        raise ValueError("frames_per_chunk must be >= 1")
+    chains = [
+        Chain(ri, a, min(a + frames_per_chunk, n_frames), fresh=True)
+        for ri in range(n_regions)
+        for a in range(0, n_frames, frames_per_chunk)
+    ]
+    return AdaptiveChainPolicy(
+        chains, use_coherence=coherent, units_per_frame=n_regions, **chain_kw
+    )
+
+
+def _object_space(n_frames, coherent, *, n_regions, frames_per_chunk, **_):
+    # Regions are scene shards; frames_per_chunk is the chunk size (capped
+    # at the run length, so the default yields one whole-run unit per
+    # shard: static ownership unless a worker is lost).
+    return ObjectSpacePolicy(
+        n_regions, n_frames, frames_per_chunk=min(frames_per_chunk, n_frames)
+    )
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """One row of the strategy table: a policy builder plus what the
+    simulator needs to know to run it (:func:`repro.sched.sim.simulate`).
+
+    ``label`` is the ``SimulationOutcome.strategy`` string (``None``: not a
+    ``simulate()`` strategy — object-space needs a shard cost model and is
+    driven through ``SimTransport`` directly).  ``single`` replays on one
+    machine with no messages; ``regions`` strategies divide the frame into
+    blocks, the others divide the sequence into per-machine ranges weighted
+    by machine speed (``effective_speed``: speed under the coherence
+    working set's memory pressure).  ``deadline`` runs the master with a
+    worker timeout, so machine failures can be injected and survived.
+    """
+
+    build: Callable[..., SchedulingPolicy]
+    coherent: bool
+    label: str | None
+    single: bool = False
+    regions: bool = False
+    effective_speed: bool = False
+    deadline: bool = False
+
+
+#: Strategy name -> row.  The only list of strategy names in the tree: the
+#: CLI choices, ``make_policy`` and ``simulate`` all read it.
+STRATEGIES: dict[str, Strategy] = {
+    "single": Strategy(_single, False, "single", single=True),
+    "single-fc": Strategy(_single, True, "single+fc", single=True),
+    "frame-division-nofc": Strategy(_blocks_on_demand, False, "frame-division", regions=True),
+    "sequence-division-nofc": Strategy(_sequence_chains, False, "sequence-division"),
+    "sequence-division-fc": Strategy(
+        _sequence_chains, True, "sequence-division+fc", effective_speed=True
+    ),
+    "frame-division-fc": Strategy(_block_chains, True, "frame-division+fc", regions=True),
+    "hybrid-fc": Strategy(_hybrid_chains, True, "hybrid+fc", regions=True),
+    "frame-division-fc-ft": Strategy(
+        _block_chains, True, "frame-division+fc+ft", regions=True, deadline=True
+    ),
+    "sequence-division-fc-ft": Strategy(
+        _sequence_chains, True, "sequence-division+fc+ft", effective_speed=True, deadline=True
+    ),
+    "object-space": Strategy(_object_space, False, None, regions=True),
+}
 
 
 def make_policy(
@@ -448,61 +528,28 @@ def make_policy(
     segment_frames: int = 1,
     continuation_fresh: bool = False,
 ) -> SchedulingPolicy:
-    """Build the policy behind a Table-1 strategy name.
+    """Build the policy behind a strategy name (a :data:`STRATEGIES` key).
 
     ``sequence_ranges`` (for the sequence-division strategies) are the
     pre-weighted initial frame ranges; region-indexed strategies take
     ``n_regions`` blocks.  The caller owns the region geometry — policies
     only ever see indices.
     """
-    if strategy in ("single", "single-fc"):
-        return single_processor_policy(n_frames, use_coherence=strategy.endswith("-fc"))
-    if strategy == "frame-division-nofc":
-        units = [(ri, f, f + 1) for f in range(n_frames) for ri in range(n_regions)]
-        return DemandDrivenPolicy(units, use_coherence=False, units_per_frame=n_regions)
-    if strategy in ("sequence-division-fc", "sequence-division-nofc"):
-        if sequence_ranges is None:
-            raise ValueError(f"{strategy} needs sequence_ranges")
-        chains = [Chain(-1, a, b, fresh=True) for a, b in sequence_ranges]
-        return AdaptiveChainPolicy(
-            chains,
-            use_coherence=strategy.endswith("-fc"),
-            units_per_frame=1,
+    try:
+        row = STRATEGIES[strategy]
+    except KeyError:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; expected one of {list(STRATEGIES)}"
+        ) from None
+    return row.build(
+        n_frames,
+        row.coherent,
+        n_regions=n_regions,
+        sequence_ranges=sequence_ranges,
+        frames_per_chunk=frames_per_chunk,
+        chain_kw=dict(
             min_steal_frames=min_steal_frames,
             segment_frames=segment_frames,
             continuation_fresh=continuation_fresh,
-        )
-    if strategy == "frame-division-fc":
-        chains = [Chain(ri, 0, n_frames, fresh=True) for ri in range(n_regions)]
-        return AdaptiveChainPolicy(
-            chains,
-            use_coherence=True,
-            units_per_frame=n_regions,
-            min_steal_frames=min_steal_frames,
-            segment_frames=segment_frames,
-            continuation_fresh=continuation_fresh,
-        )
-    if strategy == "object-space":
-        # Regions are scene shards; frames_per_chunk is the chunk size
-        # (capped at the run length, so the default yields one whole-run
-        # unit per shard: static ownership unless a worker is lost).
-        return ObjectSpacePolicy(
-            n_regions, n_frames, frames_per_chunk=min(frames_per_chunk, n_frames)
-        )
-    if strategy == "hybrid-fc":
-        if frames_per_chunk < 1:
-            raise ValueError("frames_per_chunk must be >= 1")
-        chains = [
-            Chain(ri, a, min(a + frames_per_chunk, n_frames), fresh=True)
-            for ri in range(n_regions)
-            for a in range(0, n_frames, frames_per_chunk)
-        ]
-        return AdaptiveChainPolicy(
-            chains,
-            use_coherence=True,
-            units_per_frame=n_regions,
-            min_steal_frames=min_steal_frames,
-            segment_frames=segment_frames,
-            continuation_fresh=continuation_fresh,
-        )
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_POLICIES}")
+        ),
+    )

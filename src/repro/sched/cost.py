@@ -3,12 +3,13 @@
 Policies know nothing about pixels or rays; this module is where an
 abstract (region, frame-range) unit is turned into the numbers the
 simulator computes with — ray counts, work units, working-set megabytes
-and result-message bytes — using the same
-:class:`~repro.parallel.oracle.AnimationCostOracle` +
-:class:`~repro.parallel.config.RenderFarmConfig` model as before the
-refactor.  The equivalence test also uses it to total the modelled rays
-of a dispatch log, which is how "identical ray counts on both
-transports" is checked without rendering anything twice.
+and result-message bytes — from the measured
+:class:`~repro.parallel.oracle.AnimationCostOracle` and the
+:class:`~repro.parallel.config.RenderFarmConfig` machine model.  The
+equivalence test also uses it to total the modelled rays of a dispatch
+log, which is how "identical ray counts on both transports" is checked
+without rendering anything twice.  :class:`~repro.shard.ShardOracle`
+subclasses it to price object-space assignments.
 """
 
 from __future__ import annotations
@@ -54,11 +55,13 @@ class OracleCostModel:
 
     ``regions`` is the block list the policy's region indices refer to;
     region index ``-1`` (or a ``None`` region list) means the whole frame.
+    A subclass that prices from something other than a pixel oracle
+    (``oracle=None``) overrides ``region_size`` and ``frame_cost``.
     """
 
     def __init__(
         self,
-        oracle: AnimationCostOracle,
+        oracle: AnimationCostOracle | None,
         cfg: RenderFarmConfig | None = None,
         regions: list[PixelRegion] | None = None,
     ) -> None:
@@ -124,9 +127,13 @@ class OracleCostModel:
             n_computed=int(n_computed),
             units=float(units),
             ws_mb=float(ws),
-            reply_bytes=self.cfg.result_bytes(max(n_computed, 1)),
+            reply_bytes=self.reply_bytes(n_computed, rays),
             per_frame=steps,
         )
+
+    def reply_bytes(self, n_computed: int, rays: int) -> int:
+        """Size of the result message for ``n_computed`` pixels."""
+        return self.cfg.result_bytes(max(n_computed, 1))
 
     def total_rays_of_log(self, log) -> int:
         """Modelled ray total of a dispatch log — the cross-transport

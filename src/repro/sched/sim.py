@@ -1,18 +1,18 @@
 """Drive a scheduling policy over the discrete-event VirtualPVM cluster.
 
-This module owns the plumbing that used to live inside
-``repro.parallel.strategies``: the generic slave program, the farm
-spawner (workers first, master last, so the master's tid is
-predictable), the telemetry bridge that replays a simulated run onto the
-pinned event schema, and the outcome assembly.  What changed is the
-master: instead of six hand-rolled scheduler generators, one
-:class:`SimTransport` master drives any
+:func:`simulate` is the simulator's entry point: it looks a strategy name
+up in :data:`~repro.sched.core.STRATEGIES`, builds the policy and the
+geometry the row asks for (block regions, or speed-weighted frame ranges)
+and runs it on a :class:`SimTransport`.  One master drives any
 :class:`~repro.sched.core.SchedulingPolicy` — priming every worker,
 pricing each assignment through the
 :class:`~repro.sched.cost.OracleCostModel`, completing frames when all
-their (region, frame) units arrive, and (optionally) sweeping worker
-deadlines so ``on_worker_lost`` can be exercised under injected machine
-failures.
+their (region, frame) units arrive, and, when given a ``worker_timeout``,
+sweeping worker deadlines so a machine failure becomes
+``policy.on_worker_lost`` and the lost chain restarts fresh on a survivor
+(the ``-ft`` strategies).  Around it sit the generic slave program, the
+telemetry bridge that replays a simulated run onto the pinned event
+schema, and the outcome assembly.
 """
 
 from __future__ import annotations
@@ -29,18 +29,23 @@ from ..telemetry import VirtualClock
 from ..parallel.config import RenderFarmConfig
 from ..parallel.oracle import AnimationCostOracle
 from ..parallel.outcome import SimulationOutcome
-from ..parallel.partition import PixelRegion
-from .core import SchedulingPolicy
+from ..parallel.partition import PixelRegion, default_block_layout, sequence_ranges
+from .core import STRATEGIES, SchedulingPolicy, make_policy
 from .cost import AssignmentCost, OracleCostModel
 
 __all__ = [
+    "SIM_STRATEGIES",
     "SimTelemetry",
     "RunAccounting",
     "worker_program",
-    "spawn_farm",
     "outcome_from",
     "SimTransport",
+    "default_worker_timeout",
+    "simulate",
 ]
+
+#: The names :func:`simulate` (and ``repro simulate --strategy``) accepts.
+SIM_STRATEGIES = tuple(name for name, row in STRATEGIES.items() if row.label is not None)
 
 
 class SimTelemetry:
@@ -86,22 +91,10 @@ class SimTelemetry:
             mode=self.mode,
         )
 
-    def on_dispatch(
-        self, payload: dict, frame: int, region_px: int, rays: int, n_computed: int, now: float
-    ) -> None:
-        if not self.enabled:
-            return
-        self.frame_rays[frame] = self.frame_rays.get(frame, 0) + int(rays)
-        self.frame_computed[frame] = self.frame_computed.get(frame, 0) + int(n_computed)
-        payload["_t0"] = now
-        payload["_region_px"] = int(region_px)
-        payload["_rays"] = int(rays)
-        payload["_n_computed"] = int(n_computed)
-
     def on_dispatch_cost(
         self, payload: dict, cost: AssignmentCost, region_px: int, now: float
     ) -> None:
-        """Multi-frame variant: accumulate each frame-step, stamp totals."""
+        """Accumulate each frame-step of the assignment, stamp its totals."""
         if not self.enabled:
             return
         for s in cost.per_frame:
@@ -203,6 +196,7 @@ class RunAccounting:
     total_units: float = 0.0
     n_chain_starts: int = 0
     n_steals: int = 0
+    n_reassigned: int = 0
     frame_done_at: dict[int, float] = field(default_factory=dict)
 
 
@@ -221,42 +215,6 @@ def worker_program(master_tid: int) -> Iterator:
         p = msg.payload
         yield Compute(units=p["units"], working_set_mb=p["ws_mb"])
         yield Send(master_tid, p["reply_bytes"], payload=p, tag="done")
-
-
-def spawn_farm(
-    machines: list[Machine],
-    sec_per_work_unit: float,
-    thrash: ThrashModel | None,
-    master_factory,
-    trace: bool = False,
-    sim_tel: SimTelemetry | None = None,
-    **ethernet_kwargs,
-) -> tuple[VirtualPVM, RunAccounting]:
-    """Wire up master + one worker per machine; master_factory(pvm, worker_tids, acct)."""
-    pvm = VirtualPVM(
-        machines, sec_per_work_unit=sec_per_work_unit, thrash=thrash, **ethernet_kwargs
-    )
-    pvm.tracing = bool(trace)
-    acct = RunAccounting()
-    worker_tids: list[int] = []
-
-    def late_master():
-        # Delegate to the strategy program once spawned.
-        yield from master_factory(pvm, worker_tids, acct)
-
-    # Workers address the master through its (future) tid; since tids are
-    # assigned sequentially we can predict it: workers take 1..n, master n+1.
-    predicted_master_tid = len(machines) + 1
-    for m in machines:
-        worker_tids.append(
-            pvm.spawn(worker_program(predicted_master_tid), m.name, name=f"worker-{m.name}")
-        )
-    mtid = pvm.spawn(late_master(), machines[0].name, name="master")
-    if mtid != predicted_master_tid:  # defensive: spawn order is the contract
-        raise RuntimeError("tid allocation changed; master address is stale")
-    if sim_tel is not None:
-        sim_tel.bind(pvm, machines, worker_tids)
-    return pvm, acct
 
 
 def outcome_from(
@@ -289,8 +247,50 @@ def outcome_from(
         bytes_on_wire=pvm.ethernet.bytes_carried,
         n_chain_starts=acct.n_chain_starts,
         n_steals=acct.n_steals,
+        n_reassigned=acct.n_reassigned,
         timeline=timeline,
     )
+
+
+def _effective_rates(
+    machines: list[Machine], cfg: RenderFarmConfig, region_pixels: int,
+    thrash: ThrashModel | None,
+) -> list[float]:
+    """Each machine's speed under the memory pressure of a coherence chain
+    over ``region_pixels`` pixels (raw speed / thrash slowdown)."""
+    th = thrash if thrash is not None else ThrashModel(alpha=0.0)
+    ws = cfg.fc_working_set_mb(region_pixels)
+    return [m.speed / th.slowdown(ws, m.memory_mb) for m in machines]
+
+
+def default_worker_timeout(
+    oracle: AnimationCostOracle,
+    machines: list[Machine],
+    cfg: RenderFarmConfig,
+    sec_per_work_unit: float,
+    thrash: ThrashModel | None,
+    regions: list[PixelRegion] | None = None,
+) -> float:
+    """A deadline safely above the slowest legitimate task.
+
+    Worst case: a fresh chain start of the most expensive block (or the
+    whole frame when ``regions`` is None — sequence division) on the
+    slowest (and most memory-pressured) machine, tripled for scheduling
+    slack.  The real farm's supervisor (:mod:`repro.runtime.supervisor`)
+    applies the same factor to observed task durations.
+    """
+    region_list = [(None, oracle.n_pixels)] if regions is None else [
+        (r.pixels, r.n_pixels) for r in regions
+    ]
+    worst_units = max(
+        cfg.task_units(oracle.full_rays(f, pixels), True, chain_start=True, region_pixels=n)
+        for pixels, n in region_list
+        for f in range(oracle.n_frames)
+    )
+    worst_rate = min(
+        _effective_rates(machines, cfg, max(n for _p, n in region_list), thrash)
+    )
+    return 3.0 * worst_units * sec_per_work_unit / worst_rate + 1.0
 
 
 class SimTransport:
@@ -299,14 +299,17 @@ class SimTransport:
     ``single=True`` replays the policy as one renderer process with no
     message passing (Table 1's single-processor columns); otherwise the
     master primes every worker, reprices each assignment at dispatch time
-    and writes frames as their last (region, frame) unit completes —
-    message for message what the hand-rolled strategy masters did.
+    and writes frames as their last (region, frame) unit completes.
 
     ``worker_timeout`` switches the master's blocking ``Recv`` to a
     deadline sweep: a worker whose assignment outlives the deadline is
-    declared lost, the policy requeues its chain fresh, and idle live
-    workers are re-fed — which is how the scheduler edge-case tests drive
-    ``on_worker_lost`` against injected machine failures.
+    declared lost, the policy requeues its chain fresh (its coherence
+    state died with the machine — the paper's chain-restart cost, paid
+    only on failure), and idle live workers are re-fed.  A late answer
+    from a worker that was merely slow is dropped, so every (region,
+    frame) unit is accepted exactly once as long as one worker survives.
+    ``failures`` is a list of ``(machine_name, virtual_time)`` crashes to
+    inject.
     """
 
     def __init__(
@@ -317,7 +320,7 @@ class SimTransport:
         cfg: RenderFarmConfig | None = None,
         *,
         regions: list[PixelRegion] | None = None,
-        cost_model=None,
+        cost_model: OracleCostModel | None = None,
         label: str = "sched",
         sec_per_work_unit: float = 1e-4,
         thrash: ThrashModel | None = None,
@@ -332,8 +335,6 @@ class SimTransport:
         self.oracle = oracle
         self.machines = machines
         self.cfg = cfg or RenderFarmConfig()
-        # cost_model overrides the pixel-region pricing (duck-typed
-        # OracleCostModel surface) — the object-space ShardOracle uses it.
         self.cost = cost_model if cost_model is not None else OracleCostModel(oracle, self.cfg, regions)
         self.label = label
         self.sec_per_work_unit = sec_per_work_unit
@@ -345,6 +346,79 @@ class SimTransport:
         self.failures = failures or []
         self.ethernet_kwargs = ethernet_kwargs
         self._frame_bytes = targa_nbytes(oracle.width, oracle.height)
+
+    @classmethod
+    def for_strategy(
+        cls,
+        strategy: str,
+        oracle: AnimationCostOracle,
+        machines: list[Machine],
+        cfg: RenderFarmConfig | None = None,
+        *,
+        regions: list[PixelRegion] | None = None,
+        frames_per_chunk: int = 10,
+        failures: list[tuple[str, float]] | None = None,
+        worker_timeout: float | None = None,
+        sec_per_work_unit: float = 1e-4,
+        thrash: ThrashModel | None = None,
+        **transport_kwargs,
+    ) -> "SimTransport":
+        """The transport :func:`simulate` runs: policy, geometry and
+        deadline as the strategy's :data:`~repro.sched.core.STRATEGIES`
+        row prescribes."""
+        row = STRATEGIES.get(strategy)
+        if row is None or row.label is None:
+            raise ValueError(
+                f"unknown strategy {strategy!r}; expected one of {list(SIM_STRATEGIES)}"
+            )
+        if not row.deadline and (failures or worker_timeout is not None):
+            ft = [name for name, r in STRATEGIES.items() if r.deadline]
+            raise ValueError(
+                f"strategy {strategy!r} runs without a worker deadline and cannot take "
+                f"failures/worker_timeout; use one of {ft}"
+            )
+        cfg = cfg or RenderFarmConfig()
+        ranges = None
+        if row.single:
+            machines, regions = machines[:1], None
+        elif row.regions:
+            if regions is None:
+                regions = default_block_layout(oracle.width, oracle.height)
+        else:
+            # Sequence division: one contiguous frame range per machine,
+            # sized by speed — the paper's "matching the computation of a
+            # subproblem to the most appropriate processor".
+            regions = None
+            weights = [m.speed for m in machines]
+            if row.effective_speed:
+                weights = _effective_rates(machines, cfg, oracle.n_pixels, thrash)
+            ranges = sequence_ranges(oracle.n_frames, len(machines), weights=weights)
+        policy = make_policy(
+            strategy,
+            oracle.n_frames,
+            n_regions=len(regions) if regions is not None else 1,
+            sequence_ranges=ranges,
+            frames_per_chunk=frames_per_chunk,
+            min_steal_frames=cfg.min_steal_frames,
+        )
+        if row.deadline and worker_timeout is None:
+            worker_timeout = default_worker_timeout(
+                oracle, machines, cfg, sec_per_work_unit, thrash, regions
+            )
+        return cls(
+            policy,
+            oracle,
+            machines,
+            cfg,
+            regions=regions,
+            label=row.label,
+            single=row.single,
+            failures=failures,
+            worker_timeout=worker_timeout,
+            sec_per_work_unit=sec_per_work_unit,
+            thrash=thrash,
+            **transport_kwargs,
+        )
 
     # -- shared dispatch plumbing -----------------------------------------
     def _build_payload(self, a, acct: RunAccounting, sim_tel: SimTelemetry, now: float) -> dict:
@@ -366,6 +440,7 @@ class SimTransport:
     def _sync_policy_counters(self, acct: RunAccounting) -> None:
         acct.n_chain_starts = self.policy.n_chain_starts
         acct.n_steals = self.policy.n_steals
+        acct.n_reassigned = self.policy.n_reassigned
 
     def run(self) -> SimulationOutcome:
         if self.single:
@@ -411,108 +486,142 @@ class SimTransport:
 
     # -- message-passing farm ----------------------------------------------
     def _run_farm(self) -> SimulationOutcome:
+        machines = self.machines
         sim_tel = SimTelemetry(self.telemetry, self.oracle, self.label)
-        factory = self._master_factory(sim_tel)
-        pvm, acct = spawn_farm(
-            self.machines, self.sec_per_work_unit, self.thrash, factory,
-            trace=self.trace, sim_tel=sim_tel, **self.ethernet_kwargs,
+        pvm = VirtualPVM(
+            machines, sec_per_work_unit=self.sec_per_work_unit, thrash=self.thrash,
+            **self.ethernet_kwargs,
         )
+        pvm.tracing = bool(self.trace)
+        acct = RunAccounting()
+        # Workers address the master through its (future) tid; tids are
+        # assigned sequentially, so workers take 1..n and the master n+1.
+        master_tid = len(machines) + 1
+        worker_tids = [
+            pvm.spawn(worker_program(master_tid), m.name, name=f"worker-{m.name}")
+            for m in machines
+        ]
+        master = self._master(pvm, worker_tids, acct, sim_tel)
+        if pvm.spawn(master, machines[0].name, name="master") != master_tid:
+            raise RuntimeError("tid allocation changed; master address is stale")
+        sim_tel.bind(pvm, machines, worker_tids)
         for machine_name, at in self.failures:
             pvm.fail_machine(machine_name, at)
         end = pvm.run()
         self._sync_policy_counters(acct)
         return outcome_from(self.label, self.oracle, pvm, acct, end, sim_tel=sim_tel)
 
-    def _master_factory(self, sim_tel: SimTelemetry):
+    def _master(
+        self, pvm: VirtualPVM, worker_tids: list[int], acct: RunAccounting,
+        sim_tel: SimTelemetry,
+    ) -> Iterator:
         policy, cfg = self.policy, self.cfg
+        frames_done: dict[int, int] = {f: 0 for f in range(self.oracle.n_frames)}
+        inflight: dict[int, object] = {}  # tid -> Assignment
+        deadlines: dict[int, float] = {}
+        stopped: set[int] = set()
+        dead: set[int] = set()
+        timeout = self.worker_timeout
 
-        def factory(pvm: VirtualPVM, worker_tids: list[int], acct: RunAccounting):
-            frames_done: dict[int, int] = {f: 0 for f in range(self.oracle.n_frames)}
-            inflight: dict[int, object] = {}  # tid -> Assignment
-            deadlines: dict[int, float] = {}
-            stopped: set[int] = set()
-            dead: set[int] = set()
-            timeout = self.worker_timeout
+        def dispatch(tid, a):
+            inflight[tid] = a
+            if timeout is not None:
+                deadlines[tid] = pvm.sim.now + timeout
+            return Send(tid, cfg.request_bytes, self._build_payload(
+                a, acct, sim_tel, pvm.sim.now), tag="task")
 
-            def dispatch(tid, a):
-                inflight[tid] = a
-                if timeout is not None:
-                    deadlines[tid] = pvm.sim.now + timeout
-                return Send(tid, cfg.request_bytes, self._build_payload(
-                    a, acct, sim_tel, pvm.sim.now), tag="task")
+        def accept(src) -> list[int]:
+            """Record a result; return frames newly completed by it."""
+            a = inflight.pop(src)
+            deadlines.pop(src, None)
+            fresh_frames = [
+                f for f in range(a.frame0, a.frame1)
+                if not policy.unit_completed(a.region_index, f)
+            ]
+            policy.on_result(src, a)
+            done = []
+            for f in fresh_frames:
+                frames_done[f] += 1
+                if frames_done[f] == policy.units_per_frame:
+                    done.append(f)
+            return done
 
-            def accept(src) -> list[int]:
-                """Record a result; return frames newly completed by it."""
-                a = inflight.pop(src)
-                deadlines.pop(src, None)
-                fresh_frames = [
-                    f for f in range(a.frame0, a.frame1)
-                    if not policy.unit_completed(a.region_index, f)
-                ]
-                policy.on_result(src, a)
-                done = []
-                for f in fresh_frames:
-                    frames_done[f] += 1
-                    if frames_done[f] == policy.units_per_frame:
-                        done.append(f)
-                return done
+        # -- prime every worker ----------------------------------------
+        for tid in worker_tids:
+            a = policy.next_assignment(tid)
+            if a is None:
+                if timeout is None:
+                    stopped.add(tid)
+                    yield Send(tid, cfg.msg_overhead_bytes, None, tag="stop")
+            else:
+                yield dispatch(tid, a)
 
-            # -- prime every worker ----------------------------------------
-            for tid in worker_tids:
-                a = policy.next_assignment(tid)
+        while not policy.finished:
+            msg = yield Recv(
+                tag="done", timeout=None if timeout is None else timeout / 2.0
+            )
+            now = pvm.sim.now
+            if msg is not None and msg.src not in dead:
+                sim_tel.on_done(msg.src, msg.payload, now)
+                for f in accept(msg.src):
+                    if cfg.write_frames:
+                        yield WriteFile(self._frame_bytes)
+                    acct.frame_done_at[f] = pvm.sim.now
+                    sim_tel.frame_done(f)
+                a = policy.next_assignment(msg.src)
                 if a is None:
                     if timeout is None:
-                        stopped.add(tid)
-                        yield Send(tid, cfg.msg_overhead_bytes, None, tag="stop")
+                        stopped.add(msg.src)
+                        yield Send(msg.src, cfg.msg_overhead_bytes, None, tag="stop")
                 else:
-                    yield dispatch(tid, a)
+                    yield dispatch(msg.src, a)
+            if timeout is not None:
+                # Deadline sweep: presume silent workers dead, requeue
+                # their chains fresh, re-feed the idle survivors.
+                for tid in list(deadlines):
+                    if tid in dead or now < deadlines[tid]:
+                        continue
+                    dead.add(tid)
+                    deadlines.pop(tid, None)
+                    lost = inflight.pop(tid, None)
+                    policy.on_worker_lost(tid)
+                    sim_tel.recovery(
+                        "deadline",
+                        lost.seq if lost is not None else -1,
+                        timeout,
+                        worker=sim_tel.names.get(tid, f"tid{tid}"),
+                    )
+                for tid in worker_tids:
+                    if tid in dead or tid in stopped or tid in inflight:
+                        continue
+                    a = policy.next_assignment(tid)
+                    if a is not None:
+                        yield dispatch(tid, a)
+                if not inflight and not policy.finished:
+                    raise RuntimeError("all workers dead with work remaining")
 
-            while not policy.finished:
-                msg = yield Recv(
-                    tag="done", timeout=None if timeout is None else timeout / 2.0
-                )
-                now = pvm.sim.now
-                if msg is not None and msg.src not in dead:
-                    sim_tel.on_done(msg.src, msg.payload, now)
-                    for f in accept(msg.src):
-                        if cfg.write_frames:
-                            yield WriteFile(self._frame_bytes)
-                        acct.frame_done_at[f] = pvm.sim.now
-                        sim_tel.frame_done(f)
-                    a = policy.next_assignment(msg.src)
-                    if a is None:
-                        if timeout is None:
-                            stopped.add(msg.src)
-                            yield Send(msg.src, cfg.msg_overhead_bytes, None, tag="stop")
-                    else:
-                        yield dispatch(msg.src, a)
-                if timeout is not None:
-                    # Deadline sweep: presume silent workers dead, requeue
-                    # their chains fresh, re-feed the idle survivors.
-                    for tid in list(deadlines):
-                        if tid in dead or now < deadlines[tid]:
-                            continue
-                        dead.add(tid)
-                        deadlines.pop(tid, None)
-                        lost = inflight.pop(tid, None)
-                        policy.on_worker_lost(tid)
-                        sim_tel.recovery(
-                            "deadline",
-                            lost.seq if lost is not None else -1,
-                            timeout,
-                            worker=sim_tel.names.get(tid, f"tid{tid}"),
-                        )
-                    for tid in worker_tids:
-                        if tid in dead or tid in stopped or tid in inflight:
-                            continue
-                        a = policy.next_assignment(tid)
-                        if a is not None:
-                            yield dispatch(tid, a)
-                    if not inflight and not policy.finished:
-                        raise RuntimeError("all workers dead with work remaining")
+        for tid in worker_tids:
+            if tid not in stopped:
+                yield Send(tid, cfg.msg_overhead_bytes, None, tag="stop")
 
-            for tid in worker_tids:
-                if tid not in stopped:
-                    yield Send(tid, cfg.msg_overhead_bytes, None, tag="stop")
 
-        return factory
+def simulate(
+    strategy: str,
+    oracle: AnimationCostOracle,
+    machines: list[Machine],
+    cfg: RenderFarmConfig | None = None,
+    **options,
+) -> SimulationOutcome:
+    """Replay one :data:`SIM_STRATEGIES` strategy on the virtual cluster.
+
+    The master runs on the first (fastest) machine and performs no compute,
+    only scheduling and file output; a worker runs on *every* machine,
+    including the master's — the paper's three-machine testbed.  The
+    ``single`` strategies use ``machines[0]`` alone.  ``options`` are those
+    of :meth:`SimTransport.for_strategy` and :class:`SimTransport`
+    (``regions``, ``frames_per_chunk``, ``sec_per_work_unit``, ``thrash``,
+    ``trace``, ``telemetry``, Ethernet parameters); ``failures`` and
+    ``worker_timeout`` are for the ``-ft`` strategies only and a
+    ``ValueError`` anywhere else.
+    """
+    return SimTransport.for_strategy(strategy, oracle, machines, cfg, **options).run()

@@ -1,13 +1,12 @@
 """ShardOracle: price object-space assignments for the cluster simulator.
 
 The discrete-event simulator (:class:`~repro.sched.sim.SimTransport`)
-prices every assignment through a cost model with the
-:class:`~repro.sched.cost.OracleCostModel` surface — ``region_size``,
-``frame_cost``, ``assignment_cost``, ``total_rays_of_log``.  This module
-provides that surface for the *object-space* policy, where a "region" is
-a scene shard and the dominant network term is not the pixel reply but
-the **ray exchange**: every wavefront round ships ray batches to the
-shard owners and their answers back.
+prices every assignment through an
+:class:`~repro.sched.cost.OracleCostModel`.  This module subclasses it
+for the *object-space* policy, where a "region" is a scene shard and the
+dominant network term is not the pixel reply but the **ray exchange**:
+every wavefront round ships ray batches to the shard owners and their
+answers back.
 
 A :class:`ShardProfile` is measured from a real sharded trace
 (:class:`~repro.shard.engine.ShardTraceStats`) at a small shard count and
@@ -25,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..parallel.config import RenderFarmConfig
+from ..sched.cost import FrameCost, OracleCostModel
 from .engine import ShardTraceStats
 
 __all__ = ["ShardOracle", "ShardProfile"]
@@ -89,8 +89,8 @@ class ShardProfile:
         return sum(self.xfer_bytes) / routed
 
 
-class ShardOracle:
-    """Cost model for object-space assignments (OracleCostModel surface).
+class ShardOracle(OracleCostModel):
+    """Cost model for object-space assignments.
 
     An assignment's region index is a *shard*; its cost for frame ``f``
     is that shard's slice of the routed-ray work at the target shard
@@ -105,32 +105,25 @@ class ShardOracle:
         n_shards: int | None = None,
         cfg: RenderFarmConfig | None = None,
     ) -> None:
+        super().__init__(None, cfg)  # priced from the profile, not a pixel oracle
         self.profile = profile
         self.n_shards = int(n_shards) if n_shards is not None else profile.n_shards
         if self.n_shards < 1:
             raise ValueError("need at least one shard")
-        self.cfg = cfg or RenderFarmConfig()
         q0 = profile.fanout()
         scale = np.sqrt(self.n_shards / max(1, profile.n_shards))
         self.fanout = float(min(self.n_shards, 1.0 + (q0 - 1.0) * scale))
         self._bytes_per_ray = profile.bytes_per_routed_ray()
 
-    # -- OracleCostModel surface -------------------------------------------
-    def region_pixels(self, region_index: int):
-        return None  # shards are object sets, not pixel blocks
-
     def region_size(self, region_index: int) -> int:
         return max(1, self.profile.n_pixels // self.n_shards)
 
-    def _frame_rays(self, frame: int) -> int:
+    def frame_cost(
+        self, region_index: int, frame: int, *, coherent: bool, chain_start: bool
+    ) -> FrameCost:
         f = frame % self.profile.n_frames  # profiles tile over longer runs
         routed = self.profile.rays_traced[f] * self.fanout
-        return max(1, int(round(routed / self.n_shards)))
-
-    def frame_cost(self, region_index: int, frame: int, *, coherent: bool, chain_start: bool):
-        from ..sched.cost import FrameCost
-
-        rays = self._frame_rays(frame)
+        rays = max(1, int(round(routed / self.n_shards)))
         size = self.region_size(region_index)
         return FrameCost(
             frame=frame,
@@ -141,28 +134,9 @@ class ShardOracle:
             chain_start=False,
         )
 
-    def assignment_cost(self, a):
-        from ..sched.cost import AssignmentCost
-
-        steps = tuple(
-            self.frame_cost(a.region_index, f, coherent=False, chain_start=False)
-            for f in range(a.frame0, a.frame1)
-        )
-        rays = sum(s.rays for s in steps)
-        n_computed = sum(s.n_computed for s in steps)
-        ray_bytes = int(round(rays * self._bytes_per_ray))
-        return AssignmentCost(
-            rays=int(rays),
-            n_computed=int(n_computed),
-            units=float(sum(s.units for s in steps)),
-            ws_mb=float(max((s.ws_mb for s in steps), default=0.0)),
-            reply_bytes=self.cfg.result_bytes(max(n_computed, 1)) + ray_bytes,
-            per_frame=steps,
-        )
-
-    def total_rays_of_log(self, log) -> int:
-        return sum(self.assignment_cost(a).rays for a in log)
+    def reply_bytes(self, n_computed: int, rays: int) -> int:
+        return super().reply_bytes(n_computed, rays) + int(round(rays * self._bytes_per_ray))
 
     def ray_bytes_of_log(self, log) -> int:
         """Modelled ray-exchange bytes of a dispatch log (BENCH metric)."""
-        return int(round(sum(self.assignment_cost(a).rays for a in log) * self._bytes_per_ray))
+        return int(round(self.total_rays_of_log(log) * self._bytes_per_ray))

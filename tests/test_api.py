@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import ENGINES, SIM_STRATEGIES, RenderRequest, RenderResult, render
+from repro.api import ENGINES, RenderRequest, RenderResult, render
 from repro.telemetry import CORE_EVENTS, schema_of_events, validate_events
 
 SMALL = dict(workload="newton", n_frames=3, width=48, height=36, grid_resolution=12)
@@ -69,6 +69,8 @@ def test_bad_engine_strategy_workload_rejected():
 
         render(RenderRequest(workload=newton_animation(n_frames=2), engine="farm"))
     assert set(ENGINES) == {"animation", "farm", "simulate"}
+    from repro.sched import SIM_STRATEGIES
+
     assert "sequence-division-fc" in SIM_STRATEGIES
 
 
@@ -204,3 +206,43 @@ def test_cli_simulate_subcommand(capsys):
     out = capsys.readouterr().out
     assert "frame-division+fc" in out
     assert "virtual seconds" in out
+
+
+def test_simulate_rejects_deadline_options_without_a_deadline(tiny_oracle):
+    """``failures`` / ``worker_timeout`` given to a strategy that runs with a
+    blocking master would be ignored (or dead-lock the virtual PVM): an
+    error that names the strategy to use instead."""
+    for extra in ({"failures": [("indigo-100", 0.5)]}, {"worker_timeout": 5.0}):
+        with pytest.raises(ValueError, match="frame-division-fc-ft"):
+            render(
+                RenderRequest(
+                    engine="simulate", strategy="frame-division-fc", oracle=tiny_oracle, **extra
+                )
+            )
+    result = render(
+        RenderRequest(
+            engine="simulate", strategy="frame-division-fc-ft", oracle=tiny_oracle,
+            failures=[("indigo-100", 0.5)],
+        )
+    )
+    assert result.outcome.n_reassigned == 1
+    assert len(result.outcome.frame_completion_times) == tiny_oracle.n_frames
+
+
+def test_cli_simulate_ft_strategy(capsys, tmp_path, tiny_oracle):
+    """The CLI has no failure-injection flag, so it can never trip the check
+    above: every ``--strategy`` choice runs, the ``-ft`` ones under the
+    default worker deadline."""
+    from repro.cli import build_parser, main
+    from repro.sched import SIM_STRATEGIES
+
+    tiny_oracle.save(tmp_path / "oracle.npz")
+    argv = ["simulate", "newton", "--oracle", str(tmp_path / "oracle.npz"), "--strategy"]
+    assert main(argv + ["sequence-division-fc-ft"]) == 0
+    assert "sequence-division+fc+ft: 5 frames on 3 machines" in capsys.readouterr().out
+    assert main(argv + ["frame-division-fc"]) == 0
+    assert len(SIM_STRATEGIES) == 9
+    for name in SIM_STRATEGIES:
+        assert build_parser().parse_args(argv + [name]).strategy == name
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + ["object-space"])

@@ -1,4 +1,4 @@
-"""Tests for machine failures, Recv timeouts and the fault-tolerant master."""
+"""Tests for machine failures, Recv timeouts and the deadline-sweeping master."""
 
 import pytest
 
@@ -11,12 +11,9 @@ from repro.cluster import (
     VirtualPVM,
     ncsu_testbed,
 )
-from repro.parallel import (
-    RenderFarmConfig,
-    simulate_frame_division_fc,
-    simulate_frame_division_fc_fault_tolerant,
-    simulate_sequence_division_fc_fault_tolerant,
-)
+from repro.parallel import RenderFarmConfig
+from repro.sched import SimTransport, simulate
+from repro.telemetry import InMemorySink, Telemetry
 
 SPU = 1e-4
 NO_THRASH = ThrashModel(alpha=0.0)
@@ -105,10 +102,14 @@ def machines():
     return ncsu_testbed()
 
 
-def _ft(oracle, machines, **kw):
-    return simulate_frame_division_fc_fault_tolerant(
-        oracle, machines, CFG, sec_per_work_unit=SPU, thrash=NO_THRASH, **kw
+def _sim(strategy, oracle, machines, **kw):
+    return simulate(
+        strategy, oracle, machines, CFG, sec_per_work_unit=SPU, thrash=NO_THRASH, **kw
     )
+
+
+def _ft(oracle, machines, **kw):
+    return _sim("frame-division-fc-ft", oracle, machines, **kw)
 
 
 def test_ft_clean_run_completes_everything(tiny_oracle, machines):
@@ -120,9 +121,7 @@ def test_ft_clean_run_completes_everything(tiny_oracle, machines):
 
 
 def test_ft_clean_run_is_competitive(tiny_oracle, machines):
-    base = simulate_frame_division_fc(
-        tiny_oracle, machines, CFG, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    base = _sim("frame-division-fc", tiny_oracle, machines)
     out = _ft(tiny_oracle, machines)
     assert out.total_time < 2.0 * base.total_time
 
@@ -185,9 +184,7 @@ def test_ft_deterministic(tiny_oracle, machines):
 
 # -- fault-tolerant sequence division --------------------------------------------
 def _seq_ft(oracle, machines, **kw):
-    return simulate_sequence_division_fc_fault_tolerant(
-        oracle, machines, CFG, sec_per_work_unit=SPU, thrash=NO_THRASH, **kw
-    )
+    return _sim("sequence-division-fc-ft", oracle, machines, **kw)
 
 
 def test_seq_ft_clean_run_completes_everything(tiny_oracle, machines):
@@ -219,3 +216,109 @@ def test_seq_ft_deterministic(tiny_oracle, machines):
     b = _seq_ft(tiny_oracle, machines, failures=[("indigo-100", 0.5)])
     assert a.total_time == b.total_time
     assert a.total_rays == b.total_rays
+
+
+# -- the -ft strategies are the plain policies under a deadline -------------------
+FT_STRATEGIES = ("frame-division-fc-ft", "sequence-division-fc-ft")
+
+
+def _transport(strategy, oracle, machines, **kw):
+    return SimTransport.for_strategy(
+        strategy, oracle, machines, CFG, sec_per_work_unit=SPU, thrash=NO_THRASH, **kw
+    )
+
+
+def _drill(strategy, oracle, machines, failures):
+    """Run under ``failures``; return the outcome, the policy and every
+    ``(worker, assignment)`` the master accepted, in order — recorded at
+    ``policy.on_result``, the one place a unit is accepted."""
+    transport = _transport(strategy, oracle, machines, failures=failures)
+    policy, accepted = transport.policy, []
+    on_result = policy.on_result
+
+    def recording(worker, a):
+        accepted.append((worker, a))
+        on_result(worker, a)
+
+    policy.on_result = recording
+    return transport.run(), policy, accepted
+
+
+def _death_after_last_task(strategy, oracle, machines):
+    """A slave crash timed after the slave returned its last result of the
+    clean run but before the run's last result: it dies with nothing to lose."""
+    sink = InMemorySink()
+    tel = Telemetry(sinks=[sink])
+    _sim(strategy, oracle, machines, telemetry=tel)
+    tel.close()
+    last_end: dict[str, float] = {}
+    for e in sink.events:
+        if e.get("name") == "task":
+            worker = e["attrs"]["worker"]
+            last_end[worker] = max(last_end.get(worker, 0.0), e["t"] + e["dur"])
+    victim = min((m.name for m in machines[1:]), key=last_end.__getitem__)
+    run_end = max(last_end.values())
+    assert last_end[victim] < run_end
+    return [(victim, (last_end[victim] + run_end) / 2.0)]
+
+
+def _deaths_at(*deaths):
+    """Crashes at fractions of the clean run's total time."""
+
+    def failures(strategy, oracle, machines):
+        total = _sim(strategy, oracle, machines).total_time
+        return [(name, total * frac) for name, frac in deaths]
+
+    return failures
+
+
+DRILLS = {
+    "no failure": _deaths_at(),
+    "one slave": _deaths_at(("indigo2-100", 0.3)),
+    "both slaves": _deaths_at(("indigo2-100", 0.2), ("indigo-100", 0.4)),
+    "slave already finished": _death_after_last_task,
+}
+
+
+@pytest.mark.parametrize("strategy", FT_STRATEGIES)
+@pytest.mark.parametrize("scenario", DRILLS)
+def test_ft_drill_exactly_once(strategy, scenario, tiny_oracle, machines):
+    failures = DRILLS[scenario](strategy, tiny_oracle, machines)
+    out, policy, accepted = _drill(strategy, tiny_oracle, machines, failures)
+    units = [(a.region_index, f) for _w, a in accepted for f in range(a.frame0, a.frame1)]
+    assert policy.finished
+    assert len(units) == len(set(units)) == policy.total_units
+    assert len(out.frame_completion_times) == tiny_oracle.n_frames
+    # A machine died holding work iff something dispatched to its worker
+    # (tids are 1..n in machine order) never came back.
+    returned = {a.seq for _w, a in accepted}
+    tid_of = {m.name: i + 1 for i, m in enumerate(machines)}
+    holding = [
+        name for name, _at in failures
+        if any(a.worker == tid_of[name] and a.seq not in returned for a in policy.log)
+    ]
+    assert out.n_reassigned == policy.n_reassigned == len(holding)
+    if scenario == "slave already finished":
+        assert holding == []
+    out2, _policy2, accepted2 = _drill(strategy, tiny_oracle, machines, failures)
+    assert out2 == out
+    assert [a.key() for _w, a in accepted2] == [a.key() for _w, a in accepted]
+
+
+@pytest.mark.parametrize("strategy", FT_STRATEGIES)
+def test_ft_clean_run_is_the_plain_policy(strategy, tiny_oracle, machines):
+    """No failure: the deadline never fires, so the -ft run dispatches the
+    same assignments and fires the same rays as the strategy it supervises."""
+    ft = _transport(strategy, tiny_oracle, machines)
+    plain = _transport(strategy.removesuffix("-ft"), tiny_oracle, machines)
+    out_ft, out_plain = ft.run(), plain.run()
+    assert [a.key() for a in ft.policy.log] == [a.key() for a in plain.policy.log]
+    assert out_ft.total_rays == out_plain.total_rays
+    assert out_ft.n_reassigned == 0
+
+
+def test_deadline_options_rejected_without_deadline(tiny_oracle, machines):
+    with pytest.raises(ValueError, match="frame-division-fc-ft"):
+        _sim("frame-division-fc", tiny_oracle, machines, failures=[("indigo-100", 0.5)])
+    with pytest.raises(ValueError, match="sequence-division-fc-ft"):
+        _sim("sequence-division-fc", tiny_oracle, machines, worker_timeout=10.0)

@@ -33,7 +33,7 @@ from repro.obs import (
     worker_timelines,
     write_chrome_trace,
 )
-from repro.parallel import simulate_frame_division_fc, simulate_sequence_division_fc
+from repro.sched import simulate
 from repro.telemetry import (
     SCHEMA_VERSION,
     InMemorySink,
@@ -178,15 +178,15 @@ def test_compare_division_contrast():
 # -- simulator: deterministic reports, the paper's division contrast ---------------
 def _sim_report(strategy, oracle):
     tel = Telemetry(sinks=[mem := InMemorySink()])
-    strategy(oracle, ncsu_testbed(), sec_per_work_unit=1e-4, telemetry=tel)
+    simulate(strategy, oracle, ncsu_testbed(), sec_per_work_unit=1e-4, telemetry=tel)
     tel.close()
     validate_events(mem.events)
     return mem.events
 
 
 def test_sim_utilization_is_deterministic(tiny_oracle):
-    a = _sim_report(simulate_sequence_division_fc, tiny_oracle)
-    b = _sim_report(simulate_sequence_division_fc, tiny_oracle)
+    a = _sim_report("sequence-division-fc", tiny_oracle)
+    b = _sim_report("sequence-division-fc", tiny_oracle)
     assert a == b  # virtual clock: bit-identical streams run-to-run
     rep = utilization_report(a)
     assert rep.engine == "sim" and rep.n_workers > 1
@@ -194,8 +194,8 @@ def test_sim_utilization_is_deterministic(tiny_oracle):
 
 
 def test_sim_division_contrast_from_events_alone(tiny_oracle):
-    seq = utilization_report(_sim_report(simulate_sequence_division_fc, tiny_oracle))
-    frame = utilization_report(_sim_report(simulate_frame_division_fc, tiny_oracle))
+    seq = utilization_report(_sim_report("sequence-division-fc", tiny_oracle))
+    frame = utilization_report(_sim_report("frame-division-fc", tiny_oracle))
     # The paper's load-balance claim: static sequence division strands
     # lanes; frame division keeps them busy.
     assert frame.idle_frac < seq.idle_frac

@@ -83,9 +83,11 @@ def test_frame_latency_degenerate():
 
 def test_report_on_real_outcome(tiny_oracle):
     from repro.cluster import ThrashModel, ncsu_testbed
-    from repro.parallel import RenderFarmConfig, simulate_frame_division_fc
+    from repro.parallel import RenderFarmConfig
+    from repro.sched import simulate
 
-    out = simulate_frame_division_fc(
+    out = simulate(
+        "frame-division-fc",
         tiny_oracle,
         ncsu_testbed(),
         RenderFarmConfig(),

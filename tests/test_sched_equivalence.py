@@ -17,9 +17,7 @@ import pytest
 from repro.cluster import ThrashModel, ncsu_testbed
 from repro.parallel.config import RenderFarmConfig
 from repro.parallel.oracle import AnimationCostOracle
-from repro.parallel.partition import sequence_ranges
-from repro.parallel.fault_tolerance import default_worker_timeout
-from repro.parallel.strategies import default_blocks
+from repro.parallel.partition import default_block_layout, sequence_ranges
 from repro.runtime import AnimationSpec, LocalRenderFarm
 from repro.runtime.faults import FaultPlan
 from repro.sched import (
@@ -29,6 +27,7 @@ from repro.sched import (
     SchedulingPolicy,
     SimTransport,
     assignment_echo_task,
+    default_worker_timeout,
     make_policy,
 )
 
@@ -98,7 +97,7 @@ def _build(strategy, oracle, n_workers):
     if strategy in ("sequence-division-fc", "sequence-division-nofc"):
         ranges = sequence_ranges(n, max(2, n_workers))
         return make_policy(strategy, n, sequence_ranges=ranges), None
-    regions = default_blocks(oracle)
+    regions = default_block_layout(oracle.width, oracle.height)
     return (
         make_policy(strategy, n, n_regions=len(regions), frames_per_chunk=2),
         regions,

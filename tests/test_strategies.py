@@ -1,17 +1,13 @@
 """Tests for the simulated Table-1 rendering strategies."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cluster import ThrashModel, ncsu_testbed
-from repro.parallel import (
-    RenderFarmConfig,
-    simulate_frame_division_fc,
-    simulate_frame_division_nofc,
-    simulate_hybrid_fc,
-    simulate_sequence_division_fc,
-    simulate_sequence_division_nofc,
-    simulate_single_processor,
-)
+from repro.parallel import RenderFarmConfig
+from repro.sched import simulate
 
 SPU = 1e-4
 NO_THRASH = ThrashModel(alpha=0.0)
@@ -27,10 +23,14 @@ def cfg():
     return RenderFarmConfig()
 
 
-def _single(oracle, machines, cfg, fc=False):
-    return simulate_single_processor(
-        oracle, machines[0], cfg, use_coherence=fc, sec_per_work_unit=SPU, thrash=NO_THRASH
+def _sim(strategy, oracle, machines, cfg, **kw):
+    return simulate(
+        strategy, oracle, machines, cfg, sec_per_work_unit=SPU, thrash=NO_THRASH, **kw
     )
+
+
+def _single(oracle, machines, cfg, fc=False):
+    return _sim("single-fc" if fc else "single", oracle, machines, cfg)
 
 
 # -- single processor ------------------------------------------------------------
@@ -73,9 +73,7 @@ def test_fc_first_frame_overhead(tiny_oracle, machines, cfg):
 # -- distributed, no coherence ------------------------------------------------------
 def test_frame_division_nofc_speedup(tiny_oracle, machines, cfg):
     base = _single(tiny_oracle, machines, cfg)
-    dist = simulate_frame_division_nofc(
-        tiny_oracle, machines, cfg, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    dist = _sim("frame-division-nofc", tiny_oracle, machines, cfg)
     assert dist.total_rays == tiny_oracle.total_full_rays()
     # Aggregate speed is 4 vs the fast machine's 2: expect close to 2x.
     assert 1.5 < dist.speedup_vs(base) <= 2.2
@@ -84,17 +82,13 @@ def test_frame_division_nofc_speedup(tiny_oracle, machines, cfg):
 
 
 def test_frame_division_nofc_single_machine(tiny_oracle, machines, cfg):
-    solo = simulate_frame_division_nofc(
-        tiny_oracle, machines[:1], cfg, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    solo = _sim("frame-division-nofc", tiny_oracle, machines[:1], cfg)
     assert solo.total_rays == tiny_oracle.total_full_rays()
 
 
 # -- sequence division + FC -----------------------------------------------------------
 def test_sequence_division_fc(tiny_oracle, machines, cfg):
-    out = simulate_sequence_division_fc(
-        tiny_oracle, machines, cfg, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    out = _sim("sequence-division-fc", tiny_oracle, machines, cfg)
     # One chain start per initial subsequence (plus any steals).
     assert out.n_chain_starts >= min(len(machines), tiny_oracle.n_frames)
     # Extra chain starts inflate rays above the single-chain count.
@@ -108,9 +102,7 @@ def test_sequence_division_fc(tiny_oracle, machines, cfg):
 
 
 def test_sequence_division_nofc(tiny_oracle, machines, cfg):
-    out = simulate_sequence_division_nofc(
-        tiny_oracle, machines, cfg, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    out = _sim("sequence-division-nofc", tiny_oracle, machines, cfg)
     assert out.total_rays == tiny_oracle.total_full_rays()
 
 
@@ -118,9 +110,7 @@ def test_sequence_division_nofc(tiny_oracle, machines, cfg):
 def test_frame_division_fc_ray_identity(tiny_oracle, machines, cfg):
     """Without steals, per-block chains fire exactly the same rays as one
     full-frame chain (the pixel-level decomposition identity)."""
-    out = simulate_frame_division_fc(
-        tiny_oracle, machines, cfg, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    out = _sim("frame-division-fc", tiny_oracle, machines, cfg)
     if out.n_steals == 0:
         assert out.total_rays == tiny_oracle.total_coherent_rays()
     else:
@@ -130,13 +120,9 @@ def test_frame_division_fc_ray_identity(tiny_oracle, machines, cfg):
 
 def test_frame_division_fc_beats_everything(tiny_oracle, machines, cfg):
     base = _single(tiny_oracle, machines, cfg)
-    fdiv = simulate_frame_division_fc(
-        tiny_oracle, machines, cfg, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    fdiv = _sim("frame-division-fc", tiny_oracle, machines, cfg)
     fc = _single(tiny_oracle, machines, cfg, fc=True)
-    dist = simulate_frame_division_nofc(
-        tiny_oracle, machines, cfg, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    dist = _sim("frame-division-nofc", tiny_oracle, machines, cfg)
     assert fdiv.total_time < fc.total_time
     assert fdiv.total_time < dist.total_time
     assert fdiv.speedup_vs(base) > max(fc.speedup_vs(base), dist.speedup_vs(base))
@@ -144,29 +130,24 @@ def test_frame_division_fc_beats_everything(tiny_oracle, machines, cfg):
 
 # -- hybrid ------------------------------------------------------------------------------
 def test_hybrid_fc(tiny_oracle, machines, cfg):
-    out = simulate_hybrid_fc(
-        tiny_oracle, machines, cfg, frames_per_chunk=2, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    out = _sim("hybrid-fc", tiny_oracle, machines, cfg, frames_per_chunk=2)
     # Chunked chains restart more often -> more rays than pure frame division.
-    pure = simulate_frame_division_fc(
-        tiny_oracle, machines, cfg, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    pure = _sim("frame-division-fc", tiny_oracle, machines, cfg)
     assert out.total_rays >= pure.total_rays
     assert len(out.frame_completion_times) == tiny_oracle.n_frames
     with pytest.raises(ValueError):
-        simulate_hybrid_fc(tiny_oracle, machines, cfg, frames_per_chunk=0)
+        simulate("hybrid-fc", tiny_oracle, machines, cfg, frames_per_chunk=0)
 
 
 # -- cross-cutting properties ----------------------------------------------------------
 def test_memory_pressure_slows_sequence_division(tiny_oracle, machines, cfg):
-    free = simulate_sequence_division_fc(
-        tiny_oracle, machines, cfg, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    free = _sim("sequence-division-fc", tiny_oracle, machines, cfg)
     # Make a full-frame chain exceed the slaves' 32 MB.
     big_cfg = RenderFarmConfig(
         pixel_scale=(320 * 240) / tiny_oracle.n_pixels,
     )
-    pressured = simulate_sequence_division_fc(
+    pressured = simulate(
+        "sequence-division-fc",
         tiny_oracle,
         machines,
         big_cfg,
@@ -177,18 +158,14 @@ def test_memory_pressure_slows_sequence_division(tiny_oracle, machines, cfg):
 
 
 def test_ethernet_traffic_accounted(tiny_oracle, machines, cfg):
-    out = simulate_frame_division_nofc(
-        tiny_oracle, machines, cfg, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    out = _sim("frame-division-nofc", tiny_oracle, machines, cfg)
     assert out.bytes_on_wire > 0
     assert out.ethernet_busy_seconds > 0
     assert out.ethernet_busy_seconds < out.total_time
 
 
 def test_machine_busy_accounting(tiny_oracle, machines, cfg):
-    out = simulate_frame_division_nofc(
-        tiny_oracle, machines, cfg, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    out = _sim("frame-division-nofc", tiny_oracle, machines, cfg)
     busy = out.machine_busy_seconds
     assert set(busy) == {m.name for m in machines}
     assert all(v > 0 for v in busy.values())
@@ -197,12 +174,36 @@ def test_machine_busy_accounting(tiny_oracle, machines, cfg):
 
 
 def test_deterministic_simulation(tiny_oracle, machines, cfg):
-    a = simulate_frame_division_fc(
-        tiny_oracle, machines, cfg, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
-    b = simulate_frame_division_fc(
-        tiny_oracle, machines, cfg, sec_per_work_unit=SPU, thrash=NO_THRASH
-    )
+    a = _sim("frame-division-fc", tiny_oracle, machines, cfg)
+    b = _sim("frame-division-fc", tiny_oracle, machines, cfg)
     assert a.total_time == b.total_time
     assert a.total_rays == b.total_rays
     assert a.frame_completion_times == b.frame_completion_times
+
+
+# -- import hygiene: parallel is a leaf, sched sits on top -----------------------
+_HYGIENE = """
+import importlib.util, sys
+import {first}
+first_loaded_sched = "repro.sched" in sys.modules
+import {second}
+import repro.parallel, repro.sched
+assert "__getattr__" not in vars(repro.parallel)
+for gone in ("strategies", "fault_tolerance"):
+    assert importlib.util.find_spec("repro.parallel." + gone) is None, gone
+    assert not hasattr(repro.parallel, gone)
+if "{first}" == "repro.parallel":
+    assert not first_loaded_sched, "repro.parallel pulled in repro.sched"
+assert callable(repro.sched.simulate)
+"""
+
+
+@pytest.mark.parametrize(
+    "first,second", [("repro.parallel", "repro.sched"), ("repro.sched", "repro.parallel")]
+)
+def test_parallel_is_a_leaf_package(first, second):
+    """Either import order works in a fresh interpreter, with no lazy-import
+    table: the only edge between the two packages is sched -> parallel."""
+    subprocess.run(
+        [sys.executable, "-c", _HYGIENE.format(first=first, second=second)], check=True
+    )

@@ -89,9 +89,11 @@ def test_render_timeline_width_validation():
 
 def test_strategy_trace_integration(tiny_oracle):
     from repro.cluster import ThrashModel, ncsu_testbed
-    from repro.parallel import RenderFarmConfig, simulate_frame_division_fc
+    from repro.parallel import RenderFarmConfig
+    from repro.sched import simulate
 
-    out = simulate_frame_division_fc(
+    out = simulate(
+        "frame-division-fc",
         tiny_oracle,
         ncsu_testbed(),
         RenderFarmConfig(),
@@ -102,7 +104,8 @@ def test_strategy_trace_integration(tiny_oracle):
     assert out.timeline is not None
     assert "ethernet" in out.timeline
     # Untraced runs carry no timeline.
-    out2 = simulate_frame_division_fc(
+    out2 = simulate(
+        "frame-division-fc",
         tiny_oracle,
         ncsu_testbed(),
         RenderFarmConfig(),
