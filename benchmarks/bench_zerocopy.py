@@ -1,16 +1,16 @@
-"""What the zero-copy data plane buys, measured at its three layers.
+"""What the zero-copy data plane holds to, measured at its three layers.
 
-PR 8 rebuilt every pixel-moving hop on `repro.buffers`: the wire codec
-hands out views instead of copies, the frame assembler slices a chunk
-deque instead of growing a bytearray, and process workers ship
-shared-memory `FrameRef` handles instead of pickled stacks.  The legacy
-pipeline survives behind `protocol.set_zero_copy(False)` with every
-bulk copy charged to `repro.buffers.copystats`, so this benchmark can
-run the *same payloads* through both modes and gate honestly:
+Every pixel-moving hop runs on `repro.buffers`: the wire codec hands out
+views instead of copies, the frame assembler slices a chunk deque
+instead of growing a bytearray, and process workers ship shared-memory
+`FrameRef` handles instead of pickled stacks.  Every bulk copy that is
+left is charged to `repro.buffers.copystats`, which is what the gates
+read:
 
 * **codec drill** — encode → chunked reassembly → decode of
-  result-sized frames must copy **>= 2x fewer pixel bytes** with
-  zero-copy on than the legacy path (the headline acceptance ratio);
+  result-sized frames copies **at most 1.01x the frame bytes** (one join
+  per payload that spans recv chunks, nothing else); its wall is the
+  median of five rounds after one warm-up round;
 * **process transport** — supervised pool tasks returning `FrameRef`
   handles must beat the same tasks returning pickled arrays by
   **>= 1.3x wall-clock**;
@@ -47,6 +47,8 @@ FRAME_SHAPE = (6, 120, 160, 3)
 N_MESSAGES = 8
 #: Socket-realistic chunking for reassembly (a recv() rarely gets a frame).
 CHUNK = 64 << 10
+#: Timed codec rounds (after one untimed warm-up); the wall is their median.
+CODEC_ROUNDS = 5
 
 #: Process-transport drill: per-task pixel payload and task count.
 TASK_SHAPE = (8, 240, 320, 3)  # ~4.7 MB of float64 per task
@@ -131,20 +133,15 @@ def test_zerocopy_gates(results_dir):
     ]
     frame_bytes = N_MESSAGES * payloads[0]["frames"].nbytes
 
-    assert wire.zero_copy_enabled()
-    zc_copied, zc_wall = _codec_round_trip(payloads)
-    wire.set_zero_copy(False)
-    try:
-        legacy_copied, legacy_wall = _codec_round_trip(payloads)
-    finally:
-        wire.set_zero_copy(True)
-        copystats.reset()
-    copy_ratio = legacy_copied / max(1, zc_copied)
-    # Acceptance gate 1: >= 2x fewer pixel bytes copied on the TCP path.
-    assert copy_ratio >= 2.0, (legacy_copied, zc_copied)
-    # The legacy ledger must be charging real frame traffic, or the
-    # ratio above is vacuous.
-    assert legacy_copied >= 2 * frame_bytes, (legacy_copied, frame_bytes)
+    _codec_round_trip(payloads)  # warm-up: the first round pays allocator and cache misses
+    rounds = [_codec_round_trip(payloads) for _ in range(CODEC_ROUNDS)]
+    copystats.reset()
+    copied = rounds[0][0]
+    assert all(c == copied for c, _ in rounds), rounds
+    codec_wall = float(np.median([w for _, w in rounds]))
+    # Acceptance gate 1: the TCP path copies each pixel byte at most once
+    # (every payload here spans recv chunks, so the ledger cannot read 0).
+    assert 0 < copied <= 1.01 * frame_bytes, (copied, frame_bytes)
 
     pickle_wall = _transport_wall(shm=False)
     shm_wall = _transport_wall(shm=True)
@@ -174,12 +171,11 @@ def test_zerocopy_gates(results_dir):
         "zerocopy",
         metrics_from_events(sink.events),
         extra={
-            "codec_bytes_copied_legacy": legacy_copied,
-            "codec_bytes_copied_zerocopy": zc_copied,
-            "codec_copy_reduction": copy_ratio,
-            "codec_wall_legacy": legacy_wall,
-            "codec_wall_zerocopy": zc_wall,
+            "codec_bytes_copied": copied,
             "codec_frame_bytes": frame_bytes,
+            "codec_copies_per_byte": copied / frame_bytes,
+            "codec_wall": codec_wall,
+            "codec_rounds": CODEC_ROUNDS,
             "transport_wall_pickle": pickle_wall,
             "transport_wall_shm": shm_wall,
             "transport_speedup": transport_speedup,
@@ -192,10 +188,11 @@ def test_zerocopy_gates(results_dir):
     )
 
     lines = [
-        "zero-copy data plane vs the copying pipeline it replaced",
-        f"  codec pixel bytes copied   {legacy_copied:,} B legacy -> "
-        f"{zc_copied:,} B zero-copy ({copy_ratio:.1f}x less)",
-        f"  codec wall                 {legacy_wall:.3f} s -> {zc_wall:.3f} s",
+        "zero-copy data plane",
+        f"  codec pixel bytes copied   {copied:,} B for {frame_bytes:,} B of frames "
+        f"({copied / frame_bytes:.4f}x, gate 1.01x)",
+        f"  codec wall                 {codec_wall:.3f} s "
+        f"(median of {CODEC_ROUNDS} after a warm-up round)",
         f"  process transport wall     {pickle_wall:.3f} s pickled -> "
         f"{shm_wall:.3f} s shared-memory ({transport_speedup:.2f}x)",
         f"  per-task payload           {int(np.prod(TASK_SHAPE)) * 8:,} B "

@@ -54,6 +54,7 @@ __all__ = [
     "LazyFrames",
     "render",
     "ENGINES",
+    "WORKLOADS",
     # render-service client surface (thin re-exports of repro.service.client;
     # `render` runs one request here, `submit`/`wait` hand it to a daemon)
     "ServiceError",
@@ -66,7 +67,9 @@ __all__ = [
 
 ENGINES = ("animation", "farm", "simulate")
 
-_WORKLOAD_FACTORIES = {
+#: Named workloads: name -> ``module:function`` animation factory.  The one
+#: table behind ``RenderRequest.workload`` strings and the CLI's choices.
+WORKLOADS = {
     "newton": "repro.scenes.newton:newton_animation",
     "brick": "repro.scenes.brick_room:brick_room_animation",
     "spheres": "repro.scenes.stress:random_spheres_animation",
@@ -288,10 +291,10 @@ def _resolve_workload(req: RenderRequest):
     w = req.workload
     if isinstance(w, str):
         try:
-            factory = _WORKLOAD_FACTORIES[w]
+            factory = WORKLOADS[w]
         except KeyError:
             raise ValueError(
-                f"unknown workload {w!r}; expected one of {sorted(_WORKLOAD_FACTORIES)} "
+                f"unknown workload {w!r}; expected one of {sorted(WORKLOADS)} "
                 "or an Animation/AnimationSpec"
             ) from None
         spec = AnimationSpec(

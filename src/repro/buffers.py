@@ -25,8 +25,7 @@ stack honor that.  Three pieces, one contract:
 ``copystats``
     A process-wide counter of bulk pixel-byte copies, incremented at
     every site that still memcpys frame data.  ``benchmarks/
-    bench_zerocopy.py`` gates on it; the legacy (pre-zero-copy) codec
-    paths count their copies too, so the before/after ratio is honest.
+    bench_zerocopy.py`` gates on it.
 
 Decoded wire arrays and resolved FrameRefs are **read-only views**; a
 consumer that needs to mutate makes its own copy (``np.array(a)``) — the
@@ -66,10 +65,10 @@ SEGMENT_PREFIX = "reprobuf"
 class CopyStats:
     """Process-wide ledger of bulk pixel-byte copies, by site.
 
-    Sites are short dotted names (``encode.tobytes``, ``decode.copy``,
-    ``assembler.join``, …).  Only *frame-sized* copies are counted —
-    metadata shuffling stays off the books so the ratio the benchmark
-    gates on reflects the data plane, not header bookkeeping.
+    Sites are short dotted names (``encode.contig``, ``assembler.join``,
+    …).  Only *frame-sized* copies are counted — metadata shuffling stays
+    off the books so the ratio the benchmark gates on reflects the data
+    plane, not header bookkeeping.
     """
 
     __slots__ = ("_lock", "_by_site")

@@ -31,27 +31,16 @@ from pathlib import Path
 
 __all__ = ["main", "build_parser"]
 
-_WORKLOADS = ("newton", "brick", "spheres", "orbit")
 
+def _workload_spec(args):
+    """The named workload at the size the size flags ask for."""
+    from .api import WORKLOADS
+    from .runtime.spec import AnimationSpec
 
-def _make_animation(name: str, frames: int, width: int, height: int):
-    if name == "newton":
-        from .scenes import newton_animation
-
-        return newton_animation(n_frames=frames, width=width, height=height)
-    if name == "orbit":
-        from .scenes import orbit_animation
-
-        return orbit_animation(n_frames=frames, width=width, height=height)
-    if name == "brick":
-        from .scenes import brick_room_animation
-
-        return brick_room_animation(n_frames=frames, width=width, height=height)
-    if name == "spheres":
-        from .scenes import random_spheres_animation
-
-        return random_spheres_animation(n_frames=frames, width=width, height=height)
-    raise ValueError(f"unknown workload {name!r}")
+    return AnimationSpec(
+        WORKLOADS[args.workload],
+        {"n_frames": args.frames, "width": args.width, "height": args.height},
+    )
 
 
 def _add_size_args(p: argparse.ArgumentParser, frames: int = 8) -> None:
@@ -68,6 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Frame-coherent ray tracing on a (simulated) network of workstations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    from .api import WORKLOADS
+    from .sched import SIM_STRATEGIES
+
+    workloads = tuple(WORKLOADS)
 
     p_render = sub.add_parser("render", help="render a scene description file")
     p_render.add_argument("scene", type=Path)
@@ -75,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--supersample", type=int, default=1, metavar="N", help="N x N samples per pixel")
 
     p_anim = sub.add_parser("animate", help="render a built-in animation with frame coherence")
-    p_anim.add_argument("workload", choices=_WORKLOADS)
+    p_anim.add_argument("workload", choices=workloads)
     _add_size_args(p_anim)
     p_anim.add_argument("--out", type=Path, default=Path("frames"))
     p_anim.add_argument("--shadow-coherence", action="store_true")
@@ -85,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_val = sub.add_parser("validate", help="check exactness/conservativeness of the algorithm")
-    p_val.add_argument("workload", choices=_WORKLOADS)
+    p_val.add_argument("workload", choices=workloads)
     _add_size_args(p_val, frames=4)
 
     p_t1 = sub.add_parser("table1", help="regenerate the paper's Table 1")
@@ -167,10 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser(
         "simulate", help="run one Table-1 strategy on the discrete-event NOW simulator"
     )
-    p_sim.add_argument("workload", choices=_WORKLOADS)
+    p_sim.add_argument("workload", choices=workloads)
     _add_size_args(p_sim)
-    from .sched import SIM_STRATEGIES
-
     p_sim.add_argument(
         "--strategy", choices=SIM_STRATEGIES, default="sequence-division-fc"
     )
@@ -239,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--connect", required=True, metavar="HOST:PORT",
         help="the service's control socket (printed by repro serve)",
     )
-    p_submit.add_argument("workload", choices=_WORKLOADS)
+    p_submit.add_argument("workload", choices=workloads)
     _add_size_args(p_submit)
     p_submit.add_argument("--priority", type=int, default=0, help="higher = more urgent")
     p_submit.add_argument("--owner", default="", help="who to bill the job to")
@@ -279,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle", help="measure per-pixel costs and print coherence analytics"
     )
-    p_oracle.add_argument("workload", choices=_WORKLOADS)
+    p_oracle.add_argument("workload", choices=workloads)
     _add_size_args(p_oracle)
     p_oracle.add_argument("--save", type=Path, help="also save the oracle as .npz")
 
@@ -287,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         "shard",
         help="object-space sharded render: workers own scene shards and trade rays",
     )
-    p_shard.add_argument("workload", choices=_WORKLOADS)
+    p_shard.add_argument("workload", choices=workloads)
     _add_size_args(p_shard, frames=4)
     p_shard.add_argument("--shards", type=int, default=4, help="shard count K")
     p_shard.add_argument("--workers", type=int, default=2, help="worker daemons to spawn")
@@ -402,7 +393,7 @@ def _cmd_animate(args) -> int:
 def _cmd_validate(args) -> int:
     from .coherence import validate_sequence
 
-    anim = _make_animation(args.workload, args.frames, args.width, args.height)
+    anim = _workload_spec(args).build()
     report = validate_sequence(anim, grid_resolution=args.grid)
     for fv in report.frames:
         print(
@@ -498,16 +489,11 @@ def _cmd_farm(args) -> int:
 
 
 def _cmd_shard(args) -> int:
-    from .api import _WORKLOAD_FACTORIES
     from .obs import RunLedger, StatusServer
-    from .runtime.spec import AnimationSpec
     from .shard.net import render_sharded_tcp
     from .telemetry import JsonlSink, Telemetry
 
-    spec = AnimationSpec(
-        _WORKLOAD_FACTORIES[args.workload],
-        {"n_frames": args.frames, "width": args.width, "height": args.height},
-    )
+    spec = _workload_spec(args)
     ledger = RunLedger()
     sinks = [ledger]
     events_path = None
@@ -754,7 +740,7 @@ def _cmd_oracle(args) -> int:
     from .analysis import summarize_oracle
     from .parallel import build_oracle
 
-    anim = _make_animation(args.workload, args.frames, args.width, args.height)
+    anim = _workload_spec(args).build()
     print("measuring per-pixel costs (renders the animation twice)...")
     oracle = build_oracle(anim, grid_resolution=args.grid)
     if args.save is not None:

@@ -19,11 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from ..accel import UniformGrid
-from ..render import Framebuffer
 from ..rmath import AABB
 from ..scene import Animation
 from .engine import CoherentRenderer
-from .voxel_pixel_map import VoxelPixelMap
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
@@ -32,8 +30,7 @@ _FORMAT_VERSION = 1
 
 def save_checkpoint(renderer: CoherentRenderer, path: str | Path) -> None:
     """Serialize a renderer's sequence state to an ``.npz`` file."""
-    state = renderer._state
-    prev_frame = state.next_frame - 1 if state.prev_scene is not None else -1
+    prev_frame = renderer._next_frame - 1 if renderer._prev_scene is not None else -1
     np.savez_compressed(
         path,
         version=_FORMAT_VERSION,
@@ -42,11 +39,11 @@ def save_checkpoint(renderer: CoherentRenderer, path: str | Path) -> None:
         region=renderer.region,
         first_frame=renderer.first_frame,
         last_frame=renderer.last_frame,
-        next_frame=state.next_frame,
+        next_frame=renderer._next_frame,
         prev_frame=prev_frame,
         samples_per_axis=renderer.samples_per_axis,
-        framebuffer=state.framebuffer.data,
-        map_keys=state.pixel_map._keys,
+        framebuffer=renderer.framebuffer.data,
+        map_keys=renderer.pixel_map._keys,
         grid_lo=renderer.grid.bounds.lo,
         grid_hi=renderer.grid.bounds.hi,
         grid_res=renderer.grid.res,
@@ -83,14 +80,9 @@ def load_checkpoint(
             first_frame=int(z["first_frame"]),
             last_frame=int(z["last_frame"]),
         )
-        state = renderer._state
-        fb = Framebuffer(width, height)
-        fb.data[:] = z["framebuffer"]
-        state.framebuffer = fb
-        pm = VoxelPixelMap(grid.n_voxels, cam.n_pixels)
-        pm._keys = z["map_keys"].astype(np.int64)
-        state.pixel_map = pm
-        state.next_frame = int(z["next_frame"])
+        renderer.framebuffer.data[:] = z["framebuffer"]
+        renderer.pixel_map._keys = z["map_keys"].astype(np.int64)
+        renderer._next_frame = int(z["next_frame"])
         prev_frame = int(z["prev_frame"])
-        state.prev_scene = animation.scene_at(prev_frame) if prev_frame >= 0 else None
+        renderer._prev_scene = animation.scene_at(prev_frame) if prev_frame >= 0 else None
     return renderer

@@ -25,7 +25,7 @@ division workers own an 80x80 block while the algorithm stays unchanged.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,15 +102,6 @@ def emit_frame_telemetry(telemetry, report: FrameReport) -> None:
     telemetry.counter("intersect.tests", report.n_intersection_tests)
 
 
-@dataclass
-class _SequenceState:
-    framebuffer: Framebuffer
-    pixel_map: VoxelPixelMap
-    prev_scene: object
-    next_frame: int
-    reports: list[FrameReport] = field(default_factory=list)
-
-
 class CoherentRenderer:
     """Incremental renderer for one stationary-camera sequence.
 
@@ -168,29 +159,16 @@ class CoherentRenderer:
         if self.region.size and (self.region.min() < 0 or self.region.max() >= n_pixels):
             raise ValueError("region pixel index out of range")
 
-        self._state = _SequenceState(
-            framebuffer=Framebuffer(self.width, self.height),
-            pixel_map=VoxelPixelMap(self.grid.n_voxels, n_pixels),
-            prev_scene=None,
-            next_frame=self.first_frame,
-        )
-
-    # -- accessors ----------------------------------------------------------
-    @property
-    def framebuffer(self) -> Framebuffer:
-        return self._state.framebuffer
-
-    @property
-    def pixel_map(self) -> VoxelPixelMap:
-        return self._state.pixel_map
-
-    @property
-    def reports(self) -> list[FrameReport]:
-        return self._state.reports
+        # The sequence state (what a checkpoint saves and restores).
+        self.framebuffer = Framebuffer(self.width, self.height)
+        self.pixel_map = VoxelPixelMap(self.grid.n_voxels, n_pixels)
+        self.reports: list[FrameReport] = []
+        self._prev_scene = None
+        self._next_frame = self.first_frame
 
     @property
     def frames_remaining(self) -> int:
-        return self.last_frame - self._state.next_frame
+        return self.last_frame - self._next_frame
 
     # -- the algorithm --------------------------------------------------------
     def predict_dirty_pixels(self, prev_scene, curr_scene) -> tuple[np.ndarray, int]:
@@ -201,23 +179,34 @@ class CoherentRenderer:
             # pixel of the region must recompute — including pixels whose
             # rays never enter the grid and therefore carry no marks.
             return self.region, int(vox.size)
-        dirty = self._state.pixel_map.pixels_for_voxels(vox)
+        dirty = self.pixel_map.pixels_for_voxels(vox)
         if dirty.size:
             dirty = dirty[np.isin(dirty, self.region, assume_unique=True)]
         return dirty, int(vox.size)
 
+    # -- what a subclass with other bookkeeping replaces --------------------
+    def _tracer(self, scene) -> RayTracer:
+        """The path-tracking tracer for one frame's recompute set."""
+        return RayTracer(scene, grid=self.grid, track_paths=True, chunk_size=self.chunk_size)
+
+    def _absorb_marks(self, result) -> None:
+        """Replace the traced pixels' marks with the ones just recorded."""
+        self.pixel_map.replace_pixel_marks(result.pixel_ids, result.mark_voxels, result.mark_pixels)
+
+    def _report(self, **fields) -> FrameReport:
+        return FrameReport(map_entries=self.pixel_map.n_entries, **fields)
+
     def render_next(self) -> FrameReport:
         """Render the next frame of the owned range incrementally."""
-        state = self._state
-        frame = state.next_frame
+        frame = self._next_frame
         if frame >= self.last_frame:
             raise StopIteration("sequence exhausted")
         scene = self.animation.scene_at(frame)
         cam = scene.camera
         if (cam.width, cam.height) != (self.width, self.height):
             raise ValueError("camera resolution changed mid-sequence")
-        if state.prev_scene is not None and not np.allclose(
-            cam.position, state.prev_scene.camera.position
+        if self._prev_scene is not None and not np.allclose(
+            cam.position, self._prev_scene.camera.position
         ):
             raise ValueError(
                 "camera moved mid-sequence: frame coherence requires a stationary "
@@ -225,21 +214,17 @@ class CoherentRenderer:
             )
 
         t0 = time.perf_counter()
-        if state.prev_scene is None:
+        if self._prev_scene is None:
             to_compute = self.region
             n_changed_vox = self.grid.n_voxels
         else:
-            to_compute, n_changed_vox = self.predict_dirty_pixels(state.prev_scene, scene)
+            to_compute, n_changed_vox = self.predict_dirty_pixels(self._prev_scene, scene)
 
         if to_compute.size:
-            tracer = RayTracer(
-                scene, grid=self.grid, track_paths=True, chunk_size=self.chunk_size
-            )
+            tracer = self._tracer(scene)
             result = tracer.trace_pixels(to_compute, samples_per_axis=self.samples_per_axis)
-            state.framebuffer.scatter(result.pixel_ids, result.colors)
-            state.pixel_map.replace_pixel_marks(
-                result.pixel_ids, result.mark_voxels, result.mark_pixels
-            )
+            self.framebuffer.scatter(result.pixel_ids, result.colors)
+            self._absorb_marks(result)
             stats = result.stats
             rays_pp = result.rays_per_pixel
             computed = result.pixel_ids
@@ -250,7 +235,7 @@ class CoherentRenderer:
             computed = np.empty(0, dtype=np.int64)
             n_tests = 0
 
-        report = FrameReport(
+        report = self._report(
             frame=frame,
             n_computed=int(computed.size),
             n_copied=int(self.region.size - computed.size),
@@ -259,12 +244,11 @@ class CoherentRenderer:
             rays_per_pixel=rays_pp,
             n_changed_voxels=n_changed_vox,
             wall_time=time.perf_counter() - t0,
-            map_entries=state.pixel_map.n_entries,
             n_intersection_tests=n_tests,
         )
-        state.reports.append(report)
-        state.prev_scene = scene
-        state.next_frame = frame + 1
+        self.reports.append(report)
+        self._prev_scene = scene
+        self._next_frame = frame + 1
         emit_frame_telemetry(self.telemetry, report)
         return report
 
@@ -272,8 +256,8 @@ class CoherentRenderer:
         """Render every remaining frame of the owned range."""
         while self.frames_remaining:
             self.render_next()
-        return self._state.reports
+        return self.reports
 
     def frame_image(self) -> np.ndarray:
         """Current framebuffer as ``(H, W, 3)`` float."""
-        return self._state.framebuffer.as_image()
+        return self.framebuffer.as_image()

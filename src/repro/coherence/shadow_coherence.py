@@ -4,8 +4,8 @@
 generation of shadows." / future work: "development of frame coherence
 algorithms with shadow generation".
 
-:class:`ShadowCoherentRenderer` extends the base incremental renderer with
-primary-shadow reuse.  It keeps *three* voxel->pixel maps instead of one,
+:class:`ShadowCoherentRenderer` subclasses the base incremental renderer and
+adds primary-shadow reuse.  It keeps *three* voxel->pixel maps instead of one,
 segregated by ray class (camera segments, primary shadow segments, and all
 secondary paths), and a per-(pixel, light) attenuation cache:
 
@@ -27,34 +27,34 @@ shadow rays drops.
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..accel import UniformGrid
-from ..render import Framebuffer, RayStats, RayTracer, ShadowCache
+from ..render import RayTracer, ShadowCache
 from ..scene import Animation
-from ..telemetry import NULL as NULL_TELEMETRY
 from .change_detection import changed_voxels
-from .engine import FrameReport, emit_frame_telemetry, grid_for_animation
+from .engine import CoherentRenderer, FrameReport
 from .voxel_pixel_map import VoxelPixelMap
 
 __all__ = ["ShadowCoherentRenderer", "ShadowFrameReport"]
 
 
+@dataclass
 class ShadowFrameReport(FrameReport):
     """FrameReport plus shadow-reuse accounting."""
 
-    def __init__(self, *args, n_shadow_reusable: int = 0, shadow_rays_saved: int = 0, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.n_shadow_reusable = n_shadow_reusable
-        self.shadow_rays_saved = shadow_rays_saved
+    n_shadow_reusable: int = 0
+    shadow_rays_saved: int = 0
 
 
-class ShadowCoherentRenderer:
+class ShadowCoherentRenderer(CoherentRenderer):
     """Incremental renderer with primary-shadow coherence.
 
-    Parameters mirror :class:`~repro.coherence.CoherentRenderer`; see the
+    A :class:`~repro.coherence.CoherentRenderer` (same parameters, minus
+    supersampling: the cache is per pixel, not per sample) whose single
+    voxel->pixel map is replaced by three class-segregated ones; see the
     module docstring for the algorithm.
     """
 
@@ -69,37 +69,18 @@ class ShadowCoherentRenderer:
         last_frame: int | None = None,
         telemetry=None,
     ):
-        self.animation = animation
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.grid = grid if grid is not None else grid_for_animation(animation, grid_resolution)
-        self.chunk_size = int(chunk_size)
-        self.first_frame = int(first_frame)
-        self.last_frame = animation.n_frames if last_frame is None else int(last_frame)
-        if not (0 <= self.first_frame < self.last_frame <= animation.n_frames):
-            raise ValueError("invalid frame range")
-
-        cam0 = animation.camera_at(self.first_frame)
-        self.width, self.height = cam0.width, cam0.height
-        n_pixels = cam0.n_pixels
-        if region is None:
-            region = np.arange(n_pixels, dtype=np.int64)
-        self.region = np.unique(np.asarray(region, dtype=np.int64))
-        if self.region.size and (self.region.min() < 0 or self.region.max() >= n_pixels):
-            raise ValueError("region pixel index out of range")
-
+        super().__init__(
+            animation, region, grid, grid_resolution, chunk_size=chunk_size,
+            first_frame=first_frame, last_frame=last_frame, telemetry=telemetry,
+        )
+        n_voxels, n_pixels = self.grid.n_voxels, self.width * self.height
+        self.pixel_map = None  # replaced by the three class maps
+        self.map_camera = VoxelPixelMap(n_voxels, n_pixels)
+        self.map_pshadow = VoxelPixelMap(n_voxels, n_pixels)
+        self.map_secondary = VoxelPixelMap(n_voxels, n_pixels)
         n_lights = len(animation.scene_at(self.first_frame).lights)
-        self.framebuffer = Framebuffer(self.width, self.height)
-        self.map_camera = VoxelPixelMap(self.grid.n_voxels, n_pixels)
-        self.map_pshadow = VoxelPixelMap(self.grid.n_voxels, n_pixels)
-        self.map_secondary = VoxelPixelMap(self.grid.n_voxels, n_pixels)
         self.shadow_cache = ShadowCache(n_pixels, n_lights)
-        self.reports: list[ShadowFrameReport] = []
-        self._prev_scene = None
-        self._next_frame = self.first_frame
-
-    @property
-    def frames_remaining(self) -> int:
-        return self.last_frame - self._next_frame
+        self._reusable = np.empty(0, dtype=np.int64)  # of the frame being rendered
 
     # -- prediction ------------------------------------------------------------
     def predict(self, prev_scene, curr_scene) -> tuple[np.ndarray, np.ndarray, int]:
@@ -119,104 +100,56 @@ class ShadowCoherentRenderer:
         reusable = np.setdiff1d(dirty, primary_dirty, assume_unique=True)
         return dirty, reusable, int(vox.size)
 
-    # -- the algorithm ------------------------------------------------------------
-    def render_next(self) -> ShadowFrameReport:
-        frame = self._next_frame
-        if frame >= self.last_frame:
-            raise StopIteration("sequence exhausted")
-        scene = self.animation.scene_at(frame)
-        cam = scene.camera
-        if (cam.width, cam.height) != (self.width, self.height):
-            raise ValueError("camera resolution changed mid-sequence")
-        if self._prev_scene is not None and not np.allclose(
-            cam.position, self._prev_scene.camera.position
-        ):
-            raise ValueError(
-                "camera moved mid-sequence: frame coherence requires a stationary camera"
-            )
-        if len(scene.lights) != self.shadow_cache.n_lights:
-            raise ValueError("light count changed mid-sequence")
+    def predict_dirty_pixels(self, prev_scene, curr_scene) -> tuple[np.ndarray, int]:
+        dirty, self._reusable, n_changed = self.predict(prev_scene, curr_scene)
+        return dirty, n_changed
 
-        t0 = time.perf_counter()
-        if self._prev_scene is None:
-            to_compute = self.region
-            reusable = np.empty(0, dtype=np.int64)
-            n_changed_vox = self.grid.n_voxels
-        else:
-            to_compute, reusable, n_changed_vox = self.predict(self._prev_scene, scene)
+    # -- the base renderer's per-frame hooks ---------------------------------------
+    def _tracer(self, scene) -> RayTracer:
+        self.shadow_cache.set_reusable(self._reusable)
+        return RayTracer(
+            scene,
+            grid=self.grid,
+            track_paths=True,
+            chunk_size=self.chunk_size,
+            shadow_cache=self.shadow_cache,
+        )
 
-        saved_before = self.shadow_cache.rays_saved
-        if to_compute.size:
-            self.shadow_cache.set_reusable(reusable)
-            tracer = RayTracer(
-                scene,
-                grid=self.grid,
-                track_paths=True,
-                chunk_size=self.chunk_size,
-                shadow_cache=self.shadow_cache,
-            )
-            result = tracer.trace_pixels(to_compute)
-            self.framebuffer.scatter(result.pixel_ids, result.colors)
+    def _absorb_marks(self, result) -> None:
+        cam_v, cam_p = result.marks_by_class["camera"]
+        sec_v, sec_p = result.marks_by_class["secondary"]
+        psh_v, psh_p = result.marks_by_class["pshadow"]
+        self.map_camera.replace_pixel_marks(result.pixel_ids, cam_v, cam_p)
+        self.map_secondary.replace_pixel_marks(result.pixel_ids, sec_v, sec_p)
+        # Primary-shadow marks: pixels that reused the cache did not
+        # re-fire their shadow rays — their old marks are still the
+        # truth and must survive; only re-fired pixels are replaced.
+        fired = np.setdiff1d(result.pixel_ids, self._reusable, assume_unique=True)
+        self.map_pshadow.remove_pixels(fired)
+        self.map_pshadow.add_marks(psh_v, psh_p)
 
-            cam_v, cam_p = result.marks_by_class["camera"]
-            sec_v, sec_p = result.marks_by_class["secondary"]
-            psh_v, psh_p = result.marks_by_class["pshadow"]
-            self.map_camera.replace_pixel_marks(result.pixel_ids, cam_v, cam_p)
-            self.map_secondary.replace_pixel_marks(result.pixel_ids, sec_v, sec_p)
-            # Primary-shadow marks: pixels that reused the cache did not
-            # re-fire their shadow rays — their old marks are still the
-            # truth and must survive; only re-fired pixels are replaced.
-            fired = np.setdiff1d(result.pixel_ids, reusable, assume_unique=True)
-            self.map_pshadow.remove_pixels(fired)
-            self.map_pshadow.add_marks(psh_v, psh_p)
-
-            stats = result.stats
-            rays_pp = result.rays_per_pixel
-            computed = result.pixel_ids
-            n_tests = result.n_intersection_tests
-        else:
-            stats = RayStats()
-            rays_pp = np.empty(0, dtype=np.int64)
-            computed = np.empty(0, dtype=np.int64)
-            n_tests = 0
-
-        report = ShadowFrameReport(
-            frame=frame,
-            n_computed=int(computed.size),
-            n_copied=int(self.region.size - computed.size),
-            stats=stats,
-            computed_pixels=computed,
-            rays_per_pixel=rays_pp,
-            n_changed_voxels=n_changed_vox,
-            wall_time=time.perf_counter() - t0,
+    def _report(self, **fields) -> ShadowFrameReport:
+        return ShadowFrameReport(
             map_entries=self.map_camera.n_entries
             + self.map_pshadow.n_entries
             + self.map_secondary.n_entries,
-            n_intersection_tests=n_tests,
-            n_shadow_reusable=int(reusable.size),
-            shadow_rays_saved=self.shadow_cache.rays_saved - saved_before,
+            n_shadow_reusable=int(self._reusable.size),
+            **fields,
         )
-        self.reports.append(report)
-        self._prev_scene = scene
-        self._next_frame = frame + 1
-        emit_frame_telemetry(self.telemetry, report)
+
+    def render_next(self) -> ShadowFrameReport:
+        saved_before = self.shadow_cache.rays_saved
+        report = super().render_next()
+        report.shadow_rays_saved = self.shadow_cache.rays_saved - saved_before
         if self.telemetry.enabled:
             self.telemetry.event(
                 "shadow.frame",
-                frame=frame,
+                frame=report.frame,
                 n_shadow_reusable=report.n_shadow_reusable,
                 shadow_rays_saved=report.shadow_rays_saved,
             )
             self.telemetry.counter("shadowcache.rays_saved", report.shadow_rays_saved)
         return report
-
-    def run(self) -> list[ShadowFrameReport]:
-        while self.frames_remaining:
-            self.render_next()
-        return self.reports
-
-    def frame_image(self) -> np.ndarray:
-        return self.framebuffer.as_image()
 
     @property
     def total_shadow_rays_saved(self) -> int:

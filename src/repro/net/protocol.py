@@ -75,6 +75,7 @@ current minor: there is no older fleet to negotiate capabilities with.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from collections import deque
@@ -113,8 +114,6 @@ __all__ = [
     "send_frame",
     "recv_frame",
     "FrameAssembler",
-    "set_zero_copy",
-    "zero_copy_enabled",
 ]
 
 PROTO_VERSION = 1
@@ -192,29 +191,6 @@ class ProtocolError(RuntimeError):
     """Malformed frame or unencodable value on the repro.net wire."""
 
 
-#: Zero-copy data plane switch.  On (the default), encode ships array
-#: buffers as memoryviews (scatter-gather on send), the assembler slices
-#: views out of received chunks, and decode returns **read-only** views
-#: over the payload — pixel bytes are copied at most once per hop (when
-#: a payload spans recv chunks).  Off reproduces the legacy tobytes /
-#: extend / slice / .copy() pipeline, with every one of those copies
-#: charged to :data:`repro.buffers.copystats` so benchmarks can measure
-#: the difference honestly.
-_ZERO_COPY = True
-
-
-def set_zero_copy(enabled: bool) -> bool:
-    """Flip the zero-copy data plane; returns the previous setting."""
-    global _ZERO_COPY
-    prev = _ZERO_COPY
-    _ZERO_COPY = bool(enabled)
-    return prev
-
-
-def zero_copy_enabled() -> bool:
-    return _ZERO_COPY
-
-
 # -- value encoding ---------------------------------------------------------------
 def _encode_into(out: list, obj, compress_arrays: bool, min_bytes: int) -> None:
     if obj is None:
@@ -258,12 +234,11 @@ def _encode_array(out: list, a: np.ndarray, compress: bool, min_bytes: int) -> N
             copystats.add(a.nbytes, "encode.contig")
         a = np.ascontiguousarray(a)
     dtype = a.dtype.str.encode("ascii")
-    if _ZERO_COPY and a.ndim and a.size:
+    if a.ndim and a.size:
         # A byte-window over the array's own storage; sendmsg gathers it
         # straight off the frame buffer.
         raw = memoryview(a).cast("B")
-    else:
-        copystats.add(a.nbytes, "encode.tobytes")
+    else:  # a scalar or nothing at all: no buffer to take a window of
         raw = a.tobytes()
     nbytes = a.nbytes
     packed = zlib.compress(raw) if compress and nbytes >= min_bytes else None
@@ -363,6 +338,13 @@ _T_INT, _T_FLOAT, _T_STR, _T_BYTES = ord("i"), ord("f"), ord("s"), ord("b")
 _T_LIST, _T_TUPLE, _T_DICT, _T_ARRAY = ord("l"), ord("t"), ord("d"), ord("a")
 
 
+def _text(raw: memoryview, encoding: str) -> str:
+    try:
+        return str(raw, encoding)
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"invalid {encoding} text: {exc}") from None
+
+
 def _decode_one(r: _Reader):
     tag = r.take_byte()
     if tag == _T_NONE:
@@ -377,7 +359,7 @@ def _decode_one(r: _Reader):
         return _F64.unpack(r.take(8))[0]
     if tag == _T_STR:
         (n,) = _U32.unpack(r.take(4))
-        return str(r.take(n), "utf-8")
+        return _text(r.take(n), "utf-8")
     if tag == _T_BYTES:
         (n,) = _U32.unpack(r.take(4))
         return bytes(r.take(n))
@@ -387,27 +369,51 @@ def _decode_one(r: _Reader):
         return tuple(items) if tag == _T_TUPLE else items
     if tag == _T_DICT:
         (n,) = _U32.unpack(r.take(4))
-        return {_decode_one(r): _decode_one(r) for _ in range(n)}
+        out = {}
+        for _ in range(n):
+            key, value = _decode_one(r), _decode_one(r)
+            try:
+                out[key] = value
+            except TypeError:
+                raise ProtocolError(f"unhashable dict key ({type(key).__name__})") from None
+        return out
     if tag == _T_ARRAY:
         dlen = r.take_byte()
-        dtype = np.dtype(str(r.take(dlen), "ascii"))
+        name = _text(r.take(dlen), "ascii")
+        try:
+            dtype = np.dtype(name)
+        except (TypeError, ValueError):
+            raise ProtocolError(f"unknown array dtype {name!r}") from None
+        if dtype.kind not in "biufc":  # no object/void/string arrays off the wire
+            raise ProtocolError(f"array dtype {name!r} is not numeric")
         ndim = r.take_byte()
         shape = tuple(_U64.unpack(r.take(8))[0] for _ in range(ndim))
         compressed = r.take_byte()
         (nbytes,) = _U64.unpack(r.take(8))
         data = r.take(nbytes)
+        expect = math.prod(shape) * dtype.itemsize
         if compressed:
-            data = zlib.decompress(data)
-        if _ZERO_COPY:
-            # Read-only view over the payload itself — the one rule of
-            # the data plane: decoded arrays are borrowed, never owned.
-            # Consumers that must mutate copy explicitly (DESIGN §15).
-            arr = np.frombuffer(data, dtype=dtype).reshape(shape)
-            if arr.flags.writeable:
-                arr.setflags(write=False)
-            return arr
-        copystats.add(int(nbytes), "decode.copy")
-        return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+            # The announced size (itself capped at MAX_PAYLOAD) bounds the
+            # output: a stream that inflates past it is cut off one byte
+            # later and fails one of the two checks below.
+            inflate = zlib.decompressobj()
+            try:
+                data = inflate.decompress(data, min(expect, MAX_PAYLOAD) + 1)
+            except zlib.error as exc:
+                raise ProtocolError(f"bad zlib stream in array: {exc}") from None
+            if not inflate.eof:
+                raise ProtocolError("array zlib stream is truncated or outgrows its shape")
+        if len(data) != expect:
+            raise ProtocolError(
+                f"array shape {shape} of {name!r} needs {expect} bytes, got {len(data)}"
+            )
+        # Read-only view over the payload itself — the one rule of
+        # the data plane: decoded arrays are borrowed, never owned.
+        # Consumers that must mutate copy explicitly (DESIGN §15).
+        arr = np.frombuffer(data, dtype=dtype).reshape(shape)
+        if arr.flags.writeable:
+            arr.setflags(write=False)
+        return arr
     raise ProtocolError(f"unknown payload tag {chr(tag)!r}")
 
 
@@ -415,11 +421,13 @@ def decode(payload):
     """Inverse of :func:`encode`; raises :class:`ProtocolError` on junk.
 
     Accepts bytes or a memoryview.  Arrays in the result are read-only
-    views over ``payload`` (they keep it alive; copy to mutate) unless
-    zero-copy is disabled.
+    views over ``payload`` (they keep it alive; copy to mutate).
     """
     r = _Reader(payload)
-    obj = _decode_one(r)
+    try:
+        obj = _decode_one(r)
+    except RecursionError:
+        raise ProtocolError("payload nested too deeply") from None
     if r.pos != r.size:
         raise ProtocolError(f"{r.size - r.pos} trailing bytes after payload")
     return obj
@@ -487,27 +495,15 @@ def send_frame(
     ``lock`` (any context manager) serializes writers — the worker's
     heartbeat-responder thread and its render loop share one socket.
     """
-    if _ZERO_COPY:
-        parts = pack_frame_parts(
-            msg_type, obj, compress_arrays=compress_arrays, compress_min_bytes=compress_min_bytes
-        )
-        total = sum(_nbytes(p) for p in parts)
-        if lock is not None:
-            with lock:
-                _send_parts(sock, parts)
-        else:
-            _send_parts(sock, parts)
-        return total
-    frame = pack_frame(
+    parts = pack_frame_parts(
         msg_type, obj, compress_arrays=compress_arrays, compress_min_bytes=compress_min_bytes
     )
-    copystats.add(len(frame) - HEADER_SIZE, "send.join")
     if lock is not None:
         with lock:
-            sock.sendall(frame)
+            _send_parts(sock, parts)
     else:
-        sock.sendall(frame)
-    return len(frame)
+        _send_parts(sock, parts)
+    return sum(_nbytes(p) for p in parts)
 
 
 def _parse_header(header: bytes) -> tuple[int, int]:
@@ -563,10 +559,8 @@ class FrameAssembler:
     Fed chunks are kept whole in a deque and *sliced as views*: a payload
     that fits inside one recv chunk is decoded zero-copy in place (the
     decoded arrays alias the chunk and keep it alive), and a payload
-    spanning chunks is joined exactly once.  The legacy mode
-    (:func:`set_zero_copy`\\ ``(False)``) reproduces the old
-    extend-then-slice bytearray pipeline, with its copies charged to
-    :data:`repro.buffers.copystats`.
+    spanning chunks is joined exactly once (charged to
+    :data:`repro.buffers.copystats` as ``assembler.join``).
     """
 
     def __init__(self) -> None:
@@ -580,8 +574,6 @@ class FrameAssembler:
         if not isinstance(data, bytes):
             # Only immutable buffers may be aliased by decoded views.
             data = bytes(data)
-        if not _ZERO_COPY:
-            copystats.add(len(data), "assembler.extend")
         self._chunks.append(memoryview(data))
         self._avail += len(data)
         self.bytes_seen += len(data)
@@ -634,7 +626,4 @@ class FrameAssembler:
                 return
             self._take(HEADER_SIZE)
             payload = self._take(length) if length else memoryview(b"")
-            if not _ZERO_COPY:
-                copystats.add(length, "assembler.slice")
-                payload = bytes(payload)
             yield msg_type, decode(payload), total

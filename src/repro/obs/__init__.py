@@ -20,7 +20,7 @@ event data alone:
 * :mod:`~repro.obs.live` — a read-only JSON status endpoint over
   stdlib ``http.server`` plus the ``repro top`` terminal view.
 
-Everything consumes the pinned event schema (v4), so the same tooling
+Everything consumes the pinned event schema (v8), so the same tooling
 works on a real TCP farm run, a process-pool run, and a virtual-clock
 simulator replay.
 """

@@ -19,6 +19,26 @@ can reason about them separately:
 The shading model is the paper's:
 
     I = I_local + k_rg * I_reflected + k_tg * I_transmitted
+
+Kernel and backend
+------------------
+:func:`trace` is the only wavefront loop in the tree.  It owns the control
+flow (FIFO batch order, child spawn, ADC bailout, depth cut, TIR energy)
+and every accumulation, and asks a *backend* what it cannot know itself:
+
+* ``nearest(batch, home) -> (t, obj_index, normals)`` — generator; the
+  closest hit per ray (``t`` is +inf on a miss);
+* ``surfaces(points, normals, obj_index) -> (scene_like, intersector_like,
+  owners)`` — generator; what :func:`shade_local` and the children's finish
+  lookup run against, plus one opaque tag per hit that comes back as the
+  ``home`` of the rays that hit spawns (``None`` for camera rays);
+* ``mark(cls, origins, dirs, t_max, pixels)`` — plain call per ray volley;
+* ``shadow_cache`` — attribute, handed to ``shade_local`` at primary hits.
+
+:class:`RayTracer` drives the kernel with the whole scene in this process,
+so its backend's generators return without yielding and one ``next()``
+runs the trace to ``StopIteration``.  :mod:`repro.shard.engine` drives the
+same kernel with a backend that yields request rounds to shard owners.
 """
 
 from __future__ import annotations
@@ -38,7 +58,7 @@ from .shading import shade_local
 from .shadow_cache import ShadowCache
 from .stats import RayStats
 
-__all__ = ["RayTracer", "TraceResult", "MARK_CLASSES"]
+__all__ = ["RayTracer", "TraceResult", "MARK_CLASSES", "trace"]
 
 #: Children whose maximum throughput falls below this add < 1/255 to the
 #: pixel and are culled (POV's adc_bailout).
@@ -83,31 +103,200 @@ class TraceResult:
     n_intersection_tests: int = 0
 
 
-class _MarkCollector:
-    """Accumulates (voxel, pixel) visit arrays per mark class."""
+def _camera_batch(cam, pixel_ids: np.ndarray, samples_per_axis: int) -> RayBatch:
+    if samples_per_axis <= 1:
+        return cam.rays_for_pixels(pixel_ids)
+    n = samples_per_axis
+    # Deterministic stratified sub-pixel offsets in [-0.5, 0.5).
+    cell = (np.arange(n, dtype=np.float64) + 0.5) / n - 0.5
+    ox, oy = np.meshgrid(cell, cell, indexing="ij")
+    offsets = np.stack([ox.ravel(), oy.ravel()], axis=-1)  # (n^2, 2)
+    rep_pixels = np.repeat(pixel_ids, n * n)
+    rep_jitter = np.tile(offsets, (pixel_ids.size, 1))
+    batch = cam.rays_for_pixels(rep_pixels, jitter=rep_jitter)
+    batch.weight /= float(n * n)
+    return batch
 
-    def __init__(self):
+
+def trace(scene, backend, pixel_ids, samples_per_axis: int = 1, chunk_size: int = 32768):
+    """The wavefront loop: a sans-io generator returning a :class:`TraceResult`.
+
+    Camera rays are traced in chunks of ``chunk_size`` pixels, each chunk's
+    queue of batches run to completion in FIFO order.  ``backend`` answers
+    what the loop cannot (see the module docstring); whatever its two
+    generator methods yield is passed up to the driver and the driver's
+    ``send()`` values back down, untouched.  The result carries no marks
+    and no intersection-test count: those belong to the backend.
+    """
+    pixel_ids = np.unique(np.asarray(pixel_ids, dtype=np.int64))
+    cam = scene.camera
+    acc = np.zeros((cam.n_pixels, 3), dtype=np.float64)
+    rays_pp = np.zeros(cam.n_pixels, dtype=np.int64)
+    stats = RayStats()
+    max_depth = scene.max_depth
+    background = scene.background
+
+    for start in range(0, pixel_ids.size, chunk_size):
+        first = _camera_batch(cam, pixel_ids[start : start + chunk_size], samples_per_axis)
+        queue: deque[tuple[RayBatch, object]] = deque([(first, None)])  # camera rays: no home
+        while queue:
+            batch, home = queue.popleft()
+            if len(batch) == 0:
+                continue
+            stats.record(batch.kind, len(batch))
+            np.add.at(rays_pp, batch.pixel, 1)
+            is_primary = batch.depth == 0 and batch.kind == RayKind.CAMERA
+
+            t, obj_index, geo_n = yield from backend.nearest(batch, home)
+            backend.mark(
+                "camera" if is_primary else "secondary", batch.origins, batch.dirs, t, batch.pixel
+            )
+
+            hit = np.isfinite(t)
+            miss = ~hit
+            if np.any(miss):
+                np.add.at(acc, batch.pixel[miss], batch.weight[miss] * background)
+            if not np.any(hit):
+                continue
+
+            hits = batch.select(hit)
+            obj_index = obj_index[hit]
+            geo_n = geo_n[hit]
+            points = hits.points_at(t[hit])
+            # Orient normals against the incoming ray.
+            facing = dot(geo_n, hits.dirs) < 0.0
+            normals = np.where(facing[:, None], geo_n, -geo_n)
+
+            surfaces, occluders, owners = yield from backend.surfaces(points, normals, obj_index)
+
+            # --- I_local (fires shadow rays through the hook) -------------
+            shadow_class = "pshadow" if is_primary else "secondary"
+
+            def shadow_hook(origins, dirs, dists, mask):
+                stats.record(RayKind.SHADOW, origins.shape[0])
+                pixels = hits.pixel[mask]
+                np.add.at(rays_pp, pixels, 1)
+                backend.mark(shadow_class, origins, dirs, dists, pixels)
+
+            local = shade_local(
+                surfaces,
+                occluders,
+                points,
+                normals,
+                hits.dirs,
+                obj_index,
+                shadow_hook=shadow_hook,
+                pixel_ids=hits.pixel if is_primary else None,
+                shadow_cache=backend.shadow_cache if is_primary else None,
+            )
+            np.add.at(acc, hits.pixel, hits.weight * local)
+
+            # --- children: k_rg * I_reflected + k_tg * I_transmitted -------
+            if batch.depth + 1 >= max_depth:
+                continue
+
+            reflection = np.zeros(len(hits), dtype=np.float64)
+            transmission = np.zeros(len(hits), dtype=np.float64)
+            ior = np.ones(len(hits), dtype=np.float64)
+            for idx in np.unique(obj_index):
+                sel = obj_index == idx
+                fin = surfaces.objects[idx].material.finish
+                reflection[sel] = fin.reflection
+                transmission[sel] = fin.transmission
+                ior[sel] = fin.ior
+
+            refl_weight = hits.weight * reflection[:, None]
+            want_refl = refl_weight.max(axis=1) > _ADC_BAILOUT
+
+            # Refraction first (it can convert to reflection on TIR).
+            trans_weight = hits.weight * transmission[:, None]
+            want_trans = trans_weight.max(axis=1) > _ADC_BAILOUT
+            tir_mask = np.zeros(len(hits), dtype=bool)
+            if np.any(want_trans):
+                eta = np.where(hits.inside, ior, 1.0 / ior)
+                refr_dirs, tir = refract(hits.dirs, normals, eta)
+                tir_mask = want_trans & tir
+                ok = want_trans & ~tir
+                if np.any(ok):
+                    refracted = RayBatch(
+                        origins=points[ok] - normals[ok] * 1e-6,
+                        dirs=refr_dirs[ok],
+                        pixel=hits.pixel[ok],
+                        weight=trans_weight[ok],
+                        kind=RayKind.REFRACTED,
+                        depth=batch.depth + 1,
+                        inside=~hits.inside[ok],
+                    )
+                    queue.append((refracted, owners[ok]))
+
+            # Reflected batch: regular mirror reflection plus TIR energy.
+            spawn_refl = want_refl | tir_mask
+            if np.any(spawn_refl):
+                w = np.where(
+                    tir_mask[:, None], refl_weight + trans_weight, refl_weight
+                )[spawn_refl]
+                reflected = RayBatch(
+                    origins=points[spawn_refl] + normals[spawn_refl] * 1e-6,
+                    dirs=reflect(hits.dirs, normals)[spawn_refl],
+                    pixel=hits.pixel[spawn_refl],
+                    weight=w,
+                    kind=RayKind.REFLECTED,
+                    depth=batch.depth + 1,
+                    inside=hits.inside[spawn_refl],
+                )
+                queue.append((reflected, owners[spawn_refl]))
+
+    empty = np.empty(0, dtype=np.int64)
+    return TraceResult(
+        pixel_ids=pixel_ids,
+        colors=acc[pixel_ids],
+        stats=stats,
+        mark_voxels=empty,
+        mark_pixels=empty,
+        rays_per_pixel=rays_pp[pixel_ids],
+    )
+
+
+class _LocalBackend:
+    """The whole scene in this process, plus the per-class mark lists.
+
+    Both questions are answered by the real scene and its
+    :class:`SceneIntersector` without ever suspending the kernel; the
+    object index doubles as the per-ray tag, since nothing reads it.
+    """
+
+    def __init__(self, tracer: "RayTracer"):
+        self.scene = tracer.scene
+        self.intersector = tracer.intersector
+        self.grid = tracer.grid if tracer.track_paths else None
+        self.shadow_cache = tracer.shadow_cache
         self.voxels: dict[str, list[np.ndarray]] = {c: [] for c in MARK_CLASSES}
         self.pixels: dict[str, list[np.ndarray]] = {c: [] for c in MARK_CLASSES}
 
-    def add(self, cls: str, voxels: np.ndarray, pixels: np.ndarray) -> None:
-        if voxels.size:
-            self.voxels[cls].append(voxels)
-            self.pixels[cls].append(pixels)
+    def nearest(self, batch: RayBatch, home):
+        rec = self.intersector.nearest(batch)
+        return rec.t, rec.obj_index, rec.normals
+        yield  # never reached: makes this a generator that does not suspend
+
+    def surfaces(self, points, normals, obj_index):
+        return self.scene, self.intersector, obj_index
+        yield  # never reached, as above
+
+    def mark(self, cls: str, origins, dirs, t_max, pixels) -> None:
+        if self.grid is None:
+            return
+        ray_idx, voxel_id = traverse(self.grid, origins, dirs, t_max)
+        if ray_idx.size:
+            self.voxels[cls].append(voxel_id)
+            self.pixels[cls].append(pixels[ray_idx])
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray, dict]:
-        by_class = {}
-        all_v, all_p = [], []
-        empty = np.empty(0, dtype=np.int64)
-        for c in MARK_CLASSES:
-            if self.voxels[c]:
-                v = np.concatenate(self.voxels[c])
-                p = np.concatenate(self.pixels[c])
-            else:
-                v, p = empty, empty
-            by_class[c] = (v, p)
-            all_v.append(v)
-            all_p.append(p)
+        empty = np.empty(0, dtype=np.int64)  # leads every list: a class may have no marks
+        by_class = {
+            c: (np.concatenate([empty, *self.voxels[c]]), np.concatenate([empty, *self.pixels[c]]))
+            for c in MARK_CLASSES
+        }
+        all_v, all_p = zip(*by_class.values())
         return np.concatenate(all_v), np.concatenate(all_p), by_class
 
 
@@ -165,32 +354,17 @@ class RayTracer:
         """
         if samples_per_axis > 1 and self.shadow_cache is not None:
             raise ValueError("shadow coherence requires samples_per_axis == 1")
-        pixel_ids = np.unique(np.asarray(pixel_ids, dtype=np.int64))
-        cam = self.scene.camera
-        n_pixels_total = cam.n_pixels
-
-        acc = np.zeros((n_pixels_total, 3), dtype=np.float64)
-        rays_pp = np.zeros(n_pixels_total, dtype=np.int64)
-        stats = RayStats()
-        marks = _MarkCollector()
+        backend = _LocalBackend(self)
         tests_before = self.intersector.n_primitive_tests
-
-        for start in range(0, pixel_ids.size, self.chunk_size):
-            chunk = pixel_ids[start : start + self.chunk_size]
-            batch = self._camera_batch(chunk, samples_per_axis)
-            self._trace_wavefront(batch, acc, rays_pp, stats, marks)
-
-        all_v, all_p, by_class = marks.finalize()
-        return TraceResult(
-            pixel_ids=pixel_ids,
-            colors=acc[pixel_ids],
-            stats=stats,
-            mark_voxels=all_v,
-            mark_pixels=all_p,
-            rays_per_pixel=rays_pp[pixel_ids],
-            marks_by_class=by_class,
-            n_intersection_tests=self.intersector.n_primitive_tests - tests_before,
-        )
+        try:
+            next(trace(self.scene, backend, pixel_ids, samples_per_axis, self.chunk_size))
+        except StopIteration as done:
+            result = done.value
+        else:
+            raise RuntimeError("the local backend suspended the kernel")
+        result.mark_voxels, result.mark_pixels, result.marks_by_class = backend.finalize()
+        result.n_intersection_tests = self.intersector.n_primitive_tests - tests_before
+        return result
 
     def render(self, samples_per_axis: int = 1) -> tuple[Framebuffer, TraceResult]:
         """Trace the full frame into a framebuffer."""
@@ -199,145 +373,3 @@ class RayTracer:
         fb = Framebuffer(cam.width, cam.height)
         fb.scatter(result.pixel_ids, result.colors)
         return fb, result
-
-    # -- internals ------------------------------------------------------------
-    def _camera_batch(self, pixel_ids: np.ndarray, samples_per_axis: int) -> RayBatch:
-        cam = self.scene.camera
-        if samples_per_axis <= 1:
-            return cam.rays_for_pixels(pixel_ids)
-        n = samples_per_axis
-        # Deterministic stratified sub-pixel offsets in [-0.5, 0.5).
-        cell = (np.arange(n, dtype=np.float64) + 0.5) / n - 0.5
-        ox, oy = np.meshgrid(cell, cell, indexing="ij")
-        offsets = np.stack([ox.ravel(), oy.ravel()], axis=-1)  # (n^2, 2)
-        rep_pixels = np.repeat(pixel_ids, n * n)
-        rep_jitter = np.tile(offsets, (pixel_ids.size, 1))
-        batch = cam.rays_for_pixels(rep_pixels, jitter=rep_jitter)
-        batch.weight /= float(n * n)
-        return batch
-
-    @staticmethod
-    def _mark_class(batch: RayBatch) -> str:
-        if batch.depth == 0 and batch.kind == RayKind.CAMERA:
-            return "camera"
-        return "secondary"
-
-    def _mark(self, batch: RayBatch, t_max: np.ndarray, marks: _MarkCollector) -> None:
-        if not self.track_paths:
-            return
-        ray_idx, voxel_id = traverse(self.grid, batch.origins, batch.dirs, t_max)
-        if ray_idx.size:
-            marks.add(self._mark_class(batch), voxel_id, batch.pixel[ray_idx])
-
-    def _trace_wavefront(self, first: RayBatch, acc, rays_pp, stats, marks: _MarkCollector) -> None:
-        queue: deque[RayBatch] = deque([first])
-        max_depth = self.scene.max_depth
-        background = self.scene.background
-
-        while queue:
-            batch = queue.popleft()
-            if len(batch) == 0:
-                continue
-            stats.record(batch.kind, len(batch))
-            np.add.at(rays_pp, batch.pixel, 1)
-
-            rec = self.intersector.nearest(batch)
-            self._mark(batch, rec.t, marks)
-
-            miss = ~rec.hit
-            if np.any(miss):
-                np.add.at(acc, batch.pixel[miss], batch.weight[miss] * background)
-            if not np.any(rec.hit):
-                continue
-
-            hits = batch.select(rec.hit)
-            t = rec.t[rec.hit]
-            obj_index = rec.obj_index[rec.hit]
-            geo_n = rec.normals[rec.hit]
-            points = hits.points_at(t)
-            # Orient normals against the incoming ray.
-            facing = dot(geo_n, hits.dirs) < 0.0
-            normals = np.where(facing[:, None], geo_n, -geo_n)
-
-            is_primary = batch.depth == 0 and batch.kind == RayKind.CAMERA
-            shadow_class = "pshadow" if is_primary else "secondary"
-
-            # --- I_local (fires shadow rays through the hook) -------------
-            def shadow_hook(origins, dirs, dists, _mask, _hits=hits, _cls=shadow_class):
-                stats.record(RayKind.SHADOW, origins.shape[0])
-                np.add.at(rays_pp, _hits.pixel[_mask], 1)
-                if self.track_paths and origins.shape[0]:
-                    ray_idx, voxel_id = traverse(self.grid, origins, dirs, dists)
-                    if ray_idx.size:
-                        marks.add(_cls, voxel_id, _hits.pixel[_mask][ray_idx])
-
-            local = shade_local(
-                self.scene,
-                self.intersector,
-                points,
-                normals,
-                hits.dirs,
-                obj_index,
-                shadow_hook=shadow_hook,
-                pixel_ids=hits.pixel if is_primary else None,
-                shadow_cache=self.shadow_cache if is_primary else None,
-            )
-            np.add.at(acc, hits.pixel, hits.weight * local)
-
-            # --- children: k_rg * I_reflected + k_tg * I_transmitted -------
-            if batch.depth + 1 >= max_depth:
-                continue
-
-            reflection = np.zeros(len(hits), dtype=np.float64)
-            transmission = np.zeros(len(hits), dtype=np.float64)
-            ior = np.ones(len(hits), dtype=np.float64)
-            for idx in np.unique(obj_index):
-                sel = obj_index == idx
-                fin = self.scene.objects[idx].material.finish
-                reflection[sel] = fin.reflection
-                transmission[sel] = fin.transmission
-                ior[sel] = fin.ior
-
-            refl_weight = hits.weight * reflection[:, None]
-            want_refl = refl_weight.max(axis=1) > _ADC_BAILOUT
-
-            # Refraction first (it can convert to reflection on TIR).
-            trans_weight = hits.weight * transmission[:, None]
-            want_trans = trans_weight.max(axis=1) > _ADC_BAILOUT
-            tir_mask = np.zeros(len(hits), dtype=bool)
-            if np.any(want_trans):
-                eta = np.where(hits.inside, ior, 1.0 / ior)
-                refr_dirs, tir = refract(hits.dirs, normals, eta)
-                tir_mask = want_trans & tir
-                ok = want_trans & ~tir
-                if np.any(ok):
-                    queue.append(
-                        RayBatch(
-                            origins=points[ok] - normals[ok] * 1e-6,
-                            dirs=refr_dirs[ok],
-                            pixel=hits.pixel[ok],
-                            weight=trans_weight[ok],
-                            kind=RayKind.REFRACTED,
-                            depth=batch.depth + 1,
-                            inside=~hits.inside[ok],
-                        )
-                    )
-
-            # Reflected batch: regular mirror reflection plus TIR energy.
-            spawn_refl = want_refl | tir_mask
-            if np.any(spawn_refl):
-                w = np.where(
-                    tir_mask[:, None], refl_weight + trans_weight, refl_weight
-                )[spawn_refl]
-                refl_dirs = reflect(hits.dirs, normals)[spawn_refl]
-                queue.append(
-                    RayBatch(
-                        origins=points[spawn_refl] + normals[spawn_refl] * 1e-6,
-                        dirs=refl_dirs,
-                        pixel=hits.pixel[spawn_refl],
-                        weight=w,
-                        kind=RayKind.REFLECTED,
-                        depth=batch.depth + 1,
-                        inside=hits.inside[spawn_refl],
-                    )
-                )

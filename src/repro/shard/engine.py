@@ -1,4 +1,4 @@
-"""The sharded wavefront engine: owners answer ray queries, the master merges.
+"""The sharded tracing engine: owners answer ray queries, the master merges.
 
 Execution model
 ---------------
@@ -15,11 +15,20 @@ rounds of :class:`ShardRequest` and receives the aligned replies via
 :class:`LocalShardFarm` (tests, drills) and by the TCP
 :class:`~repro.shard.net.ShardSession` inside the master's selectors loop.
 
+There is no tracing loop here.  ``sharded_trace`` drives
+:func:`repro.render.raytracer.trace` — the kernel the serial
+:class:`~repro.render.raytracer.RayTracer` drives — with a
+:class:`_ShardBackend`, so batch order, child spawn, culling and every
+accumulation are the serial tracer's by construction.  The backend only
+decides *who answers*: round A fans a batch's nearest-hit query out to the
+shards its rays may touch, round B fetches materials and occlusion events
+for the hit set.
+
 Determinism contract (DESIGN §16)
 ---------------------------------
 The sharded composite must be **bit-identical** to
-:meth:`repro.render.raytracer.RayTracer.trace_pixels`.  Three rules make
-the merge exact:
+:meth:`repro.render.raytracer.RayTracer.trace_pixels`.  With control flow
+shared, three rules make the backend's answers exact:
 
 1. *Nearest merge* is a lexicographic minimum on ``(t, object index)``:
    the serial intersector scans objects in ascending index with a strict
@@ -31,32 +40,27 @@ the merge exact:
    plus an opaque mask; the master replays the multiplies in ascending
    object index and zeroes opaque rays afterwards — the exact value
    sequence of the serial ``shadow_attenuation`` loop.
-3. *Accumulation order*: batches leave the queue in the serial FIFO
-   order (refracted child appended before reflected), and all
-   ``np.add.at`` accumulations use the same index arrays as the serial
-   tracer, so floating-point addition order is unchanged.
+3. *Pure replies*: what an owner returns depends on the request alone, so
+   a replayed request is answered identically by a replacement owner.
 
-Shading itself is not reimplemented: the master drives the *real*
-:func:`~repro.render.shading.shade_local` with a replay intersector
-(attenuations precomputed from the occlusion events, popped in call
-order) and a proxy scene whose materials return owner-prefetched colors
-and finish constants.
+Shading runs the real :func:`~repro.render.shading.shade_local`: round B
+hands the kernel a replay intersector (attenuations precomputed from the
+occlusion events, popped in call order) and a proxy scene whose materials
+return owner-prefetched colors and finish constants.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import MISS, RayBatch, RayKind
+from ..geometry import MISS, RayBatch
 from ..render.framebuffer import Framebuffer
 from ..render.intersect import SceneIntersector
-from ..render.raytracer import _ADC_BAILOUT, TraceResult
-from ..render.shading import shade_local
-from ..render.stats import RayStats
-from ..rmath import dot, reflect, refract
+from ..render.raytracer import TraceResult, trace
+from ..rmath import dot
 from .partition import ShardMap, partition_scene
 
 __all__ = [
@@ -202,7 +206,7 @@ class ShardWorker:
 
         The opaque mask and the per-transmissive-occluder masks are
         value-identical to what the serial ``shadow_attenuation`` loop
-        would observe: the blocking predicate is copied verbatim, and the
+        would observe: the blocking predicate is the same expression, and the
         serial loop's live/cull skips are value-neutral (a skipped ray is
         either already fully dark or provably unhittable).
         """
@@ -244,7 +248,7 @@ class ShardWorker:
         m = obj.shape[0]
         colors = np.zeros((m, 3), dtype=np.float64)
         uobj = np.unique(obj)
-        finishes = np.zeros((uobj.size, 7), dtype=np.float64)
+        finishes = np.zeros((uobj.size, len(_PrefetchedFinish._fields)), dtype=np.float64)
         owned = set(int(i) for i in self.gidx)
         for j, gi in enumerate(uobj):
             if int(gi) not in owned:
@@ -254,33 +258,16 @@ class ShardWorker:
             if mat is None:
                 raise ValueError(f"object {int(gi)} has no material")
             colors[sel] = mat.color_at(points[sel])
-            fin = mat.finish
-            finishes[j] = (
-                fin.ambient,
-                fin.diffuse,
-                fin.specular,
-                fin.phong_size,
-                fin.reflection,
-                fin.transmission,
-                fin.ior,
-            )
+            finishes[j] = [getattr(mat.finish, name) for name in _PrefetchedFinish._fields]
         return {"colors": colors, "uobj": uobj, "finishes": finishes}
 
 
 # -- proxies that let the real shade_local run on prefetched data -----------
-class _PrefetchedFinish:
-    __slots__ = ("ambient", "diffuse", "specular", "phong_size", "reflection", "transmission", "ior")
-
-    def __init__(self, row: np.ndarray):
-        (
-            self.ambient,
-            self.diffuse,
-            self.specular,
-            self.phong_size,
-            self.reflection,
-            self.transmission,
-            self.ior,
-        ) = (float(v) for v in row)
+#: A ``shade`` reply's finish row, in wire order: what the owner packs and
+#: what the master's proxy material exposes as attributes.
+_PrefetchedFinish = namedtuple(
+    "_PrefetchedFinish", "ambient diffuse specular phong_size reflection transmission ior"
+)
 
 
 class _PrefetchedMaterial:
@@ -313,7 +300,8 @@ class _ProxyScene:
         objects = {}
         for gi in np.unique(obj_index):
             sel = obj_index == gi
-            mat = _PrefetchedMaterial(colors[sel], _PrefetchedFinish(finishes[int(gi)]))
+            finish = _PrefetchedFinish(*map(float, finishes[int(gi)]))
+            mat = _PrefetchedMaterial(colors[sel], finish)
             objects[int(gi)] = _ProxyObj(mat, f"shard-proxy-{int(gi)}")
         self.objects = objects
         self.ambient_light = scene.ambient_light
@@ -372,19 +360,130 @@ def _shadow_plan(scene, points: np.ndarray, normals: np.ndarray) -> list[_Shadow
     return calls
 
 
-def _camera_batch(cam, pixel_ids: np.ndarray, samples_per_axis: int) -> RayBatch:
-    """Replicates ``RayTracer._camera_batch`` (stratified supersampling)."""
-    if samples_per_axis <= 1:
-        return cam.rays_for_pixels(pixel_ids)
-    n = samples_per_axis
-    cell = (np.arange(n, dtype=np.float64) + 0.5) / n - 0.5
-    ox, oy = np.meshgrid(cell, cell, indexing="ij")
-    offsets = np.stack([ox.ravel(), oy.ravel()], axis=-1)
-    rep_pixels = np.repeat(pixel_ids, n * n)
-    rep_jitter = np.tile(offsets, (pixel_ids.size, 1))
-    batch = cam.rays_for_pixels(rep_pixels, jitter=rep_jitter)
-    batch.weight /= float(n * n)
-    return batch
+class _ShardBackend:
+    """Answers the tracing kernel's questions by asking the shard owners.
+
+    Both answers are generators that yield one round of
+    :class:`ShardRequest` and receive the aligned replies; a ray's tag is
+    the shard owning the surface that spawned it (-1 for camera rays).
+    Shard mode builds no coherence maps and has no shadow cache.
+    """
+
+    shadow_cache = None
+
+    def __init__(self, scene, smap: ShardMap, sstats: ShardTraceStats):
+        self.scene = scene
+        self.smap = smap
+        self.sstats = sstats
+        self.n_tests = 0
+
+    def mark(self, cls, origins, dirs, t_max, pixels) -> None:
+        pass
+
+    def nearest(self, batch: RayBatch, home):
+        """Round A: nearest hit across the shards each ray may touch."""
+        n = len(batch)
+        if home is None:
+            home = np.full(n, -1, dtype=np.int64)
+        route = self.smap.route(batch.origins, batch.dirs)
+        reqs: list[ShardRequest] = []
+        slots: list[tuple[int, np.ndarray]] = []
+        for s in range(self.smap.n_shards):
+            rows = np.flatnonzero(route[:, s])
+            if rows.size == 0:
+                continue
+            payload = {"origins": batch.origins[rows], "dirs": batch.dirs[rows]}
+            reqs.append(ShardRequest(s, "nearest", payload))
+            slots.append((s, rows))
+            self.sstats.note_request(s, home[rows], payload)
+
+        t = np.full(n, MISS)
+        obj = np.full(n, -1, dtype=np.int64)
+        normals = np.zeros((n, 3), dtype=np.float64)
+        if reqs:
+            replies = yield reqs
+            for (s, rows), rep in zip(slots, replies):
+                self.sstats.note_reply(s, rep)
+                self.n_tests += int(rep["n_tests"])
+                ct, cobj, cn = rep["t"], rep["obj"], rep["normals"]
+                cur_t = t[rows]
+                cur_obj = obj[rows]
+                # Lexicographic (t, object index) minimum == serial tie rule.
+                better = np.isfinite(ct) & ((ct < cur_t) | ((ct == cur_t) & (cobj < cur_obj)))
+                if np.any(better):
+                    upd = rows[better]
+                    t[upd] = ct[better]
+                    obj[upd] = cobj[better]
+                    normals[upd] = cn[better]
+        return t, obj, normals
+
+    def surfaces(self, points: np.ndarray, normals: np.ndarray, obj_index: np.ndarray):
+        """Round B: material fetch + occlusion events for one hit set."""
+        sstats = self.sstats
+        owners = self.smap.owner_of[obj_index]
+        reqs = []
+        shade_slots: list[tuple[int, np.ndarray]] = []
+        for s in np.unique(owners):
+            rows = np.flatnonzero(owners == s)
+            payload = {"obj": obj_index[rows], "points": points[rows]}
+            reqs.append(ShardRequest(int(s), "shade", payload))
+            shade_slots.append((int(s), rows))
+            sstats.note_shade(int(s), rows.size, payload)
+
+        plan = _shadow_plan(self.scene, points, normals)
+        occ_slots: list[tuple[int, int, np.ndarray]] = []
+        for ci, call in enumerate(plan):
+            occ_route = self.smap.route(call.origins, call.dirs, t_max=call.dists)
+            shomes = owners[call.fire]  # a shadow ray's home = its surface's owner
+            for s in range(self.smap.n_shards):
+                rows = np.flatnonzero(occ_route[:, s])
+                if rows.size == 0:
+                    continue
+                payload = {
+                    "origins": call.origins[rows],
+                    "dirs": call.dirs[rows],
+                    "max_dist": call.dists[rows],
+                }
+                reqs.append(ShardRequest(s, "occlude", payload))
+                occ_slots.append((ci, s, rows))
+                sstats.note_request(s, shomes[rows], payload)
+
+        replies = yield reqs
+        shade_replies = replies[: len(shade_slots)]
+        occ_replies = replies[len(shade_slots) :]
+
+        colors = np.zeros((points.shape[0], 3), dtype=np.float64)
+        finishes: dict[int, np.ndarray] = {}
+        for (s, rows), rep in zip(shade_slots, shade_replies):
+            sstats.note_reply(s, rep)
+            colors[rows] = rep["colors"]
+            for gi, frow in zip(rep["uobj"], rep["finishes"]):
+                finishes[int(gi)] = frow
+
+        # Occlusion-event replay: transmissive multiplies in ascending
+        # object index (the serial loop order), opaque zeroes afterwards
+        # (zeros absorb under multiplication, so ordering is free).
+        events: list[list[tuple[int, float, np.ndarray]]] = [[] for _ in plan]
+        opaque = [np.zeros(call.origins.shape[0], dtype=bool) for call in plan]
+        for (ci, s, rows), rep in zip(occ_slots, occ_replies):
+            sstats.note_reply(s, rep)
+            self.n_tests += int(rep["n_tests"])
+            opaque[ci][rows] |= rep["opaque"]
+            ev_mask = rep["ev_mask"]
+            for j in range(rep["ev_obj"].size):
+                events[ci].append(
+                    (int(rep["ev_obj"][j]), float(rep["ev_factor"][j]), rows[ev_mask[j]])
+                )
+        attens: list[np.ndarray] = []
+        for ci, call in enumerate(plan):
+            atten = np.ones(call.origins.shape[0], dtype=np.float64)
+            for _, factor, target in sorted(events[ci], key=lambda ev: ev[0]):
+                atten[target] *= factor
+            atten[opaque[ci]] = 0.0
+            attens.append(atten)
+
+        proxy = _ProxyScene(self.scene, obj_index, colors, finishes)
+        return proxy, _ReplayIntersector(attens), owners
 
 
 def sharded_trace(
@@ -406,238 +505,11 @@ def sharded_trace(
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    pixel_ids = np.unique(np.asarray(pixel_ids, dtype=np.int64))
-    cam = scene.camera
-    n_pixels_total = cam.n_pixels
-
-    acc = np.zeros((n_pixels_total, 3), dtype=np.float64)
-    rays_pp = np.zeros(n_pixels_total, dtype=np.int64)
-    stats = RayStats()
     sstats = shard_stats if shard_stats is not None else ShardTraceStats(smap.n_shards)
-    n_tests = 0
-
-    for start in range(0, pixel_ids.size, chunk_size):
-        chunk = pixel_ids[start : start + chunk_size]
-        batch = _camera_batch(cam, chunk, samples_per_axis)
-        n_tests += yield from _wavefront(scene, smap, batch, acc, rays_pp, stats, sstats)
-
-    empty = np.empty(0, dtype=np.int64)
-    return TraceResult(
-        pixel_ids=pixel_ids,
-        colors=acc[pixel_ids],
-        stats=stats,
-        mark_voxels=empty,
-        mark_pixels=empty,
-        rays_per_pixel=rays_pp[pixel_ids],
-        n_intersection_tests=n_tests,
-    )
-
-
-def _wavefront(scene, smap: ShardMap, first: RayBatch, acc, rays_pp, stats, sstats):
-    """One wavefront to completion; mirrors ``RayTracer._trace_wavefront``."""
-    no_home = np.full(len(first), -1, dtype=np.int64)
-    queue: deque[tuple[RayBatch, np.ndarray]] = deque([(first, no_home)])
-    max_depth = scene.max_depth
-    background = scene.background
-    n_shards = smap.n_shards
-    n_tests = 0
-
-    while queue:
-        batch, home = queue.popleft()
-        if len(batch) == 0:
-            continue
-        stats.record(batch.kind, len(batch))
-        np.add.at(rays_pp, batch.pixel, 1)
-        n = len(batch)
-
-        # --- round A: nearest hit across owning shards ----------------
-        route = smap.route(batch.origins, batch.dirs)
-        reqs: list[ShardRequest] = []
-        slots: list[tuple[int, np.ndarray]] = []
-        for s in range(n_shards):
-            rows = np.flatnonzero(route[:, s])
-            if rows.size == 0:
-                continue
-            payload = {"origins": batch.origins[rows], "dirs": batch.dirs[rows]}
-            reqs.append(ShardRequest(s, "nearest", payload))
-            slots.append((s, rows))
-            sstats.note_request(s, home[rows], payload)
-
-        t = np.full(n, MISS)
-        obj = np.full(n, -1, dtype=np.int64)
-        normals = np.zeros((n, 3), dtype=np.float64)
-        if reqs:
-            replies = yield reqs
-            for (s, rows), rep in zip(slots, replies):
-                sstats.note_reply(s, rep)
-                n_tests += int(rep["n_tests"])
-                ct, cobj, cn = rep["t"], rep["obj"], rep["normals"]
-                cur_t = t[rows]
-                cur_obj = obj[rows]
-                # Lexicographic (t, object index) minimum == serial tie rule.
-                better = np.isfinite(ct) & ((ct < cur_t) | ((ct == cur_t) & (cobj < cur_obj)))
-                if np.any(better):
-                    upd = rows[better]
-                    t[upd] = ct[better]
-                    obj[upd] = cobj[better]
-                    normals[upd] = cn[better]
-
-        hit = np.isfinite(t)
-        miss = ~hit
-        if np.any(miss):
-            np.add.at(acc, batch.pixel[miss], batch.weight[miss] * background)
-        if not np.any(hit):
-            continue
-
-        hits = batch.select(hit)
-        th = t[hit]
-        obj_index = obj[hit]
-        geo_n = normals[hit]
-        points = hits.points_at(th)
-        facing = dot(geo_n, hits.dirs) < 0.0
-        nrm = np.where(facing[:, None], geo_n, -geo_n)
-        owners = smap.owner_of[obj_index]
-
-        # --- round B: material fetch + occlusion events ---------------
-        kh = len(hits)
-        reqs = []
-        shade_slots: list[tuple[int, np.ndarray]] = []
-        for s in np.unique(owners):
-            rows = np.flatnonzero(owners == s)
-            payload = {"obj": obj_index[rows], "points": points[rows]}
-            reqs.append(ShardRequest(int(s), "shade", payload))
-            shade_slots.append((int(s), rows))
-            sstats.note_shade(int(s), rows.size, payload)
-
-        plan = _shadow_plan(scene, points, nrm)
-        occ_slots: list[tuple[int, int, np.ndarray]] = []
-        for ci, call in enumerate(plan):
-            occ_route = smap.route(call.origins, call.dirs, t_max=call.dists)
-            shomes = owners[call.fire]  # a shadow ray's home = its surface's owner
-            for s in range(n_shards):
-                rows = np.flatnonzero(occ_route[:, s])
-                if rows.size == 0:
-                    continue
-                payload = {
-                    "origins": call.origins[rows],
-                    "dirs": call.dirs[rows],
-                    "max_dist": call.dists[rows],
-                }
-                reqs.append(ShardRequest(s, "occlude", payload))
-                occ_slots.append((ci, s, rows))
-                sstats.note_request(s, shomes[rows], payload)
-
-        replies = yield reqs
-        shade_replies = replies[: len(shade_slots)]
-        occ_replies = replies[len(shade_slots) :]
-
-        colors = np.zeros((kh, 3), dtype=np.float64)
-        finishes: dict[int, np.ndarray] = {}
-        for (s, rows), rep in zip(shade_slots, shade_replies):
-            sstats.note_reply(s, rep)
-            colors[rows] = rep["colors"]
-            for gi, frow in zip(rep["uobj"], rep["finishes"]):
-                finishes[int(gi)] = frow
-
-        # Occlusion-event replay: transmissive multiplies in ascending
-        # object index (the serial loop order), opaque zeroes afterwards
-        # (zeros absorb under multiplication, so ordering is free).
-        events: list[list[tuple[int, float, np.ndarray]]] = [[] for _ in plan]
-        opaque = [np.zeros(call.origins.shape[0], dtype=bool) for call in plan]
-        for (ci, s, rows), rep in zip(occ_slots, occ_replies):
-            sstats.note_reply(s, rep)
-            n_tests += int(rep["n_tests"])
-            opaque[ci][rows] |= rep["opaque"]
-            ev_mask = rep["ev_mask"]
-            for j in range(rep["ev_obj"].size):
-                events[ci].append(
-                    (int(rep["ev_obj"][j]), float(rep["ev_factor"][j]), rows[ev_mask[j]])
-                )
-        attens: list[np.ndarray] = []
-        for ci, call in enumerate(plan):
-            atten = np.ones(call.origins.shape[0], dtype=np.float64)
-            for _, factor, target in sorted(events[ci], key=lambda ev: ev[0]):
-                atten[target] *= factor
-            atten[opaque[ci]] = 0.0
-            attens.append(atten)
-
-        # --- I_local via the *real* shade_local ------------------------
-        def shadow_hook(origins, dirs, dists, mask, _hits=hits):
-            stats.record(RayKind.SHADOW, origins.shape[0])
-            np.add.at(rays_pp, _hits.pixel[mask], 1)
-
-        proxy = _ProxyScene(scene, obj_index, colors, finishes)
-        local = shade_local(
-            proxy,
-            _ReplayIntersector(attens),
-            points,
-            nrm,
-            hits.dirs,
-            obj_index,
-            shadow_hook=shadow_hook,
-        )
-        np.add.at(acc, hits.pixel, hits.weight * local)
-
-        # --- children (verbatim serial logic on prefetched finishes) ---
-        if batch.depth + 1 >= max_depth:
-            continue
-
-        reflection = np.zeros(kh, dtype=np.float64)
-        transmission = np.zeros(kh, dtype=np.float64)
-        ior = np.ones(kh, dtype=np.float64)
-        for idx in np.unique(obj_index):
-            sel = obj_index == idx
-            frow = finishes[int(idx)]
-            reflection[sel] = frow[4]
-            transmission[sel] = frow[5]
-            ior[sel] = frow[6]
-
-        refl_weight = hits.weight * reflection[:, None]
-        want_refl = refl_weight.max(axis=1) > _ADC_BAILOUT
-
-        trans_weight = hits.weight * transmission[:, None]
-        want_trans = trans_weight.max(axis=1) > _ADC_BAILOUT
-        tir_mask = np.zeros(kh, dtype=bool)
-        if np.any(want_trans):
-            eta = np.where(hits.inside, ior, 1.0 / ior)
-            refr_dirs, tir = refract(hits.dirs, nrm, eta)
-            tir_mask = want_trans & tir
-            ok = want_trans & ~tir
-            if np.any(ok):
-                queue.append(
-                    (
-                        RayBatch(
-                            origins=points[ok] - nrm[ok] * 1e-6,
-                            dirs=refr_dirs[ok],
-                            pixel=hits.pixel[ok],
-                            weight=trans_weight[ok],
-                            kind=RayKind.REFRACTED,
-                            depth=batch.depth + 1,
-                            inside=~hits.inside[ok],
-                        ),
-                        owners[ok],
-                    )
-                )
-
-        spawn_refl = want_refl | tir_mask
-        if np.any(spawn_refl):
-            w = np.where(tir_mask[:, None], refl_weight + trans_weight, refl_weight)[spawn_refl]
-            refl_dirs = reflect(hits.dirs, nrm)[spawn_refl]
-            queue.append(
-                (
-                    RayBatch(
-                        origins=points[spawn_refl] + nrm[spawn_refl] * 1e-6,
-                        dirs=refl_dirs,
-                        pixel=hits.pixel[spawn_refl],
-                        weight=w,
-                        kind=RayKind.REFLECTED,
-                        depth=batch.depth + 1,
-                        inside=hits.inside[spawn_refl],
-                    ),
-                    owners[spawn_refl],
-                )
-            )
-    return n_tests
+    backend = _ShardBackend(scene, smap, sstats)
+    result = yield from trace(scene, backend, pixel_ids, samples_per_axis, chunk_size)
+    result.n_intersection_tests = backend.n_tests
+    return result
 
 
 def pump_local(gen, serve) -> TraceResult:

@@ -9,8 +9,10 @@ killed mid-sequence.
 """
 
 import socket
+import struct
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -104,6 +106,45 @@ def test_decode_rejects_junk():
         wire.decode(wire.encode(1) + b"\x00")
 
 
+def _array_value(dtype: bytes, shape: tuple, data: bytes, compressed: int = 0) -> bytes:
+    """A hand-built array value, free to lie about any of its fields."""
+    dims = b"".join(struct.pack("!Q", d) for d in shape)
+    return (
+        b"a" + bytes([len(dtype)]) + dtype + bytes([len(shape)]) + dims
+        + bytes([compressed]) + struct.pack("!Q", len(data)) + data
+    )
+
+
+#: Well-framed payloads whose *values* are junk.  The first five used to
+#: escape decode() as ValueError / TypeError / UnicodeDecodeError /
+#: TypeError / zlib.error; the rest are what the same hardening rules out.
+_MALFORMED = {
+    "shape-disagrees-with-nbytes": _array_value(b"<f8", (3,), b"\x00" * 8),
+    "unknown-dtype": _array_value(b"zzz", (1,), b"\x00" * 8),
+    "invalid-utf8": b"s" + struct.pack("!I", 2) + b"\xff\xfe",
+    "unhashable-dict-key": b"d" + struct.pack("!I", 1) + b"l" + struct.pack("!I", 0) + b"N",
+    "bad-zlib-stream": _array_value(b"<f8", (4,), b"not zlib at all", compressed=1),
+    "object-dtype": _array_value(b"|O", (1,), b"\x00" * 8),
+    "zlib-outgrows-shape": _array_value(b"|u1", (16,), zlib.compress(bytes(1 << 20)), compressed=1),
+    "nested-too-deeply": (b"l" + struct.pack("!I", 1)) * 100_000 + b"N",
+}
+
+
+def _frame(payload: bytes, msg_type: int = wire.MSG_RESULT) -> bytes:
+    header = struct.pack("!4sBBHI", wire.MAGIC, wire.PROTO_VERSION, msg_type, 0, len(payload))
+    return header + payload
+
+
+@pytest.mark.parametrize("payload", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_values_are_protocol_errors(payload):
+    with pytest.raises(wire.ProtocolError):
+        wire.decode(payload)
+    asm = wire.FrameAssembler()
+    asm.feed(_frame(payload))
+    with pytest.raises(wire.ProtocolError):
+        list(asm)
+
+
 # -- framing ----------------------------------------------------------------------
 def test_assembler_reassembles_across_arbitrary_splits():
     frames = [
@@ -169,29 +210,6 @@ def test_decoded_arrays_are_read_only_views():
     own = np.array(out)
     own[0, 0] = 99.0
     assert out[0, 0] == 0.0
-
-
-def test_legacy_copy_mode_matches_zero_copy_bytes():
-    # The legacy (copying) codec path is kept for the benchmark baseline;
-    # both modes must produce identical wire bytes and identical decodes.
-    from repro.buffers import copystats
-
-    payload = {"seq": 3, "frames": np.arange(60, dtype=np.float64).reshape(5, 4, 3)}
-    assert wire.zero_copy_enabled()
-    zc = wire.pack_frame(wire.MSG_RESULT, payload)
-    copystats.reset()
-    wire.set_zero_copy(False)
-    try:
-        legacy = wire.pack_frame(wire.MSG_RESULT, payload)
-        asm = wire.FrameAssembler()
-        asm.feed(legacy)
-        (_t, out, _n), = list(asm)
-    finally:
-        wire.set_zero_copy(True)
-    assert legacy == zc
-    assert out["frames"].tobytes() == payload["frames"].tobytes()
-    # ...and the legacy run is the one that paid for copies.
-    assert copystats.total() >= payload["frames"].nbytes
 
 
 def test_assembler_rejects_bad_magic_and_oversize():
@@ -307,6 +325,53 @@ def test_older_worker_is_turned_away_at_hello():
     assert master.workers == {} and policy.log == []
     lost = [r for r in sink.events if r["name"] == "net.worker.lost"]
     assert [r["attrs"]["reason"] for r in lost] == ["proto"]
+
+
+def test_malformed_frame_is_a_clean_loss():
+    """A registered peer that sends a well-framed payload of junk costs the
+    master that lane — an ``error`` loss, its unit requeued — and nothing
+    else: the selectors loop keeps serving and a real worker finishes."""
+    sink = InMemorySink()
+    tel = Telemetry(sinks=(sink,))
+    policy = make_policy("frame-division-nofc", 3, n_regions=1)
+    master = MasterServer(
+        policy, "echo", lambda a, lane: (a.seq, lane), startup_timeout=120.0, telemetry=tel
+    )
+    host, port = master.listen()
+    junk_sent = threading.Event()
+
+    def rogue():
+        with socket.create_connection((host, port)) as sock:
+            wire.send_frame(sock, wire.MSG_HELLO, {
+                "proto": wire.PROTO_VERSION, "minor": wire.PROTO_MINOR,
+                "host": "rogue", "pid": 1, "cores": 1, "score": 1.0,
+            })
+            assert wire.recv_frame(sock)[0] == wire.MSG_WELCOME
+            assert wire.recv_frame(sock)[0] == wire.MSG_ASSIGN
+            sock.sendall(_frame(_MALFORMED["bad-zlib-stream"]))
+            junk_sent.set()
+            sock.settimeout(10.0)
+            assert sock.recv(1) == b""  # the master hung up on us
+
+    client = WorkerClient(host, port, score=1.0, backoff_base=0.1, max_retries=30)
+
+    def honest():
+        junk_sent.wait(timeout=30.0)
+        client.run()
+
+    threads = [threading.Thread(target=rogue), threading.Thread(target=honest)]
+    for t in threads:
+        t.start()
+    out = master.serve()
+    tel.close()
+    for t in threads:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    assert len(out.results) == 3 and policy.finished
+    assert out.net.n_losses == 1 and client.n_rendered == 3
+    lost = [r for r in sink.events if r["name"] == "net.worker.lost"]
+    assert [(r["attrs"]["worker"], r["attrs"]["reason"]) for r in lost] == [("w0", "error")]
+    validate_events(sink.events)
 
 
 def test_task_error_reconnect_then_max_attempts():

@@ -91,6 +91,23 @@ def test_shadow_rays_actually_saved(shadow_anim):
     assert r.total_shadow_rays_saved == saved
 
 
+def test_is_the_base_renderer_except_for_shadow_rays(shadow_anim):
+    r = ShadowCoherentRenderer(shadow_anim, grid_resolution=24)
+    base = CoherentRenderer(shadow_anim, grid_resolution=24)
+    assert isinstance(r, CoherentRenderer)
+    for _ in range(shadow_anim.n_frames):
+        rep, brep = r.render_next(), base.render_next()
+        np.testing.assert_array_equal(r.frame_image(), base.frame_image())
+        assert (rep.frame, rep.n_computed, rep.n_copied, rep.n_changed_voxels) == (
+            brep.frame, brep.n_computed, brep.n_copied, brep.n_changed_voxels
+        )
+        np.testing.assert_array_equal(rep.computed_pixels, brep.computed_pixels)
+        # Only shadow rays may differ, and only downwards.
+        assert rep.stats.total - rep.stats.shadow == brep.stats.total - brep.stats.shadow
+        assert brep.stats.shadow - rep.stats.shadow == rep.shadow_rays_saved
+    assert r.reports[-1] is rep and r.frames_remaining == 0
+
+
 def test_reusable_is_subset_of_dirty(shadow_anim):
     r = ShadowCoherentRenderer(shadow_anim, grid_resolution=24)
     r.render_next()

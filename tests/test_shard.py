@@ -9,6 +9,8 @@ batches to the reassigned owner (DESIGN §16).
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,21 @@ def test_sharded_supersampling_bit_identical(newton_scene_small):
     serial, _ = RayTracer(newton_scene_small).render(samples_per_axis=2)
     fb, _, _ = render_frame_sharded(newton_scene_small, shards=3, samples_per_axis=2)
     assert np.array_equal(serial.data, fb.data)
+
+
+def test_kernel_constant_reaches_the_sharded_trace(newton_scene_small, monkeypatch):
+    """One kernel: a tracer constant changed in ``render.raytracer`` changes
+    the serial and the sharded render alike (a second loop holding its own
+    copy of the constant would keep the old ray tree)."""
+    default, _ = RayTracer(newton_scene_small).render()
+    # (``repro.render`` the function shadows the subpackage on ``repro``.)
+    monkeypatch.setattr(importlib.import_module("repro.render.raytracer"), "_ADC_BAILOUT", 0.2)
+    serial, result = RayTracer(newton_scene_small).render()
+    fb, sres, _ = render_frame_sharded(newton_scene_small, shards=3)
+    assert not np.array_equal(default.data, serial.data)  # the cut really moved
+    assert np.array_equal(serial.data, fb.data)
+    assert np.array_equal(result.stats.counts, sres.stats.counts)
+    assert np.array_equal(result.rays_per_pixel, sres.rays_per_pixel)
 
 
 def test_local_owner_kill_drill_bit_identical(stress_scene_small):
