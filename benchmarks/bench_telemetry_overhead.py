@@ -8,9 +8,9 @@ bars, measured separately so each claim stays honest:
   attribute test per call site);
 * **< 8 %** with the full observability stack an operator actually runs:
   in-memory sink + JSONL sink writing every record to disk + the live
-  :class:`~repro.obs.RunLedger` fold + the :class:`~repro.obs.MetricsPlane`
-  sketch fold + an installed :class:`~repro.obs.FlightRecorder` tapping
-  every record into its black-box ring.
+  :class:`~repro.telemetry.RunFold` (state, sketches and health in one
+  sink) + an installed :class:`~repro.obs.FlightRecorder` tapping every
+  record into its black-box ring.
 
 The workload is the ``random_spheres`` stress scene — many small objects,
 every frame dirty in patches — rendered through the single-process engine
@@ -24,12 +24,13 @@ import time
 
 from _bench_utils import write_result
 
-from repro.obs import FlightRecorder, MetricsPlane, RunLedger
+from repro.obs import FlightRecorder
 from repro.pipeline import _render_animation
 from repro.scenes import random_spheres_animation
 from repro.telemetry import (
     InMemorySink,
     JsonlSink,
+    RunFold,
     Telemetry,
     metrics_from_events,
     write_bench_json,
@@ -85,8 +86,8 @@ def test_telemetry_overhead_under_5_percent(results_dir):
 
 
 def test_full_obs_stack_overhead_under_8_percent(results_dir, tmp_path):
-    """The stack an operator actually runs: memory + JSONL-to-disk + ledger
-    + metrics plane, with a flight recorder tapping every record."""
+    """The stack an operator actually runs: memory + JSONL-to-disk + the
+    run fold, with a flight recorder tapping every record."""
     base, _ = _best(lambda _i: None)
     recorder = FlightRecorder("bench", tmp_path).install(signals=False)
     try:
@@ -95,8 +96,7 @@ def test_full_obs_stack_overhead_under_8_percent(results_dir, tmp_path):
                 sinks=[
                     InMemorySink(),
                     JsonlSink(tmp_path / f"events_{i}.jsonl"),
-                    RunLedger(),
-                    MetricsPlane(detector=False),
+                    RunFold(),
                 ]
             )
         )
@@ -104,7 +104,7 @@ def test_full_obs_stack_overhead_under_8_percent(results_dir, tmp_path):
         recorder.uninstall()
     overhead = (full - base) / base
     lines = [
-        "full observability stack overhead (memory + jsonl + ledger + plane + recorder)",
+        "full observability stack overhead (memory + jsonl + fold + recorder)",
         f"  workload           random_spheres {KW['n_frames']}f @ {KW['width']}x{KW['height']}",
         f"  baseline           {base:.3f} s (best of {REPEATS})",
         f"  full stack         {full:.3f} s (best of {REPEATS}, {len(events)} events)",

@@ -315,29 +315,26 @@ def _resolve_workload(req: RenderRequest):
 
 
 def _setup_telemetry(req: RenderRequest):
-    """Return ``(telemetry, memory_sink, jsonl_path, ledger, plane, owned)``."""
-    ledger = None
-    plane = None
+    """Return ``(telemetry, memory_sink, jsonl_path, fold, owned)``."""
+    fold = None
     if req.status_port is not None:
-        from .obs import MetricsPlane, RunLedger
+        from .obs import StragglerDetector
+        from .telemetry import RunFold
 
-        ledger = RunLedger()
-        plane = MetricsPlane()  # streaming percentiles + health, for /metrics
+        # One sink behind /status and /metrics alike.
+        fold = RunFold(detector=StragglerDetector())
     if isinstance(req.telemetry, Telemetry):
-        if ledger is not None:
-            req.telemetry.sinks.append(ledger)
-        if plane is not None:
-            req.telemetry.sinks.append(plane)
-            plane.bind(req.telemetry)
-        return req.telemetry, None, None, ledger, plane, False
+        if fold is not None:
+            req.telemetry.sinks.append(fold.bind(req.telemetry))
+        return req.telemetry, None, None, fold, False
     want = (
         bool(req.telemetry)
         or req.events_path is not None
         or req.trace_out is not None
-        or ledger is not None
+        or fold is not None
     )
     if not want:
-        return NULL_TELEMETRY, None, None, None, None, False
+        return NULL_TELEMETRY, None, None, None, False
     target = req.events_path
     if target is None:
         target = req.run_dir if req.run_dir is not None else req.resume
@@ -350,13 +347,10 @@ def _setup_telemetry(req: RenderRequest):
             jsonl_path = jsonl_path / "events.jsonl"
         jsonl_path.parent.mkdir(parents=True, exist_ok=True)
         sinks.append(JsonlSink(jsonl_path))
-    if ledger is not None:
-        sinks.append(ledger)
     tel = Telemetry(sinks=sinks)
-    if plane is not None:
-        tel.sinks.append(plane)  # Telemetry copies the sinks list
-        plane.bind(tel)
-    return tel, mem, jsonl_path, ledger, plane, True
+    if fold is not None:
+        tel.sinks.append(fold.bind(tel))  # Telemetry copies the sinks list
+    return tel, mem, jsonl_path, fold, True
 
 
 # -- engine dispatch -------------------------------------------------------------
@@ -533,7 +527,7 @@ def render(request: RenderRequest | None = None, /, **kwargs) -> RenderResult:
         raise ValueError(f"unknown engine {request.engine!r}; expected one of {ENGINES}")
 
     label, spec, anim = _resolve_workload(request)
-    tel, mem, jsonl_path, ledger, plane, owned = _setup_telemetry(request)
+    tel, mem, jsonl_path, fold, owned = _setup_telemetry(request)
     if request.engine == "farm" and request.blackbox_dir is None:
         # Black boxes default into the run directory (or beside the event
         # log) so a post-mortem finds dump and trace in one place.
@@ -544,14 +538,12 @@ def render(request: RenderRequest | None = None, /, **kwargs) -> RenderResult:
             request = replace(request, blackbox_dir=bb)
     server = None
     preview = None
-    if ledger is not None:
+    if fold is not None:
         from .obs import StatusServer
 
-        routes = {}
-        if plane is not None:
-            # Prometheus text exposition: streaming task-latency
-            # percentiles and per-worker health, live during the run.
-            routes["/metrics"] = plane.route
+        # Prometheus text exposition: streaming task-latency percentiles
+        # and per-worker health, live during the run.
+        routes = {"/metrics": fold.route}
         if request.engine == "farm":
             from .dfb import PreviewHub
 
@@ -560,7 +552,7 @@ def render(request: RenderRequest | None = None, /, **kwargs) -> RenderResult:
             # its assembler the endpoint reports {"available": false}.
             preview = PreviewHub()
             routes["/preview"] = preview.route
-        server = StatusServer(ledger, port=int(request.status_port), routes=routes)
+        server = StatusServer(fold, port=int(request.status_port), routes=routes)
         server.start()
     try:
         if request.engine == "animation":
@@ -574,14 +566,8 @@ def render(request: RenderRequest | None = None, /, **kwargs) -> RenderResult:
             server.stop()
         if owned:
             tel.close()
-        else:
-            # Borrowed Telemetry: detach the sinks we hung on it.
-            for sink in (ledger, plane):
-                if sink is not None:
-                    try:
-                        request.telemetry.sinks.remove(sink)
-                    except ValueError:
-                        pass
+        elif fold is not None and fold in tel.sinks:
+            tel.sinks.remove(fold)  # borrowed Telemetry: detach what we hung on it
     if mem is not None:
         result.events = list(mem.events)
     result.events_path = jsonl_path

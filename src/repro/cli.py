@@ -489,13 +489,13 @@ def _cmd_farm(args) -> int:
 
 
 def _cmd_shard(args) -> int:
-    from .obs import RunLedger, StatusServer
+    from .obs import StatusServer
     from .shard.net import render_sharded_tcp
-    from .telemetry import JsonlSink, Telemetry
+    from .telemetry import JsonlSink, RunFold, Telemetry
 
     spec = _workload_spec(args)
-    ledger = RunLedger()
-    sinks = [ledger]
+    fold = RunFold()
+    sinks = [fold]
     events_path = None
     if args.telemetry is not None:
         args.telemetry.mkdir(parents=True, exist_ok=True)
@@ -503,7 +503,7 @@ def _cmd_shard(args) -> int:
         sinks.append(JsonlSink(events_path))
     status = None
     if args.status_port is not None:
-        status = StatusServer(ledger, port=args.status_port)
+        status = StatusServer(fold, port=args.status_port)
         status.start()
         print(
             f"live status on http://127.0.0.1:{status.port}/status "

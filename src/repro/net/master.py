@@ -614,8 +614,8 @@ class MasterServer:
         worker task's serialized event buffer (task/frame/coherence
         spans).  Absorbing it here — with this lane's clock-offset
         correction — is what puts worker frame spans on the master's
-        time axis *during* the run, so the ledger/status endpoint sees
-        frames complete live instead of at teardown.  Non-farm results
+        time axis *during* the run, so the fold behind the status
+        endpoint sees frames complete live instead of at teardown.  Non-farm results
         (echo tasks, junk) are left untouched.
         """
         if not isinstance(result, tuple) or not result:

@@ -9,22 +9,23 @@ event data alone:
 
 * :mod:`~repro.obs.trace` — run/trace identity, the task-envelope trace
   context workers parent their spans under, and the orphan-span check;
-* :mod:`~repro.obs.ledger` — :class:`RunLedger`, a telemetry sink that
-  folds the unified event stream into per-worker live state (in-flight
-  assignments, heartbeat ages, throughput, ETA);
-* :mod:`~repro.obs.analysis` — per-worker busy/idle timelines, the
-  paper-style utilization/Gantt report, straggler z-scores, and the
-  sequence-vs-frame-division load-balance contrast;
+* :mod:`~repro.obs.analysis` — the paper-style utilization/Gantt report
+  text, the sequence-vs-frame-division load-balance contrast, and the
+  black-box stitch;
+* :mod:`~repro.obs.flight` — the per-process flight recorder (black box);
+* :mod:`~repro.obs.metrics` — the online EWMA straggler detector;
 * :mod:`~repro.obs.chrometrace` — Chrome trace-event JSON export, one
   track per worker lane, loadable in Perfetto / ``chrome://tracing``;
 * :mod:`~repro.obs.live` — a read-only JSON status endpoint over
   stdlib ``http.server`` plus the ``repro top`` terminal view.
 
-Everything consumes the pinned event schema (v8), so the same tooling
-works on a real TCP farm run, a process-pool run, and a virtual-clock
-simulator replay.
+The numbers themselves — live state, percentiles, the report, utilization
+— are views of the one :class:`repro.telemetry.RunFold`.  Everything
+consumes the pinned event schema (v8), so the same tooling works on a real
+TCP farm run, a process-pool run, and a virtual-clock simulator replay.
 """
 
+from ..telemetry.fold import EXPOSITION_CONTENT_TYPE, prometheus_name
 from .analysis import (
     UtilizationReport,
     WorkerTimeline,
@@ -36,14 +37,8 @@ from .analysis import (
 )
 from .chrometrace import chrome_trace, write_chrome_trace
 from .flight import FlightRecorder, blackbox_filename, open_span_records, read_blackbox
-from .ledger import RunLedger
 from .live import StatusServer, fetch_status, render_jobs, render_status
-from .metrics import (
-    EXPOSITION_CONTENT_TYPE,
-    MetricsPlane,
-    StragglerDetector,
-    prometheus_name,
-)
+from .metrics import StragglerDetector
 from .trace import (
     FLIGHT_PREFIX,
     TraceContext,
@@ -57,8 +52,6 @@ __all__ = [
     "EXPOSITION_CONTENT_TYPE",
     "FLIGHT_PREFIX",
     "FlightRecorder",
-    "MetricsPlane",
-    "RunLedger",
     "StatusServer",
     "StragglerDetector",
     "TraceContext",

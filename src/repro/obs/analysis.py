@@ -3,24 +3,25 @@
 The paper's load-balance story (Table 1, Figs. 4-5) is a claim about
 idle lanes: static sequence division strands fast workers while the
 slowest finishes its range, frame/demand-driven division keeps every
-lane busy until the tail.  These functions reproduce that analysis from
-the telemetry event stream alone — the same records whether the run was
-a real TCP farm, a local process pool, or a virtual-clock simulation.
+lane busy until the tail.  The numbers are :class:`~repro.telemetry.RunFold`
+views (the same records whether the run was a real TCP farm, a local
+process pool, or a virtual-clock simulation); this module is their
+offline spelling and their text:
 
-* :func:`worker_timelines` — per-worker busy segments from ``task``
-  spans, plus comms/overhead inferred from the enclosing ``obs.flight``
-  spans when the run was traced end-to-end.
-* :func:`utilization_report` — busy/idle/utilization per worker over the
-  run window, straggler z-score flags, recompute fraction, ray totals.
+* :func:`worker_timelines` / :func:`utilization_report` —
+  ``RunFold.of(events)``'s ``timelines()`` / ``utilization()``.
 * :func:`format_utilization` — the human-readable report with one Gantt
   lane per worker.
 * :func:`compare_division` — the sequence-vs-frame(-or-demand) division
   contrast: aggregate idle %, lane balance, and which scheme won.
+* :func:`stitch_blackbox` — a stream *transform* (dump + stream -> merged
+  stream), applied before any fold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ..telemetry import RunFold
+from ..telemetry.report import UtilizationReport, WorkerTimeline
 
 __all__ = [
     "WorkerTimeline",
@@ -83,174 +84,14 @@ def stitch_blackbox(events, dump_records, t_offset: float = 0.0):
     return merged, n_added
 
 
-@dataclass
-class WorkerTimeline:
-    """One worker lane: busy intervals on the run's time axis."""
-
-    worker: str
-    segments: list = field(default_factory=list)  # (t0, t1) busy intervals
-    n_tasks: int = 0
-    rays: int = 0
-    flight_time: float = 0.0  # enclosing flight-span seconds (dispatch->accept)
-
-    @property
-    def busy(self) -> float:
-        return sum(t1 - t0 for t0, t1 in self.segments)
-
-    @property
-    def finish(self) -> float:
-        return max((t1 for _t0, t1 in self.segments), default=0.0)
-
-    @property
-    def start(self) -> float:
-        return min((t0 for t0, _t1 in self.segments), default=0.0)
-
-    @property
-    def comms(self) -> float:
-        """Dispatch/result overhead: flight time not spent rendering.
-        Zero when the run wasn't traced with flight spans."""
-        return max(0.0, self.flight_time - self.busy)
-
-
 def worker_timelines(events) -> dict[str, WorkerTimeline]:
-    """Fold ``task`` + ``obs.flight`` spans into per-worker timelines."""
-    lanes: dict[str, WorkerTimeline] = {}
-
-    def lane(name) -> WorkerTimeline:
-        key = str(name)
-        if key not in lanes:
-            lanes[key] = WorkerTimeline(worker=key)
-        return lanes[key]
-
-    for rec in events:
-        if rec.get("type") != "span":
-            continue
-        attrs = rec.get("attrs") or {}
-        name = rec.get("name")
-        if name == "task":
-            tl = lane(attrs.get("worker", "?"))
-            t0 = float(rec.get("t", 0.0))
-            tl.segments.append((t0, t0 + float(rec.get("dur", 0.0))))
-            tl.n_tasks += 1
-            tl.rays += int(attrs.get("rays", 0))
-        elif name == "obs.flight" and attrs.get("outcome") == "ok":
-            lane(attrs.get("worker", "?")).flight_time += float(rec.get("dur", 0.0))
-    return lanes
-
-
-@dataclass
-class UtilizationReport:
-    """The load-balance analysis of one run, derived from events alone."""
-
-    engine: str = ""
-    mode: str = ""
-    workload: str = ""
-    n_frames: int = 0
-    n_workers: int = 0
-    t0: float = 0.0
-    t1: float = 0.0
-    workers: list = field(default_factory=list)  # per-worker row dicts
-    recompute_frac: float | None = None
-    rays_total: int = 0
-    n_lost: int = 0
-    straggler_z: float = 2.0
-
-    @property
-    def wall(self) -> float:
-        return max(0.0, self.t1 - self.t0)
-
-    @property
-    def idle_frac(self) -> float:
-        """Aggregate idle fraction: 1 - sum(busy) / (n_lanes * wall) —
-        the paper's "processors standing idle" number."""
-        if not self.workers or self.wall <= 0:
-            return 0.0
-        busy = sum(w["busy"] for w in self.workers)
-        return max(0.0, 1.0 - busy / (len(self.workers) * self.wall))
-
-    @property
-    def balance(self) -> float:
-        """min(busy)/max(busy) across lanes: 1.0 = perfectly balanced."""
-        if not self.workers:
-            return 1.0
-        top = max(w["busy"] for w in self.workers)
-        return (min(w["busy"] for w in self.workers) / top) if top > 0 else 1.0
-
-    @property
-    def stragglers(self) -> list[str]:
-        return [w["worker"] for w in self.workers if w["straggler"]]
-
-
-def _mean_std(values) -> tuple[float, float]:
-    vals = list(values)
-    n = len(vals)
-    if n == 0:
-        return 0.0, 0.0
-    mean = sum(vals) / n
-    var = sum((v - mean) ** 2 for v in vals) / n
-    return mean, var**0.5
+    """Per-worker timelines (``task`` + ``obs.flight`` spans) of an event list."""
+    return RunFold.of(events).timelines()
 
 
 def utilization_report(events, straggler_z: float = 2.0) -> UtilizationReport:
-    """Fold an event stream into a :class:`UtilizationReport`.
-
-    The run window is ``run.start`` -> ``run.end`` when present, else the
-    span hull.  A lane's straggler flag is set when its *finish time*
-    sits more than ``straggler_z`` standard deviations past the mean lane
-    finish — the worker everyone else waited for.
-    """
-    rep = UtilizationReport(straggler_z=straggler_z)
-    lanes = worker_timelines(events)
-    t0 = t1 = None
-    computed = copied = 0
-    for rec in events:
-        name, attrs = rec.get("name"), rec.get("attrs") or {}
-        if name == "run.start":
-            t0 = float(rec.get("t", 0.0))
-            rep.engine = str(attrs.get("engine", ""))
-            rep.mode = str(attrs.get("mode", ""))
-            rep.workload = str(attrs.get("workload", ""))
-            rep.n_frames = int(attrs.get("n_frames", 0))
-            rep.n_workers = int(attrs.get("n_workers", 0))
-        elif name == "run.end":
-            t1 = float(rec.get("t", 0.0))
-            rep.rays_total = int(attrs.get("rays_total", 0))
-        elif name == "frame":
-            computed += int(attrs.get("n_computed", 0))
-            copied += int(attrs.get("n_copied", 0))
-        elif name == "net.worker.lost":
-            rep.n_lost += 1
-    if t0 is None:
-        t0 = min((tl.start for tl in lanes.values()), default=0.0)
-    if t1 is None:
-        t1 = max((tl.finish for tl in lanes.values()), default=t0)
-    rep.t0, rep.t1 = t0, max(t0, t1)
-    if computed + copied > 0:
-        rep.recompute_frac = computed / (computed + copied)
-    if not rep.n_workers:
-        rep.n_workers = len(lanes)
-
-    wall = rep.wall
-    finish_mean, finish_std = _mean_std(tl.finish for tl in lanes.values())
-    for name in sorted(lanes):
-        tl = lanes[name]
-        z = ((tl.finish - finish_mean) / finish_std) if finish_std > 1e-12 else 0.0
-        rep.workers.append(
-            {
-                "worker": tl.worker,
-                "busy": tl.busy,
-                "idle": max(0.0, wall - tl.busy),
-                "util": (tl.busy / wall) if wall > 0 else 0.0,
-                "n_tasks": tl.n_tasks,
-                "rays": tl.rays,
-                "comms": tl.comms,
-                "finish": tl.finish,
-                "z": z,
-                "straggler": z >= straggler_z,
-                "segments": list(tl.segments),
-            }
-        )
-    return rep
+    """The :class:`UtilizationReport` of an event list."""
+    return RunFold.of(events).utilization(straggler_z)
 
 
 def _gantt_lane(segments, t0: float, wall: float, width: int = 60) -> str:

@@ -2,8 +2,8 @@
 
 :class:`StatusServer` wraps stdlib ``http.server`` in a daemon thread and
 serves ``GET /status`` (also ``/``) as a read-only JSON snapshot of a
-:class:`~repro.obs.ledger.RunLedger`.  It binds before the run starts and
-answers throughout, fed by the cached ledger snapshot — a slow or absent
+:class:`~repro.telemetry.RunFold`.  It binds before the run starts and
+answers throughout, fed by the fold's cached snapshot — a slow or absent
 poller never touches the master's event loop.
 
 :func:`fetch_status` / :func:`render_status` are the client half:
@@ -28,7 +28,7 @@ class StatusServer:
     """Read-only JSON status endpoint over a ledger (daemon thread).
 
     ``ledger`` is anything with a ``snapshot() -> dict`` (a
-    :class:`~repro.obs.ledger.RunLedger`, or the render service itself);
+    :class:`~repro.telemetry.RunFold`, or the render service itself);
     it backs ``/`` and ``/status``.  Extra ``routes`` map a path to
     another zero-arg snapshot callable — the render service mounts its
     job table at ``/jobs`` this way.  A route whose callable sets

@@ -1,59 +1,17 @@
-"""The metrics plane: streaming percentiles, health, and /metrics text.
+"""Online straggler detection over the farm's task latencies.
 
-:class:`MetricsPlane` is a telemetry *sink*: attach it to the master's
-session and it folds the record stream into mergeable
-:class:`~repro.telemetry.hist.LogHistogram` sketches —
-
-* ``task`` latency from worker-side ``task`` spans (absorbed into the
-  master stream at RESULT time),
-* per-attempt wall time from ``task.attempt`` events,
-* wire round trips from ``net.pong`` (``rtt``) and ``net.result``
-  (``duration``),
-* tile payload sizes from ``dfb.tile``,
-* plus any flushed ``histogram`` record carrying a digest: a worker's
-  own sketch folds in associatively, which is the point of the
-  log-bucketed representation.
-
-The same stream drives an online EWMA straggler detector: each worker's
-task-latency EWMA is compared against the farm-wide EWMA; a worker whose
-ratio exceeds ``ratio`` (with ``min_samples`` observations on both sides)
-is declared a straggler via a ``health.straggler`` event, and recovers —
-with hysteresis, at ``recover_ratio`` — via ``health.recovered``.  The
-ledger folds those into the per-worker health column ``repro top`` shows.
-
-:meth:`MetricsPlane.exposition` renders everything as Prometheus text
-exposition (version 0.0.4) for the ``/metrics`` route on
-:class:`repro.obs.live.StatusServer`.
+Each worker's task-latency EWMA is compared against the farm-wide EWMA; a
+worker whose ratio exceeds ``ratio`` (with ``min_samples`` observations on
+both sides) is declared a straggler via a ``health.straggler`` event, and
+recovers — with hysteresis, at ``recover_ratio`` — via
+``health.recovered``.  A live :class:`~repro.telemetry.RunFold` feeds the
+detector every ``task`` span and keeps the resulting per-worker health
+column ``repro top`` and ``/metrics`` show.
 """
 
 from __future__ import annotations
 
-import re
-import threading
-
-from ..telemetry import LogHistogram
-
-__all__ = [
-    "MetricsPlane",
-    "StragglerDetector",
-    "EXPOSITION_CONTENT_TYPE",
-    "prometheus_name",
-]
-
-EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4"
-
-#: Numeric health states for the gauge (and the order of severity).
-HEALTH_STATES = {"ok": 0, "straggler": 1, "lost": 2}
-
-_NAME_RX = re.compile(r"[^a-zA-Z0-9_]")
-
-
-def prometheus_name(name: str) -> str:
-    """``task.duration`` -> ``repro_task_duration`` (exposition-safe)."""
-    clean = _NAME_RX.sub("_", str(name)).strip("_")
-    if not clean or not (clean[0].isalpha() or clean[0] == "_"):
-        clean = f"m_{clean}"
-    return f"repro_{clean}"
+__all__ = ["StragglerDetector"]
 
 
 class StragglerDetector:
@@ -130,175 +88,3 @@ class StragglerDetector:
     @property
     def stragglers(self) -> set[str]:
         return set(self._flagged)
-
-
-class MetricsPlane:
-    """Sink that folds a telemetry stream into sketches + health state.
-
-    Thread-safe: the master's selector thread, absorbed worker buffers,
-    and the StatusServer's request threads all touch it.
-
-    Parameters
-    ----------
-    telemetry:
-        Session the detector emits ``health.*`` events into.  Bind it
-        *after* construction with :meth:`bind` when the plane is itself
-        one of that session's sinks (the usual arrangement).
-    detector:
-        Override the default :class:`StragglerDetector` (``None`` keeps
-        the defaults; pass ``False`` to disable detection).
-    """
-
-    #: record name/attr -> histogram name routed into the plane.
-    _LATENCY_ROUTES = {
-        "net.result": ("duration", "net.result.duration"),
-        "net.pong": ("rtt", "net.rtt"),
-        "task.attempt": ("duration", "task.attempt.duration"),
-        "dfb.tile": ("nbytes", "dfb.tile.nbytes"),
-    }
-
-    #: Series built live from raw records; flushed digests with these
-    #: names describe observations the plane has already folded.
-    _OWNED = frozenset(
-        {"task.duration", "net.result.duration", "net.rtt",
-         "task.attempt.duration", "dfb.tile.nbytes"}
-    )
-
-    def __init__(self, telemetry=None, detector=None, rel_err: float = 0.01):
-        self.rel_err = float(rel_err)
-        self._tel = telemetry
-        self.detector = StragglerDetector() if detector is None else (detector or None)
-        self._lock = threading.Lock()
-        self._hists: dict[str, LogHistogram] = {}
-        self._health: dict[str, str] = {}
-        self._counters: dict[str, float] = {}
-        self._n_records = 0
-
-    def bind(self, telemetry) -> "MetricsPlane":
-        """Set the session ``health.*`` events are emitted into."""
-        self._tel = telemetry
-        return self
-
-    # -- sink protocol ---------------------------------------------------------
-    def emit(self, record: dict) -> None:
-        rtype = record.get("type")
-        name = record.get("name")
-        attrs = record.get("attrs") or {}
-        with self._lock:
-            self._n_records += 1
-        if rtype == "span" and name == "task":
-            dur = float(record.get("dur", 0.0))
-            worker = str(attrs.get("worker", "?"))
-            with self._lock:
-                self._hist("task.duration").add(dur)
-                self._health.setdefault(worker, "ok")
-            det = self.detector
-            if det is not None:
-                flip = det.observe(worker, dur, telemetry=self._tel)
-                if flip is not None:
-                    with self._lock:
-                        self._health[worker] = (
-                            "straggler" if flip == "straggler" else "ok"
-                        )
-        elif rtype == "event":
-            route = self._LATENCY_ROUTES.get(name)
-            if route is not None and route[0] in attrs:
-                with self._lock:
-                    self._hist(route[1]).add(float(attrs[route[0]]))
-            elif name == "net.worker.join":
-                with self._lock:
-                    self._health[str(attrs.get("worker", "?"))] = "ok"
-            elif name == "net.worker.lost":
-                with self._lock:
-                    self._health[str(attrs.get("worker", "?"))] = "lost"
-            elif name == "health.straggler":
-                with self._lock:
-                    self._health[str(attrs.get("worker", "?"))] = "straggler"
-            elif name == "health.recovered":
-                with self._lock:
-                    w = str(attrs.get("worker", "?"))
-                    if self._health.get(w) == "straggler":
-                        self._health[w] = "ok"
-        elif rtype == "histogram":
-            # Fold a flushed worker-side digest — but not for series the
-            # plane already builds live from the raw records (the master's
-            # own end-of-run flush would double-count those).
-            digest = attrs.get("digest")
-            if name in self._OWNED:
-                return
-            if isinstance(digest, dict):
-                try:
-                    folded = LogHistogram.from_dict(digest)
-                except (TypeError, ValueError, KeyError):
-                    return
-                with self._lock:
-                    base = self._hists.get(name)
-                    if base is None:
-                        self._hists[name] = folded
-                    elif abs(base.gamma - folded.gamma) <= 1e-12:
-                        base.merge(folded)
-                    # else: incompatible rel_err — keep ours, drop theirs
-        elif rtype == "counter":
-            with self._lock:
-                self._counters[name] = self._counters.get(name, 0.0) + float(
-                    record.get("value", 0.0)
-                )
-
-    def _hist(self, name: str) -> LogHistogram:
-        h = self._hists.get(name)
-        if h is None:
-            h = self._hists[name] = LogHistogram(rel_err=self.rel_err)
-        return h
-
-    # -- reading ---------------------------------------------------------------
-    def health(self) -> dict[str, str]:
-        with self._lock:
-            return dict(self._health)
-
-    def histograms(self) -> dict[str, LogHistogram]:
-        with self._lock:
-            return dict(self._hists)
-
-    def exposition(self) -> tuple[bytes, str]:
-        """Prometheus text exposition of everything the plane holds;
-        returns ``(body, content_type)`` — the raw-reply shape
-        :class:`~repro.obs.live.StatusServer` routes serve directly."""
-        with self._lock:
-            hists = {k: (v.count, v.total, v.quantile(0.5), v.quantile(0.95),
-                         v.quantile(0.99)) for k, v in self._hists.items()}
-            health = dict(self._health)
-            counters = dict(self._counters)
-            n_records = self._n_records
-        lines: list[str] = []
-        for name in sorted(hists):
-            count, total, p50, p95, p99 = hists[name]
-            mname = prometheus_name(name)
-            lines.append(f"# HELP {mname} Streaming quantiles of {name} (log-bucketed).")
-            lines.append(f"# TYPE {mname} summary")
-            lines.append(f'{mname}{{quantile="0.5"}} {p50:.9g}')
-            lines.append(f'{mname}{{quantile="0.95"}} {p95:.9g}')
-            lines.append(f'{mname}{{quantile="0.99"}} {p99:.9g}')
-            lines.append(f"{mname}_sum {total:.9g}")
-            lines.append(f"{mname}_count {count}")
-        if health:
-            mname = "repro_worker_health"
-            lines.append(
-                f"# HELP {mname} Worker health state (0=ok, 1=straggler, 2=lost)."
-            )
-            lines.append(f"# TYPE {mname} gauge")
-            for worker in sorted(health):
-                state = HEALTH_STATES.get(health[worker], 0)
-                lines.append(f'{mname}{{worker="{worker}"}} {state}')
-        for name in sorted(counters):
-            mname = prometheus_name(name) + "_total"
-            lines.append(f"# HELP {mname} Accumulated counter {name}.")
-            lines.append(f"# TYPE {mname} counter")
-            lines.append(f"{mname} {counters[name]:.9g}")
-        lines.append("# HELP repro_telemetry_records_total Records folded into the plane.")
-        lines.append("# TYPE repro_telemetry_records_total counter")
-        lines.append(f"repro_telemetry_records_total {n_records}")
-        return ("\n".join(lines) + "\n").encode("utf-8"), EXPOSITION_CONTENT_TYPE
-
-    #: Route callable for ``StatusServer(routes={"/metrics": plane.route})``.
-    def route(self):
-        return self.exposition()

@@ -27,6 +27,7 @@ from .coherence import CoherentRenderer, FrameReport, ShadowCoherentRenderer
 from .render import RayStats
 from .scene import Animation, split_coherent_sequences
 from .telemetry import NULL as NULL_TELEMETRY
+from .telemetry import RunFold
 
 __all__ = ["AnimationRender"]
 
@@ -97,6 +98,9 @@ def _render_animation(
     mode = "shadow-coherent" if shadow_coherence else "coherent"
 
     t_run0 = time.perf_counter()
+    fold = RunFold()  # the run's own accounting, read back for worker / run.end
+    if tel.enabled:
+        tel.sinks.append(fold)
     tel.event(
         "run.start",
         engine="animation",
@@ -108,73 +112,72 @@ def _render_animation(
         mode=mode,
     )
 
-    for start, stop in sequences:
-        cam = animation.camera_at(start)
-        if (cam.width, cam.height) != (cam0.width, cam0.height):
-            raise ValueError("all shots must share one resolution")
-        tel.event("sequence", first_frame=int(start), last_frame=int(stop))
-        if shadow_coherence:
-            renderer = ShadowCoherentRenderer(
-                animation,
-                grid_resolution=grid_resolution,
-                chunk_size=chunk_size,
-                first_frame=start,
-                last_frame=stop,
-                telemetry=tel,
-            )
-        else:
-            renderer = CoherentRenderer(
-                animation,
-                grid_resolution=grid_resolution,
-                samples_per_axis=samples_per_axis,
-                chunk_size=chunk_size,
-                first_frame=start,
-                last_frame=stop,
-                telemetry=tel,
-            )
-        with tel.span(
-            "task",
-            worker="local",
-            mode=mode,
-            frame0=int(start),
-            frame1=int(stop),
-            region=int(cam0.n_pixels),
-            rays=0,
-            n_computed=0,
-            attempt=0,
-        ) as sp:
-            seq_reports: list[FrameReport] = []
-            for f in range(start, stop):
-                report = renderer.render_next()
-                image = renderer.frame_image()
-                frames[f] = image
-                reports.append(report)
-                seq_reports.append(report)
-                if on_frame is not None:
-                    on_frame(f, report, image)
-            seq_stats = RayStats.merge(r.stats for r in seq_reports)
-            sp.attrs["rays"] = seq_stats.total
-            sp.attrs["n_computed"] = sum(r.n_computed for r in seq_reports)
-        per_seq.append(seq_stats)
-        if shadow_coherence:
-            shadow_saved += renderer.total_shadow_rays_saved
+    try:
+        for start, stop in sequences:
+            cam = animation.camera_at(start)
+            if (cam.width, cam.height) != (cam0.width, cam0.height):
+                raise ValueError("all shots must share one resolution")
+            tel.event("sequence", first_frame=int(start), last_frame=int(stop))
+            if shadow_coherence:
+                renderer = ShadowCoherentRenderer(
+                    animation,
+                    grid_resolution=grid_resolution,
+                    chunk_size=chunk_size,
+                    first_frame=start,
+                    last_frame=stop,
+                    telemetry=tel,
+                )
+            else:
+                renderer = CoherentRenderer(
+                    animation,
+                    grid_resolution=grid_resolution,
+                    samples_per_axis=samples_per_axis,
+                    chunk_size=chunk_size,
+                    first_frame=start,
+                    last_frame=stop,
+                    telemetry=tel,
+                )
+            with tel.span(
+                "task",
+                worker="local",
+                mode=mode,
+                frame0=int(start),
+                frame1=int(stop),
+                region=int(cam0.n_pixels),
+                rays=0,
+                n_computed=0,
+                attempt=0,
+            ) as sp:
+                seq_reports: list[FrameReport] = []
+                for f in range(start, stop):
+                    report = renderer.render_next()
+                    image = renderer.frame_image()
+                    frames[f] = image
+                    reports.append(report)
+                    seq_reports.append(report)
+                    if on_frame is not None:
+                        on_frame(f, report, image)
+                seq_stats = RayStats.merge(r.stats for r in seq_reports)
+                sp.attrs["rays"] = seq_stats.total
+                sp.attrs["n_computed"] = sum(r.n_computed for r in seq_reports)
+            per_seq.append(seq_stats)
+            if shadow_coherence:
+                shadow_saved += renderer.total_shadow_rays_saved
+    finally:
+        if tel.enabled:
+            tel.sinks.remove(fold)
 
     stats = RayStats.merge(per_seq)
     wall = time.perf_counter() - t_run0
     if tel.enabled:
-        busy = sum(r.wall_time for r in reports)
-        tel.event(
-            "worker",
-            worker="local",
-            busy=busy,
-            n_tasks=len(sequences),
-            utilization=(busy / wall) if wall > 0 else 0.0,
-        )
+        for row in fold.worker_rows(wall):
+            tel.event("worker", **row)
+        computed, copied = fold.pixel_totals()
         tel.event(
             "run.end",
             wall_time=wall,
-            computed_pixels=sum(r.n_computed for r in reports),
-            copied_pixels=sum(r.n_copied for r in reports),
+            computed_pixels=computed,
+            copied_pixels=copied,
             n_tasks=len(sequences),
             n_workers=1,
             rays_camera=stats.camera,

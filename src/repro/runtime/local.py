@@ -64,7 +64,7 @@ from ..buffers import (
     release_refs,
     worker_store,
 )
-from ..telemetry import Telemetry
+from ..telemetry import RunFold, Telemetry
 from ..telemetry.profiling import profile_into
 from .faults import FaultPlan
 from .spec import AnimationSpec
@@ -151,6 +151,15 @@ def _finish_worker_events(tel: Telemetry, sink) -> str:
         return ""
     tel.close()
     return tel.serialize_events(sink.events)
+
+
+def _task_events(result) -> list:
+    """The worker event buffer a result tuple carries, decoded (``[]``
+    when the task ran untraced)."""
+    try:
+        return json.loads(result[-1]) if result[-1] else []
+    except (TypeError, ValueError):
+        return []
 
 
 # Renderer-continuation cache for the adaptive schedule: an adaptive
@@ -693,15 +702,15 @@ class LocalRenderFarm:
         return loaded
 
     def _spooler(self, run_path: Path, units: list, assembler):
-        """The transports' ``on_result(assignment, result)`` hook that
-        spools each accepted unit under its index in ``units``."""
+        """``spool(assignment, result)``: save an accepted unit under its
+        index in ``units``."""
         tel = self.telemetry
         # A TCP unit whose first worker died comes home as the remainder
         # partial salvage left, so key on what narrowing keeps: the region
         # and the end frame.
         index_of = {(ri, f1): i for i, (ri, _f0, f1) in enumerate(units)}
 
-        def on_result(a, result) -> None:
+        def spool(a, result) -> None:
             idx = index_of[(a.region_index, a.frame1)]
             ri, f0, f1 = units[idx]
             box, _f0, _f1, frames, counts, events = result
@@ -712,6 +721,25 @@ class LocalRenderFarm:
                 frames = assembler.segment(box, f0, f1)
             _save_task_result(_spool_path(run_path, idx), (ri, f0, f1, frames, counts, events))
             tel.event("checkpoint", task=idx, action="saved")
+
+        return spool
+
+    def _acceptor(self, fold: RunFold, spool):
+        """The transports' ``on_result(assignment, result)`` hook: the
+        accepted unit's worker event buffer joins the run's accounting
+        ``fold`` — and, on the pool, the live stream; the TCP master has
+        already absorbed it, clock-corrected — then the unit is spooled."""
+        tel = self.telemetry
+        absorb = self.transport != "tcp"
+
+        def on_result(a, result) -> None:
+            events = _task_events(result)
+            if absorb:
+                tel.absorb(events)
+            for rec in events:
+                fold.emit(rec)
+            if spool is not None:
+                spool(a, result)
 
         return on_result
 
@@ -878,16 +906,23 @@ class LocalRenderFarm:
         )
 
         # Units a previous run already spooled join this run's results
-        # and never reach the policy.
+        # and never reach the policy.  Their pixels count toward the run's
+        # totals, but their spans are not re-emitted — those belong to
+        # another run's trace and another process's clock.
         results: list = []
-        on_result = None
+        fold = RunFold()
+        spool = None
         if run_dir is not None:
             loaded = self._load_spool(Path(run_dir), units, box_of, validate)
-            for idx in loaded:
+            for idx, res in loaded.items():
                 tel.event("checkpoint", task=idx, action="loaded")
+                for rec in _task_events(res):
+                    if rec.get("name") == "frame":
+                        fold.emit(rec)
             results = list(loaded.values())
-            on_result = self._spooler(Path(run_dir), units, assembler)
+            spool = self._spooler(Path(run_dir), units, assembler)
             units = [u for idx, u in enumerate(units) if idx not in loaded]
+        on_result = self._acceptor(fold, spool) if tel.enabled or spool else None
         n_loaded = len(results)
         if assembler is not None and results:
             for i, (box, f0, f1, seg_frames, counts, events) in enumerate(results):
@@ -943,13 +978,7 @@ class LocalRenderFarm:
         stats = RayStats.merge(res[-2] for res in results)
 
         if tel.enabled:
-            # The TCP master already absorbed worker event buffers live
-            # (with clock-offset correction); re-emitting them here would
-            # duplicate every span in the stream.
-            self._emit_run_telemetry(
-                results, n_loaded, sup, stats, n_tasks,
-                absorb_events=self.transport != "tcp",
-            )
+            self._emit_run_telemetry(fold, sup, stats, n_tasks)
         self._end_trace(t_run0)
         return FarmResult(
             frames=frames,
@@ -967,45 +996,11 @@ class LocalRenderFarm:
             streamed=assembler is not None,
         )
 
-    def _emit_run_telemetry(
-        self, results, n_loaded: int, sup, stats: RayStats, n_tasks: int,
-        absorb_events: bool,
-    ) -> None:
-        """Absorb worker event buffers and emit the run-level events
-        (task.attempt / recovery timeline, per-worker utilization,
-        run.end totals) into the farm's telemetry session.
-
-        The first ``n_loaded`` results came from a checkpoint spool: their
-        buffers count toward the pixel totals but are not re-emitted —
-        those spans belong to another run's trace and another process's
-        clock.  ``absorb_events=False`` likewise only folds this run's
-        buffers — the TCP transport absorbs each at result time
-        (clock-corrected), so only the process/thread paths absorb here."""
+    def _emit_run_telemetry(self, fold: RunFold, sup, stats: RayStats, n_tasks: int) -> None:
+        """Emit the run-level events (task.attempt / recovery timeline,
+        per-worker utilization, run.end totals) into the farm's telemetry
+        session; ``fold`` holds the accepted units' worker events."""
         tel = self.telemetry
-        worker_busy: dict[str, list] = {}  # worker -> [busy_seconds, n_tasks]
-        computed = copied = 0
-        for i, res in enumerate(results):
-            payload = res[-1]
-            if not payload:
-                continue
-            try:
-                events = json.loads(payload)
-            except (TypeError, ValueError):
-                continue
-            ours = i >= n_loaded
-            if ours and absorb_events:
-                tel.absorb(events)
-            for rec in events:
-                name, attrs = rec.get("name"), rec.get("attrs") or {}
-                if ours and rec.get("type") == "span" and name == "task":
-                    w = str(attrs.get("worker", "?"))
-                    busy = worker_busy.setdefault(w, [0.0, 0])
-                    busy[0] += float(rec.get("dur", 0.0))
-                    busy[1] += 1
-                elif rec.get("type") == "event" and name == "frame":
-                    computed += int(attrs.get("n_computed", 0))
-                    copied += int(attrs.get("n_copied", 0))
-
         for a in sup.attempts:
             tel.event(
                 "task.attempt",
@@ -1030,17 +1025,11 @@ class LocalRenderFarm:
                 )
 
         wall = sup.wall_time
-        for w in sorted(worker_busy):
-            busy, n = worker_busy[w]
-            tel.event(
-                "worker",
-                worker=w,
-                busy=busy,
-                n_tasks=n,
-                utilization=(busy / wall) if wall > 0 else 0.0,
-            )
+        for row in fold.worker_rows(wall):
+            tel.event("worker", **row)
         if self.profile_dir:
             tel.event("profile", path=self.profile_dir)
+        computed, copied = fold.pixel_totals()
         tel.event(
             "run.end",
             wall_time=wall,

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from ..net import protocol as wire
-from ..telemetry import InMemorySink, JsonlSink, Telemetry
+from ..telemetry import JsonlSink, RunFold, Telemetry
 from .ledger import TERMINAL_STATES, Job, JobLedger, fold_jobs, replay_records
 from .queue import JobQueue
 
@@ -175,20 +175,17 @@ class RenderService:
                         self.n_recovered += 1
         self.ledger = JobLedger(ledger_path)
 
-        self._mem = InMemorySink()
-        self.telemetry = Telemetry(
-            sinks=[self._mem, JsonlSink(self.state_dir / "service.events.jsonl")]
-        )
+        self.telemetry = Telemetry(sinks=[JsonlSink(self.state_dir / "service.events.jsonl")])
         # The service's own black box: records everything this process
         # emits (including in-process farm masters run for jobs) and
         # dumps into the state dir on SIGTERM or an unhandled exception.
         from ..obs.flight import FlightRecorder
-        from ..obs.metrics import MetricsPlane
+        from ..obs.metrics import StragglerDetector
 
         self.recorder = FlightRecorder("service", self.state_dir)
         # Streaming percentiles over everything the service's jobs emit,
         # served as Prometheus text at /metrics on the status endpoint.
-        self.metrics = MetricsPlane().bind(self.telemetry)
+        self.metrics = RunFold(detector=StragglerDetector()).bind(self.telemetry)
         self.telemetry.sinks.append(self.metrics)
         if resume and self.n_recovered:
             self._log(

@@ -11,9 +11,12 @@ contract every layer reports through:
   human-readable stream summary;
 * :mod:`~repro.telemetry.schema` — the versioned event schema both the
   real farm and the simulators must emit, plus a validator;
-* :mod:`~repro.telemetry.report` — renders an event log into a
-  Table-1-style report (rays by kind, computed vs copied pixels,
-  per-worker utilization);
+* :mod:`~repro.telemetry.fold` — :class:`RunFold`, the one incremental
+  fold of that stream; live status, ``/metrics``, the Table-1 report and
+  the utilization analysis are views of its state;
+* :mod:`~repro.telemetry.report` — the report dataclasses those views
+  return and the Table-1-style text (rays by kind, computed vs copied
+  pixels, per-worker utilization);
 * :mod:`~repro.telemetry.bench_io` — the ``BENCH_*.json`` emitter the CI
   smoke job and the benchmark harness write results through;
 * :mod:`~repro.telemetry.profiling` — opt-in cProfile hooks with merged
@@ -31,9 +34,10 @@ from .bench_io import (
     write_bench_json,
 )
 from .core import NULL, Telemetry, VirtualClock, live_sessions, set_flight_tap
+from .fold import RunFold, report_from_events
 from .hist import DEFAULT_REL_ERR, LogHistogram
 from .profiling import merge_profiles, profile_into, profile_summary
-from .report import TelemetryReport, format_report, read_events, report_from_events
+from .report import TelemetryReport, format_report, read_events
 from .schema import (
     CORE_EVENTS,
     EVENT_SCHEMA,
@@ -53,6 +57,7 @@ __all__ = [
     "LogHistogram",
     "NULL",
     "REQUIRED_BENCH_METRICS",
+    "RunFold",
     "SCHEMA_VERSION",
     "SchemaError",
     "StreamSink",

@@ -8,7 +8,7 @@ edges grow geometrically (``gamma = (1 + rel_err) / (1 - rel_err)``), so
 any quantile read back from the buckets is within ``rel_err`` *relative*
 error of the true order statistic, and two sketches merge by adding
 bucket counts — an associative, commutative fold, which is what lets
-worker-side digests ride a RESULT frame and fold into the master's plane.
+worker-side digests ride a RESULT frame and fold into the master's sketches.
 
 Small samples stay exact: every observation is also kept verbatim until
 ``exact_cap`` is reached, so a four-value histogram reports the same
@@ -125,7 +125,7 @@ class LogHistogram:
     def summary(self) -> dict:
         """Flush-record attrs: the legacy summary keys plus p99 and the
         mergeable digest (so a worker's flushed histogram record can fold
-        into a downstream :class:`repro.obs.metrics.MetricsPlane`)."""
+        into a downstream :class:`~repro.telemetry.RunFold`)."""
         return {
             "min": self.vmin if self.count else 0.0,
             "max": self.vmax if self.count else 0.0,

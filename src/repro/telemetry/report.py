@@ -1,10 +1,11 @@
-"""Render a telemetry event log into a Table-1-style report.
+"""Report types and the Table-1-style text rendering of a run.
 
 The paper's Table 1 is the template: total rays (by kind), how much work
 frame coherence avoided (computed vs copied pixels), and how well the
-machines were used (per-worker utilization).  This module reconstructs all
-of it from the JSONL event log *alone* — no live objects — so a finished
-(or crashed) run directory is fully analyzable after the fact:
+machines were used (per-worker utilization).  :class:`TelemetryReport`
+and :class:`UtilizationReport` are what :class:`~repro.telemetry.RunFold`'s
+``report()`` / ``utilization()`` views return — from a live run or from a
+finished (or crashed) run directory's JSONL log alike:
 
 ``python -m repro telemetry <run_dir>``
 """
@@ -15,9 +16,13 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .schema import RAY_KEYS
-
-__all__ = ["TelemetryReport", "read_events", "report_from_events", "format_report"]
+__all__ = [
+    "TelemetryReport",
+    "UtilizationReport",
+    "WorkerTimeline",
+    "read_events",
+    "format_report",
+]
 
 
 def read_events(path: str | Path) -> list[dict]:
@@ -65,78 +70,79 @@ class TelemetryReport:
         return self.computed_pixels / total if total else 0.0
 
 
+@dataclass
+class WorkerTimeline:
+    """One worker lane: busy intervals on the run's time axis."""
+
+    worker: str
+    segments: list = field(default_factory=list)  # (t0, t1) busy intervals
+    n_tasks: int = 0
+    rays: int = 0
+    flight_time: float = 0.0  # enclosing flight-span seconds (dispatch->accept)
+
+    @property
+    def busy(self) -> float:
+        return sum(t1 - t0 for t0, t1 in self.segments)
+
+    @property
+    def finish(self) -> float:
+        return max((t1 for _t0, t1 in self.segments), default=0.0)
+
+    @property
+    def start(self) -> float:
+        return min((t0 for t0, _t1 in self.segments), default=0.0)
+
+    @property
+    def comms(self) -> float:
+        """Dispatch/result overhead: flight time not spent rendering.
+        Zero when the run wasn't traced with flight spans."""
+        return max(0.0, self.flight_time - self.busy)
+
+
+@dataclass
+class UtilizationReport:
+    """The load-balance analysis of one run, derived from events alone."""
+
+    engine: str = ""
+    mode: str = ""
+    workload: str = ""
+    n_frames: int = 0
+    n_workers: int = 0
+    t0: float = 0.0
+    t1: float = 0.0
+    workers: list = field(default_factory=list)  # per-worker row dicts
+    recompute_frac: float | None = None
+    rays_total: int = 0
+    n_lost: int = 0
+    straggler_z: float = 2.0
+
+    @property
+    def wall(self) -> float:
+        return max(0.0, self.t1 - self.t0)
+
+    @property
+    def idle_frac(self) -> float:
+        """Aggregate idle fraction: 1 - sum(busy) / (n_lanes * wall) —
+        the paper's "processors standing idle" number."""
+        if not self.workers or self.wall <= 0:
+            return 0.0
+        busy = sum(w["busy"] for w in self.workers)
+        return max(0.0, 1.0 - busy / (len(self.workers) * self.wall))
+
+    @property
+    def balance(self) -> float:
+        """min(busy)/max(busy) across lanes: 1.0 = perfectly balanced."""
+        if not self.workers:
+            return 1.0
+        top = max(w["busy"] for w in self.workers)
+        return (min(w["busy"] for w in self.workers) / top) if top > 0 else 1.0
+
+    @property
+    def stragglers(self) -> list[str]:
+        return [w["worker"] for w in self.workers if w["straggler"]]
+
+
 _KINDS = ("camera", "reflected", "refracted", "shadow", "total")
-
-
-def report_from_events(events: list[dict]) -> TelemetryReport:
-    """Aggregate an event list (as loaded by :func:`read_events`)."""
-    rep = TelemetryReport(rays={k: 0 for k in _KINDS})
-    saw_run_end = False
-    for rec in events:
-        rtype, name = rec.get("type"), rec.get("name")
-        attrs = rec.get("attrs") or {}
-        if name == "run.start":
-            rep.engine = str(attrs.get("engine", rep.engine))
-            rep.workload = str(attrs.get("workload", rep.workload))
-            rep.mode = str(attrs.get("mode", rep.mode))
-            rep.n_frames = int(attrs.get("n_frames", rep.n_frames))
-            rep.width = int(attrs.get("width", rep.width))
-            rep.height = int(attrs.get("height", rep.height))
-            rep.n_workers = int(attrs.get("n_workers", rep.n_workers))
-        elif name == "frame":
-            f = int(attrs.get("frame", -1))
-            row = rep.per_frame.setdefault(
-                f, {"n_computed": 0, "n_copied": 0, **{k: 0 for k in RAY_KEYS}}
-            )
-            row["n_computed"] += int(attrs.get("n_computed", 0))
-            row["n_copied"] += int(attrs.get("n_copied", 0))
-            for key in RAY_KEYS:
-                row[key] += int(attrs.get(key, 0))
-        elif name == "task":
-            rep.n_tasks += 1
-        elif name == "worker":
-            rep.workers.append(
-                {
-                    "worker": str(attrs.get("worker", "?")),
-                    "busy": float(attrs.get("busy", 0.0)),
-                    "n_tasks": int(attrs.get("n_tasks", 0)),
-                    "utilization": float(attrs.get("utilization", 0.0)),
-                }
-            )
-        elif name == "recovery":
-            kind = str(attrs.get("kind", "?"))
-            rep.recovery[kind] = rep.recovery.get(kind, 0) + 1
-        elif name == "net.worker.lost":
-            rep.losses.append(
-                {
-                    "worker": str(attrs.get("worker", "?")),
-                    "reason": str(attrs.get("reason", "?")),
-                    "seq": int(attrs.get("seq", -1)),
-                }
-            )
-        elif name == "task.attempt":
-            outcome = str(attrs.get("outcome", "?"))
-            rep.attempts[outcome] = rep.attempts.get(outcome, 0) + 1
-        elif name == "run.end":
-            saw_run_end = True
-            rep.wall_time = float(attrs.get("wall_time", rep.wall_time))
-            for kind in _KINDS:
-                rep.rays[kind] = int(attrs.get(f"rays_{kind}", 0))
-            rep.computed_pixels = int(attrs.get("computed_pixels", 0))
-            rep.copied_pixels = int(attrs.get("copied_pixels", 0))
-            if attrs.get("n_tasks"):
-                rep.n_tasks = int(attrs["n_tasks"])
-        elif rtype == "counter":
-            rep.counters[name] = rep.counters.get(name, 0) + rec.get("value", 0)
-    if not saw_run_end:
-        # Crashed / partial run: rebuild totals from the per-frame rows.
-        for row in rep.per_frame.values():
-            rep.computed_pixels += row["n_computed"]
-            rep.copied_pixels += row["n_copied"]
-            for kind in _KINDS:
-                rep.rays[kind] += row[f"rays_{kind}"]
-    rep.workers.sort(key=lambda w: w["worker"])
-    return rep
 
 
 def _fmt_int(n: int) -> str:

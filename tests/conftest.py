@@ -60,3 +60,45 @@ def tiny_newton_animation():
 def tiny_oracle(tiny_newton_animation):
     """A real measured oracle of a 5-frame 64x48 Newton run (built once)."""
     return build_oracle(tiny_newton_animation, grid_resolution=16)
+
+
+#: /status fields derived from the fold's wall clock rather than the stream.
+_CLOCK_KEYS = ("elapsed", "tasks_per_sec", "eta_seconds")
+
+
+def _stream_state(snapshot: dict) -> dict:
+    snap = {k: v for k, v in snapshot.items() if k not in _CLOCK_KEYS}
+    snap["workers"] = [
+        {k: v for k, v in w.items() if k != "heartbeat_age"} for w in snap["workers"]
+    ]
+    snap["in_flight"] = [
+        {k: v for k, v in a.items() if k not in ("age", "since")} for a in snap["in_flight"]
+    ]
+    return snap
+
+
+@pytest.fixture
+def assert_one_fold():
+    """``check(events)``: a fold attached to a live session and fed the
+    records one at a time (views polled as it goes) ends in the same
+    state as ``RunFold.of(events)`` — every view of it equal."""
+    from itertools import count
+
+    from repro.telemetry import RunFold, Telemetry
+
+    def check(events) -> RunFold:
+        live = RunFold(clock=count().__next__)
+        tel = Telemetry(sinks=[live])
+        for i, rec in enumerate(events):
+            tel.emit(dict(rec))
+            if i % 7 == 0:
+                live.snapshot(), live.exposition(), live.report(), live.utilization()
+        offline = RunFold.of(events)
+        assert _stream_state(live.snapshot()) == _stream_state(offline.snapshot())
+        assert live.exposition() == offline.exposition()
+        assert live.report() == offline.report()
+        assert live.utilization() == offline.utilization()
+        assert live.utilization(1.0) == offline.utilization(1.0)
+        return offline
+
+    return check

@@ -33,8 +33,6 @@ from repro.net.master import TcpTransport
 from repro.obs import (
     EXPOSITION_CONTENT_TYPE,
     FlightRecorder,
-    MetricsPlane,
-    RunLedger,
     StatusServer,
     StragglerDetector,
     blackbox_filename,
@@ -52,6 +50,7 @@ from repro.telemetry import (
     SCHEMA_VERSION,
     InMemorySink,
     LogHistogram,
+    RunFold,
     Telemetry,
     validate_events,
 )
@@ -226,8 +225,59 @@ def _task_span(worker: str, dur: float, t: float = 0.0) -> dict:
     }
 
 
+#: /metrics for the routing stream below, byte for byte what the pre-fold
+#: MetricsPlane served.
+_EXPOSITION = """\
+# HELP repro_dfb_tile_nbytes Streaming quantiles of dfb.tile.nbytes (log-bucketed).
+# TYPE repro_dfb_tile_nbytes summary
+repro_dfb_tile_nbytes{quantile="0.5"} 192
+repro_dfb_tile_nbytes{quantile="0.95"} 192
+repro_dfb_tile_nbytes{quantile="0.99"} 192
+repro_dfb_tile_nbytes_sum 192
+repro_dfb_tile_nbytes_count 1
+# HELP repro_net_result_duration Streaming quantiles of net.result.duration (log-bucketed).
+# TYPE repro_net_result_duration summary
+repro_net_result_duration{quantile="0.5"} 0.5
+repro_net_result_duration{quantile="0.95"} 0.5
+repro_net_result_duration{quantile="0.99"} 0.5
+repro_net_result_duration_sum 0.5
+repro_net_result_duration_count 1
+# HELP repro_net_rtt Streaming quantiles of net.rtt (log-bucketed).
+# TYPE repro_net_rtt summary
+repro_net_rtt{quantile="0.5"} 0.003
+repro_net_rtt{quantile="0.95"} 0.003
+repro_net_rtt{quantile="0.99"} 0.003
+repro_net_rtt_sum 0.003
+repro_net_rtt_count 1
+# HELP repro_task_attempt_duration Streaming quantiles of task.attempt.duration (log-bucketed).
+# TYPE repro_task_attempt_duration summary
+repro_task_attempt_duration{quantile="0.5"} 0.4
+repro_task_attempt_duration{quantile="0.95"} 0.4
+repro_task_attempt_duration{quantile="0.99"} 0.4
+repro_task_attempt_duration_sum 0.4
+repro_task_attempt_duration_count 1
+# HELP repro_task_duration Streaming quantiles of task.duration (log-bucketed).
+# TYPE repro_task_duration summary
+repro_task_duration{quantile="0.5"} 0.5
+repro_task_duration{quantile="0.95"} 0.5
+repro_task_duration{quantile="0.99"} 0.5
+repro_task_duration_sum 0.75
+repro_task_duration_count 2
+# HELP repro_worker_health Worker health state (0=ok, 1=straggler, 2=lost).
+# TYPE repro_worker_health gauge
+repro_worker_health{worker="w0"} 0
+repro_worker_health{worker="w1"} 2
+# HELP repro_rays_total_total Accumulated counter rays.total.
+# TYPE repro_rays_total_total counter
+repro_rays_total_total 20
+# HELP repro_telemetry_records_total Records folded into the plane.
+# TYPE repro_telemetry_records_total counter
+repro_telemetry_records_total 9
+"""
+
+
 def test_metrics_plane_routes_records_into_exposition():
-    plane = MetricsPlane(detector=False)
+    plane = RunFold()
     plane.emit(_task_span("w0", 0.5))
     plane.emit(_task_span("w1", 0.25, t=1.0))
     plane.emit({"type": "event", "name": "net.pong", "t": 2.0,
@@ -266,11 +316,12 @@ def test_metrics_plane_routes_records_into_exposition():
     assert 'repro_worker_health{worker="w1"} 2' in text
     assert "repro_rays_total_total 20" in text
     assert "repro_telemetry_records_total 9" in text
+    assert text == _EXPOSITION
     assert plane.route() == (body, ctype)
 
 
 def test_metrics_plane_folds_foreign_digest_but_skips_owned():
-    plane = MetricsPlane(detector=False)
+    plane = RunFold()
     plane.emit(_task_span("w0", 0.5))
     digest = _ingest([1.0] * 100).to_dict()
     flush = {"type": "histogram", "name": "task.duration", "t": 9.0, "value": 100,
@@ -291,16 +342,15 @@ def test_metrics_plane_folds_foreign_digest_but_skips_owned():
 
 
 def test_metrics_plane_detector_emits_into_bound_session():
-    """The usual arrangement: the plane is a sink of the session it binds,
-    so health.* events re-enter the stream the ledger also folds."""
+    """The usual arrangement: the fold is a sink of the session it binds,
+    so health.* events re-enter the stream (and the fold) it came from."""
     sink = InMemorySink()
-    ledger = RunLedger()
-    tel = Telemetry(sinks=(sink, ledger))
-    plane = MetricsPlane(
+    tel = Telemetry(sinks=(sink,))
+    fold = RunFold(
         detector=StragglerDetector(alpha=0.3, ratio=2.0, recover_ratio=1.5,
                                    min_samples=4)
     ).bind(tel)
-    tel.sinks.append(plane)
+    tel.sinks.append(fold)
     tel.emit({"type": "event", "name": "net.worker.join", "t": 0.0,
               "attrs": {"worker": "w0", "host": "localhost", "cores": 1, "score": 1.0}})
     t = 0.0
@@ -315,14 +365,14 @@ def test_metrics_plane_detector_emits_into_bound_session():
     validate_events(sink.events)
     straggles = [r for r in sink.events if r["name"] == "health.straggler"]
     assert straggles and straggles[0]["attrs"]["worker"] == "w0"
-    assert plane.health()["w0"] == "straggler"
-    rows = {w["worker"]: w for w in ledger.snapshot()["workers"]}
+    assert fold.health()["w0"] == "straggler"
+    rows = {w["worker"]: w for w in fold.snapshot()["workers"]}
     assert rows["w0"]["health"] == "straggler"
 
 
 def test_ledger_folds_health_and_loss_blackbox_pointer():
     ticks = iter(range(10**6))
-    ledger = RunLedger(clock=lambda: float(next(ticks)))  # defeat snapshot TTL cache
+    ledger = RunFold(clock=lambda: float(next(ticks)))
     for w in ("w0", "w1"):
         ledger.emit({"type": "event", "name": "net.worker.join", "t": 0.0,
                      "attrs": {"worker": w, "host": "h", "cores": 1, "score": 1.0}})
@@ -542,7 +592,7 @@ def test_worker_ships_predecessor_blackbox_over_wire(tmp_path):
     assert dump[0]["attrs"]["pid"] == 99999 and dump[1]["name"] == "net.pong"
 
 
-def test_blackbox_round_trip_on_mid_frame_kill(tmp_path):
+def test_blackbox_round_trip_on_mid_frame_kill(tmp_path, assert_one_fold):
     """The acceptance drill: kill a TCP worker daemon mid-frame; its black
     box must land, parse, and stitch into the master trace with the final
     in-flight task span recovered and zero orphan spans."""
@@ -578,3 +628,8 @@ def test_blackbox_round_trip_on_mid_frame_kill(tmp_path):
     open_tasks = [r for r in merged if r.get("open") and r.get("name") == "task"]
     assert open_tasks, "the victim's in-flight task span was not recovered"
     validate_events(merged)
+    # The stitched stream folds like any other: the recovered span is a
+    # task the live fold never saw.
+    n_spans = [sum(tl.n_tasks for tl in assert_one_fold(ev).timelines().values())
+               for ev in (sink.events, merged)]
+    assert n_spans[1] == n_spans[0] + len(open_tasks)

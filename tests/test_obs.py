@@ -17,7 +17,6 @@ import pytest
 
 from repro.cluster import ncsu_testbed
 from repro.obs import (
-    RunLedger,
     StatusServer,
     TraceContext,
     chrome_trace,
@@ -35,8 +34,10 @@ from repro.obs import (
 )
 from repro.sched import simulate
 from repro.telemetry import (
+    EVENT_SCHEMA,
     SCHEMA_VERSION,
     InMemorySink,
+    RunFold,
     Telemetry,
     VirtualClock,
     validate_events,
@@ -111,7 +112,9 @@ def _golden_events():
     return mem.events
 
 
-def test_utilization_report_golden():
+def test_utilization_report_golden(assert_one_fold):
+    assert_one_fold(_golden_events())
+    assert_one_fold(_balanced_events())
     rep = utilization_report(_golden_events())
     assert rep.wall == pytest.approx(8.0)
     assert rep.idle_frac == pytest.approx(0.25)
@@ -184,10 +187,11 @@ def _sim_report(strategy, oracle):
     return mem.events
 
 
-def test_sim_utilization_is_deterministic(tiny_oracle):
+def test_sim_utilization_is_deterministic(tiny_oracle, assert_one_fold):
     a = _sim_report("sequence-division-fc", tiny_oracle)
     b = _sim_report("sequence-division-fc", tiny_oracle)
     assert a == b  # virtual clock: bit-identical streams run-to-run
+    assert_one_fold(a)
     rep = utilization_report(a)
     assert rep.engine == "sim" and rep.n_workers > 1
     assert 0.0 <= rep.idle_frac < 1.0
@@ -207,9 +211,22 @@ def _event(name, **attrs):
     return {"v": SCHEMA_VERSION, "type": "event", "name": name, "t": 0.0, "attrs": attrs}
 
 
+#: The /status body's key sets as the pre-fold RunLedger served them.
+_STATUS_KEYS = {
+    "attempts", "done", "elapsed", "eta_seconds", "frames_done", "frames_salvaged",
+    "in_flight", "losses", "n_events", "n_shards", "shard_bytes", "tasks_done",
+    "tasks_failed", "tasks_per_sec", "tile_bytes", "tiles_done", "workers",
+}
+_RUN_KEYS = {"run", "engine", "workload", "mode", "n_frames", "n_workers"}  # after run.start
+_WORKER_KEYS = {
+    "busy", "cores", "health", "heartbeat_age", "host", "n_done", "offset",
+    "rays_forwarded", "rays_local", "rays_received", "rtt", "score", "shards", "worker",
+}
+
+
 def test_ledger_folds_stream():
     now = {"t": 100.0}
-    led = RunLedger(clock=lambda: now["t"])
+    led = RunFold(clock=lambda: now["t"])
     led.emit(_event("run.start", engine="farm", workload="newton", n_frames=4,
                     width=8, height=6, n_workers=2, mode="adaptive"))
     led.emit(_event("net.worker.join", worker="w0", host="h", pid=1, cores=2, score=1.0))
@@ -218,21 +235,24 @@ def test_ledger_folds_stream():
     assert snap["run"] == "" and snap["engine"] == "farm" and not snap["done"]
     assert [w["worker"] for w in snap["workers"]] == ["w0"]
     assert [a["seq"] for a in snap["in_flight"]] == [0]
+    assert set(snap) == _STATUS_KEYS | _RUN_KEYS
+    assert set(snap["workers"][0]) == _WORKER_KEYS
+    assert set(snap["in_flight"][0]) == {"age", "frame0", "frame1", "seq", "since", "worker"}
 
-    now["t"] = 101.0  # past the snapshot TTL
+    now["t"] = 101.0
     led.emit({"v": SCHEMA_VERSION, "type": "span", "name": "obs.flight", "t": 0.0,
               "dur": 0.5, "span": "A0", "parent": 1,
               "attrs": {"worker": "w0", "seq": 0, "attempt": 1, "outcome": "ok"}})
-    led.emit(_event("frame", frame=0, n_computed=1, n_copied=0, rays_camera=0,
+    led.emit(_event("frame", frame=0, n_computed=40, n_copied=8, rays_camera=0,
                     rays_reflected=0, rays_refracted=0, rays_shadow=0, rays_total=1))
-    snap = led.snapshot()
+    snap = led.snapshot()  # 40 + 8 pixels cover the 8x6 image: frame 0 is done
     assert snap["in_flight"] == [] and snap["tasks_done"] == 1
     assert snap["frames_done"] == 1 and snap["attempts"] == {"ok": 1}
     assert snap["workers"][0]["n_done"] == 1
 
 
 def test_ledger_prefers_flight_attempts_over_summary():
-    led = RunLedger(clock=lambda: 0.0)
+    led = RunFold(clock=lambda: 0.0)
     led.emit({"v": SCHEMA_VERSION, "type": "span", "name": "obs.flight", "t": 0.0,
               "dur": 0.5, "span": "A0", "parent": None,
               "attrs": {"worker": "w0", "seq": 0, "attempt": 1, "outcome": "ok"}})
@@ -244,16 +264,52 @@ def test_ledger_prefers_flight_attempts_over_summary():
 
 
 def test_ledger_records_losses():
-    led = RunLedger(clock=lambda: 0.0)
+    led = RunFold(clock=lambda: 0.0)
     led.emit(_event("net.assign", worker="w0", seq=3, frame0=0, frame1=1, bytes=1))
     led.emit(_event("net.worker.lost", worker="w0", reason="eof", seq=3))
     snap = led.snapshot()
     assert snap["losses"] == [{"worker": "w0", "reason": "eof", "blackbox": ""}]
     assert snap["in_flight"] == []
+    assert set(snap) == _STATUS_KEYS  # no run.start seen: no run identity keys
+    assert snap["workers"][0]["health"] == "lost"
+
+
+def test_fold_frame_is_done_when_its_blocks_cover_the_image():
+    """Frame division: one finished block unit is not a finished frame."""
+    fold = RunFold(clock=iter(range(10**6)).__next__)
+    fold.emit(_event("run.start", engine="farm", workload="w", n_frames=3,
+                     width=8, height=6, n_workers=2, mode="frame"))
+    for block in range(2):
+        for frame in range(3):
+            fold.emit(_event("frame", frame=frame, n_computed=20, n_copied=4, rays_camera=20,
+                             rays_reflected=0, rays_refracted=0, rays_shadow=0, rays_total=20))
+        snap = fold.snapshot()
+        assert snap["frames_done"] == (0, 3)[block]
+    assert snap["eta_seconds"] is None  # nothing left to wait for
+
+
+def test_fold_handlers_are_schema_names():
+    """A renamed event cannot silently fall out of the fold."""
+    assert set(RunFold._HANDLERS) | set(RunFold._LATENCY_ROUTES) <= set(EVENT_SCHEMA)
+
+
+def test_fold_is_bounded_across_runs():
+    """Attached for a service's lifetime: run.start clears the per-run
+    containers, so three jobs leave what one does."""
+    fold = RunFold()
+    sizes = []
+    for job in range(3):
+        for rec in _golden_events():
+            fold.emit(rec)
+        sizes.append({k: len(v) for k, v in vars(fold).items()
+                      if isinstance(v, (dict, list, set))})
+        assert fold.report().n_tasks == 3 and fold.snapshot()["n_events"] == 6 * (job + 1)
+        assert sum(len(tl.segments) for tl in fold.timelines().values()) == 3
+    assert sizes[0] == sizes[1] == sizes[2]
 
 
 def test_status_server_round_trip():
-    led = RunLedger()
+    led = RunFold()
     led.emit(_event("run.start", engine="farm", workload="newton", n_frames=2,
                     width=8, height=6, n_workers=1, mode="frame"))
     with StatusServer(led, port=0) as srv:
@@ -313,10 +369,12 @@ def test_tcp_merged_stream_validates_v4_no_orphans():
     assert any(e.get("name") == "obs.clock" for e in events)
 
 
-def test_tcp_killed_worker_single_trace():
+def test_tcp_killed_worker_single_trace(assert_one_fold):
     res = _tcp_render(n_workers=3, n_frames=6, die_after={0: 1})
     events = res.events
     validate_events(events)
+    fold = assert_one_fold(events)  # a live run and its replay are one code path
+    assert fold.snapshot()["frames_done"] == 6 and len(fold.report().losses) == 1
     assert find_orphan_spans(events) == []
     assert len({e.get("run") for e in events if e.get("run")}) == 1
     flights = [e for e in events if e.get("name") == "obs.flight"]

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.net import protocol as wire
-from repro.obs import RunLedger
 from repro.obs.live import render_status
 from repro.render import RayTracer
 from repro.runtime import AnimationSpec
@@ -30,7 +29,7 @@ from repro.shard import (
     partition_scene,
     render_frame_sharded,
 )
-from repro.telemetry import SCHEMA_VERSION, InMemorySink, Telemetry, validate_events
+from repro.telemetry import SCHEMA_VERSION, InMemorySink, RunFold, Telemetry, validate_events
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +291,7 @@ def test_shard_events_validate_and_fold_into_ledger():
     tel.event("shard.xfer", worker="w0", shard=0, frame=0, n_rays=100, nbytes=4096)
     validate_events(sink.events)
 
-    led = RunLedger(clock=lambda: 0.0)
+    led = RunFold(clock=lambda: 0.0)
     led.emit(_event("shard.rays", worker="w0", shard=0, frame=0, n_local=90, n_forwarded=10))
     led.emit(_event("shard.rays", worker="w1", shard=1, frame=0, n_local=70, n_forwarded=30))
     led.emit(_event("shard.xfer", worker="w0", shard=0, frame=0, n_rays=100, nbytes=4096))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.telemetry import (
     SCHEMA_VERSION,
     InMemorySink,
     JsonlSink,
+    RunFold,
     SchemaError,
     Telemetry,
     VirtualClock,
@@ -212,7 +215,8 @@ def _sample_events() -> list[dict]:
     return mem.events
 
 
-def test_report_aggregates_run():
+def test_report_aggregates_run(assert_one_fold):
+    assert_one_fold(_sample_events())
     rep = report_from_events(_sample_events())
     assert (rep.engine, rep.workload, rep.mode) == ("farm", "newton", "frame")
     assert rep.n_frames == 2 and rep.n_workers == 2
@@ -225,8 +229,9 @@ def test_report_aggregates_run():
     assert rep.computed_fraction == pytest.approx(56 / 96)
 
 
-def test_report_survives_missing_run_end():
+def test_report_survives_missing_run_end(assert_one_fold):
     events = [e for e in _sample_events() if e["name"] != "run.end"]
+    assert_one_fold(events)
     rep = report_from_events(events)
     # Totals rebuilt from the per-frame rows of the crashed run.
     assert rep.rays["total"] == 200
@@ -287,10 +292,72 @@ def test_validate_bench_rejects_drift():
     validate_bench(good)
     with pytest.raises(ValueError, match="missing required keys"):
         validate_bench({**good, "metrics": {"rays_total": 1}})
-    with pytest.raises(ValueError, match="schema_version"):
-        validate_bench({**good, "schema_version": 99})
+    # Additive schema: every older version stays valid, a newer one (or
+    # anything that is not a version number) does not.
+    for older in (1, SCHEMA_VERSION - 1):
+        validate_bench({**good, "schema_version": older})
+    for bad in (SCHEMA_VERSION + 1, 99, 0, -3, str(SCHEMA_VERSION), float(SCHEMA_VERSION), None, True):
+        with pytest.raises(ValueError, match="schema_version"):
+            validate_bench({**good, "schema_version": bad})
     with pytest.raises(ValueError, match="numeric"):
         validate_bench({**good, "metrics": {**metrics, "rays_total": "many"}})
+
+
+_RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+
+
+@pytest.mark.parametrize("path", sorted(_RESULTS.glob("BENCH_*.json")), ids=lambda p: p.stem)
+def test_committed_bench_files_validate(path):
+    validate_bench(json.loads(path.read_text()))
+
+
+# -- the farm's run-end accounting -------------------------------------------------
+class _ProbeSink:
+    """Folds the live stream and keeps the /status body seen at chosen records."""
+
+    def __init__(self):
+        self.fold = RunFold(clock=iter(range(10**6)).__next__)
+        self.at_flight: list[dict] = []
+        self.before_summary: dict | None = None
+
+    def emit(self, record):
+        if record["name"] == "task.attempt" and self.before_summary is None:
+            self.before_summary = self.fold.snapshot()
+        self.fold.emit(record)
+        if record["name"] == "obs.flight":
+            self.at_flight.append(self.fold.snapshot())
+
+
+def test_pool_absorbs_worker_events_at_accept_time():
+    """Frame division on the process pool: worker buffers join the stream
+    as each unit is accepted (as over tcp), not in one lump at run end."""
+    from repro.api import RenderRequest, render
+
+    probe = _ProbeSink()
+    tel = Telemetry(sinks=[mem := InMemorySink(), probe])
+    render(RenderRequest(workload="newton", engine="farm", n_frames=3, width=48, height=36,
+                         n_workers=2, transport="process", mode="frame", telemetry=tel))
+    tel.close()
+    validate_events(mem.events)
+    # Mid-run: by the second accept the first unit's task span has landed.
+    assert len(probe.at_flight) == 12
+    for snap in probe.at_flight[1:]:
+        assert sum(w["busy"] for w in snap["workers"]) > 0
+    assert probe.at_flight[-1]["frames_done"] == 0  # 11 of 12 blocks: no frame whole yet
+    assert probe.before_summary["frames_done"] == 3 and not probe.before_summary["done"]
+    # Same records as the run-end absorb produced, batch by batch: each
+    # unit's frame events, then the task span that closed over them.
+    assert Counter((r["type"], r["name"]) for r in mem.events) == {
+        ("event", "run.start"): 1, ("span", "obs.flight"): 12, ("span", "task"): 12,
+        ("event", "frame"): 36, ("event", "coherence.frame"): 36,
+        ("counter", "intersect.tests"): 12, ("event", "task.attempt"): 12,
+        ("histogram", "task.duration"): 1, ("event", "worker"): 2,
+        ("event", "run.end"): 1, ("span", "run"): 1,
+    }
+    names = [r["name"] for r in mem.events]
+    first_task = names.index("task")
+    assert names[first_task - 6:first_task:2] == ["frame"] * 3
+    assert first_task < len(names) - 1 - names[::-1].index("obs.flight")
 
 
 # -- profiling -------------------------------------------------------------------

@@ -18,9 +18,9 @@ Comparison policy is per metric:
   (default 2.0 = fresh may be up to 3x the baseline) — CI machines are
   noisy, so the gate only catches order-of-magnitude regressions, and
   getting *faster* never fails;
-* baselines carry historical ``schema_version`` values (4..N); versions
-  are deliberately **not** validated here — the schema gate lives in
-  ``validate_bench``, this tool only compares metric values.
+* baselines carry historical ``schema_version`` values (4..N), all of
+  which ``validate_bench`` accepts (additive schema: any version up to
+  the current one is valid); this tool only compares metric values.
 
 Exit status: 0 when every compared bench passes, 1 on any regression,
 2 on usage errors (no benches found).
