@@ -96,10 +96,11 @@ class RenderRequest:
     chunk_size: int = 32768
     #: Streaming progress callbacks, uniform across engines.  ``on_frame``
     #: receives a :class:`repro.dfb.FrameEvent` per completed frame;
-    #: ``on_tile`` a :class:`repro.dfb.TileEvent` per composited tile.  A
-    #: TCP farm fires them live as wire tiles land; the animation engine
-    #: and the process-pool farm synthesize whole-frame events as frames
-    #: complete; the simulators emit pixel-less frame events (image None).
+    #: ``on_tile`` a :class:`repro.dfb.TileEvent` per composited tile.  The
+    #: farm fires them as pixels land in its compositor (wire tiles on TCP,
+    #: a unit's box per frame on the pool); the animation engine reports a
+    #: frame as one whole-frame tile; the simulators' frame events carry no
+    #: pixels (image None).
     on_frame: Callable | None = None
     on_tile: Callable | None = None
 
@@ -113,7 +114,7 @@ class RenderRequest:
     net_die_after_frames: dict | None = None  # mid-task fault drill: idx -> frame count
     blackbox_dir: str | Path | None = None  # flight-recorder dumps (None: run/events dir)
     segment_frames: int | None = None
-    tile_px: int | None = None  # tcp tile edge; None = default, 0 = whole-subarea wire
+    tile_px: int | None = None  # tcp tile edge in pixels (>= 1); None = the default edge
     max_attempts: int = 3
     task_timeout: float | None = None
     run_dir: str | Path | None = None
@@ -364,8 +365,8 @@ def _run_animation(req: RenderRequest, tel, label, spec, anim) -> RenderResult:
         from .dfb import FrameEvent, TileEvent
 
         # The pipeline's native callback is (index, report, image); adapt
-        # it to the unified streaming surface (one whole-frame "tile"
-        # plus a frame event, same as a non-streaming farm run).
+        # it to the unified streaming surface: one whole-frame "tile" plus
+        # a frame event.
         def on_frame(f, report, image):
             if req.on_tile is not None:
                 h, w = int(image.shape[0]), int(image.shape[1])
@@ -547,9 +548,9 @@ def render(request: RenderRequest | None = None, /, **kwargs) -> RenderResult:
         if request.engine == "farm":
             from .dfb import PreviewHub
 
-            # /preview serves the partially composited frame while a
-            # streaming (TCP) farm run is live; until the farm attaches
-            # its assembler the endpoint reports {"available": false}.
+            # /preview serves the partially composited frame while a farm
+            # run is live; until the farm attaches its assembler the
+            # endpoint reports {"available": false}.
             preview = PreviewHub()
             routes["/preview"] = preview.route
         server = StatusServer(fold, port=int(request.status_port), routes=routes)

@@ -43,6 +43,13 @@ def _workload_spec(args):
     )
 
 
+def _tile_edge(text: str) -> int:
+    edge = int(text)
+    if edge < 1:
+        raise argparse.ArgumentTypeError("a tile edge is at least one pixel")
+    return edge
+
+
 def _add_size_args(p: argparse.ArgumentParser, frames: int = 8) -> None:
     p.add_argument("--frames", type=int, default=frames)
     p.add_argument("--width", type=int, default=160)
@@ -111,14 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: executor-dependent)",
     )
     p_farm.add_argument(
-        "--tile-px", type=int, default=None, metavar="PX",
+        "--tile-px", type=_tile_edge, default=None, metavar="PX",
         help="distributed-framebuffer tile edge for --transport tcp "
              "(default: 32; workers stream finished tiles as they render)",
-    )
-    p_farm.add_argument(
-        "--no-tiles", action="store_true",
-        help="disable tile streaming: workers ship whole sub-areas in one "
-             "RESULT frame (the pre-tile wire shape)",
     )
     p_farm.add_argument(
         "--max-attempts", type=int, default=3,
@@ -302,38 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(watch with: repro top 127.0.0.1:PORT)",
     )
 
-    p_worker = sub.add_parser(
-        "worker", help="join a repro.net farm as a rendering worker daemon"
+    # Its flags are repro.net.worker.main's: main() hands them over unparsed.
+    sub.add_parser(
+        "worker", help="join a repro.net farm as a rendering worker daemon", add_help=False
     )
-    p_worker.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="address of the repro.net master",
-    )
-    p_worker.add_argument(
-        "--score", type=float, default=None,
-        help="calibration score override (default: measure a quick benchmark)",
-    )
-    p_worker.add_argument(
-        "--max-retries", type=int, default=20,
-        help="connection attempts (exponential backoff) before giving up",
-    )
-    p_worker.add_argument(
-        "--die-after", type=int, default=None, metavar="N",
-        help="fault drill: crash hard on receiving assignment N+1",
-    )
-    p_worker.add_argument(
-        "--die-after-rays", type=int, default=None, metavar="N",
-        help="fault drill: crash hard before serving shard request N+1",
-    )
-    p_worker.add_argument(
-        "--die-after-frames", type=int, default=None, metavar="N",
-        help="fault drill: crash hard (mid-task) on rendering frame N+1",
-    )
-    p_worker.add_argument(
-        "--blackbox-dir", type=Path, default=None, metavar="DIR",
-        help="flight-recorder dump directory (black boxes land here on a crash)",
-    )
-    p_worker.add_argument("--verbose", action="store_true", help="log to stdout")
     return parser
 
 
@@ -437,11 +411,10 @@ def _cmd_farm(args) -> int:
         print(
             f"prometheus metrics on http://127.0.0.1:{args.status_port}/metrics"
         )
-        if args.transport == "tcp" and not args.no_tiles:
-            print(
-                f"progressive preview on http://127.0.0.1:{args.status_port}"
-                "/preview?fmt=png (also fmt=json, fmt=npz)"
-            )
+        print(
+            f"progressive preview on http://127.0.0.1:{args.status_port}"
+            "/preview?fmt=png (also fmt=json, fmt=npz)"
+        )
     result = render(
         workload=args.workload,
         engine="farm",
@@ -455,7 +428,7 @@ def _cmd_farm(args) -> int:
         schedule=schedule,
         transport=args.transport,
         segment_frames=args.segment_frames,
-        tile_px=0 if args.no_tiles else args.tile_px,
+        tile_px=args.tile_px,
         max_attempts=args.max_attempts,
         task_timeout=args.task_timeout,
         run_dir=args.run_dir,
@@ -545,27 +518,6 @@ def _cmd_shard(args) -> int:
     if events_path is not None:
         print(f"telemetry in {events_path}")
     return 0
-
-
-def _cmd_worker(args) -> int:
-    from .net.worker import WorkerClient
-
-    host, _, port = args.connect.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"--connect wants HOST:PORT, got {args.connect!r}", file=sys.stderr)
-        return 2
-    client = WorkerClient(
-        host,
-        int(port),
-        score=args.score,
-        max_retries=args.max_retries,
-        die_after=args.die_after,
-        die_after_rays=args.die_after_rays,
-        die_after_frames=args.die_after_frames,
-        blackbox_dir=args.blackbox_dir,
-        verbose=args.verbose,
-    )
-    return client.run()
 
 
 def _cmd_simulate(args) -> int:
@@ -753,6 +705,12 @@ def _cmd_oracle(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point: parse ``argv`` (default ``sys.argv``) and dispatch."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["worker"]:
+        # One definition of the daemon's command line: the module's own.
+        from .net.worker import main as worker_main
+
+        return worker_main(argv[1:])
     args = build_parser().parse_args(argv)
     handlers = {
         "render": _cmd_render,
@@ -764,7 +722,6 @@ def main(argv: list[str] | None = None) -> int:
         "telemetry": _cmd_telemetry,
         "oracle": _cmd_oracle,
         "shard": _cmd_shard,
-        "worker": _cmd_worker,
         "top": _cmd_top,
         "serve": _cmd_serve,
         "submit": _cmd_submit,

@@ -10,12 +10,11 @@ This module is the transport-agnostic half of that design:
 
 * :func:`tile_rects` — the one deterministic tiling both sides share, so
   a worker's tile boundaries always match the master's bookkeeping.
-* :class:`FrameBuffer` — one frame's compositor: pixels + coverage mask,
-  idempotent under duplicate tiles.
-* :class:`FrameAssembler` — the per-run compositor the master folds every
-  tile *and* every whole-segment result into.  Completion is tracked per
-  pixel, so when a worker dies mid-segment the scheduler re-renders only
-  the frames that are actually missing (see
+* :class:`FrameAssembler` — the per-run compositor, one pixel stack plus
+  a coverage mask, that the master folds every tile *and* every whole
+  unit (pool result, checkpoint load) into, idempotently.  Completion is
+  tracked per pixel, so when a worker dies mid-segment the scheduler
+  re-renders only the frames that are actually missing (see
   ``SchedulingPolicy.on_partial_result``), and ``covered_tiles`` tells
   the replacement worker which tiles it can skip outright.
 * :class:`PreviewHub` — the live window: a StatusServer route serving the
@@ -38,7 +37,6 @@ from .png import encode_png
 
 __all__ = [
     "tile_rects",
-    "FrameBuffer",
     "FrameAssembler",
     "PreviewHub",
     "TileEvent",
@@ -100,73 +98,17 @@ def tile_rects(x0: int, y0: int, x1: int, y1: int, tile_px: int):
         ty += tile_px
 
 
-class FrameBuffer:
-    """One frame of the distributed framebuffer: pixels plus coverage.
-
-    ``add_tile`` is idempotent — a duplicate delivery (worker retried, or
-    a tile raced its worker's loss) overwrites with identical pixels and
-    reports zero newly-covered pixels.
-
-    The pixel plane comes from a :class:`~repro.buffers.BufferPool` when
-    one is passed: the compositor owns that buffer's lifetime and must
-    hand it back via :meth:`release` once the pixels have been copied
-    out (``FrameAssembler.take_frames`` does).
-    """
-
-    __slots__ = ("height", "width", "image", "covered", "_pool")
-
-    def __init__(self, height: int, width: int, pool: BufferPool | None = None):
-        self.height = int(height)
-        self.width = int(width)
-        self._pool = pool
-        if pool is not None:
-            self.image = pool.acquire((self.height, self.width, 3), np.float64, zero=True)
-        else:
-            self.image = np.zeros((self.height, self.width, 3), dtype=np.float64)
-        self.covered = np.zeros((self.height, self.width), dtype=bool)
-
-    def release(self) -> None:
-        """Return the pixel plane to the pool; the buffer must no longer
-        be read through ``image`` afterwards (it will be recycled)."""
-        image, self.image = self.image, None
-        if self._pool is not None and image is not None:
-            self._pool.release(image)
-
-    def add_tile(self, x0: int, y0: int, x1: int, y1: int, pixels: np.ndarray) -> int:
-        """Composite one tile; returns the count of newly-covered pixels."""
-        if not (0 <= x0 < x1 <= self.width and 0 <= y0 < y1 <= self.height):
-            raise ValueError(
-                f"tile ({x0},{y0})-({x1},{y1}) outside {self.width}x{self.height} frame"
-            )
-        pixels = np.asarray(pixels, dtype=np.float64)
-        if pixels.shape != (y1 - y0, x1 - x0, 3):
-            raise ValueError(
-                f"tile pixels shape {pixels.shape} != {(y1 - y0, x1 - x0, 3)}"
-            )
-        newly = int((y1 - y0) * (x1 - x0) - np.count_nonzero(self.covered[y0:y1, x0:x1]))
-        self.image[y0:y1, x0:x1] = pixels
-        self.covered[y0:y1, x0:x1] = True
-        return newly
-
-    @property
-    def complete(self) -> bool:
-        return bool(self.covered.all())
-
-    def coverage(self) -> float:
-        return float(np.count_nonzero(self.covered)) / float(self.covered.size)
-
-    def box_complete(self, x0: int, y0: int, x1: int, y1: int) -> bool:
-        return bool(self.covered[y0:y1, x0:x1].all())
-
-
 class FrameAssembler:
-    """The run-wide compositor: every frame's :class:`FrameBuffer`.
+    """The run-wide compositor: the one place a farm pixel is written.
 
-    The master folds streamed tiles (``add_tile``) and whole-segment
-    results (``add_segment``: a task that does not stream, a unit loaded
-    from a checkpoint spool) into the same state, so final assembly, loss
-    salvage, and the live preview are uniform however the pixels arrived.
-    All methods are thread-safe.
+    One pool-acquired ``(n_frames, H, W, 3)`` stack plus a per-pixel
+    coverage array.  The master folds streamed tiles (``add_tile``) and
+    whole units (``add_segment``: a pool result, a unit loaded from a
+    checkpoint spool) into the same state, so final assembly, loss
+    salvage and the live preview are uniform however the pixels arrived.
+    Writes are idempotent — a duplicate delivery (worker retried, or a
+    tile raced its worker's loss) overwrites with identical pixels and
+    covers nothing new.  All methods are thread-safe.
     """
 
     def __init__(
@@ -179,16 +121,17 @@ class FrameAssembler:
         self.n_frames = int(n_frames)
         self.width = int(width)
         self.height = int(height)
-        # Per-frame composite planes come from the buffer pool (the
-        # process-wide one unless a private pool is passed), and go back
-        # to it in take_frames()/release() — repeated runs recycle the
-        # same memory instead of reallocating every framebuffer.
+        # The stack comes from the buffer pool (the process-wide one unless
+        # a private pool is passed) and leaves through take_frames() or
+        # goes back in release() — repeated runs recycle the same memory.
+        # It is not blanked: no read gets past the coverage mask, and pages
+        # nobody touched before the pool forks are pages no worker inherits.
         self.pool = default_pool() if pool is None else pool
-        self._frames = [
-            FrameBuffer(height, width, pool=self.pool) for _ in range(self.n_frames)
-        ]
+        shape = (self.n_frames, self.height, self.width)
+        self._stack = self.pool.acquire((*shape, 3), np.float64)
+        self._covered = np.zeros(shape, dtype=bool)
+        self._left = [self.height * self.width] * self.n_frames  # uncovered px per frame
         self._lock = threading.Lock()
-        self._released = False
         self.n_tiles = 0  #: tiles folded in (duplicates included)
 
     def _box(self, box) -> tuple[int, int, int, int]:
@@ -203,184 +146,176 @@ class FrameAssembler:
             raise ValueError(f"frame {frame} outside [0, {self.n_frames})")
         return frame
 
+    def _span(self, frame0: int, frame1: int) -> tuple[int, int]:
+        frame0, frame1 = int(frame0), int(frame1)
+        if not 0 <= frame0 <= frame1 <= self.n_frames:
+            raise ValueError(f"frames [{frame0}, {frame1}) outside [0, {self.n_frames})")
+        return frame0, frame1
+
+    def _check_live(self) -> None:
+        if self._stack is None:
+            raise RuntimeError("framebuffer already released its composite stack")
+
+    def _write(self, frame: int, x0: int, y0: int, x1: int, y1: int, pixels) -> tuple[int, bool]:
+        """Composite one rectangle of one frame (lock held); returns
+        ``(newly covered pixels, frame complete)``.  Malformed deliveries
+        raise instead of clipping."""
+        self._check_live()
+        if not (0 <= x0 < x1 <= self.width and 0 <= y0 < y1 <= self.height):
+            raise ValueError(
+                f"tile ({x0},{y0})-({x1},{y1}) outside {self.width}x{self.height} frame"
+            )
+        pixels = np.asarray(pixels, dtype=np.float64)
+        if pixels.shape != (y1 - y0, x1 - x0, 3):
+            raise ValueError(
+                f"tile pixels shape {pixels.shape} != {(y1 - y0, x1 - x0, 3)}"
+            )
+        covered = self._covered[frame, y0:y1, x0:x1]
+        newly = covered.size - int(np.count_nonzero(covered))
+        self._stack[frame, y0:y1, x0:x1] = pixels
+        covered[...] = True
+        self._left[frame] -= newly
+        return newly, self._left[frame] == 0
+
     def add_tile(
         self, frame: int, x0: int, y0: int, x1: int, y1: int, pixels: np.ndarray
     ) -> tuple[int, bool]:
         """Fold one tile in; returns ``(newly_covered, frame_complete)``."""
         frame = self._check_frame(frame)
         with self._lock:
-            self._check_live()
-            fb = self._frames[frame]
-            newly = fb.add_tile(int(x0), int(y0), int(x1), int(y1), pixels)
+            out = self._write(frame, int(x0), int(y0), int(x1), int(y1), pixels)
             self.n_tiles += 1
-            return newly, fb.complete
+            return out
 
-    def add_segment(self, box, frame0: int, frame1: int, frames: np.ndarray) -> None:
-        """Fold a whole-segment result (non-streaming task, or checkpoint).
-
-        ``frames`` is ``(n, h, w, 3)`` for the box, or the flat
-        ``(n, h*w, 3)`` row-major layout the render task ships.
-        """
+    def add_segment(self, box, frame0: int, frame1: int, frames: np.ndarray) -> list[bool]:
+        """Fold a whole unit in (a pool result, a checkpoint load):
+        ``frames`` is ``(n, h, w, 3)`` for the box.  Returns, per frame,
+        whether that frame is complete now."""
         x0, y0, x1, y1 = self._box(box)
-        h, w = y1 - y0, x1 - x0
+        f0, f1 = self._span(frame0, frame1)
         frames = np.asarray(frames, dtype=np.float64)
-        n = int(frame1) - int(frame0)
-        if frames.shape == (n, h * w, 3):
-            frames = frames.reshape(n, h, w, 3)
-        elif frames.shape != (n, h, w, 3):
+        if frames.shape != (f1 - f0, y1 - y0, x1 - x0, 3):
             raise ValueError(
-                f"segment frames shape {frames.shape} fits neither "
-                f"{(n, h * w, 3)} nor {(n, h, w, 3)}"
+                f"segment frames shape {frames.shape} != {(f1 - f0, y1 - y0, x1 - x0, 3)}"
             )
         with self._lock:
-            self._check_live()
-            for i in range(n):
-                self._frames[self._check_frame(frame0 + i)].add_tile(
-                    x0, y0, x1, y1, frames[i]
-                )
+            return [
+                self._write(f, x0, y0, x1, y1, frames[f - f0])[1] for f in range(f0, f1)
+            ]
 
     def segment(self, box, frame0: int, frame1: int) -> np.ndarray:
         """Copy the box's pixels over ``[frame0, frame1)`` back out, in the
-        layout :meth:`add_segment` takes: ``(n, h*w, 3)`` for a box,
-        ``(n, H, W, 3)`` for whole frames (``box=None``).  The checkpoint
-        spool reads a streamed unit from here once its range is complete."""
+        ``(n, h, w, 3)`` layout :meth:`add_segment` takes.  The checkpoint
+        spool reads every accepted unit from here."""
         x0, y0, x1, y1 = self._box(box)
+        f0, f1 = self._span(frame0, frame1)
         with self._lock:
             self._check_live()
-            out = np.stack([
-                self._frames[self._check_frame(f)].image[y0:y1, x0:x1]
-                for f in range(int(frame0), int(frame1))
-            ])
-        return out if box is None else out.reshape(len(out), -1, 3)
-
-    def box_complete(self, box, frame: int) -> bool:
-        x0, y0, x1, y1 = self._box(box)
-        with self._lock:
-            return self._frames[self._check_frame(frame)].box_complete(x0, y0, x1, y1)
+            return self._stack[f0:f1, y0:y1, x0:x1].copy()
 
     def range_complete(self, box, frame0: int, frame1: int) -> bool:
         x0, y0, x1, y1 = self._box(box)
+        f0, f1 = self._span(frame0, frame1)
         with self._lock:
-            return all(
-                self._frames[self._check_frame(f)].box_complete(x0, y0, x1, y1)
-                for f in range(int(frame0), int(frame1))
-            )
+            return bool(self._covered[f0:f1, y0:y1, x0:x1].all())
 
     def frames_done(self, box, frame0: int, frame1: int) -> int:
         """Leading fully-complete frames of ``[frame0, frame1)`` for the
         box — the salvage count when that range's worker is lost."""
         x0, y0, x1, y1 = self._box(box)
-        done = int(frame0)
+        done, f1 = self._span(frame0, frame1)
         with self._lock:
-            for f in range(int(frame0), int(frame1)):
-                if not self._frames[self._check_frame(f)].box_complete(x0, y0, x1, y1):
-                    break
-                done = f + 1
+            while done < f1 and self._covered[done, y0:y1, x0:x1].all():
+                done += 1
         return done
 
     def covered_tiles(self, box, frame0: int, frame1: int, tile_px: int) -> list:
         """Tile keys already composited for the box — the skip-list sent
         to a replacement worker so it re-renders only what is missing."""
         x0, y0, x1, y1 = self._box(box)
+        f0, f1 = self._span(frame0, frame1)
         skip = []
         with self._lock:
-            for f in range(int(frame0), int(frame1)):
-                fb = self._frames[self._check_frame(f)]
+            for f in range(f0, f1):
                 for tx0, ty0, tx1, ty1 in tile_rects(x0, y0, x1, y1, tile_px):
-                    if fb.box_complete(tx0, ty0, tx1, ty1):
+                    if self._covered[f, ty0:ty1, tx0:tx1].all():
                         skip.append((f, tx0, ty0, tx1, ty1))
         return skip
 
     @property
     def n_complete(self) -> int:
         with self._lock:
-            return sum(1 for fb in self._frames if fb.complete)
+            return self._left.count(0)
 
     @property
     def complete(self) -> bool:
         return self.n_complete == self.n_frames
 
-    def _check_live(self) -> None:
-        if self._released:
-            raise RuntimeError("framebuffer already released its composite buffers")
+    def _check_complete(self) -> None:
+        self._check_live()
+        missing = [f for f, left in enumerate(self._left) if left]
+        if missing:
+            raise RuntimeError(
+                f"framebuffer incomplete: frames {missing[:8]}"
+                f"{'...' if len(missing) > 8 else ''} have uncovered pixels"
+            )
 
     def frames(self) -> np.ndarray:
-        """The final ``(n_frames, H, W, 3)`` stack; raises if incomplete."""
+        """A copy of the final ``(n_frames, H, W, 3)`` stack; raises if
+        incomplete."""
         with self._lock:
-            self._check_live()
-            missing = [f for f, fb in enumerate(self._frames) if not fb.complete]
-            if missing:
-                raise RuntimeError(
-                    f"framebuffer incomplete: frames {missing[:8]}"
-                    f"{'...' if len(missing) > 8 else ''} have uncovered pixels"
-                )
-            return np.stack([fb.image for fb in self._frames])
+            self._check_complete()
+            return self._stack.copy()
 
     def take_frames(self) -> np.ndarray:
-        """:meth:`frames`, then hand every composite buffer back to the
-        pool.  The returned stack is the caller's own storage (the one
-        copy final assembly always was) but is itself pool-acquired, so
-        a caller done with the pixels can release it back (see
-        :meth:`repro.api.LazyFrames.release`) and a steady-state service
-        re-renders same-shaped jobs without fresh stack allocations.
-        The assembler is spent afterwards."""
+        """Hand the finished stack itself over (no copy); raises if
+        incomplete.  The stack is pool-acquired, so a caller done with the
+        pixels can release it back (see :meth:`repro.api.LazyFrames.release`)
+        and a steady-state service re-renders same-shaped jobs without
+        fresh stack allocations.  The assembler is spent afterwards."""
         with self._lock:
-            self._check_live()
-            missing = [f for f, fb in enumerate(self._frames) if not fb.complete]
-            if missing:
-                raise RuntimeError(
-                    f"framebuffer incomplete: frames {missing[:8]}"
-                    f"{'...' if len(missing) > 8 else ''} have uncovered pixels"
-                )
-            out = self.pool.acquire(
-                (len(self._frames), self.height, self.width, 3), np.float64
-            )
-            for i, fb in enumerate(self._frames):
-                out[i] = fb.image
-            self._released = True
-            for fb in self._frames:
-                fb.release()
+            self._check_complete()
+            out, self._stack = self._stack, None
         return out
 
     def release(self) -> None:
-        """Return all composite buffers to the pool; idempotent.  The
-        assembler refuses pixel reads afterwards (coverage bookkeeping
-        for late salvage queries stays valid)."""
+        """Return the stack to the pool unless :meth:`take_frames` already
+        handed it over; idempotent.  The assembler refuses pixel reads
+        afterwards (coverage bookkeeping for late salvage queries stays
+        valid)."""
         with self._lock:
-            if self._released:
-                return
-            self._released = True
-            for fb in self._frames:
-                fb.release()
+            stack, self._stack = self._stack, None
+        if stack is not None:
+            self.pool.release(stack)
 
     def frame_image(self, frame: int) -> np.ndarray:
         with self._lock:
             self._check_live()
-            return self._frames[self._check_frame(frame)].image.copy()
+            return self._stack[self._check_frame(frame)].copy()
 
     def preview(self, frame: int | None = None) -> tuple[int, np.ndarray, float]:
-        """A snapshot for the live view: ``(frame, image copy, coverage)``.
+        """A snapshot for the live view: ``(frame, image copy, coverage)``,
+        black where nothing has landed yet.
 
         With ``frame=None`` picks the busiest incomplete frame (most
         coverage short of 100%), falling back to the last complete one —
         the frame a watcher most wants to see filling in.
         """
+        size = self.height * self.width
         with self._lock:
             self._check_live()
             if frame is None:
                 partial = [
-                    (fb.coverage(), f)
-                    for f, fb in enumerate(self._frames)
-                    if 0.0 < fb.coverage() < 1.0
+                    (size - left, f) for f, left in enumerate(self._left) if 0 < left < size
                 ]
                 if partial:
                     frame = max(partial)[1]
                 else:
-                    complete = [f for f, fb in enumerate(self._frames) if fb.complete]
+                    complete = [f for f, left in enumerate(self._left) if left == 0]
                     frame = complete[-1] if complete else 0
             frame = self._check_frame(frame)
-            fb = self._frames[frame]
-            return frame, fb.image.copy(), fb.coverage()
+            image = np.where(self._covered[frame][..., None], self._stack[frame], 0.0)
+            return frame, image, (size - self._left[frame]) / size
 
 
 @dataclass

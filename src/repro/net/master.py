@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..dfb import DEFAULT_TILE_PX
 from ..obs.flight import FlightRecorder, blackbox_filename
 from ..obs.trace import flight_span_id
 from ..runtime.supervisor import SupervisorOutcome, TaskAttempt
@@ -162,9 +163,10 @@ class MasterServer:
     assembler / tile_px / tile_box / on_tile:
         The distributed framebuffer.  ``assembler`` (a
         :class:`repro.dfb.FrameAssembler`) turns tile streaming on:
-        workers get a tile directive in every ASSIGN and their TILE
-        frames are composited incrementally; a whole-segment result (a
-        task that does not stream) is folded into the same assembler.
+        workers get a tile directive (edge ``tile_px``, default
+        :data:`repro.dfb.DEFAULT_TILE_PX`) in every ASSIGN and their TILE
+        frames are composited incrementally, so a streaming task's RESULT
+        carries no pixels (the caller's ``validate`` holds it to that).
         ``tile_box(assignment)`` maps an assignment to its pixel box
         (``None`` = whole frame); ``on_tile(worker, frame, box, pixels,
         frame_complete)`` observes every composited tile.
@@ -227,7 +229,7 @@ class MasterServer:
         #: are trace roots themselves).
         self.trace_root = trace_root
         self.assembler = assembler
-        self.tile_px = int(tile_px) if tile_px else 32
+        self.tile_px = DEFAULT_TILE_PX if tile_px is None else int(tile_px)
         self.tile_box = tile_box or (lambda a: None)
         self.on_tile = on_tile
         self.session = session
@@ -537,23 +539,6 @@ class MasterServer:
             self.on_tile(conn.name, frame, (x0, y0, x1, y1), payload["pixels"], frame_complete)
         self._last_progress = now
 
-    def _fold_result(self, a, result) -> None:
-        """Fold a whole-segment render result into the assembler (the
-        pixels a streaming worker would have tiled if it weren't).  By
-        farm convention the result tuple is
-        ``(box, frame0, frame1, frames, counts, events)``; a streaming
-        result ships ``frames=None`` because its pixels already arrived
-        tile by tile.  Non-farm shapes (echo tasks) are left alone."""
-        if self.assembler is None or not isinstance(result, tuple) or len(result) < 4:
-            return
-        box, f0, f1, frames = result[0], result[1], result[2], result[3]
-        if frames is None or not hasattr(frames, "shape"):
-            return
-        try:
-            self.assembler.add_segment(box, int(f0), int(f1), frames)
-        except (TypeError, ValueError):
-            pass  # a tuple that merely looked like a render result
-
     def _on_result_frame(self, sel, conn: _Conn, payload, nbytes: int, now: float) -> None:
         a = conn.assignment
         if a is None or not isinstance(payload, dict) or payload.get("seq") != a.seq:
@@ -565,7 +550,6 @@ class MasterServer:
         if self.validate is not None and not self.validate(conn.args, result):
             self._lose(sel, conn, "invalid")
             return
-        self._fold_result(a, result)
         if self.net.t_first_result is None:
             self.net.t_first_result = now - self._t0
         conn.assignment = None

@@ -68,7 +68,8 @@ def render_segment(args, emit_tile=None):
     """Render frames ``[f0, f1)`` of one region with the farm's segment
     renderer (continuation-cache aware); see ``_render_segment_task``.
     With ``emit_tile`` the finished frames stream out as tiles and the
-    returned result carries ``frames=None``."""
+    returned result carries ``frames=None`` — what a master with an
+    assembler asks for, and the only shape the farm's master accepts."""
     from ..runtime.local import _render_segment_task
     from ..runtime.spec import AnimationSpec
 

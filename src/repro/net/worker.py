@@ -93,10 +93,11 @@ class _TileSink:
 
     A streaming task calls ``sink(frame, x0, y0, image)`` once per
     finished frame, where ``image`` is the ``(h, w, 3)`` pixels of its
-    region with absolute origin ``(x0, y0)``.  Tiles the master already
-    holds (the ASSIGN's skip list — a lost predecessor streamed them)
-    are rendered but not re-shipped.  Shares the socket's send lock with
-    the heartbeat-responder thread.
+    region with absolute origin ``(x0, y0)`` — possibly a view of live
+    renderer state: every tile is copied out and sent before the call
+    returns.  Tiles the master already holds (the ASSIGN's skip list — a
+    lost predecessor streamed them) are rendered but not re-shipped.
+    Shares the socket's send lock with the heartbeat-responder thread.
     """
 
     __slots__ = ("sock", "seq", "tile_px", "skip", "lock", "compress", "compress_min", "n_sent")
@@ -104,7 +105,7 @@ class _TileSink:
     def __init__(self, sock, seq: int, directive: dict, lock, compress: bool, compress_min: int):
         self.sock = sock
         self.seq = int(seq)
-        self.tile_px = int(directive.get("tile_px", 32) or 32)
+        self.tile_px = int(directive["tile_px"])
         self.skip = {tuple(int(v) for v in key) for key in directive.get("skip", ())}
         self.lock = lock
         self.compress = compress

@@ -10,8 +10,10 @@ There is one farm, the paper's master loop: a scheduling policy
 (:mod:`repro.sched`) hands *units* — frames ``[f0, f1)`` of one region —
 to whichever worker lane is free, a transport executes them
 (:func:`_render_segment_task` on the supervised pool, or on socket
-daemons), one validator gates every result, and one compositing step
-assembles the frames.  ``schedule`` only chooses the unit list:
+daemons), one validator gates every result, and one compositor — a
+:class:`~repro.dfb.FrameAssembler` — takes every pixel as its unit is
+accepted: wire tiles, pool units and checkpoint loads alike.
+``schedule`` only chooses the unit list:
 
 * ``"static"`` — the fixed list ``mode`` implies, dispatched FIFO:
   ``frame`` (frame division: one unit per block, every frame),
@@ -25,9 +27,10 @@ assembles the frames.  ``schedule`` only chooses the unit list:
 
 Transports: ``process`` runs the units on this host through the supervised
 pool (executors ``process`` — fork-based, the real thing — ``thread``, or
-the deterministic in-process ``serial``); ``tcp`` serves them to spawned
-``python -m repro.worker`` daemons over loopback sockets, streaming tiles
-into a :class:`~repro.dfb.FrameAssembler` unless ``tile_px=0``.
+the deterministic in-process ``serial``), whose results carry the
+unit's pixels home (in shared memory on the process executor); ``tcp``
+serves them to spawned ``python -m repro.worker`` daemons over loopback
+sockets, which stream each finished frame to the master as tiles.
 
 Dispatch is **supervised**: per-unit deadlines, crashed or hung workers
 detected and their units re-queued with capped retries, corrupted outputs
@@ -188,11 +191,13 @@ def _render_segment_task(args, emit_tile=None):
     previous segment, rendering fresh when the cache misses (different
     process, evicted, or the previous attempt failed).
 
-    ``emit_tile`` switches on the distributed framebuffer: each finished
-    frame's region pixels are handed to ``emit_tile(frame, x0, y0, image)``
-    as they complete (the TCP worker's tile sink streams them to the
-    master) and the returned result carries ``frames=None`` — the pixels
-    never ride in the RESULT payload.
+    Each finished frame's box image ``(h, w, 3)`` is handed once to
+    ``emit_tile(frame, x0, y0, image)`` — a view of the renderer's live
+    framebuffer, consumed before the call returns.  The TCP worker passes
+    its tile sink, which streams the image to the master, and the result
+    carries ``frames=None``; without a sink the images are written into
+    the unit's ``(n, h, w, 3)`` output buffer, which rides home in the
+    result.
     """
     spec, box, f0, f1, fresh, label, grid_resolution, samples, tel_ctx, profile_dir = args
     anim = _get_anim(spec)
@@ -236,31 +241,18 @@ def _render_segment_task(args, emit_tile=None):
             else:
                 renderer.telemetry = tel
             n_new = f1 - f0
-            if emit_tile is not None:
-                # Streaming: pixels leave through the sink frame by frame;
-                # the result ships no framebuffer at all.
-                out_frames = frames = None
-                for i in range(n_new):
-                    renderer.render_next()
-                    if region is None:
-                        emit_tile(f0 + i, 0, 0, renderer.frame_image())
-                    else:
-                        x0, y0, x1, y1 = box
-                        emit_tile(
-                            f0 + i, x0, y0,
-                            renderer.framebuffer.gather(region)
-                            .reshape(y1 - y0, x1 - x0, 3),
-                        )
-            elif region is None:
-                out_frames, frames = _frames_alloc((n_new, cam.height, cam.width, 3))
-                for i in range(n_new):
-                    renderer.render_next()
-                    frames[i] = renderer.frame_image()
-            else:
-                out_frames, frames = _frames_alloc((n_new, region.size, 3))
-                for i in range(n_new):
-                    renderer.render_next()
-                    frames[i] = renderer.framebuffer.gather(region)
+            x0, y0, x1, y1 = box or (0, 0, cam.width, cam.height)
+            out_frames = frames = None
+            if emit_tile is None:
+                out_frames, frames = _frames_alloc((n_new, y1 - y0, x1 - x0, 3))
+
+                def emit_tile(frame, _x0, _y0, image):
+                    frames[frame - f0] = image
+
+            for f in range(f0, f1):
+                renderer.render_next()
+                image = renderer.framebuffer.data.reshape(cam.height, cam.width, 3)
+                emit_tile(f, x0, y0, image[y0:y1, x0:x1])
             reports = renderer.reports[-n_new:]
             stats = RayStats.merge(r.stats for r in reports)
             sp.attrs["rays"] = stats.total
@@ -270,17 +262,18 @@ def _render_segment_task(args, emit_tile=None):
             _SEGMENT_CACHE[_segment_cache_key(spec, box, grid_resolution, samples, f1)] = renderer
             while len(_SEGMENT_CACHE) > _SEGMENT_CACHE_MAX:
                 del _SEGMENT_CACHE[next(iter(_SEGMENT_CACHE))]
-    frames = None
+    frames = None  # the writer's reference too: one closure cell
     _seal_frames(out_frames)
     return box, f0, f1, out_frames, stats.counts, _finish_worker_events(tel, sink)
 
 
 _MANIFEST_NAME = "manifest.json"
-# Format 3 spools one ``(region_index, frame0, frame1, frames, counts,
+# Format 4 spools one ``(region_index, frame0, frame1, frames, counts,
 # events)`` tuple per unit of the fixed unit list, named by the unit's
-# index in that list.  A directory whose manifest differs only by an older
-# format number is treated as an empty spool and re-rendered.
-_SPOOL_FORMAT = 3
+# index in that list; ``frames`` is the unit's box, ``(n, h, w, 3)``.  A
+# directory whose manifest differs only by an older format number is
+# treated as an empty spool and re-rendered.
+_SPOOL_FORMAT = 4
 
 
 def _spool_path(run_dir: Path, idx: int) -> Path:
@@ -324,7 +317,6 @@ class FarmResult:
     # TCP runs expose the master's wire accounting (NetStats): tile
     # counts, first-tile/first-result latency, per-message-type maxima.
     net: object | None = None
-    streamed: bool = False
 
     @property
     def n_frames(self) -> int:
@@ -402,24 +394,21 @@ class LocalRenderFarm:
         A :class:`~repro.runtime.faults.FaultPlan` for deterministic
         crash/hang/raise/corrupt injection (tests and drills).
     tile_px:
-        Distributed-framebuffer tile edge for the TCP transport.  ``None``
-        (default) enables tiling at the master's default edge; ``0``
-        disables streaming (workers ship whole sub-areas in RESULT, the
-        pre-tile wire shape); any other value is the tile edge in pixels.
-        Ignored off-TCP (the pool shares memory; there is nothing to
-        stream).
+        Edge, in pixels (>= 1), of the tiles TCP workers cut each finished
+        frame into; ``None`` (default) is the master's default edge.
+        Unused off-TCP (a pool unit comes home whole).
     preview:
         A :class:`~repro.dfb.PreviewHub` to attach the run's
         :class:`~repro.dfb.FrameAssembler` to, so a status server can
         serve the partially composited frames while the run is live.
     on_tile, on_frame:
-        Progress callbacks.  On a streaming TCP run ``on_tile`` receives
-        a :class:`~repro.dfb.TileEvent` per wire tile and ``on_frame`` a
-        :class:`~repro.dfb.FrameEvent` as each frame's last tile lands;
-        non-streaming paths synthesize one whole-frame tile plus a frame
-        event per frame after assembly (as a resumed streaming run does
-        for frames its checkpoint spool already completes), so callers
-        observe the same contract on every transport.
+        Progress callbacks, fired as pixels land in the compositor.
+        ``on_tile`` receives a :class:`~repro.dfb.TileEvent` per
+        composited rectangle — a wire tile on TCP, one frame of an
+        accepted unit's box on the pool, likewise for a unit loaded from
+        a checkpoint spool — and ``on_frame`` a
+        :class:`~repro.dfb.FrameEvent` when the rectangle that completes
+        a frame lands: one contract on every transport.
     """
 
     def __init__(
@@ -461,6 +450,8 @@ class LocalRenderFarm:
             raise ValueError("schedule must be 'static', 'demand' or 'adaptive'")
         if transport not in ("process", "tcp"):
             raise ValueError("transport must be 'process' or 'tcp'")
+        if tile_px is not None and int(tile_px) < 1:
+            raise ValueError(f"tile_px must be None or >= 1, got {tile_px}")
         self.spec = spec
         self.mode = mode
         self.executor = executor
@@ -584,10 +575,12 @@ class LocalRenderFarm:
         )
 
     # -- output validity ----------------------------------------------------------
-    def _validator(self, assembler):
+    def _validator(self, streamed=None):
         """Shape/finiteness check applied before a unit's result is
         accepted (or a spooled checkpoint trusted): a corrupted block must
-        never reach assembly."""
+        never reach assembly.  A unit carries its box's pixels,
+        ``(n, h, w, 3)`` — unless it was ``streamed``, tile by tile, into
+        that assembler (the TCP wire), when it must carry none."""
         height, width = self._cam.height, self._cam.width
         n_kinds = len(RayKind)
 
@@ -596,50 +589,59 @@ class LocalRenderFarm:
                 return False
             box, f0, f1, frames, counts, events = result
             c = np.asarray(counts)
-            counts_ok = c.shape == (n_kinds,) and c.dtype.kind in "iu"
-            if frames is None:
-                # Streaming result: the pixels traveled tile-by-tile ahead
-                # of this RESULT on the same ordered connection, so accept
-                # it only if the assembler really holds the whole range.
-                return (
-                    assembler is not None
-                    and counts_ok
-                    and isinstance(events, str)
-                    and assembler.range_complete(box, int(f0), int(f1))
-                )
-            n_new = int(f1) - int(f0)
-            if box is None:
-                expected = (n_new, height, width, 3)
-            else:
-                x0, y0, x1, y1 = box
-                expected = (n_new, (int(x1) - int(x0)) * (int(y1) - int(y0)), 3)
+            if not (c.shape == (n_kinds,) and c.dtype.kind in "iu" and isinstance(events, str)):
+                return False
+            if streamed is not None:
+                # The tiles traveled ahead of this RESULT on the same
+                # ordered connection, so accept it only if the assembler
+                # really holds the whole range.  Pixels in the RESULT are
+                # not what a tiling master asked for.
+                return frames is None and streamed.range_complete(box, int(f0), int(f1))
+            x0, y0, x1, y1 = box or (0, 0, width, height)
             frames = np.asarray(frames)
-            return (
-                frames.shape == expected
-                and bool(np.isfinite(frames).all())
-                and counts_ok
-                and isinstance(events, str)
-            )
+            return frames.shape == (
+                int(f1) - int(f0), int(y1) - int(y0), int(x1) - int(x0), 3
+            ) and bool(np.isfinite(frames).all())
 
         return validate
 
-    # -- progress callbacks --------------------------------------------------------
-    def _fire_synthetic_events(self, images) -> None:
-        """Honor the streaming callback contract for frames that did not
-        stream: one whole-frame tile plus a frame event for each ``(frame
-        index, image)`` of ``images``."""
-        if self.on_tile is None and self.on_frame is None:
-            return
+    # -- compositing + progress callbacks ------------------------------------------
+    def _compositing(self, assembler):
+        """The farm's two verbs on its compositor, ``(fold_unit, report)``.
+
+        ``report(worker, frame, box, pixels, frame_complete)`` is the one
+        progress adapter: it tells ``on_tile`` / ``on_frame`` about one
+        composited rectangle (``None`` when nobody listens).  The TCP
+        master calls it for every wire tile.  ``fold_unit(worker, result)``
+        composites a validated unit that carries its pixels — a pool
+        result, a checkpoint load — and reports each of its frames the
+        same way."""
         from ..dfb import FrameEvent, TileEvent
 
-        for f, image in images:
-            if self.on_tile is not None:
-                self.on_tile(TileEvent(
-                    frame=f, x0=0, y0=0, x1=int(image.shape[1]), y1=int(image.shape[0]),
-                    pixels=image, frame_complete=True,
-                ))
-            if self.on_frame is not None:
-                self.on_frame(FrameEvent(f, image))
+        report = None
+        if self.on_tile is not None or self.on_frame is not None:
+
+            def report(worker, frame, box, pixels, frame_complete):
+                if self.on_tile is not None:
+                    x0, y0, x1, y1 = box
+                    self.on_tile(TileEvent(
+                        frame=frame, x0=x0, y0=y0, x1=x1, y1=y1,
+                        pixels=pixels, worker=worker, frame_complete=frame_complete,
+                    ))
+                if frame_complete and self.on_frame is not None:
+                    self.on_frame(FrameEvent(frame, assembler.frame_image(frame)))
+
+        whole = (0, 0, self._cam.width, self._cam.height)
+
+        def fold_unit(worker, result) -> None:
+            box, f0, f1, frames = result[:4]
+            frames = np.asarray(frames)
+            complete = assembler.add_segment(box, f0, f1, frames)
+            if report is not None:
+                for i, frame_complete in enumerate(complete):
+                    report(worker, int(f0) + i, box or whole, frames[i], frame_complete)
+
+        return fold_unit, report
 
     # -- checkpoint spool ----------------------------------------------------------
     def _manifest(self, n_tasks: int) -> dict:
@@ -713,28 +715,31 @@ class LocalRenderFarm:
         def spool(a, result) -> None:
             idx = index_of[(a.region_index, a.frame1)]
             ri, f0, f1 = units[idx]
-            box, _f0, _f1, frames, counts, events = result
-            if assembler is not None:
-                # Streamed (or folded in on arrival): the validator, and
-                # any salvage before it, proved the unit's whole range
-                # composited.
-                frames = assembler.segment(box, f0, f1)
+            box, _f0, _f1, _frames, counts, events = result
+            # Composited on arrival: the validator, and any salvage before
+            # it, proved the unit's whole range is in the assembler.
+            frames = assembler.segment(box, f0, f1)
             _save_task_result(_spool_path(run_path, idx), (ri, f0, f1, frames, counts, events))
             tel.event("checkpoint", task=idx, action="saved")
 
         return spool
 
-    def _acceptor(self, fold: RunFold, spool):
-        """The transports' ``on_result(assignment, result)`` hook: the
-        accepted unit's worker event buffer joins the run's accounting
-        ``fold`` — and, on the pool, the live stream; the TCP master has
-        already absorbed it, clock-corrected — then the unit is spooled."""
+    def _acceptor(self, fold: RunFold, spool, fold_unit):
+        """The transports' ``on_result(assignment, result)`` hook, called
+        once the unit has passed the validator.  What the TCP master has
+        already done as the unit's frames arrived, happens here for a pool
+        unit: its pixels are composited (``fold_unit``; the shared-memory
+        segment is released on the spot) and its worker event buffer joins
+        the live stream.  On either transport the buffer joins the run's
+        accounting ``fold``, then the unit is spooled."""
         tel = self.telemetry
-        absorb = self.transport != "tcp"
+        pooled = self.transport != "tcp"
 
         def on_result(a, result) -> None:
             events = _task_events(result)
-            if absorb:
+            if pooled:
+                fold_unit(a.worker, result)
+                release_refs([result])
                 tel.absorb(events)
             for rec in events:
                 fold.emit(rec)
@@ -744,7 +749,7 @@ class LocalRenderFarm:
         return on_result
 
     # -- transports ----------------------------------------------------------------
-    def _transport(self, policy, box_of, label, validate, assembler, on_result):
+    def _transport(self, policy, box_of, label, validate, assembler, on_result, report):
         """The transport that will drive ``policy``: the supervised pool or
         the loopback network farm, both executing the segment task."""
         spec, grid, samples, prof = (
@@ -778,25 +783,6 @@ class LocalRenderFarm:
         if self.transport == "tcp":
             from ..net.master import TcpTransport
 
-            master_on_tile = None
-            if assembler is not None and (
-                self.on_tile is not None or self.on_frame is not None
-            ):
-                from ..dfb import FrameEvent, TileEvent
-
-                def master_on_tile(worker, frame, tbox, pixels, frame_complete):
-                    if self.on_tile is not None:
-                        tx0, ty0, tx1, ty1 = tbox
-                        self.on_tile(TileEvent(
-                            frame=frame, x0=tx0, y0=ty0, x1=tx1, y1=ty1,
-                            pixels=pixels, worker=worker,
-                            frame_complete=frame_complete,
-                        ))
-                    if frame_complete and self.on_frame is not None:
-                        self.on_frame(
-                            FrameEvent(frame, assembler.frame_image(frame))
-                        )
-
             return TcpTransport(
                 policy,
                 "render_segment",
@@ -816,7 +802,7 @@ class LocalRenderFarm:
                 assembler=assembler,
                 tile_px=self.tile_px,
                 tile_box=lambda a: box_of(a.region_index),
-                on_tile=master_on_tile,
+                on_tile=report,
             )
 
         from ..sched.process import ProcessTransport
@@ -825,7 +811,7 @@ class LocalRenderFarm:
         # into segments and return FrameRef handles, so no pixels are
         # pickled back across the fork boundary.  The transport sweeps
         # stragglers (crashed attempts, discarded duplicates); the farm
-        # releases the refs it composited.
+        # releases each ref as it composites it.
         store = SharedFrameStore() if self.executor == "process" else None
         return ProcessTransport(
             policy,
@@ -867,13 +853,27 @@ class LocalRenderFarm:
             if run_dir is not None and Path(run_dir) != Path(resume):
                 raise ValueError("pass either run_dir or resume, not two different dirs")
             run_dir = resume
-        units, regions = self._unit_list()
-        if run_dir is not None and units is None:
+        if run_dir is not None and self.schedule == "adaptive":
             raise ValueError(
                 "checkpoint spooling (run_dir/resume) requires schedule='static' or "
                 "'demand'; the adaptive schedule decides its units at run time"
             )
+        from ..dfb import FrameAssembler
+
+        # The one compositor: every unit's pixels land in it exactly once,
+        # as the unit is accepted, whatever brought them home.
+        assembler = FrameAssembler(self._anim.n_frames, self._cam.width, self._cam.height)
+        try:
+            return self._run(assembler, run_dir)
+        finally:
+            # A no-op once take_frames() handed the stack to the caller; a
+            # failed run's composite buffers go back to the pool.
+            assembler.release()
+
+    def _run(self, assembler, run_dir) -> FarmResult:
+        """:meth:`render` proper, compositing into ``assembler``."""
         anim, cam, tel = self._anim, self._cam, self.telemetry
+        units, regions = self._unit_list()
         label = self.mode if self.schedule == "static" else self.schedule
 
         def box_of(region_index):
@@ -882,14 +882,9 @@ class LocalRenderFarm:
             r = regions[region_index]
             return (r.x0, r.y0, r.x1, r.y1)
 
-        # Distributed framebuffer: tiling is a TCP concern (the pool
-        # shares memory); tile_px=0 opts a TCP run out explicitly.
-        assembler = None
-        if self.transport == "tcp" and self.tile_px != 0:
-            from ..dfb import FrameAssembler
-
-            assembler = FrameAssembler(anim.n_frames, cam.width, cam.height)
-        validate = self._validator(assembler)
+        fold_unit, report = self._compositing(assembler)
+        validate_unit = self._validator()
+        validate = self._validator(assembler) if self.transport == "tcp" else validate_unit
         if self.profile_dir:
             Path(self.profile_dir).mkdir(parents=True, exist_ok=True)
 
@@ -905,42 +900,34 @@ class LocalRenderFarm:
             mode=label,
         )
 
-        # Units a previous run already spooled join this run's results
-        # and never reach the policy.  Their pixels count toward the run's
-        # totals, but their spans are not re-emitted — those belong to
-        # another run's trace and another process's clock.
+        # Units a previous run already spooled are composited like any
+        # other and never reach the policy.  Their pixels count toward the
+        # run's totals, but their spans are not re-emitted — those belong
+        # to another run's trace and another process's clock.
         results: list = []
         fold = RunFold()
         spool = None
         if run_dir is not None:
-            loaded = self._load_spool(Path(run_dir), units, box_of, validate)
+            loaded = self._load_spool(Path(run_dir), units, box_of, validate_unit)
             for idx, res in loaded.items():
                 tel.event("checkpoint", task=idx, action="loaded")
                 for rec in _task_events(res):
                     if rec.get("name") == "frame":
                         fold.emit(rec)
-            results = list(loaded.values())
+                fold_unit("", res)
+                results.append((*res[:3], None, *res[4:]))
             spool = self._spooler(Path(run_dir), units, assembler)
             units = [u for idx, u in enumerate(units) if idx not in loaded]
-        on_result = self._acceptor(fold, spool) if tel.enabled or spool else None
+            del loaded  # composited: nothing keeps a second copy of the pixels
         n_loaded = len(results)
-        if assembler is not None and results:
-            for i, (box, f0, f1, seg_frames, counts, events) in enumerate(results):
-                assembler.add_segment(box, f0, f1, seg_frames)
-                results[i] = (box, f0, f1, None, counts, events)
-            self._fire_synthetic_events(
-                (f, assembler.frame_image(f))
-                for f in range(anim.n_frames)
-                if assembler.box_complete(None, f)
-            )
 
         out = None
         if units is None or units:  # else every unit was loaded: start nothing
             transport = self._transport(
-                self._policy(units, regions), box_of, label, validate, assembler, on_result
+                self._policy(units, regions), box_of, label, validate, assembler,
+                self._acceptor(fold, spool, fold_unit), report,
             )
-            previewing = self.preview is not None and assembler is not None
-            if previewing:
+            if self.preview is not None:
                 self.preview.attach(
                     assembler,
                     workload=self.spec.factory,
@@ -949,39 +936,18 @@ class LocalRenderFarm:
             try:
                 out = transport.run()
             finally:
-                if previewing:
+                if self.preview is not None:
                     self.preview.detach()
             results += out.results
         sup = out.supervisor if out is not None else SupervisorOutcome(results=[])
         n_tasks = n_loaded + (len(out.assignments) if out is not None else 0)
-
-        if assembler is not None:
-            # Every result — streamed tiles, whole sub-areas and loaded
-            # checkpoints alike — was folded into the compositor as it
-            # arrived; taking the frames hands the per-frame composite
-            # buffers back to the pool.
-            frames = assembler.take_frames()
-        else:
-            frames = np.zeros(
-                (anim.n_frames, cam.height, cam.width, 3), dtype=np.float64
-            )
-            flat = frames.reshape(anim.n_frames, cam.n_pixels, 3)
-            for box, f0, f1, seg_frames, _counts, _ev in results:
-                f0, f1 = int(f0), int(f1)
-                if box is None:
-                    frames[f0:f1] = seg_frames
-                else:
-                    region = PixelRegion(*box, width=cam.width).pixels
-                    flat[f0:f1][:, region, :] = seg_frames
-            release_refs(results)
-            self._fire_synthetic_events(enumerate(frames))
         stats = RayStats.merge(res[-2] for res in results)
 
         if tel.enabled:
             self._emit_run_telemetry(fold, sup, stats, n_tasks)
         self._end_trace(t_run0)
         return FarmResult(
-            frames=frames,
+            frames=assembler.take_frames(),
             stats=stats,
             n_tasks=n_tasks,
             mode=label,
@@ -993,7 +959,6 @@ class LocalRenderFarm:
             n_from_checkpoint=n_loaded,
             attempts=sup.attempts,
             net=out.net if out is not None else None,
-            streamed=assembler is not None,
         )
 
     def _emit_run_telemetry(self, fold: RunFold, sup, stats: RayStats, n_tasks: int) -> None:

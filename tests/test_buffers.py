@@ -22,10 +22,11 @@ from repro.buffers import (
     SharedFrameStore,
     activate_worker_store,
     attach_refs,
+    default_pool,
     release_refs,
     worker_store,
 )
-from repro.dfb import FrameBuffer
+from repro.dfb import FrameAssembler
 
 
 # -- copy accounting ---------------------------------------------------------------
@@ -81,13 +82,24 @@ def test_pool_caps_parked_bytes():
 
 def test_framebuffer_composite_plane_is_pooled():
     pool = BufferPool()
-    fb = FrameBuffer(4, 5, pool=pool)
-    plane = fb.image
-    fb.image[:] = 3.0
-    fb.release()
-    fb2 = FrameBuffer(4, 5, pool=pool)
-    assert fb2.image is plane  # the released plane came back around
-    assert not fb2.image.any()  # ...blanked for the new frame
+    asm = FrameAssembler(1, 5, 4, pool=pool)
+    asm.add_tile(0, 0, 0, 5, 4, np.full((4, 5, 3), 3.0))
+    stack = asm.take_frames()
+    # The stack the tile was written into, handed over: no second acquire.
+    assert (stack == 3.0).all() and pool.stats()["n_acquired"] == 1
+    asm.release()  # spent: nothing left to give back
+    assert pool.stats()["n_outstanding"] == 1
+    pool.release(stack)
+    asm2 = FrameAssembler(1, 5, 4, pool=pool)
+    frame, image, coverage = asm2.preview()
+    assert not image.any() and coverage == 0.0  # ...blanked for the new run
+    asm2.add_tile(0, 0, 0, 5, 4, np.ones((4, 5, 3)))
+    assert asm2.take_frames() is stack  # the released stack came back around
+    # An assembler that never hands its stack over returns it on release().
+    asm3 = FrameAssembler(1, 5, 4, pool=pool)
+    asm3.release()
+    asm3.release()  # idempotent
+    assert pool.stats()["n_outstanding"] == 1  # asm2's stack, still the caller's
 
 
 # -- shared-memory frames ----------------------------------------------------------
@@ -186,3 +198,22 @@ def test_lazyframes_thunk_source_releases_refs_after_access():
         assert np.asarray(lf)[1, 2, 2] == 7.0  # still readable after release
     finally:
         store.cleanup()
+
+
+@pytest.mark.parametrize(
+    "transport, executor", [("process", "thread"), ("process", "process"), ("tcp", "process")]
+)
+def test_farm_frames_release_balances_the_pool(transport, executor):
+    """The farm's final stack is pool-acquired on every transport, so
+    releasing a result's frames returns exactly what the run took."""
+    from repro.api import RenderRequest, render
+
+    before = default_pool().stats()["n_outstanding"]
+    result = render(RenderRequest(
+        engine="farm", workload="newton", n_frames=2, width=32, height=24,
+        grid_resolution=12, n_workers=2, transport=transport, executor=executor,
+    ))
+    assert np.asarray(result.frames).shape == (2, 24, 32, 3)
+    assert default_pool().stats()["n_outstanding"] == before + 1  # the caller's stack
+    result.frames.release()
+    assert default_pool().stats()["n_outstanding"] == before

@@ -18,7 +18,6 @@ import pytest
 from repro.dfb import (
     DEFAULT_TILE_PX,
     FrameAssembler,
-    FrameBuffer,
     PreviewHub,
     encode_png,
     tile_rects,
@@ -63,18 +62,20 @@ def test_tile_rects_rejects_bad_edge():
         list(tile_rects(0, 0, 8, 8, 0))
 
 
-# -- FrameBuffer / FrameAssembler edge cases --------------------------------------
+# -- FrameAssembler edge cases ----------------------------------------------------
 def test_duplicate_tile_delivery_is_idempotent_and_bit_identical():
     ref = reference(1, 24, 32)[0]
-    fb = FrameBuffer(24, 32)
+    asm = FrameAssembler(1, 32, 24)
     tiles = tiles_of(ref, (0, 0, 32, 24), 16)
-    for (x0, y0, x1, y1), px in tiles:
-        assert fb.add_tile(x0, y0, x1, y1, px) == (y1 - y0) * (x1 - x0)
+    for i, ((x0, y0, x1, y1), px) in enumerate(tiles):
+        newly, complete = asm.add_tile(0, x0, y0, x1, y1, px)
+        assert newly == (y1 - y0) * (x1 - x0)
+        assert complete == (i == len(tiles) - 1)
     # Re-deliver everything: zero newly-covered pixels, pixels unchanged.
     for (x0, y0, x1, y1), px in tiles:
-        assert fb.add_tile(x0, y0, x1, y1, px) == 0
-    assert fb.complete
-    assert fb.image.tobytes() == ref.tobytes()
+        assert asm.add_tile(0, x0, y0, x1, y1, px) == (0, True)
+    assert asm.complete and asm.n_tiles == 2 * len(tiles)
+    assert asm.frames()[0].tobytes() == ref.tobytes()
 
 
 def test_out_of_order_tiles_compose_bit_identically():
@@ -126,16 +127,27 @@ def test_degenerate_one_by_one_tiles():
 
 
 def test_mixed_tiles_and_whole_segments_compose():
-    # Half the frames arrive as streamed tiles, half as a pre-tile
-    # worker's flat (n, h*w, 3) RESULT payload — one compositor state.
+    # Half the frames arrive as streamed tiles, half as whole units (a
+    # pool result, a checkpoint load) — one compositor state.
     ref = reference(4, 16, 16)
     asm = FrameAssembler(4, 16, 16)
     for f in (0, 2):
         for (x0, y0, x1, y1), px in tiles_of(ref[f], (0, 0, 16, 16), 6):
             asm.add_tile(f, x0, y0, x1, y1, px)
-    asm.add_segment(None, 1, 2, ref[1].reshape(1, -1, 3))
-    asm.add_segment((0, 0, 16, 16), 3, 4, ref[3:4])
+    assert asm.add_segment(None, 1, 2, ref[1:2]) == [True]
+    assert asm.add_segment((0, 0, 16, 8), 3, 4, ref[3:4, :8]) == [False]
+    assert asm.add_segment((0, 8, 16, 16), 3, 4, ref[3:4, 8:]) == [True]
     assert asm.frames().tobytes() == ref.tobytes()
+    assert asm.segment((0, 8, 16, 16), 2, 4).tobytes() == ref[2:4, 8:].tobytes()
+    # One layout in, one layout out: the flat (n, h*w, 3) form is refused.
+    with pytest.raises(ValueError, match="shape"):
+        asm.add_segment(None, 1, 2, ref[1].reshape(1, -1, 3))
+    # take_frames() hands over the stack the tiles were written into.
+    written = asm.segment(None, 0, 4)
+    stack = asm.take_frames()
+    assert stack.tobytes() == written.tobytes() == ref.tobytes()
+    with pytest.raises(RuntimeError, match="released"):
+        asm.frames()
 
 
 def test_assembler_rejects_bad_tiles_and_incomplete_readout():

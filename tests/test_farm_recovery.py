@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.buffers import default_pool
 from repro.runtime import (
     AnimationSpec,
     FaultPlan,
@@ -107,6 +108,31 @@ def test_all_workers_dead_error_path(spec):
         sup.run()
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        # the only daemon dies on its first assignment, no attempt left
+        dict(transport="tcp", n_workers=1, net_die_after={0: 0}, max_attempts=1),
+        # the drill above, through the farm: every pool is lost
+        dict(
+            n_workers=2,
+            max_attempts=8,
+            fault_plan=FaultPlan((FaultPlan.crash(0, attempts=tuple(range(8))),)),
+        ),
+    ],
+    ids=["tcp", "pool"],
+)
+def test_failed_run_strands_no_composite_buffer(spec, kw):
+    """A run that raises hands nothing to the caller, so the compositor's
+    stack goes back to the pool (a daemon that retries jobs would otherwise
+    accumulate them) and no shared-memory segment outlives it."""
+    before = default_pool().stats()["n_outstanding"]
+    with pytest.raises(RuntimeError, match="failed after 1 attempts|pool lost"):
+        _farm(spec, **kw).render()
+    assert default_pool().stats()["n_outstanding"] == before
+    assert not glob.glob("/dev/shm/reprobuf_*")
+
+
 def test_thread_executor_raise_faults_recovered(spec, reference):
     plan = FaultPlan((FaultPlan.raising(4),))
     res = _farm(spec, n_workers=2, executor="thread", fault_plan=plan).render()
@@ -175,7 +201,7 @@ def _resume_drill(spec, reference, run_dir, **kw):
 
 @pytest.mark.parametrize("schedule", ["static", "demand"])
 @pytest.mark.parametrize(
-    "transport, tile_px", [("process", None), ("tcp", None), ("tcp", 0)]
+    "transport, tile_px", [("process", None), ("tcp", None), ("tcp", 8)]
 )
 def test_resume_on_every_fixed_schedule_and_transport(
     spec, reference, tmp_path, transport, tile_px, schedule
@@ -271,6 +297,55 @@ def test_run_dir_and_conflicting_resume_rejected(spec, tmp_path):
     farm = _farm(spec, executor="serial")
     with pytest.raises(ValueError, match="not two different"):
         farm.render(run_dir=tmp_path / "a", resume=tmp_path / "b")
+
+
+# -- one compositor, one callback contract ---------------------------------------
+@pytest.mark.parametrize("mode", ["frame", "sequence", "hybrid"])
+def test_pool_progress_callbacks_follow_the_compositor(spec, reference, tmp_path, mode):
+    """The contract the TCP tiles set, on the pool: every (frame, box) of
+    the unit list arrives exactly once as a TileEvent, and a FrameEvent
+    fires with the finished image when a frame's last block lands — on a
+    fresh run and on one resumed from a spool that holds some units."""
+    run_dir = tmp_path / "run"
+    for resumed in (False, True):
+        tiles, frames = [], []
+        farm = _farm(
+            spec, mode=mode, n_workers=2, executor="thread",
+            on_tile=tiles.append, on_frame=frames.append,
+        )
+        res = farm.render(run_dir=run_dir)
+        assert np.array_equal(res.frames, reference.frames)
+        assert (0 < res.n_from_checkpoint < res.n_tasks) == resumed
+        for path in sorted(run_dir.glob("task_*.npz"))[::2]:
+            path.unlink()  # what the second pass has to render
+        units, regions = farm._unit_list()
+        boxes = {-1: (0, 0, 48, 36)}
+        boxes.update((i, (r.x0, r.y0, r.x1, r.y1)) for i, r in enumerate(regions or ()))
+        assert sorted((t.frame, (t.x0, t.y0, t.x1, t.y1)) for t in tiles) == sorted(
+            (f, boxes[ri]) for ri, f0, f1 in units for f in range(f0, f1)
+        )
+        for t in tiles:
+            assert np.array_equal(t.pixels, reference.frames[t.frame, t.y0:t.y1, t.x0:t.x1])
+        assert sorted(ev.frame for ev in frames) == [0, 1, 2]
+        assert [t.frame for t in tiles if t.frame_complete] == [ev.frame for ev in frames]
+        for ev in frames:
+            assert np.array_equal(ev.image, reference.frames[ev.frame])
+
+
+def test_pool_segments_are_released_as_their_unit_lands(spec, reference):
+    """A unit's shared-memory segment lives from its render to its
+    compositing, not to the end of the run: with one process worker, a
+    callback sees its own unit's segment and at most the next one's."""
+    alive = []
+    farm = _farm(
+        spec,
+        n_workers=1,
+        on_tile=lambda ev: alive.append(len(glob.glob("/dev/shm/reprobuf_*"))),
+    )
+    res = farm.render()
+    assert np.array_equal(res.frames, reference.frames)
+    assert len(alive) == 12 * 3 and set(alive) <= {1, 2}
+    assert not glob.glob("/dev/shm/reprobuf_*")
 
 
 # -- worker cache ----------------------------------------------------------------

@@ -497,7 +497,8 @@ def test_tcp_serves_the_static_unit_list(tcp_spec, serial_reference):
     out = LocalRenderFarm(
         tcp_spec, n_workers=2, schedule="static", transport="tcp", grid_resolution=12
     ).render()
-    assert (out.mode, out.n_tasks, out.streamed) == ("frame", 12, True)
+    assert (out.mode, out.n_tasks) == ("frame", 12)
+    assert out.net.n_tiles == 12 * 4  # a 6x6 block is one tile per frame
     assert out.frames.tobytes() == serial_reference.frames.tobytes()
     assert out.stats.total == serial_reference.stats.total
 
@@ -534,7 +535,6 @@ def test_tcp_farm_streams_tiles_with_telemetry(tcp_spec, serial_reference):
     )
     out = farm.render()
     tel.close()
-    assert out.streamed
     assert out.frames.tobytes() == serial_reference.frames.tobytes()
     net = out.net
     assert net.n_tiles >= tcp_spec.build().n_frames  # >= one tile per frame
@@ -549,12 +549,61 @@ def test_tcp_farm_streams_tiles_with_telemetry(tcp_spec, serial_reference):
     assert frames_seen == set(range(tcp_spec.build().n_frames))
 
 
-def test_tcp_farm_tile_px_zero_restores_whole_subarea_wire(tcp_spec, serial_reference):
-    farm = LocalRenderFarm(
-        tcp_spec, n_workers=2, schedule="adaptive", transport="tcp",
-        grid_resolution=12, tile_px=0,
+@pytest.mark.parametrize("tile_px", [0, -4])
+def test_tile_edge_must_be_positive(tcp_spec, tile_px):
+    """There is no untiled wire to fall back to: a tile edge is ``None``
+    (the default) or >= 1, refused before anything is spawned."""
+    from repro.cli import build_parser
+
+    with pytest.raises(ValueError, match="tile_px"):
+        LocalRenderFarm(tcp_spec, transport="tcp", tile_px=tile_px)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["farm", "newton", f"--tile-px={tile_px}"])
+
+
+def test_result_carrying_pixels_is_an_invalid_loss_on_a_tiling_master(
+    tcp_spec, serial_reference
+):
+    """The farm's master composites tiles and nothing else: a worker that
+    ignores the tile directive and ships its pixels in the RESULT loses the
+    lane (``invalid``), nothing of that payload is folded in, and the unit
+    is rendered again."""
+    from repro.buffers import BufferPool
+    from repro.dfb import FrameAssembler
+    from repro.net.tasks import render_segment, spec_to_wire
+
+    farm = LocalRenderFarm(tcp_spec, transport="tcp", grid_resolution=12)
+    asm = FrameAssembler(4, 24, 18, pool=BufferPool())
+    policy = make_policy("sequence-division-fc", 4, sequence_ranges=[(0, 4)], segment_frames=4)
+    spec_wire = spec_to_wire(tcp_spec)
+    master = MasterServer(
+        policy,
+        "render_segment",
+        lambda a, lane: (spec_wire, None, a.frame0, a.frame1, a.fresh, "sequence", 12, 1,
+                         False, None),
+        validate=farm._validator(asm),
+        assembler=asm,
+        startup_timeout=120.0,
     )
-    out = farm.render()
-    assert not out.streamed
-    assert out.net.n_tiles == 0
-    assert out.frames.tobytes() == serial_reference.frames.tobytes()
+    host, port = master.listen()
+    offered = []
+
+    def stubborn(args, emit_tile=None):
+        offered.append(emit_tile is not None)
+        return render_segment(args, emit_tile=emit_tile if len(offered) > 1 else None)
+
+    stubborn.streaming = True
+    client = WorkerClient(
+        host, port, score=1.0, registry={"render_segment": stubborn},
+        backoff_base=0.1, max_retries=30,
+    )
+    thread = threading.Thread(target=client.run)
+    thread.start()
+    out = master.serve()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert offered == [True, True]  # the sink was offered both times
+    assert [a.outcome for a in out.supervisor.attempts] == ["invalid", "ok"]
+    assert out.supervisor.n_invalid == 1 and out.net.n_losses == 1
+    assert asm.n_tiles == 4  # one tile per 24x18 frame, from the second attempt alone
+    assert asm.take_frames().tobytes() == serial_reference.frames.tobytes()

@@ -10,7 +10,7 @@ it says why in its description.
 import sys
 from pathlib import Path
 
-CEILING = 21951
+CEILING = 21795
 
 if __name__ == "__main__":
     src = Path(__file__).resolve().parent.parent / "src"
