@@ -22,6 +22,7 @@ import time
 
 from repro.obs import write_chrome_trace
 from repro.parallel.partition import sequence_ranges
+from repro.runtime import FarmOptions
 from repro.sched.core import AdaptiveChainPolicy, Chain, DemandDrivenPolicy
 from repro.sched.process import ProcessTransport
 from repro.telemetry import InMemorySink, Telemetry
@@ -71,9 +72,7 @@ def _run(results_dir):
             policy,
             _skewed_frame_task,
             lambda a, lane: (lane, a.frame0, a.frame1),
-            n_workers=2,
-            executor="thread",
-            telemetry=tel,
+            FarmOptions(n_workers=2, executor="thread", telemetry=tel),
         )
         t0 = time.perf_counter()
         out = transport.run()

@@ -38,7 +38,7 @@ from repro.buffers import (
     worker_store,
 )
 from repro.net import protocol as wire
-from repro.runtime import AnimationSpec, FaultPlan, LocalRenderFarm
+from repro.runtime import AnimationSpec, FaultPlan, LocalRenderFarm, RecoveryOptions
 from repro.runtime.supervisor import TaskSupervisor
 from repro.telemetry import InMemorySink, Telemetry, metrics_from_events, write_bench_json
 
@@ -110,7 +110,7 @@ def _transport_wall(shm: bool) -> float:
         n_workers=N_WORKERS,
         initializer=activate_worker_store if shm else None,
         initargs=(store.token,) if shm else (),
-        max_attempts=2,
+        recovery=RecoveryOptions(max_attempts=2),
     )
     out = sup.run()
     # Consume every result on the master (equal page-touching both ways).

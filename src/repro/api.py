@@ -31,11 +31,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from .render import RayStats
+from .runtime.options import FarmOptions
 from .scene import Animation
 from .service.client import (  # noqa: F401 (re-exported client surface)
     ServiceError,
@@ -77,12 +78,18 @@ WORKLOADS = {
 }
 
 
-@dataclass
-class RenderRequest:
+@dataclass(frozen=True)
+class RenderRequest(FarmOptions):
     """Everything the facade needs to run any engine.
 
     Only the fields relevant to the chosen ``engine`` are consulted; the
-    rest keep their defaults harmlessly.
+    rest keep their defaults harmlessly.  The farm's options are the
+    inherited :class:`~repro.runtime.options.FarmOptions` fields, declared
+    and documented there (``blackbox_dir=None`` here means the run or
+    events directory).  Of those, ``grid_resolution``, ``samples_per_axis``
+    and the progress callbacks serve every engine: the animation engine
+    reports a frame as one whole-frame tile, the simulators' frame events
+    carry no pixels (image None).
     """
 
     workload: Any = "newton"  # name, Animation, or runtime.AnimationSpec
@@ -90,36 +97,12 @@ class RenderRequest:
     n_frames: int = 8
     width: int = 160
     height: int = 120
-    grid_resolution: int = 24
-    samples_per_axis: int = 1
     shadow_coherence: bool = False
     chunk_size: int = 32768
-    #: Streaming progress callbacks, uniform across engines.  ``on_frame``
-    #: receives a :class:`repro.dfb.FrameEvent` per completed frame;
-    #: ``on_tile`` a :class:`repro.dfb.TileEvent` per composited tile.  The
-    #: farm fires them as pixels land in its compositor (wire tiles on TCP,
-    #: a unit's box per frame on the pool); the animation engine reports a
-    #: frame as one whole-frame tile; the simulators' frame events carry no
-    #: pixels (image None).
-    on_frame: Callable | None = None
-    on_tile: Callable | None = None
 
-    # farm (engine="farm")
-    mode: str = "frame"
-    n_workers: int | None = None
-    executor: str = "process"
-    schedule: str = "static"
-    transport: str = "process"  # "process" pool, or "tcp" loopback network farm
-    net_die_after: dict | None = None  # tcp fault drill: worker idx -> kill point
-    net_die_after_frames: dict | None = None  # mid-task fault drill: idx -> frame count
-    blackbox_dir: str | Path | None = None  # flight-recorder dumps (None: run/events dir)
-    segment_frames: int | None = None
-    tile_px: int | None = None  # tcp tile edge in pixels (>= 1); None = the default edge
-    max_attempts: int = 3
-    task_timeout: float | None = None
+    # farm (engine="farm"), beside the inherited options
     run_dir: str | Path | None = None
     resume: str | Path | None = None
-    fault_plan: Any = None
     verify: bool = False
 
     # simulators (engine="simulate")
@@ -130,10 +113,9 @@ class RenderRequest:
     failures: list[tuple[str, float]] | None = None
     worker_timeout: float | None = None
 
-    # telemetry / profiling
+    # telemetry
     telemetry: Any = False  # bool, or a ready-made Telemetry instance
     events_path: str | Path | None = None  # JSONL file or directory
-    profile_dir: str | Path | None = None
 
     # observability (implies telemetry when set)
     status_port: int | None = None  # serve live JSON farm status on 127.0.0.1:<port>
@@ -404,32 +386,11 @@ def _run_animation(req: RenderRequest, tel, label, spec, anim) -> RenderResult:
     )
 
 
-def _run_farm(req: RenderRequest, tel, label, spec, preview=None) -> RenderResult:
+def _run_farm(req: RenderRequest, label, spec) -> RenderResult:
+    """``req`` as resolved by :func:`render`: its telemetry is the session."""
     from .runtime import LocalRenderFarm
 
-    farm = LocalRenderFarm(
-        spec,
-        n_workers=req.n_workers,
-        mode=req.mode,
-        executor=req.executor,
-        schedule=req.schedule,
-        transport=req.transport,
-        net_die_after=req.net_die_after,
-        net_die_after_frames=req.net_die_after_frames,
-        blackbox_dir=req.blackbox_dir,
-        segment_frames=req.segment_frames,
-        grid_resolution=req.grid_resolution,
-        samples_per_axis=req.samples_per_axis,
-        max_attempts=req.max_attempts,
-        task_timeout=req.task_timeout,
-        fault_plan=req.fault_plan,
-        telemetry=tel,
-        profile_dir=req.profile_dir,
-        tile_px=req.tile_px,
-        preview=preview,
-        on_tile=req.on_tile,
-        on_frame=req.on_frame,
-    )
+    farm = LocalRenderFarm(spec, **FarmOptions.project(req))
     t0 = time.perf_counter()
     out = farm.render(run_dir=req.run_dir, resume=req.resume)
     wall = time.perf_counter() - t0
@@ -437,13 +398,6 @@ def _run_farm(req: RenderRequest, tel, label, spec, preview=None) -> RenderResul
     if req.verify:
         reference = farm.render_reference()
         identical = bool(np.array_equal(out.frames, reference.frames))
-    recovery = {
-        "retries": out.n_retries,
-        "timeouts": out.n_timeouts,
-        "crashes": out.n_crashes,
-        "invalid": out.n_invalid,
-        "degraded": out.n_degraded,
-    }
     # The farm's final stack is pool-acquired (dfb take_frames); wiring
     # the pool back in lets frames.release() recycle it once consumed —
     # a long-running service re-renders same-shaped jobs allocation-free.
@@ -459,8 +413,8 @@ def _run_farm(req: RenderRequest, tel, label, spec, preview=None) -> RenderResul
         stats=out.stats,
         mode=out.mode,
         n_tasks=out.n_tasks,
-        n_workers=farm.n_workers,
-        recovery=recovery,
+        n_workers=farm.options.n_workers,
+        recovery=out.recovery,
         n_from_checkpoint=out.n_from_checkpoint,
         bit_identical=identical,
     )
@@ -538,7 +492,6 @@ def render(request: RenderRequest | None = None, /, **kwargs) -> RenderResult:
         if bb is not None:
             request = replace(request, blackbox_dir=bb)
     server = None
-    preview = None
     if fold is not None:
         from .obs import StatusServer
 
@@ -553,13 +506,14 @@ def render(request: RenderRequest | None = None, /, **kwargs) -> RenderResult:
             # endpoint reports {"available": false}.
             preview = PreviewHub()
             routes["/preview"] = preview.route
+            request = replace(request, preview=preview)
         server = StatusServer(fold, port=int(request.status_port), routes=routes)
         server.start()
     try:
         if request.engine == "animation":
             result = _run_animation(request, tel, label, spec, anim)
         elif request.engine == "farm":
-            result = _run_farm(request, tel, label, spec, preview=preview)
+            result = _run_farm(replace(request, telemetry=tel), label, spec)
         else:
             result = _run_simulate(request, tel, label, spec, anim)
     finally:

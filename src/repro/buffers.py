@@ -232,7 +232,7 @@ def _unlink_segment(name: str) -> None:
         try:
             (_SHM_DIR / name).unlink()
         except OSError:
-            pass
+            pass  # already unlinked by whoever released it first
         return
     try:  # non-Linux fallback: attach registers once, unlink unregisters once
         tmp = shared_memory.SharedMemory(name=name)
@@ -398,7 +398,7 @@ class SharedFrameStore:
                 path.unlink()
                 swept += 1
             except OSError:
-                pass
+                pass  # released between the glob and the unlink: not a straggler
         return swept
 
 

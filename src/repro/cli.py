@@ -39,8 +39,19 @@ def _workload_spec(args):
 
     return AnimationSpec(
         WORKLOADS[args.workload],
-        {"n_frames": args.frames, "width": args.width, "height": args.height},
+        {"n_frames": args.n_frames, "width": args.width, "height": args.height},
     )
+
+
+def _request_fields(args) -> dict:
+    """``RenderRequest`` keywords off a parsed command line: a flag that
+    sets a request field has that field's name as its ``dest``."""
+    from dataclasses import fields
+
+    from .api import RenderRequest
+
+    names = {f.name for f in fields(RenderRequest)}
+    return {name: value for name, value in vars(args).items() if name in names}
 
 
 def _tile_edge(text: str) -> int:
@@ -51,10 +62,12 @@ def _tile_edge(text: str) -> int:
 
 
 def _add_size_args(p: argparse.ArgumentParser, frames: int = 8) -> None:
-    p.add_argument("--frames", type=int, default=frames)
+    p.add_argument("--frames", dest="n_frames", type=int, default=frames)
     p.add_argument("--width", type=int, default=160)
     p.add_argument("--height", type=int, default=120)
-    p.add_argument("--grid", type=int, default=24, help="voxel grid resolution")
+    p.add_argument(
+        "--grid", dest="grid_resolution", type=int, default=24, help="voxel grid resolution"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_anim.add_argument("--out", type=Path, default=Path("frames"))
     p_anim.add_argument("--shadow-coherence", action="store_true")
     p_anim.add_argument(
-        "--telemetry", type=Path, default=None, metavar="DIR",
+        "--telemetry", dest="events_path", type=Path, default=None, metavar="DIR",
         help="write structured telemetry (events.jsonl) to DIR",
     )
 
@@ -94,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_farm = sub.add_parser("farm", help="real parallel rendering on this machine")
     p_farm.add_argument("workload", choices=("newton", "brick"))
     _add_size_args(p_farm)
-    p_farm.add_argument("--workers", type=int, default=4)
+    p_farm.add_argument("--workers", dest="n_workers", type=int, default=4)
     p_farm.add_argument("--mode", choices=("frame", "sequence", "hybrid"), default="frame")
     p_farm.add_argument(
         "--executor", choices=("process", "thread", "serial"), default="process"
@@ -139,12 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume from a previous --run-dir, re-executing only unfinished tasks",
     )
     p_farm.add_argument(
-        "--telemetry", type=Path, default=None, metavar="DIR",
+        "--telemetry", dest="events_path", type=Path, default=None, metavar="DIR",
         help="write structured telemetry (events.jsonl) to DIR "
              "(defaults to --run-dir when one is given)",
     )
     p_farm.add_argument(
-        "--profile", type=Path, default=None, metavar="DIR",
+        "--profile", dest="profile_dir", type=Path, default=None, metavar="DIR",
         help="cProfile each worker task into DIR/*.prof (merge with "
              "repro.telemetry.merge_profiles)",
     )
@@ -172,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="reuse a saved cost oracle instead of measuring one",
     )
     p_sim.add_argument(
-        "--telemetry", type=Path, default=None, metavar="DIR",
+        "--telemetry", dest="events_path", type=Path, default=None, metavar="DIR",
         help="write structured telemetry (events.jsonl) to DIR",
     )
     p_sim.add_argument(
@@ -217,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-capacity", type=int, default=16,
         help="admission bound: beyond this, the lowest-priority job is shed",
     )
-    p_serve.add_argument("--workers", type=int, default=2, help="farm workers per job")
+    p_serve.add_argument(
+        "--workers", dest="n_workers", type=int, default=2, help="farm workers per job"
+    )
     p_serve.add_argument(
         "--executor", choices=("process", "thread", "serial"), default="process"
     )
@@ -237,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--priority", type=int, default=0, help="higher = more urgent")
     p_submit.add_argument("--owner", default="", help="who to bill the job to")
     p_submit.add_argument(
-        "--max-attempts", type=int, default=3,
+        "--max-attempts", dest="job_attempts", type=int, default=3,
         help="service attempts before the job is dead-lettered",
     )
     p_submit.add_argument(
@@ -295,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault drill: worker 0 crashes before serving shard request N+1",
     )
     p_shard.add_argument(
-        "--telemetry", type=Path, default=None, metavar="DIR",
+        "--telemetry", dest="events_path", type=Path, default=None, metavar="DIR",
         help="write structured telemetry (events.jsonl) to DIR",
     )
     p_shard.add_argument(
@@ -340,16 +355,10 @@ def _cmd_animate(args) -> int:
         )
 
     result = render(
-        workload=args.workload,
         engine="animation",
-        n_frames=args.frames,
-        width=args.width,
-        height=args.height,
-        grid_resolution=args.grid,
-        shadow_coherence=args.shadow_coherence,
         on_frame=on_frame,
-        telemetry=args.telemetry is not None,
-        events_path=args.telemetry,
+        telemetry=args.events_path is not None,
+        **_request_fields(args),
     )
     print(
         f"\n{result.n_frames} frames in {result.wall_time:.1f}s, "
@@ -368,7 +377,7 @@ def _cmd_validate(args) -> int:
     from .coherence import validate_sequence
 
     anim = _workload_spec(args).build()
-    report = validate_sequence(anim, grid_resolution=args.grid)
+    report = validate_sequence(anim, grid_resolution=args.grid_resolution)
     for fv in report.frames:
         print(
             f"frame {fv.frame:3d}: exact={fv.exact} actual_changed={fv.n_actual_changed:6d} "
@@ -388,8 +397,8 @@ def _cmd_table1(args) -> int:
     from .scenes import newton_animation
 
     print("measuring per-pixel costs (renders the animation twice)...")
-    anim = newton_animation(n_frames=args.frames, width=args.width, height=args.height)
-    oracle = build_oracle(anim, grid_resolution=args.grid, verbose=False)
+    anim = newton_animation(n_frames=args.n_frames, width=args.width, height=args.height)
+    oracle = build_oracle(anim, grid_resolution=args.grid_resolution, verbose=False)
     print(format_table1(run_table1(oracle, Table1Settings())))
     return 0
 
@@ -397,12 +406,12 @@ def _cmd_table1(args) -> int:
 def _cmd_farm(args) -> int:
     from .api import render
 
+    given = _request_fields(args)
     # Every schedule runs on either transport; an unset --schedule picks
     # each transport's natural one (tcp lanes keep a chain's coherence
     # warm, so fine adaptive segments are cheap there).
-    schedule = args.schedule
-    if schedule is None:
-        schedule = "adaptive" if args.transport == "tcp" else "static"
+    if args.schedule is None:
+        given["schedule"] = "adaptive" if args.transport == "tcp" else "static"
     if args.status_port is not None:
         print(
             f"live status on http://127.0.0.1:{args.status_port}/status "
@@ -416,33 +425,14 @@ def _cmd_farm(args) -> int:
             "/preview?fmt=png (also fmt=json, fmt=npz)"
         )
     result = render(
-        workload=args.workload,
         engine="farm",
-        n_frames=args.frames,
-        width=args.width,
-        height=args.height,
-        grid_resolution=args.grid,
-        n_workers=args.workers,
-        mode=args.mode,
-        executor=args.executor,
-        schedule=schedule,
-        transport=args.transport,
-        segment_frames=args.segment_frames,
-        tile_px=args.tile_px,
-        max_attempts=args.max_attempts,
-        task_timeout=args.task_timeout,
-        run_dir=args.run_dir,
-        resume=args.resume,
         verify=True,
-        telemetry=any(d is not None for d in (args.telemetry, args.run_dir, args.resume)),
-        events_path=args.telemetry,
-        profile_dir=args.profile,
-        status_port=args.status_port,
-        trace_out=args.trace_out,
+        telemetry=any(d is not None for d in (args.events_path, args.run_dir, args.resume)),
+        **given,
     )
     rec = result.recovery
     print(
-        f"{result.mode}: {result.n_tasks} tasks on {args.workers} workers "
+        f"{result.mode}: {result.n_tasks} tasks on {args.n_workers} workers "
         f"in {result.wall_time:.1f}s, {result.stats.total:,} rays"
     )
     if result.n_from_checkpoint:
@@ -470,9 +460,9 @@ def _cmd_shard(args) -> int:
     fold = RunFold()
     sinks = [fold]
     events_path = None
-    if args.telemetry is not None:
-        args.telemetry.mkdir(parents=True, exist_ok=True)
-        events_path = args.telemetry / "events.jsonl"
+    if args.events_path is not None:
+        args.events_path.mkdir(parents=True, exist_ok=True)
+        events_path = args.events_path / "events.jsonl"
         sinks.append(JsonlSink(events_path))
     status = None
     if args.status_port is not None:
@@ -482,16 +472,20 @@ def _cmd_shard(args) -> int:
             f"live status on http://127.0.0.1:{status.port}/status "
             f"(watch with: repro top 127.0.0.1:{status.port})"
         )
-    die = {0: args.die_after_rays} if args.die_after_rays is not None else None
+    plan = None
+    if args.die_after_rays is not None:
+        from .runtime import FaultPlan
+
+        plan = FaultPlan([FaultPlan.kill_worker(0, args.die_after_rays, "rays")])
     t0 = time.perf_counter()
     try:
         session, outcome = render_sharded_tcp(
             spec,
-            frames=args.frames,
+            frames=args.n_frames,
             shards=args.shards,
             n_workers=args.workers,
             samples_per_axis=args.supersample,
-            die_after_rays=die,
+            fault_plan=plan,
             telemetry=Telemetry(sinks=tuple(sinks)),
         )
     finally:
@@ -526,17 +520,7 @@ def _cmd_simulate(args) -> int:
     if args.oracle is None:
         print("measuring per-pixel costs (renders the animation twice)...")
     result = render(
-        workload=args.workload,
-        engine="simulate",
-        n_frames=args.frames,
-        width=args.width,
-        height=args.height,
-        grid_resolution=args.grid,
-        strategy=args.strategy,
-        oracle=args.oracle,
-        telemetry=args.telemetry is not None,
-        events_path=args.telemetry,
-        trace_out=args.trace_out,
+        engine="simulate", telemetry=args.events_path is not None, **_request_fields(args)
     )
     o = result.outcome
     print(
@@ -583,17 +567,8 @@ def _cmd_top(args) -> int:
 def _cmd_serve(args) -> int:
     from .service import RenderService
 
-    service = RenderService(
-        args.state_dir,
-        host=args.host,
-        port=args.port,
-        resume=args.resume,
-        queue_capacity=args.queue_capacity,
-        n_workers=args.workers,
-        executor=args.executor,
-        status_port=args.status_port,
-        verbose=args.verbose,
-    )
+    # Every serve flag is named after the RenderService keyword it sets.
+    service = RenderService(**{k: v for k, v in vars(args).items() if k != "command"})
     host, port = service.start()
     print(f"repro service on {host}:{port} (state in {args.state_dir})")
     print(f"submit with: repro submit --connect {host}:{port} newton")
@@ -615,20 +590,13 @@ def _cmd_submit(args) -> int:
     from .api import RenderRequest
     from .service import ServiceError, submit, wait
 
-    request = RenderRequest(
-        workload=args.workload,
-        n_frames=args.frames,
-        width=args.width,
-        height=args.height,
-        grid_resolution=args.grid,
-    )
     try:
         job = submit(
             args.connect,
-            request,
+            RenderRequest(**_request_fields(args)),
             priority=args.priority,
             owner=args.owner,
-            max_attempts=args.max_attempts,
+            max_attempts=args.job_attempts,
         )
     except (OSError, ServiceError) as exc:
         print(f"submit failed: {exc}", file=sys.stderr)
@@ -694,7 +662,7 @@ def _cmd_oracle(args) -> int:
 
     anim = _workload_spec(args).build()
     print("measuring per-pixel costs (renders the animation twice)...")
-    oracle = build_oracle(anim, grid_resolution=args.grid)
+    oracle = build_oracle(anim, grid_resolution=args.grid_resolution)
     if args.save is not None:
         oracle.save(args.save)
         print(f"saved oracle to {args.save}")

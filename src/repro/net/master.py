@@ -11,11 +11,11 @@ preserves chain affinity and keeps the worker-side
 :class:`~repro.coherence.CoherentRenderer` continuation cache warm — and
 results stream back as framed binary messages.
 
-Robustness reuses the PR 1 vocabulary: per-assignment deadlines adapt to
-observed durations exactly like :class:`~repro.runtime.supervisor.
-TaskSupervisor` (``timeout_factor * max(seen) + margin``), heartbeat
-PINGs distinguish *dead* from *busy rendering* (the worker's reader
-thread answers pongs mid-render, so only a vanished peer goes silent),
+Robustness reuses the PR 1 vocabulary: per-assignment deadlines follow
+the same :class:`~repro.runtime.options.RecoveryOptions` rule the pool's
+supervisor applies, heartbeat PINGs distinguish *dead* from *busy
+rendering* (the worker's reader thread answers pongs mid-render, so only
+a vanished peer goes silent),
 and any loss — EOF, blown deadline, missed heartbeats, task error,
 invalid result — feeds ``policy.on_worker_lost`` so the policy requeues
 the lane's chain for the surviving workers.  A worker that reconnects is
@@ -44,11 +44,26 @@ from pathlib import Path
 from ..dfb import DEFAULT_TILE_PX
 from ..obs.flight import FlightRecorder, blackbox_filename
 from ..obs.trace import flight_span_id
+from ..runtime.options import RecoveryCounts, RecoveryOptions
 from ..runtime.supervisor import SupervisorOutcome, TaskAttempt
 from ..telemetry import NULL
 from . import protocol as wire
 
 __all__ = ["MasterServer", "NetStats", "TcpTransport"]
+
+#: PING cadence in seconds, and how many silent intervals mark a peer dead.
+HEARTBEAT_INTERVAL = 0.5
+HEARTBEAT_MISSES = 10
+#: Result-tile compression policy, announced to workers in WELCOME.
+COMPRESS = True
+COMPRESS_MIN_BYTES = 4096
+
+#: A :class:`~repro.runtime.faults.WorkerKill` unit -> the daemon flag that arms it.
+_KILL_FLAGS = {
+    "assignments": "--die-after",
+    "frames": "--die-after-frames",
+    "rays": "--die-after-rays",
+}
 
 #: Loss reason -> TaskAttempt outcome (the supervisor's vocabulary, so
 #: ``LocalRenderFarm._emit_run_telemetry`` renders net losses in the same
@@ -60,6 +75,8 @@ _LOSS_OUTCOMES = {
     "error": "error",
     "invalid": "invalid",
 }
+#: ... and the outcome's :class:`RecoveryCounts` key (anything else is a crash).
+_LOSS_COUNTERS = {"timeout": "timeouts", "invalid": "invalid"}
 
 
 @dataclass
@@ -85,6 +102,20 @@ class NetStats:
     n_frames_salvaged: int = 0  #: frames rescued from lost workers' tiles
     #: Largest received frame per message name — the payload-size bench.
     max_msg_bytes: dict = field(default_factory=dict)
+
+
+def _drop(sel, sock: socket.socket) -> None:
+    """Unregister a socket and close it.  Both are idempotent here: loss
+    paths overlap (a send fails inside a sweep that was about to lose the
+    lane anyway), so "not registered" and "already closed" are expected."""
+    try:
+        sel.unregister(sock)
+    except (KeyError, ValueError):
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 class _Conn:
@@ -147,19 +178,19 @@ class MasterServer:
     validate:
         Optional ``validate(args, result) -> bool`` corruption gate; an
         invalid result counts as a worker loss (reason ``invalid``).
-    max_attempts:
-        Ceiling on dispatches of one work unit (keyed by region +
-        first frame) before the run fails loudly.
-    task_timeout / timeout_factor / timeout_margin / startup_timeout:
-        Per-assignment deadline policy, same semantics as
-        :class:`~repro.runtime.supervisor.TaskSupervisor`.
-    heartbeat_interval / heartbeat_misses:
-        PING cadence, and how many silent intervals mark a peer dead.
+    recovery:
+        The :class:`~repro.runtime.options.RecoveryOptions`: the ceiling
+        on dispatches of one work unit (keyed by region + first frame)
+        before the run fails loudly, and the per-assignment deadline rule.
     accept_timeout:
         How long the master waits with work pending but no workers
         connected before giving up.
-    compress / compress_min_bytes:
-        Result tile compression policy, announced to workers in WELCOME.
+    min_lanes:
+        Lanes to wait for before the first dispatch (under a ``session``:
+        the first shard binding), so that who gets what is a function of
+        the worker count, not of who won the connect race — which a drill
+        that kills one particular worker depends on.  The wait ends with
+        the startup window: a worker that never comes must not hang the run.
     assembler / tile_px / tile_box / on_tile:
         The distributed framebuffer.  ``assembler`` (a
         :class:`repro.dfb.FrameAssembler`) turns tile streaming on:
@@ -188,16 +219,9 @@ class MasterServer:
         host: str = "127.0.0.1",
         port: int = 0,
         validate=None,
-        max_attempts: int = 5,
-        task_timeout: float | None = None,
-        timeout_factor: float = 3.0,
-        timeout_margin: float = 1.0,
-        startup_timeout: float | None = None,
-        heartbeat_interval: float = 0.5,
-        heartbeat_misses: int = 10,
+        recovery: RecoveryOptions = RecoveryOptions(),
         accept_timeout: float = 30.0,
-        compress: bool = True,
-        compress_min_bytes: int = 4096,
+        min_lanes: int = 1,
         telemetry=None,
         on_result=None,
         trace_root=None,
@@ -214,14 +238,9 @@ class MasterServer:
         self.host = host
         self.port = int(port)
         self.validate = validate
-        self.max_attempts = max(1, int(max_attempts))
-        self.task_timeout = task_timeout
-        self.timeout_factor = float(timeout_factor)
-        self.timeout_margin = float(timeout_margin)
-        self.startup_timeout = startup_timeout
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.heartbeat_misses = max(1, int(heartbeat_misses))
+        self.recovery = recovery
         self.accept_timeout = float(accept_timeout)
+        self.min_lanes = max(1, int(min_lanes))
         self.telemetry = telemetry if telemetry is not None else NULL
         self.on_result = on_result
         #: Parent span id for the per-assignment ``obs.flight`` spans
@@ -242,8 +261,7 @@ class MasterServer:
             if self.blackbox_dir is not None
             else None
         )
-        self.net = NetStats(compress=bool(compress))
-        self.compress_min_bytes = int(compress_min_bytes)
+        self.net = NetStats(compress=COMPRESS)
         self.workers: dict[str, dict] = {}  # lane -> {host, cores, score, n_done}
         self.address: tuple[str, int] | None = None
         self._listener: socket.socket | None = None
@@ -252,9 +270,8 @@ class MasterServer:
         self._results: list = []
         self._attempt_log: list[TaskAttempt] = []
         self._attempts: dict[tuple, int] = {}  # (region, frame0) -> dispatch count
-        self._lanes_of: dict[int, str] = {}
         self._durations: list[float] = []
-        self._counts = {"retries": 0, "timeouts": 0, "crashes": 0, "invalid": 0}
+        self._counts = RecoveryCounts()
         self._t0 = 0.0
         self._last_progress = 0.0
 
@@ -271,20 +288,15 @@ class MasterServer:
         self.telemetry.event("net.listen", host=self.address[0], port=self.port)
         return self.address
 
-    def run(self):
-        """``listen()`` + ``serve()`` for callers that don't need the port
-        before serving (real deployments; the loopback transport does)."""
-        if self._listener is None:
-            self.listen()
-        return self.serve()
-
-    # -- deadline policy (mirrors TaskSupervisor) --------------------------
     def _deadline_for_now(self) -> float | None:
-        if self.task_timeout is not None:
-            return self.task_timeout
-        if self._durations:
-            return self.timeout_factor * max(self._durations) + self.timeout_margin
-        return self.startup_timeout
+        return self.recovery.deadline(self._durations)
+
+    def crew_complete(self, n_lanes: int, now: float) -> bool:
+        """Whether the first dispatch may go ahead: ``min_lanes`` have
+        joined, or the startup window has closed."""
+        return n_lanes >= self.min_lanes or (
+            now - self._t0 >= (self.recovery.startup_timeout or 30.0)
+        )
 
     # -- main loop ---------------------------------------------------------
     def serve(self):
@@ -296,14 +308,14 @@ class MasterServer:
         sel = selectors.DefaultSelector()
         sel.register(self._listener, selectors.EVENT_READ, None)
         self._t0 = self._last_progress = time.perf_counter()
-        next_ping = self._t0 + self.heartbeat_interval
+        next_ping = self._t0 + HEARTBEAT_INTERVAL
         policy = self.policy
         try:
             while not policy.finished:
                 now = time.perf_counter()
                 if now >= next_ping:
                     self._ping_all(sel, now)
-                    next_ping = now + self.heartbeat_interval
+                    next_ping = now + HEARTBEAT_INTERVAL
                 self._sweep(sel, now)
                 if self.session is not None:
                     self.session.pump(self, sel, now)
@@ -318,24 +330,16 @@ class MasterServer:
                         self._service(sel, key.data)
         finally:
             self._shutdown(sel)
-        wall = time.perf_counter() - self._t0
         sup = SupervisorOutcome(
             results=self._results,
             attempts=self._attempt_log,
-            n_retries=self._counts["retries"],
-            n_timeouts=self._counts["timeouts"],
-            n_crashes=self._counts["crashes"],
-            n_invalid=self._counts["invalid"],
-            wall_time=wall,
+            recovery=self._counts,
+            wall_time=time.perf_counter() - self._t0,
         )
         return SchedOutcome(
             results=self._results,
             assignments=list(policy.log),
             supervisor=sup,
-            n_chain_starts=policy.n_chain_starts,
-            n_steals=policy.n_steals,
-            n_reassigned=policy.n_reassigned,
-            lanes_of=dict(self._lanes_of),
             workers={k: dict(v) for k, v in self.workers.items()},
             net=self.net,
         )
@@ -402,9 +406,9 @@ class MasterServer:
                 "worker": conn.name,
                 "proto": wire.PROTO_VERSION,
                 "minor": wire.PROTO_MINOR,
-                "heartbeat_interval": self.heartbeat_interval,
-                "compress": self.net.compress,
-                "compress_min_bytes": self.compress_min_bytes,
+                "heartbeat_interval": HEARTBEAT_INTERVAL,
+                "compress": COMPRESS,
+                "compress_min_bytes": COMPRESS_MIN_BYTES,
                 "tiles": self.assembler is not None,
                 "tile_px": self.tile_px,
             })
@@ -434,7 +438,7 @@ class MasterServer:
                 try:
                     conn.offset = float(tw) - (float(payload["t"]) + rtt / 2.0)
                 except (TypeError, ValueError, KeyError):
-                    pass
+                    pass  # a malformed PONG is no skew sample; the estimate stands
                 else:
                     conn.rtt_best = rtt
                     self.telemetry.event(
@@ -546,7 +550,6 @@ class MasterServer:
         self.telemetry.absorb(payload.get("events") or [], t_offset=-conn.offset)
         result = payload.get("result")
         duration = float(payload.get("duration", now - conn.dispatched))
-        key = (a.region_index, a.frame0)
         if self.validate is not None and not self.validate(conn.args, result):
             self._lose(sel, conn, "invalid")
             return
@@ -556,26 +559,9 @@ class MasterServer:
         conn.args = None
         conn.deadline = None
         self._absorb_task_events(conn, result)
-        self.telemetry.emit_span(
-            "obs.flight",
-            conn.dispatched,
-            now - conn.dispatched,
-            span=flight_span_id(a.seq),
-            parent=self.trace_root,
-            worker=conn.name,
-            seq=a.seq,
-            attempt=self._attempts.get(key, 1),
-            outcome="ok",
-        )
+        self._close_flight(conn, a, now, "ok", duration)
         self._results.append(result)
         self._durations.append(duration)
-        self._attempt_log.append(TaskAttempt(
-            task_index=a.seq,
-            attempt=self._attempts.get(key, 1),
-            outcome="ok",
-            duration=duration,
-            started=conn.dispatched - self._t0,
-        ))
         self.workers[conn.name]["n_done"] += 1
         self.net.n_results += 1
         self.telemetry.event(
@@ -590,6 +576,20 @@ class MasterServer:
         if self.on_result is not None:
             self.on_result(a, result)
         self._last_progress = now
+
+    def _close_flight(self, conn: _Conn, a, now, outcome, duration, error="") -> int:
+        """A dispatch ended, well or badly: close its ``obs.flight`` span
+        and log the attempt; returns which attempt at the unit it was."""
+        n_tries = self._attempts.get((a.region_index, a.frame0), 1)
+        self.telemetry.emit_span(
+            "obs.flight", conn.dispatched, now - conn.dispatched,
+            span=flight_span_id(a.seq), parent=self.trace_root,
+            worker=conn.name, seq=a.seq, attempt=n_tries, outcome=outcome,
+        )
+        self._attempt_log.append(TaskAttempt(
+            a.seq, n_tries, outcome, duration, error, conn.dispatched - self._t0
+        ))
+        return n_tries
 
     def _absorb_task_events(self, conn: _Conn, result) -> None:
         """Fold the *render-level* worker events into the live stream.
@@ -615,6 +615,9 @@ class MasterServer:
     # -- dispatch / sweeps -------------------------------------------------
     def _dispatch(self, sel, now: float) -> None:
         registered = [c for c in self._conns.values() if c.registered]
+        if registered and not self.net.n_assignments:
+            if not self.crew_complete(len(registered), now):
+                return
         dispatched = False
         for conn in registered:
             if conn.assignment is not None:
@@ -630,7 +633,6 @@ class MasterServer:
             conn.deadline = None if limit is None else now + limit
             key = (a.region_index, a.frame0)
             self._attempts[key] = self._attempts.get(key, 0) + 1
-            self._lanes_of[a.seq] = conn.name
             assign = {
                 "seq": a.seq,
                 "region": a.region_index,
@@ -689,7 +691,7 @@ class MasterServer:
             )
 
     def _sweep(self, sel, now: float) -> None:
-        silent_after = self.heartbeat_interval * self.heartbeat_misses
+        silent_after = HEARTBEAT_INTERVAL * HEARTBEAT_MISSES
         for conn in list(self._conns.values()):
             if conn.closed or not conn.registered:
                 continue
@@ -721,20 +723,10 @@ class MasterServer:
         self.telemetry.event(
             "net.worker.lost", worker=who, reason="proto", seq=-1, blackbox=""
         )
-        try:
-            self._send(conn, wire.MSG_SHUTDOWN, {})
-        except OSError:
-            pass
+        self._farewell(conn)
         conn.closed = True
         self._conns.pop(conn.sock.fileno(), None)
-        try:
-            sel.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
+        _drop(sel, conn.sock)
 
     def _lose(self, sel, conn: _Conn, reason: str, detail: str = "") -> None:
         """Close a connection and route its lane into the policy's
@@ -744,14 +736,7 @@ class MasterServer:
         conn.closed = True
         now = time.perf_counter()
         self._conns.pop(conn.sock.fileno(), None)
-        try:
-            sel.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
+        _drop(sel, conn.sock)
         if not conn.registered:
             return
         self.net.n_losses += 1
@@ -769,36 +754,13 @@ class MasterServer:
             self.recorder.dump(f"worker-lost:{conn.name}:{reason}")
         if a is not None:
             outcome = _LOSS_OUTCOMES.get(reason, "crash")
-            key = (a.region_index, a.frame0)
-            n_tries = self._attempts.get(key, 1)
             # The flight closes with its failure outcome; the requeued
             # dispatch will open a fresh flight under a new seq.
-            self.telemetry.emit_span(
-                "obs.flight",
-                conn.dispatched,
-                now - conn.dispatched,
-                span=flight_span_id(a.seq),
-                parent=self.trace_root,
-                worker=conn.name,
-                seq=a.seq,
-                attempt=n_tries,
-                outcome=outcome,
+            n_tries = self._close_flight(
+                conn, a, now, outcome, now - conn.dispatched, detail or reason
             )
-            self._attempt_log.append(TaskAttempt(
-                task_index=a.seq,
-                attempt=n_tries,
-                outcome=outcome,
-                duration=now - conn.dispatched,
-                error=detail or reason,
-                started=conn.dispatched - self._t0,
-            ))
-            if outcome == "timeout":
-                self._counts["timeouts"] += 1
-            elif outcome == "invalid":
-                self._counts["invalid"] += 1
-            else:
-                self._counts["crashes"] += 1
-            if n_tries >= self.max_attempts:
+            self._counts[_LOSS_COUNTERS.get(outcome, "crashes")] += 1
+            if n_tries >= self.recovery.max_attempts:
                 raise RuntimeError(
                     f"assignment seq {a.seq} (region {a.region_index}, "
                     f"frame {a.frame0}) failed after {n_tries} attempts "
@@ -837,29 +799,22 @@ class MasterServer:
         self.net.messages_sent += 1
         return n
 
+    def _farewell(self, conn: _Conn) -> None:
+        """SHUTDOWN to a peer we are about to drop."""
+        try:
+            self._send(conn, wire.MSG_SHUTDOWN, {})
+        except OSError:
+            pass  # the peer hung up first: it needs no telling
+
     def _shutdown(self, sel) -> None:
         for conn in list(self._conns.values()):
-            try:
-                self._send(conn, wire.MSG_SHUTDOWN, {})
-            except OSError:
-                pass
-            try:
-                sel.unregister(conn.sock)
-            except (KeyError, ValueError):
-                pass
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
+            self._farewell(conn)
+            _drop(sel, conn.sock)
         self._conns.clear()
         if self.recorder is not None:
             self.recorder.uninstall()
         if self._listener is not None:
-            try:
-                sel.unregister(self._listener)
-            except (KeyError, ValueError):
-                pass
-            self._listener.close()
+            _drop(sel, self._listener)
             self._listener = None
         sel.close()
 
@@ -868,48 +823,36 @@ class TcpTransport:
     """Loopback network farm: master + N worker subprocesses on 127.0.0.1.
 
     Mirrors the :class:`~repro.sched.process.ProcessTransport` calling
-    convention (``policy``, task, ``materialize`` -> ``run()`` ->
-    ``SchedOutcome``) so :class:`~repro.runtime.local.LocalRenderFarm`
+    convention (``policy``, task, ``materialize``, ``options`` -> ``run()``
+    -> ``SchedOutcome``) so :class:`~repro.runtime.local.LocalRenderFarm`
     and the equivalence tests can swap transports freely.  The bytes
     really cross sockets; only the hosts are collapsed onto one machine.
 
-    ``die_after`` maps a worker index to an assignment count after which
-    that daemon hard-crashes (`--die-after`), the deterministic stand-in
-    for a workstation dying mid-sequence.  ``die_after_rays`` is the
-    object-space analogue: a shard-request count after which the daemon
-    crashes (`--die-after-rays`), used by the shard-loss replay drill.
+    Read off ``options`` (:class:`~repro.runtime.options.FarmOptions`)
+    here: ``n_workers`` daemons are spawned; ``telemetry``, ``tile_px``,
+    ``blackbox_dir`` and the recovery contract go to the master (a
+    ``recovery=`` keyword overrides the last); each
+    :class:`~repro.runtime.faults.WorkerKill` of ``fault_plan`` arms its
+    daemon with the matching ``--die-after*`` flag — a workstation dying
+    mid-sequence — and the master then waits for every daemon to join,
+    so the victim is handed work however the connect race went.
     """
 
-    def __init__(
-        self,
-        policy,
-        task_name: str,
-        materialize,
-        *,
-        n_workers: int = 2,
-        die_after: dict[int, int] | None = None,
-        die_after_rays: dict[int, int] | None = None,
-        die_after_frames: dict[int, int] | None = None,
-        worker_verbose: bool = False,
-        python: str | None = None,
-        blackbox_dir=None,
-        **master_kwargs,
-    ) -> None:
-        self.n_workers = max(1, int(n_workers))
-        self.die_after = dict(die_after or {})
-        self.die_after_rays = dict(die_after_rays or {})
-        self.die_after_frames = dict(die_after_frames or {})
-        self.worker_verbose = worker_verbose
-        self.python = python or sys.executable
-        self.blackbox_dir = blackbox_dir
+    def __init__(self, policy, task_name: str, materialize, options, **master_kwargs) -> None:
+        options = options.resolved()
+        self.n_workers = int(options.n_workers)
+        self.kills = options.fault_plan.kills() if options.fault_plan is not None else []
+        master_kwargs.setdefault("recovery", options.recovery())
+        master_kwargs.setdefault("min_lanes", self.n_workers if self.kills else 1)
         self.master = MasterServer(
             policy, task_name, materialize, host="127.0.0.1", port=0,
-            blackbox_dir=blackbox_dir, **master_kwargs
+            telemetry=options.telemetry, tile_px=options.tile_px,
+            blackbox_dir=options.blackbox_dir, **master_kwargs
         )
 
     def _spawn(self, port: int, index: int) -> subprocess.Popen:
         cmd = [
-            self.python,
+            sys.executable,
             "-m",
             "repro.worker",
             "--connect",
@@ -917,21 +860,17 @@ class TcpTransport:
             "--score",
             "1.0",  # skip calibration: loopback workers are homogeneous
         ]
-        if index in self.die_after:
-            cmd += ["--die-after", str(self.die_after[index])]
-        if index in self.die_after_rays:
-            cmd += ["--die-after-rays", str(self.die_after_rays[index])]
-        if index in self.die_after_frames:
-            cmd += ["--die-after-frames", str(self.die_after_frames[index])]
-        if self.blackbox_dir is not None:
-            cmd += ["--blackbox-dir", str(self.blackbox_dir)]
-        if self.worker_verbose:
-            cmd.append("--verbose")
+        for kill in self.kills:
+            if kill.worker == index:
+                cmd += [_KILL_FLAGS[kill.unit], str(kill.after)]
+        if self.master.blackbox_dir is not None:
+            cmd += ["--blackbox-dir", str(self.master.blackbox_dir)]
         env = os.environ.copy()
         src = str(Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        out = None if self.worker_verbose else subprocess.DEVNULL
-        return subprocess.Popen(cmd, env=env, stdout=out, stderr=out)
+        return subprocess.Popen(
+            cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        )
 
     def run(self):
         _host, port = self.master.listen()

@@ -152,17 +152,10 @@ class WorkerClient:
         Connection attempts per (re)connect before giving up.
     backoff_base / backoff_cap:
         Exponential backoff between attempts, seconds.
-    die_after:
-        Crash hard on receiving assignment number ``die_after + 1``
-        (``None`` = never); see the module docstring.
-    die_after_rays:
-        Crash hard before serving shard request number
-        ``die_after_rays + 1`` (``None`` = never) — the object-space
-        analogue of ``die_after``, used by the shard-loss replay drill.
-    die_after_frames:
-        Crash hard the instant frame event ``die_after_frames + 1``
-        crosses the telemetry spine (``None`` = never) — a *mid-task*
-        crash with the task span still open, the black-box drill.
+    die_after / die_after_rays / die_after_frames:
+        The fault hooks of the module docstring: crash hard on receiving
+        assignment, before serving shard request, or the instant frame
+        event number ``N + 1`` crosses the telemetry spine (``None`` = never).
     blackbox_dir:
         Where the flight recorder dumps ``blackbox_worker_<pid>.jsonl``
         on a kill path (``None`` = no file dumps).  Predecessor dumps
@@ -393,7 +386,7 @@ class WorkerClient:
                     return
                 # anything else from the master is ignored, not fatal
         except (OSError, wire.ProtocolError):
-            pass
+            pass  # a dead or garbled connection ends the reader: reported as "lost" below
         inbox.put(("lost", None))
 
     # -- work ------------------------------------------------------------------
@@ -545,7 +538,7 @@ class WorkerClient:
                     try:
                         sock.close()
                     except OSError:
-                        pass
+                        pass  # the master closed it first
                 if ended == "shutdown":
                     self._log(f"clean shutdown after {self.n_rendered} assignments")
                     return EXIT_OK
@@ -590,20 +583,10 @@ def main(argv: list[str] | None = None) -> int:
         help="flight-recorder dump directory (black boxes land here on a crash)",
     )
     parser.add_argument("--verbose", action="store_true", help="log to stdout")
-    args = parser.parse_args(argv)
-
-    host, _, port = args.connect.rpartition(":")
+    # Every other flag is named after the WorkerClient keyword it sets.
+    options = vars(parser.parse_args(argv))
+    connect = options.pop("connect")
+    host, _, port = connect.rpartition(":")
     if not host or not port.isdigit():
-        parser.error(f"--connect wants HOST:PORT, got {args.connect!r}")
-    client = WorkerClient(
-        host,
-        int(port),
-        score=args.score,
-        max_retries=args.max_retries,
-        die_after=args.die_after,
-        die_after_rays=args.die_after_rays,
-        die_after_frames=args.die_after_frames,
-        blackbox_dir=args.blackbox_dir,
-        verbose=args.verbose,
-    )
-    return client.run()
+        parser.error(f"--connect wants HOST:PORT, got {connect!r}")
+    return WorkerClient(host, int(port), **options).run()

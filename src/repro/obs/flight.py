@@ -200,7 +200,7 @@ class FlightRecorder:
             try:
                 signal.signal(signal.SIGTERM, self._prev_sigterm)
             except ValueError:
-                pass
+                pass  # uninstalled off the main thread: only that thread may touch handlers
             self._prev_sigterm = None
 
     def _on_sigterm(self, signum, frame) -> None:

@@ -31,6 +31,12 @@ exercisable and every retry can be made to succeed (or not).  Crash and
 hang faults are only honoured inside sandboxed *process* workers: a
 thread worker or the in-process serial fallback skips them rather than
 taking the master down with it.
+
+The TCP farm's workers are daemons, not pool slots, so its drills are
+keyed by worker instead (:class:`WorkerKill`, which
+:class:`~repro.net.master.TcpTransport` turns into the daemon's
+``--die-after*`` flag).  One plan can carry both kinds; each transport
+honours the entries addressed to it.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FaultInjected", "FaultSpec", "FaultPlan", "corrupt_result"]
+__all__ = ["FaultInjected", "FaultSpec", "WorkerKill", "FaultPlan", "corrupt_result"]
 
 
 class FaultInjected(RuntimeError):
@@ -70,10 +76,27 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
+class WorkerKill:
+    """One planned daemon death: TCP worker number ``worker`` (spawn order)
+    hard-exits after ``after`` of ``unit`` — ``"assignments"`` received
+    (it dies on the next one), ``"frames"`` rendered (it dies *inside* an
+    assignment, task span still open; counted off telemetry ``frame``
+    events, so the run needs telemetry) or shard ``"rays"`` requests served."""
+
+    worker: int
+    after: int
+    unit: str = "assignments"
+
+    def __post_init__(self) -> None:
+        if self.unit not in ("assignments", "frames", "rays"):
+            raise ValueError(f"unknown kill unit {self.unit!r}")
+
+
+@dataclass(frozen=True)
 class FaultPlan:
     """A deterministic, picklable schedule of worker faults."""
 
-    faults: tuple[FaultSpec, ...] = ()
+    faults: tuple[FaultSpec | WorkerKill, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
@@ -97,10 +120,16 @@ class FaultPlan:
     def corrupting(task_index: int, attempts: tuple[int, ...] = (0,)) -> "FaultSpec":
         return FaultSpec("corrupt", task_index, attempts)
 
+    kill_worker = WorkerKill
+
     # -- worker-side protocol --------------------------------------------------
+    def kills(self) -> list[WorkerKill]:
+        """The daemon deaths planned."""
+        return [f for f in self.faults if isinstance(f, WorkerKill)]
+
     def lookup(self, task_index: int, attempt: int) -> FaultSpec | None:
         for f in self.faults:
-            if f.matches(task_index, attempt):
+            if isinstance(f, FaultSpec) and f.matches(task_index, attempt):
                 return f
         return None
 

@@ -59,7 +59,6 @@ from ..geometry import RayKind
 from ..obs.trace import TraceContext, flight_span_id, new_run_id, worker_session
 from ..parallel.partition import PixelRegion, default_block_layout, sequence_ranges
 from ..render import RayStats
-from ..telemetry import NULL as NULL_TELEMETRY
 from ..buffers import (
     FrameRef,
     SharedFrameStore,
@@ -69,7 +68,7 @@ from ..buffers import (
 )
 from ..telemetry import RunFold, Telemetry
 from ..telemetry.profiling import profile_into
-from .faults import FaultPlan
+from .options import FarmOptions, RecoveryCounts, RecoveryView
 from .spec import AnimationSpec
 from .supervisor import SupervisorOutcome, TaskAttempt, task_context
 
@@ -300,18 +299,14 @@ def _load_task_result(path: Path) -> tuple:
 
 
 @dataclass
-class FarmResult:
+class FarmResult(RecoveryView):
     """Assembled output of a local farm run, plus its robustness story."""
 
     frames: np.ndarray  # (n_frames, H, W, 3) float64
     stats: RayStats
     n_tasks: int
     mode: str
-    n_retries: int = 0
-    n_timeouts: int = 0
-    n_crashes: int = 0
-    n_invalid: int = 0
-    n_degraded: int = 0
+    recovery: RecoveryCounts = field(default_factory=RecoveryCounts)
     n_from_checkpoint: int = 0
     attempts: list[TaskAttempt] = field(default_factory=list)
     # TCP runs expose the master's wire accounting (NetStats): tile
@@ -326,162 +321,16 @@ class FarmResult:
 class LocalRenderFarm:
     """Render an animation with real local parallelism.
 
-    Parameters
-    ----------
-    spec:
-        Recipe workers use to rebuild the animation (see AnimationSpec).
-    n_workers:
-        Degree of parallelism; defaults to the CPU count (capped at 8).
-    mode:
-        The unit list ``schedule="static"`` dispatches: ``"frame"`` (one
-        unit per block, all frames), ``"sequence"`` (one whole-frame unit
-        per contiguous frame range, ``n_workers`` ranges) or ``"hybrid"``
-        (block x frame-chunk).
-    executor:
-        ``"process"``, ``"thread"`` or ``"serial"``: what the process
-        transport's pool is made of (unused on ``"tcp"``).
-    transport:
-        ``"process"`` executes on this host through the supervised pool;
-        ``"tcp"`` runs a loopback network farm instead — a
-        :class:`~repro.net.master.MasterServer` on 127.0.0.1 driving
-        ``n_workers`` spawned ``python -m repro.worker`` daemons over
-        real sockets.  Every schedule runs on either transport.  Each
-        connection is one scheduling lane, so chain affinity keeps a
-        daemon's continuation cache warm exactly like the thread/serial
-        executors do.
-    net_die_after:
-        TCP fault drill: maps a worker index to the assignment count
-        after which that daemon is spawned to hard-crash
-        (``--die-after``), exercising ``on_worker_lost`` reassignment.
-    net_die_after_frames:
-        The mid-task variant: maps a worker index to the frame count
-        after which that daemon hard-crashes *inside* an assignment
-        (``--die-after-frames``), leaving an open task span for the
-        flight-recorder black box to capture.
-    blackbox_dir:
-        Flight-recorder dump directory for the TCP master and its
-        spawned daemons; worker-loss events point at the victim's
-        ``blackbox_worker_<pid>.jsonl`` here (DESIGN §17).
-    schedule:
-        Which units the policy hands out.  ``"static"``: the fixed list
-        ``mode`` implies, first come first served.  ``"demand"``: the
-        ``hybrid`` list regardless of ``mode`` (block x frame-chunk units
-        from a shared queue).  ``"adaptive"``: sequence chains cut into
-        segments at run time, with tail-stealing.  All three run the
-        :mod:`repro.sched` policies — the same state machines the cluster
-        simulator replays; the two fixed lists can be checkpointed (see
-        :meth:`render`), the adaptive one cannot.
-    segment_frames:
-        Frames per dispatched segment for ``schedule="adaptive"``.
-        Default: 1 on the thread/serial executors (segments continue the
-        cached renderer, preserving coherence), coarser on the process
-        executor (each segment renders fresh; fewer, bigger tasks).
-    block_w, block_h:
-        Frame-division block size (defaults to a 4x3 tiling like the paper's
-        80x80-of-320x240).
-    max_attempts:
-        Pool attempts per task before degrading to serial execution.
-    task_timeout:
-        Fixed per-task deadline in seconds; default None adapts the
-        deadline to 3x the slowest observed task (plus a margin), the
-        simulator's ``default_worker_timeout`` heuristic.
-    startup_timeout:
-        Deadline before any task has completed (None = wait patiently).
-    degrade_serial:
-        Run a task in-process after its retries are exhausted instead of
-        raising :class:`~repro.runtime.supervisor.SupervisorError`.
-    fault_plan:
-        A :class:`~repro.runtime.faults.FaultPlan` for deterministic
-        crash/hang/raise/corrupt injection (tests and drills).
-    tile_px:
-        Edge, in pixels (>= 1), of the tiles TCP workers cut each finished
-        frame into; ``None`` (default) is the master's default edge.
-        Unused off-TCP (a pool unit comes home whole).
-    preview:
-        A :class:`~repro.dfb.PreviewHub` to attach the run's
-        :class:`~repro.dfb.FrameAssembler` to, so a status server can
-        serve the partially composited frames while the run is live.
-    on_tile, on_frame:
-        Progress callbacks, fired as pixels land in the compositor.
-        ``on_tile`` receives a :class:`~repro.dfb.TileEvent` per
-        composited rectangle — a wire tile on TCP, one frame of an
-        accepted unit's box on the pool, likewise for a unit loaded from
-        a checkpoint spool — and ``on_frame`` a
-        :class:`~repro.dfb.FrameEvent` when the rectangle that completes
-        a frame lands: one contract on every transport.
+    ``spec`` is the recipe workers use to rebuild the animation (see
+    :class:`AnimationSpec`); every keyword is a field of
+    :class:`~repro.runtime.options.FarmOptions`, which documents and
+    validates them.  The farm keeps the one object (``self.options``)
+    and hands it to its transport unopened.
     """
 
-    def __init__(
-        self,
-        spec: AnimationSpec,
-        n_workers: int | None = None,
-        mode: str = "frame",
-        executor: str = "process",
-        schedule: str = "static",
-        transport: str = "process",
-        net_die_after: dict[int, int] | None = None,
-        net_die_after_frames: dict[int, int] | None = None,
-        blackbox_dir: str | Path | None = None,
-        segment_frames: int | None = None,
-        block_w: int | None = None,
-        block_h: int | None = None,
-        grid_resolution: int = 24,
-        samples_per_axis: int = 1,
-        frames_per_chunk: int | None = None,
-        max_attempts: int = 3,
-        task_timeout: float | None = None,
-        timeout_factor: float = 3.0,
-        startup_timeout: float | None = None,
-        backoff_base: float = 0.05,
-        degrade_serial: bool = True,
-        fault_plan: FaultPlan | None = None,
-        telemetry: Telemetry | None = None,
-        profile_dir: str | Path | None = None,
-        tile_px: int | None = None,
-        preview=None,
-        on_tile=None,
-        on_frame=None,
-    ):
-        if mode not in ("frame", "sequence", "hybrid"):
-            raise ValueError("mode must be 'frame', 'sequence' or 'hybrid'")
-        if executor not in ("process", "thread", "serial"):
-            raise ValueError("executor must be 'process', 'thread' or 'serial'")
-        if schedule not in ("static", "demand", "adaptive"):
-            raise ValueError("schedule must be 'static', 'demand' or 'adaptive'")
-        if transport not in ("process", "tcp"):
-            raise ValueError("transport must be 'process' or 'tcp'")
-        if tile_px is not None and int(tile_px) < 1:
-            raise ValueError(f"tile_px must be None or >= 1, got {tile_px}")
+    def __init__(self, spec: AnimationSpec, **options):
         self.spec = spec
-        self.mode = mode
-        self.executor = executor
-        self.schedule = schedule
-        self.transport = transport
-        self.net_die_after = dict(net_die_after or {})
-        self.net_die_after_frames = dict(net_die_after_frames or {})
-        self.blackbox_dir = str(blackbox_dir) if blackbox_dir is not None else None
-        self.segment_frames = segment_frames
-        self.n_workers = min(os.cpu_count() or 2, 8) if n_workers is None else int(n_workers)
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.block_w = block_w
-        self.block_h = block_h
-        self.grid_resolution = grid_resolution
-        self.samples_per_axis = samples_per_axis
-        self.frames_per_chunk = frames_per_chunk
-        self.max_attempts = max_attempts
-        self.task_timeout = task_timeout
-        self.timeout_factor = timeout_factor
-        self.startup_timeout = startup_timeout
-        self.backoff_base = backoff_base
-        self.degrade_serial = degrade_serial
-        self.fault_plan = fault_plan
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.profile_dir = str(profile_dir) if profile_dir is not None else None
-        self.tile_px = None if tile_px is None else int(tile_px)
-        self.preview = preview
-        self.on_tile = on_tile
-        self.on_frame = on_frame
+        self.options = FarmOptions(**options).resolved()
         # Build once locally for geometry bookkeeping (cheap).
         self._anim = spec.build()
         self._cam = self._anim.camera_at(0)
@@ -496,14 +345,14 @@ class LocalRenderFarm:
         dispatch's flight span, under the root span allocated here, so the
         merged stream is one connected trace.
         """
-        tel = self.telemetry
+        tel = self.options.telemetry
         if tel.enabled and not tel.run_id:
             tel.run_id = new_run_id()
         self._run_span = tel.new_span_id() if tel.enabled else None
         return tel.now()
 
     def _end_trace(self, t_run0: float) -> None:
-        tel = self.telemetry
+        tel = self.options.telemetry
         if tel.enabled:
             tel.emit_span(
                 "run", t_run0, tel.now() - t_run0,
@@ -513,14 +362,14 @@ class LocalRenderFarm:
     # -- unit list / policy --------------------------------------------------------
     def _block_layout(self):
         return default_block_layout(
-            self._cam.width, self._cam.height, self.block_w, self.block_h
+            self._cam.width, self._cam.height, self.options.block_w, self.options.block_h
         )
 
     @property
     def _layout(self) -> str:
         """Which fixed unit list the schedule dispatches (``demand`` is a
         spelling of the ``hybrid`` list)."""
-        return "hybrid" if self.schedule == "demand" else self.mode
+        return "hybrid" if self.options.schedule == "demand" else self.options.mode
 
     def _unit_list(self):
         """``(units, regions)`` of a fixed-unit schedule: the deterministic
@@ -528,15 +377,15 @@ class LocalRenderFarm:
         names its checkpoint file — and the region table the indices point
         into (``None``: whole frames, region index -1).  ``(None, None)``
         for ``adaptive``, whose units are decided at run time."""
-        if self.schedule == "adaptive":
+        if self.options.schedule == "adaptive":
             return None, None
         n_frames = self._anim.n_frames
         if self._layout == "sequence":
-            return [(-1, a, b) for a, b in sequence_ranges(n_frames, self.n_workers)], None
+            return [(-1, a, b) for a, b in sequence_ranges(n_frames, self.options.n_workers)], None
         regions = self._block_layout()
         chunk = n_frames
         if self._layout == "hybrid":
-            chunk = self.frames_per_chunk or max(1, n_frames // 2)
+            chunk = self.options.frames_per_chunk or max(1, n_frames // 2)
         spans = [(a, min(a + chunk, n_frames)) for a in range(0, n_frames, chunk)]
         return [(ri, a, b) for ri in range(len(regions)) for a, b in spans], regions
 
@@ -554,16 +403,16 @@ class LocalRenderFarm:
         # one daemon, whose continuation cache carries a chain's coherence
         # across segments — so fine 1-frame segments stay cheap.
         n_frames = self._anim.n_frames
-        pooled = self.transport == "process" and self.executor == "process"
-        if self.segment_frames is not None:
-            seg = max(1, int(self.segment_frames))
+        pooled = self.options.transport == "process" and self.options.executor == "process"
+        if self.options.segment_frames is not None:
+            seg = max(1, int(self.options.segment_frames))
         elif pooled:
-            seg = max(1, -(-n_frames // (4 * self.n_workers)))
+            seg = max(1, -(-n_frames // (4 * self.options.n_workers)))
         else:
             seg = 1
         chains = [
             Chain(-1, a, b, fresh=True)
-            for a, b in sequence_ranges(n_frames, self.n_workers)
+            for a, b in sequence_ranges(n_frames, self.options.n_workers)
         ]
         return AdaptiveChainPolicy(
             chains,
@@ -619,17 +468,17 @@ class LocalRenderFarm:
         from ..dfb import FrameEvent, TileEvent
 
         report = None
-        if self.on_tile is not None or self.on_frame is not None:
+        if self.options.on_tile is not None or self.options.on_frame is not None:
 
             def report(worker, frame, box, pixels, frame_complete):
-                if self.on_tile is not None:
+                if self.options.on_tile is not None:
                     x0, y0, x1, y1 = box
-                    self.on_tile(TileEvent(
+                    self.options.on_tile(TileEvent(
                         frame=frame, x0=x0, y0=y0, x1=x1, y1=y1,
                         pixels=pixels, worker=worker, frame_complete=frame_complete,
                     ))
-                if frame_complete and self.on_frame is not None:
-                    self.on_frame(FrameEvent(frame, assembler.frame_image(frame)))
+                if frame_complete and self.options.on_frame is not None:
+                    self.options.on_frame(FrameEvent(frame, assembler.frame_image(frame)))
 
         whole = (0, 0, self._cam.width, self._cam.height)
 
@@ -653,8 +502,8 @@ class LocalRenderFarm:
             "n_frames": int(self._anim.n_frames),
             "width": int(self._cam.width),
             "height": int(self._cam.height),
-            "grid_resolution": int(self.grid_resolution),
-            "samples_per_axis": int(self.samples_per_axis),
+            "grid_resolution": int(self.options.grid_resolution),
+            "samples_per_axis": int(self.options.samples_per_axis),
             "n_tasks": int(n_tasks),
         }
 
@@ -706,7 +555,7 @@ class LocalRenderFarm:
     def _spooler(self, run_path: Path, units: list, assembler):
         """``spool(assignment, result)``: save an accepted unit under its
         index in ``units``."""
-        tel = self.telemetry
+        tel = self.options.telemetry
         # A TCP unit whose first worker died comes home as the remainder
         # partial salvage left, so key on what narrowing keeps: the region
         # and the end frame.
@@ -732,8 +581,8 @@ class LocalRenderFarm:
         segment is released on the spot) and its worker event buffer joins
         the live stream.  On either transport the buffer joins the run's
         accounting ``fold``, then the unit is spooled."""
-        tel = self.telemetry
-        pooled = self.transport != "tcp"
+        tel = self.options.telemetry
+        pooled = self.options.transport != "tcp"
 
         def on_result(a, result) -> None:
             events = _task_events(result)
@@ -752,10 +601,10 @@ class LocalRenderFarm:
     def _transport(self, policy, box_of, label, validate, assembler, on_result, report):
         """The transport that will drive ``policy``: the supervised pool or
         the loopback network farm, both executing the segment task."""
-        spec, grid, samples, prof = (
-            self.spec, self.grid_resolution, self.samples_per_axis, self.profile_dir
-        )
-        tel = self.telemetry
+        opts, spec = self.options, self.spec
+        grid, samples = opts.grid_resolution, opts.samples_per_axis
+        prof = str(opts.profile_dir) if opts.profile_dir else None
+        tel = opts.telemetry
         run_id, run_span, enabled = tel.run_id, self._run_span, tel.enabled
 
         def ctx_of(a, lane):
@@ -771,7 +620,7 @@ class LocalRenderFarm:
             ).to_arg()
 
         spec_arg = spec
-        if self.transport == "tcp":
+        if opts.transport == "tcp":
             from ..net.tasks import spec_to_wire
 
             spec_arg = spec_to_wire(spec)
@@ -780,27 +629,18 @@ class LocalRenderFarm:
             return (spec_arg, box_of(a.region_index), int(a.frame0), int(a.frame1),
                     bool(a.fresh), label, grid, samples, ctx_of(a, lane), prof)
 
-        if self.transport == "tcp":
+        if opts.transport == "tcp":
             from ..net.master import TcpTransport
 
             return TcpTransport(
                 policy,
                 "render_segment",
                 materialize,
-                n_workers=self.n_workers,
-                die_after=self.net_die_after,
-                die_after_frames=self.net_die_after_frames,
-                blackbox_dir=self.blackbox_dir,
-                telemetry=tel,
+                opts,
                 trace_root=run_span,
                 validate=validate,
                 on_result=on_result,
-                max_attempts=self.max_attempts,
-                task_timeout=self.task_timeout,
-                timeout_factor=self.timeout_factor,
-                startup_timeout=self.startup_timeout,
                 assembler=assembler,
-                tile_px=self.tile_px,
                 tile_box=lambda a: box_of(a.region_index),
                 on_tile=report,
             )
@@ -812,27 +652,18 @@ class LocalRenderFarm:
         # pickled back across the fork boundary.  The transport sweeps
         # stragglers (crashed attempts, discarded duplicates); the farm
         # releases each ref as it composites it.
-        store = SharedFrameStore() if self.executor == "process" else None
+        store = SharedFrameStore() if opts.executor == "process" else None
         return ProcessTransport(
             policy,
             _render_segment_task,
             materialize,
-            n_workers=self.n_workers,
+            opts,
             on_result=on_result,
-            telemetry=tel,
             trace_root=run_span,
             frame_store=store,
-            executor=self.executor,
             initializer=_worker_init,
             initargs=(spec, store.token if store else None),
             validate=validate,
-            max_attempts=self.max_attempts,
-            task_timeout=self.task_timeout,
-            timeout_factor=self.timeout_factor,
-            startup_timeout=self.startup_timeout,
-            backoff_base=self.backoff_base,
-            degrade_serial=self.degrade_serial,
-            fault_plan=self.fault_plan,
         )
 
     # -- entry point -------------------------------------------------------------
@@ -853,7 +684,7 @@ class LocalRenderFarm:
             if run_dir is not None and Path(run_dir) != Path(resume):
                 raise ValueError("pass either run_dir or resume, not two different dirs")
             run_dir = resume
-        if run_dir is not None and self.schedule == "adaptive":
+        if run_dir is not None and self.options.schedule == "adaptive":
             raise ValueError(
                 "checkpoint spooling (run_dir/resume) requires schedule='static' or "
                 "'demand'; the adaptive schedule decides its units at run time"
@@ -872,9 +703,9 @@ class LocalRenderFarm:
 
     def _run(self, assembler, run_dir) -> FarmResult:
         """:meth:`render` proper, compositing into ``assembler``."""
-        anim, cam, tel = self._anim, self._cam, self.telemetry
+        opts, anim, cam, tel = self.options, self._anim, self._cam, self.options.telemetry
         units, regions = self._unit_list()
-        label = self.mode if self.schedule == "static" else self.schedule
+        label = opts.mode if opts.schedule == "static" else opts.schedule
 
         def box_of(region_index):
             if regions is None or region_index < 0:
@@ -884,9 +715,9 @@ class LocalRenderFarm:
 
         fold_unit, report = self._compositing(assembler)
         validate_unit = self._validator()
-        validate = self._validator(assembler) if self.transport == "tcp" else validate_unit
-        if self.profile_dir:
-            Path(self.profile_dir).mkdir(parents=True, exist_ok=True)
+        validate = self._validator(assembler) if opts.transport == "tcp" else validate_unit
+        if opts.profile_dir:
+            Path(opts.profile_dir).mkdir(parents=True, exist_ok=True)
 
         t_run0 = self._begin_trace()
         tel.event(
@@ -896,7 +727,7 @@ class LocalRenderFarm:
             n_frames=int(anim.n_frames),
             width=int(cam.width),
             height=int(cam.height),
-            n_workers=self.n_workers,
+            n_workers=opts.n_workers,
             mode=label,
         )
 
@@ -927,17 +758,17 @@ class LocalRenderFarm:
                 self._policy(units, regions), box_of, label, validate, assembler,
                 self._acceptor(fold, spool, fold_unit), report,
             )
-            if self.preview is not None:
-                self.preview.attach(
+            if opts.preview is not None:
+                opts.preview.attach(
                     assembler,
                     workload=self.spec.factory,
-                    n_workers=int(self.n_workers),
+                    n_workers=int(opts.n_workers),
                 )
             try:
                 out = transport.run()
             finally:
-                if self.preview is not None:
-                    self.preview.detach()
+                if opts.preview is not None:
+                    opts.preview.detach()
             results += out.results
         sup = out.supervisor if out is not None else SupervisorOutcome(results=[])
         n_tasks = n_loaded + (len(out.assignments) if out is not None else 0)
@@ -951,11 +782,7 @@ class LocalRenderFarm:
             stats=stats,
             n_tasks=n_tasks,
             mode=label,
-            n_retries=sup.n_retries,
-            n_timeouts=sup.n_timeouts,
-            n_crashes=sup.n_crashes,
-            n_invalid=sup.n_invalid,
-            n_degraded=sup.n_degraded,
+            recovery=sup.recovery,
             n_from_checkpoint=n_loaded,
             attempts=sup.attempts,
             net=out.net if out is not None else None,
@@ -965,7 +792,7 @@ class LocalRenderFarm:
         """Emit the run-level events (task.attempt / recovery timeline,
         per-worker utilization, run.end totals) into the farm's telemetry
         session; ``fold`` holds the accepted units' worker events."""
-        tel = self.telemetry
+        tel = self.options.telemetry
         for a in sup.attempts:
             tel.event(
                 "task.attempt",
@@ -992,8 +819,8 @@ class LocalRenderFarm:
         wall = sup.wall_time
         for row in fold.worker_rows(wall):
             tel.event("worker", **row)
-        if self.profile_dir:
-            tel.event("profile", path=self.profile_dir)
+        if self.options.profile_dir:
+            tel.event("profile", path=str(self.options.profile_dir))
         computed, copied = fold.pixel_totals()
         tel.event(
             "run.end",
@@ -1001,7 +828,7 @@ class LocalRenderFarm:
             computed_pixels=computed,
             copied_pixels=copied,
             n_tasks=n_tasks,
-            n_workers=self.n_workers,
+            n_workers=self.options.n_workers,
             rays_camera=stats.camera,
             rays_reflected=stats.reflected,
             rays_refracted=stats.refracted,
@@ -1015,8 +842,8 @@ class LocalRenderFarm:
         cam = self._cam
         renderer = CoherentRenderer(
             anim,
-            grid=grid_for_animation(anim, self.grid_resolution),
-            samples_per_axis=self.samples_per_axis,
+            grid=grid_for_animation(anim, self.options.grid_resolution),
+            samples_per_axis=self.options.samples_per_axis,
         )
         frames = np.empty((anim.n_frames, cam.height, cam.width, 3), dtype=np.float64)
         for f in range(anim.n_frames):

@@ -5,10 +5,9 @@ aborts the render, one hang stalls it forever.  On a network of
 workstations that is the common case, not the exception — so the farm
 submits tasks individually through this supervisor, which:
 
-* enforces a **per-task deadline** derived from observed task durations
-  (``timeout_factor`` x the slowest completion so far, the same 3x
-  heuristic :func:`repro.sched.sim.default_worker_timeout` uses for the
-  simulated cluster), or a fixed ``task_timeout``;
+* enforces a **per-task deadline** — the farm's one rule,
+  :meth:`~repro.runtime.options.RecoveryOptions.deadline`: a fixed one,
+  or 3x the slowest completion so far plus a margin;
 * detects **worker crashes** (a broken pool) — the pool is rebuilt and
   every in-flight task re-queued;
 * detects **hangs** — a task past its deadline is declared lost and
@@ -44,6 +43,7 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 
 from .faults import FaultPlan
+from .options import RecoveryCounts, RecoveryOptions, RecoveryView
 
 __all__ = [
     "TaskSupervisor",
@@ -52,6 +52,11 @@ __all__ = [
     "SupervisorError",
     "task_context",
 ]
+
+#: Ceiling, in seconds, on the exponential backoff before a retry.
+BACKOFF_CAP = 1.0
+#: Shortest wait between two deadline sweeps, seconds.
+POLL_INTERVAL = 0.05
 
 # Which (task_index, attempt) this worker is currently executing.  Task
 # functions that emit telemetry read it via task_context(); thread-local so
@@ -84,16 +89,12 @@ class TaskAttempt:
 
 
 @dataclass
-class SupervisorOutcome:
+class SupervisorOutcome(RecoveryView):
     """Results plus the robustness story of how they were obtained."""
 
     results: list
     attempts: list[TaskAttempt] = field(default_factory=list)
-    n_retries: int = 0
-    n_timeouts: int = 0
-    n_crashes: int = 0
-    n_invalid: int = 0
-    n_degraded: int = 0
+    recovery: RecoveryCounts = field(default_factory=RecoveryCounts)
     n_duplicates: int = 0
     n_pool_rebuilds: int = 0
     wall_time: float = 0.0
@@ -128,13 +129,9 @@ class TaskSupervisor:
     validate:
         ``validate(task, result) -> bool``; a False result is treated as
         a failure and retried.
-    max_attempts:
-        Pool attempts per task before degradation (>= 1).
-    task_timeout / timeout_factor / timeout_margin / startup_timeout:
-        Deadline policy.  A fixed ``task_timeout`` wins; otherwise the
-        deadline adapts to ``timeout_factor * max(observed) + margin``
-        once a task has completed, with ``startup_timeout`` (None = no
-        deadline) covering the observation-free start-up window.
+    recovery:
+        The :class:`~repro.runtime.options.RecoveryOptions`: pool
+        attempts per task before degradation, and the deadline rule.
     degrade_serial:
         On retry exhaustion, run the task in-process instead of failing.
     on_result:
@@ -160,24 +157,16 @@ class TaskSupervisor:
         initializer=None,
         initargs=(),
         validate=None,
-        max_attempts: int = 3,
-        task_timeout: float | None = None,
-        timeout_factor: float = 3.0,
-        timeout_margin: float = 1.0,
-        startup_timeout: float | None = None,
+        recovery: RecoveryOptions = RecoveryOptions(),
         backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
         degrade_serial: bool = True,
         max_pool_rebuilds: int = 4,
-        poll_interval: float = 0.05,
         fault_plan: FaultPlan | None = None,
         on_result=None,
         feed=None,
     ):
         if executor not in ("process", "thread", "serial"):
             raise ValueError("executor must be 'process', 'thread' or 'serial'")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.fn = fn
@@ -187,16 +176,10 @@ class TaskSupervisor:
         self.initializer = initializer
         self.initargs = initargs
         self.validate = validate
-        self.max_attempts = max_attempts
-        self.task_timeout = task_timeout
-        self.timeout_factor = timeout_factor
-        self.timeout_margin = timeout_margin
-        self.startup_timeout = startup_timeout
+        self.recovery = recovery
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.degrade_serial = degrade_serial
         self.max_pool_rebuilds = max_pool_rebuilds
-        self.poll_interval = poll_interval
         self.fault_plan = fault_plan
         self.on_result = on_result
         self.feed = feed
@@ -259,7 +242,7 @@ class TaskSupervisor:
             idx, attempt, not_before = pending.popleft()
             if idx in self._results:
                 continue
-            if attempt >= self.max_attempts:
+            if attempt >= self.recovery.max_attempts:
                 self._degrade(idx, attempt)
                 continue
             delay = not_before - time.monotonic()
@@ -271,7 +254,7 @@ class TaskSupervisor:
             else:
                 self._record(idx, attempt, "invalid" if err == "invalid" else "error", dur, err)
                 if err == "invalid":
-                    self._out.n_invalid += 1
+                    self._out.recovery["invalid"] += 1
                 self._requeue(idx, attempt)
 
     # -- pooled path -------------------------------------------------------------
@@ -291,14 +274,14 @@ class TaskSupervisor:
                 pending.popleft()
                 if idx in self._results:
                     continue
-                if attempt >= self.max_attempts:
+                if attempt >= self.recovery.max_attempts:
                     self._degrade(idx, attempt)
                     continue
                 self._submit(idx, attempt)
             watched = list(self._inflight) + list(self._late)
             if not watched:
                 if pending:  # everything is backing off; wait for the head
-                    time.sleep(max(0.0, min(pending[0][2] - now, self.backoff_cap)))
+                    time.sleep(max(0.0, min(pending[0][2] - now, BACKOFF_CAP)))
                     continue
                 if not self._feed_done:
                     if self._pull_feed() > 0:
@@ -316,7 +299,7 @@ class TaskSupervisor:
             for fut in done:
                 broken = self._harvest(fut) or broken
             if broken:
-                self._out.n_crashes += 1
+                self._out.recovery["crashes"] += 1
                 self._rebuild_pool(outcome="crash")
                 continue
             self._sweep_deadlines()
@@ -349,7 +332,7 @@ class TaskSupervisor:
             try:
                 p.terminate()
             except Exception:
-                pass
+                pass  # already reaped, or a pool internal moved: shutdown() below still runs
         pool.shutdown(wait=False, cancel_futures=True)
 
     def _close_pool(self) -> None:
@@ -392,18 +375,14 @@ class TaskSupervisor:
         self._inflight[fut] = (idx, attempt, time.monotonic())
 
     def _current_timeout(self) -> float | None:
-        if self.task_timeout is not None:
-            return self.task_timeout
-        if self._durations:
-            return self.timeout_factor * max(self._durations) + self.timeout_margin
-        return self.startup_timeout
+        return self.recovery.deadline(self._durations)
 
     def _tick(self, now: float) -> float:
         timeout = self._current_timeout()
         if timeout is None or not self._inflight:
             return 0.25
         next_deadline = min(at + timeout for _i, _a, at in self._inflight.values())
-        return min(0.5, max(self.poll_interval, next_deadline - now))
+        return min(0.5, max(POLL_INTERVAL, next_deadline - now))
 
     def _harvest(self, fut) -> bool:
         """Absorb one completed future; returns True if the pool is broken."""
@@ -434,7 +413,7 @@ class TaskSupervisor:
             self._record(idx, attempt, "duplicate", dur)
             return False
         if not self._valid(idx, result):
-            self._out.n_invalid += 1
+            self._out.recovery["invalid"] += 1
             self._record(idx, attempt, "invalid", dur)
             if not was_late:
                 self._requeue(idx, attempt)
@@ -458,14 +437,14 @@ class TaskSupervisor:
             if fut.done():
                 self._inflight[fut] = (idx, attempt, submitted_at)
                 continue  # finished between sweep start and cancel; harvest next tick
-            self._out.n_timeouts += 1
+            self._out.recovery["timeouts"] += 1
             self._record(idx, attempt, "timeout", now - submitted_at)
             self._late[fut] = (idx, attempt, submitted_at)
             self._requeue(idx, attempt)
 
     def _requeue(self, idx: int, attempt: int) -> None:
-        self._out.n_retries += 1
-        backoff = min(self.backoff_cap, self.backoff_base * (2.0**attempt))
+        self._out.recovery["retries"] += 1
+        backoff = min(BACKOFF_CAP, self.backoff_base * (2.0**attempt))
         self._pending.append((idx, attempt + 1, time.monotonic() + backoff))
 
     # -- attempt bookkeeping -----------------------------------------------------
@@ -506,7 +485,7 @@ class TaskSupervisor:
     def _degrade(self, idx: int, attempt: int) -> None:
         if not self.degrade_serial:
             raise SupervisorError(
-                f"task {idx} failed {attempt} attempts (limit {self.max_attempts}) "
+                f"task {idx} failed {attempt} attempts (limit {self.recovery.max_attempts}) "
                 "and serial degradation is disabled"
             )
         ok, result, err, dur = self._attempt_inline(idx, attempt)
@@ -515,5 +494,5 @@ class TaskSupervisor:
                 f"task {idx} failed {attempt} pool attempts and the in-process "
                 f"serial fallback: {err}"
             )
-        self._out.n_degraded += 1
+        self._out.recovery["degraded"] += 1
         self._accept(idx, attempt, result, dur, "degraded-ok")

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 from ..buffers import attach_refs
 from ..obs.trace import flight_span_id
+from ..runtime.options import FarmOptions
 from ..runtime.supervisor import SupervisorOutcome, TaskSupervisor
-from ..telemetry import NULL
 from .core import Assignment, SchedulingPolicy
 
 __all__ = ["ProcessTransport", "SchedOutcome", "assignment_echo_task"]
@@ -54,10 +54,6 @@ class SchedOutcome:
     results: list  # accepted results, completion order
     assignments: list[Assignment]  # dispatch order (== policy.log)
     supervisor: SupervisorOutcome
-    n_chain_starts: int = 0
-    n_steals: int = 0
-    n_reassigned: int = 0
-    lanes_of: dict = field(default_factory=dict)  # assignment seq -> lane
     workers: dict = field(default_factory=dict)  # lane -> handshake info (net only)
     net: object = None  # NetStats for tcp runs, None otherwise
 
@@ -75,20 +71,20 @@ class ProcessTransport:
         ``materialize(assignment, lane) -> task argument``.  The lane
         label rides along so renderer-continuation caches (thread/serial
         executors) and benchmarks that skew per-lane speed can key on it.
-    n_workers:
-        Number of logical lanes (and the supervisor's pool size).  A
-        lane is *free* or carries exactly one in-flight assignment; it
-        returns to the free queue only when that assignment's result is
-        accepted, so the policy sees at most ``n_workers`` concurrent
-        dispatches.  A lane the policy declines stays free and is asked
-        again after the next completion — an all-lanes-idle decline with
-        nothing in flight is a policy stall, which the supervisor's feed
-        protocol turns into a loud ``RuntimeError`` rather than a hang.
-    telemetry / trace_root:
-        A :class:`~repro.telemetry.Telemetry` session to narrate into:
-        one ``obs.flight`` span per assignment (dispatch -> accepted
-        result), parented under ``trace_root`` — the same trace shape
-        the TCP master emits, so the obs tooling reads either transport.
+    options:
+        The run's :class:`~repro.runtime.options.FarmOptions`.  Read
+        here: ``executor``, ``degrade_serial``, ``fault_plan`` and the
+        recovery contract go to the supervisor; ``n_workers`` is its pool
+        size and the number of logical lanes (see the module docstring),
+        so the policy sees at most that many concurrent dispatches.  A
+        lane the policy declines stays free and is asked again after the
+        next completion — an all-lanes-idle decline with nothing in
+        flight is a policy stall, which the supervisor's feed protocol
+        turns into a loud ``RuntimeError`` rather than a hang.
+        ``telemetry`` is the session narrated into: one ``obs.flight``
+        span per assignment (dispatch -> accepted result), parented under
+        ``trace_root`` — the same trace shape the TCP master emits, so
+        the obs tooling reads either transport.
     frame_store:
         Optional :class:`~repro.buffers.SharedFrameStore` whose token the
         caller armed the pool workers with.  The transport takes over the
@@ -98,8 +94,8 @@ class ProcessTransport:
         attempts, discarded duplicates.  The caller still releases the
         refs it consumed.
     supervisor_kwargs:
-        Passed through to :class:`TaskSupervisor` (executor, validate,
-        timeouts, fault_plan, ...).
+        Passed through to :class:`TaskSupervisor` (validate, initializer,
+        backoff_base, ...).
     """
 
     def __init__(
@@ -107,10 +103,9 @@ class ProcessTransport:
         policy: SchedulingPolicy,
         fn,
         materialize,
+        options: FarmOptions,
         *,
-        n_workers: int = 2,
         on_result=None,
-        telemetry=None,
         trace_root=None,
         frame_store=None,
         **supervisor_kwargs,
@@ -118,9 +113,10 @@ class ProcessTransport:
         self.policy = policy
         self.fn = fn
         self.materialize = materialize
-        self.n_workers = max(1, int(n_workers))
+        self.options = options = options.resolved()
+        self.n_workers = int(options.n_workers)
         self._user_on_result = on_result
-        self.telemetry = telemetry if telemetry is not None else NULL
+        self.telemetry = options.telemetry
         self.trace_root = trace_root
         self.frame_store = frame_store
         self.supervisor_kwargs = supervisor_kwargs
@@ -181,10 +177,15 @@ class ProcessTransport:
 
     # -- entry -------------------------------------------------------------
     def run(self) -> SchedOutcome:
+        options = self.options
         sup = TaskSupervisor(
             self.fn,
             [],
-            n_workers=self.n_workers,
+            n_workers=options.n_workers,
+            executor=options.executor,
+            degrade_serial=options.degrade_serial,
+            fault_plan=options.fault_plan,
+            recovery=options.recovery(),
             feed=self._feed,
             on_result=self._on_result,
             **self.supervisor_kwargs,
@@ -204,8 +205,4 @@ class ProcessTransport:
             results=out.results,
             assignments=list(policy.log),
             supervisor=out,
-            n_chain_starts=policy.n_chain_starts,
-            n_steals=policy.n_steals,
-            n_reassigned=policy.n_reassigned,
-            lanes_of={a.seq: lane for _i, (lane, a, _t) in self._meta.items()},
         )

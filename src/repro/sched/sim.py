@@ -30,6 +30,7 @@ from ..parallel.config import RenderFarmConfig
 from ..parallel.oracle import AnimationCostOracle
 from ..parallel.outcome import SimulationOutcome
 from ..parallel.partition import PixelRegion, default_block_layout, sequence_ranges
+from ..runtime.options import TIMEOUT_FACTOR, TIMEOUT_MARGIN
 from .core import STRATEGIES, SchedulingPolicy, make_policy
 from .cost import AssignmentCost, OracleCostModel
 
@@ -275,9 +276,9 @@ def default_worker_timeout(
 
     Worst case: a fresh chain start of the most expensive block (or the
     whole frame when ``regions`` is None — sequence division) on the
-    slowest (and most memory-pressured) machine, tripled for scheduling
-    slack.  The real farm's supervisor (:mod:`repro.runtime.supervisor`)
-    applies the same factor to observed task durations.
+    slowest (and most memory-pressured) machine, under the real farm's
+    deadline rule (:func:`repro.runtime.options.deadline`), which applies
+    the same two constants to observed task durations.
     """
     region_list = [(None, oracle.n_pixels)] if regions is None else [
         (r.pixels, r.n_pixels) for r in regions
@@ -290,7 +291,7 @@ def default_worker_timeout(
     worst_rate = min(
         _effective_rates(machines, cfg, max(n for _p, n in region_list), thrash)
     )
-    return 3.0 * worst_units * sec_per_work_unit / worst_rate + 1.0
+    return TIMEOUT_FACTOR * worst_units * sec_per_work_unit / worst_rate + TIMEOUT_MARGIN
 
 
 class SimTransport:

@@ -26,11 +26,10 @@ import socket
 import time
 
 from ..net import protocol as wire
+from .daemon import IMPOSED, SPEC_FIELDS
+from .ledger import TERMINAL_STATES
 
 __all__ = ["ServiceError", "submit", "job_status", "list_jobs", "cancel", "wait"]
-
-#: Job states the service never leaves (mirrors repro.service.ledger).
-_TERMINAL = frozenset({"done", "dead-letter", "rejected", "cancelled"})
 
 
 class ServiceError(RuntimeError):
@@ -60,40 +59,19 @@ def _rpc(addr: str, msg_type: int, payload: dict, timeout: float = 10.0) -> dict
     return reply
 
 
-#: RenderRequest fields the service accepts (mirrors daemon.SPEC_FIELDS;
-#: duck-typed here so this module never imports repro.api — api imports us).
-_SPEC_ATTRS = (
-    "workload",
-    "n_frames",
-    "width",
-    "height",
-    "grid_resolution",
-    "samples_per_axis",
-    "shadow_coherence",
-    "mode",
-    "n_workers",
-    "executor",
-    "transport",
-    "segment_frames",
-    "task_timeout",
-)
-
-
 def _spec_from_request(request) -> dict:
-    """Project a RenderRequest onto the wire-encodable job spec.
+    """Project a RenderRequest onto the wire-encodable job spec: the
+    fields of the service's allow-list (``daemon.SPEC_FIELDS``; the request
+    is duck-typed so this module never imports repro.api — api imports us).
 
     Fields left at their RenderRequest default are *not* sent: the
     service owns the defaults for anything the caller didn't touch
     (worker count, executor, transport come from the daemon's own
-    configuration, not from the client's dataclass).
+    configuration, not from the client's dataclass).  A field the service
+    would drop must be at its default (or at the value the service
+    imposes): a job is never accepted and then silently rendered without
+    something its request asked for.
     """
-    defaults = {}
-    if dataclasses.is_dataclass(request):
-        defaults = {
-            f.name: f.default
-            for f in dataclasses.fields(request)
-            if f.default is not dataclasses.MISSING
-        }
     workload = getattr(request, "workload", None)
     if not isinstance(workload, str):
         raise TypeError(
@@ -101,11 +79,20 @@ def _spec_from_request(request) -> dict:
             f"from its own recipe), not {type(workload).__name__}"
         )
     spec = {"workload": workload}
-    for key in _SPEC_ATTRS[1:]:
-        value = getattr(request, key, None)
-        if value is None or (key in defaults and value == defaults[key]):
+    ignored = []
+    for f in dataclasses.fields(request):
+        value = getattr(request, f.name)
+        if f.name == "workload" or value is None or value == f.default:
             continue
-        spec[key] = value
+        if f.name in SPEC_FIELDS:
+            spec[f.name] = value
+        elif IMPOSED.get(f.name) != value:
+            ignored.append(f.name)
+    if ignored:
+        raise ServiceError(
+            f"the render service does not honour {', '.join(sorted(ignored))}; "
+            f"a job may set {', '.join(SPEC_FIELDS)}"
+        )
     return spec
 
 
@@ -200,7 +187,7 @@ def wait(
                 status = job_status(addr, job_id)
             except (OSError, ServiceError):
                 continue  # service restarting, or job not replayed yet
-            if status.get("state") in _TERMINAL:
+            if status.get("state") in TERMINAL_STATES:
                 done[job_id] = status
         pending -= set(done)
         if pending and time.monotonic() > deadline:

@@ -51,25 +51,27 @@ from .queue import JobQueue
 
 __all__ = ["RenderService", "SPEC_FIELDS"]
 
-#: Render-spec keys a submitted job may set; everything else is dropped
-#: (the service, not the client, owns engine/schedule/run_dir/telemetry).
-SPEC_FIELDS = frozenset(
-    {
-        "workload",
-        "n_frames",
-        "width",
-        "height",
-        "grid_resolution",
-        "samples_per_axis",
-        "shadow_coherence",
-        "mode",
-        "n_workers",
-        "executor",
-        "transport",
-        "segment_frames",
-        "task_timeout",
-    }
+#: RenderRequest fields a submitted job may set — the one allow-list, read
+#: by the client to project a request and by :meth:`RenderService.submit`
+#: to drop everything else (the service, not the client, owns
+#: engine/schedule/run_dir/telemetry).  Every entry is a field the farm
+#: engine reads.
+SPEC_FIELDS = (
+    "workload",
+    "n_frames",
+    "width",
+    "height",
+    "grid_resolution",
+    "samples_per_axis",
+    "mode",
+    "n_workers",
+    "executor",
+    "transport",
+    "segment_frames",
+    "task_timeout",
 )
+#: What the service imposes on every job.
+IMPOSED = {"engine": "farm", "schedule": "static"}
 
 
 class _TaskRecordSink:
@@ -322,15 +324,13 @@ class RenderService:
         spool = self.state_dir / "jobs" / job.job_id / "spool"
         resume = spool if (spool / "manifest.json").exists() else None
         kwargs = {
+            # the daemon's own farm defaults, for what the job left unset
+            **{name: getattr(self, name) for name in ("n_workers", "executor", "transport")},
+            **spec,
+            **IMPOSED,
             "workload": workload,
-            "engine": "farm",
-            "schedule": "static",
-            "n_workers": spec.pop("n_workers", self.n_workers),
-            "executor": spec.pop("executor", self.executor),
-            "transport": spec.pop("transport", self.transport),
             "run_dir": None if resume is not None else spool,
             "resume": resume,
-            **spec,
         }
         if final_attempt:
             # Last chance: never let a collapsed pool dead-letter a job
@@ -388,27 +388,7 @@ class RenderService:
         duration = time.perf_counter() - t0
         tel.close()
         with self._lock:
-            self.ledger.append(
-                "attempt",
-                job=job.job_id,
-                attempt=attempt,
-                outcome="ok",
-                duration=round(duration, 6),
-                error="",
-                backoff=0.0,
-            )
-            job.attempts.append(
-                {"attempt": attempt, "outcome": "ok", "error": "",
-                 "duration": duration, "backoff": 0.0}
-            )
-            self.telemetry.event(
-                "job.attempt",
-                job=job.job_id,
-                attempt=attempt,
-                outcome="ok",
-                duration=round(duration, 6),
-                error="",
-            )
+            self._record_attempt(job, attempt, "ok", duration)
             job.n_tasks = result.n_tasks
             job.n_from_checkpoint = result.n_from_checkpoint
             self._set_state(
@@ -420,6 +400,25 @@ class RenderService:
             )
         return job
 
+    def _record_attempt(
+        self, job: Job, attempt: int, outcome: str, duration: float,
+        error: str = "", backoff: float = 0.0,
+    ) -> None:
+        """One attempt's end, written once each to the ledger, the job
+        table and the service's event log (lock held by the caller)."""
+        self.ledger.append(
+            "attempt", job=job.job_id, attempt=attempt, outcome=outcome,
+            duration=round(duration, 6), error=error, backoff=backoff,
+        )
+        job.attempts.append(
+            {"attempt": attempt, "outcome": outcome, "error": error,
+             "duration": duration, "backoff": backoff}
+        )
+        self.telemetry.event(
+            "job.attempt", job=job.job_id, attempt=attempt, outcome=outcome,
+            duration=round(duration, 6), error=error,
+        )
+
     def _record_failure(
         self, job: Job, attempt: int, duration: float, error: str, *, now: float
     ) -> None:
@@ -430,27 +429,7 @@ class RenderService:
                 if retry
                 else 0.0
             )
-            self.ledger.append(
-                "attempt",
-                job=job.job_id,
-                attempt=attempt,
-                outcome="error",
-                duration=round(duration, 6),
-                error=error,
-                backoff=backoff,
-            )
-            job.attempts.append(
-                {"attempt": attempt, "outcome": "error", "error": error,
-                 "duration": duration, "backoff": backoff}
-            )
-            self.telemetry.event(
-                "job.attempt",
-                job=job.job_id,
-                attempt=attempt,
-                outcome="error",
-                duration=round(duration, 6),
-                error=error,
-            )
+            self._record_attempt(job, attempt, "error", duration, error, backoff)
             if retry:
                 job.not_before = now + backoff
                 self._set_state(
@@ -537,12 +516,12 @@ class RenderService:
                 reply = self._handle(msg_type, payload or {})
                 wire.send_frame(conn, wire.MSG_JOB_STATUS, reply)
         except (OSError, wire.ProtocolError):
-            pass
+            pass  # a client that hangs up or talks garbage ends its own call only
         finally:
             try:
                 conn.close()
             except OSError:
-                pass
+                pass  # already closed by the peer
 
     def _handle(self, msg_type: int, payload: dict) -> dict:
         service = {"addr": f"{self.host}:{self.port}", "queue_capacity": self.queue_capacity}
@@ -601,7 +580,7 @@ class RenderService:
             try:
                 self._listener.close()
             except OSError:
-                pass
+                pass  # stop() twice, or the accept loop got there first
             self._listener = None
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)

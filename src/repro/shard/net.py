@@ -34,6 +34,10 @@ from .partition import partition_scene
 
 __all__ = ["ShardSession", "render_sharded_tcp"]
 
+#: Ceiling on sends of one shard request before the run fails loudly (the
+#: replay loop's runaway guard).
+MAX_SENDS = 5
+
 
 class ShardSession:
     """One sharded render run, pumped by the master's selectors loop.
@@ -51,11 +55,8 @@ class ShardSession:
         Frames to render (``[0, n_frames)``).
     shards:
         Shard count K; must equal the policy's ``n_shards``.
-    samples_per_axis / chunk_size:
+    samples_per_axis:
         Forwarded to :func:`~repro.shard.engine.sharded_trace`.
-    max_attempts:
-        Ceiling on sends of one shard request before the run fails
-        loudly (the replay loop's runaway guard).
     """
 
     def __init__(
@@ -66,22 +67,12 @@ class ShardSession:
         shards: int,
         *,
         samples_per_axis: int = 1,
-        chunk_size: int = 32768,
-        max_attempts: int = 5,
-        min_lanes: int = 1,
     ) -> None:
         self.spec_payload = {"factory": spec.factory, "kwargs": dict(spec.kwargs)}
         self.animation = animation
         self.n_frames = int(n_frames)
         self.k = int(shards)
         self.samples_per_axis = int(samples_per_axis)
-        self.chunk_size = int(chunk_size)
-        self.max_attempts = max(1, int(max_attempts))
-        #: Lanes to wait for before the first shard binding.  Binding on
-        #: the very first join would hand every shard to whichever worker
-        #: won the connect race; waiting makes ownership (and the dispatch
-        #: log) a function of the worker count, not of accept timing.
-        self.min_lanes = max(1, int(min_lanes))
         #: Completed frames, in order: one Framebuffer per frame.
         self.frames: list[Framebuffer] = []
         self.results: list = []  # TraceResult per frame
@@ -114,12 +105,10 @@ class ShardSession:
                     "with frames still pending"
                 )
             return
-        if self._gen is None and len(lanes) < self.min_lanes:
-            # Deterministic start: hold the first binding until the full
-            # crew joins (or the startup window closes — a worker that
-            # never comes must not hang the run).
-            if now - master._t0 < (master.startup_timeout or 30.0):
-                return
+        if self._gen is None and not master.crew_complete(len(lanes), now):
+            # Deterministic start: binding on the very first join would
+            # hand every shard to whichever worker won the connect race.
+            return
         self._bind(master, lanes, now)
         if self._gen is None:
             self._begin()
@@ -166,7 +155,6 @@ class ShardSession:
             if a is None:
                 return
             self._bound.setdefault(name, []).append(a)
-            master._lanes_of[a.seq] = name
             master.net.n_assignments += 1
             master.telemetry.event(
                 "net.assign",
@@ -196,7 +184,6 @@ class ShardSession:
             smap,
             scene.camera.pixel_grid(),
             samples_per_axis=self.samples_per_axis,
-            chunk_size=self.chunk_size,
             shard_stats=sstats,
         )
 
@@ -255,10 +242,10 @@ class ShardSession:
             if conn is None or conn.closed:
                 continue
             entry["attempts"] += 1
-            if entry["attempts"] > self.max_attempts:
+            if entry["attempts"] > MAX_SENDS:
                 raise RuntimeError(
                     f"shard request {rid} (shard {entry['shard']}, frame "
-                    f"{self.frame}) failed after {self.max_attempts} attempts"
+                    f"{self.frame}) failed after {MAX_SENDS} attempts"
                 )
             try:
                 master._send(conn, entry["msg_type"], entry["payload"])
@@ -317,12 +304,9 @@ def render_sharded_tcp(
     shards: int = 4,
     n_workers: int = 2,
     samples_per_axis: int = 1,
-    chunk_size: int = 32768,
-    die_after_rays: dict[int, int] | None = None,
+    fault_plan=None,
     telemetry=None,
     blackbox_dir=None,
-    worker_verbose: bool = False,
-    **master_kwargs,
 ):
     """Render an animation object-space sharded over loopback TCP.
 
@@ -331,14 +315,16 @@ def render_sharded_tcp(
     drives the wavefront trace through a :class:`ShardSession`.  Returns
     ``(session, outcome)`` — ``session.frames`` holds one Framebuffer
     per frame, bit-identical to ``RayTracer(scene).render()``'s, even
-    when ``die_after_rays`` kills a shard owner mid-run.
+    when ``fault_plan`` (``FaultPlan.kill_worker(i, n, "rays")``) kills a
+    shard owner mid-run.
 
     ``blackbox_dir`` arms the flight recorder (DESIGN §17) on the master
-    *and* every spawned daemon: a shard owner killed by ``die_after_rays``
+    *and* every spawned daemon: a shard owner killed by the plan
     leaves ``blackbox_worker_<pid>.jsonl`` there, and the session's
     ``net.worker.lost`` event points at it.
     """
     from ..net.master import TcpTransport
+    from ..runtime.options import FarmOptions
 
     anim = spec.build()
     n_frames = anim.n_frames if frames is None else int(frames)
@@ -353,20 +339,17 @@ def render_sharded_tcp(
         n_frames,
         k,
         samples_per_axis=samples_per_axis,
-        chunk_size=chunk_size,
-        min_lanes=n_workers,
     )
     transport = TcpTransport(
         policy,
         "shard.query",  # never dispatched: the session replaces ASSIGN
         lambda a, worker: None,
-        n_workers=n_workers,
-        die_after_rays=die_after_rays,
-        blackbox_dir=blackbox_dir,
-        worker_verbose=worker_verbose,
+        FarmOptions(
+            n_workers=n_workers, fault_plan=fault_plan,
+            telemetry=telemetry, blackbox_dir=blackbox_dir,
+        ),
         session=session,
-        **({"telemetry": telemetry} if telemetry is not None else {}),
-        **master_kwargs,
+        min_lanes=n_workers,  # ownership follows the worker count
     )
     outcome = transport.run()
     return session, outcome

@@ -87,6 +87,7 @@ class RunFold:
         self._hists: dict[str, LogHistogram] = {}
         self._counters: dict[str, float] = {}
         self._n_events = 0
+        self._n_runs = 0  # run.start records seen: a resumed run dir appends
         self._reset_run()
 
     def _reset_run(self) -> None:
@@ -169,6 +170,7 @@ class RunFold:
 
     def _on_run_start(self, attrs, record) -> None:
         self._reset_run()
+        self._n_runs += 1
         self._run = {**attrs, "run": record.get("run", ""), "t": float(record.get("t", 0.0))}
 
     def _on_run_end(self, attrs, record) -> None:
@@ -516,6 +518,8 @@ class RunFold:
                 end.update(computed_pixels=end["n_computed"], copied_pixels=end["n_copied"])
             return TelemetryReport(
                 **self._meta("?"),
+                n_runs=self._n_runs,
+                run_id=str((self._run or {}).get("run", "")),
                 width=self._run_int("width"),
                 height=self._run_int("height"),
                 wall_time=float(end.get("wall_time", 0.0)),

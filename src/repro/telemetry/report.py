@@ -63,6 +63,10 @@ class TelemetryReport:
     counters: dict[str, float] = field(default_factory=dict)
     losses: list[dict] = field(default_factory=list)  # net.worker.lost events
     attempts: dict[str, int] = field(default_factory=dict)  # outcome -> count
+    #: ``run.start`` records in the stream (a resumed run dir appends a run
+    #: to the same ``events.jsonl``); the report describes the last, ``run_id``.
+    n_runs: int = 1
+    run_id: str = ""
 
     @property
     def computed_fraction(self) -> float:
@@ -157,6 +161,8 @@ def format_report(rep: TelemetryReport, per_frame: bool = False) -> str:
         f"[{rep.engine}/{rep.mode}] "
         f"{rep.n_frames} frames @ {rep.width}x{rep.height}, {rep.n_workers} workers =="
     )
+    if rep.n_runs > 1:
+        lines.append(f"run {rep.n_runs} of {rep.n_runs} in this log (run_id {rep.run_id})")
     lines.append("")
     lines.append("rays by kind")
     for kind in _KINDS:

@@ -62,6 +62,34 @@ def tiny_oracle(tiny_newton_animation):
     return build_oracle(tiny_newton_animation, grid_resolution=16)
 
 
+@pytest.fixture
+def kill_drill():
+    """``drill(make_farm, reference) -> (recovery, event names)``: the one
+    worker-loss drill, whatever the transport.  The plan carries the entry
+    each transport honours — the pool process running task 1 exits, TCP
+    daemon 0 exits inside a unit, after its first rendered frame — and
+    ``make_farm(**options)`` builds the farm under test around it."""
+    from repro.runtime import FaultPlan
+    from repro.telemetry import InMemorySink, Telemetry, validate_events
+
+    plan = FaultPlan([FaultPlan.crash(1), FaultPlan.kill_worker(0, 1, "frames")])
+
+    def drill(make_farm, reference):
+        sink = InMemorySink()
+        tel = Telemetry(sinks=(sink,))
+        out = make_farm(fault_plan=plan, telemetry=tel).render()
+        tel.close()
+        assert np.array_equal(out.frames, reference.frames)
+        assert out.recovery["crashes"] >= 1 and out.recovery["retries"] >= 1
+        assert out.n_crashes == out.recovery["crashes"]
+        validate_events(sink.events)
+        names = {r["name"] for r in sink.events}
+        assert "recovery" in names
+        return out.recovery, names
+
+    return drill
+
+
 #: /status fields derived from the fold's wall clock rather than the stream.
 _CLOCK_KEYS = ("elapsed", "tasks_per_sec", "eta_seconds")
 

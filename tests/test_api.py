@@ -57,6 +57,36 @@ def test_kwargs_override_request():
     assert result.n_frames == 2
 
 
+def test_a_farm_option_is_declared_once():
+    """RenderRequest carries every FarmOptions field (it inherits them), the
+    farm's constructor names none, and the validation is the declaration's."""
+    import inspect
+    from dataclasses import fields
+
+    from repro.runtime import AnimationSpec, FarmOptions, LocalRenderFarm
+
+    assert {f.name for f in fields(FarmOptions)} <= {f.name for f in fields(RenderRequest)}
+    assert list(inspect.signature(LocalRenderFarm.__init__).parameters) == [
+        "self", "spec", "options"
+    ]
+    bad = {
+        "mode": ("tile", "mode must be 'frame', 'sequence' or 'hybrid'"),
+        "executor": ("gpu", "executor must be 'process', 'thread' or 'serial'"),
+        "schedule": ("eager", "schedule must be 'static', 'demand' or 'adaptive'"),
+        "transport": ("udp", "transport must be 'process' or 'tcp'"),
+        "tile_px": (0, "tile_px must be None or >= 1, got 0"),
+        "n_workers": (0, "n_workers must be >= 1"),
+    }
+    spec = AnimationSpec.newton(n_frames=2, width=16, height=12)
+    for name, (value, message) in bad.items():
+        for build in (FarmOptions, RenderRequest, lambda **kw: LocalRenderFarm(spec, **kw)):
+            with pytest.raises(ValueError) as err:
+                build(**{name: value})
+            assert str(err.value) == message
+    with pytest.raises(TypeError, match="net_die_after"):
+        LocalRenderFarm(spec, net_die_after={0: 1})
+
+
 def test_bad_engine_strategy_workload_rejected():
     with pytest.raises(ValueError, match="unknown engine"):
         render(RenderRequest(engine="warp"))

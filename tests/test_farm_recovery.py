@@ -17,6 +17,7 @@ from repro.runtime import (
     AnimationSpec,
     FaultPlan,
     LocalRenderFarm,
+    RecoveryOptions,
     SupervisorError,
 )
 
@@ -57,6 +58,20 @@ def test_crashes_and_hang_still_bit_identical(spec, reference):
     assert np.array_equal(res.frames, reference.frames)
     assert res.n_retries > 0
     assert res.n_crashes >= 1
+
+
+@pytest.mark.parametrize("transport", ["process", "tcp"])
+def test_worker_killed_mid_run_is_recovered_on_either_transport(
+    spec, reference, kill_drill, transport
+):
+    """One drill, one plan, both masters: the worker holding a unit dies,
+    the unit is re-dispatched, and the frames, the recovery record and the
+    recovery events come out the same way whatever carried the units."""
+    recovery, names = kill_drill(
+        lambda **kw: _farm(spec, n_workers=2, transport=transport, **kw), reference
+    )
+    assert set(recovery) == {"retries", "timeouts", "crashes", "invalid", "degraded"}
+    assert ("net.worker.lost" in names) == (transport == "tcp")
 
 
 def test_corrupted_block_never_reaches_assembly(spec, reference):
@@ -101,7 +116,7 @@ def test_all_workers_dead_error_path(spec):
         initializer=_worker_init,
         initargs=(spec,),
         fault_plan=plan,
-        max_attempts=8,
+        recovery=RecoveryOptions(max_attempts=8),
         max_pool_rebuilds=1,  # cap rebuilds low so the test is quick
     )
     with pytest.raises(SupervisorError, match="pool lost"):
@@ -112,7 +127,10 @@ def test_all_workers_dead_error_path(spec):
     "kw",
     [
         # the only daemon dies on its first assignment, no attempt left
-        dict(transport="tcp", n_workers=1, net_die_after={0: 0}, max_attempts=1),
+        dict(
+            transport="tcp", n_workers=1, max_attempts=1,
+            fault_plan=FaultPlan([FaultPlan.kill_worker(0, 0)]),
+        ),
         # the drill above, through the farm: every pool is lost
         dict(
             n_workers=2,

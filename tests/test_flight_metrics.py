@@ -44,7 +44,13 @@ from repro.obs import (
     read_blackbox,
     stitch_blackbox,
 )
-from repro.runtime import AnimationSpec, LocalRenderFarm
+from repro.runtime import (
+    AnimationSpec,
+    FarmOptions,
+    FaultPlan,
+    LocalRenderFarm,
+    RecoveryOptions,
+)
 from repro.sched import make_policy
 from repro.telemetry import (
     SCHEMA_VERSION,
@@ -575,8 +581,9 @@ def test_worker_ships_predecessor_blackbox_over_wire(tmp_path):
     tel = Telemetry(sinks=(sink,))
     policy = make_policy("frame-division-nofc", 8, n_regions=2)
     out = TcpTransport(
-        policy, "echo", lambda a, lane: (a.seq, lane), n_workers=2,
-        startup_timeout=120.0, telemetry=tel, blackbox_dir=str(tmp_path),
+        policy, "echo", lambda a, lane: (a.seq, lane),
+        FarmOptions(n_workers=2, telemetry=tel, blackbox_dir=str(tmp_path)),
+        recovery=RecoveryOptions(startup_timeout=120.0),
     ).run()
     tel.close()
     assert len(out.results) == 16
@@ -603,7 +610,7 @@ def test_blackbox_round_trip_on_mid_frame_kill(tmp_path, assert_one_fold):
     tel = Telemetry(sinks=(sink,))
     farm = LocalRenderFarm(
         spec, n_workers=2, schedule="adaptive", transport="tcp",
-        net_die_after_frames={0: 1}, blackbox_dir=tmp_path,
+        fault_plan=FaultPlan([FaultPlan.kill_worker(0, 1, "frames")]), blackbox_dir=tmp_path,
         grid_resolution=12, telemetry=tel,
     )
     out = farm.render()

@@ -20,7 +20,7 @@ import pytest
 from repro.net import protocol as wire
 from repro.net.master import MasterServer, TcpTransport
 from repro.net.worker import WorkerClient
-from repro.runtime import AnimationSpec, LocalRenderFarm
+from repro.runtime import AnimationSpec, FarmOptions, FaultPlan, LocalRenderFarm, RecoveryOptions
 from repro.sched import make_policy
 from repro.telemetry import InMemorySink, Telemetry, validate_events
 
@@ -235,14 +235,16 @@ def test_assembler_rejects_version_mismatch():
 
 
 # -- loopback transport -----------------------------------------------------------
-def _echo_transport(policy, n_workers, **kw):
+PATIENT = RecoveryOptions(startup_timeout=120.0)
+
+
+def _echo_transport(policy, n_workers, **options):
     return TcpTransport(
         policy,
         "echo",
         lambda a, lane: (a.seq, lane),
-        n_workers=n_workers,
-        startup_timeout=120.0,
-        **kw,
+        FarmOptions(n_workers=n_workers, **options),
+        recovery=PATIENT,
     )
 
 
@@ -277,10 +279,10 @@ def test_injected_worker_kill_is_reassigned():
         policy,
         "sleep_echo",
         lambda a, lane: (0.15, (a.seq, lane)),
-        n_workers=2,
-        die_after={0: 0},
-        startup_timeout=120.0,
-        telemetry=tel,
+        FarmOptions(
+            n_workers=2, fault_plan=FaultPlan([FaultPlan.kill_worker(0, 0)]), telemetry=tel
+        ),
+        recovery=PATIENT,
     )
     out = transport.run()
     tel.close()
@@ -335,7 +337,7 @@ def test_malformed_frame_is_a_clean_loss():
     tel = Telemetry(sinks=(sink,))
     policy = make_policy("frame-division-nofc", 3, n_regions=1)
     master = MasterServer(
-        policy, "echo", lambda a, lane: (a.seq, lane), startup_timeout=120.0, telemetry=tel
+        policy, "echo", lambda a, lane: (a.seq, lane), recovery=PATIENT, telemetry=tel
     )
     host, port = master.listen()
     junk_sent = threading.Event()
@@ -383,9 +385,8 @@ def test_task_error_reconnect_then_max_attempts():
         policy,
         "no-such-task",
         lambda a, lane: (a.seq, lane),
-        n_workers=1,
-        max_attempts=2,
-        startup_timeout=120.0,
+        FarmOptions(n_workers=1),
+        recovery=RecoveryOptions(max_attempts=2, startup_timeout=120.0),
     )
     with pytest.raises(RuntimeError, match="failed after 2 attempts"):
         transport.run()
@@ -427,7 +428,7 @@ def test_worker_connects_before_master_listens():
 
     policy = make_policy("frame-division-nofc", 3, n_regions=1)
     master = MasterServer(
-        policy, "echo", lambda a, lane: (a.seq, lane), port=port, startup_timeout=120.0
+        policy, "echo", lambda a, lane: (a.seq, lane), port=port, recovery=PATIENT
     )
     master.listen()
     out = master.serve()
@@ -470,27 +471,6 @@ def test_tcp_farm_bit_identical_to_serial(tcp_spec, serial_reference):
     assert out.stats.total >= serial_reference.stats.total
 
 
-def test_tcp_farm_survives_worker_kill_bit_identically(tcp_spec, serial_reference):
-    sink = InMemorySink()
-    tel = Telemetry(sinks=(sink,))
-    farm = LocalRenderFarm(
-        tcp_spec,
-        n_workers=2,
-        schedule="adaptive",
-        transport="tcp",
-        net_die_after={0: 1},
-        grid_resolution=12,
-        telemetry=tel,
-    )
-    out = farm.render()
-    tel.close()
-    assert out.n_crashes >= 1
-    assert out.frames.tobytes() == serial_reference.frames.tobytes()
-    validate_events(sink.events)
-    names = {r["name"] for r in sink.events}
-    assert "net.worker.lost" in names and "recovery" in names
-
-
 def test_tcp_serves_the_static_unit_list(tcp_spec, serial_reference):
     """The static schedule is a policy like the others, so sockets serve
     it: 12 whole-animation block chains, the serial tracer's ray count."""
@@ -512,7 +492,8 @@ def test_tcp_spool_survives_mid_unit_kill(tcp_spec, serial_reference, tmp_path):
     # The kill hook counts frame events, so the doomed run needs telemetry.
     tel = Telemetry(sinks=(InMemorySink(),))
     out = LocalRenderFarm(
-        tcp_spec, net_die_after_frames={0: 2}, telemetry=tel, **kw
+        tcp_spec, fault_plan=FaultPlan([FaultPlan.kill_worker(0, 2, "frames")]),
+        telemetry=tel, **kw
     ).render(run_dir=run_dir)
     tel.close()
     assert out.n_crashes >= 1 and out.net.n_frames_salvaged >= 1
@@ -583,7 +564,7 @@ def test_result_carrying_pixels_is_an_invalid_loss_on_a_tiling_master(
                          False, None),
         validate=farm._validator(asm),
         assembler=asm,
-        startup_timeout=120.0,
+        recovery=PATIENT,
     )
     host, port = master.listen()
     offered = []

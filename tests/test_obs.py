@@ -345,13 +345,13 @@ def test_write_chrome_trace(tmp_path):
 
 
 # -- the real TCP farm ------------------------------------------------------------
-def _tcp_render(n_workers, n_frames, die_after=None):
+def _tcp_render(n_workers, n_frames, fault_plan=None):
     from repro.api import RenderRequest, render
 
     return render(RenderRequest(
         workload="newton", engine="farm", n_frames=n_frames, width=48, height=36,
         n_workers=n_workers, transport="tcp", schedule="adaptive",
-        net_die_after=die_after, telemetry=True,
+        fault_plan=fault_plan, telemetry=True,
     ))
 
 
@@ -370,7 +370,11 @@ def test_tcp_merged_stream_validates_v4_no_orphans():
 
 
 def test_tcp_killed_worker_single_trace(assert_one_fold):
-    res = _tcp_render(n_workers=3, n_frames=6, die_after={0: 1})
+    from repro.runtime import FaultPlan
+
+    res = _tcp_render(
+        n_workers=3, n_frames=6, fault_plan=FaultPlan([FaultPlan.kill_worker(0, 1)])
+    )
     events = res.events
     validate_events(events)
     fold = assert_one_fold(events)  # a live run and its replay are one code path

@@ -18,7 +18,7 @@ from repro.cluster import ThrashModel, ncsu_testbed
 from repro.parallel.config import RenderFarmConfig
 from repro.parallel.oracle import AnimationCostOracle
 from repro.parallel.partition import default_block_layout, sequence_ranges
-from repro.runtime import AnimationSpec, LocalRenderFarm
+from repro.runtime import AnimationSpec, FarmOptions, LocalRenderFarm, RecoveryOptions
 from repro.runtime.faults import FaultPlan
 from repro.sched import (
     DemandDrivenPolicy,
@@ -61,14 +61,13 @@ def _run_sim(policy, oracle, regions, machines, label, single=False, **kw):
     return transport.run()
 
 
-def _run_process(policy, n_workers, **kw):
+def _run_process(policy, n_workers, backoff_base=0.05, **options):
     transport = ProcessTransport(
         policy,
         assignment_echo_task,
         lambda a, lane: (a.seq, lane),
-        n_workers=n_workers,
-        executor="serial",
-        **kw,
+        FarmOptions(n_workers=n_workers, executor="serial", **options),
+        backoff_base=backoff_base,
     )
     return transport.run()
 
@@ -82,9 +81,8 @@ def _run_tcp(policy, n_workers, **kw):
         policy,
         "echo",
         lambda a, lane: (a.seq, lane),
-        n_workers=n_workers,
-        startup_timeout=120.0,
-        **kw,
+        FarmOptions(n_workers=n_workers, **kw),
+        recovery=RecoveryOptions(startup_timeout=120.0),
     )
     return transport.run()
 

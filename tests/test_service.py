@@ -257,6 +257,23 @@ def test_submit_rejects_unnamed_workloads(tmp_path):
         svc_client.submit("127.0.0.1:1", RenderRequest(workload=object()))
 
 
+def test_submit_refuses_what_the_service_will_not_honour():
+    """A job is never accepted and then rendered without something its
+    request asked for: fields outside the allow-list must be at their
+    defaults (or at what the service imposes anyway)."""
+    from dataclasses import replace
+
+    with pytest.raises(ServiceError, match="does not honour shadow_coherence"):
+        svc_client.submit("127.0.0.1:1", replace(REQ, shadow_coherence=True))
+    with pytest.raises(ServiceError, match="max_attempts, tile_px"):
+        svc_client.submit("127.0.0.1:1", replace(REQ, tile_px=8, max_attempts=5))
+    spec = svc_client._spec_from_request(
+        replace(REQ, engine="farm", schedule="static", n_workers=3, task_timeout=9.0)
+    )
+    assert spec == {**SPEC, "n_workers": 3, "task_timeout": 9.0}
+    assert set(spec) <= set(svc_client.SPEC_FIELDS)
+
+
 def test_service_refuses_stale_state_dir_without_resume(tmp_path):
     svc = make_service(tmp_path / "svc")
     svc.submit(SPEC)

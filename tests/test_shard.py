@@ -17,7 +17,7 @@ import pytest
 from repro.net import protocol as wire
 from repro.obs.live import render_status
 from repro.render import RayTracer
-from repro.runtime import AnimationSpec
+from repro.runtime import AnimationSpec, FaultPlan
 from repro.scene import split_coherent_sequences
 from repro.scenes import ease_in_out_cubic, newton_animation, orbit_animation
 from repro.scenes.stress import random_spheres_scene
@@ -343,7 +343,7 @@ def test_tcp_owner_kill_replays_bit_identical():
         frames=2,
         shards=3,
         n_workers=2,
-        die_after_rays={0: 6},
+        fault_plan=FaultPlan([FaultPlan.kill_worker(0, 6, "rays")]),
         telemetry=Telemetry(sinks=[sink]),
     )
     assert outcome.net.n_losses >= 1

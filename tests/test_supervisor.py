@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.runtime import RecoveryOptions, deadline
 from repro.runtime.faults import FaultInjected, FaultPlan, FaultSpec, corrupt_result
 from repro.runtime.supervisor import SupervisorError, TaskSupervisor
 
@@ -43,7 +44,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         TaskSupervisor(_double, [1], executor="nope")
     with pytest.raises(ValueError):
-        TaskSupervisor(_double, [1], max_attempts=0)
+        RecoveryOptions(max_attempts=0)
     with pytest.raises(ValueError):
         TaskSupervisor(_double, [1], n_workers=0)
 
@@ -160,7 +161,7 @@ def test_hang_fault_times_out_and_recovers():
         executor="process",
         n_workers=2,
         fault_plan=plan,
-        task_timeout=0.75,
+        recovery=RecoveryOptions(task_timeout=0.75),
     )
     t0 = time.monotonic()
     out = sup.run()
@@ -181,7 +182,7 @@ def test_false_positive_deadline_duplicate_ignored():
         executor="process",
         n_workers=2,
         fault_plan=plan,
-        task_timeout=0.4,
+        recovery=RecoveryOptions(task_timeout=0.4),
     )
     out = sup.run()
     assert out.results == [10, 12]
@@ -191,12 +192,27 @@ def test_false_positive_deadline_duplicate_ignored():
 
 
 def test_adaptive_deadline_from_observed_durations():
-    sup = TaskSupervisor(_double, [1], executor="serial", timeout_factor=3.0, timeout_margin=1.0)
+    """One deadline rule: the same duration list gives the same deadline
+    through the pool's supervisor, the TCP master and the constants the
+    simulator's ``default_worker_timeout`` prices its worst case with."""
+    from repro.net import MasterServer
+    from repro.runtime.options import TIMEOUT_FACTOR, TIMEOUT_MARGIN
+    from repro.sched import make_policy
+
+    sup = TaskSupervisor(_double, [1], executor="serial")
+    master = MasterServer(make_policy("single", 1), "echo", lambda a, lane: None)
     assert sup._current_timeout() is None  # no observations, no fixed timeout
-    sup._durations.append(2.0)
-    assert sup._current_timeout() == pytest.approx(7.0)
-    sup.task_timeout = 42.0
-    assert sup._current_timeout() == 42.0  # fixed deadline wins
+    assert master._deadline_for_now() is None
+    for durations in ([2.0], [0.5, 2.0, 1.25], [1e-3]):
+        sup._durations[:] = master._durations[:] = durations
+        expected = TIMEOUT_FACTOR * max(durations) + TIMEOUT_MARGIN
+        assert deadline(durations) == expected
+        assert sup._current_timeout() == master._deadline_for_now() == expected
+    assert deadline([2.0]) == pytest.approx(7.0)
+    # before any observation the startup window stands in; a fixed deadline wins
+    assert RecoveryOptions(startup_timeout=9.0).deadline([]) == 9.0
+    sup.recovery = master.recovery = RecoveryOptions(task_timeout=42.0)
+    assert sup._current_timeout() == master._deadline_for_now() == 42.0
 
 
 # -- retry exhaustion and degradation --------------------------------------------
@@ -204,7 +220,8 @@ def test_adaptive_deadline_from_observed_durations():
 def test_retry_exhaustion_degrades_to_serial(executor):
     plan = FaultPlan((FaultPlan.raising(1, attempts=(0, 1)),))
     sup = TaskSupervisor(
-        _double, [1, 2, 3], executor=executor, n_workers=2, fault_plan=plan, max_attempts=2
+        _double, [1, 2, 3], executor=executor, n_workers=2, fault_plan=plan,
+        recovery=RecoveryOptions(max_attempts=2),
     )
     out = sup.run()
     assert out.results == [2, 4, 6]
@@ -219,7 +236,7 @@ def test_degradation_disabled_raises():
         [1],
         executor="serial",
         fault_plan=plan,
-        max_attempts=2,
+        recovery=RecoveryOptions(max_attempts=2),
         degrade_serial=False,
     )
     with pytest.raises(SupervisorError, match="degradation is disabled"):
@@ -230,6 +247,8 @@ def test_poisoned_task_fails_even_serial_fallback():
     # The fault fires on every attempt including the degraded one: the
     # supervisor must report the failure, not loop forever.
     plan = FaultPlan((FaultPlan.raising(0, attempts=tuple(range(10))),))
-    sup = TaskSupervisor(_double, [1], executor="serial", fault_plan=plan, max_attempts=2)
+    sup = TaskSupervisor(
+        _double, [1], executor="serial", fault_plan=plan, recovery=RecoveryOptions(max_attempts=2)
+    )
     with pytest.raises(SupervisorError, match="serial"):
         sup.run()

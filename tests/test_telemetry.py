@@ -275,6 +275,20 @@ def test_format_report_golden():
     assert format_report(rep, per_frame=True) == GOLDEN_REPORT
 
 
+def test_report_of_a_resumed_log_says_which_run_it_describes(assert_one_fold):
+    """A resumed run dir appends a second run to one events.jsonl; the
+    report describes the last and its header says so."""
+    first = [dict(e, run="run-a") for e in _sample_events()]
+    second = [dict(e, run="run-b") for e in _sample_events()]
+    one = report_from_events(first)
+    assert (one.n_runs, one.run_id) == (1, "run-a")
+    assert "in this log" not in format_report(one)
+    assert_one_fold(first + second)
+    both = report_from_events(first + second)
+    assert (both.n_runs, both.run_id, both.n_tasks) == (2, "run-b", one.n_tasks)
+    assert format_report(both).splitlines()[1] == "run 2 of 2 in this log (run_id run-b)"
+
+
 # -- bench payloads --------------------------------------------------------------
 def test_bench_json_round_trip(tmp_path):
     metrics = metrics_from_events(_sample_events())

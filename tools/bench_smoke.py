@@ -50,6 +50,7 @@ def _diff_transport_logs() -> list[str]:
     from repro.cluster import ThrashModel, ncsu_testbed
     from repro.parallel.config import RenderFarmConfig
     from repro.parallel.oracle import AnimationCostOracle
+    from repro.runtime import FarmOptions
     from repro.sched import (
         OracleCostModel,
         ProcessTransport,
@@ -91,7 +92,7 @@ def _diff_transport_logs() -> list[str]:
         ).run()
         ProcessTransport(
             p_proc, assignment_echo_task, lambda a, lane: a.key(),
-            n_workers=n_workers, executor="serial",
+            FarmOptions(n_workers=n_workers, executor="serial"),
         ).run()
         sim_log = [a.key() for a in p_sim.log]
         proc_log = [a.key() for a in p_proc.log]

@@ -60,6 +60,7 @@ from repro.obs import (  # noqa: E402
     read_blackbox,
     stitch_blackbox,
 )
+from repro.runtime import FaultPlan  # noqa: E402
 from repro.telemetry import SchemaError, read_events, validate_events  # noqa: E402
 
 REQUIRED_NET_EVENTS = {
@@ -279,8 +280,11 @@ def main(argv: list[str] | None = None) -> int:
             schedule="adaptive",
             transport="tcp",
             # worker 0 dies *mid-task* on rendering its second frame, with
-            # the task span still open — the flight-recorder drill.
-            net_die_after_frames={0: 1},
+            # the task span still open — the flight-recorder drill.  The
+            # master holds its first dispatch until both daemons have
+            # joined (a plan that kills a worker asks for that), so the
+            # victim gets a chain however the connect race went.
+            fault_plan=FaultPlan([FaultPlan.kill_worker(0, 1, "frames")]),
             blackbox_dir=blackbox_dir,
             n_frames=args.frames,
             width=args.width,

@@ -36,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from repro.render import RayTracer  # noqa: E402
-from repro.runtime import AnimationSpec  # noqa: E402
+from repro.runtime import AnimationSpec, FaultPlan  # noqa: E402
 from repro.shard.net import render_sharded_tcp  # noqa: E402
 from repro.telemetry import (  # noqa: E402
     InMemorySink,
@@ -86,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
         frames=FRAMES,
         shards=SHARDS,
         n_workers=WORKERS,
-        die_after_rays={0: args.die_after_rays},
+        fault_plan=FaultPlan([FaultPlan.kill_worker(0, args.die_after_rays, "rays")]),
         telemetry=Telemetry(sinks=[sink]),
     )
     if outcome.net.n_losses < 1:
