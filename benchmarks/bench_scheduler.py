@@ -4,7 +4,7 @@ The paper's demand-driven and adaptive distribution exist to absorb
 processor heterogeneity: a static pre-partition leaves the fast worker
 idle while the slow one grinds through its fixed share.  This bench runs
 the farm's three ``--schedule`` modes through the real
-:class:`~repro.sched.process.ProcessTransport` (thread executor, two
+:class:`~repro.runtime.supervisor.TaskSupervisor` (thread executor, two
 lanes) on a calibrated sleep workload skewed 3x against one lane:
 
 * ``static``   — one fixed frame range per lane, no redistribution
@@ -23,8 +23,8 @@ import time
 from repro.obs import write_chrome_trace
 from repro.parallel.partition import sequence_ranges
 from repro.runtime import FarmOptions
+from repro.runtime.supervisor import TaskSupervisor
 from repro.sched.core import AdaptiveChainPolicy, Chain, DemandDrivenPolicy
-from repro.sched.process import ProcessTransport
 from repro.telemetry import InMemorySink, Telemetry
 
 from _bench_utils import write_result
@@ -68,7 +68,7 @@ def _run(results_dir):
     logs: dict[str, list] = {}
     for name, policy in _policies().items():
         tel = Telemetry(sinks=[sink := InMemorySink()], run_id=f"sched-{name}")
-        transport = ProcessTransport(
+        transport = TaskSupervisor(
             policy,
             _skewed_frame_task,
             lambda a, lane: (lane, a.frame0, a.frame1),

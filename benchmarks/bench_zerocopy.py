@@ -38,7 +38,7 @@ from repro.buffers import (
     worker_store,
 )
 from repro.net import protocol as wire
-from repro.runtime import AnimationSpec, FaultPlan, LocalRenderFarm, RecoveryOptions
+from repro.runtime import AnimationSpec, FarmOptions, FaultPlan, LocalRenderFarm
 from repro.runtime.supervisor import TaskSupervisor
 from repro.telemetry import InMemorySink, Telemetry, metrics_from_events, write_bench_json
 
@@ -103,14 +103,12 @@ def _transport_wall(shm: bool) -> float:
     tasks = [(i, TASK_SHAPE) for i in range(N_TASKS)]
     store = SharedFrameStore() if shm else None
     t0 = time.perf_counter()
-    sup = TaskSupervisor(
+    sup = TaskSupervisor.over(
         _fill_shm_task if shm else _fill_pickle_task,
         tasks,
-        executor="process",
-        n_workers=N_WORKERS,
+        FarmOptions(executor="process", n_workers=N_WORKERS, max_attempts=2),
         initializer=activate_worker_store if shm else None,
         initargs=(store.token,) if shm else (),
-        recovery=RecoveryOptions(max_attempts=2),
     )
     out = sup.run()
     # Consume every result on the master (equal page-touching both ways).

@@ -74,7 +74,10 @@ def main() -> None:
     result = farm.render()
     dt = time.perf_counter() - t0
     identical = np.array_equal(result.frames, reference.frames)
-    print(f"done in {dt:.1f}s: {result.n_tasks} tasks, "
+    # Every loss sends its unit back to the policy, so a unit may take
+    # several dispatches; attempts are numbered per unit.
+    n_units = len({a.task_index for a in result.attempts})
+    print(f"done in {dt:.1f}s: {n_units} tasks in {result.n_tasks} dispatches, "
           f"{result.n_retries} retries, {result.n_timeouts} timeouts, "
           f"{result.n_crashes} crash events, {result.n_invalid} rejected results")
     print(f"bit-identical to fault-free reference: {identical}")
@@ -106,7 +109,7 @@ def main() -> None:
         except SupervisorError as exc:
             print(f"render failed as planned: {exc}")
         spooled = len(list(run_dir.glob("task_*.npz")))
-        print(f"{spooled}/{result.n_tasks} tasks survive in {run_dir.name}/")
+        print(f"{spooled}/{n_units} tasks survive in {run_dir.name}/")
 
         resumed = LocalRenderFarm(
             spec,

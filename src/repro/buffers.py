@@ -19,8 +19,8 @@ stack honor that.  Three pieces, one contract:
     segment read-only on first access (``np.asarray(ref)`` works — the
     ref is array-like), and **the master releases**: ``ref.release()``
     closes the mapping and unlinks the segment.  A run-scoped
-    ``cleanup()`` sweeps segments whose refs never came home (crashed
-    worker, discarded duplicate result).
+    ``cleanup()`` sweeps segments whose refs never came home (crashed or
+    hung worker).
 
 ``copystats``
     A process-wide counter of bulk pixel-byte copies, incremented at
@@ -364,8 +364,8 @@ class SharedFrameStore:
     to pool workers through the initializer; workers ``create`` segments
     and render straight into them.  At run end the master calls
     :meth:`cleanup` to unlink anything a released ref didn't already —
-    segments leaked by a crashed worker or parked under a duplicate
-    result the supervisor discarded.
+    segments leaked by a crashed worker, or written by a hung one whose
+    result never came home.
     """
 
     def __init__(self, token: str | None = None) -> None:

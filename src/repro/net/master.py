@@ -2,7 +2,7 @@
 
 This is the third transport for the :mod:`repro.sched` state machines.
 Where :class:`~repro.sched.sim.SimTransport` replays assignments against
-modelled costs and :class:`~repro.sched.process.ProcessTransport` runs
+modelled costs and :class:`~repro.runtime.supervisor.TaskSupervisor` runs
 them through a single-host pool, :class:`MasterServer` plays the role of
 the paper's PVM master: workers register over a socket (advertising
 hostname, cores, and a calibration score), each live connection is one
@@ -11,22 +11,23 @@ preserves chain affinity and keeps the worker-side
 :class:`~repro.coherence.CoherentRenderer` continuation cache warm — and
 results stream back as framed binary messages.
 
-Robustness reuses the PR 1 vocabulary: per-assignment deadlines follow
-the same :class:`~repro.runtime.options.RecoveryOptions` rule the pool's
-supervisor applies, heartbeat PINGs distinguish *dead* from *busy
-rendering* (the worker's reader thread answers pongs mid-render, so only
-a vanished peer goes silent),
-and any loss — EOF, blown deadline, missed heartbeats, task error,
-invalid result — feeds ``policy.on_worker_lost`` so the policy requeues
-the lane's chain for the surviving workers.  A worker that reconnects is
-a *new* lane (policies retire lost lanes permanently), which makes
-reconnection indistinguishable from a fresh machine joining the farm.
+Robustness is the pool's, booked in the same
+:class:`~repro.runtime.options.RecoveryRecord`: per-assignment deadlines
+follow the one :class:`~repro.runtime.options.RecoveryOptions` rule,
+heartbeat PINGs distinguish *dead* from *busy rendering* (the worker's
+reader thread answers pongs mid-render, so only a vanished peer goes
+silent), and any loss — EOF, blown deadline, missed heartbeats, task
+error, a message that will not parse, invalid result — feeds
+``policy.on_worker_lost`` so the policy requeues the lane's chain for the
+surviving workers.  A worker that reconnects is a *new* lane (policies
+retire lost lanes permanently), which makes reconnection
+indistinguishable from a fresh machine joining the farm.
 
 :class:`TcpTransport` wraps all of this into the loopback form the tests
 and benchmarks use: bind an ephemeral port on 127.0.0.1, spawn N
 ``python -m repro.worker`` subprocesses at it, serve to completion, and
-return the same :class:`~repro.sched.process.SchedOutcome` shape the
-process transport produces — so :class:`~repro.runtime.local.
+return the same :class:`~repro.runtime.supervisor.SchedOutcome` shape the
+pool produces — so :class:`~repro.runtime.local.
 LocalRenderFarm` consumes either transport identically.
 """
 
@@ -43,9 +44,8 @@ from pathlib import Path
 
 from ..dfb import DEFAULT_TILE_PX
 from ..obs.flight import FlightRecorder, blackbox_filename
-from ..obs.trace import flight_span_id
-from ..runtime.options import RecoveryCounts, RecoveryOptions
-from ..runtime.supervisor import SupervisorOutcome, TaskAttempt
+from ..runtime.options import RecoveryOptions, RecoveryRecord
+from ..runtime.supervisor import SchedOutcome, SupervisorOutcome
 from ..telemetry import NULL
 from . import protocol as wire
 
@@ -65,18 +65,16 @@ _KILL_FLAGS = {
     "rays": "--die-after-rays",
 }
 
-#: Loss reason -> TaskAttempt outcome (the supervisor's vocabulary, so
-#: ``LocalRenderFarm._emit_run_telemetry`` renders net losses in the same
-#: recovery timeline as pool losses).
-_LOSS_OUTCOMES = {
-    "eof": "crash",
-    "deadline": "timeout",
-    "heartbeat": "timeout",
-    "error": "error",
-    "invalid": "invalid",
-}
-#: ... and the outcome's :class:`RecoveryCounts` key (anything else is a crash).
-_LOSS_COUNTERS = {"timeout": "timeouts", "invalid": "invalid"}
+
+def _field(payload: dict, key: str, kind, default):
+    """``kind(payload[key])`` (``default`` when absent): a peer's field of
+    the wrong type is a protocol error — a clean ``error`` loss of that
+    peer — never an exception in the master's loop."""
+    value = payload.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise wire.ProtocolError(f"bad {key!r} field: {value!r}") from None
 
 
 @dataclass
@@ -130,9 +128,7 @@ class _Conn:
         "score",
         "registered",
         "joined",
-        "assignment",
-        "args",
-        "dispatched",
+        "flight",
         "deadline",
         "last_pong",
         "closed",
@@ -150,9 +146,7 @@ class _Conn:
         self.score = 0.0
         self.registered = False
         self.joined = now
-        self.assignment = None
-        self.args = None
-        self.dispatched = 0.0
+        self.flight = None  # the RecoveryRecord flight of its one dispatch
         self.deadline: float | None = None
         self.last_pong = now
         self.closed = False
@@ -176,11 +170,12 @@ class MasterServer:
     materialize:
         ``materialize(assignment, lane) -> wire-encodable task args``.
     validate:
-        Optional ``validate(args, result) -> bool`` corruption gate; an
-        invalid result counts as a worker loss (reason ``invalid``).
+        Optional ``validate(args, result) -> bool`` corruption gate; a
+        rejected result — or a validator that raises — counts as a worker
+        loss (reason ``invalid``).
     recovery:
         The :class:`~repro.runtime.options.RecoveryOptions`: the ceiling
-        on dispatches of one work unit (keyed by region + first frame)
+        on dispatches of one work unit (keyed by region + end frame)
         before the run fails loudly, and the per-assignment deadline rule.
     accept_timeout:
         How long the master waits with work pending but no workers
@@ -238,15 +233,14 @@ class MasterServer:
         self.host = host
         self.port = int(port)
         self.validate = validate
-        self.recovery = recovery
         self.accept_timeout = float(accept_timeout)
         self.min_lanes = max(1, int(min_lanes))
         self.telemetry = telemetry if telemetry is not None else NULL
         self.on_result = on_result
-        #: Parent span id for the per-assignment ``obs.flight`` spans
-        #: (the run's root span when the farm drives us; None = flights
-        #: are trace roots themselves).
-        self.trace_root = trace_root
+        # trace_root parents the per-assignment ``obs.flight`` spans (the
+        # run's root span when the farm drives us; None = flights are trace
+        # roots themselves).
+        self.record = RecoveryRecord(recovery, self.telemetry, trace_root)
         self.assembler = assembler
         self.tile_px = DEFAULT_TILE_PX if tile_px is None else int(tile_px)
         self.tile_box = tile_box or (lambda a: None)
@@ -268,10 +262,6 @@ class MasterServer:
         self._conns: dict[int, _Conn] = {}  # fileno -> connection
         self._n_named = 0
         self._results: list = []
-        self._attempt_log: list[TaskAttempt] = []
-        self._attempts: dict[tuple, int] = {}  # (region, frame0) -> dispatch count
-        self._durations: list[float] = []
-        self._counts = RecoveryCounts()
         self._t0 = 0.0
         self._last_progress = 0.0
 
@@ -288,26 +278,21 @@ class MasterServer:
         self.telemetry.event("net.listen", host=self.address[0], port=self.port)
         return self.address
 
-    def _deadline_for_now(self) -> float | None:
-        return self.recovery.deadline(self._durations)
-
     def crew_complete(self, n_lanes: int, now: float) -> bool:
         """Whether the first dispatch may go ahead: ``min_lanes`` have
         joined, or the startup window has closed."""
         return n_lanes >= self.min_lanes or (
-            now - self._t0 >= (self.recovery.startup_timeout or 30.0)
+            now - self._t0 >= (self.record.recovery.startup_timeout or 30.0)
         )
 
     # -- main loop ---------------------------------------------------------
     def serve(self):
         """Serve until the policy is finished; returns a ``SchedOutcome``."""
-        from ..sched.process import SchedOutcome
-
         if self._listener is None:
             raise RuntimeError("call listen() before serve()")
         sel = selectors.DefaultSelector()
         sel.register(self._listener, selectors.EVENT_READ, None)
-        self._t0 = self._last_progress = time.perf_counter()
+        self._t0 = self._last_progress = self.record.t0 = time.perf_counter()
         next_ping = self._t0 + HEARTBEAT_INTERVAL
         policy = self.policy
         try:
@@ -332,8 +317,8 @@ class MasterServer:
             self._shutdown(sel)
         sup = SupervisorOutcome(
             results=self._results,
-            attempts=self._attempt_log,
-            recovery=self._counts,
+            attempts=self.record.attempts,
+            recovery=self.record.counts,
             wall_time=time.perf_counter() - self._t0,
         )
         return SchedOutcome(
@@ -369,8 +354,8 @@ class MasterServer:
                 self._handle(sel, conn, msg_type, payload, nbytes)
                 if conn.closed:
                     return
-        except wire.ProtocolError:
-            self._lose(sel, conn, "error")
+        except wire.ProtocolError as exc:
+            self._lose(sel, conn, "error", detail=str(exc))
 
     def _handle(self, sel, conn: _Conn, msg_type: int, payload, nbytes: int) -> None:
         now = time.perf_counter()
@@ -381,15 +366,18 @@ class MasterServer:
             if not isinstance(payload, dict) or payload.get("proto") != wire.PROTO_VERSION:
                 self._lose(sel, conn, "error")
                 return
-            minor = int(payload.get("minor", 0) or 0)
+            minor = _field(payload, "minor", int, 0)
+            cores = _field(payload, "cores", int, 1)
+            score = _field(payload, "score", float, 1.0)
+            if conn.registered:
+                return  # a repeated HELLO changes nothing
             if minor < wire.PROTO_MINOR_FLOOR:
                 self._reject(sel, conn, payload)
                 return
             conn.name = f"w{self._n_named}"
             self._n_named += 1
             conn.host = str(payload.get("host", "?"))
-            conn.cores = int(payload.get("cores", 1))
-            conn.score = float(payload.get("score", 1.0))
+            conn.cores, conn.score = cores, score
             try:
                 conn.pid = int(payload.get("pid", 0) or 0)
             except (TypeError, ValueError):
@@ -460,7 +448,7 @@ class MasterServer:
                 self.telemetry.absorb(payload.get("events") or [], t_offset=-conn.offset)
             detail = str(payload.get("error", "")) if isinstance(payload, dict) else ""
             self._lose(sel, conn, "error", detail=detail)
-        # Unsolicited HELLO repeats or unknown-but-valid types: ignore.
+        # Unknown-but-valid types: ignore.
 
     def _on_blackbox_frame(self, conn: _Conn, payload) -> None:
         """A reconnecting worker shipped the dump its dead predecessor
@@ -508,7 +496,7 @@ class MasterServer:
 
     def _on_tile_frame(self, sel, conn: _Conn, payload, nbytes: int, now: float) -> None:
         """Composite one streamed tile into the distributed framebuffer."""
-        a = conn.assignment
+        a = conn.flight.assignment if conn.flight is not None else None
         if a is None or not isinstance(payload, dict) or payload.get("seq") != a.seq:
             return  # tile raced its assignment's loss; idempotency covers it
         if self.assembler is None:
@@ -544,24 +532,23 @@ class MasterServer:
         self._last_progress = now
 
     def _on_result_frame(self, sel, conn: _Conn, payload, nbytes: int, now: float) -> None:
-        a = conn.assignment
+        flight = conn.flight
+        a = flight.assignment if flight is not None else None
         if a is None or not isinstance(payload, dict) or payload.get("seq") != a.seq:
             return  # stale or spurious; one-in-flight makes this near-impossible
+        duration = _field(payload, "duration", float, now - flight.t0)
         self.telemetry.absorb(payload.get("events") or [], t_offset=-conn.offset)
         result = payload.get("result")
-        duration = float(payload.get("duration", now - conn.dispatched))
-        if self.validate is not None and not self.validate(conn.args, result):
+        if not self.record.valid(self.validate, flight.args, result):
             self._lose(sel, conn, "invalid")
             return
         if self.net.t_first_result is None:
             self.net.t_first_result = now - self._t0
-        conn.assignment = None
-        conn.args = None
+        conn.flight = None
         conn.deadline = None
         self._absorb_task_events(conn, result)
-        self._close_flight(conn, a, now, "ok", duration)
+        self.record.accept(flight, now, duration)
         self._results.append(result)
-        self._durations.append(duration)
         self.workers[conn.name]["n_done"] += 1
         self.net.n_results += 1
         self.telemetry.event(
@@ -576,20 +563,6 @@ class MasterServer:
         if self.on_result is not None:
             self.on_result(a, result)
         self._last_progress = now
-
-    def _close_flight(self, conn: _Conn, a, now, outcome, duration, error="") -> int:
-        """A dispatch ended, well or badly: close its ``obs.flight`` span
-        and log the attempt; returns which attempt at the unit it was."""
-        n_tries = self._attempts.get((a.region_index, a.frame0), 1)
-        self.telemetry.emit_span(
-            "obs.flight", conn.dispatched, now - conn.dispatched,
-            span=flight_span_id(a.seq), parent=self.trace_root,
-            worker=conn.name, seq=a.seq, attempt=n_tries, outcome=outcome,
-        )
-        self._attempt_log.append(TaskAttempt(
-            a.seq, n_tries, outcome, duration, error, conn.dispatched - self._t0
-        ))
-        return n_tries
 
     def _absorb_task_events(self, conn: _Conn, result) -> None:
         """Fold the *render-level* worker events into the live stream.
@@ -620,19 +593,15 @@ class MasterServer:
                 return
         dispatched = False
         for conn in registered:
-            if conn.assignment is not None:
+            if conn.flight is not None:
                 continue
             a = self.policy.next_assignment(conn.name)
             if a is None:
                 continue
             args = self.materialize(a, conn.name)
-            conn.assignment = a
-            conn.args = args
-            conn.dispatched = now
-            limit = self._deadline_for_now()
+            conn.flight = self.record.dispatch(conn.name, a, args, now)
+            limit = self.record.deadline()
             conn.deadline = None if limit is None else now + limit
-            key = (a.region_index, a.frame0)
-            self._attempts[key] = self._attempts.get(key, 0) + 1
             assign = {
                 "seq": a.seq,
                 "region": a.region_index,
@@ -671,7 +640,7 @@ class MasterServer:
         if dispatched:
             self._last_progress = now
             return
-        busy = any(c.assignment is not None for c in self._conns.values())
+        busy = any(c.flight is not None for c in self._conns.values())
         if busy or self.policy.finished:
             return
         strangers = any(not c.registered for c in self._conns.values())
@@ -684,7 +653,7 @@ class MasterServer:
             return
         # Every registered lane is idle, every one was just declined, and
         # nothing is in flight: the policy can never finish.  Same guard
-        # (and failure mode) as the supervisor's feed stall.
+        # (and failure mode) as the pool supervisor's stall.
         if not strangers:
             raise RuntimeError(
                 "master stalled: policy returned no work with none in flight"
@@ -695,7 +664,7 @@ class MasterServer:
         for conn in list(self._conns.values()):
             if conn.closed or not conn.registered:
                 continue
-            if conn.assignment is not None and conn.deadline is not None and now > conn.deadline:
+            if conn.flight is not None and conn.deadline is not None and now > conn.deadline:
                 self._lose(sel, conn, "deadline")
             elif now - conn.last_pong > silent_after:
                 self._lose(sel, conn, "heartbeat")
@@ -740,33 +709,23 @@ class MasterServer:
         if not conn.registered:
             return
         self.net.n_losses += 1
-        a = conn.assignment
+        flight = conn.flight
         self.telemetry.event(
             "net.worker.lost",
             worker=conn.name,
             reason=reason,
-            seq=-1 if a is None else a.seq,
+            seq=-1 if flight is None else flight.assignment.seq,
             blackbox=self._blackbox_of(conn),
         )
         if self.recorder is not None:
             # The master's own last seconds around the loss are part of
             # the autopsy: dump our ring beside the victim's.
             self.recorder.dump(f"worker-lost:{conn.name}:{reason}")
-        if a is not None:
-            outcome = _LOSS_OUTCOMES.get(reason, "crash")
+        if flight is not None:
             # The flight closes with its failure outcome; the requeued
             # dispatch will open a fresh flight under a new seq.
-            n_tries = self._close_flight(
-                conn, a, now, outcome, now - conn.dispatched, detail or reason
-            )
-            self._counts[_LOSS_COUNTERS.get(outcome, "crashes")] += 1
-            if n_tries >= self.recovery.max_attempts:
-                raise RuntimeError(
-                    f"assignment seq {a.seq} (region {a.region_index}, "
-                    f"frame {a.frame0}) failed after {n_tries} attempts "
-                    f"(last: {reason})"
-                )
-            self._counts["retries"] += 1
+            self.record.lose(flight, reason, now, detail)
+            a = flight.assignment
             if self.assembler is not None and reason != "invalid":
                 # Partial salvage: frames this worker already streamed in
                 # full stay done; only the remainder is requeued.  An
@@ -822,7 +781,7 @@ class MasterServer:
 class TcpTransport:
     """Loopback network farm: master + N worker subprocesses on 127.0.0.1.
 
-    Mirrors the :class:`~repro.sched.process.ProcessTransport` calling
+    Mirrors the :class:`~repro.runtime.supervisor.TaskSupervisor` calling
     convention (``policy``, task, ``materialize``, ``options`` -> ``run()``
     -> ``SchedOutcome``) so :class:`~repro.runtime.local.LocalRenderFarm`
     and the equivalence tests can swap transports freely.  The bytes

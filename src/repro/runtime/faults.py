@@ -12,13 +12,12 @@ Fault kinds
 ``crash``
     The worker process dies abruptly (``os._exit``), exactly like a
     machine losing power.  The supervisor sees a broken pool, rebuilds
-    it and re-queues the in-flight tasks.
+    it and loses every dispatch that was in flight on it.
 ``hang``
     The worker sleeps for ``hang_seconds`` before computing — a machine
     that is swapping or whose owner just launched a compile job.  The
     supervisor's per-task deadline declares it lost; if it eventually
-    finishes anyway (a *false positive*), the duplicate completion is
-    ignored.
+    finishes anyway (a *false positive*), the late completion is dropped.
 ``raise``
     The task raises :class:`FaultInjected` — a software failure inside
     an otherwise healthy worker.
@@ -26,11 +25,12 @@ Fault kinds
     The task returns its result with NaNs smeared into the pixel data —
     caught by the supervisor's output-validity check before assembly.
 
-Faults are keyed by ``(task_index, attempt)`` so every recovery path is
-exercisable and every retry can be made to succeed (or not).  Crash and
-hang faults are only honoured inside sandboxed *process* workers: a
-thread worker or the in-process serial fallback skips them rather than
-taking the master down with it.
+Faults are keyed by ``(task_index, attempt)`` — the unit's ordinal (the
+order of its first dispatch) and its 0-based dispatch count — so every
+recovery path is exercisable and every retry can be made to succeed (or
+not).  Crash and hang faults are only honoured inside sandboxed *process*
+workers: a thread worker or the in-process serial fallback skips them
+rather than taking the master down with it.
 
 The TCP farm's workers are daemons, not pool slots, so its drills are
 keyed by worker instead (:class:`WorkerKill`, which

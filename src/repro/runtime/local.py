@@ -32,13 +32,17 @@ unit's pixels home (in shared memory on the process executor); ``tcp``
 serves them to spawned ``python -m repro.worker`` daemons over loopback
 sockets, which stream each finished frame to the master as tiles.
 
-Dispatch is **supervised**: per-unit deadlines, crashed or hung workers
-detected and their units re-queued with capped retries, corrupted outputs
-rejected by a shape/finiteness check before assembly, and (on the pool) a
-unit that keeps failing degrades to in-process serial execution instead
-of aborting the render.  Passing ``run_dir`` to :meth:`LocalRenderFarm.
-render` spools each completed unit of a fixed list (``static`` or
-``demand``, either transport) to disk as it is accepted; a later
+Dispatch is **supervised**, the same way on both transports: per-unit
+deadlines, crashed or hung workers detected, corrupted outputs rejected
+by a shape/finiteness check before assembly, and every such loss handed
+to the policy, which requeues the unit for another lane
+(:class:`~repro.runtime.options.RecoveryRecord` keeps the books, capping
+each unit's attempts); on the pool a unit that keeps failing degrades to
+in-process serial execution instead of aborting the render.
+
+Passing ``run_dir`` to :meth:`LocalRenderFarm.render` spools each
+completed unit of a fixed list (``static`` or ``demand``, either
+transport) to disk as it is accepted; a later
 ``render(resume=run_dir)`` re-renders only the missing units —
 checkpoint/resume at the unit granularity, complementing the intra-chain
 granularity of :mod:`repro.coherence.checkpoint`.
@@ -68,15 +72,11 @@ from ..buffers import (
 )
 from ..telemetry import RunFold, Telemetry
 from ..telemetry.profiling import profile_into
-from .options import FarmOptions, RecoveryCounts, RecoveryView
+from .options import FarmOptions, RecoveryCounts, RecoveryView, TaskAttempt
 from .spec import AnimationSpec
-from .supervisor import SupervisorOutcome, TaskAttempt, task_context
+from .supervisor import SupervisorOutcome, TaskSupervisor, task_context
 
 __all__ = ["LocalRenderFarm", "FarmResult"]
-
-#: TaskAttempt outcomes that represent a recovery action taken by the
-#: supervisor (surfaced as ``recovery`` telemetry events).
-_RECOVERY_OUTCOMES = {"timeout", "crash", "error", "invalid", "abandoned", "degraded-ok"}
 
 # Per-process cache keyed by spec: workers build each animation once, and
 # concurrent farms with *different* specs (the thread executor shares this
@@ -205,8 +205,8 @@ def _render_segment_task(args, emit_tile=None):
     n_px = int(cam.n_pixels if region is None else region.size)
     # tel_ctx is the dispatch's trace-context dict (run id, parent flight
     # span, namespace seed, lane — see repro.obs.trace), falsy when
-    # telemetry is off; the pool retries a task with identical args, so
-    # the local attempt counter completes the span namespace.
+    # telemetry is off; the unit's attempt number completes the span
+    # namespace.
     _idx, attempt = task_context()
     tel, sink = worker_session(tel_ctx, attempt=attempt)
     renderer = None
@@ -645,15 +645,13 @@ class LocalRenderFarm:
                 on_tile=report,
             )
 
-        from ..sched.process import ProcessTransport
-
         # Process pools get a shared-memory frame store: workers render
         # into segments and return FrameRef handles, so no pixels are
-        # pickled back across the fork boundary.  The transport sweeps
-        # stragglers (crashed attempts, discarded duplicates); the farm
-        # releases each ref as it composites it.
+        # pickled back across the fork boundary.  The supervisor sweeps
+        # stragglers (crashed attempts); the farm releases each ref as it
+        # composites it.
         store = SharedFrameStore() if opts.executor == "process" else None
-        return ProcessTransport(
+        return TaskSupervisor(
             policy,
             _render_segment_task,
             materialize,
@@ -789,9 +787,10 @@ class LocalRenderFarm:
         )
 
     def _emit_run_telemetry(self, fold: RunFold, sup, stats: RayStats, n_tasks: int) -> None:
-        """Emit the run-level events (task.attempt / recovery timeline,
-        per-worker utilization, run.end totals) into the farm's telemetry
-        session; ``fold`` holds the accepted units' worker events."""
+        """Emit the run-level events (task.attempt timeline, per-worker
+        utilization, run.end totals) into the farm's telemetry session;
+        ``fold`` holds the accepted units' worker events.  The ``recovery``
+        events were emitted live, lane by lane, as the master lost them."""
         tel = self.options.telemetry
         for a in sup.attempts:
             tel.event(
@@ -803,18 +802,6 @@ class LocalRenderFarm:
                 started=a.started,
             )
             tel.histogram("task.duration", a.duration)
-            if a.outcome in _RECOVERY_OUTCOMES:
-                kind = "degraded" if a.outcome == "degraded-ok" else a.outcome
-                # The pool doesn't say which OS worker held the attempt, so
-                # the farm can't attribute the loss the way the simulator can.
-                tel.event(
-                    "recovery",
-                    kind=kind,
-                    task=a.task_index,
-                    attempt=a.attempt,
-                    duration=a.duration,
-                    worker="?",
-                )
 
         wall = sup.wall_time
         for row in fold.worker_rows(wall):

@@ -1,31 +1,35 @@
-"""Supervised task scheduling for the real render farm.
+"""The pool transport: a scheduling policy over a supervised executor.
 
 ``ProcessPoolExecutor.map`` trusts every worker with its life: one crash
 aborts the render, one hang stalls it forever.  On a network of
-workstations that is the common case, not the exception — so the farm
-submits tasks individually through this supervisor, which:
+workstations that is the common case, not the exception — so the farm's
+pool master is this supervisor, and it loses a worker the way the TCP
+:class:`~repro.net.master.MasterServer` does.
 
-* enforces a **per-task deadline** — the farm's one rule,
-  :meth:`~repro.runtime.options.RecoveryOptions.deadline`: a fixed one,
-  or 3x the slowest completion so far plus a margin;
-* detects **worker crashes** (a broken pool) — the pool is rebuilt and
-  every in-flight task re-queued;
-* detects **hangs** — a task past its deadline is declared lost and
-  re-submitted; the abandoned future is kept so a *merely slow* worker's
-  late completion is still accepted (or ignored as a duplicate once its
-  replacement finished first); if every worker slot is presumed hung the
-  pool is killed and rebuilt;
-* **validates outputs** before accepting them (``validate`` callback —
-  the farm checks shape and finiteness, catching corrupted blocks);
-* re-queues failures with **capped retries and exponential backoff**,
-  and on retry exhaustion **degrades to in-process serial execution** of
-  the task instead of aborting the whole render;
-* records every attempt (:class:`TaskAttempt`) and surfaces robustness
-  counters in the :class:`SupervisorOutcome`.
+It keeps ``n_workers`` *lanes* and asks ``policy.next_assignment(lane)``
+for each free one; ``materialize(assignment, lane)`` turns the answer into
+the argument of ``fn``, which runs on a pool slot.  A lane holds one
+dispatch at a time, so chain affinity survives the trip through the pool.
+A dispatch is **lost** when the task raises, its result fails validation,
+its deadline passes (the farm's one rule,
+:meth:`~repro.runtime.options.RecoveryOptions.deadline`) or the pool
+breaks.  A loss is booked in the run's
+:class:`~repro.runtime.options.RecoveryRecord`, handed to
+``policy.on_worker_lost(lane)`` — which requeues the unit — and the lane is
+replaced by a fresh one, just as a reconnecting TCP daemon becomes a new
+lane.  A lost dispatch that completes after all is dropped and its
+shared-memory frames released.
 
-The supervisor is renderer-agnostic: ``fn`` is any picklable module-level
-function of one task argument, so it is reusable for any master/worker
-decomposition (and directly testable with toy tasks).
+A hung slot holds its lane's replacement back until it frees; when every
+slot is hung the pool is killed and rebuilt, and so it is after a crash
+(``BrokenExecutor``), at most ``max_pool_rebuilds`` times.  A unit whose
+``max_attempts`` dispatches all failed runs in-process when
+``degrade_serial`` is set; otherwise the run raises
+:class:`~repro.runtime.options.SupervisorError`.
+
+Executors: ``process`` (fork-based, full fault coverage), ``thread``
+(crash/hang faults are not injected — they would take down the master)
+and ``serial``, which completes each task inline where it is dispatched.
 """
 
 from __future__ import annotations
@@ -36,25 +40,33 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field
 
-from .faults import FaultPlan
-from .options import RecoveryCounts, RecoveryOptions, RecoveryView
+from ..buffers import attach_refs, release_refs
+from .options import (
+    Flight,
+    RecoveryCounts,
+    RecoveryRecord,
+    RecoveryView,
+    SupervisorError,
+    TaskAttempt,
+)
 
 __all__ = [
-    "TaskSupervisor",
-    "TaskAttempt",
-    "SupervisorOutcome",
+    "SchedOutcome",
     "SupervisorError",
+    "SupervisorOutcome",
+    "TaskAttempt",
+    "TaskSupervisor",
+    "assignment_echo_task",
     "task_context",
 ]
 
-#: Ceiling, in seconds, on the exponential backoff before a retry.
-BACKOFF_CAP = 1.0
 #: Shortest wait between two deadline sweeps, seconds.
 POLL_INTERVAL = 0.05
 
@@ -72,32 +84,45 @@ def task_context() -> tuple[int, int]:
     )
 
 
-class SupervisorError(RuntimeError):
-    """A task could not be completed despite retries and degradation."""
+def assignment_echo_task(args):
+    """Picklable no-op task: returns its assignment tuple unchanged.
 
-
-@dataclass(frozen=True)
-class TaskAttempt:
-    """One dispatch of one task and how it ended."""
-
-    task_index: int
-    attempt: int
-    outcome: str  # ok | late-ok | degraded-ok | duplicate | timeout | crash | error | invalid
-    duration: float
-    error: str = ""
-    started: float = 0.0  # seconds after supervisor start this attempt began
+    Used by the equivalence tests and the bench-smoke transport diff,
+    where only the *dispatch decisions* matter, not the pixels.
+    """
+    return args
 
 
 @dataclass
 class SupervisorOutcome(RecoveryView):
-    """Results plus the robustness story of how they were obtained."""
+    """The robustness story of a run: every attempt and the counters."""
 
     results: list
     attempts: list[TaskAttempt] = field(default_factory=list)
     recovery: RecoveryCounts = field(default_factory=RecoveryCounts)
-    n_duplicates: int = 0
     n_pool_rebuilds: int = 0
     wall_time: float = 0.0
+
+
+@dataclass
+class SchedOutcome:
+    """What a policy-driven run produced, whatever the transport.
+
+    ``results`` holds one entry per *accepted* result — in unit order on
+    the pool (the order of first dispatch; task order for
+    :meth:`TaskSupervisor.over`), in completion order over TCP;
+    ``assignments`` is the policy's dispatch log (including reassigned
+    dispatches), so the two lists line up only on a loss-free run.  The
+    network transport additionally fills ``workers`` (lane ->
+    registration info from the handshake) and ``net`` (a
+    :class:`~repro.net.master.NetStats` wire accounting record).
+    """
+
+    results: list
+    assignments: list  # Assignments, dispatch order (== policy.log)
+    supervisor: SupervisorOutcome
+    workers: dict = field(default_factory=dict)  # lane -> handshake info (net only)
+    net: object = None  # NetStats for tcp runs, None otherwise
 
 
 def _run_task(payload):
@@ -113,214 +138,242 @@ def _run_task(payload):
     return result
 
 
+class _Inline:
+    """The serial executor: ``submit`` runs the call before it returns."""
+
+    def submit(self, fn, *args) -> Future:
+        fut = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:  # the task's failure, stored as a pool would
+            fut.set_exception(exc)
+        return fut
+
+
+_INLINE = _Inline()
+
+
 class TaskSupervisor:
-    """Run ``fn`` over ``tasks`` with crash/hang recovery.
+    """Runs one policy through a supervised executor pool.
 
     Parameters
     ----------
+    policy:
+        The scheduling state machine; consumed (policies are single-use).
     fn:
-        Picklable function of one task argument.
-    tasks:
-        Sequence of task arguments; results keep this order.
-    executor:
-        ``"process"`` (sandboxed, full fault coverage), ``"thread"``
-        (crash/hang faults are not injected — they would take down the
-        master), or ``"serial"`` (in-process reference path).
+        Picklable function of one materialized task argument.
+    materialize:
+        ``materialize(assignment, lane) -> task argument``.  The lane
+        label rides along so renderer-continuation caches (thread/serial
+        executors) and benchmarks that skew per-lane speed can key on it.
+    options:
+        The run's :class:`~repro.runtime.options.FarmOptions`.  Read
+        here: ``executor``, ``n_workers`` (pool size and lane count),
+        ``degrade_serial``, ``fault_plan``, ``telemetry`` and the recovery
+        contract.
+    initializer, initargs:
+        Run in each pool worker as it starts (not on the serial executor).
     validate:
-        ``validate(task, result) -> bool``; a False result is treated as
-        a failure and retried.
-    recovery:
-        The :class:`~repro.runtime.options.RecoveryOptions`: pool
-        attempts per task before degradation, and the deadline rule.
-    degrade_serial:
-        On retry exhaustion, run the task in-process instead of failing.
+        ``validate(task argument, result) -> bool``; a rejected result —
+        or a validator that raises — loses the dispatch (``invalid``).
     on_result:
-        ``on_result(task_index, result)`` called once per accepted
-        result, in completion order.
-    feed:
-        Optional ``feed() -> list | None`` called whenever the pending
-        queue is empty and worker slots are free: a list of new task
-        arguments extends ``tasks`` (indices keep growing), ``[]`` means
-        "nothing right now, ask again after the next completion", and
-        ``None`` means the source is exhausted.  This is how a
-        scheduling policy drives the supervisor demand-style instead of
-        handing it a static upfront list.
+        ``on_result(assignment, result)``, once per accepted result.
+    trace_root:
+        Parent span id of the per-dispatch ``obs.flight`` spans.
+    frame_store:
+        Optional :class:`~repro.buffers.SharedFrameStore` whose token the
+        caller armed the pool workers with.  Every accepted result's
+        :class:`FrameRef` is attached on arrival (so a later unlink can
+        never strand it), and ``run()`` unlinks whatever segments never
+        came home.  The caller still releases the refs it consumed.
+    max_pool_rebuilds:
+        Pool rebuilds allowed before all workers are presumed dead.
     """
 
     def __init__(
         self,
+        policy,
         fn,
-        tasks,
+        materialize,
+        options,
         *,
-        executor: str = "process",
-        n_workers: int = 2,
         initializer=None,
         initargs=(),
         validate=None,
-        recovery: RecoveryOptions = RecoveryOptions(),
-        backoff_base: float = 0.05,
-        degrade_serial: bool = True,
-        max_pool_rebuilds: int = 4,
-        fault_plan: FaultPlan | None = None,
         on_result=None,
-        feed=None,
-    ):
-        if executor not in ("process", "thread", "serial"):
-            raise ValueError("executor must be 'process', 'thread' or 'serial'")
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
+        trace_root=None,
+        frame_store=None,
+        max_pool_rebuilds: int = 4,
+    ) -> None:
+        options = options.resolved()
+        self.policy = policy
         self.fn = fn
-        self.tasks = list(tasks)
-        self.executor = executor
-        self.n_workers = n_workers
+        self.materialize = materialize
+        self.executor = options.executor
+        self.n_workers = int(options.n_workers)
+        self.fault_plan = options.fault_plan
         self.initializer = initializer
         self.initargs = initargs
         self.validate = validate
-        self.recovery = recovery
-        self.backoff_base = backoff_base
-        self.degrade_serial = degrade_serial
-        self.max_pool_rebuilds = max_pool_rebuilds
-        self.fault_plan = fault_plan
         self.on_result = on_result
-        self.feed = feed
-        self._feed_done = feed is None
-
+        self.frame_store = frame_store
+        self.max_pool_rebuilds = max_pool_rebuilds
+        self.record = RecoveryRecord(
+            options.recovery(), options.telemetry, trace_root, degrade=options.degrade_serial
+        )
         self._pool = None
-        self._inflight: dict = {}  # Future -> (task_index, attempt, submitted_at)
-        self._late: dict = {}  # abandoned-but-maybe-finishing futures
-        self._durations: list[float] = []
-        self._results: dict[int, object] = {}
-        self._pending: deque = deque()
-        self._t0 = 0.0
-        self._out = SupervisorOutcome(results=[None] * len(self.tasks))
+        self._flights: dict[Future, Flight] = {}  # one per busy lane
+        self._zombies: dict[Future, Flight] = {}  # lost, but still holding a slot
+        self._free: deque[str] = deque()
+        self._n_lanes = 0
+        self._n_rebuilds = 0
+        self._accepted: list[tuple[int, object]] = []  # (unit ordinal, result)
+
+    @classmethod
+    def over(cls, fn, tasks, options, **kwargs) -> "TaskSupervisor":
+        """The list form: ``fn`` over ``tasks``, one unit per task handed
+        out FIFO; ``run().results`` come back in task order."""
+        from ..sched.core import DemandDrivenPolicy  # repro.sched imports repro.runtime
+
+        tasks = list(tasks)
+        policy = DemandDrivenPolicy([(i, 0, 1) for i in range(len(tasks))])
+        return cls(policy, fn, lambda a, lane: tasks[a.region_index], options, **kwargs)
 
     # -- public entry ----------------------------------------------------------
-    def run(self) -> SupervisorOutcome:
-        t0 = self._t0 = time.monotonic()
-        out = self._out
-        self._pending = deque((i, 0, 0.0) for i in range(len(self.tasks)))
+    def run(self) -> SchedOutcome:
+        """Serve the policy until it is finished."""
+        t0 = self.record.t0 = time.perf_counter()
+        self._open_lanes()
         try:
-            if self.executor == "serial":
-                self._run_serial()
-            else:
-                self._run_pooled()
+            if self.executor != "serial":
+                self._pool = self._make_pool()
+            while not self.policy.finished:
+                self._fill()
+                if not self._flights and not self._zombies:
+                    raise SupervisorError(
+                        "supervisor stalled: policy returned no work with none in flight"
+                    )
+                watched = [*self._flights, *self._zombies]
+                done, _ = wait(watched, timeout=self._tick(), return_when=FIRST_COMPLETED)
+                broken = False
+                for fut in sorted(done, key=self._seq_of):
+                    broken = self._harvest(fut) or broken
+                if broken:
+                    self._rebuild_pool()
+                    continue
+                self._sweep_deadlines()
+                if len(self._zombies) >= self.n_workers:  # every slot presumed hung
+                    self._rebuild_pool()
         finally:
             self._close_pool()
-        out.results = [self._results[i] for i in range(len(self.tasks))]
-        out.wall_time = time.monotonic() - t0
-        return out
+            if self.frame_store is not None:
+                # Accepted refs are attached (see _harvest), so unlinking
+                # stragglers by name can't strand a consumer.
+                self.frame_store.cleanup()
+        results = [r for _unit, r in sorted(self._accepted, key=lambda ur: ur[0])]
+        record = self.record
+        return SchedOutcome(
+            results=results,
+            assignments=list(self.policy.log),
+            supervisor=SupervisorOutcome(
+                results=results,
+                attempts=record.attempts,
+                recovery=record.counts,
+                n_pool_rebuilds=self._n_rebuilds,
+                wall_time=time.perf_counter() - t0,
+            ),
+        )
 
-    # -- feed plumbing -----------------------------------------------------------
-    def _pull_feed(self) -> int:
-        """Ask the feed for more tasks; returns how many were added."""
-        if self._feed_done:
-            return 0
-        new = self.feed()
-        if new is None:
-            self._feed_done = True
-            return 0
-        added = 0
-        for task in new:
-            idx = len(self.tasks)
-            self.tasks.append(task)
-            self._pending.append((idx, 0, 0.0))
-            added += 1
-        return added
+    # -- lanes -------------------------------------------------------------------
+    def _open_lanes(self) -> None:
+        """Name a fresh lane for every pool slot nobody holds."""
+        while len(self._free) + len(self._flights) + len(self._zombies) < self.n_workers:
+            self._free.append(f"lane{self._n_lanes}")
+            self._n_lanes += 1
 
-    # -- serial reference path -------------------------------------------------
-    def _run_serial(self) -> None:
-        pending = self._pending
-        while pending or not self._feed_done:
-            if not pending:
-                if self._pull_feed() == 0:
-                    if self._feed_done:
-                        break
-                    raise SupervisorError(
-                        "supervisor stalled: feed returned no work with none in flight"
-                    )
+    def _fill(self) -> None:
+        # Ask every free lane, not just the head of the queue: with chain
+        # affinity one lane may have nothing while the lane behind it still
+        # owns a chain to continue.  Lanes the policy declines stay free and
+        # are asked again after the next completion.
+        for lane in list(self._free):
+            a = self.policy.next_assignment(lane)
+            if a is None:
                 continue
-            idx, attempt, not_before = pending.popleft()
-            if idx in self._results:
-                continue
-            if attempt >= self.recovery.max_attempts:
-                self._degrade(idx, attempt)
-                continue
-            delay = not_before - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            ok, result, err, dur = self._attempt_inline(idx, attempt)
-            if ok:
-                self._accept(idx, attempt, result, dur, "ok")
-            else:
-                self._record(idx, attempt, "invalid" if err == "invalid" else "error", dur, err)
-                if err == "invalid":
-                    self._out.recovery["invalid"] += 1
-                self._requeue(idx, attempt)
+            self._free.remove(lane)
+            args = self.materialize(a, lane)
+            flight = self.record.dispatch(lane, a, args, time.perf_counter())
+            inline = self.executor == "serial" or self.record.spent(flight.attempt)
+            payload = (self.fn, args, flight.unit, flight.attempt, self.fault_plan,
+                       self.executor == "process" and not inline)
+            fut = (_INLINE if inline else self._pool).submit(_run_task, payload)
+            self._flights[fut] = flight
 
-    # -- pooled path -------------------------------------------------------------
-    def _run_pooled(self) -> None:
-        pending = self._pending
-        self._pool = self._make_pool()
-        while len(self._results) < len(self.tasks) or not self._feed_done:
-            now = time.monotonic()
-            # Fill free slots with ready pending work, pulling the feed
-            # when the queue runs dry.
-            while len(self._inflight) < self.n_workers:
-                if not pending and self._pull_feed() == 0:
-                    break
-                idx, attempt, not_before = pending[0]
-                if not_before > now:
-                    break
-                pending.popleft()
-                if idx in self._results:
-                    continue
-                if attempt >= self.recovery.max_attempts:
-                    self._degrade(idx, attempt)
-                    continue
-                self._submit(idx, attempt)
-            watched = list(self._inflight) + list(self._late)
-            if not watched:
-                if pending:  # everything is backing off; wait for the head
-                    time.sleep(max(0.0, min(pending[0][2] - now, BACKOFF_CAP)))
-                    continue
-                if not self._feed_done:
-                    if self._pull_feed() > 0:
-                        continue
-                    if self._feed_done:
-                        continue  # loop condition decides whether we are done
-                    raise SupervisorError(
-                        "supervisor stalled: feed returned no work with none in flight"
-                    )
-                if len(self._results) < len(self.tasks):  # pragma: no cover - invariant
-                    raise SupervisorError("supervisor stalled with no work in flight")
-                break
-            done, _ = wait(watched, timeout=self._tick(now), return_when=FIRST_COMPLETED)
-            broken = False
-            for fut in done:
-                broken = self._harvest(fut) or broken
-            if broken:
-                self._out.recovery["crashes"] += 1
-                self._rebuild_pool(outcome="crash")
-                continue
-            self._sweep_deadlines()
-            # Every worker slot presumed hung: only a fresh pool can make
-            # progress on whatever is still queued or unfinished.
-            hung = sum(1 for f in self._late if not f.done())
-            if hung >= self.n_workers and len(self._results) < len(self.tasks):
-                self._rebuild_pool(outcome="abandoned")
+    def _seq_of(self, fut) -> int:
+        flight = self._flights.get(fut) or self._zombies[fut]
+        return flight.assignment.seq
+
+    # -- outcomes ----------------------------------------------------------------
+    def _harvest(self, fut) -> bool:
+        """Absorb one finished future; returns True if the pool is broken."""
+        exc = fut.exception()
+        if isinstance(exc, BrokenExecutor):
+            return True  # lost with the rest of the pool in _rebuild_pool
+        flight = self._flights.pop(fut, None)
+        if flight is None:  # a lost dispatch finishing late: dropped
+            del self._zombies[fut]
+            if exc is None:
+                release_refs([fut.result()])
+            self._open_lanes()
+            return False
+        now = time.perf_counter()
+        if exc is not None:
+            self._lose(flight, "error", now, repr(exc))
+            return False
+        result = fut.result()
+        if not self.record.valid(self.validate, flight.args, result):
+            release_refs([result])
+            self._lose(flight, "invalid", now)
+            return False
+        if self.frame_store is not None:
+            attach_refs(result)
+        self.record.accept(flight, now, now - flight.t0)
+        self._accepted.append((flight.unit, result))
+        self.policy.on_result(flight.lane, flight.assignment)
+        self._free.append(flight.lane)
+        if self.on_result is not None:
+            self.on_result(flight.assignment, result)
+        return False
+
+    def _lose(self, flight: Flight, reason: str, now: float, detail: str = "") -> None:
+        """Book the loss, requeue the lane's unit, retire the lane."""
+        self.record.lose(flight, reason, now, detail)
+        self.policy.on_worker_lost(flight.lane)
+        self._open_lanes()
+
+    def _sweep_deadlines(self) -> None:
+        limit = self.record.deadline()
+        if limit is None:
+            return
+        now = time.perf_counter()
+        for fut, flight in list(self._flights.items()):
+            if now - flight.t0 >= limit and not fut.done():
+                # The slot stays taken until the task ends; its lane is gone.
+                self._zombies[fut] = self._flights.pop(fut)
+                self._lose(flight, "deadline", now)
 
     # -- pool plumbing -----------------------------------------------------------
+    def _tick(self) -> float:
+        limit = self.record.deadline()
+        if limit is None or not self._flights:
+            return 0.25
+        next_deadline = min(f.t0 for f in self._flights.values()) + limit
+        return min(0.5, max(POLL_INTERVAL, next_deadline - time.perf_counter()))
+
     def _make_pool(self):
-        if self.executor == "thread":
-            return ThreadPoolExecutor(
-                max_workers=self.n_workers,
-                initializer=self.initializer,
-                initargs=self.initargs,
-            )
-        return ProcessPoolExecutor(
-            max_workers=self.n_workers,
-            initializer=self.initializer,
-            initargs=self.initargs,
+        cls = ThreadPoolExecutor if self.executor == "thread" else ProcessPoolExecutor
+        return cls(
+            max_workers=self.n_workers, initializer=self.initializer, initargs=self.initargs
         )
 
     def _kill_pool(self) -> None:
@@ -339,160 +392,26 @@ class TaskSupervisor:
         pool = self._pool
         if pool is None:
             return
-        leftovers = [f for f in (*self._inflight, *self._late) if not f.done()]
-        if leftovers:
+        if any(not f.done() for f in (*self._flights, *self._zombies)):
             self._kill_pool()  # hung workers must not block shutdown
         else:
             self._pool = None
             pool.shutdown(wait=True)
 
-    def _rebuild_pool(self, outcome: str) -> None:
-        """Abandon the current pool, re-queue its in-flight tasks, start anew.
-
-        Tasks already moved to ``_late`` were re-queued when their deadline
-        fired, so only ``_inflight`` entries are re-queued here.
-        """
-        now = time.monotonic()
-        for _fut, (idx, attempt, submitted_at) in self._inflight.items():
-            self._record(idx, attempt, outcome, now - submitted_at)
-            self._requeue(idx, attempt)
-        self._inflight.clear()
-        self._late.clear()
+    def _rebuild_pool(self) -> None:
+        """Kill the pool and start anew; the dispatches it still ran are
+        lost with it (a crash), the hung ones were lost already."""
+        lost, self._flights = self._flights, {}
+        self._zombies.clear()
         self._kill_pool()
-        self._out.n_pool_rebuilds += 1
-        if self._out.n_pool_rebuilds > self.max_pool_rebuilds:
+        self._n_rebuilds += 1
+        if self._n_rebuilds > self.max_pool_rebuilds:
             raise SupervisorError(
-                f"worker pool lost {self._out.n_pool_rebuilds} times "
+                f"worker pool lost {self._n_rebuilds} times "
                 f"(limit {self.max_pool_rebuilds}); presuming all workers dead"
             )
+        now = time.perf_counter()
+        for flight in sorted(lost.values(), key=lambda f: f.assignment.seq):
+            self._lose(flight, "eof", now)
+        self._open_lanes()
         self._pool = self._make_pool()
-
-    # -- scheduling internals ----------------------------------------------------
-    def _submit(self, idx: int, attempt: int) -> None:
-        disruptive_ok = self.executor == "process"
-        payload = (self.fn, self.tasks[idx], idx, attempt, self.fault_plan, disruptive_ok)
-        fut = self._pool.submit(_run_task, payload)
-        self._inflight[fut] = (idx, attempt, time.monotonic())
-
-    def _current_timeout(self) -> float | None:
-        return self.recovery.deadline(self._durations)
-
-    def _tick(self, now: float) -> float:
-        timeout = self._current_timeout()
-        if timeout is None or not self._inflight:
-            return 0.25
-        next_deadline = min(at + timeout for _i, _a, at in self._inflight.values())
-        return min(0.5, max(POLL_INTERVAL, next_deadline - now))
-
-    def _harvest(self, fut) -> bool:
-        """Absorb one completed future; returns True if the pool is broken."""
-        now = time.monotonic()
-        if fut.cancelled():
-            self._inflight.pop(fut, None)
-            self._late.pop(fut, None)
-            return False
-        exc = fut.exception()
-        if isinstance(exc, BrokenExecutor):
-            return True  # maps left intact for _rebuild_pool
-        info = self._inflight.pop(fut, None)
-        was_late = info is None
-        if was_late:
-            info = self._late.pop(fut, None)
-        if info is None:
-            return False
-        idx, attempt, submitted_at = info
-        dur = now - submitted_at
-        if exc is not None:
-            self._record(idx, attempt, "error", dur, repr(exc))
-            if not was_late:  # a late failure was already re-queued at timeout
-                self._requeue(idx, attempt)
-            return False
-        result = fut.result()
-        if idx in self._results:
-            self._out.n_duplicates += 1
-            self._record(idx, attempt, "duplicate", dur)
-            return False
-        if not self._valid(idx, result):
-            self._out.recovery["invalid"] += 1
-            self._record(idx, attempt, "invalid", dur)
-            if not was_late:
-                self._requeue(idx, attempt)
-            return False
-        self._accept(idx, attempt, result, dur, "late-ok" if was_late else "ok")
-        return False
-
-    def _sweep_deadlines(self) -> None:
-        timeout = self._current_timeout()
-        if timeout is None:
-            return
-        pending = self._pending
-        now = time.monotonic()
-        for fut in [f for f, (_i, _a, at) in self._inflight.items() if now - at >= timeout]:
-            idx, attempt, submitted_at = self._inflight.pop(fut)
-            if fut.cancel():
-                # Never started (queued behind hung workers): re-queue at the
-                # same attempt — the task itself did nothing wrong.
-                pending.append((idx, attempt, now))
-                continue
-            if fut.done():
-                self._inflight[fut] = (idx, attempt, submitted_at)
-                continue  # finished between sweep start and cancel; harvest next tick
-            self._out.recovery["timeouts"] += 1
-            self._record(idx, attempt, "timeout", now - submitted_at)
-            self._late[fut] = (idx, attempt, submitted_at)
-            self._requeue(idx, attempt)
-
-    def _requeue(self, idx: int, attempt: int) -> None:
-        self._out.recovery["retries"] += 1
-        backoff = min(BACKOFF_CAP, self.backoff_base * (2.0**attempt))
-        self._pending.append((idx, attempt + 1, time.monotonic() + backoff))
-
-    # -- attempt bookkeeping -----------------------------------------------------
-    def _valid(self, idx: int, result) -> bool:
-        if self.validate is None:
-            return True
-        try:
-            return bool(self.validate(self.tasks[idx], result))
-        except Exception:
-            return False
-
-    def _accept(self, idx: int, attempt: int, result, dur: float, outcome: str) -> None:
-        self._results[idx] = result
-        self._durations.append(dur)
-        self._record(idx, attempt, outcome, dur)
-        if self.on_result is not None:
-            self.on_result(idx, result)
-
-    def _record(self, idx: int, attempt: int, outcome: str, dur: float, err: str = "") -> None:
-        # Recorded at attempt end, so its start is "now minus duration" on
-        # the supervisor's clock — the worker-utilization timeline's x-axis.
-        started = max(0.0, time.monotonic() - dur - self._t0)
-        self._out.attempts.append(TaskAttempt(idx, attempt, outcome, dur, err, started))
-
-    def _attempt_inline(self, idx: int, attempt: int):
-        """Run one task in-process (serial executor and degradation path)."""
-        t0 = time.monotonic()
-        payload = (self.fn, self.tasks[idx], idx, attempt, self.fault_plan, False)
-        try:
-            result = _run_task(payload)
-        except Exception as exc:
-            return False, None, repr(exc), time.monotonic() - t0
-        dur = time.monotonic() - t0
-        if not self._valid(idx, result):
-            return False, None, "invalid", dur
-        return True, result, "", dur
-
-    def _degrade(self, idx: int, attempt: int) -> None:
-        if not self.degrade_serial:
-            raise SupervisorError(
-                f"task {idx} failed {attempt} attempts (limit {self.recovery.max_attempts}) "
-                "and serial degradation is disabled"
-            )
-        ok, result, err, dur = self._attempt_inline(idx, attempt)
-        if not ok:
-            raise SupervisorError(
-                f"task {idx} failed {attempt} pool attempts and the in-process "
-                f"serial fallback: {err}"
-            )
-        self._out.recovery["degraded"] += 1
-        self._accept(idx, attempt, result, dur, "degraded-ok")

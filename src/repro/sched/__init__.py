@@ -18,10 +18,15 @@ separates the two concerns:
   the ``SimTransport`` under it: drives a policy over the
   :class:`~repro.cluster.VirtualPVM` discrete-event cluster (the Table-1
   replay path), surviving injected machine failures by deadline sweep;
-* :mod:`repro.sched.process` — ``ProcessTransport``: drives the *same*
-  policy over the supervised multiprocessing executor (the real farm);
+* :class:`repro.runtime.supervisor.TaskSupervisor` — drives the *same*
+  policy over the supervised multiprocessing executor (the real farm's
+  pool);
 * :mod:`repro.net` — ``TcpTransport`` (re-exported here): drives it over
   real sockets, master + worker daemons on a network of workstations.
+
+The two real transports lose a worker the same way: the loss is booked in
+one :class:`repro.runtime.options.RecoveryRecord` and handed to the
+policy's ``on_worker_lost``, which requeues the lane's unit.
 
 Because all transports consume identical policy objects, a simulated run,
 a pooled run and a networked run of the same workload produce the same
@@ -43,19 +48,13 @@ from .core import (
 from .cost import AssignmentCost, OracleCostModel
 from .sim import SIM_STRATEGIES, SimTransport, default_worker_timeout, simulate
 
-_PROCESS_NAMES = ("ProcessTransport", "SchedOutcome", "assignment_echo_task")
 _NET_NAMES = ("TcpTransport", "MasterServer")
 
 
 def __getattr__(name: str):
-    # repro.sched.process pulls in repro.runtime (the supervisor) and the
-    # network transport pulls in repro.net, both of which import this
-    # package's core; loading them on first use keeps `import repro.sched`
+    # The network transport pulls in repro.net, which imports this
+    # package's core; loading it on first use keeps `import repro.sched`
     # acyclic and light.
-    if name in _PROCESS_NAMES:
-        from . import process
-
-        return getattr(process, name)
     if name in _NET_NAMES:
         from ..net import master
 
@@ -71,14 +70,11 @@ __all__ = [
     "MasterServer",
     "ObjectSpacePolicy",
     "OracleCostModel",
-    "ProcessTransport",
     "SIM_STRATEGIES",
     "STRATEGIES",
-    "SchedOutcome",
     "SchedulingPolicy",
     "SimTransport",
     "TcpTransport",
-    "assignment_echo_task",
     "default_worker_timeout",
     "make_policy",
     "simulate",

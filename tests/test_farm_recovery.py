@@ -17,11 +17,12 @@ from repro.runtime import (
     AnimationSpec,
     FaultPlan,
     LocalRenderFarm,
-    RecoveryOptions,
     SupervisorError,
 )
 
 GRID = 12
+
+pytestmark = pytest.mark.usefixtures("no_leaks")
 
 
 @pytest.fixture(scope="module")
@@ -103,20 +104,18 @@ def test_retry_exhaustion_degrades_to_serial(spec, reference):
 
 def test_all_workers_dead_error_path(spec):
     """Unrecoverable pool loss surfaces as SupervisorError, not a hang."""
+    from repro.runtime import FarmOptions
     from repro.runtime.local import _render_segment_task, _worker_init
     from repro.runtime.supervisor import TaskSupervisor
 
     plan = FaultPlan((FaultPlan.crash(0, attempts=tuple(range(8))),))
     whole_animation = (spec, None, 0, 3, True, "sequence", GRID, 1, False, None)
-    sup = TaskSupervisor(
+    sup = TaskSupervisor.over(
         _render_segment_task,
         [whole_animation],
-        executor="process",
-        n_workers=2,
+        FarmOptions(executor="process", n_workers=2, fault_plan=plan, max_attempts=8),
         initializer=_worker_init,
         initargs=(spec,),
-        fault_plan=plan,
-        recovery=RecoveryOptions(max_attempts=8),
         max_pool_rebuilds=1,  # cap rebuilds low so the test is quick
     )
     with pytest.raises(SupervisorError, match="pool lost"):

@@ -269,6 +269,7 @@ def test_loopback_echo_farm_completes_and_accounts_bytes():
     assert {"net.listen", "net.worker.join", "net.assign", "net.result"} <= names
 
 
+@pytest.mark.usefixtures("no_leaks")
 def test_injected_worker_kill_is_reassigned():
     # sleep_echo keeps the run alive long enough for both daemons to join;
     # worker 0 dies on its first assignment, whenever that lands.
@@ -296,6 +297,7 @@ def test_injected_worker_kill_is_reassigned():
     validate_events(sink.events)
 
 
+@pytest.mark.usefixtures("no_leaks")
 def test_older_worker_is_turned_away_at_hello():
     """Master and workers ship from one tree, so the admission floor is
     the current minor: an older HELLO gets a clean SHUTDOWN, never a lane."""
@@ -329,6 +331,7 @@ def test_older_worker_is_turned_away_at_hello():
     assert [r["attrs"]["reason"] for r in lost] == ["proto"]
 
 
+@pytest.mark.usefixtures("no_leaks")
 def test_malformed_frame_is_a_clean_loss():
     """A registered peer that sends a well-framed payload of junk costs the
     master that lane — an ``error`` loss, its unit requeued — and nothing
@@ -376,6 +379,86 @@ def test_malformed_frame_is_a_clean_loss():
     validate_events(sink.events)
 
 
+def _hello(**fields) -> dict:
+    return {
+        "proto": wire.PROTO_VERSION, "minor": wire.PROTO_MINOR,
+        "host": "rogue", "pid": 1, "cores": 1, "score": 1.0, **fields,
+    }
+
+
+@pytest.mark.usefixtures("no_leaks")
+@pytest.mark.parametrize(
+    "msg_type, payload, reason",
+    [
+        (wire.MSG_HELLO, _hello(cores="many"), "error"),
+        (wire.MSG_RESULT, {"result": None, "duration": "soon"}, "error"),
+        (wire.MSG_RESULT, {"result": (None, "x", 4, None, np.zeros(4, np.int64), "")}, "invalid"),
+    ],
+    ids=["hello-cores", "result-duration", "result-frame0"],
+)
+def test_badly_typed_field_is_a_clean_loss(tcp_spec, serial_reference, msg_type, payload, reason):
+    """A registered peer whose well-framed message carries a field of the
+    wrong type — a HELLO's core count, a RESULT's duration, a frame number
+    the farm's validator converts — costs the master that lane (``error``
+    for a field, ``invalid`` for a validator that raises) and nothing else:
+    the unit is requeued and an honest worker renders it bit-identically."""
+    from repro.buffers import BufferPool
+    from repro.dfb import FrameAssembler
+    from repro.net.tasks import spec_to_wire
+
+    sink = InMemorySink()
+    tel = Telemetry(sinks=(sink,))
+    asm = FrameAssembler(4, 24, 18, pool=BufferPool())
+    policy = make_policy("sequence-division-fc", 4, sequence_ranges=[(0, 4)], segment_frames=4)
+    spec_wire = spec_to_wire(tcp_spec)
+    master = MasterServer(
+        policy,
+        "render_segment",
+        lambda a, lane: (spec_wire, None, a.frame0, a.frame1, a.fresh, "sequence", 12, 1,
+                         False, None),
+        validate=LocalRenderFarm(tcp_spec, transport="tcp", grid_resolution=12)._validator(asm),
+        assembler=asm,
+        recovery=PATIENT,
+        telemetry=tel,
+    )
+    host, port = master.listen()
+    bad_sent = threading.Event()
+
+    def rogue():
+        with socket.create_connection((host, port)) as sock:
+            wire.send_frame(sock, wire.MSG_HELLO, _hello())
+            assert wire.recv_frame(sock)[0] == wire.MSG_WELCOME
+            msg, assign = wire.recv_frame(sock)
+            assert msg == wire.MSG_ASSIGN
+            wire.send_frame(sock, msg_type, {**payload, "seq": assign["seq"]})
+            bad_sent.set()
+            sock.settimeout(10.0)
+            while sock.recv(1 << 16):
+                pass  # until the master hangs up on us
+
+    client = WorkerClient(host, port, score=1.0, backoff_base=0.1, max_retries=30)
+
+    def honest():
+        bad_sent.wait(timeout=30.0)
+        client.run()
+
+    threads = [threading.Thread(target=rogue), threading.Thread(target=honest)]
+    for t in threads:
+        t.start()
+    out = master.serve()
+    tel.close()
+    for t in threads:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    assert policy.finished and policy.n_reassigned == 1 and client.n_rendered == 1
+    lost = [r["attrs"] for r in sink.events if r["name"] == "net.worker.lost"]
+    assert [(r["worker"], r["reason"]) for r in lost] == [("w0", reason)]
+    assert [a.outcome for a in out.supervisor.attempts] == [reason, "ok"]  # outcome == reason
+    assert asm.take_frames().tobytes() == serial_reference.frames.tobytes()
+    validate_events(sink.events)
+
+
+@pytest.mark.usefixtures("no_leaks")
 def test_task_error_reconnect_then_max_attempts():
     """A worker that errors on its assignment is dropped and reconnects as
     a fresh lane; the same unit failing ``max_attempts`` times fails the
@@ -438,6 +521,7 @@ def test_worker_connects_before_master_listens():
     assert client.n_rendered == 3
 
 
+@pytest.mark.usefixtures("no_leaks")
 def test_master_times_out_with_no_workers():
     policy = make_policy("frame-division-nofc", 1, n_regions=1)
     master = MasterServer(
@@ -483,6 +567,7 @@ def test_tcp_serves_the_static_unit_list(tcp_spec, serial_reference):
     assert out.stats.total == serial_reference.stats.total
 
 
+@pytest.mark.usefixtures("no_leaks")
 def test_tcp_spool_survives_mid_unit_kill(tcp_spec, serial_reference, tmp_path):
     """A daemon dies inside a unit: its landed frames are salvaged, the
     remainder re-renders elsewhere, and the checkpoint written for that
@@ -542,6 +627,7 @@ def test_tile_edge_must_be_positive(tcp_spec, tile_px):
         build_parser().parse_args(["farm", "newton", f"--tile-px={tile_px}"])
 
 
+@pytest.mark.usefixtures("no_leaks")
 def test_result_carrying_pixels_is_an_invalid_loss_on_a_tiling_master(
     tcp_spec, serial_reference
 ):

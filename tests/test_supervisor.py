@@ -1,9 +1,11 @@
-"""Unit tests for the supervised task scheduler and fault injection.
+"""Unit tests for the supervised pool and fault injection.
 
-These use toy task functions (picklable, module-level) so every recovery
-path — crash, hang, raise, corrupt, timeout false positive, retry
-exhaustion, degradation — is exercised in seconds, independent of the
-renderer.
+These use toy task functions (picklable, module-level) through the
+supervisor's list form — one unit per task, dispatched FIFO by a
+``DemandDrivenPolicy`` — so every recovery path (crash, hang, raise,
+corrupt, timeout false positive, retry exhaustion, degradation) is
+exercised in seconds, independent of the renderer.  A loss reaches the
+policy, which requeues the unit for a fresh lane.
 """
 
 import time
@@ -11,9 +13,20 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime import RecoveryOptions, deadline
+from repro.runtime import FarmOptions, RecoveryOptions, deadline
 from repro.runtime.faults import FaultInjected, FaultPlan, FaultSpec, corrupt_result
+from repro.runtime.options import RecoveryRecord
 from repro.runtime.supervisor import SupervisorError, TaskSupervisor
+
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
+
+def _supervise(fn, tasks, **options):
+    """The list form over ``FarmOptions(**options)``; ``max_pool_rebuilds``,
+    ``validate`` and ``on_result`` go to the supervisor."""
+    kw = {k: options.pop(k) for k in ("max_pool_rebuilds", "validate", "on_result")
+          if k in options}
+    return TaskSupervisor.over(fn, tasks, FarmOptions(**options), **kw)
 
 
 def _double(x):
@@ -32,21 +45,20 @@ def _validate_array(task, result):
 # -- basics ---------------------------------------------------------------------
 @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
 def test_clean_run_all_executors(executor):
-    sup = TaskSupervisor(_double, [1, 2, 3, 4, 5], executor=executor, n_workers=2)
-    out = sup.run()
+    out = _supervise(_double, [1, 2, 3, 4, 5], executor=executor, n_workers=2).run()
     assert out.results == [2, 4, 6, 8, 10]
-    assert out.n_retries == 0
-    assert out.n_degraded == 0
-    assert {a.outcome for a in out.attempts} == {"ok"}
+    assert out.supervisor.n_retries == 0
+    assert out.supervisor.n_degraded == 0
+    assert {a.outcome for a in out.supervisor.attempts} == {"ok"}
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        TaskSupervisor(_double, [1], executor="nope")
+        _supervise(_double, [1], executor="nope")
     with pytest.raises(ValueError):
         RecoveryOptions(max_attempts=0)
     with pytest.raises(ValueError):
-        TaskSupervisor(_double, [1], n_workers=0)
+        _supervise(_double, [1], n_workers=0)
 
 
 def test_fault_spec_rejects_unknown_kind():
@@ -64,29 +76,29 @@ def test_corrupt_result_introduces_nan():
 
 def test_on_result_fires_once_per_task():
     seen = []
-    sup = TaskSupervisor(
-        _double, [1, 2, 3], executor="serial", on_result=lambda i, r: seen.append((i, r))
-    )
-    sup.run()
+    _supervise(
+        _double, [1, 2, 3], executor="serial",
+        on_result=lambda a, r: seen.append((a.region_index, r)),
+    ).run()
     assert sorted(seen) == [(0, 2), (1, 4), (2, 6)]
 
 
 # -- raise faults ----------------------------------------------------------------
 def test_raise_fault_is_retried_serial():
     plan = FaultPlan((FaultPlan.raising(1),))
-    sup = TaskSupervisor(_double, [1, 2, 3], executor="serial", fault_plan=plan)
-    out = sup.run()
+    out = _supervise(_double, [1, 2, 3], executor="serial", fault_plan=plan).run()
     assert out.results == [2, 4, 6]
-    assert out.n_retries == 1
-    assert any(a.outcome == "error" and "FaultInjected" in a.error for a in out.attempts)
+    assert out.supervisor.n_retries == 1
+    assert any(
+        a.outcome == "error" and "FaultInjected" in a.error for a in out.supervisor.attempts
+    )
 
 
 def test_raise_fault_is_retried_process():
     plan = FaultPlan((FaultPlan.raising(0),))
-    sup = TaskSupervisor(_double, [1, 2, 3], executor="process", n_workers=2, fault_plan=plan)
-    out = sup.run()
+    out = _supervise(_double, [1, 2, 3], executor="process", n_workers=2, fault_plan=plan).run()
     assert out.results == [2, 4, 6]
-    assert out.n_retries == 1
+    assert out.supervisor.n_retries == 1
 
 
 def test_fault_plan_apply_raises_inline():
@@ -101,46 +113,45 @@ def test_fault_plan_apply_raises_inline():
 @pytest.mark.parametrize("executor", ["serial", "process"])
 def test_corrupt_output_rejected_and_retried(executor):
     plan = FaultPlan((FaultPlan.corrupting(2),))
-    sup = TaskSupervisor(
+    out = _supervise(
         _array_task,
         [1, 2, 3],
         executor=executor,
         n_workers=2,
         validate=_validate_array,
         fault_plan=plan,
-    )
-    out = sup.run()
+    ).run()
     assert [r[1] for r in out.results] == [1, 2, 3]
     assert all(np.isfinite(r[0]).all() for r in out.results)
-    assert out.n_invalid == 1
-    assert out.n_retries == 1
+    assert out.supervisor.n_invalid == 1
+    assert out.supervisor.n_retries == 1
 
 
 # -- crash faults ----------------------------------------------------------------
 def test_crash_fault_rebuilds_pool_and_recovers():
     plan = FaultPlan((FaultPlan.crash(1),))
-    sup = TaskSupervisor(_double, [1, 2, 3, 4], executor="process", n_workers=2, fault_plan=plan)
+    sup = _supervise(_double, [1, 2, 3, 4], executor="process", n_workers=2, fault_plan=plan)
     out = sup.run()
     assert out.results == [2, 4, 6, 8]
-    assert out.n_crashes >= 1
-    assert out.n_pool_rebuilds >= 1
-    assert out.n_retries >= 1
+    assert out.supervisor.n_crashes >= 1
+    assert out.supervisor.n_pool_rebuilds >= 1
+    assert out.supervisor.n_retries >= 1
+    assert sup.policy.n_reassigned >= 1  # the lost unit went back to the policy
 
 
 def test_crash_fault_not_honoured_in_threads():
     # A thread worker calling os._exit would kill the master: the plan must
     # skip disruptive faults outside sandboxed processes.
     plan = FaultPlan((FaultPlan.crash(0), FaultPlan.hang(1, hang_seconds=60.0)))
-    sup = TaskSupervisor(_double, [1, 2, 3], executor="thread", n_workers=2, fault_plan=plan)
-    out = sup.run()
+    out = _supervise(_double, [1, 2, 3], executor="thread", n_workers=2, fault_plan=plan).run()
     assert out.results == [2, 4, 6]
-    assert out.n_crashes == 0
-    assert out.n_timeouts == 0
+    assert out.supervisor.n_crashes == 0
+    assert out.supervisor.n_timeouts == 0
 
 
 def test_repeated_pool_loss_is_fatal():
     plan = FaultPlan((FaultPlan.crash(0, attempts=(0, 1, 2)),))
-    sup = TaskSupervisor(
+    sup = _supervise(
         _double,
         [1, 2],
         executor="process",
@@ -155,40 +166,43 @@ def test_repeated_pool_loss_is_fatal():
 # -- hangs, deadlines and false positives ----------------------------------------
 def test_hang_fault_times_out_and_recovers():
     plan = FaultPlan((FaultPlan.hang(1, hang_seconds=60.0),))
-    sup = TaskSupervisor(
+    sup = _supervise(
         _double,
         [1, 2, 3],
         executor="process",
         n_workers=2,
         fault_plan=plan,
-        recovery=RecoveryOptions(task_timeout=0.75),
+        task_timeout=0.75,
     )
     t0 = time.monotonic()
     out = sup.run()
     assert out.results == [2, 4, 6]
-    assert out.n_timeouts >= 1
-    assert out.n_retries >= 1
+    assert out.supervisor.n_timeouts >= 1
+    assert out.supervisor.n_retries >= 1
     assert time.monotonic() - t0 < 30.0  # the hung worker never blocks shutdown
 
 
 def test_false_positive_deadline_duplicate_ignored():
     # The worker is slow, not dead: it finishes after being declared lost.
-    # Exactly one completion is accepted; the other is a duplicate or the
-    # accepted late arrival.
+    # The lost dispatch's late completion is dropped; the unit is accepted
+    # exactly once, from the lane the policy reassigned it to.
     plan = FaultPlan((FaultPlan.hang(0, hang_seconds=1.0),))
-    sup = TaskSupervisor(
+    sup = _supervise(
         _double,
         [5, 6],
         executor="process",
         n_workers=2,
         fault_plan=plan,
-        recovery=RecoveryOptions(task_timeout=0.4),
+        task_timeout=0.4,
     )
     out = sup.run()
     assert out.results == [10, 12]
-    assert out.n_timeouts >= 1
-    accepted = [a for a in out.attempts if a.task_index == 0 and a.outcome.endswith("ok")]
+    assert out.supervisor.n_timeouts >= 1
+    attempts = out.supervisor.attempts
+    accepted = [a for a in attempts if a.task_index == 0 and a.outcome.endswith("ok")]
     assert len(accepted) == 1
+    lost = next(a for a in attempts if a.task_index == 0 and a.outcome == "timeout")
+    assert (lost.attempt, accepted[0].attempt) == (0, 1)
 
 
 def test_adaptive_deadline_from_observed_durations():
@@ -199,47 +213,46 @@ def test_adaptive_deadline_from_observed_durations():
     from repro.runtime.options import TIMEOUT_FACTOR, TIMEOUT_MARGIN
     from repro.sched import make_policy
 
-    sup = TaskSupervisor(_double, [1], executor="serial")
+    sup = _supervise(_double, [1], executor="serial")
     master = MasterServer(make_policy("single", 1), "echo", lambda a, lane: None)
-    assert sup._current_timeout() is None  # no observations, no fixed timeout
-    assert master._deadline_for_now() is None
+    assert sup.record.deadline() is None  # no observations, no fixed timeout
+    assert master.record.deadline() is None
     for durations in ([2.0], [0.5, 2.0, 1.25], [1e-3]):
-        sup._durations[:] = master._durations[:] = durations
+        sup.record.durations[:] = master.record.durations[:] = durations
         expected = TIMEOUT_FACTOR * max(durations) + TIMEOUT_MARGIN
         assert deadline(durations) == expected
-        assert sup._current_timeout() == master._deadline_for_now() == expected
+        assert sup.record.deadline() == master.record.deadline() == expected
     assert deadline([2.0]) == pytest.approx(7.0)
     # before any observation the startup window stands in; a fixed deadline wins
     assert RecoveryOptions(startup_timeout=9.0).deadline([]) == 9.0
-    sup.recovery = master.recovery = RecoveryOptions(task_timeout=42.0)
-    assert sup._current_timeout() == master._deadline_for_now() == 42.0
+    fixed = _supervise(_double, [1], executor="serial", task_timeout=42.0)
+    assert fixed.record.deadline() == RecoveryRecord(RecoveryOptions(task_timeout=42.0)).deadline()
+    assert fixed.record.deadline() == 42.0
 
 
 # -- retry exhaustion and degradation --------------------------------------------
 @pytest.mark.parametrize("executor", ["serial", "process"])
 def test_retry_exhaustion_degrades_to_serial(executor):
     plan = FaultPlan((FaultPlan.raising(1, attempts=(0, 1)),))
-    sup = TaskSupervisor(
-        _double, [1, 2, 3], executor=executor, n_workers=2, fault_plan=plan,
-        recovery=RecoveryOptions(max_attempts=2),
-    )
-    out = sup.run()
+    out = _supervise(
+        _double, [1, 2, 3], executor=executor, n_workers=2, fault_plan=plan, max_attempts=2,
+    ).run()
     assert out.results == [2, 4, 6]
-    assert out.n_degraded == 1
-    assert any(a.outcome == "degraded-ok" for a in out.attempts)
+    assert out.supervisor.n_degraded == 1
+    assert any(a.outcome == "degraded-ok" for a in out.supervisor.attempts)
 
 
 def test_degradation_disabled_raises():
     plan = FaultPlan((FaultPlan.raising(0, attempts=(0, 1)),))
-    sup = TaskSupervisor(
+    sup = _supervise(
         _double,
         [1],
         executor="serial",
         fault_plan=plan,
-        recovery=RecoveryOptions(max_attempts=2),
+        max_attempts=2,
         degrade_serial=False,
     )
-    with pytest.raises(SupervisorError, match="degradation is disabled"):
+    with pytest.raises(SupervisorError, match="unit 0 .* degradation is disabled"):
         sup.run()
 
 
@@ -247,8 +260,6 @@ def test_poisoned_task_fails_even_serial_fallback():
     # The fault fires on every attempt including the degraded one: the
     # supervisor must report the failure, not loop forever.
     plan = FaultPlan((FaultPlan.raising(0, attempts=tuple(range(10))),))
-    sup = TaskSupervisor(
-        _double, [1], executor="serial", fault_plan=plan, recovery=RecoveryOptions(max_attempts=2)
-    )
+    sup = _supervise(_double, [1], executor="serial", fault_plan=plan, max_attempts=2)
     with pytest.raises(SupervisorError, match="serial"):
         sup.run()

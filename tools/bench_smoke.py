@@ -51,13 +51,8 @@ def _diff_transport_logs() -> list[str]:
     from repro.parallel.config import RenderFarmConfig
     from repro.parallel.oracle import AnimationCostOracle
     from repro.runtime import FarmOptions
-    from repro.sched import (
-        OracleCostModel,
-        ProcessTransport,
-        SimTransport,
-        assignment_echo_task,
-        make_policy,
-    )
+    from repro.runtime.supervisor import TaskSupervisor, assignment_echo_task
+    from repro.sched import OracleCostModel, SimTransport, make_policy
 
     n_frames, width, height = 6, 6, 4
     n_px = width * height
@@ -90,7 +85,7 @@ def _diff_transport_logs() -> list[str]:
             p_sim, oracle, machines[:n_workers], cfg,
             label=name, sec_per_work_unit=1e-4, thrash=ThrashModel(alpha=0.0),
         ).run()
-        ProcessTransport(
+        TaskSupervisor(
             p_proc, assignment_echo_task, lambda a, lane: a.key(),
             FarmOptions(n_workers=n_workers, executor="serial"),
         ).run()

@@ -17,8 +17,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-CEILING = 21645
-OPTION_CEILING = 100
+CEILING = 21470
+OPTION_CEILING = 97
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
