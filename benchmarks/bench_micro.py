@@ -65,21 +65,23 @@ def test_dda_traversal_throughput(benchmark, ray_batch):
 
 
 def test_voxel_pixel_map_update(benchmark):
-    m = VoxelPixelMap(32**3, 320 * 240)
-    vox = RNG.integers(0, 32**3, 200_000)
-    pix = RNG.integers(0, 320 * 240, 200_000)
-    m.add_marks(vox, pix)
-    dirty = RNG.integers(0, 320 * 240, 2000)
-    new_vox = RNG.integers(0, 32**3, 50_000)
-    new_pix = RNG.choice(dirty, 50_000)
+    """One coherent frame's map update at the Table 1 shape: 24^3 voxels
+    (the int16 layout), 320x240 pixels, ~19 % of them re-traced."""
+    n_vox, n_pix = 24**3, 320 * 240
+    m = VoxelPixelMap(n_vox, n_pix)
+    m.add_marks(RNG.integers(0, n_vox, 1_000_000), RNG.integers(0, n_pix, 1_000_000))
+    dirty = np.unique(RNG.integers(0, n_pix, n_pix // 5))
+    new_vox = RNG.integers(0, n_vox, 200_000)
+    new_pix = RNG.choice(dirty, 200_000)
+    mm = m.copy()
 
     def update():
-        mm = m.copy()
         mm.replace_pixel_marks(dirty, new_vox, new_pix)
         return mm
 
-    mm = benchmark(update)
+    benchmark(update)
     assert mm.n_entries > 0
+    assert m.pixels_for_voxels(np.arange(n_vox)).size > 0.9 * n_pix
 
 
 def test_full_frame_render(benchmark):

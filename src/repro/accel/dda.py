@@ -9,7 +9,10 @@ lists stay tight.
 The implementation advances an entire batch of rays in lockstep: each loop
 iteration performs one DDA step for every still-active ray using pure numpy
 ops, so the Python-level iteration count is bounded by the longest single
-traversal (≈ nx+ny+nz steps), not by the number of rays.
+traversal (≈ nx+ny+nz steps), not by the number of rays.  The state is 1-D
+per axis plus a running flat voxel id (no ``(N, 3)`` fancy indexing), and
+dead rays are compacted out.  The tracer calls it once per ray class per
+frame, ``chunk_size`` rays at a time.
 """
 
 from __future__ import annotations
@@ -45,14 +48,18 @@ def traverse(
     -------
     ray_idx, voxel_id:
         Parallel int64 arrays; row ``k`` says ray ``ray_idx[k]`` visited voxel
-        ``voxel_id[k]``.  Visits are emitted in traversal order per ray and
-        are unique per (ray, voxel).
+        ``voxel_id[k]``.  Rows are step-major (every live ray's first voxel,
+        then every live ray's second, ...) and ascending in ray index within
+        a step, so each ray's visits come in traversal order; they are
+        unique per (ray, voxel).  On a tie between axes the step crosses x
+        before y before z.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     n = origins.shape[0]
+    empty = np.empty(0, dtype=np.int64)
     if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return empty, empty
     t_max = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,)).copy()
 
     with np.errstate(divide="ignore", over="ignore"):
@@ -61,55 +68,61 @@ def traverse(
     hit, t_enter, t_exit = ray_aabb_intersect(
         origins, inv, grid.bounds.lo, grid.bounds.hi, t_max=t_max
     )
-    active = hit & (t_enter <= t_exit)
-    if not np.any(active):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    ids = np.flatnonzero(hit & (t_enter <= t_exit))
+    if ids.size == 0:
+        return empty, empty
+    origins, dirs, inv, t_exit = origins[ids], dirs[ids], inv[ids], t_exit[ids]
 
     # Entry points nudged inside the grid to avoid landing exactly on a face.
-    t0 = t_enter + 1e-12
-    entry = origins + t0[:, None] * dirs
+    entry = origins + (t_enter[ids] + 1e-12)[:, None] * dirs
     cell = grid.cell_of_points(entry)
-
     step = np.sign(dirs).astype(np.int64)
     # Parametric distance to cross one cell along each axis (inf for axes
-    # the ray does not move along).
+    # the ray does not move along), and the t at which the ray crosses the
+    # next cell boundary per axis.
     t_delta = np.abs(grid.cell_size * inv)
-
-    # Parametric t at which the ray crosses the next cell boundary per axis.
     next_boundary = grid.bounds.lo + (cell + (step > 0)) * grid.cell_size
     with np.errstate(invalid="ignore"):
         t_next = (next_boundary - origins) * inv
     t_next = np.where(dirs != 0.0, t_next, np.inf)
 
-    out_ray: list[np.ndarray] = []
-    out_vox: list[np.ndarray] = []
-    ray_ids = np.arange(n, dtype=np.int64)
-
+    # Per-axis state, one 1-D array per axis: cell, step, next crossing,
+    # crossing spacing, and what a step adds to the flat voxel id.
+    nx, ny, nz = (int(r) for r in grid.res)
+    vid = grid.flatten(cell)
+    cell, step, t_next, t_delta = (
+        [a[:, i].copy() for i in range(3)] for a in (cell, step, t_next, t_delta)
+    )
+    vstep = [step[0], step[1] * nx, step[2] * (nx * ny)]
+    out_ray, out_vox = [], []
     # Hard bound on steps: a straight line crosses at most nx+ny+nz+3 cells.
-    max_steps = int(grid.res.sum()) + 3
-    for _ in range(max_steps):
-        if not np.any(active):
-            break
-        idx = ray_ids[active]
-        out_ray.append(idx)
-        out_vox.append(grid.flatten(cell[active]))
+    for _ in range(nx + ny + nz + 3):
+        out_ray.append(ids)
+        out_vox.append(vid)
 
-        # Choose the axis whose boundary is nearest for each active ray.
-        axis = np.argmin(t_next[active], axis=1)
-        rows = idx
-        cell[rows, axis] += step[rows, axis]
-        crossed_t = t_next[rows, axis]
-        t_next[rows, axis] += t_delta[rows, axis]
+        # The axis whose boundary is nearest; ties go to the lower axis.
+        tx, ty, tz = t_next
+        on_x = (tx <= ty) & (tx <= tz)
+        on_y = ~on_x & (ty <= tz)
+        on = (on_x, on_y, ~(on_x | on_y))
+        crossed = np.where(on_x, tx, np.where(on_y, ty, tz))
+        for a in range(3):
+            np.add(t_next[a], t_delta[a], out=t_next[a], where=on[a])
+            np.add(cell[a], step[a], out=cell[a], where=on[a])
+        vid = vid + np.where(on_x, vstep[0], np.where(on_y, vstep[1], vstep[2]))
 
         # A ray dies when it leaves the grid or passes its t limit at the
         # crossing it just made.
-        alive = (
-            (cell[rows, axis] >= 0)
-            & (cell[rows, axis] < grid.res[axis])
-            & (crossed_t <= t_exit[rows])
-        )
-        active[rows[~alive]] = False
+        alive = crossed <= t_exit
+        for c, n_cells in zip(cell, (nx, ny, nz)):
+            alive &= (c >= 0) & (c < n_cells)
+        if not alive.all():
+            keep = np.flatnonzero(alive)
+            if keep.size == 0:
+                break
+            ids, vid, t_exit = ids[keep], vid[keep], t_exit[keep]
+            cell, step, t_next, t_delta, vstep = (
+                [a[keep] for a in arrays] for arrays in (cell, step, t_next, t_delta, vstep)
+            )
 
-    if not out_ray:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.concatenate(out_ray), np.concatenate(out_vox)

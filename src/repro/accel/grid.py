@@ -3,16 +3,14 @@
 The paper divides object space "into voxels (or cubes) through uniform
 spatial subdivision"; rays are tracked through the grid with a modified
 3-D DDA and each voxel keeps a list of the pixels whose rays traverse it.
-This module provides the grid geometry: world/voxel coordinate mapping,
-AABB voxelization (used by change detection) and per-voxel object lists
-(used by the grid-traversal tracer and by tests).
+This module provides the grid geometry: world/voxel coordinate mapping and
+AABB voxelization (used by change detection).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import Primitive
 from ..rmath import AABB
 
 __all__ = ["UniformGrid"]
@@ -84,22 +82,6 @@ class UniformGrid:
         gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
         cells = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
         return self.flatten(cells)
-
-    # -- object lists -----------------------------------------------------------
-    def build_object_lists(self, objects: list[Primitive]) -> dict[int, np.ndarray]:
-        """Map each voxel id to the indices of objects whose bounds touch it.
-
-        Infinite primitives (planes) are clipped to the grid bounds, so they
-        appear in every voxel their clipped slab intersects.
-        """
-        vox_to_obj: dict[int, list[int]] = {}
-        for idx, obj in enumerate(objects):
-            b = obj.bounds()
-            lo = np.where(np.isfinite(b.lo), b.lo, self.bounds.lo)
-            hi = np.where(np.isfinite(b.hi), b.hi, self.bounds.hi)
-            for vid in self.voxels_overlapping(AABB(lo, hi)):
-                vox_to_obj.setdefault(int(vid), []).append(idx)
-        return {vid: np.asarray(lst, dtype=np.int64) for vid, lst in vox_to_obj.items()}
 
     @staticmethod
     def for_scene(scene, resolution: tuple[int, int, int] | int = 16) -> "UniformGrid":

@@ -22,10 +22,11 @@ from ..accel import UniformGrid
 from ..rmath import AABB
 from ..scene import Animation
 from .engine import CoherentRenderer
+from .voxel_pixel_map import VoxelPixelMap
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # 2: the pixel map as its per-pixel CSR state
 
 
 def save_checkpoint(renderer: CoherentRenderer, path: str | Path) -> None:
@@ -43,7 +44,7 @@ def save_checkpoint(renderer: CoherentRenderer, path: str | Path) -> None:
         prev_frame=prev_frame,
         samples_per_axis=renderer.samples_per_axis,
         framebuffer=renderer.framebuffer.data,
-        map_keys=renderer.pixel_map._keys,
+        **{f"map_{name}": array for name, array in renderer.pixel_map.state().items()},
         grid_lo=renderer.grid.bounds.lo,
         grid_hi=renderer.grid.bounds.hi,
         grid_res=renderer.grid.res,
@@ -81,7 +82,7 @@ def load_checkpoint(
             last_frame=int(z["last_frame"]),
         )
         renderer.framebuffer.data[:] = z["framebuffer"]
-        renderer.pixel_map._keys = z["map_keys"].astype(np.int64)
+        renderer.pixel_map = VoxelPixelMap.from_state(grid.n_voxels, z["map_voxels"], z["map_counts"])
         renderer._next_frame = int(z["next_frame"])
         prev_frame = int(z["prev_frame"])
         renderer._prev_scene = animation.scene_at(prev_frame) if prev_frame >= 0 else None

@@ -17,6 +17,8 @@ incrementally: the first frame is rendered in full with ray-path tracking;
 for every following frame the changed voxels are detected, the union of
 their pixel lists becomes the recompute set, only those pixels are
 re-traced (updating their marks), and every other pixel is copied forward.
+The last frame of the range records no marks, since no later frame reads
+them: a one-frame range — every shot of a moving camera — runs no DDA.
 
 A ``region`` restricts the renderer to a pixel subset — this is how frame
 division workers own an 80x80 block while the algorithm stays unchanged.
@@ -121,6 +123,7 @@ class CoherentRenderer:
     first_frame, last_frame:
         Half-open frame range rendered by this instance (sequence division
         gives each worker such a range).  Defaults to the whole animation.
+        ``last_frame`` is the horizon: frame ``last_frame - 1`` records no marks.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`; each completed frame
         emits the canonical ``frame`` event plus a ``coherence.frame``
@@ -179,15 +182,13 @@ class CoherentRenderer:
             # pixel of the region must recompute — including pixels whose
             # rays never enter the grid and therefore carry no marks.
             return self.region, int(vox.size)
-        dirty = self.pixel_map.pixels_for_voxels(vox)
-        if dirty.size:
-            dirty = dirty[np.isin(dirty, self.region, assume_unique=True)]
-        return dirty, int(vox.size)
+        # Only traced pixels, all of them in the region, carry marks.
+        return self.pixel_map.pixels_for_voxels(vox), int(vox.size)
 
     # -- what a subclass with other bookkeeping replaces --------------------
-    def _tracer(self, scene) -> RayTracer:
-        """The path-tracking tracer for one frame's recompute set."""
-        return RayTracer(scene, grid=self.grid, track_paths=True, chunk_size=self.chunk_size)
+    def _tracer(self, scene, track_paths: bool) -> RayTracer:
+        """The tracer for one frame's recompute set."""
+        return RayTracer(scene, grid=self.grid, track_paths=track_paths, chunk_size=self.chunk_size)
 
     def _absorb_marks(self, result) -> None:
         """Replace the traced pixels' marks with the ones just recorded."""
@@ -220,11 +221,15 @@ class CoherentRenderer:
         else:
             to_compute, n_changed_vox = self.predict_dirty_pixels(self._prev_scene, scene)
 
+        # The horizon rule: a mark is only ever read by a later frame of
+        # this range, so the last frame records none.
+        track_paths = frame + 1 < self.last_frame
         if to_compute.size:
-            tracer = self._tracer(scene)
+            tracer = self._tracer(scene, track_paths)
             result = tracer.trace_pixels(to_compute, samples_per_axis=self.samples_per_axis)
             self.framebuffer.scatter(result.pixel_ids, result.colors)
-            self._absorb_marks(result)
+            if track_paths:
+                self._absorb_marks(result)
             stats = result.stats
             rays_pp = result.rays_per_pixel
             computed = result.pixel_ids

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..accel import UniformGrid
 from ..render import RayTracer, ShadowCache
 from ..scene import Animation
 from .change_detection import changed_voxels
@@ -58,21 +57,10 @@ class ShadowCoherentRenderer(CoherentRenderer):
     module docstring for the algorithm.
     """
 
-    def __init__(
-        self,
-        animation: Animation,
-        region: np.ndarray | None = None,
-        grid: UniformGrid | None = None,
-        grid_resolution: int | tuple[int, int, int] = 16,
-        chunk_size: int = 32768,
-        first_frame: int = 0,
-        last_frame: int | None = None,
-        telemetry=None,
-    ):
-        super().__init__(
-            animation, region, grid, grid_resolution, chunk_size=chunk_size,
-            first_frame=first_frame, last_frame=last_frame, telemetry=telemetry,
-        )
+    def __init__(self, animation: Animation, **kwargs):
+        super().__init__(animation, **kwargs)
+        if self.samples_per_axis != 1:
+            raise ValueError("shadow coherence requires samples_per_axis == 1")
         n_voxels, n_pixels = self.grid.n_voxels, self.width * self.height
         self.pixel_map = None  # replaced by the three class maps
         self.map_camera = VoxelPixelMap(n_voxels, n_pixels)
@@ -95,8 +83,6 @@ class ShadowCoherentRenderer(CoherentRenderer):
             self.map_pshadow.pixels_for_voxels(vox),
         )
         dirty = np.union1d(primary_dirty, self.map_secondary.pixels_for_voxels(vox))
-        if dirty.size:
-            dirty = dirty[np.isin(dirty, self.region, assume_unique=True)]
         reusable = np.setdiff1d(dirty, primary_dirty, assume_unique=True)
         return dirty, reusable, int(vox.size)
 
@@ -105,34 +91,25 @@ class ShadowCoherentRenderer(CoherentRenderer):
         return dirty, n_changed
 
     # -- the base renderer's per-frame hooks ---------------------------------------
-    def _tracer(self, scene) -> RayTracer:
+    def _tracer(self, scene, track_paths: bool) -> RayTracer:
         self.shadow_cache.set_reusable(self._reusable)
-        return RayTracer(
-            scene,
-            grid=self.grid,
-            track_paths=True,
-            chunk_size=self.chunk_size,
-            shadow_cache=self.shadow_cache,
-        )
+        return RayTracer(scene, grid=self.grid, track_paths=track_paths,
+                         chunk_size=self.chunk_size, shadow_cache=self.shadow_cache)
 
     def _absorb_marks(self, result) -> None:
-        cam_v, cam_p = result.marks_by_class["camera"]
-        sec_v, sec_p = result.marks_by_class["secondary"]
-        psh_v, psh_p = result.marks_by_class["pshadow"]
-        self.map_camera.replace_pixel_marks(result.pixel_ids, cam_v, cam_p)
-        self.map_secondary.replace_pixel_marks(result.pixel_ids, sec_v, sec_p)
+        marks = result.marks_by_class
+        self.map_camera.replace_pixel_marks(result.pixel_ids, *marks["camera"])
+        self.map_secondary.replace_pixel_marks(result.pixel_ids, *marks["secondary"])
         # Primary-shadow marks: pixels that reused the cache did not
         # re-fire their shadow rays — their old marks are still the
         # truth and must survive; only re-fired pixels are replaced.
         fired = np.setdiff1d(result.pixel_ids, self._reusable, assume_unique=True)
-        self.map_pshadow.remove_pixels(fired)
-        self.map_pshadow.add_marks(psh_v, psh_p)
+        self.map_pshadow.replace_pixel_marks(fired, *marks["pshadow"])
 
     def _report(self, **fields) -> ShadowFrameReport:
+        maps = (self.map_camera, self.map_pshadow, self.map_secondary)
         return ShadowFrameReport(
-            map_entries=self.map_camera.n_entries
-            + self.map_pshadow.n_entries
-            + self.map_secondary.n_entries,
+            map_entries=sum(m.n_entries for m in maps),
             n_shadow_reusable=int(self._reusable.size),
             **fields,
         )

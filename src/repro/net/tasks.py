@@ -73,13 +73,13 @@ def render_segment(args, emit_tile=None):
     from ..runtime.local import _render_segment_task
     from ..runtime.spec import AnimationSpec
 
-    spec_dict, box, f0, f1, fresh, label, grid, samples, tel_ctx, prof = args
+    spec_dict, box, f0, f1, horizon, fresh, label, grid, samples, tel_ctx, prof = args
     spec = AnimationSpec(str(spec_dict["factory"]), dict(spec_dict["kwargs"]))
     box = None if box is None else tuple(int(v) for v in box)
     # tel_ctx passes through untouched: a trace-context dict (run id,
     # parent flight span, namespace seed, lane), or falsy for telemetry off.
     return _render_segment_task(
-        (spec, box, int(f0), int(f1), bool(fresh), str(label), int(grid), int(samples),
-         tel_ctx, prof),
+        (spec, box, int(f0), int(f1), int(horizon), bool(fresh), str(label), int(grid),
+         int(samples), tel_ctx, prof),
         emit_tile=emit_tile,
     )

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coherence import CoherentRenderer, FrameReport, ShadowCoherentRenderer
+from .coherence import CoherentRenderer, FrameReport, ShadowCoherentRenderer, grid_for_animation
 from .render import RayStats
 from .scene import Animation, split_coherent_sequences
 from .telemetry import NULL as NULL_TELEMETRY
@@ -85,14 +85,13 @@ def _render_animation(
     workload:
         Label stamped into the ``run.start`` event.
     """
-    if shadow_coherence and samples_per_axis != 1:
-        raise ValueError("shadow coherence requires samples_per_axis == 1")
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
 
     cam0 = animation.camera_at(0)
     frames = np.empty((animation.n_frames, cam0.height, cam0.width, 3), dtype=np.float64)
     reports: list[FrameReport] = []
     sequences = split_coherent_sequences(animation)
+    grid = grid_for_animation(animation, grid_resolution)  # one lattice for every shot
     shadow_saved = 0
     per_seq: list[RayStats] = []
     mode = "shadow-coherent" if shadow_coherence else "coherent"
@@ -118,25 +117,15 @@ def _render_animation(
             if (cam.width, cam.height) != (cam0.width, cam0.height):
                 raise ValueError("all shots must share one resolution")
             tel.event("sequence", first_frame=int(start), last_frame=int(stop))
-            if shadow_coherence:
-                renderer = ShadowCoherentRenderer(
-                    animation,
-                    grid_resolution=grid_resolution,
-                    chunk_size=chunk_size,
-                    first_frame=start,
-                    last_frame=stop,
-                    telemetry=tel,
-                )
-            else:
-                renderer = CoherentRenderer(
-                    animation,
-                    grid_resolution=grid_resolution,
-                    samples_per_axis=samples_per_axis,
-                    chunk_size=chunk_size,
-                    first_frame=start,
-                    last_frame=stop,
-                    telemetry=tel,
-                )
+            renderer = (ShadowCoherentRenderer if shadow_coherence else CoherentRenderer)(
+                animation,
+                grid=grid,
+                samples_per_axis=samples_per_axis,
+                chunk_size=chunk_size,
+                first_frame=start,
+                last_frame=stop,
+                telemetry=tel,
+            )
             with tel.span(
                 "task",
                 worker="local",

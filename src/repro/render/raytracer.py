@@ -32,7 +32,8 @@ and every accumulation, and asks a *backend* what it cannot know itself:
   owners)`` — generator; what :func:`shade_local` and the children's finish
   lookup run against, plus one opaque tag per hit that comes back as the
   ``home`` of the rays that hit spawns (``None`` for camera rays);
-* ``mark(cls, origins, dirs, t_max, pixels)`` — plain call per ray volley;
+* ``mark(cls, origins, dirs, t_max, pixels)`` — plain call per ray volley
+  (the local backend queues it and marks each class once, at the end);
 * ``shadow_cache`` — attribute, handed to ``shade_local`` at primary hits.
 
 :class:`RayTracer` drives the kernel with the whole scene in this process,
@@ -258,20 +259,22 @@ def trace(scene, backend, pixel_ids, samples_per_axis: int = 1, chunk_size: int 
 
 
 class _LocalBackend:
-    """The whole scene in this process, plus the per-class mark lists.
+    """The whole scene in this process, plus the per-class ray volleys to mark.
 
     Both questions are answered by the real scene and its
     :class:`SceneIntersector` without ever suspending the kernel; the
     object index doubles as the per-ray tag, since nothing reads it.
+    ``mark`` only queues a volley: :meth:`finalize` runs the DDA once per
+    class over everything queued, ``chunk_size`` rays per call.
     """
 
     def __init__(self, tracer: "RayTracer"):
         self.scene = tracer.scene
         self.intersector = tracer.intersector
         self.grid = tracer.grid if tracer.track_paths else None
+        self.chunk_size = tracer.chunk_size
         self.shadow_cache = tracer.shadow_cache
-        self.voxels: dict[str, list[np.ndarray]] = {c: [] for c in MARK_CLASSES}
-        self.pixels: dict[str, list[np.ndarray]] = {c: [] for c in MARK_CLASSES}
+        self.volleys: dict[str, list[tuple]] = {c: [] for c in MARK_CLASSES}
 
     def nearest(self, batch: RayBatch, home):
         rec = self.intersector.nearest(batch)
@@ -283,19 +286,24 @@ class _LocalBackend:
         yield  # never reached, as above
 
     def mark(self, cls: str, origins, dirs, t_max, pixels) -> None:
-        if self.grid is None:
-            return
-        ray_idx, voxel_id = traverse(self.grid, origins, dirs, t_max)
-        if ray_idx.size:
-            self.voxels[cls].append(voxel_id)
-            self.pixels[cls].append(pixels[ray_idx])
+        if self.grid is not None:
+            self.volleys[cls].append((origins, dirs, t_max, pixels))
+
+    def _class_marks(self, volleys) -> tuple[np.ndarray, np.ndarray]:
+        empty = np.empty(0, dtype=np.int64)
+        if not volleys:
+            return empty, empty
+        origins, dirs, t_max, pixels = (np.concatenate(col) for col in zip(*volleys))
+        voxels, owners = [empty], [empty]
+        for a in range(0, pixels.size, self.chunk_size):
+            part = slice(a, a + self.chunk_size)
+            ray_idx, voxel_id = traverse(self.grid, origins[part], dirs[part], t_max[part])
+            voxels.append(voxel_id)
+            owners.append(pixels[part][ray_idx])
+        return np.concatenate(voxels), np.concatenate(owners)
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray, dict]:
-        empty = np.empty(0, dtype=np.int64)  # leads every list: a class may have no marks
-        by_class = {
-            c: (np.concatenate([empty, *self.voxels[c]]), np.concatenate([empty, *self.pixels[c]]))
-            for c in MARK_CLASSES
-        }
+        by_class = {c: self._class_marks(self.volleys[c]) for c in MARK_CLASSES}
         all_v, all_p = zip(*by_class.values())
         return np.concatenate(all_v), np.concatenate(all_p), by_class
 

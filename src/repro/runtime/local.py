@@ -78,13 +78,13 @@ from .supervisor import SupervisorOutcome, TaskSupervisor, task_context
 
 __all__ = ["LocalRenderFarm", "FarmResult"]
 
-# Per-process cache keyed by spec: workers build each animation once, and
-# concurrent farms with *different* specs (the thread executor shares this
-# module's globals) can no longer evict or corrupt each other's entry
-# mid-render the way a single global (spec, anim) pair could.
+# Per-process cache keyed by spec: workers build each animation (and its
+# voxel grid, keyed by spec + resolution) once, and concurrent farms with
+# *different* specs (the thread executor shares this module's globals)
+# cannot evict or corrupt each other's entry mid-render.
 _WORKER_CACHE: dict[tuple, object] = {}
 _WORKER_CACHE_LOCK = threading.Lock()
-_WORKER_CACHE_MAX = 4
+_WORKER_CACHE_MAX = 8
 
 
 def _spec_key(spec: AnimationSpec) -> tuple:
@@ -124,19 +124,27 @@ def _seal_frames(handle) -> None:
         handle.close_local()
 
 
-def _get_anim(spec: AnimationSpec):
-    key = _spec_key(spec)
+def _cached(key: tuple, build):
     with _WORKER_CACHE_LOCK:
-        anim = _WORKER_CACHE.get(key)
-    if anim is not None:
-        return anim
-    anim = spec.build()  # built outside the lock; a racing duplicate is benign
+        value = _WORKER_CACHE.get(key)
+    if value is not None:
+        return value
+    value = build()  # built outside the lock; a racing duplicate is benign
     with _WORKER_CACHE_LOCK:
-        anim = _WORKER_CACHE.setdefault(key, anim)
+        value = _WORKER_CACHE.setdefault(key, value)
         while len(_WORKER_CACHE) > _WORKER_CACHE_MAX:
             oldest = next(k for k in _WORKER_CACHE if k != key)
             del _WORKER_CACHE[oldest]
-    return anim
+    return value
+
+
+def _get_anim(spec: AnimationSpec):
+    return _cached(_spec_key(spec), spec.build)
+
+
+def _get_grid(spec: AnimationSpec, grid_resolution: int):
+    key = (*_spec_key(spec), int(grid_resolution))
+    return _cached(key, lambda: grid_for_animation(_get_anim(spec), grid_resolution))
 
 
 def _worker_profile_path(profile_dir) -> str | None:
@@ -188,7 +196,9 @@ def _render_segment_task(args, emit_tile=None):
     ``fresh`` marks a chain start (full render of ``f0``); a non-fresh
     segment tries to continue the renderer parked at ``f0`` by the chain's
     previous segment, rendering fresh when the cache misses (different
-    process, evicted, or the previous attempt failed).
+    process, evicted, or the previous attempt failed).  ``horizon`` is the
+    renderer's ``last_frame``: ``f1`` when nothing continues the unit, so
+    its last frame records no marks and the renderer is not parked.
 
     Each finished frame's box image ``(h, w, 3)`` is handed once to
     ``emit_tile(frame, x0, y0, image)`` — a view of the renderer's live
@@ -198,7 +208,7 @@ def _render_segment_task(args, emit_tile=None):
     the unit's ``(n, h, w, 3)`` output buffer, which rides home in the
     result.
     """
-    spec, box, f0, f1, fresh, label, grid_resolution, samples, tel_ctx, profile_dir = args
+    spec, box, f0, f1, horizon, fresh, label, grid_resolution, samples, tel_ctx, profile_dir = args
     anim = _get_anim(spec)
     cam = anim.camera_at(0)
     region = None if box is None else PixelRegion(*box, width=cam.width).pixels
@@ -231,10 +241,10 @@ def _render_segment_task(args, emit_tile=None):
                 renderer = CoherentRenderer(
                     anim,
                     region=region,
-                    grid_resolution=grid_resolution,
+                    grid=_get_grid(spec, grid_resolution),
                     samples_per_axis=samples,
                     first_frame=f0,
-                    last_frame=anim.n_frames,
+                    last_frame=horizon,
                     telemetry=tel,
                 )
             else:
@@ -256,7 +266,7 @@ def _render_segment_task(args, emit_tile=None):
             stats = RayStats.merge(r.stats for r in reports)
             sp.attrs["rays"] = stats.total
             sp.attrs["n_computed"] = sum(r.n_computed for r in reports)
-    if f1 < anim.n_frames:
+    if f1 < horizon:
         with _SEGMENT_CACHE_LOCK:
             _SEGMENT_CACHE[_segment_cache_key(spec, box, grid_resolution, samples, f1)] = renderer
             while len(_SEGMENT_CACHE) > _SEGMENT_CACHE_MAX:
@@ -625,8 +635,14 @@ class LocalRenderFarm:
 
             spec_arg = spec_to_wire(spec)
 
+        # The renderer's horizon: only an adaptive chain whose segments
+        # continue a parked renderer renders past its unit.
+        continued = not getattr(policy, "continuation_fresh", True)
+        n_frames = self._anim.n_frames
+
         def materialize(a, lane):
-            return (spec_arg, box_of(a.region_index), int(a.frame0), int(a.frame1),
+            horizon = n_frames if continued else int(a.frame1)
+            return (spec_arg, box_of(a.region_index), int(a.frame0), int(a.frame1), horizon,
                     bool(a.fresh), label, grid, samples, ctx_of(a, lane), prof)
 
         if opts.transport == "tcp":
@@ -824,17 +840,10 @@ class LocalRenderFarm:
         )
 
     def render_reference(self) -> FarmResult:
-        """Single coherent renderer over the whole animation (ground truth)."""
-        anim = self._anim
-        cam = self._cam
-        renderer = CoherentRenderer(
-            anim,
-            grid=grid_for_animation(anim, self.options.grid_resolution),
-            samples_per_axis=self.options.samples_per_axis,
+        """One coherent renderer per shot over the whole animation (ground truth)."""
+        from ..pipeline import _render_animation
+
+        ref = _render_animation(
+            self._anim, self.options.grid_resolution, samples_per_axis=self.options.samples_per_axis
         )
-        frames = np.empty((anim.n_frames, cam.height, cam.width, 3), dtype=np.float64)
-        for f in range(anim.n_frames):
-            renderer.render_next()
-            frames[f] = renderer.frame_image()
-        stats = RayStats.merge(r.stats for r in renderer.reports)
-        return FarmResult(frames=frames, stats=stats, n_tasks=1, mode="reference")
+        return FarmResult(frames=ref.frames, stats=ref.stats, n_tasks=1, mode="reference")

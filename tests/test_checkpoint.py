@@ -74,11 +74,15 @@ def test_resolution_mismatch_rejected(anim, tmp_path):
 
 
 def test_bad_version_rejected(anim, tmp_path):
+    """An unknown version, and version 1 (the sorted-key map layout), are
+    refused before any field is read."""
     r = CoherentRenderer(anim, grid_resolution=16)
+    r.render_next()
     path = tmp_path / "v.npz"
     save_checkpoint(r, path)
     data = dict(np.load(path))
-    data["version"] = np.int64(99)
-    np.savez_compressed(path, **data)
-    with pytest.raises(ValueError, match="version"):
-        load_checkpoint(anim, path)
+    for version in (99, 1):
+        data["version"] = np.int64(version)
+        np.savez_compressed(path, **data)
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(anim, path)

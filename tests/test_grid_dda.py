@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel import UniformGrid, traverse
-from repro.geometry import Sphere
 from repro.rmath import AABB, normalize, vec3
 
 
@@ -73,13 +72,6 @@ def test_grid_validation():
         _grid((0, 4, 4))
     with pytest.raises(ValueError):
         UniformGrid(AABB.empty(), 4)
-
-
-def test_build_object_lists():
-    g = _grid()
-    s = Sphere.at((0.5, 0.5, 0.5), 0.4)
-    lists = g.build_object_lists([s])
-    assert lists == {0: pytest.approx(np.array([0]))} or list(lists.keys()) == [0]
 
 
 def test_for_scene(simple_scene):
@@ -158,6 +150,90 @@ def test_empty_batch():
     g = _grid()
     ray_idx, vox = traverse(g, np.empty((0, 3)), np.empty((0, 3)))
     assert ray_idx.size == 0
+
+
+def _per_step_traverse(grid, origins, dirs, t_max=np.inf):
+    """The DDA as a per-step loop over ``(N, 3)`` state with ``argmin``
+    axis choice: the oracle :func:`traverse` must match element for
+    element."""
+    from repro.rmath import ray_aabb_intersect
+
+    n = origins.shape[0]
+    t_max = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,)).copy()
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / dirs
+    hit, t_enter, t_exit = ray_aabb_intersect(
+        origins, inv, grid.bounds.lo, grid.bounds.hi, t_max=t_max
+    )
+    active = hit & (t_enter <= t_exit)
+    with np.errstate(invalid="ignore"):  # entry points of rays that miss are inf/nan
+        cell = grid.cell_of_points(origins + (t_enter + 1e-12)[:, None] * dirs)
+        step = np.sign(dirs).astype(np.int64)
+        t_delta = np.abs(grid.cell_size * inv)
+        next_boundary = grid.bounds.lo + (cell + (step > 0)) * grid.cell_size
+        t_next = (next_boundary - origins) * inv
+    t_next = np.where(dirs != 0.0, t_next, np.inf)
+    out_ray, out_vox = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for _ in range(int(grid.res.sum()) + 3):
+        if not np.any(active):
+            break
+        rows = np.flatnonzero(active)
+        out_ray.append(rows)
+        out_vox.append(grid.flatten(cell[rows]))
+        axis = np.argmin(t_next[rows], axis=1)
+        cell[rows, axis] += step[rows, axis]
+        crossed_t = t_next[rows, axis]
+        t_next[rows, axis] += t_delta[rows, axis]
+        alive = (
+            (cell[rows, axis] >= 0) & (cell[rows, axis] < grid.res[axis])
+            & (crossed_t <= t_exit[rows])
+        )
+        active[rows[~alive]] = False
+    return np.concatenate(out_ray), np.concatenate(out_vox)
+
+
+def _assert_matches_oracle(grid, origins, dirs, t_max=np.inf):
+    got = traverse(grid, origins, dirs, t_max)
+    want = _per_step_traverse(grid, origins, dirs, t_max)
+    assert got[0].dtype == got[1].dtype == np.int64
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+_ODD_GRID = UniformGrid(AABB(vec3(-1.5, 0.25, -3.0), vec3(2.5, 3.25, 4.0)), (5, 3, 7))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("grid", [_grid(), _ODD_GRID], ids=["cube", "odd"])
+def test_traverse_matches_per_step_oracle(seed, grid):
+    """Random origins inside and outside the grid, finite and infinite
+    ``t_max``: identical (ray, voxel) arrays, row for row."""
+    rng = np.random.default_rng(seed)
+    n = 400
+    lo, hi = grid.bounds.lo, grid.bounds.hi
+    origins = rng.uniform(lo - 2.0, hi + 2.0, (n, 3))
+    dirs = rng.normal(size=(n, 3))
+    t_max = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0.0, 8.0, n))
+    _assert_matches_oracle(grid, origins, dirs, t_max)
+    _assert_matches_oracle(grid, origins, dirs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_traverse_matches_oracle_on_axis_parallel_and_face_rays(seed):
+    """Directions with zero (and negative-zero) components, and origins on
+    cell faces, edges and corners: where ties between axes happen."""
+    rng = np.random.default_rng(100 + seed)
+    g = _grid((4, 4, 4))
+    n = 300
+    origins = rng.integers(-1, 6, (n, 3)).astype(np.float64)
+    origins[: n // 3] += rng.uniform(0.0, 1.0, (n // 3, 3)) * (rng.random((n // 3, 3)) < 0.5)
+    dirs = rng.integers(-2, 3, (n, 3)).astype(np.float64)
+    dirs[np.all(dirs == 0.0, axis=1)] = (1.0, 0.0, 0.0)
+    dirs[rng.random((n, 3)) < 0.1] = -0.0
+    dirs[np.all(dirs == 0.0, axis=1)] = (0.0, -1.0, 0.0)
+    t_max = np.where(rng.random(n) < 0.5, np.inf, rng.integers(0, 6, n).astype(np.float64))
+    _assert_matches_oracle(g, origins, dirs, t_max)
+    _assert_matches_oracle(g, origins, dirs)
 
 
 @given(

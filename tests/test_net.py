@@ -414,7 +414,7 @@ def test_badly_typed_field_is_a_clean_loss(tcp_spec, serial_reference, msg_type,
     master = MasterServer(
         policy,
         "render_segment",
-        lambda a, lane: (spec_wire, None, a.frame0, a.frame1, a.fresh, "sequence", 12, 1,
+        lambda a, lane: (spec_wire, None, a.frame0, a.frame1, 4, a.fresh, "sequence", 12, 1,
                          False, None),
         validate=LocalRenderFarm(tcp_spec, transport="tcp", grid_resolution=12)._validator(asm),
         assembler=asm,
@@ -646,7 +646,7 @@ def test_result_carrying_pixels_is_an_invalid_loss_on_a_tiling_master(
     master = MasterServer(
         policy,
         "render_segment",
-        lambda a, lane: (spec_wire, None, a.frame0, a.frame1, a.fresh, "sequence", 12, 1,
+        lambda a, lane: (spec_wire, None, a.frame0, a.frame1, 4, a.fresh, "sequence", 12, 1,
                          False, None),
         validate=farm._validator(asm),
         assembler=asm,

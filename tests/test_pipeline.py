@@ -1,13 +1,15 @@
 """Tests for the high-level animation pipeline (camera cuts etc.), driven
 through the unified :func:`repro.api.render` facade."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 import repro
 from repro.api import RenderRequest, render
 from repro.render import RayTracer
-from repro.scenes import newton_animation, two_shot_animation
+from repro.scenes import newton_animation, orbit_animation, two_shot_animation
 
 
 def run(anim, **kwargs):
@@ -93,3 +95,20 @@ def test_render_animation_shim_removed():
     assert not hasattr(repro, "render_animation")
     assert not hasattr(repro.pipeline, "render_animation")
     assert "render_animation" not in repro.__all__
+
+
+def test_moving_camera_runs_no_dda(monkeypatch):
+    """The horizon rule: every shot of an orbiting camera is one frame long,
+    no later frame can read its marks, so no ray is ever marked — and the
+    frames are still a per-frame full render, bit for bit."""
+    raytracer = importlib.import_module("repro.render.raytracer")  # repro.render is a function
+    anim = orbit_animation(n_frames=4, width=32, height=24)
+    calls = []
+    real = raytracer.traverse
+    monkeypatch.setattr(raytracer, "traverse", lambda *a, **k: calls.append(1) or real(*a, **k))
+    result = run(anim, grid_resolution=12)
+    assert result.sequences == [(f, f + 1) for f in range(anim.n_frames)]
+    assert calls == []
+    for f in range(anim.n_frames):
+        full, _ = RayTracer(anim.scene_at(f)).render()
+        assert result.frames[f].tobytes() == full.as_image().tobytes()

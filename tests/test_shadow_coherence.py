@@ -108,6 +108,24 @@ def test_is_the_base_renderer_except_for_shadow_rays(shadow_anim):
     assert r.reports[-1] is rep and r.frames_remaining == 0
 
 
+def test_shot_end_records_no_marks_and_changes_nothing(shadow_anim):
+    """A shot's last frame records no marks.  Against a renderer whose range
+    runs on (so it marks every frame, as before the horizon rule), the
+    frames, ray counts and per-frame shadow savings are identical."""
+    shot = ShadowCoherentRenderer(shadow_anim, grid_resolution=24, last_frame=3)
+    longer = ShadowCoherentRenderer(shadow_anim, grid_resolution=24)
+    for _ in range(3):
+        rep, ref = shot.render_next(), longer.render_next()
+        assert shot.frame_image().tobytes() == longer.frame_image().tobytes()
+        assert rep.stats.as_dict() == ref.stats.as_dict()
+        assert rep.shadow_rays_saved == ref.shadow_rays_saved
+    assert shot.total_shadow_rays_saved == longer.total_shadow_rays_saved > 0
+    # The last frame re-traced pixels without touching the maps.
+    assert shot.reports[-1].n_computed > 0
+    assert shot.reports[-1].map_entries == shot.reports[-2].map_entries
+    assert longer.reports[-1].map_entries != shot.reports[-1].map_entries
+
+
 def test_reusable_is_subset_of_dirty(shadow_anim):
     r = ShadowCoherentRenderer(shadow_anim, grid_resolution=24)
     r.render_next()

@@ -81,40 +81,59 @@ def test_validation():
         VoxelPixelMap(0, 10)
 
 
+pairs = st.lists(st.tuples(st.integers(0, N_VOX - 1), st.integers(0, N_PIX - 1)), max_size=20)
+pixel_ids = st.lists(st.integers(0, N_PIX - 1), max_size=10)
 ops = st.lists(
     st.one_of(
-        st.tuples(
-            st.just("add"),
-            st.lists(
-                st.tuples(st.integers(0, N_VOX - 1), st.integers(0, N_PIX - 1)),
-                max_size=20,
-            ),
-        ),
-        st.tuples(st.just("remove"), st.lists(st.integers(0, N_PIX - 1), max_size=10)),
+        st.tuples(st.just("add"), pairs),
+        st.tuples(st.just("remove"), pixel_ids),
+        st.tuples(st.just("replace"), st.tuples(pixel_ids, pairs)),
     ),
     max_size=12,
 )
 
 
-@given(ops=ops, query=st.lists(st.integers(0, N_VOX - 1), max_size=8))
-@settings(max_examples=80, deadline=None)
-def test_matches_dict_of_sets_model(ops, query):
-    """Model-based: the CSR-ish map behaves like a dict voxel -> set(pixel)."""
-    m = VoxelPixelMap(N_VOX, N_PIX)
+@given(
+    ops=ops,
+    query=st.lists(st.integers(0, N_VOX - 1), max_size=8),
+    n_vox=st.sampled_from([N_VOX, 32767, 32768]),
+)
+@settings(max_examples=120, deadline=None)
+def test_matches_dict_of_sets_model(ops, query, n_vox):
+    """Model-based: the per-pixel CSR map behaves like a dict voxel ->
+    set(pixel), on either side of its int16/int32 voxel-id boundary (voxel
+    ids are drawn from the top of the range there)."""
+    top = n_vox - N_VOX  # offset into the highest voxel ids
+
+    def split(payload):
+        return (np.array([v + top for v, _ in payload], dtype=np.int64),
+                np.array([p for _, p in payload], dtype=np.int64))
+
+    m = VoxelPixelMap(n_vox, N_PIX)
+    assert m.state()["voxels"].dtype == (np.int16 if n_vox <= 32767 else np.int32)
     model: dict[int, set[int]] = {}
     for op, payload in ops:
-        if op == "add":
-            if payload:
-                v = np.array([p[0] for p in payload])
-                p = np.array([p[1] for p in payload])
-                m.add_marks(v, p)
-                for vi, pi in payload:
-                    model.setdefault(vi, set()).add(pi)
-        else:
-            m.remove_pixels(np.array(payload, dtype=np.int64))
+        if op in ("remove", "replace"):
+            cleared = payload if op == "remove" else payload[0]
             for s in model.values():
-                s.difference_update(payload)
-    expected = sorted(set().union(*(model.get(v, set()) for v in query)) if query else set())
-    got = m.pixels_for_voxels(np.array(query, dtype=np.int64)).tolist()
-    assert got == expected
+                s.difference_update(cleared)
+        if op in ("add", "replace"):
+            added = payload if op == "add" else payload[1]
+            for vi, pi in added:
+                model.setdefault(vi + top, set()).add(pi)
+        if op == "add":
+            m.add_marks(*split(payload))
+        elif op == "remove":
+            m.remove_pixels(np.array(payload, dtype=np.int64))
+        else:
+            m.replace_pixel_marks(np.array(payload[0], dtype=np.int64), *split(payload[1]))
+    voxels = np.array(query, dtype=np.int64) + top
+    expected = sorted(set().union(*(model.get(v, set()) for v in voxels.tolist())))
+    got = m.pixels_for_voxels(voxels)
+    assert got.dtype == np.int64 and got.tolist() == expected
     assert m.n_entries == sum(len(s) for s in model.values())
+    for pixel in range(N_PIX):
+        want = sorted(v for v, s in model.items() if pixel in s)
+        assert m.voxels_of_pixel(pixel).tolist() == want
+    restored = VoxelPixelMap.from_state(n_vox, **m.state())
+    assert restored.pixels_for_voxels(voxels).tolist() == expected
