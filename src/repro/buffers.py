@@ -9,7 +9,8 @@ stack honor that.  Three pieces, one contract:
     out an array keyed by (shape, dtype); ``release`` parks it for the
     next acquirer instead of returning it to the allocator.  Whoever
     acquires owns the buffer until they release it — there is no
-    refcounting here, just an explicit hand-back.
+    refcounting here, just an explicit hand-back.  A forked process does
+    not inherit buffers in pool custody (``MADV_DONTFORK``).
 
 ``SharedFrameStore`` / ``FrameRef``
     Frames rendered in a pool worker land directly in a
@@ -34,6 +35,7 @@ copy-on-write escape hatch.  See DESIGN §15.
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 import uuid
@@ -128,13 +130,24 @@ class PoolStats:
         }
 
 
+_DONTFORK = getattr(mmap, "MADV_DONTFORK", None)  # None off Linux: children inherit
+_DOFORK = getattr(mmap, "MADV_DOFORK", None)
+
+
+def _advise(arr: np.ndarray, advice) -> None:
+    # Only the mappings acquire() made itself are advised.
+    if advice is not None and isinstance(arr.base, mmap.mmap):
+        arr.base.madvise(advice)
+
+
 class BufferPool:
     """Recycled numpy arrays keyed by (shape, dtype).
 
     ``acquire`` pops a parked buffer when one fits (``zero=True`` blanks
-    it — a fill, not a copy) and allocates otherwise; ``release`` parks
-    the array for reuse unless the pool is already holding ``max_bytes``.
-    Thread-safe; the dfb compositor releases from callback context.
+    it — a fill, not a copy) and maps a fresh DONTFORK one otherwise;
+    ``release`` parks the array for reuse unless the pool is already
+    holding ``max_bytes``.  Thread-safe; the dfb compositor releases
+    from callback context.
     """
 
     def __init__(self, max_bytes: int = 256 << 20) -> None:
@@ -159,9 +172,19 @@ class BufferPool:
             else:
                 self._stats.n_misses += 1
         if arr is None:
-            arr = np.empty(key[0], dtype=np.dtype(dtype))
+            nbytes = max(1, int(np.prod(key[0], dtype=np.int64)) * np.dtype(dtype).itemsize)
+            mem = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            arr = np.ndarray(key[0], dtype, buffer=mem)
+            _advise(arr, _DONTFORK)
         if zero:
             arr.fill(0)
+        return arr
+
+    @staticmethod
+    def hand_over(arr: np.ndarray) -> np.ndarray:
+        """``arr`` leaves pool custody: a process its caller forks may read
+        it (``MADV_DOFORK``) until :meth:`release` takes it back."""
+        _advise(arr, _DOFORK)
         return arr
 
     def release(self, arr: np.ndarray) -> bool:
@@ -180,6 +203,7 @@ class BufferPool:
             self._stats.n_released += 1
             if self._stats.bytes_pooled + arr.nbytes > self.max_bytes:
                 return False
+            _advise(arr, _DONTFORK)
             self._free.setdefault(key, []).append(arr)
             self._stats.bytes_pooled += arr.nbytes
         return True
@@ -195,6 +219,15 @@ class BufferPool:
 
 
 _DEFAULT_POOL = BufferPool()
+
+
+def _empty_pool_after_fork() -> None:
+    # Parked buffers are not mapped in a child; another thread may have held the lock.
+    _DEFAULT_POOL._lock = threading.Lock()
+    _DEFAULT_POOL.clear()
+
+
+os.register_at_fork(after_in_child=_empty_pool_after_fork)
 
 
 def default_pool() -> BufferPool:

@@ -124,8 +124,8 @@ class FrameAssembler:
         # The stack comes from the buffer pool (the process-wide one unless
         # a private pool is passed) and leaves through take_frames() or
         # goes back in release() — repeated runs recycle the same memory.
-        # It is not blanked: no read gets past the coverage mask, and pages
-        # nobody touched before the pool forks are pages no worker inherits.
+        # It is not blanked: no read gets past the coverage mask.  While
+        # the pool has it, a forked worker does not inherit it (DONTFORK).
         self.pool = default_pool() if pool is None else pool
         shape = (self.n_frames, self.height, self.width)
         self._stack = self.pool.acquire((*shape, 3), np.float64)
@@ -272,11 +272,11 @@ class FrameAssembler:
         incomplete.  The stack is pool-acquired, so a caller done with the
         pixels can release it back (see :meth:`repro.api.LazyFrames.release`)
         and a steady-state service re-renders same-shaped jobs without
-        fresh stack allocations.  The assembler is spent afterwards."""
+        fresh stack allocations.  It is forkable again; the assembler is spent."""
         with self._lock:
             self._check_complete()
             out, self._stack = self._stack, None
-        return out
+        return self.pool.hand_over(out)
 
     def release(self) -> None:
         """Return the stack to the pool unless :meth:`take_frames` already

@@ -10,10 +10,10 @@ equivalent, built on nothing but the stdlib socket machinery and numpy:
   :class:`~repro.sched.core.SchedulingPolicy` over worker connections
   (one lane per connection, heartbeats, per-assignment deadlines,
   loss -> ``on_worker_lost`` reassignment) and :class:`TcpTransport`
-  packages the loopback master-plus-subprocess-workers form;
-* :mod:`~repro.net.worker` — the ``python -m repro.worker`` daemon
-  (reconnect with backoff, heartbeat responder thread, continuation
-  cache reuse via the shared segment renderer);
+  packages the loopback form: a master plus workers forked from it;
+* :mod:`~repro.net.worker` — the worker daemon, forked or run remotely as
+  ``python -m repro.worker`` (reconnect with backoff, heartbeat responder
+  thread, continuation cache reuse via the shared segment renderer);
 * :mod:`~repro.net.tasks` — the name -> callable registry assignments
   dispatch through (code never crosses the wire).
 """

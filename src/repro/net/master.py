@@ -24,20 +24,21 @@ retire lost lanes permanently), which makes reconnection
 indistinguishable from a fresh machine joining the farm.
 
 :class:`TcpTransport` wraps all of this into the loopback form the tests
-and benchmarks use: bind an ephemeral port on 127.0.0.1, spawn N
-``python -m repro.worker`` subprocesses at it, serve to completion, and
-return the same :class:`~repro.runtime.supervisor.SchedOutcome` shape the
-pool produces — so :class:`~repro.runtime.local.
-LocalRenderFarm` consumes either transport identically.
+and benchmarks use: bind an ephemeral port on 127.0.0.1, fork N worker
+daemons from the master (no interpreter start-up), serve to completion,
+and return the same :class:`~repro.runtime.supervisor.SchedOutcome` the
+pool produces, so :class:`~repro.runtime.local.LocalRenderFarm` consumes
+either transport identically.  A remote workstation joins with
+``python -m repro.worker --connect HOST:PORT``.
 """
 
 from __future__ import annotations
 
+import ipaddress
+import multiprocessing
 import os
 import selectors
 import socket
-import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,22 +49,23 @@ from ..runtime.options import RecoveryOptions, RecoveryRecord
 from ..runtime.supervisor import SchedOutcome, SupervisorOutcome
 from ..telemetry import NULL
 from . import protocol as wire
+from .worker import WorkerClient
 
 __all__ = ["MasterServer", "NetStats", "TcpTransport"]
 
 #: PING cadence in seconds, and how many silent intervals mark a peer dead.
 HEARTBEAT_INTERVAL = 0.5
 HEARTBEAT_MISSES = 10
-#: Result-tile compression policy, announced to workers in WELCOME.
-COMPRESS = True
+#: Smallest array a worker zlibs when WELCOME tells it to (it is on another host).
 COMPRESS_MIN_BYTES = 4096
 
-#: A :class:`~repro.runtime.faults.WorkerKill` unit -> the daemon flag that arms it.
-_KILL_FLAGS = {
-    "assignments": "--die-after",
-    "frames": "--die-after-frames",
-    "rays": "--die-after-rays",
-}
+#: A :class:`~repro.runtime.faults.WorkerKill` unit -> the WorkerClient keyword that arms it.
+_KILL_KEYWORDS = dict(assignments="die_after", frames="die_after_frames", rays="die_after_rays")
+
+
+def _loopback(peer: str) -> bool:
+    """A loopback peer sends raw arrays: its socket beats zlib on a 24 KB tile."""
+    return ipaddress.ip_address(peer).is_loopback
 
 
 def _field(payload: dict, key: str, kind, default):
@@ -91,7 +93,6 @@ class NetStats:
     n_losses: int = 0
     n_assignments: int = 0
     n_results: int = 0
-    compress: bool = True
     #: Distributed-framebuffer accounting (zero when tiles are off).
     n_tiles: int = 0
     tile_bytes: int = 0
@@ -126,6 +127,7 @@ class _Conn:
         "host",
         "cores",
         "score",
+        "compress",
         "registered",
         "joined",
         "flight",
@@ -137,13 +139,14 @@ class _Conn:
         "pid",
     )
 
-    def __init__(self, sock: socket.socket, now: float) -> None:
+    def __init__(self, sock: socket.socket, now: float, compress: bool) -> None:
         self.sock = sock
         self.assembler = wire.FrameAssembler()
         self.name = ""
         self.host = "?"
         self.cores = 0
         self.score = 0.0
+        self.compress = compress  # WELCOME tells the worker to zlib its arrays
         self.registered = False
         self.joined = now
         self.flight = None  # the RecoveryRecord flight of its one dispatch
@@ -255,7 +258,7 @@ class MasterServer:
             if self.blackbox_dir is not None
             else None
         )
-        self.net = NetStats(compress=COMPRESS)
+        self.net = NetStats()
         self.workers: dict[str, dict] = {}  # lane -> {host, cores, score, n_done}
         self.address: tuple[str, int] | None = None
         self._listener: socket.socket | None = None
@@ -331,9 +334,9 @@ class MasterServer:
 
     # -- socket events -----------------------------------------------------
     def _accept(self, sel) -> None:
-        sock, _addr = self._listener.accept()
+        sock, addr = self._listener.accept()
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _Conn(sock, time.perf_counter())
+        conn = _Conn(sock, time.perf_counter(), compress=not _loopback(addr[0]))
         self._conns[sock.fileno()] = conn
         sel.register(sock, selectors.EVENT_READ, conn)
 
@@ -395,7 +398,7 @@ class MasterServer:
                 "proto": wire.PROTO_VERSION,
                 "minor": wire.PROTO_MINOR,
                 "heartbeat_interval": HEARTBEAT_INTERVAL,
-                "compress": COMPRESS,
+                "compress": conn.compress,
                 "compress_min_bytes": COMPRESS_MIN_BYTES,
                 "tiles": self.assembler is not None,
                 "tile_px": self.tile_px,
@@ -409,6 +412,8 @@ class MasterServer:
                 score=conn.score,
             )
             self._last_progress = now
+            # A clock sample now: a run shorter than a heartbeat gets one too.
+            self._ping(sel, conn, time.perf_counter())
         elif msg_type == wire.MSG_PONG:
             self.net.n_pongs += 1
             conn.last_pong = now
@@ -556,7 +561,7 @@ class MasterServer:
             worker=conn.name,
             seq=a.seq,
             nbytes=nbytes,
-            compressed=self.net.compress,
+            compressed=conn.compress,
             duration=duration,
         )
         self.policy.on_result(conn.name, a)
@@ -671,13 +676,15 @@ class MasterServer:
 
     def _ping_all(self, sel, now: float) -> None:
         for conn in list(self._conns.values()):
-            if conn.closed or not conn.registered:
-                continue
-            try:
-                self._send(conn, wire.MSG_PING, {"t": now})
-                self.net.n_pings += 1
-            except OSError:
-                self._lose(sel, conn, "eof")
+            if not conn.closed and conn.registered:
+                self._ping(sel, conn, now)
+
+    def _ping(self, sel, conn: _Conn, now: float) -> None:
+        try:
+            self._send(conn, wire.MSG_PING, {"t": now})
+            self.net.n_pings += 1
+        except OSError:
+            self._lose(sel, conn, "eof")
 
     # -- loss --------------------------------------------------------------
     def _reject(self, sel, conn: _Conn, payload) -> None:
@@ -778,8 +785,18 @@ class MasterServer:
         sel.close()
 
 
+def _crew_member(listener: socket.socket, port: int, options: dict) -> None:
+    """One forked loopback worker: drop the master's listener, go quiet, serve,
+    and leave through ``os._exit`` so the master's exit handlers never run here."""
+    listener.close()
+    with open(os.devnull, "wb") as quiet:
+        os.dup2(quiet.fileno(), 1)
+        os.dup2(quiet.fileno(), 2)
+    os._exit(WorkerClient("127.0.0.1", port, score=1.0, **options).run())
+
+
 class TcpTransport:
-    """Loopback network farm: master + N worker subprocesses on 127.0.0.1.
+    """Loopback network farm: master + N forked worker daemons on 127.0.0.1.
 
     Mirrors the :class:`~repro.runtime.supervisor.TaskSupervisor` calling
     convention (``policy``, task, ``materialize``, ``options`` -> ``run()``
@@ -788,11 +805,11 @@ class TcpTransport:
     really cross sockets; only the hosts are collapsed onto one machine.
 
     Read off ``options`` (:class:`~repro.runtime.options.FarmOptions`)
-    here: ``n_workers`` daemons are spawned; ``telemetry``, ``tile_px``,
+    here: ``n_workers`` daemons are forked; ``telemetry``, ``tile_px``,
     ``blackbox_dir`` and the recovery contract go to the master (a
     ``recovery=`` keyword overrides the last); each
     :class:`~repro.runtime.faults.WorkerKill` of ``fault_plan`` arms its
-    daemon with the matching ``--die-after*`` flag — a workstation dying
+    daemon with the matching ``die_after*`` keyword — a workstation dying
     mid-sequence — and the master then waits for every daemon to join,
     so the victim is handed work however the connect race went.
     """
@@ -809,27 +826,15 @@ class TcpTransport:
             blackbox_dir=options.blackbox_dir, **master_kwargs
         )
 
-    def _spawn(self, port: int, index: int) -> subprocess.Popen:
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro.worker",
-            "--connect",
-            f"127.0.0.1:{port}",
-            "--score",
-            "1.0",  # skip calibration: loopback workers are homogeneous
-        ]
-        for kill in self.kills:
-            if kill.worker == index:
-                cmd += [_KILL_FLAGS[kill.unit], str(kill.after)]
-        if self.master.blackbox_dir is not None:
-            cmd += ["--blackbox-dir", str(self.master.blackbox_dir)]
-        env = os.environ.copy()
-        src = str(Path(__file__).resolve().parents[2])
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        return subprocess.Popen(
-            cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    def _spawn(self, port: int, index: int) -> multiprocessing.Process:
+        """Fork daemon ``index`` (the fork context flushes std streams first)."""
+        options = {_KILL_KEYWORDS[k.unit]: k.after for k in self.kills if k.worker == index}
+        options["blackbox_dir"] = self.master.blackbox_dir
+        proc = multiprocessing.get_context("fork").Process(
+            target=_crew_member, args=(self.master._listener, port, options)
         )
+        proc.start()
+        return proc
 
     def run(self):
         _host, port = self.master.listen()
@@ -838,8 +843,7 @@ class TcpTransport:
             return self.master.serve()
         finally:
             for proc in procs:
-                try:
-                    proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
+                proc.join(timeout=5.0)
+                if proc.is_alive():
                     proc.kill()
-                    proc.wait()
+                    proc.join()

@@ -66,6 +66,15 @@ def _tap_dispatch(rec: dict) -> None:
         recorder.record(rec)
 
 
+def _disarm_after_fork() -> None:
+    # A fork dumps no parent's ring; newest-first unchains SIGTERM/excepthook.
+    for recorder in reversed(_RECORDERS[:]):
+        recorder.uninstall()
+
+
+os.register_at_fork(after_in_child=_disarm_after_fork)
+
+
 def blackbox_filename(role: str, pid: int) -> str:
     return f"blackbox_{role}_{int(pid)}.jsonl"
 

@@ -123,7 +123,7 @@ def fetch_status(
     addr: str,
     timeout: float = 2.0,
     path: str = "/status",
-    retries: int = 3,
+    retries: int = 4,
     retry_delay: float = 0.1,
 ) -> dict:
     """GET a snapshot from ``host:port`` (or a full http URL).
@@ -131,10 +131,10 @@ def fetch_status(
     ``path`` picks the endpoint — ``/status`` for the farm view,
     ``/jobs`` for the render service's job table.
 
-    A connection-refused is retried ``retries`` times with a short
-    doubling delay: pollers (``repro top``, the smoke drills) race daemon
-    startup, and the socket existing a beat later is the common case.
-    Anything else — timeouts, HTTP errors, bad JSON — raises immediately.
+    A refused connection (a poller racing daemon startup) is retried
+    ``retries`` times, the delay doubling from ``retry_delay`` to at most
+    0.2 s, so that even a sub-second farm run is seen.  Anything else —
+    timeouts, HTTP errors, bad JSON — raises immediately.
     """
     url = addr if addr.startswith("http") else f"http://{addr}{path}"
     delay = retry_delay
@@ -147,7 +147,7 @@ def fetch_status(
             if not refused or attempt >= retries:
                 raise
             time.sleep(delay)
-            delay *= 2
+            delay = min(2 * delay, 0.2)
 
 
 def _age_str(age) -> str:

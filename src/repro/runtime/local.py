@@ -29,7 +29,7 @@ Transports: ``process`` runs the units on this host through the supervised
 pool (executors ``process`` — fork-based, the real thing — ``thread``, or
 the deterministic in-process ``serial``), whose results carry the
 unit's pixels home (in shared memory on the process executor); ``tcp``
-serves them to spawned ``python -m repro.worker`` daemons over loopback
+serves them to worker daemons forked from the master, over loopback
 sockets, which stream each finished frame to the master as tiles.
 
 Dispatch is **supervised**, the same way on both transports: per-unit
@@ -187,6 +187,18 @@ _SEGMENT_CACHE_MAX = 16
 
 def _segment_cache_key(spec, box, grid_resolution, samples, frame) -> tuple:
     return (_spec_key(spec), box, int(grid_resolution), int(samples), int(frame))
+
+
+def _reset_caches_after_fork() -> None:
+    # A forked child continues no chain its parent parked, and another thread
+    # may have held a lock at fork time.  _WORKER_CACHE is a function of specs.
+    global _WORKER_CACHE_LOCK, _SEGMENT_CACHE_LOCK
+    _WORKER_CACHE_LOCK = threading.Lock()
+    _SEGMENT_CACHE_LOCK = threading.Lock()
+    _SEGMENT_CACHE.clear()
+
+
+os.register_at_fork(after_in_child=_reset_caches_after_fork)
 
 
 def _render_segment_task(args, emit_tile=None):

@@ -24,6 +24,7 @@ instrumentation can stay unconditionally in hot paths.
 from __future__ import annotations
 
 import json
+import os
 import time
 import weakref
 from contextlib import contextmanager
@@ -41,8 +42,9 @@ __all__ = ["Telemetry", "VirtualClock", "NULL", "set_flight_tap", "live_sessions
 _FLIGHT_TAP = None
 
 #: Weak registry of live *enabled* sessions, so a crash-time dump can walk
-#: still-open span stacks and synthesize their close records.
+#: still-open span stacks and synthesize their close records (none in a fork).
 _LIVE: "weakref.WeakSet[Telemetry]" = weakref.WeakSet()
+os.register_at_fork(after_in_child=_LIVE.clear)
 
 
 def set_flight_tap(tap) -> None:

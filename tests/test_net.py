@@ -8,11 +8,15 @@ stays bit-identical to the serial reference even when a worker daemon is
 killed mid-sequence.
 """
 
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +335,14 @@ def test_older_worker_is_turned_away_at_hello():
     assert [r["attrs"]["reason"] for r in lost] == ["proto"]
 
 
+def _unpinged(sock):
+    """The next frame that is not a PING (the master pings a lane as soon
+    as it registers, for a first clock sample)."""
+    while (got := wire.recv_frame(sock))[0] == wire.MSG_PING:
+        pass
+    return got
+
+
 @pytest.mark.usefixtures("no_leaks")
 def test_malformed_frame_is_a_clean_loss():
     """A registered peer that sends a well-framed payload of junk costs the
@@ -352,7 +364,7 @@ def test_malformed_frame_is_a_clean_loss():
                 "host": "rogue", "pid": 1, "cores": 1, "score": 1.0,
             })
             assert wire.recv_frame(sock)[0] == wire.MSG_WELCOME
-            assert wire.recv_frame(sock)[0] == wire.MSG_ASSIGN
+            assert _unpinged(sock)[0] == wire.MSG_ASSIGN
             sock.sendall(_frame(_MALFORMED["bad-zlib-stream"]))
             junk_sent.set()
             sock.settimeout(10.0)
@@ -428,7 +440,7 @@ def test_badly_typed_field_is_a_clean_loss(tcp_spec, serial_reference, msg_type,
         with socket.create_connection((host, port)) as sock:
             wire.send_frame(sock, wire.MSG_HELLO, _hello())
             assert wire.recv_frame(sock)[0] == wire.MSG_WELCOME
-            msg, assign = wire.recv_frame(sock)
+            msg, assign = _unpinged(sock)
             assert msg == wire.MSG_ASSIGN
             wire.send_frame(sock, msg_type, {**payload, "seq": assign["seq"]})
             bad_sent.set()
@@ -519,6 +531,32 @@ def test_worker_connects_before_master_listens():
     assert len(out.results) == 3
     assert exit_code.get("rc") == 0  # clean SHUTDOWN
     assert client.n_rendered == 3
+
+
+@pytest.mark.usefixtures("no_leaks")
+def test_exec_daemon_serves_its_units_and_exits_on_shutdown():
+    """The loopback crew is forked, but a remote workstation still joins
+    by exec'ing ``python -m repro.worker``: that daemon registers, serves
+    every unit and exits 0 on SHUTDOWN."""
+    policy = make_policy("frame-division-nofc", 4, n_regions=1)
+    master = MasterServer(policy, "echo", lambda a, lane: (a.seq, lane), recovery=PATIENT)
+    _host, port = master.listen()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.worker", "--connect", f"127.0.0.1:{port}", "--score", "1.0"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        out = master.serve()
+        assert proc.wait(timeout=30.0) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert sorted(out.results) == [(seq, "w0") for seq in range(4)]
+    assert out.workers["w0"]["n_done"] == 4 and out.net.n_losses == 0
 
 
 @pytest.mark.usefixtures("no_leaks")

@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-CEILING = 21468
+CEILING = 21528
 OPTION_CEILING = 97
 
 SRC = Path(__file__).resolve().parent.parent / "src"
