@@ -2,8 +2,9 @@
 
 Not tied to a specific table/figure — these are the throughput numbers a
 downstream user of the library cares about, and the regression guard for
-the vectorized kernels: primitive intersection, 3-D DDA marking, voxel
-pixel-list updates, full-frame tracing and one coherent step.
+the vectorized kernels: primitive intersection, one frame-division
+block's scene queries, 3-D DDA marking, voxel pixel-list updates,
+full-frame tracing and one coherent step.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import pytest
 from repro.accel import UniformGrid, traverse
 from repro.coherence import CoherentRenderer, VoxelPixelMap
 from repro.geometry import Cylinder, Sphere, TriangleMesh
-from repro.render import RayTracer
+from repro.parallel.partition import PixelRegion
+from repro.render import RayTracer, SceneIntersector
 from repro.rmath import AABB, normalize, vec3
 from repro.scenes import newton_animation, newton_scene
 
@@ -55,6 +57,27 @@ def test_mesh_intersection_throughput(benchmark, ray_batch):
     m = TriangleMesh(vertices, faces)
     t, _ = benchmark(m.intersect, origins, dirs)
     assert np.isfinite(t).any()
+
+
+def test_block_batch_queries(benchmark):
+    """A frame-division block's queries: ``nearest`` and one shadow volley
+    per light for a 32x32 camera block of Newton frame 0 (most objects are
+    out of the block's reach, which the batch skip is for)."""
+    scene = newton_scene(width=160, height=120)
+    batch = scene.camera.rays_for_pixels(PixelRegion(64, 32, 96, 64, width=160).pixels)
+    intersector = SceneIntersector(scene.objects)
+
+    def queries():
+        hit = intersector.nearest(batch)
+        pts = batch.origins[hit.hit] + hit.t[hit.hit, None] * batch.dirs[hit.hit]
+        for light in scene.lights:
+            to_light = light.position - pts
+            dist = np.linalg.norm(to_light, axis=1)
+            intersector.shadow_attenuation(pts, to_light / dist[:, None], dist)
+        return hit
+
+    hit = benchmark(queries)
+    assert hit.hit.any() and not hit.hit.all()
 
 
 def test_dda_traversal_throughput(benchmark, ray_batch):

@@ -20,17 +20,23 @@ copies preserve.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..accel import UniformGrid
 from ..rmath import AABB
 from ..scene import Scene
 
-__all__ = ["changed_voxels", "scene_signature", "objects_changed"]
+__all__ = ["changed_voxels", "changed_voxels_once", "scene_signature", "objects_changed"]
 
 #: Safety margin (in fractions of a voxel edge) added around moved-object
 #: bounds, covering shading-epsilon offsets at surfaces on voxel boundaries.
 _MARGIN_CELLS = 0.01
+
+#: Per grid, ``{(id(prev), id(curr)): (prev, curr, voxels)}``; see
+#: :func:`changed_voxels_once`.  Weakly keyed: the entries go with the grid.
+_CHANGE_SETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _clip_box(grid: UniformGrid, box: AABB) -> AABB:
@@ -104,6 +110,21 @@ def changed_voxels(grid: UniformGrid, prev: Scene, curr: Scene) -> np.ndarray:
     if not vox:
         return np.empty(0, dtype=np.int64)
     return np.unique(np.concatenate(vox))
+
+
+def changed_voxels_once(grid: UniformGrid, prev: Scene, curr: Scene, bound: int) -> np.ndarray:
+    """:func:`changed_voxels`, once per grid and transition: a farm worker's
+    renderers share its grid, so not once per block.  The key is the two
+    scenes themselves (the entry holds both, so no id is recycled), since
+    one grid may serve two animations; at most ``bound`` entries are kept."""
+    memo = _CHANGE_SETS.setdefault(grid, {})
+    key = (id(prev), id(curr))
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo.setdefault(key, (prev, curr, changed_voxels(grid, prev, curr)))
+        for stale in list(memo)[: max(0, len(memo) - bound)]:
+            memo.pop(stale, None)
+    return entry[2]
 
 
 def scene_signature(scene: Scene) -> tuple:

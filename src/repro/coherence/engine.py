@@ -36,7 +36,7 @@ from ..render import Framebuffer, RayStats, RayTracer
 from ..rmath import AABB, union
 from ..scene import Animation
 from ..telemetry import NULL as NULL_TELEMETRY
-from .change_detection import changed_voxels
+from .change_detection import changed_voxels_once
 from .voxel_pixel_map import VoxelPixelMap
 
 __all__ = ["CoherentRenderer", "FrameReport", "grid_for_animation", "emit_frame_telemetry"]
@@ -176,7 +176,7 @@ class CoherentRenderer:
     # -- the algorithm --------------------------------------------------------
     def predict_dirty_pixels(self, prev_scene, curr_scene) -> tuple[np.ndarray, int]:
         """Recompute set for the transition prev -> curr, within the region."""
-        vox = changed_voxels(self.grid, prev_scene, curr_scene)
+        vox = changed_voxels_once(self.grid, prev_scene, curr_scene, self.animation.n_frames)
         if vox.size == self.grid.n_voxels:
             # Full invalidation (light/background edit, moving plane): every
             # pixel of the region must recompute — including pixels whose

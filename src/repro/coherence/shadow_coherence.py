@@ -33,7 +33,7 @@ import numpy as np
 
 from ..render import RayTracer, ShadowCache
 from ..scene import Animation
-from .change_detection import changed_voxels
+from .change_detection import changed_voxels_once
 from .engine import CoherentRenderer, FrameReport
 from .voxel_pixel_map import VoxelPixelMap
 
@@ -73,7 +73,7 @@ class ShadowCoherentRenderer(CoherentRenderer):
     # -- prediction ------------------------------------------------------------
     def predict(self, prev_scene, curr_scene) -> tuple[np.ndarray, np.ndarray, int]:
         """(dirty, shadow_reusable, n_changed_voxels) for prev -> curr."""
-        vox = changed_voxels(self.grid, prev_scene, curr_scene)
+        vox = changed_voxels_once(self.grid, prev_scene, curr_scene, self.animation.n_frames)
         if vox.size == self.grid.n_voxels:
             # Full invalidation: everything recomputes, nothing is reusable
             # (a light may have moved, so cached attenuations are dead).

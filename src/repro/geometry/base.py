@@ -103,8 +103,12 @@ class Primitive(ABC):
         return t, normalize(tf.apply_normals(n))
 
     def bounds(self) -> AABB:
-        """World-space bounding box."""
-        return self.transform.apply_aabb(self.local_bounds())
+        """World-space bounding box, computed once per placement."""
+        placed = self.__dict__.get("_placed_bounds")
+        if placed is None or placed[0] is not self.transform:
+            box = self.transform.apply_aabb(self.local_bounds())
+            placed = self._placed_bounds = (self.transform, box)
+        return placed[1]
 
     @property
     def intersect_cost_hint(self) -> float:

@@ -1,17 +1,18 @@
 """Nearest-hit and occlusion queries over a scene's object list.
 
-The intersector evaluates every primitive against the whole ray batch as a
+The intersector evaluates each primitive against the whole ray batch as a
 vectorized broadcast.  For the handful-of-quadrics scenes of the paper (the
 Newton scene has 22 objects) this does far less Python-level work than a
 per-ray grid walk would, which is the right trade-off in numpy; the uniform
 grid's job in this system is *coherence tracking*, not hit-finding.
 
-For larger scenes the intersector adds **bounds culling**: each object's
-world AABB is slab-tested against the batch first (a cheap fused kernel),
-the expensive primitive test runs only on the surviving rays, and the slab
-entry distance prunes objects that cannot beat the current best hit.
-Culling is enabled automatically above a small object count and never
-changes results.
+Two bounds tests, neither of which changes a result, keep it from paying
+for what no ray can hit.  The **batch skip** slab-tests the batch's
+componentwise origin and direction intervals against every finite object's
+padded AABB: an object no ray can reach is not evaluated, so a
+frame-division block pays for the few objects it sees.  The **per-ray
+cull** slab-tests objects whose ``intersect_cost_hint`` says the primitive
+is expensive (meshes) ray by ray, and prunes by the best hit so far.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ __all__ = ["SceneIntersector", "HitRecord"]
 #: A slab test costs roughly one sphere test, so only primitives at least
 #: this many times more expensive are worth pre-testing.
 _CULL_COST_THRESHOLD = 4.0
+
+#: The batch skip grows boxes by this fraction of (1 + their largest |coordinate|):
+#: far more than the few ulps a computed hit can stray outside its exact AABB.
+_SKIP_PAD = 1e-9
 
 
 class HitRecord:
@@ -56,8 +61,9 @@ class SceneIntersector:
     objects:
         The scene's primitives.
     cull_bounds:
-        ``True`` forces AABB pre-tests on every finite object, ``False``
-        disables them entirely; ``None`` (default) pre-tests only objects
+        ``True`` forces per-ray AABB pre-tests on every finite object,
+        ``False`` disables every bounds test, the batch skip included (the
+        reference); ``None`` (default) pre-tests ray by ray only objects
         whose ``intersect_cost_hint`` says the primitive test is expensive
         enough to be worth saving (meshes, mainly).
     """
@@ -65,9 +71,9 @@ class SceneIntersector:
     def __init__(self, objects: list[Primitive], cull_bounds: bool | None = None):
         self.objects = list(objects)
         #: Running count of per-ray primitive intersection tests actually
-        #: executed (culled rays excluded).  Monotonic; readers take deltas.
-        #: The increments are O(1) integer adds on already-materialized
-        #: arrays, so the counter is always on.
+        #: executed (culled rays and skipped objects excluded).  Monotonic;
+        #: readers take deltas.  The increments are O(1) integer adds on
+        #: already-materialized arrays, so the counter is always on.
         self.n_primitive_tests = 0
         self._box_lo: list[np.ndarray | None] = []
         self._box_hi: list[np.ndarray | None] = []
@@ -83,6 +89,41 @@ class SceneIntersector:
                 cull = finite and bool(cull_bounds)
             self._cull.append(cull)
         self.cull_bounds = any(self._cull)
+        skip = cull_bounds is not False  # False: the reference, no bounds test at all
+        rows = [i for i, lo in enumerate(self._box_lo) if lo is not None and skip]
+        self._skip_rows = np.array(rows, dtype=np.int64)
+        box = np.array([(self._box_lo[i], self._box_hi[i]) for i in rows]).reshape(-1, 2, 3)
+        pad = _SKIP_PAD * (1.0 + np.abs(box).max(axis=(1, 2))[:, None])
+        self._skip_lo, self._skip_hi = box[:, 0] - pad, box[:, 1] + pad
+
+    def _reachable(self, origins: np.ndarray, dirs: np.ndarray, max_dist=None) -> list[int]:
+        """Indices of the objects a ray of the batch may reach (within ``max_dist``).
+
+        At ``t >= 0`` every ray lies in ``[o_min + t d_min, o_max + t d_max]``,
+        so an object whose box that interval box never overlaps would miss
+        every ray.  Infinite objects are always in, everything when a bound
+        is not finite (a NaN row).
+        """
+        reach = np.ones(len(self.objects), dtype=bool)
+        if not (self._skip_rows.size and origins.shape[0]):
+            return list(range(len(self.objects)))
+        o_min, o_max = origins.min(axis=0), origins.max(axis=0)
+        d_min, d_max = dirs.min(axis=0), dirs.max(axis=0)
+        t_max = np.inf if max_dist is None else max_dist.max()
+        if not (np.isfinite([o_min, o_max, d_min, d_max]).all() and t_max >= 0.0):
+            return list(range(len(self.objects)))
+        lo, hi = self._skip_lo, self._skip_hi
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t_hi = (hi - o_min) / d_min  # where o_min + t d_min crosses hi
+            t_lo = (lo - o_max) / d_max  # where o_max + t d_max crosses lo
+        # A positive component leaves the hi side and enters the lo side at
+        # those t; a negative one does the opposite; a zero one never moves.
+        enter = np.maximum(np.where(d_max > 0, t_lo, 0.0), np.where(d_min < 0, t_hi, 0.0))
+        leave = np.minimum(np.where(d_min > 0, t_hi, np.inf), np.where(d_max < 0, t_lo, np.inf))
+        still = ((d_min != 0) | (o_min <= hi)) & ((d_max != 0) | (o_max >= lo))
+        ok = (enter.max(axis=1) <= np.minimum(leave.min(axis=1), t_max)) & still.all(axis=1)
+        reach[self._skip_rows] = ok
+        return np.flatnonzero(reach).tolist()
 
     def nearest(self, batch: RayBatch) -> HitRecord:
         """Closest intersection per ray."""
@@ -92,7 +133,8 @@ class SceneIntersector:
         best_n = np.zeros((n, 3), dtype=np.float64)
         inv = batch.inv_dirs if self.cull_bounds else None
         rows = np.arange(n)
-        for idx, obj in enumerate(self.objects):
+        for idx in self._reachable(batch.origins, batch.dirs):
+            obj = self.objects[idx]
             lo = self._box_lo[idx]
             if self._cull[idx]:
                 box_hit, t_enter, _ = ray_aabb_intersect(
@@ -142,7 +184,8 @@ class SceneIntersector:
             with np.errstate(divide="ignore"):
                 inv = 1.0 / dirs
         rows = np.arange(n)
-        for idx, obj in enumerate(self.objects):
+        for idx in self._reachable(origins, dirs, max_dist):
+            obj = self.objects[idx]
             lo = self._box_lo[idx]
             if self._cull[idx]:
                 # Fully shadowed rays cannot get darker; skip them too.

@@ -91,7 +91,8 @@ class TraceResult:
     rays_per_pixel : (K,) total rays fired on behalf of each traced pixel
         (the cost signal consumed by the cluster simulator's oracle)
     n_intersection_tests : per-ray primitive intersection tests executed
-        during this trace (telemetry; culled rays excluded)
+        during this trace (telemetry; culled rays and objects the batch skip
+        proved unreachable excluded)
     """
 
     pixel_ids: np.ndarray

@@ -81,7 +81,8 @@ __all__ = ["LocalRenderFarm", "FarmResult"]
 # Per-process cache keyed by spec: workers build each animation (and its
 # voxel grid, keyed by spec + resolution) once, and concurrent farms with
 # *different* specs (the thread executor shares this module's globals)
-# cannot evict or corrupt each other's entry mid-render.
+# cannot evict or corrupt each other's entry mid-render.  The animation keeps
+# each frame's scene and the grid keys its change sets: once per worker, not per block.
 _WORKER_CACHE: dict[tuple, object] = {}
 _WORKER_CACHE_LOCK = threading.Lock()
 _WORKER_CACHE_MAX = 8

@@ -100,9 +100,18 @@ class FunctionAnimation(Animation):
         missing = set(self.motions) - names
         if missing:
             raise KeyError(f"motions reference unknown objects: {sorted(missing)}")
+        self._scenes: dict[int, Scene] = {}
 
     def scene_at(self, frame: int) -> Scene:
+        """The scene for ``frame``, built once: every call returns the same
+        object, which is what change sets are keyed by."""
         frame = self._check_frame(frame)
+        scene = self._scenes.get(frame)
+        if scene is None:
+            scene = self._scenes.setdefault(frame, self._build_scene(frame))
+        return scene
+
+    def _build_scene(self, frame: int) -> Scene:
         objects: list[Primitive] = []
         for obj in self.base_scene.objects:
             fn = self.motions.get(obj.name)

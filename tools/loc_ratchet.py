@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-CEILING = 21528
+CEILING = 21607
 OPTION_CEILING = 97
 
 SRC = Path(__file__).resolve().parent.parent / "src"
