@@ -74,7 +74,7 @@ def test_fault_tolerance_recovery_cost(benchmark, newton_oracle, results_dir):
         lines.append(
             f"{name:24s} {out.total_time:>10.1f} {out.total_time / clean.total_time:>8.2f}x "
             f"{out.total_rays:>10,d} {len(out.frame_completion_times):>7d} "
-            f"{out.n_steals + out.n_reassigned:>7d}"
+            f"{out.n_steals + out.recovery['retries']:>7d}"
         )
     write_result(results_dir, "ablation_fault_tolerance.txt", "\n".join(lines))
 

@@ -1,40 +1,32 @@
-"""The repro.net master: drive a scheduling policy over real TCP sockets.
+"""The repro.net master: the TCP shell of the :class:`~repro.sched.master.MasterCore`.
 
-This is the third transport for the :mod:`repro.sched` state machines.
-Where :class:`~repro.sched.sim.SimTransport` replays assignments against
-modelled costs and :class:`~repro.runtime.supervisor.TaskSupervisor` runs
-them through a single-host pool, :class:`MasterServer` plays the role of
-the paper's PVM master: workers register over a socket (advertising
-hostname, cores, and a calibration score), each live connection is one
-scheduling *lane* with at most one assignment in flight — which is what
-preserves chain affinity and keeps the worker-side
-:class:`~repro.coherence.CoherentRenderer` continuation cache warm — and
-results stream back as framed binary messages.
-
-Robustness is the pool's, booked in the same
-:class:`~repro.runtime.options.RecoveryRecord`: per-assignment deadlines
-follow the one :class:`~repro.runtime.options.RecoveryOptions` rule,
-heartbeat PINGs distinguish *dead* from *busy rendering* (the worker's
-reader thread answers pongs mid-render, so only a vanished peer goes
-silent), and any loss — EOF, blown deadline, missed heartbeats, task
-error, a message that will not parse, invalid result — feeds
-``policy.on_worker_lost`` so the policy requeues the lane's chain for the
-surviving workers.  A worker that reconnects is a *new* lane (policies
-retire lost lanes permanently), which makes reconnection
-indistinguishable from a fresh machine joining the farm.
+:class:`MasterServer` plays the role of the paper's PVM master on real
+sockets.  What it keeps is the network's: the listener and the selector
+loop; the HELLO/WELCOME handshake, where a worker advertises hostname,
+cores and a calibration score and its connection becomes a scheduling
+*lane*; ASSIGN frames out and RESULT frames in; heartbeat PINGs that tell
+*dead* from *busy rendering* (the worker's reader thread answers pongs
+mid-render, so only a vanished peer goes silent); streamed tiles into the
+distributed framebuffer, whose composited frames are salvaged when a lane
+is lost; and black-box dumps.  Which unit a lane gets, when it is overdue,
+whether its result is accepted and what a loss requeues are the core's,
+the same core the pool and the simulator drive.  A worker that reconnects
+is a *new* lane, which makes reconnection indistinguishable from a fresh
+machine joining the farm.
 
 :class:`TcpTransport` wraps all of this into the loopback form the tests
 and benchmarks use: bind an ephemeral port on 127.0.0.1, fork N worker
 daemons from the master (no interpreter start-up), serve to completion,
-and return the same :class:`~repro.runtime.supervisor.SchedOutcome` the
-pool produces, so :class:`~repro.runtime.local.LocalRenderFarm` consumes
-either transport identically.  A remote workstation joins with
+and return the same :class:`~repro.runtime.supervisor.SchedOutcome` the pool
+produces, so :class:`~repro.runtime.local.LocalRenderFarm` consumes either
+transport identically.  A remote workstation joins with
 ``python -m repro.worker --connect HOST:PORT``.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import json
 import multiprocessing
 import os
 import selectors
@@ -45,8 +37,7 @@ from pathlib import Path
 
 from ..dfb import DEFAULT_TILE_PX
 from ..obs.flight import FlightRecorder, blackbox_filename
-from ..runtime.options import RecoveryOptions, RecoveryRecord
-from ..runtime.supervisor import SchedOutcome, SupervisorOutcome
+from ..runtime.options import Close, RecoveryOptions
 from ..telemetry import NULL
 from . import protocol as wire
 from .worker import WorkerClient
@@ -77,6 +68,20 @@ def _field(payload: dict, key: str, kind, default):
         return kind(value)
     except (TypeError, ValueError):
         raise wire.ProtocolError(f"bad {key!r} field: {value!r}") from None
+
+
+def _events(buffer) -> list:
+    """A peer's event buffer (a list of records, or its JSON text), checked
+    whole before any of it is absorbed: anything else is a protocol error."""
+    try:
+        events = json.loads(buffer) if isinstance(buffer, str) else buffer
+    except ValueError:
+        events = None
+    if not isinstance(events, list) or not all(
+        isinstance(r, dict) and isinstance(r.get("t", 0.0), (int, float)) for r in events
+    ):
+        raise wire.ProtocolError(f"bad 'events' field: {str(buffer)[:80]!r}")
+    return events
 
 
 @dataclass
@@ -117,48 +122,26 @@ def _drop(sel, sock: socket.socket) -> None:
         pass
 
 
+@dataclass(eq=False, slots=True)
 class _Conn:
     """One accepted connection: a lane once registered, a stranger before."""
 
-    __slots__ = (
-        "sock",
-        "assembler",
-        "name",
-        "host",
-        "cores",
-        "score",
-        "compress",
-        "registered",
-        "joined",
-        "flight",
-        "deadline",
-        "last_pong",
-        "closed",
-        "offset",
-        "rtt_best",
-        "pid",
-    )
-
-    def __init__(self, sock: socket.socket, now: float, compress: bool) -> None:
-        self.sock = sock
-        self.assembler = wire.FrameAssembler()
-        self.name = ""
-        self.host = "?"
-        self.cores = 0
-        self.score = 0.0
-        self.compress = compress  # WELCOME tells the worker to zlib its arrays
-        self.registered = False
-        self.joined = now
-        self.flight = None  # the RecoveryRecord flight of its one dispatch
-        self.deadline: float | None = None
-        self.last_pong = now
-        self.closed = False
-        # Clock-skew estimate: worker_clock - master_clock, refined from
-        # the lowest-rtt PONG seen (a symmetric-delay midpoint estimate;
-        # on one host perf_counter is shared and this converges to ~0).
-        self.offset = 0.0
-        self.rtt_best = float("inf")
-        self.pid = 0  # worker process id from HELLO (black-box lookup)
+    sock: socket.socket
+    compress: bool  # WELCOME tells the worker to zlib its arrays
+    assembler: wire.FrameAssembler = field(default_factory=wire.FrameAssembler)
+    name: str = ""
+    host: str = "?"
+    cores: int = 0
+    score: float = 0.0
+    registered: bool = False
+    last_pong: float = 0.0  # set at HELLO
+    closed: bool = False
+    # Clock-skew estimate: worker_clock - master_clock, refined from the
+    # lowest-rtt PONG seen (a symmetric-delay midpoint estimate; on one
+    # host perf_counter is shared and this converges to ~0).
+    offset: float = 0.0
+    rtt_best: float = float("inf")
+    pid: int = 0  # worker process id from HELLO (black-box lookup)
 
 
 class MasterServer:
@@ -166,20 +149,12 @@ class MasterServer:
 
     Parameters
     ----------
-    policy:
-        The scheduling state machine; consumed (policies are single-use).
+    policy, materialize, validate, recovery, trace_root:
+        The :class:`~repro.sched.master.MasterCore`'s (``materialize``
+        returns wire-encodable task args; a run whose unit is out of
+        attempts fails).
     task_name:
         Registry name (:mod:`repro.net.tasks`) the workers execute.
-    materialize:
-        ``materialize(assignment, lane) -> wire-encodable task args``.
-    validate:
-        Optional ``validate(args, result) -> bool`` corruption gate; a
-        rejected result — or a validator that raises — counts as a worker
-        loss (reason ``invalid``).
-    recovery:
-        The :class:`~repro.runtime.options.RecoveryOptions`: the ceiling
-        on dispatches of one work unit (keyed by region + end frame)
-        before the run fails loudly, and the per-assignment deadline rule.
     accept_timeout:
         How long the master waits with work pending but no workers
         connected before giving up.
@@ -230,12 +205,10 @@ class MasterServer:
         session=None,
         blackbox_dir=None,
     ) -> None:
-        self.policy = policy
+        self.policy = policy  # read by a shard session, which binds its own units
         self.task_name = task_name
-        self.materialize = materialize
         self.host = host
         self.port = int(port)
-        self.validate = validate
         self.accept_timeout = float(accept_timeout)
         self.min_lanes = max(1, int(min_lanes))
         self.telemetry = telemetry if telemetry is not None else NULL
@@ -243,7 +216,12 @@ class MasterServer:
         # trace_root parents the per-assignment ``obs.flight`` spans (the
         # run's root span when the farm drives us; None = flights are trace
         # roots themselves).
-        self.record = RecoveryRecord(recovery, self.telemetry, trace_root)
+        from ..sched.master import MasterCore  # repro.sched imports repro.runtime
+
+        self.core = MasterCore(
+            policy, materialize, recovery, validate=validate,
+            telemetry=self.telemetry, trace_root=trace_root,
+        )
         self.assembler = assembler
         self.tile_px = DEFAULT_TILE_PX if tile_px is None else int(tile_px)
         self.tile_box = tile_box or (lambda a: None)
@@ -263,6 +241,7 @@ class MasterServer:
         self.address: tuple[str, int] | None = None
         self._listener: socket.socket | None = None
         self._conns: dict[int, _Conn] = {}  # fileno -> connection
+        self._lanes: dict[str, _Conn] = {}  # lane -> its registered connection
         self._n_named = 0
         self._results: list = []
         self._t0 = 0.0
@@ -285,7 +264,7 @@ class MasterServer:
         """Whether the first dispatch may go ahead: ``min_lanes`` have
         joined, or the startup window has closed."""
         return n_lanes >= self.min_lanes or (
-            now - self._t0 >= (self.record.recovery.startup_timeout or 30.0)
+            now - self._t0 >= (self.core.recovery.startup_timeout or 30.0)
         )
 
     # -- main loop ---------------------------------------------------------
@@ -295,21 +274,21 @@ class MasterServer:
             raise RuntimeError("call listen() before serve()")
         sel = selectors.DefaultSelector()
         sel.register(self._listener, selectors.EVENT_READ, None)
-        self._t0 = self._last_progress = self.record.t0 = time.perf_counter()
+        core = self.core
+        self._t0 = self._last_progress = core.t0 = time.perf_counter()
         next_ping = self._t0 + HEARTBEAT_INTERVAL
-        policy = self.policy
         try:
-            while not policy.finished:
+            while not core.finished:
                 now = time.perf_counter()
-                if now >= next_ping:
-                    self._ping_all(sel, now)
+                ping = now >= next_ping
+                if ping:
                     next_ping = now + HEARTBEAT_INTERVAL
-                self._sweep(sel, now)
+                self._heartbeat(sel, now, ping)
                 if self.session is not None:
                     self.session.pump(self, sel, now)
                 else:
                     self._dispatch(sel, now)
-                if policy.finished:
+                if core.finished:
                     break
                 for key, _mask in sel.select(timeout=0.05):
                     if key.data is None:
@@ -318,25 +297,15 @@ class MasterServer:
                         self._service(sel, key.data)
         finally:
             self._shutdown(sel)
-        sup = SupervisorOutcome(
-            results=self._results,
-            attempts=self.record.attempts,
-            recovery=self.record.counts,
-            wall_time=time.perf_counter() - self._t0,
-        )
-        return SchedOutcome(
-            results=self._results,
-            assignments=list(policy.log),
-            supervisor=sup,
-            workers={k: dict(v) for k, v in self.workers.items()},
-            net=self.net,
+        return core.outcome(
+            self._results, workers={k: dict(v) for k, v in self.workers.items()}, net=self.net
         )
 
     # -- socket events -----------------------------------------------------
     def _accept(self, sel) -> None:
         sock, addr = self._listener.accept()
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _Conn(sock, time.perf_counter(), compress=not _loopback(addr[0]))
+        conn = _Conn(sock, compress=not _loopback(addr[0]))
         self._conns[sock.fileno()] = conn
         sel.register(sock, selectors.EVENT_READ, conn)
 
@@ -403,6 +372,8 @@ class MasterServer:
                 "tiles": self.assembler is not None,
                 "tile_px": self.tile_px,
             })
+            self._lanes[conn.name] = conn
+            self.core.lane_up(conn.name)
             self.net.n_workers_joined += 1
             self.telemetry.event(
                 "net.worker.join",
@@ -449,9 +420,10 @@ class MasterServer:
         elif msg_type == wire.MSG_RESULT:
             self._on_result_frame(sel, conn, payload, nbytes, now)
         elif msg_type == wire.MSG_ERROR:
+            detail = ""
             if isinstance(payload, dict):
-                self.telemetry.absorb(payload.get("events") or [], t_offset=-conn.offset)
-            detail = str(payload.get("error", "")) if isinstance(payload, dict) else ""
+                self._absorb(conn, payload.get("events"))
+                detail = str(payload.get("error", ""))
             self._lose(sel, conn, "error", detail=detail)
         # Unknown-but-valid types: ignore.
 
@@ -472,15 +444,13 @@ class MasterServer:
             pid = 0
         path = ""
         if self.blackbox_dir is not None:
-            import json as _json
-
             try:
                 self.blackbox_dir.mkdir(parents=True, exist_ok=True)
                 target = self.blackbox_dir / blackbox_filename(role, pid)
                 tmp = target.with_name(f".{target.name}.tmp")
                 with open(tmp, "w", encoding="utf-8") as fh:
                     for rec in records:
-                        fh.write(_json.dumps(rec, separators=(",", ":"), default=str))
+                        fh.write(json.dumps(rec, separators=(",", ":"), default=str))
                         fh.write("\n")
                 os.replace(tmp, target)
                 path = str(target)
@@ -501,7 +471,8 @@ class MasterServer:
 
     def _on_tile_frame(self, sel, conn: _Conn, payload, nbytes: int, now: float) -> None:
         """Composite one streamed tile into the distributed framebuffer."""
-        a = conn.flight.assignment if conn.flight is not None else None
+        flight = self.core.flight(conn.name)
+        a = flight.assignment if flight is not None else None
         if a is None or not isinstance(payload, dict) or payload.get("seq") != a.seq:
             return  # tile raced its assignment's loss; idempotency covers it
         if self.assembler is None:
@@ -537,22 +508,20 @@ class MasterServer:
         self._last_progress = now
 
     def _on_result_frame(self, sel, conn: _Conn, payload, nbytes: int, now: float) -> None:
-        flight = conn.flight
+        flight = self.core.flight(conn.name)
         a = flight.assignment if flight is not None else None
         if a is None or not isinstance(payload, dict) or payload.get("seq") != a.seq:
             return  # stale or spurious; one-in-flight makes this near-impossible
         duration = _field(payload, "duration", float, now - flight.t0)
-        self.telemetry.absorb(payload.get("events") or [], t_offset=-conn.offset)
+        self._absorb(conn, payload.get("events"))
         result = payload.get("result")
-        if not self.record.valid(self.validate, flight.args, result):
-            self._lose(sel, conn, "invalid")
+        out = self.core.completed(conn.name, a.seq, result, now, duration)
+        if isinstance(out, Close):
+            self._lose(sel, conn, out.reason)
             return
         if self.net.t_first_result is None:
             self.net.t_first_result = now - self._t0
-        conn.flight = None
-        conn.deadline = None
         self._absorb_task_events(conn, result)
-        self.record.accept(flight, now, duration)
         self._results.append(result)
         self.workers[conn.name]["n_done"] += 1
         self.net.n_results += 1
@@ -564,20 +533,22 @@ class MasterServer:
             compressed=conn.compress,
             duration=duration,
         )
-        self.policy.on_result(conn.name, a)
         if self.on_result is not None:
             self.on_result(a, result)
         self._last_progress = now
 
+    def _absorb(self, conn: _Conn, events) -> None:
+        """Re-emit a peer's ``events`` field on this lane's clock; a
+        malformed one is a :class:`~repro.net.protocol.ProtocolError`."""
+        if events:
+            self.telemetry.absorb(_events(events), t_offset=-conn.offset)
+
     def _absorb_task_events(self, conn: _Conn, result) -> None:
         """Fold the *render-level* worker events into the live stream.
 
-        By farm convention a task result tuple's last element is the
-        worker task's serialized event buffer (task/frame/coherence
-        spans).  Absorbing it here — with this lane's clock-offset
-        correction — is what puts worker frame spans on the master's
-        time axis *during* the run, so the fold behind the status
-        endpoint sees frames complete live instead of at teardown.  Non-farm results
+        By farm convention a task result tuple's last element is the worker
+        task's serialized event buffer; absorbing it here puts worker frame
+        spans on the master's time axis *during* the run.  Non-farm results
         (echo tasks, junk) are left untouched.
         """
         if not isinstance(result, tuple) or not result:
@@ -586,97 +557,75 @@ class MasterServer:
         if not isinstance(blob, str) or not blob.startswith("["):
             return
         try:
-            self.telemetry.absorb(blob, t_offset=-conn.offset)
-        except (TypeError, ValueError):
+            self._absorb(conn, blob)
+        except wire.ProtocolError:
             pass  # a string that merely looked like an event buffer
 
     # -- dispatch / sweeps -------------------------------------------------
     def _dispatch(self, sel, now: float) -> None:
+        """Carry out one tick of the core over the registered lanes."""
         registered = [c for c in self._conns.values() if c.registered]
         if registered and not self.net.n_assignments:
             if not self.crew_complete(len(registered), now):
                 return
-        dispatched = False
-        for conn in registered:
-            if conn.flight is not None:
-                continue
-            a = self.policy.next_assignment(conn.name)
-            if a is None:
-                continue
-            args = self.materialize(a, conn.name)
-            conn.flight = self.record.dispatch(conn.name, a, args, now)
-            limit = self.record.deadline()
-            conn.deadline = None if limit is None else now + limit
-            assign = {
-                "seq": a.seq,
-                "region": a.region_index,
-                "frame0": a.frame0,
-                "frame1": a.frame1,
-                "fresh": a.fresh,
-                "coherent": a.coherent,
-                "task": self.task_name,
-                "args": args,
-            }
-            if self.assembler is not None:
-                # Tile directive: stream at this granularity, and skip
-                # tiles a lost predecessor already delivered.
-                assign["tiles"] = {
-                    "tile_px": self.tile_px,
-                    "skip": self.assembler.covered_tiles(
-                        self.tile_box(a), a.frame0, a.frame1, self.tile_px
-                    ),
-                }
-            try:
-                nbytes = self._send(conn, wire.MSG_ASSIGN, assign)
-            except OSError:
-                self._lose(sel, conn, "eof")
-                continue
-            self.net.n_assignments += 1
-            self.telemetry.event(
-                "net.assign",
-                worker=conn.name,
-                seq=a.seq,
-                frame0=a.frame0,
-                frame1=a.frame1,
-                region=a.region_index,
-                nbytes=nbytes,
-            )
-            dispatched = True
-        if dispatched:
-            self._last_progress = now
-            return
-        busy = any(c.flight is not None for c in self._conns.values())
-        if busy or self.policy.finished:
-            return
         strangers = any(not c.registered for c in self._conns.values())
-        if not registered:
-            if not strangers and now - self._last_progress > self.accept_timeout:
-                raise RuntimeError(
-                    f"no workers connected within {self.accept_timeout:.1f}s "
-                    "with work still pending"
-                )
-            return
-        # Every registered lane is idle, every one was just declined, and
-        # nothing is in flight: the policy can never finish.  Same guard
-        # (and failure mode) as the pool supervisor's stall.
-        if not strangers:
+        if not registered and not strangers and now - self._last_progress > self.accept_timeout:
             raise RuntimeError(
-                "master stalled: policy returned no work with none in flight"
+                f"no workers connected within {self.accept_timeout:.1f}s "
+                "with work still pending"
             )
+        for act in self.core.tick(now, joining=strangers or not registered):
+            conn = self._lanes[act.lane]
+            if isinstance(act, Close):
+                self._lose(sel, conn, act.reason)
+            else:
+                self._assign(sel, conn, act.assignment, act.args, now)
 
-    def _sweep(self, sel, now: float) -> None:
-        silent_after = HEARTBEAT_INTERVAL * HEARTBEAT_MISSES
+    def _assign(self, sel, conn: _Conn, a, args, now: float) -> None:
+        assign = {
+            "seq": a.seq,
+            "region": a.region_index,
+            "frame0": a.frame0,
+            "frame1": a.frame1,
+            "fresh": a.fresh,
+            "coherent": a.coherent,
+            "task": self.task_name,
+            "args": args,
+        }
+        if self.assembler is not None:
+            # Tile directive: stream at this granularity, and skip
+            # tiles a lost predecessor already delivered.
+            assign["tiles"] = {
+                "tile_px": self.tile_px,
+                "skip": self.assembler.covered_tiles(
+                    self.tile_box(a), a.frame0, a.frame1, self.tile_px
+                ),
+            }
+        try:
+            nbytes = self._send(conn, wire.MSG_ASSIGN, assign)
+        except OSError:
+            self._lose(sel, conn, "eof")
+            return
+        self.net.n_assignments += 1
+        self.telemetry.event(
+            "net.assign",
+            worker=conn.name,
+            seq=a.seq,
+            frame0=a.frame0,
+            frame1=a.frame1,
+            region=a.region_index,
+            nbytes=nbytes,
+        )
+        self._last_progress = now
+
+    def _heartbeat(self, sel, now: float, ping: bool) -> None:
+        """Lose every lane whose PONGs stopped; PING the rest when ``ping``."""
         for conn in list(self._conns.values()):
-            if conn.closed or not conn.registered:
+            if not conn.registered or conn.closed:
                 continue
-            if conn.flight is not None and conn.deadline is not None and now > conn.deadline:
-                self._lose(sel, conn, "deadline")
-            elif now - conn.last_pong > silent_after:
+            if now - conn.last_pong > HEARTBEAT_INTERVAL * HEARTBEAT_MISSES:
                 self._lose(sel, conn, "heartbeat")
-
-    def _ping_all(self, sel, now: float) -> None:
-        for conn in list(self._conns.values()):
-            if not conn.closed and conn.registered:
+            elif ping:
                 self._ping(sel, conn, now)
 
     def _ping(self, sel, conn: _Conn, now: float) -> None:
@@ -700,23 +649,16 @@ class MasterServer:
             "net.worker.lost", worker=who, reason="proto", seq=-1, blackbox=""
         )
         self._farewell(conn)
-        conn.closed = True
-        self._conns.pop(conn.sock.fileno(), None)
-        _drop(sel, conn.sock)
+        self._close(sel, conn)
 
     def _lose(self, sel, conn: _Conn, reason: str, detail: str = "") -> None:
-        """Close a connection and route its lane into the policy's
-        ``on_worker_lost`` so any in-flight assignment is requeued."""
-        if conn.closed:
+        """Close a connection; a lane's loss goes to the core, after the
+        frames its worker already streamed in full are salvaged."""
+        if not self._close(sel, conn) or not conn.registered:
             return
-        conn.closed = True
         now = time.perf_counter()
-        self._conns.pop(conn.sock.fileno(), None)
-        _drop(sel, conn.sock)
-        if not conn.registered:
-            return
         self.net.n_losses += 1
-        flight = conn.flight
+        flight = self.core.flight(conn.name)
         self.telemetry.event(
             "net.worker.lost",
             worker=conn.name,
@@ -728,36 +670,39 @@ class MasterServer:
             # The master's own last seconds around the loss are part of
             # the autopsy: dump our ring beside the victim's.
             self.recorder.dump(f"worker-lost:{conn.name}:{reason}")
-        if flight is not None:
-            # The flight closes with its failure outcome; the requeued
-            # dispatch will open a fresh flight under a new seq.
-            self.record.lose(flight, reason, now, detail)
+        if flight is not None and self.assembler is not None and reason != "invalid":
+            # Partial salvage: frames this worker already streamed in full
+            # stay done; only the remainder is requeued.  An invalid loss
+            # forfeits the salvage — its tiles can't be trusted either
+            # (idempotent overwrite re-covers them).
             a = flight.assignment
-            if self.assembler is not None and reason != "invalid":
-                # Partial salvage: frames this worker already streamed in
-                # full stay done; only the remainder is requeued.  An
-                # invalid loss forfeits the salvage — its tiles can't be
-                # trusted either (idempotent overwrite re-covers them).
-                frame_done = self.assembler.frames_done(
-                    self.tile_box(a), a.frame0, a.frame1
+            frame_done = self.assembler.frames_done(self.tile_box(a), a.frame0, a.frame1)
+            if frame_done > a.frame0:
+                self.net.n_frames_salvaged += frame_done - a.frame0
+                self.telemetry.event(
+                    "dfb.salvage",
+                    worker=conn.name,
+                    seq=a.seq,
+                    frame0=a.frame0,
+                    frame_done=frame_done,
+                    frame1=a.frame1,
                 )
-                if frame_done > a.frame0:
-                    self.net.n_frames_salvaged += frame_done - a.frame0
-                    self.telemetry.event(
-                        "dfb.salvage",
-                        worker=conn.name,
-                        seq=a.seq,
-                        frame0=a.frame0,
-                        frame_done=frame_done,
-                        frame1=a.frame1,
-                    )
-                    self.policy.on_partial_result(conn.name, frame_done)
-        self.policy.on_worker_lost(conn.name)
+                self.core.partial(conn.name, frame_done)
+        self.core.lost(conn.name, reason, now, detail)
         if self.session is not None:
             # After the policy requeued the lane's shard units: orphan the
             # lane's in-flight shard requests so the ledger replays them.
             self.session.on_worker_lost(self, conn.name)
         self._last_progress = now
+
+    def _close(self, sel, conn: _Conn) -> bool:
+        """Drop a connection; False if it was closed already."""
+        if conn.closed:
+            return False
+        conn.closed = True
+        self._conns.pop(conn.sock.fileno(), None)
+        _drop(sel, conn.sock)
+        return True
 
     def _send(self, conn: _Conn, msg_type: int, obj) -> int:
         n = wire.send_frame(conn.sock, msg_type, obj)

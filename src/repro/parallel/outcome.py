@@ -44,8 +44,9 @@ class SimulationOutcome:
     bytes_on_wire: int = 0
     n_chain_starts: int = 0
     n_steals: int = 0
-    #: Chains requeued fresh because their worker was declared lost.
-    n_reassigned: int = 0
+    #: The master's recovery counts (:class:`repro.runtime.options.RecoveryCounts`:
+    #: retries, timeouts, ...), the keys a real farm's ``RenderResult.recovery`` has.
+    recovery: dict = field(default_factory=dict)
     #: Text Gantt chart of the run (populated when the strategy was called
     #: with ``trace=True``); see repro.cluster.render_timeline.
     timeline: str | None = None

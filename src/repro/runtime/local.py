@@ -36,8 +36,8 @@ Dispatch is **supervised**, the same way on both transports: per-unit
 deadlines, crashed or hung workers detected, corrupted outputs rejected
 by a shape/finiteness check before assembly, and every such loss handed
 to the policy, which requeues the unit for another lane
-(:class:`~repro.runtime.options.RecoveryRecord` keeps the books, capping
-each unit's attempts); on the pool a unit that keeps failing degrades to
+(:class:`~repro.sched.master.MasterCore` keeps the books, capping each
+unit's attempts); on the pool a unit that keeps failing degrades to
 in-process serial execution instead of aborting the render.
 
 Passing ``run_dir`` to :meth:`LocalRenderFarm.render` spools each
@@ -797,7 +797,7 @@ class LocalRenderFarm:
                 if opts.preview is not None:
                     opts.preview.detach()
             results += out.results
-        sup = out.supervisor if out is not None else SupervisorOutcome(results=[])
+        sup = out.supervisor if out is not None else SupervisorOutcome()
         n_tasks = n_loaded + (len(out.assignments) if out is not None else 0)
         stats = RayStats.merge(res[-2] for res in results)
 

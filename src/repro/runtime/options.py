@@ -3,10 +3,12 @@
 Everything a caller can set on the farm is a field of :class:`FarmOptions`:
 :class:`~repro.api.RenderRequest` inherits them, the CLI's flags are named
 after them, :class:`~repro.runtime.local.LocalRenderFarm` takes them as
-keywords and hands the one object to its transport unopened.  Both masters
-— the pool's :class:`~repro.runtime.supervisor.TaskSupervisor` and the TCP
-:class:`~repro.net.master.MasterServer` — run under one
-:class:`RecoveryOptions` and keep their books in one :class:`RecoveryRecord`.
+keywords and hands the one object to its transport unopened.  Every
+master runs under one :class:`RecoveryOptions` and counts its losses in one
+:class:`RecoveryCounts`.  The books are the
+:class:`~repro.sched.master.MasterCore`'s; the words it and its shells
+speak — :data:`LOSSES`, a :class:`Flight`, the :class:`Close` and
+:class:`Stop` actions — are declared here.
 """
 
 from __future__ import annotations
@@ -16,17 +18,17 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
-from ..obs.trace import flight_span_id
 from ..telemetry import NULL
 
 __all__ = [
+    "LOSSES",
+    "Close",
     "FarmOptions",
     "Flight",
-    "LOSSES",
     "RecoveryCounts",
     "RecoveryOptions",
-    "RecoveryRecord",
     "RecoveryView",
+    "Stop",
     "SupervisorError",
     "TaskAttempt",
     "deadline",
@@ -48,13 +50,14 @@ def deadline(durations) -> float | None:
 
 @dataclass(frozen=True)
 class RecoveryOptions:
-    """What either master needs to know to give up on a dispatch.
+    """What a master needs to know to give up on a dispatch.
 
     ``max_attempts`` dispatches of one unit are allowed (then the pool
     degrades to in-process execution and the TCP master fails the run); a
     fixed ``task_timeout`` in seconds replaces the adaptive
-    :func:`deadline`; ``startup_timeout`` covers the window before any
-    unit has completed (``None``: wait patiently).
+    :func:`deadline` (the simulator's ``worker_timeout`` is one);
+    ``startup_timeout`` covers the window before any unit has completed
+    (``None``: wait patiently).
     """
 
     max_attempts: int = 3
@@ -93,22 +96,8 @@ class RecoveryView:
 
 class SupervisorError(RuntimeError):
     """A unit could not be completed: its attempts are spent and there is
-    no in-process fallback (or that failed too), or the pool kept dying."""
-
-
-#: Why a dispatch was lost -> (its :class:`TaskAttempt` outcome, the
-#: :class:`RecoveryCounts` key it counts under).  The one loss taxonomy:
-#: ``eof`` is a worker process gone (a broken pool, a closed socket),
-#: ``deadline`` / ``heartbeat`` a worker presumed hung or silent, ``error``
-#: a task that raised or a peer whose message would not parse, ``invalid`` a
-#: result the validator rejected.
-LOSSES = {
-    "eof": ("crash", "crashes"),
-    "deadline": ("timeout", "timeouts"),
-    "heartbeat": ("timeout", "timeouts"),
-    "error": ("error", "crashes"),
-    "invalid": ("invalid", "invalid"),
-}
+    no in-process fallback (or that failed too), the pool kept dying, or
+    the master stalled — nothing in flight and the policy handing out none."""
 
 
 @dataclass(frozen=True)
@@ -129,125 +118,50 @@ class TaskAttempt:
     started: float = 0.0  # seconds after the master started
 
 
+#: Why a dispatch was lost -> (its :class:`TaskAttempt` outcome, the
+#: :class:`RecoveryCounts` key it counts under).  The one loss taxonomy:
+#: ``eof`` is a worker process gone (a broken pool, a closed socket),
+#: ``deadline`` / ``heartbeat`` a worker presumed hung or silent, ``error``
+#: a task that raised or a peer whose message would not parse, ``invalid`` a
+#: result the validator rejected.
+LOSSES = {
+    "eof": ("crash", "crashes"),
+    "deadline": ("timeout", "timeouts"),
+    "heartbeat": ("timeout", "timeouts"),
+    "error": ("error", "crashes"),
+    "invalid": ("invalid", "invalid"),
+}
+
+
 @dataclass
 class Flight:
-    """One dispatch in flight: which lane holds which unit, since when
-    (the master's clock), and the task arguments the validator is given."""
+    """One dispatch: which lane holds which unit since when (the core's
+    clock), and the materialized task arguments.  ``degraded`` marks the
+    dispatch after a unit's attempts are spent, which runs in-process."""
 
-    lane: str
+    lane: Any
     assignment: Any
     unit: int
     attempt: int
     t0: float
     args: Any
+    degraded: bool = False
 
 
-class RecoveryRecord:
-    """The recovery books both real masters keep, sans I/O.
+@dataclass(frozen=True)
+class Close:
+    """End ``lane`` (for ``reason``, a :data:`LOSSES` key) and report it
+    through :meth:`MasterCore.lost <repro.sched.master.MasterCore.lost>`."""
 
-    Per unit — keyed by region and end frame, since partial salvage
-    narrows a unit's start but not its identity — the dispatch count; the
-    completed durations :meth:`RecoveryOptions.deadline` reads; the
-    :class:`TaskAttempt` log and the :class:`RecoveryCounts`.  The master
-    opens a :class:`Flight` with :meth:`dispatch` and ends it with
-    :meth:`accept` or :meth:`lose`, which close its ``obs.flight`` span; a
-    loss also emits a ``recovery`` event naming the lane.  Requeueing is
-    the policy's (``on_worker_lost``), called by the master afterwards.
+    lane: Any
+    reason: str
 
-    The exhaustion rule: once a unit has failed ``max_attempts``
-    dispatches, its next one runs in-process when ``degrade`` is set (the
-    pool's ``degrade_serial``; see :meth:`spent`), and otherwise the run
-    raises :class:`SupervisorError`.
-    """
 
-    def __init__(self, recovery: RecoveryOptions, telemetry=NULL, trace_root=None,
-                 degrade: bool = False) -> None:
-        self.recovery = recovery
-        self.telemetry = telemetry
-        self.trace_root = trace_root
-        self.degrade = degrade
-        self.t0 = 0.0  # the master's clock at run start
-        self.durations: list[float] = []
-        self.attempts: list[TaskAttempt] = []
-        self.counts = RecoveryCounts()
-        self._units: dict[tuple, list[int]] = {}  # (region, frame1) -> [ordinal, dispatches]
+@dataclass(frozen=True)
+class Stop:
+    """``lane`` will get no more work: tell its worker to exit."""
 
-    def deadline(self) -> float | None:
-        """Seconds a dispatch made now may run (:meth:`RecoveryOptions.deadline`)."""
-        return self.recovery.deadline(self.durations)
-
-    def spent(self, attempt: int) -> bool:
-        """Whether a unit that failed ``attempt`` dispatches has used them all."""
-        return attempt >= self.recovery.max_attempts
-
-    @staticmethod
-    def valid(validate, args, result) -> bool:
-        """``validate(args, result)``; a validator that raises has rejected
-        the result — it is untrusted input, whatever sent it."""
-        if validate is None:
-            return True
-        try:
-            return bool(validate(args, result))
-        except Exception:
-            return False
-
-    def dispatch(self, lane: str, a, args, now: float) -> Flight:
-        """Count one dispatch of ``a``'s unit and open its flight."""
-        unit = self._units.setdefault((a.region_index, a.frame1), [len(self._units), 0])
-        flight = Flight(lane, a, unit[0], unit[1], now, args)
-        unit[1] += 1
-        return flight
-
-    def accept(self, flight: Flight, now: float, duration: float) -> None:
-        """The flight's result was accepted (in-process when its unit's
-        pool attempts were spent)."""
-        outcome = "ok"
-        if self.spent(flight.attempt):
-            outcome = "degraded-ok"
-            self.counts["degraded"] += 1
-            self._recovery_event("degraded", flight, duration)
-        self.durations.append(duration)
-        self._close(flight, now, outcome, duration)
-
-    def lose(self, flight: Flight, reason: str, now: float, detail: str = "") -> None:
-        """The flight was lost for ``reason`` (a :data:`LOSSES` key).
-        Raises :class:`SupervisorError` when the unit may not run again."""
-        outcome, counter = LOSSES[reason]
-        duration = now - flight.t0
-        self._close(flight, now, outcome, duration, detail or reason)
-        self.counts[counter] += 1
-        self._recovery_event(outcome, flight, duration)
-        a, n = flight.assignment, flight.attempt + 1
-        unit = f"unit {flight.unit} (region {a.region_index}, frames {a.frame0}-{a.frame1})"
-        if self.spent(flight.attempt):
-            raise SupervisorError(
-                f"{unit} failed {flight.attempt} pool attempts and the in-process "
-                f"serial fallback: {detail or reason}"
-            )
-        if self.spent(n) and not self.degrade:
-            raise SupervisorError(
-                f"{unit} failed after {n} attempts (last: {reason}) "
-                "and serial degradation is disabled"
-            )
-        self.counts["retries"] += 1
-
-    def _close(self, flight: Flight, now: float, outcome: str, duration: float,
-               error: str = "") -> None:
-        a = flight.assignment
-        self.telemetry.emit_span(
-            "obs.flight", flight.t0, now - flight.t0,
-            span=flight_span_id(a.seq), parent=self.trace_root,
-            worker=flight.lane, seq=a.seq, attempt=flight.attempt, outcome=outcome,
-        )
-        self.attempts.append(TaskAttempt(
-            flight.unit, flight.attempt, outcome, duration, error, flight.t0 - self.t0
-        ))
-
-    def _recovery_event(self, kind: str, flight: Flight, duration: float) -> None:
-        self.telemetry.event(
-            "recovery", kind=kind, task=flight.unit, attempt=flight.attempt,
-            duration=duration, worker=flight.lane,
-        )
+    lane: Any
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,20 @@
-"""The pool transport: a scheduling policy over a supervised executor.
+"""The pool transport: a :class:`~repro.sched.master.MasterCore` over a supervised executor.
 
 ``ProcessPoolExecutor.map`` trusts every worker with its life: one crash
 aborts the render, one hang stalls it forever.  On a network of
 workstations that is the common case, not the exception — so the farm's
-pool master is this supervisor, and it loses a worker the way the TCP
-:class:`~repro.net.master.MasterServer` does.
+pool is one I/O shell of the master core, the same core the TCP
+:class:`~repro.net.master.MasterServer` and the simulator drive.
 
-It keeps ``n_workers`` *lanes* and asks ``policy.next_assignment(lane)``
-for each free one; ``materialize(assignment, lane)`` turns the answer into
-the argument of ``fn``, which runs on a pool slot.  A lane holds one
-dispatch at a time, so chain affinity survives the trip through the pool.
-A dispatch is **lost** when the task raises, its result fails validation,
-its deadline passes (the farm's one rule,
-:meth:`~repro.runtime.options.RecoveryOptions.deadline`) or the pool
-breaks.  A loss is booked in the run's
-:class:`~repro.runtime.options.RecoveryRecord`, handed to
-``policy.on_worker_lost(lane)`` — which requeues the unit — and the lane is
-replaced by a fresh one, just as a reconnecting TCP daemon becomes a new
-lane.  A lost dispatch that completes after all is dropped and its
-shared-memory frames released.
-
-A hung slot holds its lane's replacement back until it frees; when every
-slot is hung the pool is killed and rebuilt, and so it is after a crash
-(``BrokenExecutor``), at most ``max_pool_rebuilds`` times.  A unit whose
-``max_attempts`` dispatches all failed runs in-process when
-``degrade_serial`` is set; otherwise the run raises
-:class:`~repro.runtime.options.SupervisorError`.
+What this shell keeps is the pool's: ``n_workers`` lanes named ``laneN``,
+the future each dispatch runs on (``materialize``'s argument to ``fn``),
+and the pool itself.  A lost lane is replaced by a fresh one, as a
+reconnecting TCP daemon becomes a new lane; a lane lost to its deadline
+still holds its pool slot (a *zombie*) until the task ends, and its late
+result is dropped and its shared-memory frames released.  When every slot
+is hung the pool is killed and rebuilt, and so it is after a crash
+(``BrokenExecutor``), at most ``max_pool_rebuilds`` times.  A dispatch after
+a unit's attempts are spent runs in-process (``degrade_serial``).
 
 Executors: ``process`` (fork-based, full fault coverage), ``thread``
 (crash/hang faults are not injected — they would take down the master)
@@ -36,7 +25,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -45,13 +33,14 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
+
 from dataclasses import dataclass, field
 
 from ..buffers import attach_refs, release_refs
 from .options import (
+    Close,
     Flight,
     RecoveryCounts,
-    RecoveryRecord,
     RecoveryView,
     SupervisorError,
     TaskAttempt,
@@ -97,7 +86,6 @@ def assignment_echo_task(args):
 class SupervisorOutcome(RecoveryView):
     """The robustness story of a run: every attempt and the counters."""
 
-    results: list
     attempts: list[TaskAttempt] = field(default_factory=list)
     recovery: RecoveryCounts = field(default_factory=RecoveryCounts)
     n_pool_rebuilds: int = 0
@@ -138,34 +126,17 @@ def _run_task(payload):
     return result
 
 
-class _Inline:
-    """The serial executor: ``submit`` runs the call before it returns."""
-
-    def submit(self, fn, *args) -> Future:
-        fut = Future()
-        try:
-            fut.set_result(fn(*args))
-        except Exception as exc:  # the task's failure, stored as a pool would
-            fut.set_exception(exc)
-        return fut
-
-
-_INLINE = _Inline()
-
-
 class TaskSupervisor:
     """Runs one policy through a supervised executor pool.
 
     Parameters
     ----------
-    policy:
-        The scheduling state machine; consumed (policies are single-use).
+    policy, materialize, validate, trace_root:
+        The :class:`~repro.sched.master.MasterCore`'s.  The lane label
+        ``materialize`` is given lets renderer-continuation caches
+        (thread/serial executors) key on it.
     fn:
         Picklable function of one materialized task argument.
-    materialize:
-        ``materialize(assignment, lane) -> task argument``.  The lane
-        label rides along so renderer-continuation caches (thread/serial
-        executors) and benchmarks that skew per-lane speed can key on it.
     options:
         The run's :class:`~repro.runtime.options.FarmOptions`.  Read
         here: ``executor``, ``n_workers`` (pool size and lane count),
@@ -173,13 +144,8 @@ class TaskSupervisor:
         contract.
     initializer, initargs:
         Run in each pool worker as it starts (not on the serial executor).
-    validate:
-        ``validate(task argument, result) -> bool``; a rejected result —
-        or a validator that raises — loses the dispatch (``invalid``).
     on_result:
         ``on_result(assignment, result)``, once per accepted result.
-    trace_root:
-        Parent span id of the per-dispatch ``obs.flight`` spans.
     frame_store:
         Optional :class:`~repro.buffers.SharedFrameStore` whose token the
         caller armed the pool workers with.  Every accepted result's
@@ -208,23 +174,22 @@ class TaskSupervisor:
         options = options.resolved()
         self.policy = policy
         self.fn = fn
-        self.materialize = materialize
         self.executor = options.executor
         self.n_workers = int(options.n_workers)
         self.fault_plan = options.fault_plan
         self.initializer = initializer
         self.initargs = initargs
-        self.validate = validate
         self.on_result = on_result
         self.frame_store = frame_store
         self.max_pool_rebuilds = max_pool_rebuilds
-        self.record = RecoveryRecord(
-            options.recovery(), options.telemetry, trace_root, degrade=options.degrade_serial
+        from ..sched.master import MasterCore  # repro.sched imports repro.runtime
+
+        self.core = MasterCore(
+            policy, materialize, options.recovery(), validate=validate,
+            telemetry=options.telemetry, trace_root=trace_root, degrade=options.degrade_serial,
         )
         self._pool = None
-        self._flights: dict[Future, Flight] = {}  # one per busy lane
-        self._zombies: dict[Future, Flight] = {}  # lost, but still holding a slot
-        self._free: deque[str] = deque()
+        self._running: dict[Future, Flight] = {}  # submitted, not yet harvested
         self._n_lanes = 0
         self._n_rebuilds = 0
         self._accepted: list[tuple[int, object]] = []  # (unit ordinal, result)
@@ -242,27 +207,29 @@ class TaskSupervisor:
     # -- public entry ----------------------------------------------------------
     def run(self) -> SchedOutcome:
         """Serve the policy until it is finished."""
-        t0 = self.record.t0 = time.perf_counter()
+        core = self.core
+        core.t0 = time.perf_counter()
         self._open_lanes()
         try:
             if self.executor != "serial":
                 self._pool = self._make_pool()
-            while not self.policy.finished:
-                self._fill()
-                if not self._flights and not self._zombies:
-                    raise SupervisorError(
-                        "supervisor stalled: policy returned no work with none in flight"
-                    )
-                watched = [*self._flights, *self._zombies]
-                done, _ = wait(watched, timeout=self._tick(), return_when=FIRST_COMPLETED)
-                broken = False
-                for fut in sorted(done, key=self._seq_of):
-                    broken = self._harvest(fut) or broken
-                if broken:
+            while not core.finished:
+                for act in core.tick(time.perf_counter(), joining=self._zombies() > 0):
+                    if isinstance(act, Close):  # overdue: its task keeps the slot
+                        core.lost(act.lane, act.reason, time.perf_counter())
+                    else:
+                        self._submit(act)
+                if self._zombies() >= self.n_workers:  # every slot presumed hung
                     self._rebuild_pool()
                     continue
-                self._sweep_deadlines()
-                if len(self._zombies) >= self.n_workers:  # every slot presumed hung
+                due = core.next_deadline()  # wake for it, and at least every 0.5 s
+                timeout = 0.25 if due is None else due - time.perf_counter()
+                done, _ = wait(self._running, timeout=min(0.5, max(POLL_INTERVAL, timeout)),
+                               return_when=FIRST_COMPLETED)
+                broken = False
+                for fut in sorted(done, key=lambda f: self._running[f].assignment.seq):
+                    broken = self._harvest(fut) or broken
+                if broken:
                     self._rebuild_pool()
         finally:
             self._close_pool()
@@ -271,105 +238,61 @@ class TaskSupervisor:
                 # stragglers by name can't strand a consumer.
                 self.frame_store.cleanup()
         results = [r for _unit, r in sorted(self._accepted, key=lambda ur: ur[0])]
-        record = self.record
-        return SchedOutcome(
-            results=results,
-            assignments=list(self.policy.log),
-            supervisor=SupervisorOutcome(
-                results=results,
-                attempts=record.attempts,
-                recovery=record.counts,
-                n_pool_rebuilds=self._n_rebuilds,
-                wall_time=time.perf_counter() - t0,
-            ),
-        )
+        return core.outcome(results, n_pool_rebuilds=self._n_rebuilds)
 
-    # -- lanes -------------------------------------------------------------------
+    # -- lanes and futures -------------------------------------------------------
+    def _zombies(self) -> int:
+        """Tasks still running on a pool slot after the core retired their lane."""
+        return sum(self.core.flight(f.lane) is not f for f in self._running.values())
+
     def _open_lanes(self) -> None:
         """Name a fresh lane for every pool slot nobody holds."""
-        while len(self._free) + len(self._flights) + len(self._zombies) < self.n_workers:
-            self._free.append(f"lane{self._n_lanes}")
+        while len(self.core.lanes) + self._zombies() < self.n_workers:
+            self.core.lane_up(f"lane{self._n_lanes}")
             self._n_lanes += 1
 
-    def _fill(self) -> None:
-        # Ask every free lane, not just the head of the queue: with chain
-        # affinity one lane may have nothing while the lane behind it still
-        # owns a chain to continue.  Lanes the policy declines stay free and
-        # are asked again after the next completion.
-        for lane in list(self._free):
-            a = self.policy.next_assignment(lane)
-            if a is None:
-                continue
-            self._free.remove(lane)
-            args = self.materialize(a, lane)
-            flight = self.record.dispatch(lane, a, args, time.perf_counter())
-            inline = self.executor == "serial" or self.record.spent(flight.attempt)
-            payload = (self.fn, args, flight.unit, flight.attempt, self.fault_plan,
-                       self.executor == "process" and not inline)
-            fut = (_INLINE if inline else self._pool).submit(_run_task, payload)
-            self._flights[fut] = flight
+    def _submit(self, flight: Flight) -> None:
+        inline = self.executor == "serial" or flight.degraded
+        payload = (self.fn, flight.args, flight.unit, flight.attempt, self.fault_plan,
+                   self.executor == "process" and not inline)
+        if inline:  # completed where it is dispatched
+            fut = Future()
+            try:
+                fut.set_result(_run_task(payload))
+            except Exception as exc:  # the task's failure, stored as a pool would
+                fut.set_exception(exc)
+        else:
+            fut = self._pool.submit(_run_task, payload)
+        self._running[fut] = flight
 
-    def _seq_of(self, fut) -> int:
-        flight = self._flights.get(fut) or self._zombies[fut]
-        return flight.assignment.seq
-
-    # -- outcomes ----------------------------------------------------------------
     def _harvest(self, fut) -> bool:
-        """Absorb one finished future; returns True if the pool is broken."""
+        """Hand one finished future to the core; True if the pool is broken."""
         exc = fut.exception()
         if isinstance(exc, BrokenExecutor):
             return True  # lost with the rest of the pool in _rebuild_pool
-        flight = self._flights.pop(fut, None)
-        if flight is None:  # a lost dispatch finishing late: dropped
-            del self._zombies[fut]
-            if exc is None:
-                release_refs([fut.result()])
-            self._open_lanes()
-            return False
+        flight = self._running.pop(fut)
         now = time.perf_counter()
         if exc is not None:
-            self._lose(flight, "error", now, repr(exc))
-            return False
-        result = fut.result()
-        if not self.record.valid(self.validate, flight.args, result):
-            release_refs([result])
-            self._lose(flight, "invalid", now)
-            return False
-        if self.frame_store is not None:
-            attach_refs(result)
-        self.record.accept(flight, now, now - flight.t0)
-        self._accepted.append((flight.unit, result))
-        self.policy.on_result(flight.lane, flight.assignment)
-        self._free.append(flight.lane)
-        if self.on_result is not None:
-            self.on_result(flight.assignment, result)
+            self.core.lost(flight.lane, "error", now, repr(exc))  # a no-op for a zombie
+        else:
+            result = fut.result()
+            out = self.core.completed(
+                flight.lane, flight.assignment.seq, result, now, now - flight.t0
+            )
+            if out is flight:
+                if self.frame_store is not None:
+                    attach_refs(result)
+                self._accepted.append((flight.unit, result))
+                if self.on_result is not None:
+                    self.on_result(flight.assignment, result)
+            else:  # rejected, or a zombie's late answer
+                release_refs([result])
+                if out is not None:
+                    self.core.lost(flight.lane, out.reason, now)
+        self._open_lanes()
         return False
 
-    def _lose(self, flight: Flight, reason: str, now: float, detail: str = "") -> None:
-        """Book the loss, requeue the lane's unit, retire the lane."""
-        self.record.lose(flight, reason, now, detail)
-        self.policy.on_worker_lost(flight.lane)
-        self._open_lanes()
-
-    def _sweep_deadlines(self) -> None:
-        limit = self.record.deadline()
-        if limit is None:
-            return
-        now = time.perf_counter()
-        for fut, flight in list(self._flights.items()):
-            if now - flight.t0 >= limit and not fut.done():
-                # The slot stays taken until the task ends; its lane is gone.
-                self._zombies[fut] = self._flights.pop(fut)
-                self._lose(flight, "deadline", now)
-
     # -- pool plumbing -----------------------------------------------------------
-    def _tick(self) -> float:
-        limit = self.record.deadline()
-        if limit is None or not self._flights:
-            return 0.25
-        next_deadline = min(f.t0 for f in self._flights.values()) + limit
-        return min(0.5, max(POLL_INTERVAL, next_deadline - time.perf_counter()))
-
     def _make_pool(self):
         cls = ThreadPoolExecutor if self.executor == "thread" else ProcessPoolExecutor
         return cls(
@@ -392,7 +315,7 @@ class TaskSupervisor:
         pool = self._pool
         if pool is None:
             return
-        if any(not f.done() for f in (*self._flights, *self._zombies)):
+        if any(not f.done() for f in self._running):
             self._kill_pool()  # hung workers must not block shutdown
         else:
             self._pool = None
@@ -401,8 +324,7 @@ class TaskSupervisor:
     def _rebuild_pool(self) -> None:
         """Kill the pool and start anew; the dispatches it still ran are
         lost with it (a crash), the hung ones were lost already."""
-        lost, self._flights = self._flights, {}
-        self._zombies.clear()
+        running, self._running = self._running, {}
         self._kill_pool()
         self._n_rebuilds += 1
         if self._n_rebuilds > self.max_pool_rebuilds:
@@ -411,7 +333,7 @@ class TaskSupervisor:
                 f"(limit {self.max_pool_rebuilds}); presuming all workers dead"
             )
         now = time.perf_counter()
-        for flight in sorted(lost.values(), key=lambda f: f.assignment.seq):
-            self._lose(flight, "eof", now)
+        for flight in sorted(running.values(), key=lambda f: f.assignment.seq):
+            self.core.lost(flight.lane, "eof", now)  # a no-op for a zombie
         self._open_lanes()
         self._pool = self._make_pool()

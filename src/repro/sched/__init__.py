@@ -14,19 +14,17 @@ separates the two concerns:
 * :mod:`repro.sched.cost` — the oracle-backed cost model that prices an
   assignment for the simulator (rays, work units, working set, message
   bytes);
+* :mod:`repro.sched.master` — ``MasterCore``, the one master: a sans-io
+  state machine that owns the policy, each lane's flight and the
+  recovery books, the only caller of the policy;
 * :mod:`repro.sched.sim` — ``simulate(strategy, oracle, machines)`` and
-  the ``SimTransport`` under it: drives a policy over the
+  the ``SimTransport`` under it, the core's shell over the
   :class:`~repro.cluster.VirtualPVM` discrete-event cluster (the Table-1
-  replay path), surviving injected machine failures by deadline sweep;
-* :class:`repro.runtime.supervisor.TaskSupervisor` — drives the *same*
-  policy over the supervised multiprocessing executor (the real farm's
-  pool);
-* :mod:`repro.net` — ``TcpTransport`` (re-exported here): drives it over
+  replay path);
+* :class:`repro.runtime.supervisor.TaskSupervisor` — its shell over the
+  supervised multiprocessing executor (the real farm's pool);
+* :mod:`repro.net` — ``TcpTransport`` (re-exported here): its shell over
   real sockets, master + worker daemons on a network of workstations.
-
-The two real transports lose a worker the same way: the loss is booked in
-one :class:`repro.runtime.options.RecoveryRecord` and handed to the
-policy's ``on_worker_lost``, which requeues the lane's unit.
 
 Because all transports consume identical policy objects, a simulated run,
 a pooled run and a networked run of the same workload produce the same
@@ -46,6 +44,7 @@ from .core import (
     single_processor_policy,
 )
 from .cost import AssignmentCost, OracleCostModel
+from .master import MasterCore
 from .sim import SIM_STRATEGIES, SimTransport, default_worker_timeout, simulate
 
 _NET_NAMES = ("TcpTransport", "MasterServer")
@@ -67,6 +66,7 @@ __all__ = [
     "AssignmentCost",
     "Chain",
     "DemandDrivenPolicy",
+    "MasterCore",
     "MasterServer",
     "ObjectSpacePolicy",
     "OracleCostModel",

@@ -1,7 +1,7 @@
 """Pure scheduling policies for the Table-1 partitioning schemes.
 
-A policy is a transport-agnostic state machine.  The transport (simulator
-or process farm) tells it about the world through three callbacks —
+A policy is a transport-agnostic state machine.  The master core
+(:mod:`repro.sched.master`) tells it about the world through three callbacks —
 
 * ``next_assignment(worker)`` — a worker is hungry; hand it the next
   :class:`Assignment` (or ``None`` when nothing can be dispatched now);
@@ -106,10 +106,6 @@ class SchedulingPolicy:
         self.total_units = 0
 
     # -- transport-facing protocol ---------------------------------------
-    def on_worker_ready(self, worker: Worker) -> Assignment | None:
-        """Alias: a newly available worker asks for work."""
-        return self.next_assignment(worker)
-
     def next_assignment(self, worker: Worker) -> Assignment | None:
         raise NotImplementedError
 
@@ -162,9 +158,6 @@ class SchedulingPolicy:
     def finished(self) -> bool:
         return self.completed_units >= self.total_units
 
-    def unit_completed(self, region_index: int, frame: int) -> bool:
-        return (region_index, frame) in self._completed
-
     # -- shared helpers ----------------------------------------------------
     def _emit(
         self, worker: Worker, region_index: int, frame0: int, frame1: int, fresh: bool
@@ -211,8 +204,6 @@ class DemandDrivenPolicy(SchedulingPolicy):
         self.total_units = sum(f1 - f0 for _, f0, f1 in self._queue)
 
     def next_assignment(self, worker: Worker) -> Assignment | None:
-        if worker in self._inflight:
-            raise RuntimeError(f"worker {worker!r} asked for work with a unit in flight")
         if not self._queue:
             return None
         ri, f0, f1 = self._queue.popleft()
@@ -270,8 +261,6 @@ class AdaptiveChainPolicy(SchedulingPolicy):
         self.total_units = sum(c.remaining for c in self._supply)
 
     def next_assignment(self, worker: Worker) -> Assignment | None:
-        if worker in self._inflight:
-            raise RuntimeError(f"worker {worker!r} asked for work with a unit in flight")
         if worker in self._lost:
             return None
         c = self._active.get(worker)

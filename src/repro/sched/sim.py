@@ -1,23 +1,20 @@
-"""Drive a scheduling policy over the discrete-event VirtualPVM cluster.
+"""The simulator's shell of the :class:`~repro.sched.master.MasterCore`.
 
 :func:`simulate` is the simulator's entry point: it looks a strategy name
 up in :data:`~repro.sched.core.STRATEGIES`, builds the policy and the
 geometry the row asks for (block regions, or speed-weighted frame ranges)
-and runs it on a :class:`SimTransport`.  One master drives any
-:class:`~repro.sched.core.SchedulingPolicy` — priming every worker,
-pricing each assignment through the
-:class:`~repro.sched.cost.OracleCostModel`, completing frames when all
-their (region, frame) units arrive, and, when given a ``worker_timeout``,
-sweeping worker deadlines so a machine failure becomes
-``policy.on_worker_lost`` and the lost chain restarts fresh on a survivor
-(the ``-ft`` strategies).  Around it sit the generic slave program, the
+and runs it on a :class:`SimTransport`.  The transport turns the core's
+actions into ``Send``/``Recv`` messages on the
+:class:`~repro.cluster.VirtualPVM`'s virtual clock: it prices each
+assignment through the :class:`~repro.sched.cost.OracleCostModel` and
+writes a frame when all its (region, frame) units have arrived.  Its lanes
+are the machine names.  Around it sit the generic slave program, the
 telemetry bridge that replays a simulated run onto the pinned event
 schema, and the outcome assembly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -30,16 +27,15 @@ from ..parallel.config import RenderFarmConfig
 from ..parallel.oracle import AnimationCostOracle
 from ..parallel.outcome import SimulationOutcome
 from ..parallel.partition import PixelRegion, default_block_layout, sequence_ranges
-from ..runtime.options import TIMEOUT_FACTOR, TIMEOUT_MARGIN
+from ..runtime.options import TIMEOUT_FACTOR, TIMEOUT_MARGIN, RecoveryOptions
 from .core import STRATEGIES, SchedulingPolicy, make_policy
 from .cost import AssignmentCost, OracleCostModel
+from .master import Close, MasterCore, Stop
 
 __all__ = [
     "SIM_STRATEGIES",
     "SimTelemetry",
-    "RunAccounting",
     "worker_program",
-    "outcome_from",
     "SimTransport",
     "default_worker_timeout",
     "simulate",
@@ -50,15 +46,19 @@ SIM_STRATEGIES = tuple(name for name, row in STRATEGIES.items() if row.label is 
 
 
 class SimTelemetry:
-    """Bridges a strategy replay onto the pinned telemetry schema.
+    """Keeps a strategy replay's accounting and bridges it onto the pinned
+    telemetry schema.
+
+    The accounting — rays and work units dispatched, each frame's
+    completion time — is what the outcome reads, telemetry on or off.
 
     Spans and events carry *virtual* timestamps (the telemetry clock is
     rebound to ``pvm.sim.now`` once the farm exists), but their names and
     attribute keys are exactly those of a real farm run — the property the
-    schema-equality acceptance test pins down.  Masters stamp dispatch
-    metadata into the task payload (``_t0``/``_rays``/...): payload contents
-    don't affect the modeled message size (``reply_bytes`` is explicit), and
-    the echo-back of the payload is what lets the master close the span.
+    schema-equality acceptance test pins down.  The master stamps each
+    assignment's cost into its payload (``_rays``/...; payload contents
+    don't affect the modeled message size, ``reply_bytes`` is explicit) and
+    closes a unit's ``task`` span from its accepted flight.
     """
 
     def __init__(self, telemetry, oracle: AnimationCostOracle, mode: str):
@@ -66,7 +66,10 @@ class SimTelemetry:
         self.enabled = self.tel.enabled
         self.oracle = oracle
         self.mode = mode
-        self.names: dict[int, str] = {}  # worker tid -> machine name
+        self.n_workers = 1
+        self.total_rays = 0
+        self.total_units = 0.0
+        self.frame_done_at: dict[int, float] = {}
         self.tasks_of: dict[str, int] = {}
         self.frame_rays: dict[int, int] = {}
         self.frame_computed: dict[int, int] = {}
@@ -76,11 +79,11 @@ class SimTelemetry:
         self.copied_pixels = 0
         self.n_tasks = 0
 
-    def bind(self, pvm: VirtualPVM, machines: list[Machine], worker_tids: list[int]) -> None:
+    def bind(self, pvm: VirtualPVM, machines: list[Machine]) -> None:
         if not self.enabled:
             return
         self.tel.use_clock(VirtualClock(lambda: pvm.sim.now))
-        self.names = {tid: m.name for tid, m in zip(worker_tids, machines)}
+        self.n_workers = len(machines)
         self.tel.event(
             "run.start",
             engine="sim",
@@ -88,47 +91,46 @@ class SimTelemetry:
             n_frames=self.oracle.n_frames,
             width=self.oracle.width,
             height=self.oracle.height,
-            n_workers=len(machines) if machines else 1,
+            n_workers=self.n_workers,
             mode=self.mode,
         )
 
-    def on_dispatch_cost(
-        self, payload: dict, cost: AssignmentCost, region_px: int, now: float
-    ) -> None:
+    def on_dispatch_cost(self, payload: dict, cost: AssignmentCost, region_px: int) -> None:
         """Accumulate each frame-step of the assignment, stamp its totals."""
+        self.total_rays += cost.rays
+        self.total_units += cost.units
         if not self.enabled:
             return
         for s in cost.per_frame:
             self.frame_rays[s.frame] = self.frame_rays.get(s.frame, 0) + s.rays
             self.frame_computed[s.frame] = self.frame_computed.get(s.frame, 0) + s.n_computed
-        payload["_t0"] = now
         payload["_region_px"] = int(region_px)
         payload["_rays"] = int(cost.rays)
         payload["_n_computed"] = int(cost.n_computed)
 
-    def on_done(self, src: int, payload: dict, now: float) -> None:
+    def on_done(self, flight, now: float) -> None:
+        """Close the ``task`` span of an accepted flight."""
         if not self.enabled:
             return
-        worker = self.names.get(src, f"tid{src}")
+        worker, payload = flight.lane, flight.args
         self.n_tasks += 1
         self.tasks_of[worker] = self.tasks_of.get(worker, 0) + 1
-        t0 = payload.get("_t0", now)
-        frame0 = int(payload["frame"])
         self.tel.emit_span(
             "task",
-            t0,
-            now - t0,
+            flight.t0,
+            now - flight.t0,
             worker=worker,
             mode=self.mode,
-            frame0=frame0,
-            frame1=int(payload.get("_frame1", frame0 + 1)),
+            frame0=flight.assignment.frame0,
+            frame1=flight.assignment.frame1,
             region=payload.get("_region_px", 0),
             rays=payload.get("_rays", 0),
             n_computed=payload.get("_n_computed", 0),
             attempt=0,
         )
 
-    def frame_done(self, frame: int) -> None:
+    def frame_done(self, frame: int, now: float) -> None:
+        self.frame_done_at[frame] = now
         if not self.enabled:
             return
         rays = self.frame_rays.get(frame, 0)
@@ -153,14 +155,6 @@ class SimTelemetry:
             rays_total=int(rays),
         )
 
-    def recovery(self, kind: str, task: int, duration: float, worker: str = "?") -> None:
-        if not self.enabled:
-            return
-        self.tel.event(
-            "recovery", kind=kind, task=int(task), attempt=0, duration=duration, worker=worker
-        )
-        self.tel.counter("recovery.events", 1)
-
     def finish(self, pvm: VirtualPVM, total_time: float) -> None:
         if not self.enabled:
             return
@@ -180,25 +174,13 @@ class SimTelemetry:
             computed_pixels=self.computed_pixels,
             copied_pixels=self.copied_pixels,
             n_tasks=self.n_tasks,
-            n_workers=len(self.names) if self.names else 1,
+            n_workers=self.n_workers,
             rays_camera=int(self.kind_totals[0]),
             rays_reflected=int(self.kind_totals[1]),
             rays_refracted=int(self.kind_totals[2]),
             rays_shadow=int(self.kind_totals[3]),
             rays_total=int(self.rays_total),
         )
-
-
-@dataclass
-class RunAccounting:
-    """Mutable counters the master updates while the simulation runs."""
-
-    total_rays: int = 0
-    total_units: float = 0.0
-    n_chain_starts: int = 0
-    n_steals: int = 0
-    n_reassigned: int = 0
-    frame_done_at: dict[int, float] = field(default_factory=dict)
 
 
 def worker_program(master_tid: int) -> Iterator:
@@ -216,41 +198,6 @@ def worker_program(master_tid: int) -> Iterator:
         p = msg.payload
         yield Compute(units=p["units"], working_set_mb=p["ws_mb"])
         yield Send(master_tid, p["reply_bytes"], payload=p, tag="done")
-
-
-def outcome_from(
-    strategy: str,
-    oracle: AnimationCostOracle,
-    pvm: VirtualPVM,
-    acct: RunAccounting,
-    total_time: float,
-    first_frame_time: float | None = None,
-    sim_tel: SimTelemetry | None = None,
-) -> SimulationOutcome:
-    if sim_tel is not None:
-        sim_tel.finish(pvm, total_time)
-    timeline = None
-    if pvm.tracing and pvm.events:
-        from ..cluster import render_timeline
-
-        timeline = render_timeline(pvm)
-    return SimulationOutcome(
-        strategy=strategy,
-        n_frames=oracle.n_frames,
-        total_time=total_time,
-        first_frame_time=first_frame_time,
-        frame_completion_times=dict(acct.frame_done_at),
-        total_rays=acct.total_rays,
-        total_units=acct.total_units,
-        machine_busy_seconds=pvm.cpu_busy_seconds(),
-        ethernet_busy_seconds=pvm.ethernet.busy_seconds,
-        n_messages=pvm.ethernet.n_messages,
-        bytes_on_wire=pvm.ethernet.bytes_carried,
-        n_chain_starts=acct.n_chain_starts,
-        n_steals=acct.n_steals,
-        n_reassigned=acct.n_reassigned,
-        timeline=timeline,
-    )
 
 
 def _effective_rates(
@@ -302,15 +249,14 @@ class SimTransport:
     master primes every worker, reprices each assignment at dispatch time
     and writes frames as their last (region, frame) unit completes.
 
-    ``worker_timeout`` switches the master's blocking ``Recv`` to a
-    deadline sweep: a worker whose assignment outlives the deadline is
-    declared lost, the policy requeues its chain fresh (its coherence
-    state died with the machine — the paper's chain-restart cost, paid
-    only on failure), and idle live workers are re-fed.  A late answer
-    from a worker that was merely slow is dropped, so every (region,
-    frame) unit is accepted exactly once as long as one worker survives.
-    ``failures`` is a list of ``(machine_name, virtual_time)`` crashes to
-    inject.
+    ``worker_timeout`` is the core's fixed deadline, and the master's
+    ``Recv`` wakes every half of it: a worker whose assignment outlives it
+    is declared lost, the policy requeues its chain fresh (its coherence
+    state died with the machine — the paper's chain-restart cost, paid only
+    on failure), and the loss counts as a ``timeout`` in the outcome's
+    ``recovery``.  Without it, a worker the policy declines is stopped at
+    once.  ``failures`` is a list of ``(machine_name, virtual_time)``
+    crashes to inject.
     """
 
     def __init__(
@@ -422,26 +368,59 @@ class SimTransport:
         )
 
     # -- shared dispatch plumbing -----------------------------------------
-    def _build_payload(self, a, acct: RunAccounting, sim_tel: SimTelemetry, now: float) -> dict:
+    def _build_payload(self, a, sim_tel: SimTelemetry) -> dict:
         cost = self.cost.assignment_cost(a)
-        acct.total_rays += cost.rays
-        acct.total_units += cost.units
         p = {
-            "frame": a.frame0,
-            "_frame1": a.frame1,
-            "region": a.region_index,
             "units": cost.units,
             "ws_mb": cost.ws_mb,
             "reply_bytes": cost.reply_bytes,
             "_seq": a.seq,
         }
-        sim_tel.on_dispatch_cost(p, cost, self.cost.region_size(a.region_index), now)
+        sim_tel.on_dispatch_cost(p, cost, self.cost.region_size(a.region_index))
         return p
 
-    def _sync_policy_counters(self, acct: RunAccounting) -> None:
-        acct.n_chain_starts = self.policy.n_chain_starts
-        acct.n_steals = self.policy.n_steals
-        acct.n_reassigned = self.policy.n_reassigned
+    def _core(self, pvm: VirtualPVM, sim_tel: SimTelemetry) -> MasterCore:
+        """The master: lanes are machine names, dispatches are stamped on
+        the virtual clock, and ``worker_timeout`` is the fixed deadline (a
+        unit may be lost once per machine); without one no lane is lost."""
+        recovery = None
+        if self.worker_timeout is not None:
+            recovery = RecoveryOptions(
+                max_attempts=len(self.machines) + 1, task_timeout=self.worker_timeout
+            )
+        return MasterCore(
+            self.policy,
+            lambda a, lane: self._build_payload(a, sim_tel),
+            recovery,
+            telemetry=sim_tel.tel,
+            flight_spans=False,
+            clock=lambda: pvm.sim.now,
+        )
+
+    def _outcome(self, pvm, end, sim_tel, core, first_frame_time=None):
+        sim_tel.finish(pvm, end)
+        timeline = None
+        if pvm.tracing and pvm.events:
+            from ..cluster import render_timeline
+
+            timeline = render_timeline(pvm)
+        return SimulationOutcome(
+            strategy=self.label,
+            n_frames=self.oracle.n_frames,
+            total_time=end,
+            first_frame_time=first_frame_time,
+            frame_completion_times=dict(sim_tel.frame_done_at),
+            total_rays=sim_tel.total_rays,
+            total_units=sim_tel.total_units,
+            machine_busy_seconds=pvm.cpu_busy_seconds(),
+            ethernet_busy_seconds=pvm.ethernet.busy_seconds,
+            n_messages=pvm.ethernet.n_messages,
+            bytes_on_wire=pvm.ethernet.bytes_carried,
+            n_chain_starts=self.policy.n_chain_starts,
+            n_steals=self.policy.n_steals,
+            recovery=core.counts,
+            timeline=timeline,
+        )
 
     def run(self) -> SimulationOutcome:
         if self.single:
@@ -450,40 +429,37 @@ class SimTransport:
 
     # -- single processor (no messages) ------------------------------------
     def _run_single(self) -> SimulationOutcome:
-        policy, cfg, oracle = self.policy, self.cfg, self.oracle
+        """The core on one inline lane: the renderer completes each unit
+        where it is dispatched."""
+        cfg = self.cfg
         machine = self.machines[0]
         pvm = VirtualPVM(
             [machine], sec_per_work_unit=self.sec_per_work_unit, thrash=self.thrash
         )
-        acct = RunAccounting()
-        sim_tel = SimTelemetry(self.telemetry, oracle, self.label)
-        sim_tel.bind(pvm, [machine], [])
-        sim_tel.names = {0: machine.name}  # the lone renderer is tid-less
+        sim_tel = SimTelemetry(self.telemetry, self.oracle, self.label)
+        sim_tel.bind(pvm, [machine])
+        core = self._core(pvm, sim_tel)
+        lane = machine.name
 
         def renderer():
-            while True:
-                a = policy.next_assignment(0)
-                if a is None:
-                    break
-                p = self._build_payload(a, acct, sim_tel, pvm.sim.now)
-                yield Compute(units=p["units"], working_set_mb=p["ws_mb"])
-                if cfg.write_frames:
-                    for _f in range(a.frame0, a.frame1):
-                        yield WriteFile(self._frame_bytes)
-                for f in range(a.frame0, a.frame1):
-                    acct.frame_done_at[f] = pvm.sim.now
-                sim_tel.on_done(0, p, pvm.sim.now)
-                policy.on_result(0, a)
-                for f in range(a.frame0, a.frame1):
-                    sim_tel.frame_done(f)
+            core.lane_up(lane)
+            while not core.finished:
+                for flight in core.tick(pvm.sim.now):
+                    if isinstance(flight, Stop):
+                        continue  # nothing left: the loop ends, or the core raised
+                    p, a = flight.args, flight.assignment
+                    yield Compute(units=p["units"], working_set_mb=p["ws_mb"])
+                    if cfg.write_frames:
+                        for _f in range(a.frame0, a.frame1):
+                            yield WriteFile(self._frame_bytes)
+                    sim_tel.on_done(flight, pvm.sim.now)
+                    core.completed(lane, a.seq, p, pvm.sim.now)
+                    for f in range(a.frame0, a.frame1):
+                        sim_tel.frame_done(f, pvm.sim.now)
 
         pvm.spawn(renderer(), machine.name, name="renderer")
         end = pvm.run()
-        self._sync_policy_counters(acct)
-        return outcome_from(
-            self.label, oracle, pvm, acct, end,
-            first_frame_time=acct.frame_done_at.get(0), sim_tel=sim_tel,
-        )
+        return self._outcome(pvm, end, sim_tel, core, sim_tel.frame_done_at.get(0))
 
     # -- message-passing farm ----------------------------------------------
     def _run_farm(self) -> SimulationOutcome:
@@ -494,115 +470,67 @@ class SimTransport:
             **self.ethernet_kwargs,
         )
         pvm.tracing = bool(self.trace)
-        acct = RunAccounting()
         # Workers address the master through its (future) tid; tids are
         # assigned sequentially, so workers take 1..n and the master n+1.
         master_tid = len(machines) + 1
-        worker_tids = [
-            pvm.spawn(worker_program(master_tid), m.name, name=f"worker-{m.name}")
+        tids = {
+            m.name: pvm.spawn(worker_program(master_tid), m.name, name=f"worker-{m.name}")
             for m in machines
-        ]
-        master = self._master(pvm, worker_tids, acct, sim_tel)
+        }
+        core = self._core(pvm, sim_tel)
+        master = self._master(pvm, core, tids, sim_tel)
         if pvm.spawn(master, machines[0].name, name="master") != master_tid:
             raise RuntimeError("tid allocation changed; master address is stale")
-        sim_tel.bind(pvm, machines, worker_tids)
+        sim_tel.bind(pvm, machines)
         for machine_name, at in self.failures:
             pvm.fail_machine(machine_name, at)
         end = pvm.run()
-        self._sync_policy_counters(acct)
-        return outcome_from(self.label, self.oracle, pvm, acct, end, sim_tel=sim_tel)
+        return self._outcome(pvm, end, sim_tel, core)
 
     def _master(
-        self, pvm: VirtualPVM, worker_tids: list[int], acct: RunAccounting,
-        sim_tel: SimTelemetry,
+        self, pvm: VirtualPVM, core: MasterCore, tids: dict[str, int], sim_tel: SimTelemetry
     ) -> Iterator:
-        policy, cfg = self.policy, self.cfg
-        frames_done: dict[int, int] = {f: 0 for f in range(self.oracle.n_frames)}
-        inflight: dict[int, object] = {}  # tid -> Assignment
-        deadlines: dict[int, float] = {}
-        stopped: set[int] = set()
-        dead: set[int] = set()
-        timeout = self.worker_timeout
-
-        def dispatch(tid, a):
-            inflight[tid] = a
-            if timeout is not None:
-                deadlines[tid] = pvm.sim.now + timeout
-            return Send(tid, cfg.request_bytes, self._build_payload(
-                a, acct, sim_tel, pvm.sim.now), tag="task")
-
-        def accept(src) -> list[int]:
-            """Record a result; return frames newly completed by it."""
-            a = inflight.pop(src)
-            deadlines.pop(src, None)
-            fresh_frames = [
-                f for f in range(a.frame0, a.frame1)
-                if not policy.unit_completed(a.region_index, f)
-            ]
-            policy.on_result(src, a)
-            done = []
-            for f in fresh_frames:
-                frames_done[f] += 1
-                if frames_done[f] == policy.units_per_frame:
-                    done.append(f)
-            return done
-
-        # -- prime every worker ----------------------------------------
-        for tid in worker_tids:
-            a = policy.next_assignment(tid)
-            if a is None:
-                if timeout is None:
-                    stopped.add(tid)
-                    yield Send(tid, cfg.msg_overhead_bytes, None, tag="stop")
-            else:
-                yield dispatch(tid, a)
-
-        while not policy.finished:
-            msg = yield Recv(
-                tag="done", timeout=None if timeout is None else timeout / 2.0
-            )
+        """The core's actions as messages: a dispatch is a ``task`` Send, a
+        stop a ``stop`` Send, a close a presumed-dead machine; every worker
+        still running gets its stop once the policy is finished."""
+        cfg = self.cfg
+        lane_of = {tid: lane for lane, tid in tids.items()}
+        frames_done = dict.fromkeys(range(self.oracle.n_frames), 0)
+        stopped: set[str] = set()
+        recv_timeout = None if self.worker_timeout is None else self.worker_timeout / 2.0
+        for lane in tids:
+            core.lane_up(lane)
+        now = pvm.sim.now
+        while True:
+            for act in core.tick(now):
+                if isinstance(act, Close):
+                    core.lost(act.lane, act.reason, now)
+                elif isinstance(act, Stop):
+                    stopped.add(act.lane)
+                    yield Send(tids[act.lane], cfg.msg_overhead_bytes, None, tag="stop")
+                else:
+                    yield Send(tids[act.lane], cfg.request_bytes, act.args, tag="task")
+            if core.finished:
+                break
+            msg = yield Recv(tag="done", timeout=recv_timeout)
             now = pvm.sim.now
-            if msg is not None and msg.src not in dead:
-                sim_tel.on_done(msg.src, msg.payload, now)
-                for f in accept(msg.src):
+            if msg is None:
+                continue
+            lane = lane_of[msg.src]
+            flight = core.completed(lane, msg.payload["_seq"], msg.payload, now)
+            if flight is None:
+                continue  # a machine presumed dead answered after all
+            sim_tel.on_done(flight, now)
+            a = flight.assignment
+            for f in range(a.frame0, a.frame1):
+                frames_done[f] += 1
+                if frames_done[f] == self.policy.units_per_frame:
                     if cfg.write_frames:
                         yield WriteFile(self._frame_bytes)
-                    acct.frame_done_at[f] = pvm.sim.now
-                    sim_tel.frame_done(f)
-                a = policy.next_assignment(msg.src)
-                if a is None:
-                    if timeout is None:
-                        stopped.add(msg.src)
-                        yield Send(msg.src, cfg.msg_overhead_bytes, None, tag="stop")
-                else:
-                    yield dispatch(msg.src, a)
-            if timeout is not None:
-                # Deadline sweep: presume silent workers dead, requeue
-                # their chains fresh, re-feed the idle survivors.
-                for tid in list(deadlines):
-                    if tid in dead or now < deadlines[tid]:
-                        continue
-                    dead.add(tid)
-                    deadlines.pop(tid, None)
-                    lost = inflight.pop(tid, None)
-                    policy.on_worker_lost(tid)
-                    sim_tel.recovery(
-                        "deadline",
-                        lost.seq if lost is not None else -1,
-                        timeout,
-                        worker=sim_tel.names.get(tid, f"tid{tid}"),
-                    )
-                for tid in worker_tids:
-                    if tid in dead or tid in stopped or tid in inflight:
-                        continue
-                    a = policy.next_assignment(tid)
-                    if a is not None:
-                        yield dispatch(tid, a)
-                if not inflight and not policy.finished:
-                    raise RuntimeError("all workers dead with work remaining")
+                    sim_tel.frame_done(f, pvm.sim.now)
 
-        for tid in worker_tids:
-            if tid not in stopped:
+        for lane, tid in tids.items():
+            if lane not in stopped:
                 yield Send(tid, cfg.msg_overhead_bytes, None, tag="stop")
 
 

@@ -255,7 +255,7 @@ def test_simulate_rejects_deadline_options_without_a_deadline(tiny_oracle):
             failures=[("indigo-100", 0.5)],
         )
     )
-    assert result.outcome.n_reassigned == 1
+    assert result.outcome.recovery["timeouts"] == result.outcome.recovery["retries"] == 1
     assert len(result.outcome.frame_completion_times) == tiny_oracle.n_frames
 
 

@@ -290,14 +290,15 @@ def test_ft_drill_exactly_once(strategy, scenario, tiny_oracle, machines):
     assert len(units) == len(set(units)) == policy.total_units
     assert len(out.frame_completion_times) == tiny_oracle.n_frames
     # A machine died holding work iff something dispatched to its worker
-    # (tids are 1..n in machine order) never came back.
+    # (the master's lanes are the machine names) never came back; each such
+    # death is one timeout in the master's recovery counts.
     returned = {a.seq for _w, a in accepted}
-    tid_of = {m.name: i + 1 for i, m in enumerate(machines)}
     holding = [
         name for name, _at in failures
-        if any(a.worker == tid_of[name] and a.seq not in returned for a in policy.log)
+        if any(a.worker == name and a.seq not in returned for a in policy.log)
     ]
-    assert out.n_reassigned == policy.n_reassigned == len(holding)
+    assert out.recovery["timeouts"] == policy.n_reassigned == len(holding)
+    assert out.recovery == {**out.recovery, "crashes": 0, "invalid": 0, "degraded": 0}
     if scenario == "slave already finished":
         assert holding == []
     out2, _policy2, accepted2 = _drill(strategy, tiny_oracle, machines, failures)
@@ -314,7 +315,7 @@ def test_ft_clean_run_is_the_plain_policy(strategy, tiny_oracle, machines):
     out_ft, out_plain = ft.run(), plain.run()
     assert [a.key() for a in ft.policy.log] == [a.key() for a in plain.policy.log]
     assert out_ft.total_rays == out_plain.total_rays
-    assert out_ft.n_reassigned == 0
+    assert out_ft.recovery["timeouts"] == out_ft.recovery["retries"] == 0
 
 
 def test_deadline_options_rejected_without_deadline(tiny_oracle, machines):

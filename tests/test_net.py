@@ -471,6 +471,60 @@ def test_badly_typed_field_is_a_clean_loss(tcp_spec, serial_reference, msg_type,
 
 
 @pytest.mark.usefixtures("no_leaks")
+@pytest.mark.parametrize("msg_type", [wire.MSG_RESULT, wire.MSG_ERROR], ids=["result", "error"])
+@pytest.mark.parametrize(
+    "events", [5, [5], "[", [{"t": "x"}]], ids=["int", "list-of-int", "bad-json", "bad-time"]
+)
+def test_malformed_events_are_a_clean_loss(msg_type, events):
+    """A RESULT's or an ERROR's ``events`` field is a worker's event buffer,
+    untrusted like the rest of the frame: one that is not a list of records
+    with numeric times costs the master that lane (an ``error`` loss, its
+    unit requeued) and nothing else, and an honest worker finishes."""
+    sink = InMemorySink()
+    tel = Telemetry(sinks=(sink,))
+    policy = make_policy("frame-division-nofc", 2, n_regions=1)
+    master = MasterServer(
+        policy, "echo", lambda a, lane: (a.seq, lane), recovery=PATIENT, telemetry=tel
+    )
+    host, port = master.listen()
+    bad_sent = threading.Event()
+
+    def rogue():
+        with socket.create_connection((host, port)) as sock:
+            wire.send_frame(sock, wire.MSG_HELLO, _hello())
+            assert wire.recv_frame(sock)[0] == wire.MSG_WELCOME
+            msg, assign = _unpinged(sock)
+            assert msg == wire.MSG_ASSIGN
+            wire.send_frame(sock, msg_type, {
+                "seq": assign["seq"], "result": assign["args"], "error": "x", "events": events,
+            })
+            bad_sent.set()
+            sock.settimeout(10.0)
+            while sock.recv(1 << 16):
+                pass  # until the master hangs up on us
+
+    client = WorkerClient(host, port, score=1.0, backoff_base=0.1, max_retries=30)
+
+    def honest():
+        bad_sent.wait(timeout=30.0)
+        client.run()
+
+    threads = [threading.Thread(target=rogue), threading.Thread(target=honest)]
+    for t in threads:
+        t.start()
+    out = master.serve()
+    tel.close()
+    for t in threads:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    assert policy.finished and policy.n_reassigned == 1 and client.n_rendered == 2
+    assert len(out.results) == 2
+    lost = [r["attrs"] for r in sink.events if r["name"] == "net.worker.lost"]
+    assert [(r["worker"], r["reason"]) for r in lost] == [("w0", "error")]
+    validate_events(sink.events)
+
+
+@pytest.mark.usefixtures("no_leaks")
 def test_task_error_reconnect_then_max_attempts():
     """A worker that errors on its assignment is dropped and reconnects as
     a fresh lane; the same unit failing ``max_attempts`` times fails the

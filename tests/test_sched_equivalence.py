@@ -20,7 +20,7 @@ from repro.parallel.oracle import AnimationCostOracle
 from repro.parallel.partition import default_block_layout, sequence_ranges
 from repro.runtime import AnimationSpec, FarmOptions, LocalRenderFarm, RecoveryOptions
 from repro.runtime.faults import FaultPlan
-from repro.runtime.supervisor import TaskSupervisor, assignment_echo_task
+from repro.runtime.supervisor import SupervisorError, TaskSupervisor, assignment_echo_task
 from repro.sched import (
     DemandDrivenPolicy,
     OracleCostModel,
@@ -365,12 +365,29 @@ def test_idle_lanes_while_policy_gates_do_not_deadlock(run):
     assert len(policy.log) == 5
 
 
-@pytest.mark.parametrize("run", [_run_process, _run_tcp], ids=["process", "tcp"])
+def _run_sim_on(worker_timeout=None):
+    """The simulator as a ``run(policy, n_workers)`` transport (with or
+    without a worker deadline)."""
+
+    def run(policy, n_workers):
+        return _run_sim(
+            policy, _static_oracle(), None, ncsu_testbed()[:n_workers], "stuck",
+            worker_timeout=worker_timeout,
+        )
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_run_process, _run_tcp, _run_sim_on(), _run_sim_on(worker_timeout=5.0)],
+    ids=["process", "tcp", "sim", "sim-deadline"],
+)
 def test_stalled_policy_raises_instead_of_hanging(run):
-    # The process transport reports the exhausted-but-incomplete policy when
-    # its feed dries up; the tcp master flags the stall directly.  Either
-    # way: a loud RuntimeError, never a silent hang.
-    with pytest.raises(RuntimeError, match="stall|incomplete"):
+    # Every transport is a shell of one master core, which sees nothing in
+    # flight and every lane declined: one loud stall error, never a hang
+    # (nor, in the simulator, a drained event queue or a "dead" worker).
+    with pytest.raises(SupervisorError, match="master stalled"):
         run(StuckPolicy(), 2)
 
 

@@ -15,8 +15,8 @@ import pytest
 
 from repro.runtime import FarmOptions, RecoveryOptions, deadline
 from repro.runtime.faults import FaultInjected, FaultPlan, FaultSpec, corrupt_result
-from repro.runtime.options import RecoveryRecord
 from repro.runtime.supervisor import SupervisorError, TaskSupervisor
+from repro.sched.master import MasterCore
 
 pytestmark = pytest.mark.usefixtures("no_leaks")
 
@@ -215,19 +215,19 @@ def test_adaptive_deadline_from_observed_durations():
 
     sup = _supervise(_double, [1], executor="serial")
     master = MasterServer(make_policy("single", 1), "echo", lambda a, lane: None)
-    assert sup.record.deadline() is None  # no observations, no fixed timeout
-    assert master.record.deadline() is None
+    assert sup.core.deadline() is None  # no observations, no fixed timeout
+    assert master.core.deadline() is None
     for durations in ([2.0], [0.5, 2.0, 1.25], [1e-3]):
-        sup.record.durations[:] = master.record.durations[:] = durations
+        sup.core.durations[:] = master.core.durations[:] = durations
         expected = TIMEOUT_FACTOR * max(durations) + TIMEOUT_MARGIN
         assert deadline(durations) == expected
-        assert sup.record.deadline() == master.record.deadline() == expected
+        assert sup.core.deadline() == master.core.deadline() == expected
     assert deadline([2.0]) == pytest.approx(7.0)
     # before any observation the startup window stands in; a fixed deadline wins
     assert RecoveryOptions(startup_timeout=9.0).deadline([]) == 9.0
     fixed = _supervise(_double, [1], executor="serial", task_timeout=42.0)
-    assert fixed.record.deadline() == RecoveryRecord(RecoveryOptions(task_timeout=42.0)).deadline()
-    assert fixed.record.deadline() == 42.0
+    assert fixed.core.deadline() == MasterCore(None, None, RecoveryOptions(task_timeout=42.0)).deadline()
+    assert fixed.core.deadline() == 42.0
 
 
 # -- retry exhaustion and degradation --------------------------------------------
