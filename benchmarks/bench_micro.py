@@ -2,9 +2,9 @@
 
 Not tied to a specific table/figure — these are the throughput numbers a
 downstream user of the library cares about, and the regression guard for
-the vectorized kernels: primitive intersection, one frame-division
-block's scene queries, 3-D DDA marking, voxel pixel-list updates,
-full-frame tracing and one coherent step.
+the vectorized kernels: primitive intersection, stacked vs per-object
+scene queries, one frame-division block's scene queries, 3-D DDA marking,
+voxel pixel-list updates, full-frame tracing and one coherent step.
 """
 
 from __future__ import annotations
@@ -78,6 +78,69 @@ def test_block_batch_queries(benchmark):
 
     hit = benchmark(queries)
     assert hit.hit.any() and not hit.hit.all()
+
+
+def _looped_nearest(objects, origins, dirs):
+    """The per-object kernel the stacked one replaced: one ``intersect`` each."""
+    best_t = np.full(origins.shape[0], np.inf)
+    best_obj = np.full(origins.shape[0], -1)
+    for idx, obj in enumerate(objects):
+        t, _ = obj.intersect(origins, dirs)
+        closer = t < best_t
+        best_t = np.where(closer, t, best_t)
+        best_obj = np.where(closer, idx, best_obj)
+    return best_t, best_obj
+
+
+@pytest.fixture(scope="module")
+def newton_cylinders():
+    scene = newton_scene(width=128, height=96)
+    cylinders = [o for o in scene.objects if isinstance(o, Cylinder)]
+    assert len(cylinders) == 16
+    return scene, cylinders
+
+
+@pytest.mark.parametrize("mode", ["stacked", "looped"])
+@pytest.mark.parametrize("n_rays", [512, 12_288])  # a coherent frame's batch; a full frame
+def test_newton_cylinders_nearest(benchmark, newton_cylinders, mode, n_rays):
+    """The 16 Newton cylinders: one stacked call per type vs one call each."""
+    scene, cylinders = newton_cylinders
+    pixels = np.arange(128 * 96)[:: 128 * 96 // n_rays]
+    batch = scene.camera.rays_for_pixels(pixels)
+    inter = SceneIntersector(cylinders, cull_bounds=False)
+    if mode == "stacked":
+        rec = benchmark(inter.nearest, batch)
+        t, obj = rec.t, rec.obj_index
+    else:
+        t, obj = benchmark(_looped_nearest, cylinders, batch.origins, batch.dirs)
+    ref_t, ref_obj = _looped_nearest(cylinders, batch.origins, batch.dirs)
+    assert np.array_equal(t, ref_t) and np.array_equal(obj, ref_obj) and np.isfinite(t).any()
+
+
+@pytest.mark.parametrize("mode", ["t-only", "intersect"])
+def test_newton_shadow_query(benchmark, mode):
+    """One shadow volley of a Newton frame: the ``t``-only stacked query vs
+    per-object ``intersect`` calls whose normals are thrown away."""
+    scene = newton_scene(width=128, height=96)
+    batch = scene.camera.rays_for_pixels(np.arange(0, 128 * 96, 4))
+    inter = SceneIntersector(scene.objects, cull_bounds=False)
+    hit = inter.nearest(batch)
+    pts = batch.origins[hit.hit] + hit.t[hit.hit, None] * batch.dirs[hit.hit]
+    pts += 1e-6 * hit.normals[hit.hit]
+    to_light = scene.lights[0].position - pts
+    dist = np.linalg.norm(to_light, axis=1)
+    dirs = to_light / dist[:, None]
+
+    def looped():
+        atten = np.ones(dist.size)
+        for obj in scene.objects:
+            t, _ = obj.intersect(pts, dirs)
+            atten[np.isfinite(t) & (t > 1e-6) & (t < dist - 1e-6)] = 0.0  # all opaque
+        return atten
+
+    run = (lambda: inter.shadow_attenuation(pts, dirs, dist)) if mode == "t-only" else looped
+    atten = benchmark(run)
+    assert np.array_equal(atten, looped()) and (atten == 0.0).any()
 
 
 def test_dda_traversal_throughput(benchmark, ray_batch):

@@ -9,7 +9,7 @@ world-space ray directly.
 Intersection routines are batched: they take ``(N, 3)`` origin/direction
 arrays and return ``(t, normal)`` where ``t`` is ``inf`` for misses.  The
 returned normal is geometric (not oriented toward the ray); the shader
-orients it.
+orients it; ``local_hit`` is the ``t``-only half.
 """
 
 from __future__ import annotations
@@ -86,6 +86,11 @@ class Primitive(ABC):
         (normal rows for misses are arbitrary).
         """
 
+    def local_hit(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """``t`` of :meth:`local_intersect` alone.  An override also takes a
+        leading object axis, ``(M, N, 3)`` rays to ``(M, N)``, for stacked calls."""
+        return self.local_intersect(origins, dirs)[0]
+
     @abstractmethod
     def local_bounds(self) -> AABB:
         """Canonical-frame bounding box (may have infinite extents)."""
@@ -93,14 +98,18 @@ class Primitive(ABC):
     # -- world-frame interface ----------------------------------------------
     def intersect(self, origins: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """World-space batched intersection: ``(t (N,), world normal (N, 3))``."""
+        t, n = self.local_intersect(*self.local_rays(origins, dirs))
+        return t, self.world_normals(n)
+
+    def local_rays(self, origins: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """World rays in the canonical frame (directions keep their length)."""
         tf = self.transform
-        if tf.is_identity():
-            t, n = self.local_intersect(origins, dirs)
-            return t, normalize(n)
-        lo = tf.inv_points(origins)
-        ld = tf.inv_vectors(dirs)
-        t, n = self.local_intersect(lo, ld)
-        return t, normalize(tf.apply_normals(n))
+        return (origins, dirs) if tf.is_identity() else (tf.inv_points(origins), tf.inv_vectors(dirs))
+
+    def world_normals(self, n: np.ndarray) -> np.ndarray:
+        """Unit world normals from canonical-frame ones."""
+        tf = self.transform
+        return normalize(n if tf.is_identity() else tf.apply_normals(n))
 
     def bounds(self) -> AABB:
         """World-space bounding box, computed once per placement."""

@@ -21,8 +21,8 @@ class Cylinder(Primitive):
     Use :meth:`from_endpoints` for POV's ``cylinder { p0, p1, r }`` form.
     """
 
-    def local_intersect(self, origins: np.ndarray, dirs: np.ndarray):
-        n_rays = origins.shape[0]
+    def _hits(self, origins: np.ndarray, dirs: np.ndarray):
+        """Side, bottom-cap and top-cap ``t`` (``MISS`` where not on the surface)."""
         eps = 1e-9
 
         ox, oy, oz = origins[..., 0], origins[..., 1], origins[..., 2]
@@ -44,22 +44,29 @@ class Cylinder(Primitive):
         with np.errstate(divide="ignore", invalid="ignore"):
             t_cap0 = (0.0 - oy) / dy
             t_cap1 = (1.0 - oy) / dy
+            steep = np.abs(dy) > 1e-300
 
             def cap_valid(t: np.ndarray) -> np.ndarray:
                 # inf * 0 -> nan rows are rejected by the isfinite guard.
                 x = ox + t * dx
                 z = oz + t * dz
-                r2 = np.where(np.isfinite(t), x * x + z * z, np.inf)
-                return np.isfinite(t) & (t > eps) & (np.abs(dy) > 1e-300) & (r2 <= 1.0)
+                return np.isfinite(t) & (t > eps) & steep & (x * x + z * z <= 1.0)
 
             t_cap0 = np.where(cap_valid(t_cap0), t_cap0, MISS)
             t_cap1 = np.where(cap_valid(t_cap1), t_cap1, MISS)
-        t_cap = np.minimum(t_cap0, t_cap1)
+        return t_side, t_cap0, t_cap1
 
+    def local_hit(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        t_side, t_cap0, t_cap1 = self._hits(origins, dirs)
+        return np.minimum(t_side, np.minimum(t_cap0, t_cap1))
+
+    def local_intersect(self, origins: np.ndarray, dirs: np.ndarray):
+        t_side, t_cap0, t_cap1 = self._hits(origins, dirs)
+        t_cap = np.minimum(t_cap0, t_cap1)
         t = np.minimum(t_side, t_cap)
 
         # --- normals
-        n = np.zeros((n_rays, 3), dtype=np.float64)
+        n = np.zeros(origins.shape, dtype=np.float64)
         hit_side = np.isfinite(t) & (t == t_side) & (t < t_cap)
         hit_cap = np.isfinite(t) & ~hit_side
         if np.any(hit_side):

@@ -17,13 +17,16 @@ class Sphere(Primitive):
     moves spheres by replacing the transform (see ``Primitive.with_transform``).
     """
 
-    def local_intersect(self, origins: np.ndarray, dirs: np.ndarray):
+    def local_hit(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         a = dot(dirs, dirs)
         b = 2.0 * dot(origins, dirs)
         c = dot(origins, origins) - 1.0
         _, t0, t1 = solve_quadratic(a, b, c)
         eps = 1e-9
-        t = np.where(t0 > eps, t0, np.where(t1 > eps, t1, MISS))
+        return np.where(t0 > eps, t0, np.where(t1 > eps, t1, MISS))
+
+    def local_intersect(self, origins: np.ndarray, dirs: np.ndarray):
+        t = self.local_hit(origins, dirs)
         with np.errstate(invalid="ignore"):  # inf * 0 on miss rows
             pts = origins + t[..., None] * dirs
         # The local normal of a unit sphere is the hit point itself.

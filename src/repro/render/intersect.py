@@ -1,7 +1,9 @@
 """Nearest-hit and occlusion queries over a scene's object list.
 
-The intersector evaluates each primitive against the whole ray batch as a
-vectorized broadcast.  For the handful-of-quadrics scenes of the paper (the
+The intersector evaluates primitives against the whole ray batch as a
+vectorized broadcast, one ``t``-only ``local_hit`` call per primitive type
+(same-type objects stacked on a leading axis), and normals only for the rows
+each object wins.  For the handful-of-quadrics scenes of the paper (the
 Newton scene has 22 objects) this does far less Python-level work than a
 per-ray grid walk would, which is the right trade-off in numpy; the uniform
 grid's job in this system is *coherence tracking*, not hit-finding.
@@ -17,16 +19,22 @@ is expensive (meshes) ray by ray, and prunes by the best hit so far.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 from ..geometry import MISS, Primitive, RayBatch
 from ..rmath import ray_aabb_intersect
 
-__all__ = ["SceneIntersector", "HitRecord"]
+__all__ = ["SceneIntersector", "HitRecord", "attenuate"]
 
 #: A slab test costs roughly one sphere test, so only primitives at least
 #: this many times more expensive are worth pre-testing.
 _CULL_COST_THRESHOLD = 4.0
+
+#: Most ray·object pairs one stacked ``local_hit`` call holds: a full frame stacks
+#: about one object per call, a coherent frame's small batches a whole type.
+_STACK_PAIRS = 2**14
 
 #: The batch skip grows boxes by this fraction of (1 + their largest |coordinate|):
 #: far more than the few ulps a computed hit can stray outside its exact AABB.
@@ -63,7 +71,8 @@ class SceneIntersector:
     cull_bounds:
         ``True`` forces per-ray AABB pre-tests on every finite object,
         ``False`` disables every bounds test, the batch skip included (the
-        reference); ``None`` (default) pre-tests ray by ray only objects
+        no-bounds-test reference; its objects are still stacked by type,
+        not called one by one); ``None`` (default) pre-tests ray by ray only objects
         whose ``intersect_cost_hint`` says the primitive test is expensive
         enough to be worth saving (meshes, mainly).
     """
@@ -78,6 +87,9 @@ class SceneIntersector:
         self._box_lo: list[np.ndarray | None] = []
         self._box_hi: list[np.ndarray | None] = []
         self._cull: list[bool] = []
+        #: Stack key per object: its type if that overrides ``local_hit``, else its index.
+        self._kind = [type(o) if type(o).local_hit is not Primitive.local_hit else i
+                      for i, o in enumerate(self.objects)]
         for obj in self.objects:
             b = obj.bounds()
             finite = bool(np.all(np.isfinite(b.lo)) and np.all(np.isfinite(b.hi)))
@@ -125,42 +137,95 @@ class SceneIntersector:
         reach[self._skip_rows] = ok
         return np.flatnonzero(reach).tolist()
 
+    def _runs(self, idxs, origins, inv, t_max, live=None):
+        """``(objects, rows)`` to test in index order: each run of unculled objects
+        on every row, each culled one alone on the rows whose ray may reach its
+        box before ``t_max`` (and, given ``live``, is still lit).  Both arrays
+        are read when the object's turn comes, after the earlier updates."""
+        for culled, group in groupby(idxs, self._cull.__getitem__):
+            if not culled:
+                yield list(group), slice(None)
+                continue
+            for idx in group:
+                box = ray_aabb_intersect(origins, inv, self._box_lo[idx], self._box_hi[idx], t_max)
+                rows = np.flatnonzero(box[0] & (box[1] < t_max if live is None else live > 0.0))
+                if rows.size:
+                    yield [idx], rows
+
+    def _local_t(self, idxs, origins, dirs, keep=None) -> np.ndarray:
+        """``t`` of the objects ``idxs`` over the whole batch, ``(len(idxs), N)``.
+
+        Each object maps the batch into its frame with its own matmul, the
+        bits ``Primitive.intersect`` computes; objects of a type that
+        overrides ``local_hit`` then share calls of at most ``_STACK_PAIRS``
+        ray·object pairs.  ``keep`` receives each object's local rays.
+        """
+        n = origins.shape[0]
+        t = np.empty((len(idxs), n))
+        groups: dict = {}
+        for pos, idx in enumerate(idxs):
+            groups.setdefault(self._kind[idx], []).append(pos)
+        per = max(1, _STACK_PAIRS // max(n, 1))
+        for group in groups.values():
+            for c in range(0, len(group), per):
+                chunk = [idxs[pos] for pos in group[c : c + per]]
+                local = [self.objects[idx].local_rays(origins, dirs) for idx in chunk]
+                lo, ld = local[0] if len(chunk) == 1 else (np.stack(a) for a in zip(*local))
+                t[group[c : c + per]] = self.objects[chunk[0]].local_hit(lo, ld)
+                if keep is not None:
+                    keep.update(zip(chunk, local))
+        return t
+
     def nearest(self, batch: RayBatch) -> HitRecord:
-        """Closest intersection per ray."""
+        """Closest intersection per ray.
+
+        Each run's ``t`` rows merge by first-index ``argmin``, the strict
+        ``<`` of an object-order scan: ties go to the lowest index.  Normals
+        come last, per winning object on the rows it won, from the local
+        rays its ``t`` was computed on.
+        """
         n = len(batch)
+        origins, dirs = batch.origins, batch.dirs
         best_t = np.full(n, MISS)
         best_obj = np.full(n, -1, dtype=np.int64)
         best_n = np.zeros((n, 3), dtype=np.float64)
         inv = batch.inv_dirs if self.cull_bounds else None
-        rows = np.arange(n)
-        for idx in self._reachable(batch.origins, batch.dirs):
+        keep: dict = {}
+        for run, rows in self._runs(self._reachable(origins, dirs), origins, inv, best_t):
+            local: dict = {}
+            t = self._local_t(run, origins[rows], dirs[rows], local)
+            keep.update((idx, (rows, rays)) for idx, rays in local.items())
+            self.n_primitive_tests += t.size
+            first = t.argmin(axis=0)
+            t_min = t[first, np.arange(t.shape[1])]
+            closer = t_min < best_t[rows]
+            best_t[rows] = np.where(closer, t_min, best_t[rows])
+            best_obj[rows] = np.where(closer, np.asarray(run)[first], best_obj[rows])
+        for idx in np.unique(best_obj[best_obj >= 0]).tolist():
+            won = np.flatnonzero(best_obj == idx)
+            rows, (lo, ld) = keep[idx]
+            at = won if isinstance(rows, slice) else np.searchsorted(rows, won)
+            # A one-row matmul takes numpy's vector path, whose rounding is
+            # not the batched product's; two copies of the row keep the latter.
+            at = np.repeat(at, 2) if at.size == 1 < lo.shape[0] else at
             obj = self.objects[idx]
-            lo = self._box_lo[idx]
-            if self._cull[idx]:
-                box_hit, t_enter, _ = ray_aabb_intersect(
-                    batch.origins, inv, lo, self._box_hi[idx], t_max=best_t
-                )
-                sel = box_hit & (t_enter < best_t)
-                if not np.any(sel):
-                    continue
-                t_sub, n_sub = obj.intersect(batch.origins[sel], batch.dirs[sel])
-                self.n_primitive_tests += t_sub.size
-                sub_rows = rows[sel]
-                closer = t_sub < best_t[sub_rows]
-                if np.any(closer):
-                    upd = sub_rows[closer]
-                    best_t[upd] = t_sub[closer]
-                    best_obj[upd] = idx
-                    best_n[upd] = n_sub[closer]
-            else:
-                t, nrm = obj.intersect(batch.origins, batch.dirs)
-                self.n_primitive_tests += t.size
-                closer = t < best_t
-                if np.any(closer):
-                    best_t = np.where(closer, t, best_t)
-                    best_obj = np.where(closer, idx, best_obj)
-                    best_n = np.where(closer[:, None], nrm, best_n)
+            best_n[won] = obj.world_normals(obj.local_intersect(lo[at], ld[at])[1])[: won.size]
         return HitRecord(best_t, best_obj, best_n)
+
+    def occlusion(self, idxs, origins, dirs, max_dist, eps: float = 1e-6):
+        """Shadow-blocking events of the objects ``idxs`` over the whole batch.
+
+        Returns ``(opaque, events)``: the rays an opaque object blocks, and
+        ``(index, transmission, mask)`` per transmissive object that blocks
+        a ray, in ``idxs`` order.  One ``t``-only pass; no bounds test.
+        """
+        t = self._local_t(idxs, origins, dirs)
+        self.n_primitive_tests += t.size
+        blocking = np.isfinite(t) & (t > eps) & (t < max_dist - eps)
+        mats = [self.objects[i].material for i in idxs]
+        see = [m is not None and m.finish.is_transmissive for m in mats]
+        events = [(i, m.finish.transmission, b) for i, m, s, b in zip(idxs, mats, see, blocking) if s]
+        return blocking[~np.array(see, dtype=bool)].any(axis=0), [e for e in events if e[2].any()]
 
     def shadow_attenuation(
         self,
@@ -173,49 +238,26 @@ class SceneIntersector:
 
         Opaque occluders block completely (0); transmissive occluders filter
         the light by their finish's ``transmission`` (one factor per occluding
-        object, the usual POV-style approximation of filtered shadows).
+        object, the usual POV-style approximation of filtered shadows),
+        multiplied in object order.  A culled object skips fully shadowed
+        rays, which cannot get darker.
         """
         origins = np.asarray(origins, dtype=np.float64)
         dirs = np.asarray(dirs, dtype=np.float64)
         max_dist = np.asarray(max_dist, dtype=np.float64)
-        n = origins.shape[0]
-        atten = np.ones(n, dtype=np.float64)
-        if self.cull_bounds:
-            with np.errstate(divide="ignore"):
-                inv = 1.0 / dirs
-        rows = np.arange(n)
-        for idx in self._reachable(origins, dirs, max_dist):
-            obj = self.objects[idx]
-            lo = self._box_lo[idx]
-            if self._cull[idx]:
-                # Fully shadowed rays cannot get darker; skip them too.
-                live = atten > 0.0
-                box_hit, _, _ = ray_aabb_intersect(
-                    origins, inv, lo, self._box_hi[idx], t_max=max_dist
-                )
-                sel = box_hit & live
-                if not np.any(sel):
-                    continue
-                t, _ = obj.intersect(origins[sel], dirs[sel])
-                self.n_primitive_tests += t.size
-                blocking_sub = np.isfinite(t) & (t > eps) & (t < max_dist[sel] - eps)
-                if not np.any(blocking_sub):
-                    continue
-                target = rows[sel][blocking_sub]
-                if obj.material is not None and obj.material.finish.is_transmissive:
-                    atten[target] *= obj.material.finish.transmission
-                else:
-                    atten[target] = 0.0
-            else:
-                t, _ = obj.intersect(origins, dirs)
-                self.n_primitive_tests += t.size
-                blocking = np.isfinite(t) & (t > eps) & (t < max_dist - eps)
-                if not np.any(blocking):
-                    continue
-                if obj.material is not None and obj.material.finish.is_transmissive:
-                    atten = np.where(
-                        blocking, atten * obj.material.finish.transmission, atten
-                    )
-                else:
-                    atten = np.where(blocking, 0.0, atten)
+        atten = np.ones(origins.shape[0], dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / dirs if self.cull_bounds else None
+        idxs = self._reachable(origins, dirs, max_dist)
+        for run, rows in self._runs(idxs, origins, inv, max_dist, atten):
+            found = self.occlusion(run, origins[rows], dirs[rows], max_dist[rows], eps)
+            atten[rows] = attenuate(atten[rows], *found)
         return atten
+
+
+def attenuate(atten: np.ndarray, opaque, events) -> np.ndarray:
+    """Filter ``atten`` in place by occlusion events, in the order given."""
+    for _, factor, rows in events:
+        atten[rows] *= factor
+    atten[opaque] = 0.0
+    return atten

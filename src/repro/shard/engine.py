@@ -58,7 +58,7 @@ import numpy as np
 
 from ..geometry import MISS, RayBatch
 from ..render.framebuffer import Framebuffer
-from ..render.intersect import SceneIntersector
+from ..render.intersect import SceneIntersector, attenuate
 from ..render.raytracer import TraceResult, trace
 from ..rmath import dot
 from .partition import ShardMap, partition_scene
@@ -204,41 +204,22 @@ class ShardWorker:
     def _occlude(self, payload: dict) -> dict:
         """Shadow-blocking *events*, not attenuations.
 
-        The opaque mask and the per-transmissive-occluder masks are
-        value-identical to what the serial ``shadow_attenuation`` loop
-        would observe: the blocking predicate is the same expression, and the
-        serial loop's live/cull skips are value-neutral (a skipped ray is
-        either already fully dark or provably unhittable).
+        The opaque mask and the per-transmissive-occluder masks come from
+        the ``t``-only pass the serial ``shadow_attenuation`` runs, over
+        every owned object: its live/cull skips are value-neutral (a skipped
+        ray is either already fully dark or provably unhittable).
         """
-        origins = payload["origins"]
-        dirs = payload["dirs"]
-        max_dist = payload["max_dist"]
-        n = origins.shape[0]
+        n = payload["origins"].shape[0]
         self.n_rays_served += n
-        n_tests = 0
-        opaque = np.zeros(n, dtype=bool)
-        ev_obj: list[int] = []
-        ev_factor: list[float] = []
-        ev_mask: list[np.ndarray] = []
-        for li, obj in enumerate(self.objects):
-            t, _ = obj.intersect(origins, dirs)
-            n_tests += t.size
-            blocking = np.isfinite(t) & (t > _SHADOW_EPS) & (t < max_dist - _SHADOW_EPS)
-            if not np.any(blocking):
-                continue
-            mat = obj.material
-            if mat is not None and mat.finish.is_transmissive:
-                ev_obj.append(int(self.gidx[li]))
-                ev_factor.append(float(mat.finish.transmission))
-                ev_mask.append(blocking)
-            else:
-                opaque |= blocking
+        before = self.intersector.n_primitive_tests
+        rays = payload["origins"], payload["dirs"], payload["max_dist"]
+        opaque, events = self.intersector.occlusion(range(len(self.objects)), *rays, _SHADOW_EPS)
         return {
             "opaque": opaque,
-            "ev_obj": np.asarray(ev_obj, dtype=np.int64),
-            "ev_factor": np.asarray(ev_factor, dtype=np.float64),
-            "ev_mask": np.stack(ev_mask) if ev_mask else np.zeros((0, n), dtype=bool),
-            "n_tests": n_tests,
+            "ev_obj": np.asarray([self.gidx[i] for i, _, _ in events], dtype=np.int64),
+            "ev_factor": np.asarray([f for _, f, _ in events], dtype=np.float64),
+            "ev_mask": np.stack([m for _, _, m in events]) if events else np.zeros((0, n), dtype=bool),
+            "n_tests": self.intersector.n_primitive_tests - before,
         }
 
     def _shade(self, payload: dict) -> dict:
@@ -474,13 +455,10 @@ class _ShardBackend:
                 events[ci].append(
                     (int(rep["ev_obj"][j]), float(rep["ev_factor"][j]), rows[ev_mask[j]])
                 )
-        attens: list[np.ndarray] = []
-        for ci, call in enumerate(plan):
-            atten = np.ones(call.origins.shape[0], dtype=np.float64)
-            for _, factor, target in sorted(events[ci], key=lambda ev: ev[0]):
-                atten[target] *= factor
-            atten[opaque[ci]] = 0.0
-            attens.append(atten)
+        attens = [
+            attenuate(np.ones(call.origins.shape[0]), opaque[ci], sorted(events[ci], key=lambda ev: ev[0]))
+            for ci, call in enumerate(plan)
+        ]
 
         proxy = _ProxyScene(self.scene, obj_index, colors, finishes)
         return proxy, _ReplayIntersector(attens), owners
