@@ -13,9 +13,9 @@ bars, measured separately so each claim stays honest:
   record into its black-box ring.
 
 The workload is the ``random_spheres`` stress scene — many small objects,
-every frame dirty in patches — rendered through the single-process engine
-(the instrumentation-densest path: per-frame, per-chunk and per-sequence
-hooks all fire in one process).
+every frame dirty in patches — rendered through ``engine="animation"``, the
+farm on one inline lane (the instrumentation-densest path: per-frame,
+per-task and per-run hooks all fire in one process).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import time
 
 from _bench_utils import write_result
 
+from repro import api
 from repro.obs import FlightRecorder
-from repro.pipeline import _render_animation
 from repro.scenes import random_spheres_animation
 from repro.telemetry import (
     InMemorySink,
@@ -44,7 +44,8 @@ REPEATS = 5
 def _render(telemetry=None) -> float:
     anim = random_spheres_animation(**KW)
     t0 = time.perf_counter()
-    _render_animation(anim, grid_resolution=GRID, telemetry=telemetry, workload="spheres")
+    api.render(workload=anim, engine="animation", grid_resolution=GRID,
+               telemetry=telemetry if telemetry is not None else False)
     return time.perf_counter() - t0
 
 

@@ -41,7 +41,6 @@ the real farm, and the Table-1 simulator)::
 
 from .api import RenderRequest, RenderResult, render
 from .coherence import CoherentRenderer, ShadowCoherentRenderer, validate_sequence
-from .pipeline import AnimationRender
 from .geometry import Box, Cylinder, Disc, Plane, RayBatch, RayKind, Sphere, Triangle, TriangleMesh
 from .lighting import PointLight
 from .materials import Brick, Checker, Finish, Marble, Material, SolidColor
@@ -63,7 +62,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AABB",
     "Animation",
-    "AnimationRender",
     "ShadowCoherentRenderer",
     "Box",
     "Brick",

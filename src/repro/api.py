@@ -1,11 +1,14 @@
 """Unified render API: one request, three engines, one telemetry spine.
 
-The reproduction grew three ways to turn an animation into pixels:
+The reproduction has two ways to turn an animation into pixels and one
+way to model what it would have cost:
 
-* the **animation** engine (:mod:`repro.pipeline`) — single-process frame
-  coherence, the paper's extended POV-Ray renderer;
 * the **farm** (:mod:`repro.runtime`) — real master/worker parallelism with
   crash/hang recovery and checkpoint-resume;
+* the **animation** engine — the same farm on one inline lane
+  (``executor="serial"``, one worker, adaptive one-frame segments that
+  continue one renderer per shot): single-process frame coherence, the
+  paper's extended POV-Ray renderer, each frame delivered as it is done;
 * the **simulator** (:func:`repro.sched.simulate`) — the discrete-event NOW
   model behind Table 1.
 
@@ -89,7 +92,9 @@ class RenderRequest(FarmOptions):
     events directory).  Of those, ``grid_resolution``, ``samples_per_axis``
     and the progress callbacks serve every engine: the animation engine
     reports a frame as one whole-frame tile, the simulators' frame events
-    carry no pixels (image None).
+    carry no pixels (image None).  The animation engine is the farm with
+    its lane fixed: it sets ``transport``, ``executor``, ``n_workers``,
+    ``schedule`` and ``segment_frames`` itself and spools nothing.
     """
 
     workload: Any = "newton"  # name, Animation, or runtime.AnimationSpec
@@ -97,8 +102,6 @@ class RenderRequest(FarmOptions):
     n_frames: int = 8
     width: int = 160
     height: int = 120
-    shadow_coherence: bool = False
-    chunk_size: int = 32768
 
     # farm (engine="farm"), beside the inherited options
     run_dir: str | Path | None = None
@@ -226,7 +229,9 @@ class RenderResult:
 
     ``frames``/``stats``/``reports`` are populated by the real engines
     (``frames`` as a :class:`LazyFrames` accessor — index it, iterate it,
-    or ``np.asarray`` it); ``outcome`` carries the
+    or ``np.asarray`` it; ``reports`` one
+    :class:`~repro.runtime.local.FrameCounts` per frame, ``sequences`` the
+    shots); ``outcome`` carries the
     :class:`~repro.parallel.SimulationOutcome` for ``engine="simulate"``
     (whose ``frames`` stays ``None``).  ``events`` holds the telemetry
     records captured during the run (empty unless telemetry was
@@ -265,9 +270,9 @@ class RenderResult:
 def _resolve_workload(req: RenderRequest):
     """Return ``(label, spec_or_None, animation_or_None)``.
 
-    The animation is built lazily by callers that need it; the farm engine
-    requires a picklable spec (a name or an AnimationSpec), not a live
-    Animation object.
+    The animation is built lazily by callers that need it; a farm whose
+    workers are other processes needs a picklable spec (a name or an
+    AnimationSpec), not a live Animation object.
     """
     from .runtime import AnimationSpec
 
@@ -288,11 +293,6 @@ def _resolve_workload(req: RenderRequest):
     if isinstance(w, AnimationSpec):
         return w.factory, w, None
     if isinstance(w, Animation):
-        if req.engine == "farm":
-            raise ValueError(
-                "engine='farm' needs a workload name or AnimationSpec "
-                "(workers rebuild the animation from a picklable recipe)"
-            )
         return type(w).__name__, None, w
     raise TypeError(f"workload must be str, Animation or AnimationSpec, not {type(w).__name__}")
 
@@ -337,62 +337,25 @@ def _setup_telemetry(req: RenderRequest):
 
 
 # -- engine dispatch -------------------------------------------------------------
-def _run_animation(req: RenderRequest, tel, label, spec, anim) -> RenderResult:
-    from .pipeline import _render_animation
-
-    if anim is None:
-        anim = spec.build()
-    on_frame = None
-    if req.on_frame is not None or req.on_tile is not None:
-        from .dfb import FrameEvent, TileEvent
-
-        # The pipeline's native callback is (index, report, image); adapt
-        # it to the unified streaming surface: one whole-frame "tile" plus
-        # a frame event.
-        def on_frame(f, report, image):
-            if req.on_tile is not None:
-                h, w = int(image.shape[0]), int(image.shape[1])
-                req.on_tile(TileEvent(
-                    frame=f, x0=0, y0=0, x1=w, y1=h,
-                    pixels=image, frame_complete=True,
-                ))
-            if req.on_frame is not None:
-                req.on_frame(FrameEvent(f, image, report))
-
-    t0 = time.perf_counter()
-    out = _render_animation(
-        anim,
-        grid_resolution=req.grid_resolution,
-        shadow_coherence=req.shadow_coherence,
-        samples_per_axis=req.samples_per_axis,
-        chunk_size=req.chunk_size,
-        on_frame=on_frame,
-        telemetry=tel,
-        workload=label,
-    )
-    return RenderResult(
-        engine="animation",
-        workload=label,
-        n_frames=out.n_frames,
-        wall_time=time.perf_counter() - t0,
-        frames=LazyFrames(out.frames),
-        stats=out.stats,
-        mode="shadow-coherent" if req.shadow_coherence else "coherent",
-        reports=out.reports,
-        sequences=out.sequences,
-        per_sequence_stats=out.per_sequence_stats,
-        shadow_rays_saved=out.shadow_rays_saved,
-        n_tasks=len(out.sequences),
-    )
+#: The animation engine's farm: one inline lane, one-frame segments that
+#: continue the shot's renderer, each frame accepted as soon as it is done.
+_INLINE_LANE = dict(transport="process", executor="serial", n_workers=1,
+                    schedule="adaptive", segment_frames=1)
 
 
-def _run_farm(req: RenderRequest, label, spec) -> RenderResult:
+def _run_farm(req: RenderRequest, label, spec, anim) -> RenderResult:
     """``req`` as resolved by :func:`render`: its telemetry is the session."""
     from .runtime import LocalRenderFarm
 
-    farm = LocalRenderFarm(spec, **FarmOptions.project(req))
+    options = FarmOptions.project(req)
+    run_dir = resume = None
+    if req.engine == "animation":
+        options.update(_INLINE_LANE)
+    else:
+        run_dir, resume = req.run_dir, req.resume
+    farm = LocalRenderFarm(spec if spec is not None else anim, **options)
     t0 = time.perf_counter()
-    out = farm.render(run_dir=req.run_dir, resume=req.resume)
+    out = farm.render(run_dir=run_dir, resume=resume)
     wall = time.perf_counter() - t0
     identical = None
     if req.verify:
@@ -403,15 +366,19 @@ def _run_farm(req: RenderRequest, label, spec) -> RenderResult:
     # a long-running service re-renders same-shaped jobs allocation-free.
     from .buffers import default_pool
 
-    out_frames = out.frames
+    out_frames, reports = out.frames, out.reports()
     return RenderResult(
-        engine="farm",
+        engine=req.engine,
         workload=label,
         n_frames=out.n_frames,
         wall_time=wall,
         frames=LazyFrames(out_frames, releaser=lambda: default_pool().release(out_frames)),
         stats=out.stats,
         mode=out.mode,
+        reports=reports,
+        sequences=out.shots,
+        per_sequence_stats=out.shot_stats(),
+        shadow_rays_saved=sum(r.shadow_rays_saved for r in reports),
         n_tasks=out.n_tasks,
         n_workers=farm.options.n_workers,
         recovery=out.recovery,
@@ -510,10 +477,8 @@ def render(request: RenderRequest | None = None, /, **kwargs) -> RenderResult:
         server = StatusServer(fold, port=int(request.status_port), routes=routes)
         server.start()
     try:
-        if request.engine == "animation":
-            result = _run_animation(request, tel, label, spec, anim)
-        elif request.engine == "farm":
-            result = _run_farm(replace(request, telemetry=tel), label, spec)
+        if request.engine != "simulate":
+            result = _run_farm(replace(request, telemetry=tel), label, spec, anim)
         else:
             result = _run_simulate(request, tel, label, spec, anim)
     finally:

@@ -69,10 +69,11 @@ class FrameEvent:
     """A fully-composited frame, as delivered to ``on_frame`` callbacks.
 
     ``image`` is ``None`` for engines that never materialize pixels (the
-    cluster simulator); ``report`` carries the per-frame
-    :class:`~repro.pipeline.FrameReport` when the engine produces one
-    (the animation engine does; the farm's per-frame reports are
-    aggregate-only and arrive as ``None``).
+    cluster simulator); ``report`` carries the frame's
+    :class:`~repro.runtime.local.FrameCounts` when its units' counts are
+    home as it completes — always on the animation engine and the pool; a
+    TCP frame completes from tiles that outrun them, and there, like on
+    the simulator, it is ``None``.
     """
 
     frame: int

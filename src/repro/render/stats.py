@@ -63,7 +63,7 @@ class RayStats:
         """Sum an iterable of :class:`RayStats` and/or raw count arrays.
 
         The single aggregation path for every consumer that collects
-        per-task or per-frame counts (pipeline, real farm, simulators) —
+        per-task or per-frame counts (real farm, simulators) —
         hand-rolled ``+=`` loops over heterogeneous shapes drift; this
         doesn't.
         """

@@ -50,6 +50,7 @@ granularity of :mod:`repro.coherence.checkpoint`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -58,11 +59,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..coherence import CoherentRenderer, grid_for_animation
+from ..coherence import CoherentRenderer, ShadowCoherentRenderer, grid_for_animation
 from ..geometry import RayKind
 from ..obs.trace import TraceContext, flight_span_id, new_run_id, worker_session
 from ..parallel.partition import PixelRegion, default_block_layout, sequence_ranges
-from ..render import RayStats
+from ..render import RayStats, RayTracer
+from ..scene import Animation, split_coherent_sequences
 from ..buffers import (
     FrameRef,
     SharedFrameStore,
@@ -76,7 +78,7 @@ from .options import FarmOptions, RecoveryCounts, RecoveryView, TaskAttempt
 from .spec import AnimationSpec
 from .supervisor import SupervisorOutcome, TaskSupervisor, task_context
 
-__all__ = ["LocalRenderFarm", "FarmResult"]
+__all__ = ["LocalRenderFarm", "FarmResult", "FrameCounts"]
 
 # Per-process cache keyed by spec: workers build each animation (and its
 # voxel grid, keyed by spec + resolution) once, and concurrent farms with
@@ -148,6 +150,34 @@ def _get_grid(spec: AnimationSpec, grid_resolution: int):
     return _cached(key, lambda: grid_for_animation(_get_anim(spec), grid_resolution))
 
 
+@dataclass(frozen=True)
+class _InlineSpec(AnimationSpec):
+    """A live :class:`~repro.scene.Animation` in a recipe's place.
+
+    Only an in-process lane can use one: it does not pickle, and no daemon
+    could rebuild it.  Its factory name is a fresh token, so its cache
+    entries never alias another animation's."""
+
+    animation: Animation | None = field(default=None, compare=False, repr=False)
+
+    def build(self) -> Animation:
+        return self.animation
+
+
+_INLINE_TOKENS = itertools.count()
+
+#: A unit result's per-frame counts row: rays by :class:`RayKind`, then
+#: pixels computed, pixels copied and shadow rays saved (the region's own).
+N_KINDS = len(RayKind)
+COMPUTED, COPIED, SAVED = N_KINDS, N_KINDS + 1, N_KINDS + 2
+ROW = N_KINDS + 3
+
+
+def _count_row(report) -> list:
+    return [*report.stats.counts, report.n_computed, report.n_copied,
+            getattr(report, "shadow_rays_saved", 0)]
+
+
 def _worker_profile_path(profile_dir) -> str | None:
     if not profile_dir:
         return None
@@ -186,8 +216,8 @@ _SEGMENT_CACHE_LOCK = threading.Lock()
 _SEGMENT_CACHE_MAX = 16
 
 
-def _segment_cache_key(spec, box, grid_resolution, samples, frame) -> tuple:
-    return (_spec_key(spec), box, int(grid_resolution), int(samples), int(frame))
+def _segment_cache_key(spec, box, grid_resolution, samples, shadow, frame) -> tuple:
+    return (_spec_key(spec), box, int(grid_resolution), int(samples), bool(shadow), int(frame))
 
 
 def _reset_caches_after_fork() -> None:
@@ -211,7 +241,9 @@ def _render_segment_task(args, emit_tile=None):
     previous segment, rendering fresh when the cache misses (different
     process, evicted, or the previous attempt failed).  ``horizon`` is the
     renderer's ``last_frame``: ``f1`` when nothing continues the unit, so
-    its last frame records no marks and the renderer is not parked.
+    its last frame records no marks and the renderer is not parked, and
+    never past the end of the unit's shot.  ``shadow`` picks the
+    :class:`~repro.coherence.ShadowCoherentRenderer`.
 
     Each finished frame's box image ``(h, w, 3)`` is handed once to
     ``emit_tile(frame, x0, y0, image)`` — a view of the renderer's live
@@ -219,9 +251,10 @@ def _render_segment_task(args, emit_tile=None):
     its tile sink, which streams the image to the master, and the result
     carries ``frames=None``; without a sink the images are written into
     the unit's ``(n, h, w, 3)`` output buffer, which rides home in the
-    result.
+    result.  So does one counts row per frame (see :data:`ROW`).
     """
-    spec, box, f0, f1, horizon, fresh, label, grid_resolution, samples, tel_ctx, profile_dir = args
+    (spec, box, f0, f1, horizon, fresh, label, grid_resolution, samples, shadow,
+     tel_ctx, profile_dir) = args
     anim = _get_anim(spec)
     cam = anim.camera_at(0)
     region = None if box is None else PixelRegion(*box, width=cam.width).pixels
@@ -236,7 +269,7 @@ def _render_segment_task(args, emit_tile=None):
     if not fresh:
         with _SEGMENT_CACHE_LOCK:
             renderer = _SEGMENT_CACHE.pop(
-                _segment_cache_key(spec, box, grid_resolution, samples, f0), None
+                _segment_cache_key(spec, box, grid_resolution, samples, shadow, f0), None
             )
     with profile_into(_worker_profile_path(profile_dir)):
         with tel.span(
@@ -251,7 +284,7 @@ def _render_segment_task(args, emit_tile=None):
             attempt=attempt,
         ) as sp:
             if renderer is None:
-                renderer = CoherentRenderer(
+                renderer = (ShadowCoherentRenderer if shadow else CoherentRenderer)(
                     anim,
                     region=region,
                     grid=_get_grid(spec, grid_resolution),
@@ -275,27 +308,28 @@ def _render_segment_task(args, emit_tile=None):
                 renderer.render_next()
                 image = renderer.framebuffer.data.reshape(cam.height, cam.width, 3)
                 emit_tile(f, x0, y0, image[y0:y1, x0:x1])
-            reports = renderer.reports[-n_new:]
-            stats = RayStats.merge(r.stats for r in reports)
-            sp.attrs["rays"] = stats.total
-            sp.attrs["n_computed"] = sum(r.n_computed for r in reports)
+            counts = np.array([_count_row(r) for r in renderer.reports[-n_new:]], np.int64)
+            sp.attrs["rays"] = int(counts[:, :N_KINDS].sum())
+            sp.attrs["n_computed"] = int(counts[:, COMPUTED].sum())
     if f1 < horizon:
         with _SEGMENT_CACHE_LOCK:
-            _SEGMENT_CACHE[_segment_cache_key(spec, box, grid_resolution, samples, f1)] = renderer
+            key = _segment_cache_key(spec, box, grid_resolution, samples, shadow, f1)
+            _SEGMENT_CACHE[key] = renderer
             while len(_SEGMENT_CACHE) > _SEGMENT_CACHE_MAX:
                 del _SEGMENT_CACHE[next(iter(_SEGMENT_CACHE))]
     frames = None  # the writer's reference too: one closure cell
     _seal_frames(out_frames)
-    return box, f0, f1, out_frames, stats.counts, _finish_worker_events(tel, sink)
+    return box, f0, f1, out_frames, counts, _finish_worker_events(tel, sink)
 
 
 _MANIFEST_NAME = "manifest.json"
-# Format 4 spools one ``(region_index, frame0, frame1, frames, counts,
+# Format 5 spools one ``(region_index, frame0, frame1, frames, counts,
 # events)`` tuple per unit of the fixed unit list, named by the unit's
-# index in that list; ``frames`` is the unit's box, ``(n, h, w, 3)``.  A
-# directory whose manifest differs only by an older format number is
-# treated as an empty spool and re-rendered.
-_SPOOL_FORMAT = 4
+# index in that list; ``frames`` is the unit's box, ``(n, h, w, 3)``, and
+# ``counts`` its ``(n, ROW)`` per-frame rows.  A directory whose manifest
+# differs only by an older format number is treated as an empty spool and
+# re-rendered.
+_SPOOL_FORMAT = 5
 
 
 def _spool_path(run_dir: Path, idx: int) -> Path:
@@ -321,6 +355,28 @@ def _load_task_result(path: Path) -> tuple:
         return tuple(out)
 
 
+@dataclass(frozen=True)
+class FrameCounts:
+    """One frame's accounting: its counts rows summed over the units that
+    rendered it (every engine's ``RenderResult.reports`` entry and
+    ``FrameEvent.report``)."""
+
+    frame: int
+    n_computed: int
+    n_copied: int
+    rays: tuple[int, ...]  # by RayKind
+    shadow_rays_saved: int = 0
+
+    @property
+    def stats(self) -> RayStats:
+        return RayStats(np.array(self.rays))
+
+    @classmethod
+    def of(cls, frame: int, row) -> "FrameCounts":
+        return cls(int(frame), int(row[COMPUTED]), int(row[COPIED]),
+                   tuple(int(n) for n in row[:N_KINDS]), int(row[SAVED]))
+
+
 @dataclass
 class FarmResult(RecoveryView):
     """Assembled output of a local farm run, plus its robustness story."""
@@ -335,28 +391,56 @@ class FarmResult(RecoveryView):
     # TCP runs expose the master's wire accounting (NetStats): tile
     # counts, first-tile/first-result latency, per-message-type maxima.
     net: object | None = None
+    counts: np.ndarray | None = None  # (n_frames, ROW): the accepted units' rows
+    shots: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
+
+    def reports(self) -> list[FrameCounts]:
+        return [FrameCounts.of(f, row) for f, row in enumerate(self.counts)]
+
+    def shot_stats(self) -> list[RayStats]:
+        return [RayStats.merge(self.counts[a:b, :N_KINDS]) for a, b in self.shots]
 
 
 class LocalRenderFarm:
     """Render an animation with real local parallelism.
 
     ``spec`` is the recipe workers use to rebuild the animation (see
-    :class:`AnimationSpec`); every keyword is a field of
+    :class:`AnimationSpec`), or a live :class:`~repro.scene.Animation`
+    when every lane runs in this process (``executor="serial"`` or
+    ``"thread"`` on the process transport); every keyword is a field of
     :class:`~repro.runtime.options.FarmOptions`, which documents and
     validates them.  The farm keeps the one object (``self.options``)
     and hands it to its transport unopened.
+
+    No unit crosses a shot: the unit lists and the adaptive chains are cut
+    at the camera cuts :func:`~repro.scene.split_coherent_sequences` finds,
+    so a unit that starts a shot renders it fresh.
     """
 
-    def __init__(self, spec: AnimationSpec, **options):
-        self.spec = spec
+    def __init__(self, spec: AnimationSpec | Animation, **options):
         self.options = FarmOptions(**options).resolved()
-        # Build once locally for geometry bookkeeping (cheap).
-        self._anim = spec.build()
+        in_process = self.options.transport == "process" and self.options.executor != "process"
+        if isinstance(spec, Animation):
+            if not in_process:
+                raise ValueError(
+                    "engine='farm' needs a workload name or AnimationSpec "
+                    "(workers rebuild the animation from a picklable recipe)"
+                )
+            spec = _InlineSpec(f"<{type(spec).__name__} {next(_INLINE_TOKENS)}>", animation=spec)
+        self.spec = spec
+        # In-process lanes render the master's own animation; other workers
+        # rebuild theirs, and the master keeps none past the farm.
+        self._anim = _get_anim(spec) if in_process else spec.build()
         self._cam = self._anim.camera_at(0)
+        self._shots = split_coherent_sequences(self._anim)
+        for a, _b in self._shots:
+            cam = self._anim.camera_at(a)
+            if (cam.width, cam.height) != (self._cam.width, self._cam.height):
+                raise ValueError("all shots must share one resolution")
         self._run_span = None  # root span id, allocated by _begin_trace()
 
     # -- trace identity ----------------------------------------------------------
@@ -394,6 +478,15 @@ class LocalRenderFarm:
         spelling of the ``hybrid`` list)."""
         return "hybrid" if self.options.schedule == "demand" else self.options.mode
 
+    def _cut(self, ranges) -> list[tuple[int, int]]:
+        """``ranges`` of frames, each split where a shot ends."""
+        return [
+            (max(a, s0), min(b, s1))
+            for a, b in ranges
+            for s0, s1 in self._shots
+            if max(a, s0) < min(b, s1)
+        ]
+
     def _unit_list(self):
         """``(units, regions)`` of a fixed-unit schedule: the deterministic
         ``(region_index, frame0, frame1)`` list — a unit's position in it
@@ -404,12 +497,13 @@ class LocalRenderFarm:
             return None, None
         n_frames = self._anim.n_frames
         if self._layout == "sequence":
-            return [(-1, a, b) for a, b in sequence_ranges(n_frames, self.options.n_workers)], None
+            spans = self._cut(sequence_ranges(n_frames, self.options.n_workers))
+            return [(-1, a, b) for a, b in spans], None
         regions = self._block_layout()
         chunk = n_frames
         if self._layout == "hybrid":
             chunk = self.options.frames_per_chunk or max(1, n_frames // 2)
-        spans = [(a, min(a + chunk, n_frames)) for a in range(0, n_frames, chunk)]
+        spans = self._cut((a, min(a + chunk, n_frames)) for a in range(0, n_frames, chunk))
         return [(ri, a, b) for ri in range(len(regions)) for a, b in spans], regions
 
     def _policy(self, units, regions):
@@ -435,7 +529,7 @@ class LocalRenderFarm:
             seg = 1
         chains = [
             Chain(-1, a, b, fresh=True)
-            for a, b in sequence_ranges(n_frames, self.options.n_workers)
+            for a, b in self._cut(sequence_ranges(n_frames, self.options.n_workers))
         ]
         return AdaptiveChainPolicy(
             chains,
@@ -454,14 +548,14 @@ class LocalRenderFarm:
         ``(n, h, w, 3)`` — unless it was ``streamed``, tile by tile, into
         that assembler (the TCP wire), when it must carry none."""
         height, width = self._cam.height, self._cam.width
-        n_kinds = len(RayKind)
 
         def validate(task, result) -> bool:
             if not isinstance(result, tuple) or len(result) != 6:
                 return False
             box, f0, f1, frames, counts, events = result
             c = np.asarray(counts)
-            if not (c.shape == (n_kinds,) and c.dtype.kind in "iu" and isinstance(events, str)):
+            if not (c.shape == (int(f1) - int(f0), ROW) and c.dtype.kind in "iu"
+                    and isinstance(events, str)):
                 return False
             if streamed is not None:
                 # The tiles traveled ahead of this RESULT on the same
@@ -478,22 +572,24 @@ class LocalRenderFarm:
         return validate
 
     # -- compositing + progress callbacks ------------------------------------------
-    def _compositing(self, assembler):
+    def _compositing(self, assembler, tally):
         """The farm's two verbs on its compositor, ``(fold_unit, report)``.
 
-        ``report(worker, frame, box, pixels, frame_complete)`` is the one
-        progress adapter: it tells ``on_tile`` / ``on_frame`` about one
-        composited rectangle (``None`` when nobody listens).  The TCP
+        ``report(worker, frame, box, pixels, frame_complete, row=None)`` is
+        the one progress adapter: it tells ``on_tile`` / ``on_frame`` about
+        one composited rectangle (``None`` when nobody listens).  The TCP
         master calls it for every wire tile.  ``fold_unit(worker, result)``
-        composites a validated unit that carries its pixels — a pool
-        result, a checkpoint load — and reports each of its frames the
-        same way."""
+        adds an accepted unit's counts rows to ``tally``; when the unit
+        carries its pixels — a pool result, a checkpoint load — it
+        composites them and reports each frame the same way, with the
+        frame's summed row.  A streamed frame completes from tiles that
+        outrun its unit's counts, so its ``FrameEvent.report`` is None."""
         from ..dfb import FrameEvent, TileEvent
 
         report = None
         if self.options.on_tile is not None or self.options.on_frame is not None:
 
-            def report(worker, frame, box, pixels, frame_complete):
+            def report(worker, frame, box, pixels, frame_complete, row=None):
                 if self.options.on_tile is not None:
                     x0, y0, x1, y1 = box
                     self.options.on_tile(TileEvent(
@@ -501,17 +597,22 @@ class LocalRenderFarm:
                         pixels=pixels, worker=worker, frame_complete=frame_complete,
                     ))
                 if frame_complete and self.options.on_frame is not None:
-                    self.options.on_frame(FrameEvent(frame, assembler.frame_image(frame)))
+                    counts = None if row is None else FrameCounts.of(frame, row)
+                    self.options.on_frame(FrameEvent(frame, assembler.frame_image(frame), counts))
 
         whole = (0, 0, self._cam.width, self._cam.height)
 
         def fold_unit(worker, result) -> None:
-            box, f0, f1, frames = result[:4]
+            box, f0, f1, frames, counts = result[:5]
+            f0, f1 = int(f0), int(f1)
+            tally[f0:f1] += np.asarray(counts)
+            if frames is None:  # streamed: composited and reported tile by tile
+                return
             frames = np.asarray(frames)
             complete = assembler.add_segment(box, f0, f1, frames)
             if report is not None:
                 for i, frame_complete in enumerate(complete):
-                    report(worker, int(f0) + i, box or whole, frames[i], frame_complete)
+                    report(worker, f0 + i, box or whole, frames[i], frame_complete, tally[f0 + i])
 
         return fold_unit, report
 
@@ -589,9 +690,12 @@ class LocalRenderFarm:
             ri, f0, f1 = units[idx]
             box, _f0, _f1, _frames, counts, events = result
             # Composited on arrival: the validator, and any salvage before
-            # it, proved the unit's whole range is in the assembler.
+            # it, proved the unit's whole range is in the assembler.  The
+            # counts of salvaged frames were lost with their worker.
             frames = assembler.segment(box, f0, f1)
-            _save_task_result(_spool_path(run_path, idx), (ri, f0, f1, frames, counts, events))
+            rows = np.zeros((f1 - f0, ROW), dtype=np.int64)
+            rows[f1 - f0 - len(counts):] = counts
+            _save_task_result(_spool_path(run_path, idx), (ri, f0, f1, frames, rows, events))
             tel.event("checkpoint", task=idx, action="saved")
 
         return spool
@@ -602,15 +706,16 @@ class LocalRenderFarm:
         already done as the unit's frames arrived, happens here for a pool
         unit: its pixels are composited (``fold_unit``; the shared-memory
         segment is released on the spot) and its worker event buffer joins
-        the live stream.  On either transport the buffer joins the run's
-        accounting ``fold``, then the unit is spooled."""
+        the live stream.  On either transport its counts rows join the
+        tally and its buffer the run's accounting ``fold``, then the unit
+        is spooled."""
         tel = self.options.telemetry
         pooled = self.options.transport != "tcp"
 
         def on_result(a, result) -> None:
             events = _task_events(result)
+            fold_unit(a.worker, result)
             if pooled:
-                fold_unit(a.worker, result)
                 release_refs([result])
                 tel.absorb(events)
             for rec in events:
@@ -649,14 +754,15 @@ class LocalRenderFarm:
             spec_arg = spec_to_wire(spec)
 
         # The renderer's horizon: only an adaptive chain whose segments
-        # continue a parked renderer renders past its unit.
+        # continue a parked renderer renders past its unit, to its shot's end.
         continued = not getattr(policy, "continuation_fresh", True)
-        n_frames = self._anim.n_frames
+        shot_end = [b for a, b in self._shots for _f in range(a, b)]
 
         def materialize(a, lane):
-            horizon = n_frames if continued else int(a.frame1)
+            horizon = shot_end[a.frame0] if continued else int(a.frame1)
             return (spec_arg, box_of(a.region_index), int(a.frame0), int(a.frame1), horizon,
-                    bool(a.fresh), label, grid, samples, ctx_of(a, lane), prof)
+                    bool(a.fresh), label, grid, samples, opts.shadow_coherence,
+                    ctx_of(a, lane), prof)
 
         if opts.transport == "tcp":
             from ..net.master import TcpTransport
@@ -740,7 +846,8 @@ class LocalRenderFarm:
             r = regions[region_index]
             return (r.x0, r.y0, r.x1, r.y1)
 
-        fold_unit, report = self._compositing(assembler)
+        tally = np.zeros((anim.n_frames, ROW), dtype=np.int64)
+        fold_unit, report = self._compositing(assembler, tally)
         validate_unit = self._validator()
         validate = self._validator(assembler) if opts.transport == "tcp" else validate_unit
         if opts.profile_dir:
@@ -762,7 +869,7 @@ class LocalRenderFarm:
         # other and never reach the policy.  Their pixels count toward the
         # run's totals, but their spans are not re-emitted — those belong
         # to another run's trace and another process's clock.
-        results: list = []
+        n_loaded = 0
         fold = RunFold()
         spool = None
         if run_dir is not None:
@@ -773,11 +880,10 @@ class LocalRenderFarm:
                     if rec.get("name") == "frame":
                         fold.emit(rec)
                 fold_unit("", res)
-                results.append((*res[:3], None, *res[4:]))
             spool = self._spooler(Path(run_dir), units, assembler)
             units = [u for idx, u in enumerate(units) if idx not in loaded]
+            n_loaded = len(loaded)
             del loaded  # composited: nothing keeps a second copy of the pixels
-        n_loaded = len(results)
 
         out = None
         if units is None or units:  # else every unit was loaded: start nothing
@@ -796,10 +902,9 @@ class LocalRenderFarm:
             finally:
                 if opts.preview is not None:
                     opts.preview.detach()
-            results += out.results
         sup = out.supervisor if out is not None else SupervisorOutcome()
         n_tasks = n_loaded + (len(out.assignments) if out is not None else 0)
-        stats = RayStats.merge(res[-2] for res in results)
+        stats = RayStats.merge(tally[:, :N_KINDS])
 
         if tel.enabled:
             self._emit_run_telemetry(fold, sup, stats, n_tasks)
@@ -813,6 +918,8 @@ class LocalRenderFarm:
             n_from_checkpoint=n_loaded,
             attempts=sup.attempts,
             net=out.net if out is not None else None,
+            counts=tally,
+            shots=list(self._shots),
         )
 
     def _emit_run_telemetry(self, fold: RunFold, sup, stats: RayStats, n_tasks: int) -> None:
@@ -853,10 +960,14 @@ class LocalRenderFarm:
         )
 
     def render_reference(self) -> FarmResult:
-        """One coherent renderer per shot over the whole animation (ground truth)."""
-        from ..pipeline import _render_animation
-
-        ref = _render_animation(
-            self._anim, self.options.grid_resolution, samples_per_axis=self.options.samples_per_axis
+        """A full :class:`~repro.render.RayTracer` render of every frame: the
+        ground truth, independent of coherence, scheduling and compositing."""
+        samples = self.options.samples_per_axis
+        renders = [RayTracer(self._anim.scene_at(f)).render(samples_per_axis=samples)
+                   for f in range(self._anim.n_frames)]
+        return FarmResult(
+            frames=np.stack([fb.as_image() for fb, _res in renders]),
+            stats=RayStats.merge(res.stats for _fb, res in renders),
+            n_tasks=len(renders),
+            mode="reference",
         )
-        return FarmResult(frames=ref.frames, stats=ref.stats, n_tasks=1, mode="reference")

@@ -111,6 +111,11 @@ class FunctionAnimation(Animation):
             scene = self._scenes.setdefault(frame, self._build_scene(frame))
         return scene
 
+    def camera_at(self, frame: int) -> Camera:
+        """The camera of ``frame``, without building the frame's scene."""
+        frame = self._check_frame(frame)
+        return self.base_scene.camera if self.camera_fn is None else self.camera_fn(frame)
+
     def _build_scene(self, frame: int) -> Scene:
         objects: list[Primitive] = []
         for obj in self.base_scene.objects:

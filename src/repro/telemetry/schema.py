@@ -70,7 +70,7 @@ RAY_KEYS = ("rays_camera", "rays_reflected", "rays_refracted", "rays_shadow", "r
 #: name -> exact attribute key set.  Every span/event with one of these
 #: names must carry exactly these attrs (values are unconstrained).
 EVENT_SCHEMA: dict[str, frozenset[str]] = {
-    # -- emitted by every engine (real farm, pipeline, simulators) ---------
+    # -- emitted by every engine (the farm and the simulators) -------------
     "run.start": frozenset(
         {"engine", "workload", "n_frames", "width", "height", "n_workers", "mode"}
     ),
@@ -83,7 +83,6 @@ EVENT_SCHEMA: dict[str, frozenset[str]] = {
         {"wall_time", "computed_pixels", "copied_pixels", "n_tasks", "n_workers", *RAY_KEYS}
     ),
     # -- real-renderer detail events ---------------------------------------
-    "sequence": frozenset({"first_frame", "last_frame"}),
     "coherence.frame": frozenset(
         {"frame", "n_changed_voxels", "map_entries", "n_intersection_tests"}
     ),

@@ -16,17 +16,20 @@ SMALL = dict(workload="newton", n_frames=3, width=48, height=36, grid_resolution
 
 # -- dispatch --------------------------------------------------------------------
 def test_animation_engine_matches_pipeline():
-    from repro.pipeline import _render_animation
+    """The animation engine against a full RayTracer render of each frame:
+    same pixels, fewer rays, and the pixels it did not trace were copied."""
+    from repro.render import RayTracer
     from repro.scenes import newton_animation
 
     result = render(RenderRequest(engine="animation", **SMALL))
     assert isinstance(result, RenderResult)
     assert result.engine == "animation" and result.workload == "newton"
     anim = newton_animation(n_frames=3, width=48, height=36)
-    reference = _render_animation(anim, grid_resolution=12)
-    assert np.array_equal(result.frames, reference.frames)
-    assert result.stats.total == reference.stats.total
-    assert result.total_copied_pixels() == reference.total_copied_pixels()
+    full = [RayTracer(anim.scene_at(f)).render() for f in range(anim.n_frames)]
+    assert np.array_equal(result.frames, np.stack([fb.as_image() for fb, _res in full]))
+    assert 0 < result.stats.total < sum(res.stats.total for _fb, res in full)
+    assert result.total_copied_pixels() > 0
+    assert result.total_computed_pixels() + result.total_copied_pixels() == 3 * 48 * 36
 
 
 def test_farm_engine_bit_identical(tmp_path):
@@ -105,11 +108,12 @@ def test_bad_engine_strategy_workload_rejected():
 
 
 def test_render_animation_entry_point_removed():
+    import importlib.util
+
     import repro
-    import repro.pipeline
 
     assert not hasattr(repro, "render_animation")
-    assert not hasattr(repro.pipeline, "render_animation")
+    assert importlib.util.find_spec("repro.pipeline") is None  # the engine is the farm
 
 
 def test_result_frames_are_lazy_but_array_shaped():

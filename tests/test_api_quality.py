@@ -24,7 +24,6 @@ SUBPACKAGES = [
     "repro.imageio",
     "repro.scenes",
     "repro.bench",
-    "repro.pipeline",
     "repro.cli",
 ]
 

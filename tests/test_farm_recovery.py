@@ -109,7 +109,7 @@ def test_all_workers_dead_error_path(spec):
     from repro.runtime.supervisor import TaskSupervisor
 
     plan = FaultPlan((FaultPlan.crash(0, attempts=tuple(range(8))),))
-    whole_animation = (spec, None, 0, 3, 3, True, "sequence", GRID, 1, False, None)
+    whole_animation = (spec, None, 0, 3, 3, True, "sequence", GRID, 1, False, False, None)
     sup = TaskSupervisor.over(
         _render_segment_task,
         [whole_animation],

@@ -427,7 +427,7 @@ def test_badly_typed_field_is_a_clean_loss(tcp_spec, serial_reference, msg_type,
         policy,
         "render_segment",
         lambda a, lane: (spec_wire, None, a.frame0, a.frame1, 4, a.fresh, "sequence", 12, 1,
-                         False, None),
+                         False, False, None),
         validate=LocalRenderFarm(tcp_spec, transport="tcp", grid_resolution=12)._validator(asm),
         assembler=asm,
         recovery=PATIENT,
@@ -636,7 +636,15 @@ def serial_reference(tcp_spec):
     return farm.render_reference()
 
 
-def test_tcp_farm_bit_identical_to_serial(tcp_spec, serial_reference):
+@pytest.fixture(scope="module")
+def serial_rays(tcp_spec):
+    """The rays of one coherent renderer over the whole shot."""
+    from repro.api import render
+
+    return render(workload=tcp_spec, engine="animation", grid_resolution=12).stats.total
+
+
+def test_tcp_farm_bit_identical_to_serial(tcp_spec, serial_reference, serial_rays):
     farm = LocalRenderFarm(
         tcp_spec, n_workers=2, schedule="adaptive", transport="tcp", grid_resolution=12
     )
@@ -644,10 +652,10 @@ def test_tcp_farm_bit_identical_to_serial(tcp_spec, serial_reference):
     # pixels must match bit-for-bit; ray *counts* legitimately differ
     # (two chains mean two fresh starts vs the reference's one)
     assert out.frames.tobytes() == serial_reference.frames.tobytes()
-    assert out.stats.total >= serial_reference.stats.total
+    assert out.stats.total >= serial_rays
 
 
-def test_tcp_serves_the_static_unit_list(tcp_spec, serial_reference):
+def test_tcp_serves_the_static_unit_list(tcp_spec, serial_reference, serial_rays):
     """The static schedule is a policy like the others, so sockets serve
     it: 12 whole-animation block chains, the serial tracer's ray count."""
     out = LocalRenderFarm(
@@ -656,7 +664,7 @@ def test_tcp_serves_the_static_unit_list(tcp_spec, serial_reference):
     assert (out.mode, out.n_tasks) == ("frame", 12)
     assert out.net.n_tiles == 12 * 4  # a 6x6 block is one tile per frame
     assert out.frames.tobytes() == serial_reference.frames.tobytes()
-    assert out.stats.total == serial_reference.stats.total
+    assert out.stats.total == serial_rays
 
 
 @pytest.mark.usefixtures("no_leaks")
@@ -739,7 +747,7 @@ def test_result_carrying_pixels_is_an_invalid_loss_on_a_tiling_master(
         policy,
         "render_segment",
         lambda a, lane: (spec_wire, None, a.frame0, a.frame1, 4, a.fresh, "sequence", 12, 1,
-                         False, None),
+                         False, False, None),
         validate=farm._validator(asm),
         assembler=asm,
         recovery=PATIENT,

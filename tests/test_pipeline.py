@@ -1,7 +1,8 @@
-"""Tests for the high-level animation pipeline (camera cuts etc.), driven
-through the unified :func:`repro.api.render` facade."""
+"""Tests for the animation engine — the farm on one inline lane — and its
+camera cuts, driven through the unified :func:`repro.api.render` facade."""
 
 import importlib
+import importlib.util
 
 import numpy as np
 import pytest
@@ -88,12 +89,10 @@ def test_pipeline_supersampling():
 
 
 def test_render_animation_shim_removed():
-    """The deprecated entry point's removal timeline has elapsed: neither
-    the package root nor the pipeline module may still export it."""
-    import repro.pipeline
-
+    """The deprecated entry point's removal timeline has elapsed, and the
+    pipeline module that held it is gone with its engine."""
     assert not hasattr(repro, "render_animation")
-    assert not hasattr(repro.pipeline, "render_animation")
+    assert importlib.util.find_spec("repro.pipeline") is None
     assert "render_animation" not in repro.__all__
 
 

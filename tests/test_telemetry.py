@@ -154,15 +154,15 @@ def test_jsonl_sink_round_trip(tmp_path):
 # -- schema ----------------------------------------------------------------------
 def test_validate_events_accepts_schema_and_rejects_drift():
     tel = Telemetry(sinks=[mem := InMemorySink()])
-    tel.event("sequence", first_frame=0, last_frame=4)
+    tel.event("checkpoint", task=0, action="saved")
     validate_events(mem.events)
 
-    tel.event("sequence", first_frame=0)  # missing attr
+    tel.event("checkpoint", task=0)  # missing attr
     with pytest.raises(SchemaError):
         validate_events(mem.events)
 
     mem.events.pop()
-    tel.event("sequence", first_frame=0, last_frame=4, extra=1)  # stray attr
+    tel.event("checkpoint", task=0, action="saved", extra=1)  # stray attr
     with pytest.raises(SchemaError):
         validate_events(mem.events)
 

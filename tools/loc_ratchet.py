@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-CEILING = 21622
+CEILING = 21521
 OPTION_CEILING = 97
 
 SRC = Path(__file__).resolve().parent.parent / "src"
