@@ -10,9 +10,9 @@ job, keep only half its checkpoint spool, restart):
 * **recovery time** — ledger replay + re-admission (the part a bigger
   WAL makes slower) and the resumed attempt's wall time;
 * **re-rendered-task overhead** — tasks the resumed run had to render
-  again vs. the crash-free run, which is the real price of the
-  journal's task granularity (at most the in-flight tasks, never the
-  spooled ones).
+  again vs. the crash-free run, which is the real price of the spool's
+  unit granularity (at most the in-flight tasks, never the spooled
+  ones: a unit's file in the spool is the only record that it is done).
 
 Emits ``BENCH_service.json`` (render metrics from the crash-free job's
 telemetry, recovery numbers in ``extra``) and ``service_restart.txt``.
@@ -63,9 +63,6 @@ def test_service_restart_overhead(results_dir, tmp_path):
     kept = spooled[: len(spooled) // 2]
     with JobLedger(crash_dir / "ledger.wal") as led:
         led.append("state", job=job.job_id, state="running", detail="attempt 1/3")
-        for name in kept:
-            led.append("task", job=job.job_id,
-                       task=int(name[len("task_"):-len(".npz")]))
     spool = crash_dir / "jobs" / job.job_id / "spool"
     spool.mkdir(parents=True)
     shutil.copy(free_spool / "manifest.json", spool / "manifest.json")

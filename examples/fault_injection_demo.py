@@ -117,7 +117,7 @@ def main() -> None:
             mode="frame",
             executor="process",
             grid_resolution=grid,
-        ).render(resume=run_dir)
+        ).render(run_dir=run_dir)
         re_executed = {a.task_index for a in resumed.attempts}
         identical = np.array_equal(resumed.frames, reference.frames)
         print(f"resumed: {resumed.n_from_checkpoint} tasks from checkpoint, "

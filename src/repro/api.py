@@ -105,7 +105,6 @@ class RenderRequest(FarmOptions):
 
     # farm (engine="farm"), beside the inherited options
     run_dir: str | Path | None = None
-    resume: str | Path | None = None
     verify: bool = False
 
     # simulators (engine="simulate")
@@ -318,9 +317,7 @@ def _setup_telemetry(req: RenderRequest):
     )
     if not want:
         return NULL_TELEMETRY, None, None, None, False
-    target = req.events_path
-    if target is None:
-        target = req.run_dir if req.run_dir is not None else req.resume
+    target = req.events_path if req.events_path is not None else req.run_dir
     mem = InMemorySink()
     sinks = [mem]
     jsonl_path = None
@@ -348,14 +345,13 @@ def _run_farm(req: RenderRequest, label, spec, anim) -> RenderResult:
     from .runtime import LocalRenderFarm
 
     options = FarmOptions.project(req)
-    run_dir = resume = None
+    run_dir = req.run_dir
     if req.engine == "animation":
         options.update(_INLINE_LANE)
-    else:
-        run_dir, resume = req.run_dir, req.resume
+        run_dir = None
     farm = LocalRenderFarm(spec if spec is not None else anim, **options)
     t0 = time.perf_counter()
-    out = farm.render(run_dir=run_dir, resume=resume)
+    out = farm.render(run_dir=run_dir)
     wall = time.perf_counter() - t0
     identical = None
     if req.verify:

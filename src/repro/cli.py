@@ -145,11 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_farm.add_argument(
         "--run-dir", type=Path, default=None, metavar="DIR",
-        help="spool finished tasks to DIR so an interrupted render can be resumed",
-    )
-    p_farm.add_argument(
-        "--resume", type=Path, default=None, metavar="DIR",
-        help="resume from a previous --run-dir, re-executing only unfinished tasks",
+        help="spool finished tasks to DIR; rerun with the same DIR to resume, "
+             "re-executing only unfinished tasks",
     )
     p_farm.add_argument(
         "--telemetry", dest="events_path", type=Path, default=None, metavar="DIR",
@@ -427,7 +424,7 @@ def _cmd_farm(args) -> int:
     result = render(
         engine="farm",
         verify=True,
-        telemetry=any(d is not None for d in (args.events_path, args.run_dir, args.resume)),
+        telemetry=args.events_path is not None or args.run_dir is not None,
         **given,
     )
     rec = result.recovery

@@ -21,7 +21,7 @@ import numpy as np
 
 from .pvm import VirtualPVM
 
-__all__ = ["render_timeline", "machine_busy_intervals"]
+__all__ = ["render_timeline", "machine_busy_intervals", "gantt_lane"]
 
 
 def machine_busy_intervals(pvm: VirtualPVM) -> dict[str, list[tuple[float, float]]]:
@@ -34,23 +34,25 @@ def machine_busy_intervals(pvm: VirtualPVM) -> dict[str, list[tuple[float, float
     return out
 
 
-def _bucket_fill(intervals: list[tuple[float, float]], horizon: float, width: int) -> np.ndarray:
-    """Fraction of each of ``width`` buckets covered by the intervals."""
+def gantt_lane(
+    intervals, horizon: float, width: int, shades=((0.66, "#"), (0.05, "+")), blank: str = " "
+) -> str:
+    """One text Gantt lane over ``[0, horizon)`` in ``width`` buckets.
+
+    Each bucket shows the char of the first ``(threshold, char)`` in
+    ``shades`` whose threshold its busy fraction exceeds, else ``blank``.
+    """
     fill = np.zeros(width)
-    if horizon <= 0:
-        return fill
-    scale = width / horizon
+    scale = width / horizon if horizon > 0 else 0.0
     for start, end in intervals:
         a = max(0.0, start * scale)
         b = min(float(width), end * scale)
-        if b <= a:
-            continue
-        i0, i1 = int(a), min(int(np.ceil(b)), width)
-        for i in range(i0, i1):
-            lo = max(a, i)
-            hi = min(b, i + 1)
-            fill[i] += max(0.0, hi - lo)
-    return np.clip(fill, 0.0, 1.0)
+        for i in range(int(a), min(int(np.ceil(b)), width)):
+            fill[i] += max(0.0, min(b, i + 1) - max(a, i))
+    chars = np.full(width, blank)
+    for threshold, char in reversed(shades):
+        chars[fill > threshold] = char
+    return "".join(chars)
 
 
 def render_timeline(pvm: VirtualPVM, width: int = 64) -> str:
@@ -67,13 +69,11 @@ def render_timeline(pvm: VirtualPVM, width: int = 64) -> str:
 
     busy = machine_busy_intervals(pvm)
     for name in pvm.machines:
-        fill = _bucket_fill(busy[name], horizon, width)
-        chars = np.where(fill > 0.66, "#", np.where(fill > 0.05, "+", " "))
+        lane = gantt_lane(busy[name], horizon, width)
         pct = sum(e - s for s, e in busy[name]) / horizon if horizon else 0.0
-        lines.append(f"{name:>{name_w}s} |{''.join(chars)}| {pct:4.0%} busy")
+        lines.append(f"{name:>{name_w}s} |{lane}| {pct:4.0%} busy")
 
     wire = [(ev[5], ev[6]) for ev in pvm.events if ev[0] == "send"]
-    fill = _bucket_fill(wire, horizon, width)
-    chars = np.where(fill > 0.66, "#", np.where(fill > 0.01, ".", " "))
-    lines.append(f"{'ethernet':>{name_w}s} |{''.join(chars)}| {len(wire)} msgs")
+    lane = gantt_lane(wire, horizon, width, shades=((0.66, "#"), (0.01, ".")))
+    lines.append(f"{'ethernet':>{name_w}s} |{lane}| {len(wire)} msgs")
     return "\n".join(lines)

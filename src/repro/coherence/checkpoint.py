@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..accel import UniformGrid
+from ..durable import atomic_write
 from ..rmath import AABB
 from ..scene import Animation
 from .engine import CoherentRenderer
@@ -30,10 +31,10 @@ _FORMAT_VERSION = 2  # 2: the pixel map as its per-pixel CSR state
 
 
 def save_checkpoint(renderer: CoherentRenderer, path: str | Path) -> None:
-    """Serialize a renderer's sequence state to an ``.npz`` file."""
+    """Serialize a renderer's sequence state to an ``.npz`` file, atomically:
+    a save that fails part-way leaves the previous checkpoint in place."""
     prev_frame = renderer._next_frame - 1 if renderer._prev_scene is not None else -1
-    np.savez_compressed(
-        path,
+    arrays = dict(
         version=_FORMAT_VERSION,
         width=renderer.width,
         height=renderer.height,
@@ -49,6 +50,8 @@ def save_checkpoint(renderer: CoherentRenderer, path: str | Path) -> None:
         grid_hi=renderer.grid.bounds.hi,
         grid_res=renderer.grid.res,
     )
+    path = str(path) if str(path).endswith(".npz") else f"{path}.npz"  # np.savez's rule
+    atomic_write(path, lambda fh: np.savez_compressed(fh, **arrays))
 
 
 def load_checkpoint(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..dfb import DEFAULT_TILE_PX
-from ..obs.flight import FlightRecorder, blackbox_filename
+from ..obs.flight import FlightRecorder, blackbox_filename, write_blackbox
 from ..runtime.options import Close, RecoveryOptions
 from ..telemetry import NULL
 from . import protocol as wire
@@ -445,15 +445,7 @@ class MasterServer:
         path = ""
         if self.blackbox_dir is not None:
             try:
-                self.blackbox_dir.mkdir(parents=True, exist_ok=True)
-                target = self.blackbox_dir / blackbox_filename(role, pid)
-                tmp = target.with_name(f".{target.name}.tmp")
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    for rec in records:
-                        fh.write(json.dumps(rec, separators=(",", ":"), default=str))
-                        fh.write("\n")
-                os.replace(tmp, target)
-                path = str(target)
+                path = str(write_blackbox(self.blackbox_dir, role, pid, records))
             except OSError:
                 path = ""
         self.telemetry.event(

@@ -20,6 +20,7 @@ offline spelling and their text:
 
 from __future__ import annotations
 
+from ..cluster.timeline import gantt_lane
 from ..telemetry import RunFold
 from ..telemetry.report import UtilizationReport, WorkerTimeline
 
@@ -94,19 +95,6 @@ def utilization_report(events, straggler_z: float = 2.0) -> UtilizationReport:
     return RunFold.of(events).utilization(straggler_z)
 
 
-def _gantt_lane(segments, t0: float, wall: float, width: int = 60) -> str:
-    """One text Gantt lane: ``#`` busy, ``.`` idle, scaled to ``width``."""
-    if wall <= 0:
-        return "." * width
-    cells = [False] * width
-    for s0, s1 in segments:
-        a = int((s0 - t0) / wall * width)
-        b = int((s1 - t0) / wall * width)
-        for i in range(max(0, a), min(width, max(b, a + 1))):
-            cells[i] = True
-    return "".join("#" if c else "." for c in cells)
-
-
 def format_utilization(rep: UtilizationReport, gantt_width: int = 60) -> str:
     """Render the report: summary, per-lane table, Gantt chart."""
     lines = [
@@ -133,7 +121,8 @@ def format_utilization(rep: UtilizationReport, gantt_width: int = 60) -> str:
         )
     lines.append("")
     for w in rep.workers:
-        lane = _gantt_lane(w["segments"], rep.t0, rep.wall, gantt_width)
+        busy = [(s0 - rep.t0, s1 - rep.t0) for s0, s1 in w["segments"]]
+        lane = gantt_lane(busy, rep.wall, gantt_width, shades=((0.0, "#"),), blank=".")
         lines.append(f"  {w['worker']:<16} |{lane}|")
     return "\n".join(lines)
 

@@ -41,6 +41,7 @@ import time
 from collections import deque
 from pathlib import Path
 
+from ..durable import atomic_write
 from ..telemetry import SCHEMA_VERSION, live_sessions, set_flight_tap
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "blackbox_filename",
     "open_span_records",
     "read_blackbox",
+    "write_blackbox",
 ]
 
 #: Default ring capacity (records). ~2k JSONL lines is a few hundred KiB —
@@ -77,6 +79,14 @@ os.register_at_fork(after_in_child=_disarm_after_fork)
 
 def blackbox_filename(role: str, pid: int) -> str:
     return f"blackbox_{role}_{int(pid)}.jsonl"
+
+
+def write_blackbox(out_dir, role: str, pid: int, records) -> Path:
+    """Write one black box, a JSON record per line, atomically; returns its path."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    text = "".join(json.dumps(r, separators=(",", ":"), default=str) + "\n" for r in records)
+    return atomic_write(out_dir / blackbox_filename(role, pid), text.encode("utf-8"))
 
 
 def open_span_records(t_now: float | None = None) -> list[dict]:
@@ -251,18 +261,8 @@ class FlightRecorder:
         target_dir = Path(out_dir) if out_dir is not None else self.out_dir
         if target_dir is None:
             return None
-        records = self.records(reason)
         try:
-            target_dir.mkdir(parents=True, exist_ok=True)
-            path = target_dir / blackbox_filename(self.role, self.pid)
-            tmp = path.with_name(f".{path.name}.tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for rec in records:
-                    fh.write(json.dumps(rec, separators=(",", ":"), default=str))
-                    fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            path = write_blackbox(target_dir, self.role, self.pid, self.records(reason))
         except OSError:
             return None  # a dying process must not die harder over its dump
         self._dumped_path = path

@@ -42,10 +42,10 @@ in-process serial execution instead of aborting the render.
 
 Passing ``run_dir`` to :meth:`LocalRenderFarm.render` spools each
 completed unit of a fixed list (``static`` or ``demand``, either
-transport) to disk as it is accepted; a later
-``render(resume=run_dir)`` re-renders only the missing units —
-checkpoint/resume at the unit granularity, complementing the intra-chain
-granularity of :mod:`repro.coherence.checkpoint`.
+transport) to disk as it is accepted; a later render with the same
+``run_dir`` re-renders only the missing units — checkpoint/resume at the
+unit granularity, complementing the intra-chain granularity of
+:mod:`repro.coherence.checkpoint`.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from ..coherence import CoherentRenderer, ShadowCoherentRenderer, grid_for_animation
+from ..durable import atomic_write
 from ..geometry import RayKind
 from ..obs.trace import TraceContext, flight_span_id, new_run_id, worker_session
 from ..parallel.partition import PixelRegion, default_block_layout, sequence_ranges
@@ -337,12 +338,10 @@ def _spool_path(run_dir: Path, idx: int) -> Path:
 
 
 def _save_task_result(path: Path, result: tuple) -> None:
-    """Spool one unit's result atomically (write-then-rename), so a render
-    killed mid-write never leaves a half-readable checkpoint behind."""
+    """Spool one unit's result atomically: once the file exists, the unit
+    is done — a render killed mid-write leaves the previous state."""
     arrays = {f"f{i}": np.asarray(v) for i, v in enumerate(result)}
-    tmp = path.with_name(f".{path.name}.tmp.npz")
-    np.savez_compressed(tmp, n=len(result), **arrays)
-    os.replace(tmp, path)
+    atomic_write(path, lambda fh: np.savez_compressed(fh, n=len(result), **arrays))
 
 
 def _load_task_result(path: Path) -> tuple:
@@ -658,9 +657,7 @@ class LocalRenderFarm:
                     )
                 for stale in run_path.glob("task_*.npz"):
                     stale.unlink()
-            tmp = manifest_path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-            os.replace(tmp, manifest_path)
+            atomic_write(manifest_path, json.dumps(manifest, indent=1, sort_keys=True).encode())
             return {}
         loaded: dict[int, tuple] = {}
         for idx, unit in enumerate(units):
@@ -800,26 +797,21 @@ class LocalRenderFarm:
         )
 
     # -- entry point -------------------------------------------------------------
-    def render(
-        self, run_dir: str | Path | None = None, resume: str | Path | None = None
-    ) -> FarmResult:
+    def render(self, run_dir: str | Path | None = None) -> FarmResult:
         """Render all frames; assemble and return them with merged stats.
 
         ``run_dir`` spools each completed unit of a fixed unit list
         (``schedule="static"`` or ``"demand"``, on either transport) to
         that directory as ``task_NNNN.npz`` — ``NNNN`` is the unit's index
         in the list — beside a ``manifest.json`` describing the render.
-        ``resume`` points at such a directory: the units it holds are
-        loaded instead of rendered, the rest render and spool there too.
-        ``schedule="adaptive"`` has no fixed list and refuses both.
+        A file there is the record that its unit is done: on a directory
+        that already holds some, those units are loaded instead of
+        rendered (resume).  ``schedule="adaptive"`` has no fixed list and
+        refuses a ``run_dir``.
         """
-        if resume is not None:
-            if run_dir is not None and Path(run_dir) != Path(resume):
-                raise ValueError("pass either run_dir or resume, not two different dirs")
-            run_dir = resume
         if run_dir is not None and self.options.schedule == "adaptive":
             raise ValueError(
-                "checkpoint spooling (run_dir/resume) requires schedule='static' or "
+                "checkpoint spooling (run_dir) requires schedule='static' or "
                 "'demand'; the adaptive schedule decides its units at run time"
             )
         from ..dfb import FrameAssembler

@@ -11,14 +11,16 @@ This module is that master:
 * a **scheduler loop** that pops the most urgent admitted job and runs
   it through :func:`repro.api.render` on the ``farm`` engine with the
   static schedule's fixed unit list — on the process pool or over tcp —
-  so every completed unit spools to the job's checkpoint directory
-  exactly as PR 1's crash drills exercise;
-* the **JobLedger** write-ahead discipline: every transition is durable
-  *before* the service acts on it, so ``kill -9`` plus
-  ``repro serve --resume`` reconstructs the job table and continues
-  every in-flight job from its last spooled task — the final frames are
-  bit-identical to a crash-free run (the ``service-smoke`` CI drill
-  asserts this);
+  with the job's spool directory as its ``run_dir``: every completed unit
+  lands there as an atomically renamed file, and that file is the only
+  record that the unit is done (a job's ``tasks_done`` is a count of
+  them, taken when a status snapshot is built);
+* the **JobLedger** write-ahead discipline: every job transition is
+  durable *before* the service acts on it, so ``kill -9`` plus
+  ``repro serve --resume`` reconstructs the job table and reruns every
+  in-flight job on its spool, which re-renders only the units missing
+  there — the final frames are bit-identical to a crash-free run (the
+  ``service-smoke`` CI drill asserts this);
 * **retry with capped exponential backoff**: a failed attempt re-queues
   the job gated by ``not_before``; the *final* attempt degrades to the
   serial in-process executor (a collapsed worker pool can fail a pooled
@@ -44,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..durable import atomic_write
 from ..net import protocol as wire
 from ..telemetry import JsonlSink, RunFold, Telemetry
 from .ledger import TERMINAL_STATES, Job, JobLedger, fold_jobs, replay_records
@@ -72,29 +75,6 @@ SPEC_FIELDS = (
 )
 #: What the service imposes on every job.
 IMPOSED = {"engine": "farm", "schedule": "static"}
-
-
-class _TaskRecordSink:
-    """Telemetry sink that mirrors a job's checkpoint saves into the ledger.
-
-    The farm emits a ``checkpoint {task, action: "saved"}`` event the
-    moment a task's ``.npz`` lands (atomic rename).  Journaling that fact
-    gives the resumed service its per-task progress without ever putting
-    pixels in the WAL — on restart the fold's ``tasks_done`` agrees with
-    the spool directory the farm will re-validate.
-    """
-
-    def __init__(self, service: "RenderService", job_id: str):
-        self._service = service
-        self._job_id = job_id
-
-    def emit(self, record: dict) -> None:
-        if record.get("name") != "checkpoint":
-            return
-        attrs = record.get("attrs") or {}
-        if attrs.get("action") != "saved":
-            return
-        self._service._journal_task(self._job_id, int(attrs.get("task", -1)))
 
 
 class RenderService:
@@ -210,14 +190,7 @@ class RenderService:
                 n = max(n, int(tail))
         return f"j{n + 1:04d}"
 
-    # -- ledger helpers (callers hold the lock or are the sink path) -----------
-    def _journal_task(self, job_id: str, task: int) -> None:
-        with self._lock:
-            self.ledger.append("task", job=job_id, task=task)
-            job = self.jobs.get(job_id)
-            if job is not None:
-                job.tasks_done.add(task)
-
+    # -- ledger helpers ---------------------------------------------------------
     def _set_state(self, job: Job, state: str, detail: str = "", **extra) -> None:
         """Journal then apply a state transition (lock held by caller)."""
         self.ledger.append("state", job=job.job_id, state=state, detail=detail, **extra)
@@ -286,10 +259,17 @@ class RenderService:
             return job
 
     # -- status surfaces -------------------------------------------------------
+    def _spool(self, job: Job) -> Path:
+        return self.state_dir / "jobs" / job.job_id / "spool"
+
+    def _view(self, job: Job) -> dict:
+        """A job's wire form; ``tasks_done`` counts its spooled unit files."""
+        return {**job.to_dict(), "tasks_done": len(list(self._spool(job).glob("task_*.npz")))}
+
     def snapshot(self) -> dict:
         """The ``/status`` JSON body: service summary plus the job table."""
         with self._lock:
-            jobs = [j.to_dict() for j in self.jobs.values()]
+            jobs = [self._view(j) for j in self.jobs.values()]
         counts: dict[str, int] = {}
         for j in jobs:
             counts[j["state"]] = counts.get(j["state"], 0) + 1
@@ -321,16 +301,13 @@ class RenderService:
             workload = AnimationSpec(
                 str(workload.get("factory", "")), dict(workload.get("kwargs") or {})
             )
-        spool = self.state_dir / "jobs" / job.job_id / "spool"
-        resume = spool if (spool / "manifest.json").exists() else None
         kwargs = {
             # the daemon's own farm defaults, for what the job left unset
             **{name: getattr(self, name) for name in ("n_workers", "executor", "transport")},
             **spec,
             **IMPOSED,
             "workload": workload,
-            "run_dir": None if resume is not None else spool,
-            "resume": resume,
+            "run_dir": self._spool(job),
         }
         if final_attempt:
             # Last chance: never let a collapsed pool dead-letter a job
@@ -364,12 +341,7 @@ class RenderService:
         # history; the event log describes the attempt that produced the
         # frames on disk — always a complete, connected trace.
         (job_dir / "events.jsonl").unlink(missing_ok=True)
-        tel = Telemetry(
-            sinks=[
-                JsonlSink(job_dir / "events.jsonl"),
-                _TaskRecordSink(self, job.job_id),
-            ]
-        )
+        tel = Telemetry(sinks=[JsonlSink(job_dir / "events.jsonl")])
         t0 = time.perf_counter()
         try:
             request = self._build_request(job, final_attempt=final)
@@ -445,15 +417,12 @@ class RenderService:
 
     @staticmethod
     def _save_frames(job_dir: Path, frames) -> None:
-        """Atomic-rename the finished frames next to the job's spool."""
+        """Atomically write the finished frames next to the job's spool."""
         if frames is None:
             return
         job_dir.mkdir(parents=True, exist_ok=True)
-        final = job_dir / "frames.npz"
-        tmp = job_dir / "frames.npz.tmp"
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, frames=np.asarray(frames))
-        os.replace(tmp, final)
+        frames = np.asarray(frames)
+        atomic_write(job_dir / "frames.npz", lambda fh: np.savez_compressed(fh, frames=frames))
 
     # -- control socket --------------------------------------------------------
     def start(self) -> tuple[str, int]:
@@ -490,9 +459,8 @@ class RenderService:
             "status_port": getattr(self._status_server, "port", None),
             "pid": os.getpid(),
         }
-        tmp = self.state_dir / "service.json.tmp"
-        tmp.write_text(json.dumps(info, indent=1, sort_keys=True))
-        os.replace(tmp, self.state_dir / "service.json")
+        atomic_write(self.state_dir / "service.json",
+                     json.dumps(info, indent=1, sort_keys=True).encode())
 
     def _accept_loop(self) -> None:
         while not self._stop.is_set():
@@ -537,10 +505,10 @@ class RenderService:
                     return {
                         "ok": False,
                         "error": "rejected: queue full of higher-priority work",
-                        "job": job.to_dict(),
+                        "job": self._view(job),
                         "service": service,
                     }
-                return {"ok": True, "job": job.to_dict(), "service": service}
+                return {"ok": True, "job": self._view(job), "service": service}
             if msg_type == wire.MSG_JOB_STATUS:
                 job_id = payload.get("job")
                 if job_id:
@@ -552,12 +520,12 @@ class RenderService:
                             "error": f"unknown job {job_id!r}",
                             "service": service,
                         }
-                    return {"ok": True, "job": job.to_dict(), "service": service}
+                    return {"ok": True, "job": self._view(job), "service": service}
                 snap = self.snapshot()
                 return {"ok": True, "jobs": snap["jobs"], "service": snap}
             if msg_type == wire.MSG_JOB_CANCEL:
                 job = self.cancel(str(payload.get("job", "")))
-                return {"ok": True, "job": job.to_dict(), "service": service}
+                return {"ok": True, "job": self._view(job), "service": service}
             return {
                 "ok": False,
                 "error": f"unexpected message type {wire.MSG_NAMES.get(msg_type, msg_type)!r}",

@@ -1,8 +1,8 @@
 """JobLedger: the render service's crash-safe write-ahead log.
 
 Every state transition the service makes — a job submitted, queued,
-started, checkpointed task by task, retried, finished, shed, cancelled —
-is appended to one on-disk journal *before* the service acts on it.
+started, retried, finished, shed, cancelled — is appended to one on-disk
+journal *before* the service acts on it.
 ``kill -9`` the daemon at any instant and a restart replays the journal
 back into the exact job table the dead process held, minus at most the
 single record that was mid-write.
@@ -14,29 +14,31 @@ The journal is a text file of independently verifiable lines::
     <crc32:08x> <compact-json>\\n
 
 The CRC covers the JSON bytes, so every record carries its own proof of
-integrity — the same stance the PR 1 checkpoint spool takes with
-atomic-rename ``.npz`` files, adapted to an append-only journal where
-rename-per-record would cost a file per transition.  Appends are
+integrity — the same stance the farm's checkpoint spool takes with
+atomically renamed ``.npz`` files, adapted to an append-only journal
+where rename-per-record would cost a file per transition.  Appends are
 ``write + flush + fsync``: when :meth:`JobLedger.append` returns, the
 record is durable.  Replay (:func:`replay_records`) drops any line whose
 CRC or JSON fails — a torn tail from a mid-write crash loses only the
 record being written, never an earlier one, and a flipped byte anywhere
 invalidates exactly one record instead of poisoning the file.
 
-Large payloads (frames, spooled task results) never enter the journal:
-they live in each job's spool directory as atomic-rename ``.npz`` files,
-and the journal records only that they exist.  That keeps replay O(jobs)
-cheap and the torn-tail blast radius one *transition*, not one *render*.
+Render progress never enters the journal: a job's finished units live
+in its spool directory as atomically renamed ``.npz`` files, and each
+file is the one record that its unit is done.  Journaling them too would
+be a second copy of that fact, one that could disagree with the disk.
+That keeps replay O(jobs) cheap and the torn-tail blast radius one
+*transition*, not one *render*.
 
 Fold semantics
 --------------
 :func:`fold_jobs` reduces a replayed record stream to the job table.  A
 job whose last durable state is ``running`` was in flight when the
 process died; the fold re-queues it (``recovered=True``) so a resumed
-service continues it — its completed tasks are re-counted from the
-``task`` records (and re-validated against the spool by the farm), so
-finished work is never re-rendered and the crash costs at most the one
-task that was in flight.
+service reruns it on its spool — the farm loads every unit file there
+and renders only the rest, so the crash costs at most the units that
+were in flight.  Kinds the fold does not know (such as the per-unit
+``task`` records older ledgers hold) are skipped.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ class Job:
     submitted_at: float = 0.0
     finished_at: float | None = None
     attempts: list[dict] = field(default_factory=list)
-    tasks_done: set = field(default_factory=set)
     n_tasks: int = 0
     n_from_checkpoint: int = 0
     not_before: float = 0.0  # retry-backoff gate (wall clock)
@@ -90,18 +91,15 @@ class Job:
         return len(self.attempts)
 
     def to_dict(self) -> dict:
-        """A JSON/wire-able snapshot (sets become counts)."""
-        d = asdict(self)
-        d["tasks_done"] = len(self.tasks_done)
-        d["n_attempts"] = self.n_attempts
-        return d
+        """A JSON/wire-able snapshot."""
+        return {**asdict(self), "n_attempts": self.n_attempts}
 
 
 class JobLedger:
     """Append-only, CRC-framed, fsync-durable journal of service records.
 
     Records are plain dicts with a ``kind`` key; the service uses
-    ``submit`` / ``state`` / ``attempt`` / ``task`` (see :func:`fold_jobs`)
+    ``submit`` / ``state`` / ``attempt`` (see :func:`fold_jobs`)
     but the framing is kind-agnostic.  One ledger instance owns the file
     handle for the life of the service; replay happens on a closed file.
     """
@@ -179,8 +177,7 @@ def fold_jobs(records: list[dict]) -> dict[str, Job]:
     * ``submit`` — creates the job (spec, priority, owner, max_attempts);
     * ``state`` — a transition to one of :data:`JOB_STATES`;
     * ``attempt`` — one finished execution attempt (outcome, error, the
-      backoff the service chose);
-    * ``task`` — one task of the job's render spooled to disk.
+      backoff the service chose).
 
     Jobs whose last durable state is ``queued`` or ``running`` are
     returned as ``queued`` with ``recovered=True`` — the crash-restart
@@ -227,9 +224,6 @@ def fold_jobs(records: list[dict]) -> dict[str, Job]:
                     "backoff": float(rec.get("backoff", 0.0)),
                 }
             )
-        elif kind == "task":
-            job.tasks_done.add(int(rec.get("task", -1)))
-            job.n_tasks = max(job.n_tasks, int(rec.get("n_tasks", 0)))
     for job in jobs.values():
         if job.state == "running":
             job.state = "queued"

@@ -1,8 +1,10 @@
 """Meta-tests on the public API surface: documentation and exports."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +71,42 @@ def test_public_classes_have_documented_public_methods():
             if name.startswith("_"):
                 continue
             assert member.__doc__, f"{cls.__name__}.{name} is undocumented"
+
+
+def test_one_atomic_write_site():
+    """Every file renamed into place under ``src/`` goes through
+    ``repro.durable.atomic_write``: ``os.replace`` (or ``os.rename``) is
+    called in that one function and nowhere else."""
+    renames = ("replace", "rename")
+    sites = []
+
+    class Sites(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr in renames
+                    and isinstance(f.value, ast.Name) and f.value.id == "os"):
+                sites.append(".".join(self.scope))
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            if node.module == "os" and any(a.name in renames for a in node.names):
+                sites.append(".".join(self.scope) + " (from os import)")
+
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root.parent).with_suffix("").parts)
+        Sites(module).visit(ast.parse(path.read_text(), filename=str(path)))
+    assert sites == ["repro.durable.atomic_write"]
 
 
 def test_version_string():

@@ -39,6 +39,35 @@ def test_resume_continues_bit_exactly(anim, tmp_path):
         assert rep.stats.total == ref_rays[f]
 
 
+def test_failed_save_keeps_the_previous_checkpoint(anim, tmp_path, monkeypatch):
+    """A save that dies mid-write (here: the pixel map's arrays cannot be
+    read once the file is open) leaves the earlier checkpoint intact and no
+    stray file beside it; resuming from it continues bit-exactly."""
+    ref = CoherentRenderer(anim, grid_resolution=16)
+    ref_frames = [(ref.render_next(), ref.frame_image())[1] for _ in range(anim.n_frames)]
+
+    r = CoherentRenderer(anim, grid_resolution=16)
+    r.render_next()
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(r, path)
+    r.render_next()
+
+    class DiskFull:
+        def __array__(self, *args, **kwargs):
+            raise OSError("disk full")
+
+    monkeypatch.setattr(r.pixel_map, "state", lambda: {"voxels": DiskFull()})
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(r, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+
+    resumed = load_checkpoint(anim, path)
+    assert resumed.frames_remaining == anim.n_frames - 1
+    for f in range(1, anim.n_frames):
+        resumed.render_next()
+        np.testing.assert_array_equal(resumed.frame_image(), ref_frames[f])
+
+
 def test_checkpoint_before_first_frame(anim, tmp_path):
     r = CoherentRenderer(anim, grid_resolution=16)
     path = tmp_path / "fresh.npz"

@@ -181,7 +181,7 @@ def test_resume_after_midway_failure_is_bit_identical(spec, reference, tmp_path)
     spooled = sorted(run_dir.glob("task_*.npz"))
     assert 0 < len(spooled) < 12  # interrupted: some but not all tasks finished
 
-    res = _farm(spec, n_workers=2).render(resume=run_dir)
+    res = _farm(spec, n_workers=2).render(run_dir=run_dir)
     assert np.array_equal(res.frames, reference.frames)
     assert res.n_from_checkpoint == len(spooled)
     executed = {a.task_index for a in res.attempts}
@@ -200,7 +200,7 @@ def _resume_drill(spec, reference, run_dir, **kw):
     for path in lost[1:]:
         path.unlink()
 
-    res = _farm(spec, n_workers=2, **kw).render(resume=run_dir)
+    res = _farm(spec, n_workers=2, **kw).render(run_dir=run_dir)
     assert np.array_equal(res.frames, reference.frames)
     assert res.n_tasks == first.n_tasks
     assert res.n_from_checkpoint == first.n_tasks - len(lost)
@@ -208,7 +208,7 @@ def _resume_drill(spec, reference, run_dir, **kw):
     assert res.stats.total == first.stats.total  # spooled ray counts survive
     assert sorted(run_dir.glob("task_*.npz")) == spooled  # the gaps were re-spooled
 
-    again = _farm(spec, n_workers=2, **kw).render(resume=run_dir)
+    again = _farm(spec, n_workers=2, **kw).render(run_dir=run_dir)
     assert np.array_equal(again.frames, reference.frames)
     assert again.n_from_checkpoint == again.n_tasks == first.n_tasks
     assert again.attempts == [] and again.net is None  # nothing was started
@@ -233,7 +233,7 @@ def test_spool_is_portable_across_transports(spec, reference, tmp_path):
     run_dir = tmp_path / "run"
     _farm(spec, n_workers=2, transport="tcp").render(run_dir=run_dir)
     (run_dir / "task_0005.npz").unlink()
-    res = _farm(spec, n_workers=1, executor="serial").render(resume=run_dir)
+    res = _farm(spec, n_workers=1, executor="serial").render(run_dir=run_dir)
     assert np.array_equal(res.frames, reference.frames)
     assert res.n_from_checkpoint == 11
 
@@ -242,7 +242,7 @@ def test_resume_with_everything_done_executes_nothing(spec, reference, tmp_path)
     run_dir = tmp_path / "run"
     first = _farm(spec, n_workers=2).render(run_dir=run_dir)
     assert np.array_equal(first.frames, reference.frames)
-    again = _farm(spec, n_workers=2).render(resume=run_dir)
+    again = _farm(spec, n_workers=2).render(run_dir=run_dir)
     assert np.array_equal(again.frames, reference.frames)
     assert again.n_from_checkpoint == again.n_tasks == 12
     assert again.attempts == []
@@ -254,7 +254,7 @@ def test_corrupt_spool_file_re_renders_that_task(spec, reference, tmp_path):
     _farm(spec, n_workers=2).render(run_dir=run_dir)
     victim = run_dir / "task_0003.npz"
     victim.write_bytes(b"not a zip at all")
-    res = _farm(spec, n_workers=2).render(resume=run_dir)
+    res = _farm(spec, n_workers=2).render(run_dir=run_dir)
     assert np.array_equal(res.frames, reference.frames)
     assert res.n_from_checkpoint == 11
     # The supervisor numbers attempts by dispatch order, not by unit:
@@ -271,7 +271,7 @@ def test_older_format_spool_is_an_empty_spool(spec, reference, tmp_path):
     _farm(spec, executor="serial").render(run_dir=run_dir)
     manifest = json.loads((run_dir / "manifest.json").read_text())
     (run_dir / "manifest.json").write_text(json.dumps({**manifest, "format": 2}))
-    res = _farm(spec, executor="serial").render(resume=run_dir)
+    res = _farm(spec, executor="serial").render(run_dir=run_dir)
     assert np.array_equal(res.frames, reference.frames)
     assert res.n_from_checkpoint == 0 and len(res.attempts) == 12
     assert json.loads((run_dir / "manifest.json").read_text()) == manifest
@@ -282,7 +282,7 @@ def test_resume_manifest_mismatch_rejected(spec, tmp_path):
     _farm(spec, n_workers=2).render(run_dir=run_dir)
     other = _farm(spec, n_workers=2, mode="sequence")
     with pytest.raises(ValueError, match="manifest"):
-        other.render(resume=run_dir)
+        other.render(run_dir=run_dir)
     # The manifest itself is valid json describing the original run.
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["mode"] == "frame"
@@ -294,7 +294,7 @@ def test_sequence_mode_resume(spec, reference, tmp_path):
     farm = _farm(spec, n_workers=2, mode="sequence", executor="serial")
     first = farm.render(run_dir=run_dir)
     assert np.array_equal(first.frames, reference.frames)
-    res = _farm(spec, n_workers=2, mode="sequence", executor="serial").render(resume=run_dir)
+    res = _farm(spec, n_workers=2, mode="sequence", executor="serial").render(run_dir=run_dir)
     assert np.array_equal(res.frames, reference.frames)
     assert res.n_from_checkpoint == res.n_tasks
 
@@ -304,16 +304,10 @@ def test_hybrid_mode_resume(spec, reference, tmp_path):
     farm = _farm(spec, mode="hybrid", executor="serial", frames_per_chunk=2)
     farm.render(run_dir=run_dir)
     res = _farm(spec, mode="hybrid", executor="serial", frames_per_chunk=2).render(
-        resume=run_dir
+        run_dir=run_dir
     )
     assert np.array_equal(res.frames, reference.frames)
     assert res.n_from_checkpoint == res.n_tasks == 24
-
-
-def test_run_dir_and_conflicting_resume_rejected(spec, tmp_path):
-    farm = _farm(spec, executor="serial")
-    with pytest.raises(ValueError, match="not two different"):
-        farm.render(run_dir=tmp_path / "a", resume=tmp_path / "b")
 
 
 # -- one compositor, one callback contract ---------------------------------------

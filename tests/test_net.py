@@ -684,7 +684,7 @@ def test_tcp_spool_survives_mid_unit_kill(tcp_spec, serial_reference, tmp_path):
     assert out.n_crashes >= 1 and out.net.n_frames_salvaged >= 1
     assert out.frames.tobytes() == serial_reference.frames.tobytes()
     assert len(list(run_dir.glob("task_*.npz"))) == 12
-    again = LocalRenderFarm(tcp_spec, **kw).render(resume=run_dir)
+    again = LocalRenderFarm(tcp_spec, **kw).render(run_dir=run_dir)
     assert again.n_from_checkpoint == 12 and again.attempts == []
     assert again.frames.tobytes() == serial_reference.frames.tobytes()
 

@@ -56,22 +56,17 @@ def test_ledger_round_trip(tmp_path):
         led.append("submit", job="j0001", spec=SPEC, priority=2, owner="ada",
                    max_attempts=3)
         led.append("state", job="j0001", state="running", detail="attempt 1/3")
-        led.append("task", job="j0001", task=0)
-        led.append("task", job="j0001", task=1)
         led.append("attempt", job="j0001", attempt=1, outcome="ok",
                    duration=1.5, error="", backoff=0.0)
         led.append("state", job="j0001", state="done", detail="",
                    n_tasks=4, n_from_checkpoint=0)
     records, dropped = replay_records(path)
     assert dropped == 0
-    assert [r["kind"] for r in records] == [
-        "submit", "state", "task", "task", "attempt", "state"
-    ]
+    assert [r["kind"] for r in records] == ["submit", "state", "attempt", "state"]
     jobs = fold_jobs(records)
     job = jobs["j0001"]
     assert job.state == "done"
     assert job.priority == 2 and job.owner == "ada"
-    assert job.tasks_done == {0, 1}
     assert job.n_tasks == 4
     assert job.n_attempts == 1 and job.attempts[0]["outcome"] == "ok"
     assert not job.recovered
@@ -88,16 +83,46 @@ def test_fold_requeues_in_flight_jobs(tmp_path):
         led.append("submit", job="j0001", spec=SPEC, priority=0, owner="",
                    max_attempts=3)
         led.append("state", job="j0001", state="running", detail="attempt 1/3")
-        led.append("task", job="j0001", task=0)
         led.append("submit", job="j0002", spec=SPEC, priority=1, owner="",
                    max_attempts=3)
         led.append("state", job="j0002", state="cancelled", detail="")
     jobs = fold_jobs(replay_records(path)[0])
     assert jobs["j0001"].state == "queued"          # back in the queue
     assert jobs["j0001"].recovered
-    assert jobs["j0001"].tasks_done == {0}          # progress retained
     assert jobs["j0002"].state == "cancelled"       # terminal stays terminal
     assert not jobs["j0002"].recovered
+
+
+#: A ledger as the service wrote it while it also journaled one ``task``
+#: record per spooled unit: j0001 finished, j0002 was in flight.
+_LEDGER_WITH_TASK_RECORDS = (
+    'ef6dee3f {"job":"j0001","kind":"submit","max_attempts":3,"owner":"ada","priority":0,"spec":{"grid_resolution":16,"height":36,"n_frames":4,"width":48,"workload":"newton"},"t":1700000000.0}\n'
+    '52e80a85 {"detail":"attempt 1/3","job":"j0001","kind":"state","state":"running","t":1700000001.0}\n'
+    '9e414e40 {"job":"j0001","kind":"task","t":1700000002.0,"task":0}\n'
+    '5acca684 {"job":"j0001","kind":"task","t":1700000003.0,"task":1}\n'
+    '39be3576 {"detail":"","job":"j0001","kind":"state","n_from_checkpoint":0,"n_tasks":2,"state":"done","t":1700000004.0}\n'
+    '1d553d64 {"job":"j0002","kind":"submit","max_attempts":3,"owner":"bob","priority":1,"spec":{"grid_resolution":16,"height":36,"n_frames":4,"width":48,"workload":"newton"},"t":1700000005.0}\n'
+    '4c56e2ff {"detail":"attempt 1/3","job":"j0002","kind":"state","state":"running","t":1700000006.0}\n'
+    '6177b59d {"job":"j0002","kind":"task","t":1700000007.0,"task":3}\n'
+)
+
+
+def test_ledger_with_task_records_replays_to_the_same_jobs(tmp_path):
+    """An older ledger's per-unit ``task`` records are skipped: the job
+    table is the one its other records describe, with no ``tasks_done``
+    in it (a job's progress is its spool, counted when it is shown)."""
+    path = tmp_path / "ledger.wal"
+    path.write_text(_LEDGER_WITH_TASK_RECORDS)
+    records, dropped = replay_records(path)
+    assert dropped == 0 and sum(r["kind"] == "task" for r in records) == 3
+    jobs = fold_jobs(records)
+    without = fold_jobs([r for r in records if r["kind"] != "task"])
+    assert {k: j.to_dict() for k, j in jobs.items()} == {
+        k: j.to_dict() for k, j in without.items()
+    }
+    assert jobs["j0001"].state == "done" and jobs["j0001"].n_tasks == 2
+    assert jobs["j0002"].state == "queued" and jobs["j0002"].recovered
+    assert all("tasks_done" not in j.to_dict() for j in jobs.values())
 
 
 def _intact_ledger(path):
@@ -106,8 +131,8 @@ def _intact_ledger(path):
         led.append("submit", job="j0001", spec=SPEC, priority=1, owner="ada",
                    max_attempts=3)
         led.append("state", job="j0001", state="running", detail="attempt 1/3")
-        led.append("task", job="j0001", task=0)
-        led.append("task", job="j0001", task=1)
+        led.append("attempt", job="j0001", attempt=1, outcome="ok",
+                   duration=1.5, error="", backoff=0.0)
         led.append("state", job="j0001", state="done", detail="",
                    n_tasks=2, n_from_checkpoint=0)
         led.append("submit", job="j0002", spec=SPEC, priority=0, owner="bob",
@@ -121,8 +146,8 @@ def test_torn_tail_truncation_at_every_byte_offset(tmp_path):
     """A crash mid-append loses at most the record being written.
 
     Every proper prefix of the final record must be dropped cleanly —
-    no exception, no earlier record lost, no completed task forgotten,
-    no terminal job resurrected.
+    no exception, no earlier record lost, no finished job's task count or
+    attempt forgotten, no terminal job resurrected.
     """
     path = tmp_path / "ledger.wal"
     prefix, last_line = _intact_ledger(path)
@@ -133,7 +158,7 @@ def test_torn_tail_truncation_at_every_byte_offset(tmp_path):
         jobs = fold_jobs(records)
         # j0001 finished before the torn record: nothing about it may change.
         assert jobs["j0001"].state == "done"
-        assert jobs["j0001"].tasks_done == {0, 1}
+        assert jobs["j0001"].n_tasks == 2 and jobs["j0001"].n_attempts == 1
         # The torn submit of j0002 is the one acceptable casualty.
         assert "j0002" not in jobs
 
@@ -148,7 +173,7 @@ def test_corrupt_byte_at_every_offset_drops_only_that_record(tmp_path):
         records, dropped = replay_records(path)
         jobs = fold_jobs(records)
         assert jobs["j0001"].state == "done"
-        assert jobs["j0001"].tasks_done == {0, 1}
+        assert jobs["j0001"].n_tasks == 2 and jobs["j0001"].n_attempts == 1
         if "j0002" in jobs:
             # The flip survived framing only if the record still parses
             # byte-identically — impossible for CRC-mismatched data.
@@ -390,9 +415,6 @@ def _crash_drill(tmp_path, **service_kw):
     done_subset = spooled[: len(spooled) // 2]
     with JobLedger(crash_dir / "ledger.wal") as led:
         led.append("state", job=job.job_id, state="running", detail="attempt 1/3")
-        for name in done_subset:
-            led.append("task", job=job.job_id,
-                       task=int(name[len("task_"):-len(".npz")]))
     spool = crash_dir / "jobs" / job.job_id / "spool"
     spool.mkdir(parents=True)
     shutil.copy(ref_spool / "manifest.json", spool / "manifest.json")
@@ -405,8 +427,8 @@ def _crash_drill(tmp_path, **service_kw):
         assert resumed.n_recovered == 1
         job2 = resumed.jobs[job.job_id]
         assert job2.state == "queued" and job2.recovered
-        assert job2.tasks_done == {int(n[len("task_"):-len(".npz")])
-                                   for n in done_subset}
+        # The job's progress is what its spool holds.
+        assert resumed.snapshot()["jobs"][0]["tasks_done"] == len(done_subset)
         out = resumed.step()
         assert out.state == "done"
         # Exactly the pre-crash tasks came from the checkpoint spool.
@@ -435,6 +457,31 @@ def test_resume_with_torn_ledger_tail(tmp_path):
         assert resumed.step().state == "done"
     finally:
         resumed.stop()
+
+
+def test_running_jobs_tasks_done_counts_its_spool(tmp_path, monkeypatch):
+    """While a job runs, its ``tasks_done`` is the number of unit files in
+    its spool — read after every save, through the status snapshot."""
+    from repro.runtime import local
+
+    svc = make_service(tmp_path / "svc")
+    job, _ = svc.submit(SPEC)
+    spool = tmp_path / "svc" / "jobs" / job.job_id / "spool"
+    seen = []
+    save = local._save_task_result
+
+    def save_and_look(path, result):
+        save(path, result)
+        (view,) = svc.snapshot()["jobs"]
+        seen.append((view["state"], view["tasks_done"], len(list(spool.glob("task_*.npz")))))
+
+    monkeypatch.setattr(local, "_save_task_result", save_and_look)
+    try:
+        assert svc.step().state == "done"
+    finally:
+        svc.stop()
+    assert len(seen) == job.n_tasks > 1
+    assert seen == [("running", n, n) for n in range(1, job.n_tasks + 1)]
 
 
 # -- live surface -----------------------------------------------------------------

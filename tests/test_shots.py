@@ -104,7 +104,7 @@ def test_farm_totals_are_run_end_totals(transport, tmp_path):
             result.reports
         )
     # Every unit comes back from the spool with the counts it went in with.
-    resumed = render(request, resume=tmp_path / "run", on_frame=None)
+    resumed = render(request, run_dir=tmp_path / "run", on_frame=None)
     assert resumed.n_from_checkpoint == resumed.n_tasks
     assert resumed.reports == result.reports
 

@@ -17,8 +17,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-CEILING = 21521
-OPTION_CEILING = 97
+CEILING = 21489
+OPTION_CEILING = 96
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
