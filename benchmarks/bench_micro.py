@@ -4,7 +4,9 @@ Not tied to a specific table/figure — these are the throughput numbers a
 downstream user of the library cares about, and the regression guard for
 the vectorized kernels: primitive intersection, stacked vs per-object
 scene queries, one frame-division block's scene queries, 3-D DDA marking,
-voxel pixel-list updates, full-frame tracing and one coherent step.
+voxel pixel-list updates, full-frame tracing and one coherent step — and
+the fixed costs a frame pays before its first ray: one scene build, and
+the grid-bounds sweep over a whole animation.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.accel import UniformGrid, traverse
-from repro.coherence import CoherentRenderer, VoxelPixelMap
+from repro.coherence import CoherentRenderer, VoxelPixelMap, grid_for_animation
 from repro.geometry import Cylinder, Sphere, TriangleMesh
 from repro.parallel.partition import PixelRegion
 from repro.render import RayTracer, SceneIntersector
@@ -148,6 +150,28 @@ def test_dda_traversal_throughput(benchmark, ray_batch):
     grid = UniformGrid(AABB(vec3(-6, -6, -6), vec3(6, 6, 6)), 32)
     ray_idx, vox = benchmark(traverse, grid, origins, dirs)
     assert ray_idx.size > N_RAYS  # multiple voxels per ray
+
+
+def test_newton_scene_build(benchmark):
+    """One Newton frame's scene: composing transforms, no inverse."""
+    scene = benchmark.pedantic(
+        lambda anim: anim.scene_at(7),
+        setup=lambda: ((newton_animation(n_frames=45, width=160, height=120),), {}),
+        rounds=20,
+    )
+    assert len(scene.objects) > 16
+
+
+def test_hold_grid_sweep(benchmark):
+    """The voxel grid's bounds over the 90 frames of the held shot: every
+    scene built once.  A farm's master pays it once per run; no worker does."""
+    grid = benchmark.pedantic(
+        lambda anim: grid_for_animation(anim, 24),
+        setup=lambda: ((newton_animation(n_frames=90, width=160, height=120,
+                                         swing_degrees=0.0),), {}),
+        rounds=3,
+    )
+    assert grid.n_voxels == 24**3
 
 
 def test_voxel_pixel_map_update(benchmark):

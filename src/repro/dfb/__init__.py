@@ -12,7 +12,11 @@ This module is the transport-agnostic half of that design:
   a worker's tile boundaries always match the master's bookkeeping.
 * :class:`FrameAssembler` — the per-run compositor, one pixel stack plus
   a coverage mask, that the master folds every tile *and* every whole
-  unit (pool result, checkpoint load) into, idempotently.  Completion is
+  unit (pool result, checkpoint load) into, idempotently.  A tile may be
+  a **hold record** (``pixels=None``): a worker whose frame recomputed no
+  pixel of that tile ships no pixels, and the assembler copies its own
+  frame ``f - 1`` — a held frame costs the wire only the pixels that
+  changed, as the paper's coherence argument says it should.  Completion is
   tracked per pixel, so when a worker dies mid-segment the scheduler
   re-renders only the frames that are actually missing (see
   ``SchedulingPolicy.on_partial_result``), and ``covered_tiles`` tells
@@ -179,12 +183,20 @@ class FrameAssembler:
         return newly, self._left[frame] == 0
 
     def add_tile(
-        self, frame: int, x0: int, y0: int, x1: int, y1: int, pixels: np.ndarray
+        self, frame: int, x0: int, y0: int, x1: int, y1: int, pixels: np.ndarray | None
     ) -> tuple[int, bool]:
-        """Fold one tile in; returns ``(newly_covered, frame_complete)``."""
+        """Fold one tile in; returns ``(newly_covered, frame_complete)``.
+
+        ``pixels=None`` is a hold record: the rectangle is the same as in
+        frame ``frame - 1``, which must already be covered there."""
         frame = self._check_frame(frame)
+        x0, y0, x1, y1 = int(x0), int(y0), int(x1), int(y1)
         with self._lock:
-            out = self._write(frame, int(x0), int(y0), int(x1), int(y1), pixels)
+            if pixels is None:
+                if frame < 1 or not self._covered[frame - 1, y0:y1, x0:x1].all():
+                    raise ValueError(f"hold of frame {frame} over an uncovered frame {frame - 1}")
+                pixels = self._stack[frame - 1, y0:y1, x0:x1]
+            out = self._write(frame, x0, y0, x1, y1, pixels)
             self.n_tiles += 1
             return out
 

@@ -173,7 +173,8 @@ class MasterServer:
         carries no pixels (the caller's ``validate`` holds it to that).
         ``tile_box(assignment)`` maps an assignment to its pixel box
         (``None`` = whole frame); ``on_tile(worker, frame, box, pixels,
-        frame_complete)`` observes every composited tile.
+        frame_complete)`` observes every composited tile (``pixels`` is
+        ``None`` for a held one: the same as in frame ``frame - 1``).
     session:
         Object-space sharding (DESIGN §16).  A ``session`` (a
         :class:`repro.shard.net.ShardSession`) replaces the ASSIGN/RESULT
@@ -461,8 +462,24 @@ class MasterServer:
         path = self.blackbox_dir / blackbox_filename("worker", conn.pid)
         return str(path) if path.exists() else ""
 
+    def _held_rects(self, a, frame: int, held) -> list:
+        """A hold record's rects.  A hold copies frame ``frame - 1``, which
+        must be this worker's to continue (a fresh unit's first frame is
+        not), and each rect must lie in the unit's box; the assembler
+        checks that the frame before is covered there."""
+        rects = [tuple(int(v) for v in r) for r in held]
+        bx0, by0, bx1, by1 = self.tile_box(a) or (0, 0, self.assembler.width,
+                                                  self.assembler.height)
+        if (a.fresh and frame <= a.frame0) or not all(
+            len(r) == 4 and bx0 <= r[0] < r[2] <= bx1 and by0 <= r[1] < r[3] <= by1
+            for r in rects
+        ):
+            raise ValueError("hold record outside its unit")
+        return rects
+
     def _on_tile_frame(self, sel, conn: _Conn, payload, nbytes: int, now: float) -> None:
-        """Composite one streamed tile into the distributed framebuffer."""
+        """Composite one streamed tile, or one hold record's rects, into the
+        distributed framebuffer."""
         flight = self.core.flight(conn.name)
         a = flight.assignment if flight is not None else None
         if a is None or not isinstance(payload, dict) or payload.get("seq") != a.seq:
@@ -472,31 +489,29 @@ class MasterServer:
             return
         try:
             frame = int(payload["frame"])
-            x0, y0 = int(payload["x0"]), int(payload["y0"])
-            x1, y1 = int(payload["x1"]), int(payload["y1"])
-            _newly, frame_complete = self.assembler.add_tile(
-                frame, x0, y0, x1, y1, payload["pixels"]
-            )
+            if "held" in payload:
+                tiles = [(r, None) for r in self._held_rects(a, frame, payload["held"])]
+            else:
+                rect = tuple(int(payload[k]) for k in ("x0", "y0", "x1", "y1"))
+                tiles = [(rect, payload["pixels"])]
+            done = [self.assembler.add_tile(frame, *r, px)[1] for r, px in tiles]
         except (KeyError, TypeError, ValueError):
             self._lose(sel, conn, "invalid", detail="malformed TILE")
             return
-        self.net.n_tiles += 1
+        self.net.n_tiles += len(tiles)
         self.net.tile_bytes += nbytes
         if self.net.t_first_tile is None:
             self.net.t_first_tile = now - self._t0
-        self.telemetry.event(
-            "dfb.tile",
-            worker=conn.name,
-            seq=a.seq,
-            frame=frame,
-            x0=x0,
-            y0=y0,
-            x1=x1,
-            y1=y1,
-            nbytes=nbytes,
-        )
-        if self.on_tile is not None:
-            self.on_tile(conn.name, frame, (x0, y0, x1, y1), payload["pixels"], frame_complete)
+        # One dfb.tile per composited rect; the record's bytes are split
+        # among them, so the events still sum to the bytes received.
+        share, extra = divmod(nbytes, max(1, len(tiles)))
+        for i, ((x0, y0, x1, y1), pixels) in enumerate(tiles):
+            self.telemetry.event(
+                "dfb.tile", worker=conn.name, seq=a.seq, frame=frame,
+                x0=x0, y0=y0, x1=x1, y1=y1, nbytes=share + (i < extra),
+            )
+            if self.on_tile is not None:
+                self.on_tile(conn.name, frame, (x0, y0, x1, y1), pixels, done[i])
         self._last_progress = now
 
     def _on_result_frame(self, sel, conn: _Conn, payload, nbytes: int, now: float) -> None:

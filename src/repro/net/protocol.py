@@ -35,7 +35,9 @@ ASSIGN      m -> w     {seq, region, frame0, frame1, fresh, coherent,
 RESULT      w -> m     {seq, result, duration, events}
 TILE        w -> m     {seq, frame, x0, y0, x1, y1, pixels}  (streamed
                        before the closing RESULT, when ASSIGN carried a
-                       tile directive)
+                       tile directive), or the hold record {seq, frame,
+                       held: [(x0, y0, x1, y1), ...]}: tiles whose pixels
+                       are those of frame - 1 (minor 6)
 RAYS        m <-> w    {rid, shard, frame, k, op, spec, arrays...} — a ray
                        batch routed to a shard owner (op nearest/occlude);
                        the owner answers with the same type + rid
@@ -134,7 +136,10 @@ PROTO_VERSION = 1
 #: dump its dead predecessor wrote, so the master can stitch the victim's
 #: last seconds into the merged trace.  Purely additive: masters ignore
 #: the type from workers that never send it, older workers never do.
-PROTO_MINOR = 5
+#: Minor 6: TILE hold records — a tile in which the frame recomputed no
+#: pixel travels without pixels, listed in one ``held`` record per frame,
+#: and the master copies its own frame ``f - 1`` there.
+PROTO_MINOR = 6
 #: Oldest worker vocabulary the master still serves: the current one.
 #: Anything older is rejected at HELLO.
 PROTO_MINOR_FLOOR = PROTO_MINOR

@@ -8,9 +8,11 @@ so a master cannot inject arbitrary callables into a daemon.
 
 Task arguments and results must be wire-encodable
 (:mod:`repro.net.protocol` types); ``render_segment`` therefore receives
-the :class:`AnimationSpec` as a plain ``{"factory", "kwargs"}`` dict and
-rebuilds it before delegating to the farm's segment renderer — which
-keeps the :class:`~repro.coherence.CoherentRenderer` continuation cache
+the :class:`AnimationSpec` as a plain ``{"factory", "kwargs"}`` dict,
+which it rebuilds, and the voxel grid as ``(resolution, lo, hi)``: bounds
+the master swept from every frame, so a worker builds only its own
+frames' scenes.  It delegates to the farm's segment renderer, which keeps
+the :class:`~repro.coherence.CoherentRenderer` continuation cache
 (:data:`repro.runtime.local._SEGMENT_CACHE`) warm across the consecutive
 segments of a chain, because a TCP lane pins a chain to one worker
 process.
@@ -79,7 +81,7 @@ def render_segment(args, emit_tile=None):
     # tel_ctx passes through untouched: a trace-context dict (run id,
     # parent flight span, namespace seed, lane), or falsy for telemetry off.
     return _render_segment_task(
-        (spec, box, int(f0), int(f1), int(horizon), bool(fresh), str(label), int(grid),
+        (spec, box, int(f0), int(f1), int(horizon), bool(fresh), str(label), grid,
          int(samples), bool(shadow), tel_ctx, prof),
         emit_tile=emit_tile,
     )

@@ -91,16 +91,20 @@ class _TileSink:
     """The worker half of the distributed framebuffer: cut each finished
     frame region into the master's tile grid and stream MSG_TILE frames.
 
-    A streaming task calls ``sink(frame, x0, y0, image)`` once per
-    finished frame, where ``image`` is the ``(h, w, 3)`` pixels of its
+    A streaming task calls ``sink(frame, x0, y0, image, changed)`` once
+    per finished frame, where ``image`` is the ``(h, w, 3)`` pixels of its
     region with absolute origin ``(x0, y0)`` — possibly a view of live
     renderer state: every tile is copied out and sent before the call
-    returns.  Tiles the master already holds (the ASSIGN's skip list — a
-    lost predecessor streamed them) are rendered but not re-shipped.
-    Shares the socket's send lock with the heartbeat-responder thread.
+    returns — and ``changed`` the ``(h, w)`` mask of the pixels the frame
+    recomputed.  A tile with a recomputed pixel ships its pixels; the
+    frame's other tiles are the same as in the frame before and go out
+    together as one pixel-less hold record, ``held`` listing their rects.
+    Tiles the master already holds (the ASSIGN's skip list — a lost
+    predecessor streamed them) are rendered but not re-shipped.  Shares
+    the socket's send lock with the heartbeat-responder thread.
     """
 
-    __slots__ = ("sock", "seq", "tile_px", "skip", "lock", "compress", "compress_min", "n_sent")
+    __slots__ = ("sock", "seq", "tile_px", "skip", "lock", "compress", "compress_min")
 
     def __init__(self, sock, seq: int, directive: dict, lock, compress: bool, compress_min: int):
         self.sock = sock
@@ -110,33 +114,30 @@ class _TileSink:
         self.lock = lock
         self.compress = compress
         self.compress_min = compress_min
-        self.n_sent = 0
 
-    def __call__(self, frame: int, x0: int, y0: int, image: np.ndarray) -> None:
+    def _send(self, payload: dict) -> None:
+        wire.send_frame(
+            self.sock, wire.MSG_TILE, {"seq": self.seq, **payload}, lock=self.lock,
+            compress_arrays=self.compress, compress_min_bytes=self.compress_min,
+        )
+
+    def __call__(self, frame: int, x0: int, y0: int, image: np.ndarray, changed) -> None:
         frame, x0, y0 = int(frame), int(x0), int(y0)
         h, w = image.shape[:2]
+        held = []
         for tx0, ty0, tx1, ty1 in tile_rects(x0, y0, x0 + w, y0 + h, self.tile_px):
             if (frame, tx0, ty0, tx1, ty1) in self.skip:
                 continue
-            wire.send_frame(
-                self.sock,
-                wire.MSG_TILE,
-                {
-                    "seq": self.seq,
-                    "frame": frame,
-                    "x0": tx0,
-                    "y0": ty0,
-                    "x1": tx1,
-                    "y1": ty1,
-                    "pixels": np.ascontiguousarray(
-                        image[ty0 - y0 : ty1 - y0, tx0 - x0 : tx1 - x0]
-                    ),
-                },
-                lock=self.lock,
-                compress_arrays=self.compress,
-                compress_min_bytes=self.compress_min,
-            )
-            self.n_sent += 1
+            rows, cols = slice(ty0 - y0, ty1 - y0), slice(tx0 - x0, tx1 - x0)
+            if not changed[rows, cols].any():
+                held.append((tx0, ty0, tx1, ty1))
+                continue
+            self._send({
+                "frame": frame, "x0": tx0, "y0": ty0, "x1": tx1, "y1": ty1,
+                "pixels": np.ascontiguousarray(image[rows, cols]),
+            })
+        if held:
+            self._send({"frame": frame, "held": held})
 
 
 class WorkerClient:

@@ -84,13 +84,12 @@ class AABB:
         return union(self, other)
 
     def corners(self) -> np.ndarray:
-        """All 8 corner points as an ``(8, 3)`` array."""
-        lo, hi = self.lo, self.hi
-        xs = np.array([lo[0], hi[0]])
-        ys = np.array([lo[1], hi[1]])
-        zs = np.array([lo[2], hi[2]])
-        gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
+        """All 8 corner points as an ``(8, 3)`` array, x slowest."""
+        return np.where(_CORNER_BITS, self.hi, self.lo)
+
+
+#: Which corners take ``hi`` on each axis: row ``i`` is the bits of ``i``.
+_CORNER_BITS = (np.arange(8)[:, None] >> np.array([2, 1, 0]) & 1).astype(bool)
 
 
 def union(a: AABB, b: AABB) -> AABB:

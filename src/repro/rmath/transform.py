@@ -18,11 +18,14 @@ __all__ = ["Transform"]
 class Transform:
     """An invertible affine map ``p -> M @ p + t`` stored as a 4x4 matrix.
 
-    Instances are immutable; composition returns new objects.  The inverse
-    and the inverse-transpose (for normals) are computed once and cached.
+    Instances are immutable; composition returns new objects.  Building
+    one stores ``m`` and nothing else: a scene build composes dozens, and
+    only the objects a ray reaches ever need the inverse.  The inverse,
+    the inverse-transpose (for normals) and the identity flag are each
+    computed from ``m`` on first use and cached.
     """
 
-    __slots__ = ("m", "inv", "normal_m", "_is_identity")
+    __slots__ = ("m", "_inv", "_normal_m", "_is_identity")
 
     def __init__(self, m: np.ndarray | None = None):
         if m is None:
@@ -31,13 +34,20 @@ class Transform:
         if m.shape != (4, 4):
             raise ValueError("Transform expects a 4x4 matrix")
         self.m = m
-        self.inv = np.linalg.inv(m)
-        # Normals transform by the inverse-transpose of the upper-left 3x3.
-        self.normal_m = self.inv[:3, :3].T.copy()
-        # Cached: queried once per object per ray batch on the hot path.
-        # rtol must be 0: allclose's default rtol=1e-5 against the unit
-        # diagonal would classify e.g. scale(0.99999) as the identity.
-        self._is_identity = bool(np.allclose(m, np.eye(4), rtol=0.0, atol=1e-12))
+        self._inv = self._normal_m = self._is_identity = None
+
+    @property
+    def inv(self) -> np.ndarray:
+        if self._inv is None:
+            self._inv = np.linalg.inv(self.m)
+        return self._inv
+
+    @property
+    def normal_m(self) -> np.ndarray:
+        """Normals transform by the inverse-transpose of the upper-left 3x3."""
+        if self._normal_m is None:
+            self._normal_m = self.inv[:3, :3].T.copy()
+        return self._normal_m
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -152,10 +162,14 @@ class Transform:
         return AABB.from_points(self.apply_points(box.corners()))
 
     # -- misc ---------------------------------------------------------------
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        if tol == 1e-12:
-            return self._is_identity
-        return bool(np.allclose(self.m, np.eye(4), rtol=0.0, atol=tol))
+    def is_identity(self) -> bool:
+        # Cached: queried once per object per ray batch on the hot path.
+        # An absolute test, i.e. allclose with rtol 0: a relative tolerance
+        # against the unit diagonal would classify e.g. scale(0.99999) as
+        # the identity.  NaN and inf compare False.
+        if self._is_identity is None:
+            self._is_identity = bool(np.abs(self.m - np.eye(4)).max() <= 1e-12)
+        return self._is_identity
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Transform({self.m.tolist()!r})"

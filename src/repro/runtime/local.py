@@ -59,12 +59,14 @@ from pathlib import Path
 
 import numpy as np
 
+from ..accel import UniformGrid
 from ..coherence import CoherentRenderer, ShadowCoherentRenderer, grid_for_animation
 from ..durable import atomic_write
 from ..geometry import RayKind
 from ..obs.trace import TraceContext, flight_span_id, new_run_id, worker_session
 from ..parallel.partition import PixelRegion, default_block_layout, sequence_ranges
 from ..render import RayStats, RayTracer
+from ..rmath import AABB
 from ..scene import Animation, split_coherent_sequences
 from ..buffers import (
     FrameRef,
@@ -81,8 +83,8 @@ from .supervisor import SupervisorOutcome, TaskSupervisor, task_context
 
 __all__ = ["LocalRenderFarm", "FarmResult", "FrameCounts"]
 
-# Per-process cache keyed by spec: workers build each animation (and its
-# voxel grid, keyed by spec + resolution) once, and concurrent farms with
+# Per-process cache keyed by spec: workers build each animation (and hold
+# one voxel grid per spec + resolution) once, and concurrent farms with
 # *different* specs (the thread executor shares this module's globals)
 # cannot evict or corrupt each other's entry mid-render.  The animation keeps
 # each frame's scene and the grid keys its change sets: once per worker, not per block.
@@ -146,9 +148,13 @@ def _get_anim(spec: AnimationSpec):
     return _cached(_spec_key(spec), spec.build)
 
 
-def _get_grid(spec: AnimationSpec, grid_resolution: int):
-    key = (*_spec_key(spec), int(grid_resolution))
-    return _cached(key, lambda: grid_for_animation(_get_anim(spec), grid_resolution))
+def _get_grid(spec: AnimationSpec, grid) -> UniformGrid:
+    """The run's voxel grid from the task's ``(resolution, lo, hi)``, which
+    the master swept from every frame: a worker never sweeps the animation.
+    One object per process per (spec, resolution), so an in-process lane
+    gets the master's own grid (change sets are memoized per grid object)."""
+    res, lo, hi = grid
+    return _cached((*_spec_key(spec), int(res)), lambda: UniformGrid(AABB(lo, hi), int(res)))
 
 
 @dataclass(frozen=True)
@@ -246,15 +252,19 @@ def _render_segment_task(args, emit_tile=None):
     never past the end of the unit's shot.  ``shadow`` picks the
     :class:`~repro.coherence.ShadowCoherentRenderer`.
 
-    Each finished frame's box image ``(h, w, 3)`` is handed once to
-    ``emit_tile(frame, x0, y0, image)`` — a view of the renderer's live
-    framebuffer, consumed before the call returns.  The TCP worker passes
-    its tile sink, which streams the image to the master, and the result
-    carries ``frames=None``; without a sink the images are written into
-    the unit's ``(n, h, w, 3)`` output buffer, which rides home in the
+    ``grid`` is ``(resolution, lo, hi)``: the voxel grid's bounds come
+    with the task (see :func:`_get_grid`).  Each finished frame's box image
+    ``(h, w, 3)`` is handed once to ``emit_tile(frame, x0, y0, image,
+    changed)`` — a view of the renderer's live framebuffer, consumed before
+    the call returns — with ``changed``, the frame's recomputed pixels
+    (``FrameReport.computed_pixels``) as an ``(h, w)`` mask of the box;
+    every other pixel holds its value of the frame before.  The TCP worker
+    passes its tile sink, which streams the image to the master, and the
+    result carries ``frames=None``; without a sink the images are written
+    into the unit's ``(n, h, w, 3)`` output buffer, which rides home in the
     result.  So does one counts row per frame (see :data:`ROW`).
     """
-    (spec, box, f0, f1, horizon, fresh, label, grid_resolution, samples, shadow,
+    (spec, box, f0, f1, horizon, fresh, label, grid, samples, shadow,
      tel_ctx, profile_dir) = args
     anim = _get_anim(spec)
     cam = anim.camera_at(0)
@@ -270,7 +280,7 @@ def _render_segment_task(args, emit_tile=None):
     if not fresh:
         with _SEGMENT_CACHE_LOCK:
             renderer = _SEGMENT_CACHE.pop(
-                _segment_cache_key(spec, box, grid_resolution, samples, shadow, f0), None
+                _segment_cache_key(spec, box, grid[0], samples, shadow, f0), None
             )
     with profile_into(_worker_profile_path(profile_dir)):
         with tel.span(
@@ -288,7 +298,7 @@ def _render_segment_task(args, emit_tile=None):
                 renderer = (ShadowCoherentRenderer if shadow else CoherentRenderer)(
                     anim,
                     region=region,
-                    grid=_get_grid(spec, grid_resolution),
+                    grid=_get_grid(spec, grid),
                     samples_per_axis=samples,
                     first_frame=f0,
                     last_frame=horizon,
@@ -302,19 +312,21 @@ def _render_segment_task(args, emit_tile=None):
             if emit_tile is None:
                 out_frames, frames = _frames_alloc((n_new, y1 - y0, x1 - x0, 3))
 
-                def emit_tile(frame, _x0, _y0, image):
+                def emit_tile(frame, _x0, _y0, image, _changed):
                     frames[frame - f0] = image
 
             for f in range(f0, f1):
-                renderer.render_next()
+                computed = renderer.render_next().computed_pixels
                 image = renderer.framebuffer.data.reshape(cam.height, cam.width, 3)
-                emit_tile(f, x0, y0, image[y0:y1, x0:x1])
+                changed = np.zeros((cam.height, cam.width), dtype=bool)
+                changed.flat[computed] = True
+                emit_tile(f, x0, y0, image[y0:y1, x0:x1], changed[y0:y1, x0:x1])
             counts = np.array([_count_row(r) for r in renderer.reports[-n_new:]], np.int64)
             sp.attrs["rays"] = int(counts[:, :N_KINDS].sum())
             sp.attrs["n_computed"] = int(counts[:, COMPUTED].sum())
     if f1 < horizon:
         with _SEGMENT_CACHE_LOCK:
-            key = _segment_cache_key(spec, box, grid_resolution, samples, shadow, f1)
+            key = _segment_cache_key(spec, box, grid[0], samples, shadow, f1)
             _SEGMENT_CACHE[key] = renderer
             while len(_SEGMENT_CACHE) > _SEGMENT_CACHE_MAX:
                 del _SEGMENT_CACHE[next(iter(_SEGMENT_CACHE))]
@@ -431,8 +443,9 @@ class LocalRenderFarm:
                 )
             spec = _InlineSpec(f"<{type(spec).__name__} {next(_INLINE_TOKENS)}>", animation=spec)
         self.spec = spec
-        # In-process lanes render the master's own animation; other workers
-        # rebuild theirs, and the master keeps none past the farm.
+        # In-process lanes render the master's own animation and grid; other
+        # workers rebuild theirs, and the master keeps neither past the farm.
+        self._in_process = in_process
         self._anim = _get_anim(spec) if in_process else spec.build()
         self._cam = self._anim.camera_at(0)
         self._shots = split_coherent_sequences(self._anim)
@@ -577,12 +590,13 @@ class LocalRenderFarm:
         ``report(worker, frame, box, pixels, frame_complete, row=None)`` is
         the one progress adapter: it tells ``on_tile`` / ``on_frame`` about
         one composited rectangle (``None`` when nobody listens).  The TCP
-        master calls it for every wire tile.  ``fold_unit(worker, result)``
-        adds an accepted unit's counts rows to ``tally``; when the unit
-        carries its pixels — a pool result, a checkpoint load — it
-        composites them and reports each frame the same way, with the
-        frame's summed row.  A streamed frame completes from tiles that
-        outrun its unit's counts, so its ``FrameEvent.report`` is None."""
+        master calls it for every wire tile, with ``pixels=None`` for a
+        held one.  ``fold_unit(worker, result)`` adds an accepted unit's
+        counts rows to ``tally``; when the unit carries its pixels — a pool
+        result, a checkpoint load — it composites them and reports each
+        frame the same way, with the frame's summed row.  A streamed frame
+        completes from tiles that outrun its unit's counts, so its
+        ``FrameEvent.report`` is None."""
         from ..dfb import FrameEvent, TileEvent
 
         report = None
@@ -591,6 +605,8 @@ class LocalRenderFarm:
             def report(worker, frame, box, pixels, frame_complete, row=None):
                 if self.options.on_tile is not None:
                     x0, y0, x1, y1 = box
+                    if pixels is None:  # a held tile: composited from frame - 1
+                        pixels = assembler.segment(box, frame, frame + 1)[0]
                     self.options.on_tile(TileEvent(
                         frame=frame, x0=x0, y0=y0, x1=x1, y1=y1,
                         pixels=pixels, worker=worker, frame_complete=frame_complete,
@@ -727,7 +743,14 @@ class LocalRenderFarm:
         """The transport that will drive ``policy``: the supervised pool or
         the loopback network farm, both executing the segment task."""
         opts, spec = self.options, self.spec
-        grid, samples = opts.grid_resolution, opts.samples_per_axis
+        # The grid is a function of every frame: swept once, here, and shipped
+        # as (resolution, lo, hi).  An in-process lane finds this very object
+        # in the cache; a forked or remote worker builds its own from the bounds.
+        res, samples = int(opts.grid_resolution), opts.samples_per_axis
+        sweep = lambda: grid_for_animation(self._anim, res)  # noqa: E731
+        swept = _cached((*_spec_key(spec), res), sweep) if self._in_process else sweep()
+        lo, hi = swept.bounds.lo, swept.bounds.hi
+        grid = (res, tuple(map(float, lo)), tuple(map(float, hi)))
         prof = str(opts.profile_dir) if opts.profile_dir else None
         tel = opts.telemetry
         run_id, run_span, enabled = tel.run_id, self._run_span, tel.enabled

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..geometry import Primitive
 from ..lighting import PointLight
-from ..rmath import AABB, union, vec3
+from ..rmath import AABB, vec3
 from .camera import Camera
 
 __all__ = ["Scene"]
@@ -67,12 +67,13 @@ class Scene:
 
     def finite_bounds(self) -> AABB:
         """Union of the finite object bounds (infinite primitives skipped)."""
-        box = AABB.empty()
-        for o in self.objects:
-            b = o.bounds()
-            if np.all(np.isfinite(b.lo)) and np.all(np.isfinite(b.hi)):
-                box = union(box, b)
-        return box
+        boxes = [o.bounds() for o in self.objects]
+        lo = np.array([b.lo for b in boxes]).reshape(-1, 3)
+        hi = np.array([b.hi for b in boxes]).reshape(-1, 3)
+        finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+        if not finite.any():
+            return AABB.empty()
+        return AABB(lo[finite].min(axis=0), hi[finite].max(axis=0))
 
     def world_bounds(self, margin_frac: float = 0.05) -> AABB:
         """Voxelizable region: the finite objects, padded.

@@ -177,6 +177,35 @@ def test_partial_retry_accounting():
     assert {s[0] for s in skip} == {0, 1} and len(skip) == 2 * 4
 
 
+def test_held_rect_composites_like_its_pixels():
+    """A hold record (``pixels=None``) copies the assembler's own frame
+    f-1 there: byte-identical to shipping pixels that did not change."""
+    ref = reference(3, 24, 32)
+    ref[1, :16] = ref[0, :16]  # frame 1 left the top band as it was
+    ref[2] = ref[1]  # frame 2 changed nothing
+    shipped, held = FrameAssembler(3, 32, 24), FrameAssembler(3, 32, 24)
+    for f in range(3):
+        for (x0, y0, x1, y1), px in tiles_of(ref[f], (0, 0, 32, 24), 16):
+            unchanged = f and (ref[f - 1, y0:y1, x0:x1] == px).all()
+            assert held.add_tile(f, x0, y0, x1, y1, None if unchanged else px) == \
+                shipped.add_tile(f, x0, y0, x1, y1, px)
+    assert held.n_tiles == shipped.n_tiles == 12
+    assert held.frames().tobytes() == shipped.frames().tobytes() == ref.tobytes()
+
+
+def test_hold_needs_the_frame_before_covered():
+    asm = FrameAssembler(3, 16, 16)
+    with pytest.raises(ValueError, match="hold"):
+        asm.add_tile(0, 0, 0, 8, 8, None)  # frame 0 has no frame before
+    asm.add_tile(0, 0, 0, 8, 8, np.ones((8, 8, 3)))
+    with pytest.raises(ValueError, match="hold"):
+        asm.add_tile(1, 0, 0, 16, 8, None)  # half of it is uncovered in frame 0
+    with pytest.raises(ValueError, match="hold"):
+        asm.add_tile(2, 0, 0, 8, 8, None)  # frame 1 is uncovered there
+    assert asm.add_tile(1, 0, 0, 8, 8, None) == (64, False)
+    assert asm.segment((0, 0, 8, 8), 1, 2).tobytes() == np.ones((1, 8, 8, 3)).tobytes()
+
+
 # -- preview surface --------------------------------------------------------------
 def test_encode_png_is_a_valid_png():
     img = reference(1, 9, 13)[0]

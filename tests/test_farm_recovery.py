@@ -108,8 +108,12 @@ def test_all_workers_dead_error_path(spec):
     from repro.runtime.local import _render_segment_task, _worker_init
     from repro.runtime.supervisor import TaskSupervisor
 
+    from repro.coherence import grid_for_animation
+
     plan = FaultPlan((FaultPlan.crash(0, attempts=tuple(range(8))),))
-    whole_animation = (spec, None, 0, 3, 3, True, "sequence", GRID, 1, False, False, None)
+    bounds = grid_for_animation(spec.build(), GRID).bounds
+    grid = (GRID, tuple(bounds.lo.tolist()), tuple(bounds.hi.tolist()))
+    whole_animation = (spec, None, 0, 3, 3, True, "sequence", grid, 1, False, False, None)
     sup = TaskSupervisor.over(
         _render_segment_task,
         [whole_animation],

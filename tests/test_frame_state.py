@@ -1,10 +1,16 @@
-"""A worker pays each frame's fixed cost once, however many blocks it renders."""
+"""A worker pays each frame's fixed cost once, however many blocks it renders,
+and only for its own frames: the voxel grid, a function of every frame, is
+swept by the master and shipped."""
 
+import os
+import pickle
 from collections import Counter
 
 import numpy as np
+import pytest
 
-from repro.coherence import change_detection, grid_for_animation
+from repro.coherence import change_detection, engine, grid_for_animation
+from repro.net import protocol as wire
 from repro.runtime import AnimationSpec, LocalRenderFarm, local
 from repro.scene import FunctionAnimation
 from repro.scenes import newton_animation
@@ -12,7 +18,6 @@ from repro.scenes import newton_animation
 
 def test_a_demand_farm_builds_each_scene_and_change_set_once(monkeypatch):
     spec = AnimationSpec.newton(n_frames=4, width=48, height=36)
-    farm = LocalRenderFarm(spec, schedule="demand", executor="serial", grid_resolution=12)
     builds, changes = Counter(), Counter()
     build, compute = FunctionAnimation._build_scene, change_detection.changed_voxels
 
@@ -26,7 +31,10 @@ def test_a_demand_farm_builds_each_scene_and_change_set_once(monkeypatch):
 
     monkeypatch.setattr(FunctionAnimation, "_build_scene", counted_build)
     monkeypatch.setattr(change_detection, "changed_voxels", counted_compute)
-    monkeypatch.setattr(local, "_WORKER_CACHE", {})  # the worker starts cold
+    monkeypatch.setattr(local, "_WORKER_CACHE", {})  # the process starts cold
+    # In-process lanes share the farm's animation: the master's grid sweep
+    # builds every scene, and the lanes render with those very scenes.
+    farm = LocalRenderFarm(spec, schedule="demand", executor="serial", grid_resolution=12)
     res = farm.render()
     assert res.n_tasks == 24  # 12 blocks x 2 frame chunks, each chunk one transition
     assert builds == Counter({0: 1, 1: 1, 2: 1, 3: 1})
@@ -50,3 +58,74 @@ def test_one_grid_serving_two_animations_keeps_their_change_sets_apart():
             assert np.array_equal(once, fresh)
     assert not np.array_equal(both(a, 1)[0], both(b, 1)[0])  # a frame key would mix them
     assert len(change_detection._CHANGE_SETS[grid]) <= a.n_frames
+
+
+@pytest.mark.usefixtures("no_leaks")
+@pytest.mark.parametrize("transport", ["tcp", "process"])
+def test_no_worker_sweeps_the_animation(monkeypatch, transport):
+    """A worker that swept the animation for the grid bounds would raise
+    here (the sweep is patched before the crew forks); every worker renders
+    with the bounds the master shipped, bit-identically and with the serial
+    tracer's rays."""
+    spec = AnimationSpec.newton(n_frames=4, width=48, height=36)
+    serial = LocalRenderFarm(
+        spec, executor="serial", schedule="static", mode="frame", grid_resolution=12
+    )
+    expected = serial.render()
+    master, real = os.getpid(), grid_for_animation
+
+    def master_only(animation, resolution):
+        if os.getpid() != master:
+            raise AssertionError("a worker swept the animation")
+        return real(animation, resolution)
+
+    monkeypatch.setattr(local, "grid_for_animation", master_only)
+    monkeypatch.setattr(engine, "grid_for_animation", master_only)
+    monkeypatch.setattr(local, "_WORKER_CACHE", {})  # the crew inherits no grid to reuse
+    res = LocalRenderFarm(
+        spec, transport=transport, executor="process", schedule="static", mode="frame",
+        n_workers=2, grid_resolution=12,
+    ).render()
+    assert res.n_retries == 0 and res.n_degraded == 0
+    assert res.frames.tobytes() == serial.render_reference().frames.tobytes()
+    assert res.stats.total == expected.stats.total
+
+
+def test_shipped_bounds_rebuild_the_masters_grid_bitwise(monkeypatch):
+    """The task's grid field crosses pickle and the RNW1 codec bit-exactly,
+    and a worker rebuilds the master's lattice from it without a sweep."""
+    spec = AnimationSpec.newton(n_frames=4, width=48, height=36)
+    swept = grid_for_animation(spec.build(), 12)
+    lo, hi = tuple(swept.bounds.lo.tolist()), tuple(swept.bounds.hi.tolist())
+    monkeypatch.setattr(local, "grid_for_animation", None)  # a worker never calls it
+    for field in (pickle.loads(pickle.dumps((12, lo, hi))), wire.decode(wire.encode((12, lo, hi)))):
+        monkeypatch.setattr(local, "_WORKER_CACHE", {})
+        grid = local._get_grid(spec, field)
+        assert grid.bounds.lo.tobytes() == swept.bounds.lo.tobytes()
+        assert grid.bounds.hi.tobytes() == swept.bounds.hi.tobytes()
+        assert grid.cell_size.tobytes() == swept.cell_size.tobytes()
+        assert grid.n_voxels == swept.n_voxels
+
+
+def test_an_in_process_lane_renders_with_the_masters_grid(monkeypatch):
+    """Change sets are memoized per grid object, so the lanes of an
+    in-process farm must use the very grid the master swept."""
+    spec = AnimationSpec.newton(n_frames=4, width=48, height=36)
+    swept, used = [], []
+    real_sweep, real_renderer = grid_for_animation, local.CoherentRenderer
+
+    def sweep(animation, resolution):
+        swept.append(real_sweep(animation, resolution))
+        return swept[-1]
+
+    class Spy(real_renderer):
+        def __init__(self, *args, grid=None, **kw):
+            used.append(grid)
+            super().__init__(*args, grid=grid, **kw)
+
+    monkeypatch.setattr(local, "_WORKER_CACHE", {})
+    monkeypatch.setattr(local, "grid_for_animation", sweep)
+    monkeypatch.setattr(local, "CoherentRenderer", Spy)
+    LocalRenderFarm(spec, schedule="demand", executor="serial", grid_resolution=12).render()
+    assert len(swept) == 1 and len(used) == 24
+    assert all(g is swept[0] for g in used)

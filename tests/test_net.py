@@ -408,7 +408,9 @@ def _hello(**fields) -> dict:
     ],
     ids=["hello-cores", "result-duration", "result-frame0"],
 )
-def test_badly_typed_field_is_a_clean_loss(tcp_spec, serial_reference, msg_type, payload, reason):
+def test_badly_typed_field_is_a_clean_loss(
+    tcp_spec, tcp_grid, serial_reference, msg_type, payload, reason
+):
     """A registered peer whose well-framed message carries a field of the
     wrong type — a HELLO's core count, a RESULT's duration, a frame number
     the farm's validator converts — costs the master that lane (``error``
@@ -426,8 +428,8 @@ def test_badly_typed_field_is_a_clean_loss(tcp_spec, serial_reference, msg_type,
     master = MasterServer(
         policy,
         "render_segment",
-        lambda a, lane: (spec_wire, None, a.frame0, a.frame1, 4, a.fresh, "sequence", 12, 1,
-                         False, False, None),
+        lambda a, lane: (spec_wire, None, a.frame0, a.frame1, 4, a.fresh, "sequence", tcp_grid,
+                         1, False, False, None),
         validate=LocalRenderFarm(tcp_spec, transport="tcp", grid_resolution=12)._validator(asm),
         assembler=asm,
         recovery=PATIENT,
@@ -631,6 +633,16 @@ def tcp_spec():
 
 
 @pytest.fixture(scope="module")
+def tcp_grid(tcp_spec):
+    """The ``render_segment`` task's grid field: ``(resolution, lo, hi)``,
+    the bounds a farm's master sweeps from every frame."""
+    from repro.coherence import grid_for_animation
+
+    bounds = grid_for_animation(tcp_spec.build(), 12).bounds
+    return (12, tuple(bounds.lo.tolist()), tuple(bounds.hi.tolist()))
+
+
+@pytest.fixture(scope="module")
 def serial_reference(tcp_spec):
     farm = LocalRenderFarm(tcp_spec, executor="serial", grid_resolution=12)
     return farm.render_reference()
@@ -729,7 +741,7 @@ def test_tile_edge_must_be_positive(tcp_spec, tile_px):
 
 @pytest.mark.usefixtures("no_leaks")
 def test_result_carrying_pixels_is_an_invalid_loss_on_a_tiling_master(
-    tcp_spec, serial_reference
+    tcp_spec, tcp_grid, serial_reference
 ):
     """The farm's master composites tiles and nothing else: a worker that
     ignores the tile directive and ships its pixels in the RESULT loses the
@@ -746,8 +758,8 @@ def test_result_carrying_pixels_is_an_invalid_loss_on_a_tiling_master(
     master = MasterServer(
         policy,
         "render_segment",
-        lambda a, lane: (spec_wire, None, a.frame0, a.frame1, 4, a.fresh, "sequence", 12, 1,
-                         False, False, None),
+        lambda a, lane: (spec_wire, None, a.frame0, a.frame1, 4, a.fresh, "sequence", tcp_grid,
+                         1, False, False, None),
         validate=farm._validator(asm),
         assembler=asm,
         recovery=PATIENT,
@@ -774,3 +786,219 @@ def test_result_carrying_pixels_is_an_invalid_loss_on_a_tiling_master(
     assert out.supervisor.n_invalid == 1 and out.net.n_losses == 1
     assert asm.n_tiles == 4  # one tile per 24x18 frame, from the second attempt alone
     assert asm.take_frames().tobytes() == serial_reference.frames.tobytes()
+
+
+# -- TILE: pixel tiles and hold records from an untrusted worker ---------------------
+_TILE_PX = 8  # a 24x18 frame is 3x3 tiles
+_HALVES = [(0, 0, 16, 18), (16, 0, 24, 18)]  # the frame-division layout below
+
+
+def _pixel_tiles(image, frame, box):
+    from repro.dfb import tile_rects
+
+    x0, y0, x1, y1 = box
+    return [
+        {"frame": frame, "x0": tx0, "y0": ty0, "x1": tx1, "y1": ty1,
+         "pixels": np.ascontiguousarray(image[ty0:ty1, tx0:tx1])}
+        for tx0, ty0, tx1, ty1 in tile_rects(x0, y0, x1, y1, _TILE_PX)
+    ]
+
+
+def _held(frame, *rects):
+    return {"frame": frame, "held": list(rects)}
+
+
+#: name -> (layout, mutate).  ``mutate(assign, ref)`` is the TILE payloads a
+#: rogue sends for one ASSIGN, or None to render that unit honestly first.
+#: Each hold mutation breaks exactly one acceptance rule of the master.
+_TILE_MUTATIONS = {
+    "pixels-missing": ("sequence", lambda a, ref: [{"frame": a["frame0"], "x0": 0, "y0": 0,
+                                                    "x1": 8, "y1": 8}]),
+    "pixels-shape": ("sequence", lambda a, ref: [{"frame": a["frame0"], "x0": 0, "y0": 0,
+                                                  "x1": 16, "y1": 8,
+                                                  "pixels": np.zeros((8, 8, 3))}]),
+    "pixels-off-frame": ("sequence", lambda a, ref: [{"frame": a["frame0"], "x0": 16, "y0": 0,
+                                                      "x1": 32, "y1": 8,
+                                                      "pixels": np.zeros((8, 16, 3))}]),
+    "frame-not-a-number": ("sequence", lambda a, ref: [_held("one", (0, 0, 8, 8))]),
+    "held-not-rects": ("sequence", lambda a, ref: [_held(a["frame0"] + 1, (0, 0, 8))]),
+    "hold-frame-0": ("sequence", lambda a, ref: [_held(0, (0, 0, 8, 8))]
+                     if a["frame0"] == 0 else None),
+    "hold-fresh-frame0": ("sequence", lambda a, ref: None if a["frame0"] == 0 else [
+        *_pixel_tiles(ref[1], 1, (0, 0, 24, 18)), _held(2, (0, 0, 8, 8))]),
+    "hold-outside-box": ("halves", lambda a, ref: [  # frame 0 covered, the rect is the
+        *_pixel_tiles(ref[0], 0, (0, 0, 24, 18)),      # other half's
+        _held(1, (16, 0, 24, 8) if a["region"] == 0 else (0, 0, 8, 8)),
+    ]),
+    "hold-uncovered": ("sequence", lambda a, ref: [_held(a["frame0"] + 1, (0, 0, 8, 8))]),
+}
+
+
+def _tile_master(layout, tcp_spec, tcp_grid, asm, tel):
+    """A tiling master for the 4-frame spec: two fresh two-frame chains of
+    whole frames (``sequence``), or two half-frame blocks (``halves``)."""
+    from repro.net.tasks import spec_to_wire
+
+    spec_wire = spec_to_wire(tcp_spec)
+    if layout == "sequence":
+        policy = make_policy(
+            "sequence-division-fc", 4, sequence_ranges=[(0, 2), (2, 4)], segment_frames=2
+        )
+        box_of = lambda a: None  # noqa: E731
+    else:
+        policy = make_policy("frame-division-fc", 4, n_regions=2)
+        box_of = lambda a: _HALVES[a.region_index]  # noqa: E731
+    master = MasterServer(
+        policy,
+        "render_segment",
+        lambda a, lane: (spec_wire, box_of(a), a.frame0, a.frame1, 4, a.fresh, layout,
+                         tcp_grid, 1, False, False, None),
+        validate=LocalRenderFarm(tcp_spec, transport="tcp", grid_resolution=12)._validator(asm),
+        assembler=asm,
+        tile_px=_TILE_PX,
+        tile_box=box_of,
+        recovery=PATIENT,
+        telemetry=tel,
+    )
+    return master, policy
+
+
+@pytest.mark.usefixtures("no_leaks")
+@pytest.mark.parametrize("name", _TILE_MUTATIONS, ids=list(_TILE_MUTATIONS))
+def test_malformed_tile_is_an_invalid_loss(tcp_spec, tcp_grid, serial_reference, name):
+    """A TILE, pixel form or hold record, that the master cannot composite
+    honestly costs that lane (``invalid``, "malformed TILE") and nothing
+    else: serve() keeps going, nothing of the record is folded in, and an
+    honest worker finishes the animation bit-identically.  A hold record
+    is accepted only for f >= 1, past a fresh unit's first frame, inside
+    the unit's box and over a frame f-1 the master already covers."""
+    from repro.buffers import BufferPool
+    from repro.dfb import FrameAssembler
+    from repro.runtime.local import ROW
+
+    layout, mutate = _TILE_MUTATIONS[name]
+    ref = serial_reference.frames
+    sink = InMemorySink()
+    tel = Telemetry(sinks=(sink,))
+    asm = FrameAssembler(4, 24, 18, pool=BufferPool())
+    master, policy = _tile_master(layout, tcp_spec, tcp_grid, asm, tel)
+    host, port = master.listen()
+    bad_sent = threading.Event()
+
+    def rogue():
+        with socket.create_connection((host, port)) as sock:
+            wire.send_frame(sock, wire.MSG_HELLO, _hello())
+            assert wire.recv_frame(sock)[0] == wire.MSG_WELCOME
+            while True:
+                msg, assign = _unpinged(sock)
+                assert msg == wire.MSG_ASSIGN
+                seq, f0, f1 = assign["seq"], assign["frame0"], assign["frame1"]
+                tiles = mutate(assign, ref)
+                if tiles is not None:
+                    break
+                box = (0, 0, 24, 18)  # an honest unit, streamed from the reference
+                for f in range(f0, f1):
+                    for tile in _pixel_tiles(ref[f], f, box):
+                        wire.send_frame(sock, wire.MSG_TILE, {"seq": seq, **tile})
+                counts = np.zeros((f1 - f0, ROW), np.int64)
+                wire.send_frame(sock, wire.MSG_RESULT, {
+                    "seq": seq, "result": (None, f0, f1, None, counts, ""), "duration": 0.0,
+                    "events": [],
+                })
+            for tile in tiles:
+                wire.send_frame(sock, wire.MSG_TILE, {"seq": seq, **tile})
+            bad_sent.set()
+            sock.settimeout(10.0)
+            while sock.recv(1 << 16):
+                pass  # until the master hangs up on us
+
+    client = WorkerClient(host, port, score=1.0, backoff_base=0.1, max_retries=30)
+
+    def honest():
+        bad_sent.wait(timeout=30.0)
+        client.run()
+
+    threads = [threading.Thread(target=rogue), threading.Thread(target=honest)]
+    for t in threads:
+        t.start()
+    out = master.serve()
+    tel.close()
+    for t in threads:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    assert policy.finished
+    lost = [r["attrs"] for r in sink.events if r["name"] == "net.worker.lost"]
+    assert [(r["worker"], r["reason"]) for r in lost] == [("w0", "invalid")]
+    assert out.supervisor.n_invalid == 1
+    assert asm.take_frames().tobytes() == ref.tobytes()
+    validate_events(sink.events)
+
+
+@pytest.mark.usefixtures("no_leaks")
+def test_worker_lost_mid_stream_after_hold_records(tcp_grid):
+    """A held shot: frame 0 ships pixels, every later tile is a hold record.
+    The worker dies after holding frame 1 and the top band of frame 2: the
+    master salvages frames 0-1, the replacement is told to skip the band,
+    and the composite is bit-identical at a fraction of the pixel bytes.
+    The dfb.tile events still add up to the TILE bytes received."""
+    from repro.buffers import BufferPool
+    from repro.dfb import FrameAssembler
+    from repro.net.tasks import render_segment, spec_to_wire
+
+    spec = AnimationSpec.newton(n_frames=4, width=24, height=18, swing_degrees=0.0)
+    reference = LocalRenderFarm(spec, executor="serial", grid_resolution=12).render_reference()
+    sink = InMemorySink()
+    tel = Telemetry(sinks=(sink,))
+    asm = FrameAssembler(4, 24, 18, pool=BufferPool())
+    policy = make_policy("sequence-division-fc", 4, sequence_ranges=[(0, 4)], segment_frames=4)
+    spec_wire = spec_to_wire(spec)
+    master = MasterServer(
+        policy,
+        "render_segment",
+        lambda a, lane: (spec_wire, None, a.frame0, a.frame1, 4, a.fresh, "sequence", tcp_grid,
+                         1, False, False, None),
+        validate=LocalRenderFarm(spec, transport="tcp", grid_resolution=12)._validator(asm),
+        assembler=asm,
+        tile_px=_TILE_PX,
+        recovery=PATIENT,
+        telemetry=tel,
+    )
+    host, port = master.listen()
+    skips, changed_seen = [], []
+
+    def dying(args, emit_tile=None):
+        skips.append(set(emit_tile.skip))
+        if len(skips) > 1:
+            return render_segment(args, emit_tile=emit_tile)
+
+        def stream(frame, x0, y0, image, changed):
+            changed_seen.append(bool(changed.any()))
+            if frame < 2:
+                return emit_tile(frame, x0, y0, image, changed)
+            emit_tile(frame, x0, y0, image[:8], changed[:8])  # the top band, held...
+            emit_tile.sock.shutdown(socket.SHUT_RDWR)  # ...and the workstation dies
+            raise ConnectionError("killed mid-stream")
+
+        return render_segment(args, emit_tile=stream)
+
+    dying.streaming = True
+    client = WorkerClient(
+        host, port, score=1.0, registry={"render_segment": dying},
+        backoff_base=0.1, max_retries=30,
+    )
+    thread = threading.Thread(target=client.run)
+    thread.start()
+    out = master.serve()
+    tel.close()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert changed_seen == [True, False, False]  # frame 0 recomputes, the hold does not
+    assert out.net.n_losses == 1 and out.net.n_frames_salvaged == 2
+    assert skips == [set(), {(2, 0, 0, 8, 8), (2, 8, 0, 16, 8), (2, 16, 0, 24, 8)}]
+    assert asm.take_frames().tobytes() == reference.frames.tobytes()
+    frame_bytes = 24 * 18 * 3 * 8
+    assert out.net.tile_bytes < 2 * frame_bytes  # shipping every frame is four
+    tiles = [r["attrs"] for r in sink.events if r["name"] == "dfb.tile"]
+    assert len(tiles) == out.net.n_tiles == 9 + 9 + 3 + 6 + 9
+    assert sum(t["nbytes"] for t in tiles) == out.net.tile_bytes
+    validate_events(sink.events)

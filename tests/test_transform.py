@@ -124,3 +124,79 @@ def test_apply_aabb_infinite_returns_infinite():
 def test_bad_matrix_rejected():
     with pytest.raises(ValueError):
         Transform(np.eye(3))
+
+
+def _random_composition(rng) -> Transform:
+    """A seeded chain of translate / rotate / scale factors joined with ``@``."""
+    t = Transform.identity()
+    for _ in range(int(rng.integers(1, 6))):
+        kind = rng.integers(4)
+        if kind == 0:
+            step = Transform.translate(*rng.uniform(-5, 5, 3))
+        elif kind == 1:
+            step = Transform.rotate_axis(rng.normal(size=3), rng.uniform(-np.pi, np.pi))
+        elif kind == 2:
+            step = Transform.scale(*rng.uniform(0.2, 3.0, 3))
+        else:
+            step = Transform.rotate_x(rng.uniform(-np.pi, np.pi))
+        t = t @ step
+    return t
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lazy_inverse_is_bit_identical_to_eager(seed):
+    """The inverse, the normal matrix and the identity flag are computed on
+    first use from the same ``m`` by the same ``np.linalg.inv``: every
+    derived quantity equals the eager computation bit for bit."""
+    rng = np.random.default_rng(seed)
+    t = _random_composition(rng)
+    inv = np.linalg.inv(t.m)
+    p, n = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+    np.testing.assert_array_equal(t.inv_points(p), p @ inv[:3, :3].T + inv[:3, 3])
+    np.testing.assert_array_equal(t.inv_vectors(p), p @ inv[:3, :3].T)
+    np.testing.assert_array_equal(t.inv, inv)
+    normal_m = inv[:3, :3].T.copy()
+    np.testing.assert_array_equal(t.normal_m, normal_m)
+    np.testing.assert_array_equal(t.apply_normals(n), n @ normal_m.T)
+    np.testing.assert_array_equal(t.inverse().m, inv)
+    np.testing.assert_array_equal(t.inverse().inv, np.linalg.inv(inv))
+    assert t.is_identity() == bool(np.allclose(t.m, np.eye(4), rtol=0.0, atol=1e-12))
+
+
+def test_identity_flag_keeps_an_absolute_tolerance():
+    assert (Transform.scale(1.0 + 1e-13) @ Transform.translate(1e-13, 0, 0)).is_identity()
+    assert not Transform.scale(0.99999).is_identity()
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(4)
+        m[0, 3] = bad
+        assert not Transform(m).is_identity()
+
+
+def test_pickle_before_first_inverse_round_trips():
+    import pickle
+
+    t = _random_composition(np.random.default_rng(99))
+    back = pickle.loads(pickle.dumps(t))  # nothing derived is computed yet
+    np.testing.assert_array_equal(back.m, t.m)
+    np.testing.assert_array_equal(back.inv, np.linalg.inv(t.m))
+    np.testing.assert_array_equal(back.normal_m, t.normal_m)
+    assert back.is_identity() == t.is_identity()
+
+
+def test_sweeping_an_animation_inverts_nothing(monkeypatch):
+    """Scene builds compose transforms and bound them; only a ray needs an
+    inverse, so the grid sweep over every Newton frame calls no inv."""
+    from repro.coherence import grid_for_animation
+    from repro.scenes import newton_animation
+
+    calls = []
+    real = np.linalg.inv
+
+    def counted(a):
+        calls.append(1)
+        return real(a)
+
+    anim = newton_animation(n_frames=6, width=32, height=24)
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    grid_for_animation(anim, 12)
+    assert calls == []
