@@ -152,6 +152,27 @@ def test_dda_traversal_throughput(benchmark, ray_batch):
     assert ray_idx.size > N_RAYS  # multiple voxels per ray
 
 
+@pytest.mark.parametrize("readable", [True, False], ids=["readable", "every-voxel"])
+def test_newton_frame_marking_pass(benchmark, monkeypatch, readable):
+    """One Newton frame's marking pass: every ray volley frame 0 of the
+    12-frame 128x96 run queues, through ``traverse`` in one pass, filtered
+    to the frame's readable voxels (or recording every mark)."""
+    from repro.render import raytracer
+
+    anim = newton_animation(n_frames=12, width=128, height=96)
+    renderer = CoherentRenderer(anim, grid_resolution=24)
+    mask = renderer._readable(0) if readable else None
+    backends = []
+    finalize = raytracer._LocalBackend.finalize
+    monkeypatch.setattr(raytracer._LocalBackend, "finalize",
+                        lambda self: backends.append(self) or finalize(self))
+    RayTracer(anim.scene_at(0), grid=renderer.grid, track_paths=True,
+              readable=mask).trace_pixels(anim.camera_at(0).pixel_grid())
+    monkeypatch.undo()
+    voxels, _pixels, _by_class = benchmark(backends[0].finalize)
+    assert voxels.size and (mask is None or mask[voxels].all())
+
+
 def test_newton_scene_build(benchmark):
     """One Newton frame's scene: composing transforms, no inverse."""
     scene = benchmark.pedantic(

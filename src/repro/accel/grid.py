@@ -63,25 +63,24 @@ class UniformGrid:
         return AABB(lo, lo + self.cell_size)
 
     # -- voxelization ---------------------------------------------------------
-    def voxels_overlapping(self, box: AABB) -> np.ndarray:
-        """Flat ids of all voxels intersecting ``box`` (clipped to the grid)."""
-        if box.is_empty():
+    def voxels_overlapping(self, *boxes: AABB) -> np.ndarray:
+        """Sorted flat ids of all voxels intersecting any of ``boxes``
+        (clipped to the grid)."""
+        boxes = [b for b in boxes if not b.is_empty()]
+        if not boxes:
             return np.empty(0, dtype=np.int64)
-        lo = np.maximum(box.lo, self.bounds.lo)
-        hi = np.minimum(box.hi, self.bounds.hi)
-        if np.any(lo > hi):
-            return np.empty(0, dtype=np.int64)
-        c_lo = self.cell_of_points(lo[None, :])[0]
+        lo = np.maximum(np.stack([b.lo for b in boxes]), self.bounds.lo)
+        hi = np.minimum(np.stack([b.hi for b in boxes]), self.bounds.hi)
+        inside = ~np.any(lo > hi, axis=1)
+        c_lo = self.cell_of_points(lo[inside])
         # hi sitting exactly on a cell boundary should not spill into the
         # next cell; nudge inward by a hair before flooring.
-        c_hi = self.cell_of_points((hi - 1e-12 * np.maximum(self.cell_size, 1e-30))[None, :])[0]
-        c_hi = np.maximum(c_hi, c_lo)
-        xs = np.arange(c_lo[0], c_hi[0] + 1)
-        ys = np.arange(c_lo[1], c_hi[1] + 1)
-        zs = np.arange(c_lo[2], c_hi[2] + 1)
-        gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-        cells = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
-        return self.flatten(cells)
+        c_hi = self.cell_of_points(hi[inside] - 1e-12 * np.maximum(self.cell_size, 1e-30))
+        c_hi = np.maximum(c_hi, c_lo) + 1
+        mask = np.zeros(tuple(self.res[::-1]), dtype=bool)  # (z, y, x): flat-id order
+        for (x0, y0, z0), (x1, y1, z1) in zip(c_lo.tolist(), c_hi.tolist()):
+            mask[z0:z1, y0:y1, x0:x1] = True
+        return np.flatnonzero(mask)
 
     @staticmethod
     def for_scene(scene, resolution: tuple[int, int, int] | int = 16) -> "UniformGrid":

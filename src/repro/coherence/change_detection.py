@@ -47,9 +47,10 @@ def _clip_box(grid: UniformGrid, box: AABB) -> AABB:
 
 
 def _lights_equal(a, b) -> bool:
+    """Exact: any edit, however small, reaches the shading of every pixel."""
     return (
-        np.allclose(a.position, b.position)
-        and np.allclose(a.color, b.color)
+        np.array_equal(a.position, b.position)
+        and np.array_equal(a.color, b.color)
         and a.fade_distance == b.fade_distance
         and a.fade_power == b.fade_power
     )
@@ -93,7 +94,7 @@ def changed_voxels(grid: UniformGrid, prev: Scene, curr: Scene) -> np.ndarray:
         return np.arange(grid.n_voxels, dtype=np.int64)
 
     margin = float(np.min(grid.cell_size)) * _MARGIN_CELLS
-    vox: list[np.ndarray] = []
+    boxes: list[AABB] = []
     for po, co in objects_changed(prev, curr):
         for obj in (po, co):
             if obj is None:
@@ -104,12 +105,8 @@ def changed_voxels(grid: UniformGrid, prev: Scene, curr: Scene) -> np.ndarray:
                 # never enter the voxelized region, which the pixel lists
                 # cannot see.  The only safe answer is full invalidation.
                 return np.arange(grid.n_voxels, dtype=np.int64)
-            for piece in obj.bounds_pieces():
-                box = _clip_box(grid, piece).expanded(margin)
-                vox.append(grid.voxels_overlapping(box))
-    if not vox:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(vox))
+            boxes.extend(_clip_box(grid, piece).expanded(margin) for piece in obj.bounds_pieces())
+    return grid.voxels_overlapping(*boxes)
 
 
 def changed_voxels_once(grid: UniformGrid, prev: Scene, curr: Scene, bound: int) -> np.ndarray:

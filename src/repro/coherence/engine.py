@@ -17,8 +17,13 @@ incrementally: the first frame is rendered in full with ray-path tracking;
 for every following frame the changed voxels are detected, the union of
 their pixel lists becomes the recompute set, only those pixels are
 re-traced (updating their marks), and every other pixel is copied forward.
-The last frame of the range records no marks, since no later frame reads
-them: a one-frame range — every shot of a moving camera — runs no DDA.
+
+The readable rule: a mark is read only when its voxel changes in a later
+frame of the range, so frame ``f`` records only the marks in ``R_f``, the
+union of the change sets of the transitions after ``f`` (back to the last
+full invalidation, which re-traces every pixel and reads no mark).  A frame
+whose ``R_f`` is empty — the last one, every frame of a held shot, every
+shot of a moving camera — runs no DDA at all.
 
 A ``region`` restricts the renderer to a pixel subset — this is how frame
 division workers own an 80x80 block while the algorithm stays unchanged.
@@ -123,7 +128,8 @@ class CoherentRenderer:
     first_frame, last_frame:
         Half-open frame range rendered by this instance (sequence division
         gives each worker such a range).  Defaults to the whole animation.
-        ``last_frame`` is the horizon: frame ``last_frame - 1`` records no marks.
+        ``last_frame`` is the horizon: a frame records only the marks a
+        later frame of the range reads (see the module docstring).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`; each completed frame
         emits the canonical ``frame`` event plus a ``coherence.frame``
@@ -168,6 +174,7 @@ class CoherentRenderer:
         self.reports: list[FrameReport] = []
         self._prev_scene = None
         self._next_frame = self.first_frame
+        self._readable_sets: dict[int, np.ndarray | None] | None = None
 
     @property
     def frames_remaining(self) -> int:
@@ -185,10 +192,37 @@ class CoherentRenderer:
         # Only traced pixels, all of them in the region, carry marks.
         return self.pixel_map.pixels_for_voxels(vox), int(vox.size)
 
+    def _readable(self, frame: int) -> np.ndarray | None:
+        """``R_frame``, the voxels whose marks a later frame of the range
+        reads, as a boolean mask (``None``: no voxel).
+
+        Built once, from the next frame to render up to the horizon, as
+        suffix unions of the memoised change sets; a full invalidation
+        re-traces every pixel of the region, so it reads no mark and
+        restarts the union.
+        """
+        if self._readable_sets is None:
+            anim, n = self.animation, self.grid.n_voxels
+            sets: dict[int, np.ndarray | None] = {self.last_frame - 1: None}
+            union = None
+            for g in range(self.last_frame - 1, self._next_frame, -1):
+                prev, curr = anim.scene_at(g - 1), anim.scene_at(g)
+                vox = changed_voxels_once(self.grid, prev, curr, anim.n_frames)
+                if vox.size == n:
+                    union = None
+                elif vox.size:
+                    union = np.zeros(n, dtype=bool) if union is None else union.copy()
+                    union[vox] = True
+                sets[g - 1] = union
+            self._readable_sets = sets
+        return self._readable_sets[frame]
+
     # -- what a subclass with other bookkeeping replaces --------------------
-    def _tracer(self, scene, track_paths: bool) -> RayTracer:
-        """The tracer for one frame's recompute set."""
-        return RayTracer(scene, grid=self.grid, track_paths=track_paths, chunk_size=self.chunk_size)
+    def _tracer(self, scene, readable: np.ndarray | None) -> RayTracer:
+        """The tracer for one frame's recompute set, recording the marks in
+        ``readable`` (none when it is ``None``)."""
+        return RayTracer(scene, grid=self.grid, track_paths=readable is not None,
+                         chunk_size=self.chunk_size, readable=readable)
 
     def _absorb_marks(self, result) -> None:
         """Replace the traced pixels' marks with the ones just recorded."""
@@ -206,9 +240,7 @@ class CoherentRenderer:
         cam = scene.camera
         if (cam.width, cam.height) != (self.width, self.height):
             raise ValueError("camera resolution changed mid-sequence")
-        if self._prev_scene is not None and not np.allclose(
-            cam.position, self._prev_scene.camera.position
-        ):
+        if self._prev_scene is not None and not cam.same_rays(self._prev_scene.camera):
             raise ValueError(
                 "camera moved mid-sequence: frame coherence requires a stationary "
                 "camera; split the animation with split_coherent_sequences()"
@@ -221,14 +253,12 @@ class CoherentRenderer:
         else:
             to_compute, n_changed_vox = self.predict_dirty_pixels(self._prev_scene, scene)
 
-        # The horizon rule: a mark is only ever read by a later frame of
-        # this range, so the last frame records none.
-        track_paths = frame + 1 < self.last_frame
+        readable = self._readable(frame)
         if to_compute.size:
-            tracer = self._tracer(scene, track_paths)
+            tracer = self._tracer(scene, readable)
             result = tracer.trace_pixels(to_compute, samples_per_axis=self.samples_per_axis)
             self.framebuffer.scatter(result.pixel_ids, result.colors)
-            if track_paths:
+            if readable is not None:
                 self._absorb_marks(result)
             stats = result.stats
             rays_pp = result.rays_per_pixel

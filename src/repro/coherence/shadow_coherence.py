@@ -91,10 +91,11 @@ class ShadowCoherentRenderer(CoherentRenderer):
         return dirty, n_changed
 
     # -- the base renderer's per-frame hooks ---------------------------------------
-    def _tracer(self, scene, track_paths: bool) -> RayTracer:
+    def _tracer(self, scene, readable: np.ndarray | None) -> RayTracer:
         self.shadow_cache.set_reusable(self._reusable)
-        return RayTracer(scene, grid=self.grid, track_paths=track_paths,
-                         chunk_size=self.chunk_size, shadow_cache=self.shadow_cache)
+        return RayTracer(scene, grid=self.grid, track_paths=readable is not None,
+                         chunk_size=self.chunk_size, shadow_cache=self.shadow_cache,
+                         readable=readable)
 
     def _absorb_marks(self, result) -> None:
         marks = result.marks_by_class

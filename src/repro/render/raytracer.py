@@ -16,6 +16,10 @@ can reason about them separately:
 * ``pshadow``   — shadow rays fired at the primary (depth-0) hit;
 * ``secondary`` — every reflected/refracted ray and their shadow rays.
 
+The coherence engine passes the voxels a later frame can still read
+(``readable``); a visit to any other voxel is never recorded, and a ray that
+cannot reach one of them is not traversed at all.
+
 The shading model is the paper's:
 
     I = I_local + k_rg * I_reflected + k_tg * I_transmitted
@@ -33,7 +37,8 @@ and every accumulation, and asks a *backend* what it cannot know itself:
   lookup run against, plus one opaque tag per hit that comes back as the
   ``home`` of the rays that hit spawns (``None`` for camera rays);
 * ``mark(cls, origins, dirs, t_max, pixels)`` — plain call per ray volley
-  (the local backend queues it and marks each class once, at the end);
+  (the local backend queues it and marks every volley in one pass, at the
+  end, keeping only the marks in the tracer's ``readable`` voxels);
 * ``shadow_cache`` — attribute, handed to ``shade_local`` at primary hits.
 
 :class:`RayTracer` drives the kernel with the whole scene in this process,
@@ -51,7 +56,7 @@ import numpy as np
 
 from ..accel import UniformGrid, traverse
 from ..geometry import RayBatch, RayKind
-from ..rmath import dot, reflect, refract
+from ..rmath import dot, ray_aabb_intersect, reflect, refract
 from ..scene import Scene
 from .framebuffer import Framebuffer
 from .intersect import SceneIntersector
@@ -59,7 +64,7 @@ from .shading import shade_local
 from .shadow_cache import ShadowCache
 from .stats import RayStats
 
-__all__ = ["RayTracer", "TraceResult", "MARK_CLASSES", "trace"]
+__all__ = ["RayTracer", "TraceResult", "MARK_CLASSES", "trace", "traverse_readable"]
 
 #: Children whose maximum throughput falls below this add < 1/255 to the
 #: pixel and are culled (POV's adc_bailout).
@@ -259,20 +264,66 @@ def trace(scene, backend, pixel_ids, samples_per_axis: int = 1, chunk_size: int 
     )
 
 
+#: Padding (in fractions of a voxel edge) around the box of the readable
+#: voxels, so that rounding in the DDA never attributes a point outside the
+#: padded box to a voxel inside it (the idea of change detection's margin).
+_READABLE_PAD_CELLS = 0.01
+
+
+def traverse_readable(grid, origins, dirs, t_max, readable=None, chunk_size: int = 32768):
+    """:func:`~repro.accel.traverse`, keeping only rows whose voxel is in
+    ``readable`` (a boolean voxel mask; ``None``: every voxel).
+
+    Rays whose ``[0, t_max]`` segment misses the padded box of the readable
+    voxels are dropped, and each kept ray's ``t_max`` is clipped to its exit
+    from that box, before ``traverse`` runs (once per ``chunk_size`` rays).
+    Both are exact: a clip only ends a traversal early, so its rows are a
+    prefix of the full ones, and every voxel the dropped part would visit
+    lies outside the box.  With the rays in one chunk the result equals the
+    unfiltered ``traverse`` output masked by ``readable``, row for row.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    rays = np.arange(len(origins), dtype=np.int64)
+    t_max = np.broadcast_to(np.asarray(t_max, dtype=np.float64), rays.shape)
+    if readable is not None:
+        cells = grid.unflatten(np.flatnonzero(readable))
+        if not cells.size:
+            return empty, empty
+        pad = _READABLE_PAD_CELLS * grid.cell_size
+        lo = grid.bounds.lo + cells.min(axis=0) * grid.cell_size - pad
+        hi = grid.bounds.lo + (cells.max(axis=0) + 1) * grid.cell_size + pad
+        with np.errstate(divide="ignore"):
+            hit, _, t_exit = ray_aabb_intersect(origins, 1.0 / dirs, lo, hi, t_max)
+        rays = np.flatnonzero(hit)
+        origins, dirs, t_max = origins[rays], dirs[rays], t_exit[rays]
+    ray_idx, voxel_id = [empty], [empty]
+    for a in range(0, rays.size, chunk_size):
+        part = slice(a, a + chunk_size)
+        r, v = traverse(grid, origins[part], dirs[part], t_max[part])
+        if readable is not None:
+            inside = readable[v]
+            r, v = r[inside], v[inside]
+        ray_idx.append(rays[part][r])
+        voxel_id.append(v)
+    return np.concatenate(ray_idx), np.concatenate(voxel_id)
+
+
 class _LocalBackend:
-    """The whole scene in this process, plus the per-class ray volleys to mark.
+    """The whole scene in this process, plus the ray volleys to mark.
 
     Both questions are answered by the real scene and its
     :class:`SceneIntersector` without ever suspending the kernel; the
     object index doubles as the per-ray tag, since nothing reads it.
-    ``mark`` only queues a volley: :meth:`finalize` runs the DDA once per
-    class over everything queued, ``chunk_size`` rays per call.
+    ``mark`` only queues a volley: :meth:`finalize` runs one filtered
+    marking pass (:func:`traverse_readable`) over everything queued, all
+    classes at once, and splits the rows back by class.
     """
 
     def __init__(self, tracer: "RayTracer"):
         self.scene = tracer.scene
         self.intersector = tracer.intersector
         self.grid = tracer.grid if tracer.track_paths else None
+        self.readable = tracer.readable
         self.chunk_size = tracer.chunk_size
         self.shadow_cache = tracer.shadow_cache
         self.volleys: dict[str, list[tuple]] = {c: [] for c in MARK_CLASSES}
@@ -290,23 +341,27 @@ class _LocalBackend:
         if self.grid is not None:
             self.volleys[cls].append((origins, dirs, t_max, pixels))
 
-    def _class_marks(self, volleys) -> tuple[np.ndarray, np.ndarray]:
-        empty = np.empty(0, dtype=np.int64)
-        if not volleys:
-            return empty, empty
-        origins, dirs, t_max, pixels = (np.concatenate(col) for col in zip(*volleys))
-        voxels, owners = [empty], [empty]
-        for a in range(0, pixels.size, self.chunk_size):
-            part = slice(a, a + self.chunk_size)
-            ray_idx, voxel_id = traverse(self.grid, origins[part], dirs[part], t_max[part])
-            voxels.append(voxel_id)
-            owners.append(pixels[part][ray_idx])
-        return np.concatenate(voxels), np.concatenate(owners)
-
     def finalize(self) -> tuple[np.ndarray, np.ndarray, dict]:
-        by_class = {c: self._class_marks(self.volleys[c]) for c in MARK_CLASSES}
-        all_v, all_p = zip(*by_class.values())
-        return np.concatenate(all_v), np.concatenate(all_p), by_class
+        volleys = [v for c in MARK_CLASSES for v in self.volleys[c]]
+        if not volleys:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, _empty_marks()
+        origins, dirs, t_max, pixels = (np.concatenate(col) for col in zip(*volleys))
+        per_class = [sum(v[3].size for v in self.volleys[c]) for c in MARK_CLASSES]
+        ray_class = np.repeat(np.arange(len(MARK_CLASSES), dtype=np.int8), per_class)
+        ray_idx, voxels = traverse_readable(
+            self.grid, origins, dirs, t_max, self.readable, self.chunk_size
+        )
+        # Rays were concatenated class by class, so a stable sort by class
+        # gives each class its rows in the order a per-class pass would.
+        row_class = ray_class[ray_idx]
+        order = np.argsort(row_class, kind="stable")
+        voxels, owners = voxels[order], pixels[ray_idx[order]]
+        ends = np.cumsum(np.bincount(row_class, minlength=len(MARK_CLASSES)))
+        by_class = {
+            c: (voxels[a:b], owners[a:b]) for c, a, b in zip(MARK_CLASSES, [0, *ends], ends)
+        }
+        return voxels, owners, by_class
 
 
 class RayTracer:
@@ -328,6 +383,10 @@ class RayTracer:
         Optional :class:`ShadowCache` enabling the shadow-coherence
         extension at primary hits.  Incompatible with supersampling (the
         cache is per pixel, not per sample).
+    readable:
+        Internal to the coherence engine: a boolean voxel mask, the voxels
+        whose marks a later frame can read.  With ``track_paths`` only marks
+        in those voxels are recorded; ``None`` records every mark.
     """
 
     def __init__(
@@ -337,6 +396,7 @@ class RayTracer:
         track_paths: bool = False,
         chunk_size: int = 32768,
         shadow_cache: ShadowCache | None = None,
+        readable: np.ndarray | None = None,
     ):
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
@@ -348,6 +408,7 @@ class RayTracer:
         self.intersector = SceneIntersector(scene.objects)
         self.chunk_size = int(chunk_size)
         self.shadow_cache = shadow_cache
+        self.readable = readable
         if shadow_cache is not None:
             if shadow_cache.n_pixels != scene.camera.n_pixels:
                 raise ValueError("shadow cache sized for a different resolution")

@@ -16,8 +16,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, Mapping
 
-import numpy as np
-
 from ..geometry import Primitive
 from ..rmath import Transform
 from .camera import Camera
@@ -127,30 +125,20 @@ class FunctionAnimation(Animation):
         return scene
 
 
-def _cameras_equal(a: Camera, b: Camera) -> bool:
-    return (
-        a.width == b.width
-        and a.height == b.height
-        and a.fov_degrees == b.fov_degrees
-        and np.allclose(a.position, b.position)
-        and np.allclose(a.look_at, b.look_at)
-    )
-
-
 def split_coherent_sequences(animation: Animation) -> list[tuple[int, int]]:
     """Split an animation into maximal stationary-camera runs.
 
     Returns half-open frame ranges ``[(start, stop), ...]`` covering the
-    animation.  Within each range the camera is constant, so the frame
-    coherence algorithm applies; camera cuts start a new range, exactly as
-    the paper prescribes.
+    animation.  Within each range the camera shoots bit-identical rays
+    (:meth:`Camera.same_rays`), so the frame coherence algorithm applies;
+    camera cuts start a new range, exactly as the paper prescribes.
     """
     ranges: list[tuple[int, int]] = []
     start = 0
     prev_cam = animation.camera_at(0)
     for f in range(1, animation.n_frames):
         cam = animation.camera_at(f)
-        if not _cameras_equal(prev_cam, cam):
+        if not cam.same_rays(prev_cam):
             ranges.append((start, f))
             start = f
         prev_cam = cam

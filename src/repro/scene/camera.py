@@ -70,6 +70,13 @@ class Camera:
         self._half_w = half_width
         self._half_h = half_width * self.height / self.width
 
+    def same_rays(self, other: "Camera") -> bool:
+        """Whether ``other`` shoots bit-identical rays: every value
+        :meth:`rays_for_pixels` reads compares exactly (roll reaches the
+        rays through the basis, not through ``position`` or ``look_at``)."""
+        ray_inputs = ("width", "height", "position", "_u", "_v", "_w", "_half_w", "_half_h")
+        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in ray_inputs)
+
     @property
     def n_pixels(self) -> int:
         return self.width * self.height

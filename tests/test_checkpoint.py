@@ -115,3 +115,31 @@ def test_bad_version_rejected(anim, tmp_path):
         np.savez_compressed(path, **data)
         with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(anim, path)
+
+
+def test_resume_mid_range_records_the_same_marks(tmp_path):
+    """A frame records only the marks a later frame of its range reads, a
+    set that depends on the range alone: a renderer restored mid-range
+    recomputes it, so every later frame recomputes the same pixels, keeps
+    the same pixel map and finishes bit-identically."""
+    anim = newton_animation(n_frames=7, width=48, height=36)
+    rng = dict(grid_resolution=16, first_frame=1, last_frame=6)
+    ref = CoherentRenderer(anim, **rng)
+    want = []
+    for _ in range(5):
+        rep = ref.render_next()
+        state = {k: v.copy() for k, v in ref.pixel_map.state().items()}
+        want.append((rep.computed_pixels, ref.frame_image(), state))
+
+    first = CoherentRenderer(anim, **rng)
+    first.render_next()
+    first.render_next()
+    save_checkpoint(first, tmp_path / "ckpt.npz")
+    resumed = load_checkpoint(anim, tmp_path / "ckpt.npz")
+    for computed, image, state in want[2:]:
+        rep = resumed.render_next()
+        np.testing.assert_array_equal(rep.computed_pixels, computed)
+        np.testing.assert_array_equal(resumed.frame_image(), image)
+        for key, array in resumed.pixel_map.state().items():
+            np.testing.assert_array_equal(array, state[key])
+    assert resumed.frames_remaining == 0

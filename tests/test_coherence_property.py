@@ -11,6 +11,7 @@ marking and the tracer.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,7 +60,10 @@ def primitive(draw, index: int):
 
 
 @st.composite
-def world(draw):
+def world(draw, n_frames: int = 3, floor_cut: int | None = None, hold_from: int | None = None):
+    """A random little world.  ``floor_cut``: the floor plane moves at that
+    frame, a full invalidation mid-range.  ``hold_from``: every motion
+    stops there, a held tail."""
     n_objects = draw(st.integers(2, 4))
     objects = [
         Plane.from_normal((0, 1, 0), 0.0, material=Material.matte((0.8, 0.8, 0.8)), name="floor")
@@ -87,12 +91,16 @@ def world(draw):
         rot = draw(st.floats(-0.3, 0.3))
 
         def motion(frame, dx=dx, dy=dy, rot=rot):
+            if hold_from is not None:
+                frame = min(frame, hold_from)
             return Transform.rotate_y(rot * frame) @ Transform.translate(
                 dx * frame, dy * abs(np.sin(frame)), 0.0
             )
 
         motions[f"obj{i}"] = motion
-    return FunctionAnimation(scene, n_frames=3, motions=motions)
+    if floor_cut is not None:
+        motions["floor"] = lambda frame: Transform.translate(0.0, -0.1 * (frame >= floor_cut), 0.0)
+    return FunctionAnimation(scene, n_frames=n_frames, motions=motions)
 
 
 @given(anim=world())
@@ -141,3 +149,44 @@ def test_random_worlds_every_driver_of_the_kernel_agrees(anim, k, samples):
         np.testing.assert_array_equal(fb.data, full.data)
         np.testing.assert_array_equal(sres.stats.counts, result.stats.counts)
         np.testing.assert_array_equal(sres.rays_per_pixel, result.rays_per_pixel)
+
+
+def _recording_every_mark(cls):
+    """``cls`` with the bookkeeping of the paper's Figure 3: every frame
+    records the marks of every voxel its rays cross."""
+
+    class EveryMark(cls):
+        def _readable(self, frame):
+            return np.ones(self.grid.n_voxels, dtype=bool)
+
+    return EveryMark
+
+
+@pytest.mark.parametrize(
+    "variant", [{}, {"floor_cut": 2}, {"hold_from": 2}], ids=["moving", "cut", "held"]
+)
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_random_worlds_compute_as_if_every_mark_were_recorded(variant, data):
+    """The readable rule drops only marks no later frame reads: each frame
+    recomputes the same pixels with the same rays as a renderer recording
+    every mark, on both renderers, and its map is never larger."""
+    from repro.coherence import CoherentRenderer, ShadowCoherentRenderer
+
+    anim = data.draw(world(n_frames=5, **variant))
+    for cls in (CoherentRenderer, ShadowCoherentRenderer):
+        lean = cls(anim, grid_resolution=12)
+        every = _recording_every_mark(cls)(anim, grid_resolution=12)
+        for f in range(anim.n_frames):
+            got, want = lean.render_next(), every.render_next()
+            np.testing.assert_array_equal(got.computed_pixels, want.computed_pixels)
+            np.testing.assert_array_equal(got.stats.counts, want.stats.counts)
+            np.testing.assert_array_equal(lean.frame_image(), every.frame_image())
+            assert got.map_entries <= want.map_entries
+        # A frame whose later transitions are all empty, or that a full
+        # invalidation follows, records nothing.
+        assert lean._readable(anim.n_frames - 1) is None
+        if "hold_from" in variant:
+            assert all(lean._readable(f) is None for f in range(2, anim.n_frames))
+        if "floor_cut" in variant:
+            assert lean._readable(1) is None

@@ -129,3 +129,34 @@ def test_an_in_process_lane_renders_with_the_masters_grid(monkeypatch):
     LocalRenderFarm(spec, schedule="demand", executor="serial", grid_resolution=12).render()
     assert len(swept) == 1 and len(used) == 24
     assert all(g is swept[0] for g in used)
+
+
+@pytest.mark.usefixtures("no_leaks")
+@pytest.mark.parametrize(
+    "transport, schedule", [("inline", "adaptive"), ("process", "demand"), ("tcp", "adaptive")]
+)
+def test_a_held_shot_runs_no_dda(monkeypatch, tmp_path, transport, schedule):
+    """No frame of a held shot has a later change to be read, the fresh
+    first frame of every unit included, so no worker calls ``traverse``
+    (the stub, patched in before the crew forks, leaves a file behind in
+    any process that does) and the frames are still the serial ones."""
+    from repro.render import raytracer
+
+    spec = AnimationSpec.newton(n_frames=4, width=48, height=36, swing_degrees=0.0)
+    real = raytracer.traverse
+
+    def recorded(*args, **kwargs):
+        (tmp_path / f"traverse.{os.getpid()}").touch()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(raytracer, "traverse", recorded)
+    options = {"executor": "serial"} if transport == "inline" else {
+        "transport": transport, "executor": "process", "n_workers": 2
+    }
+    res = LocalRenderFarm(
+        spec, schedule=schedule, segment_frames=2, grid_resolution=12, **options
+    ).render()
+    assert not list(tmp_path.glob("traverse.*"))
+    monkeypatch.setattr(raytracer, "traverse", real)
+    reference = LocalRenderFarm(spec, executor="serial", grid_resolution=12).render_reference()
+    assert res.frames.tobytes() == reference.frames.tobytes()

@@ -271,3 +271,123 @@ def test_sampled_ray_points_are_in_visited_voxels(ox, oy, oz, dx, dy, dz):
                     g.voxel_bounds(v).expanded(1e-6).contains_point(p) for v in visited
                 )
                 assert ok, f"point {p} at t={t} in voxel {vid} not covered by {visited}"
+
+
+# -- the filtered marking pass ------------------------------------------------------
+def _assert_readable_marks_match(grid, origins, dirs, t_max, readable):
+    """Filtered + clipped + masked marks == the unfiltered ``traverse``
+    output masked by ``readable``, array for array (one chunk)."""
+    from repro.render.raytracer import traverse_readable
+
+    got = traverse_readable(grid, origins, dirs, t_max, readable, chunk_size=len(origins))
+    ray_idx, vox = traverse(grid, origins, dirs, t_max)
+    inside = np.ones(vox.size, dtype=bool) if readable is None else readable[vox]
+    assert got[0].dtype == got[1].dtype == np.int64
+    np.testing.assert_array_equal(got[0], ray_idx[inside])
+    np.testing.assert_array_equal(got[1], vox[inside])
+
+
+def _random_masks(grid, rng):
+    """Sparse, dense, one-voxel, one-block, full and empty voxel masks."""
+    n = grid.n_voxels
+    masks = [rng.random(n) < p for p in (0.02, 0.3)]
+    one = np.zeros(n, dtype=bool)
+    one[rng.integers(n)] = True
+    block = np.zeros(tuple(grid.res[::-1]), dtype=bool)  # (z, y, x): flat-id order
+    lo = rng.integers(0, grid.res[::-1])
+    hi = lo + rng.integers(1, grid.res[::-1] - lo + 1)
+    block[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = True
+    return [*masks, one, block.ravel(), np.ones(n, dtype=bool), np.zeros(n, dtype=bool), None]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("grid", [_grid(), _ODD_GRID], ids=["cube", "odd"])
+def test_readable_marks_match_masked_traverse_on_random_rays(seed, grid):
+    rng = np.random.default_rng(200 + seed)
+    n = 400
+    lo, hi = grid.bounds.lo, grid.bounds.hi
+    origins = rng.uniform(lo - 2.0, hi + 2.0, (n, 3))
+    dirs = rng.normal(size=(n, 3))
+    t_max = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0.0, 8.0, n))
+    for readable in _random_masks(grid, rng):
+        _assert_readable_marks_match(grid, origins, dirs, t_max, readable)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_readable_marks_match_on_axis_parallel_and_face_rays(seed):
+    rng = np.random.default_rng(300 + seed)
+    g = _grid((4, 4, 4))
+    n = 300
+    origins = rng.integers(-1, 6, (n, 3)).astype(np.float64)
+    dirs = rng.integers(-2, 3, (n, 3)).astype(np.float64)
+    dirs[rng.random((n, 3)) < 0.1] = -0.0
+    dirs[np.all(dirs == 0.0, axis=1)] = (1.0, 0.0, 0.0)
+    t_max = np.where(rng.random(n) < 0.5, np.inf, rng.integers(0, 6, n).astype(np.float64))
+    for readable in _random_masks(g, rng):
+        _assert_readable_marks_match(g, origins, dirs, t_max, readable)
+
+
+def test_readable_marks_match_on_rays_grazing_the_readable_box():
+    """The readable voxels span cells 1..2 on every axis, box [1, 3]^3 padded
+    by 0.01: rays run along x at y on and around the box face (3.0), the
+    padded face (3.01) and the next cell face (4.0), and stop on, just
+    before and just after the faces."""
+    g = _grid((4, 4, 4))
+    readable = np.zeros(tuple(g.res[::-1]), dtype=bool)
+    readable[1:3, 1:3, 1:3] = True
+    readable = readable.ravel()
+    eps = (0.0, 1e-12, -1e-12, 1e-9, -1e-9)
+    ys = [y + e for y in (3.0, 3.01, 2.99, 1.0, 0.99, 4.0) for e in eps]
+    starts = [[x, y, 1.5] for x in (-1.0, 3.0, 3.01) for y in ys]
+    origins = np.array(starts, dtype=np.float64)
+    dirs = np.tile([1.0, 0.0, 0.0], (len(origins), 1))
+    back = np.tile([-1.0, 0.0, 0.0], (len(origins), 1))
+    for d in (dirs, back, normalize(dirs + [0.0, 1e-9, 0.0])):
+        for t_max in (np.inf, 2.0, 4.0, 4.01, 3.99, 5.0):
+            _assert_readable_marks_match(g, origins, d, np.full(len(origins), t_max), readable)
+
+
+def test_readable_marks_in_chunks_are_the_same_rows():
+    from repro.render.raytracer import traverse_readable
+
+    rng = np.random.default_rng(7)
+    g = _ODD_GRID
+    origins = rng.uniform(g.bounds.lo - 2.0, g.bounds.hi + 2.0, (500, 3))
+    dirs = rng.normal(size=(500, 3))
+    readable = rng.random(g.n_voxels) < 0.2
+    whole = traverse_readable(g, origins, dirs, np.inf, readable, chunk_size=500)
+    parts = traverse_readable(g, origins, dirs, np.inf, readable, chunk_size=37)
+    key = lambda rows: np.sort(rows[0] * g.n_voxels + rows[1])  # noqa: E731
+    np.testing.assert_array_equal(key(whole), key(parts))
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_marks_by_class_equal_one_traverse_per_class(simple_scene, monkeypatch, masked):
+    """The tracer's one marking pass over all classes gives each class the
+    rows a per-class ``traverse`` of its concatenated volleys gives, masked
+    by ``readable`` when there is one."""
+    from repro.render import MARK_CLASSES, RayTracer
+    from repro.render import raytracer
+
+    volleys = {c: [] for c in MARK_CLASSES}
+    queue = raytracer._LocalBackend.mark
+
+    def spy(self, cls, origins, dirs, t_max, pixels):
+        volleys[cls].append((origins, dirs, t_max, pixels))
+        queue(self, cls, origins, dirs, t_max, pixels)
+
+    monkeypatch.setattr(raytracer._LocalBackend, "mark", spy)
+    grid = UniformGrid.for_scene(simple_scene, 8)
+    readable = np.random.default_rng(3).random(grid.n_voxels) < 0.3 if masked else None
+    tracer = RayTracer(simple_scene, grid=grid, track_paths=True, readable=readable)
+    result = tracer.trace_pixels(simple_scene.camera.pixel_grid())
+    for cls in MARK_CLASSES:
+        origins, dirs, t_max, pixels = (np.concatenate(col) for col in zip(*volleys[cls]))
+        ray_idx, vox = traverse(grid, origins, dirs, t_max)
+        keep = slice(None) if readable is None else readable[vox]
+        got_v, got_p = result.marks_by_class[cls]
+        np.testing.assert_array_equal(got_v, vox[keep])
+        np.testing.assert_array_equal(got_p, pixels[ray_idx][keep])
+    np.testing.assert_array_equal(
+        result.mark_voxels, np.concatenate([result.marks_by_class[c][0] for c in MARK_CLASSES])
+    )

@@ -97,7 +97,7 @@ def test_render_animation_shim_removed():
 
 
 def test_moving_camera_runs_no_dda(monkeypatch):
-    """The horizon rule: every shot of an orbiting camera is one frame long,
+    """The readable rule: every shot of an orbiting camera is one frame long,
     no later frame can read its marks, so no ray is ever marked — and the
     frames are still a per-frame full render, bit for bit."""
     raytracer = importlib.import_module("repro.render.raytracer")  # repro.render is a function

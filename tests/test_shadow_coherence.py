@@ -110,8 +110,8 @@ def test_is_the_base_renderer_except_for_shadow_rays(shadow_anim):
 
 def test_shot_end_records_no_marks_and_changes_nothing(shadow_anim):
     """A shot's last frame records no marks.  Against a renderer whose range
-    runs on (so it marks every frame, as before the horizon rule), the
-    frames, ray counts and per-frame shadow savings are identical."""
+    runs on (so its third frame still records the marks later frames read),
+    the frames, ray counts and per-frame shadow savings are identical."""
     shot = ShadowCoherentRenderer(shadow_anim, grid_resolution=24, last_frame=3)
     longer = ShadowCoherentRenderer(shadow_anim, grid_resolution=24)
     for _ in range(3):

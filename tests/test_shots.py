@@ -122,3 +122,58 @@ def test_animation_engine_is_the_inline_lane(policies):
     assert result.n_workers == 1 and result.sequences == [(0, 3), (3, 6)]
     assert [ev.report for ev in seen] == result.reports
     assert np.asarray(result.frames).tobytes() == _full_render(TWO_SHOT).tobytes()
+
+
+def _held_newton(**build):
+    from repro.scene import FunctionAnimation
+    from repro.scenes import newton_animation
+
+    base = newton_animation(n_frames=4, width=48, height=36, swing_degrees=0.0)
+    return FunctionAnimation(base.base_scene, 4, base.motions, **build)
+
+
+def _camera(frame, roll=0.0, dolly=0.0):
+    from repro.scene import Camera
+
+    return Camera(position=(0.0, 2.2, -7.5 + dolly * frame), look_at=(0.0, 1.8, 0.0),
+                  up=(np.sin(roll * frame), np.cos(roll * frame), 0.0),
+                  fov_degrees=48.0, width=48, height=36)
+
+
+def _light_drift():
+    """Both Newton lights pushed out by ``1 + 2e-6 * frame``: a change too
+    small for ``np.allclose``, and still a different image."""
+    from dataclasses import replace
+
+    anim = _held_newton()
+    build = anim._build_scene
+
+    def drifted(frame):
+        scene = build(frame)
+        scene.lights = [replace(light, position=light.position * (1 + 2e-6 * frame))
+                        for light in scene.lights]
+        return scene
+
+    anim._build_scene = drifted
+    return anim
+
+
+@pytest.mark.parametrize(
+    "make, shots",
+    [
+        (lambda: _held_newton(camera_fn=lambda f: _camera(f, roll=0.02)), 4),
+        (lambda: _held_newton(camera_fn=lambda f: _camera(f, dolly=3e-6)), 4),
+        (_light_drift, 1),
+    ],
+    ids=["roll", "dolly", "lights"],
+)
+def test_a_camera_or_light_change_compares_exactly(make, shots):
+    """A rolling camera and a 3e-6 dolly are camera cuts (one-frame shots),
+    and a light edit below ``np.allclose``'s tolerance is a full
+    invalidation: the animation engine renders every frame bit-identically
+    to a per-frame ``RayTracer``."""
+    anim = make()
+    result = render(RenderRequest(workload=anim, engine="animation", grid_resolution=8))
+    assert len(result.sequences) == shots
+    full = np.stack([RayTracer(anim.scene_at(f)).render()[0].as_image() for f in range(4)])
+    assert np.asarray(result.frames).tobytes() == full.tobytes()

@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-CEILING = 21561
+CEILING = 21644
 OPTION_CEILING = 96
 
 SRC = Path(__file__).resolve().parent.parent / "src"
