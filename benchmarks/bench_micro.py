@@ -16,7 +16,7 @@ import pytest
 
 from repro.accel import UniformGrid, traverse
 from repro.coherence import CoherentRenderer, VoxelPixelMap, grid_for_animation
-from repro.geometry import Cylinder, Sphere, TriangleMesh
+from repro.geometry import Cylinder, Sphere
 from repro.parallel.partition import PixelRegion
 from repro.render import RayTracer, SceneIntersector
 from repro.rmath import AABB, normalize, vec3
@@ -45,19 +45,6 @@ def test_cylinder_intersection_throughput(benchmark, ray_batch):
     origins, dirs = ray_batch
     c = Cylinder.from_endpoints((0, -2, 0), (0, 2, 0), 1.5)
     t, _ = benchmark(c.intersect, origins, dirs)
-    assert np.isfinite(t).any()
-
-
-def test_mesh_intersection_throughput(benchmark, ray_batch):
-    origins, dirs = ray_batch
-    # An icosahedron-ish fan of 20 triangles.
-    ring = np.array(
-        [[np.cos(a), np.sin(a), 0.0] for a in np.linspace(0, 2 * np.pi, 21)[:-1]]
-    )
-    vertices = np.vstack([[0, 0, 1.0], [0, 0, -1.0], ring * 2.0])
-    faces = np.array([[0, 2 + i, 2 + (i + 1) % 20] for i in range(20)])
-    m = TriangleMesh(vertices, faces)
-    t, _ = benchmark(m.intersect, origins, dirs)
     assert np.isfinite(t).any()
 
 

@@ -62,7 +62,7 @@ def main() -> None:
     # --- 1. render a single frame -------------------------------------------
     scene = build_scene(args.width, args.height)
     tracer = RayTracer(scene)
-    framebuffer, result = tracer.render(samples_per_axis=2)
+    framebuffer, result = tracer.render()
     write_targa(args.out / "still.tga", framebuffer.to_uint8())
     print(f"single frame: {result.stats}")
     print(f"wrote {args.out / 'still.tga'}")

@@ -7,10 +7,10 @@ PVM-style master/slave protocol.
 
 Layered public API:
 
-* :mod:`repro.rmath` — batched vector math, AABBs, transforms, noise.
+* :mod:`repro.rmath` — batched vector math, AABBs, transforms.
 * :mod:`repro.geometry` — ray batches and vectorized primitives.
 * :mod:`repro.materials` / :mod:`repro.lighting` — POV-style shading inputs.
-* :mod:`repro.scene` — camera, scene, animation, scene-description language.
+* :mod:`repro.scene` — camera, scene, animation.
 * :mod:`repro.accel` — uniform voxel grid + 3-D DDA traversal.
 * :mod:`repro.render` — the wavefront Whitted tracer.
 * :mod:`repro.coherence` — the paper's frame-coherence algorithm.
@@ -41,9 +41,9 @@ the real farm, and the Table-1 simulator)::
 
 from .api import RenderRequest, RenderResult, render
 from .coherence import CoherentRenderer, ShadowCoherentRenderer, validate_sequence
-from .geometry import Box, Cylinder, Disc, Plane, RayBatch, RayKind, Sphere, Triangle, TriangleMesh
+from .geometry import Box, Cylinder, Plane, RayBatch, RayKind, Sphere
 from .lighting import PointLight
-from .materials import Brick, Checker, Finish, Marble, Material, SolidColor
+from .materials import Brick, Checker, Finish, Material, SolidColor
 from .render import Framebuffer, RayStats, RayTracer
 from .rmath import AABB, Transform, vec3
 from .scene import (
@@ -52,8 +52,6 @@ from .scene import (
     FunctionAnimation,
     Scene,
     StaticAnimation,
-    load_scene,
-    parse_scene,
     split_coherent_sequences,
 )
 
@@ -69,11 +67,9 @@ __all__ = [
     "Checker",
     "CoherentRenderer",
     "Cylinder",
-    "Disc",
     "Finish",
     "Framebuffer",
     "FunctionAnimation",
-    "Marble",
     "Material",
     "Plane",
     "PointLight",
@@ -89,10 +85,6 @@ __all__ = [
     "Sphere",
     "StaticAnimation",
     "Transform",
-    "Triangle",
-    "TriangleMesh",
-    "load_scene",
-    "parse_scene",
     "split_coherent_sequences",
     "validate_sequence",
     "vec3",

@@ -89,10 +89,11 @@ class RenderRequest(FarmOptions):
     rest keep their defaults harmlessly.  The farm's options are the
     inherited :class:`~repro.runtime.options.FarmOptions` fields, declared
     and documented there (``blackbox_dir=None`` here means the run or
-    events directory).  Of those, ``grid_resolution``, ``samples_per_axis``
-    and the progress callbacks serve every engine: the animation engine
-    reports a frame as one whole-frame tile, the simulators' frame events
-    carry no pixels (image None).  The animation engine is the farm with
+    events directory).  Of those, ``grid_resolution`` and the progress
+    callbacks serve every engine: the animation engine reports a frame as
+    one whole-frame tile, the simulators' frame events carry no pixels
+    (image None).  Every engine traces one camera ray per pixel, as the
+    paper's Table 1 counts.  The animation engine is the farm with
     its lane fixed: it sets ``transport``, ``executor``, ``n_workers``,
     ``schedule`` and ``segment_frames`` itself and spools nothing.
     """

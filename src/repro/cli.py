@@ -2,7 +2,6 @@
 
 ::
 
-    python -m repro render scene.sdl -o out.tga
     python -m repro animate newton --frames 12 --out frames/
     python -m repro validate brick --frames 4
     python -m repro table1 --width 96 --height 72 --frames 10
@@ -15,10 +14,10 @@
     python -m repro submit --connect 127.0.0.1:7601 newton --frames 8 --wait
     python -m repro jobs --connect 127.0.0.1:7601
 
-The subcommands mirror the workflow of the paper's system: render scene
-descriptions, render animations with frame coherence, check the algorithm's
-exactness, regenerate the headline table, run the real master/worker farm or
-a Table-1 simulator (both through :func:`repro.api.render`), and render a
+The subcommands mirror the workflow of the paper's system: render the
+built-in animations with frame coherence, check the algorithm's exactness,
+regenerate the headline table, run the real master/worker farm or a
+Table-1 simulator (both through :func:`repro.api.render`), and render a
 Table-1-style report from a run's telemetry log alone.
 """
 
@@ -81,11 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     from .sched import SIM_STRATEGIES
 
     workloads = tuple(WORKLOADS)
-
-    p_render = sub.add_parser("render", help="render a scene description file")
-    p_render.add_argument("scene", type=Path)
-    p_render.add_argument("-o", "--output", type=Path, default=Path("render.tga"))
-    p_render.add_argument("--supersample", type=int, default=1, metavar="N", help="N x N samples per pixel")
 
     p_anim = sub.add_parser("animate", help="render a built-in animation with frame coherence")
     p_anim.add_argument("workload", choices=workloads)
@@ -297,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shard.add_argument("--shards", type=int, default=4, help="shard count K")
     p_shard.add_argument("--workers", type=int, default=2, help="worker daemons to spawn")
     p_shard.add_argument(
-        "--supersample", type=int, default=1, metavar="N", help="N x N samples per pixel"
-    )
-    p_shard.add_argument(
         "--out", type=Path, default=None, metavar="DIR", help="write frames as .tga to DIR"
     )
     p_shard.add_argument(
@@ -321,21 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         "worker", help="join a repro.net farm as a rendering worker daemon", add_help=False
     )
     return parser
-
-
-def _cmd_render(args) -> int:
-    from .imageio import write_targa
-    from .render import RayTracer
-    from .scene import load_scene
-
-    scene = load_scene(args.scene)
-    print(f"parsed {len(scene.objects)} objects, {len(scene.lights)} lights")
-    t0 = time.perf_counter()
-    fb, res = RayTracer(scene).render(samples_per_axis=args.supersample)
-    print(f"rendered in {time.perf_counter() - t0:.1f}s: {res.stats}")
-    write_targa(args.output, fb.to_uint8())
-    print(f"wrote {args.output}")
-    return 0
 
 
 def _cmd_animate(args) -> int:
@@ -481,7 +457,6 @@ def _cmd_shard(args) -> int:
             frames=args.n_frames,
             shards=args.shards,
             n_workers=args.workers,
-            samples_per_axis=args.supersample,
             fault_plan=plan,
             telemetry=Telemetry(sinks=tuple(sinks)),
         )
@@ -678,7 +653,6 @@ def main(argv: list[str] | None = None) -> int:
         return worker_main(argv[1:])
     args = build_parser().parse_args(argv)
     handlers = {
-        "render": _cmd_render,
         "animate": _cmd_animate,
         "validate": _cmd_validate,
         "table1": _cmd_table1,

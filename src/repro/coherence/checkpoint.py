@@ -27,7 +27,8 @@ from .voxel_pixel_map import VoxelPixelMap
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
-_FORMAT_VERSION = 2  # 2: the pixel map as its per-pixel CSR state
+#: 2: the pixel map as its per-pixel CSR state; 3: no sample count (one per pixel).
+_FORMAT_VERSION = 3
 
 
 def save_checkpoint(renderer: CoherentRenderer, path: str | Path) -> None:
@@ -43,7 +44,6 @@ def save_checkpoint(renderer: CoherentRenderer, path: str | Path) -> None:
         last_frame=renderer.last_frame,
         next_frame=renderer._next_frame,
         prev_frame=prev_frame,
-        samples_per_axis=renderer.samples_per_axis,
         framebuffer=renderer.framebuffer.data,
         **{f"map_{name}": array for name, array in renderer.pixel_map.state().items()},
         grid_lo=renderer.grid.bounds.lo,
@@ -79,7 +79,6 @@ def load_checkpoint(
             animation,
             region=z["region"],
             grid=grid,
-            samples_per_axis=int(z["samples_per_axis"]),
             chunk_size=chunk_size,
             first_frame=int(z["first_frame"]),
             last_frame=int(z["last_frame"]),

@@ -123,8 +123,6 @@ class CoherentRenderer:
         Shared uniform grid; defaults to :func:`grid_for_animation`.
     grid_resolution:
         Used when ``grid`` is omitted.
-    samples_per_axis:
-        Supersampling factor forwarded to the tracer.
     first_frame, last_frame:
         Half-open frame range rendered by this instance (sequence division
         gives each worker such a range).  Defaults to the whole animation.
@@ -143,7 +141,6 @@ class CoherentRenderer:
         region: np.ndarray | None = None,
         grid: UniformGrid | None = None,
         grid_resolution: int | tuple[int, int, int] = 16,
-        samples_per_axis: int = 1,
         chunk_size: int = 32768,
         first_frame: int = 0,
         last_frame: int | None = None,
@@ -152,7 +149,6 @@ class CoherentRenderer:
         self.animation = animation
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.grid = grid if grid is not None else grid_for_animation(animation, grid_resolution)
-        self.samples_per_axis = int(samples_per_axis)
         self.chunk_size = int(chunk_size)
         self.first_frame = int(first_frame)
         self.last_frame = animation.n_frames if last_frame is None else int(last_frame)
@@ -256,7 +252,7 @@ class CoherentRenderer:
         readable = self._readable(frame)
         if to_compute.size:
             tracer = self._tracer(scene, readable)
-            result = tracer.trace_pixels(to_compute, samples_per_axis=self.samples_per_axis)
+            result = tracer.trace_pixels(to_compute)
             self.framebuffer.scatter(result.pixel_ids, result.colors)
             if readable is not None:
                 self._absorb_marks(result)

@@ -51,16 +51,13 @@ class ShadowFrameReport(FrameReport):
 class ShadowCoherentRenderer(CoherentRenderer):
     """Incremental renderer with primary-shadow coherence.
 
-    A :class:`~repro.coherence.CoherentRenderer` (same parameters, minus
-    supersampling: the cache is per pixel, not per sample) whose single
-    voxel->pixel map is replaced by three class-segregated ones; see the
-    module docstring for the algorithm.
+    A :class:`~repro.coherence.CoherentRenderer` (same parameters) whose
+    single voxel->pixel map is replaced by three class-segregated ones; see
+    the module docstring for the algorithm.
     """
 
     def __init__(self, animation: Animation, **kwargs):
         super().__init__(animation, **kwargs)
-        if self.samples_per_axis != 1:
-            raise ValueError("shadow coherence requires samples_per_axis == 1")
         n_voxels, n_pixels = self.grid.n_voxels, self.width * self.height
         self.pixel_map = None  # replaced by the three class maps
         self.map_camera = VoxelPixelMap(n_voxels, n_pixels)

@@ -84,7 +84,6 @@ class ValidationReport:
 def validate_sequence(
     animation: Animation,
     grid_resolution: int | tuple[int, int, int] = 16,
-    samples_per_axis: int = 1,
     tol: float = 0.0,
 ) -> ValidationReport:
     """Render an animation coherently and fully; compare frame by frame.
@@ -93,16 +92,14 @@ def validate_sequence(
     deterministic batching guarantees.
     """
     grid = grid_for_animation(animation, grid_resolution)
-    coherent = CoherentRenderer(
-        animation, grid=grid, samples_per_axis=samples_per_axis
-    )
+    coherent = CoherentRenderer(animation, grid=grid)
 
     results: list[FrameValidation] = []
     prev_full = None
     for f in range(animation.n_frames):
         report = coherent.render_next()
         scene = animation.scene_at(f)
-        fb, _ = RayTracer(scene).render(samples_per_axis=samples_per_axis)
+        fb, _ = RayTracer(scene).render()
         full_img = fb.as_image()
         inc_img = coherent.frame_image()
 

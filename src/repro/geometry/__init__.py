@@ -2,31 +2,19 @@
 
 from .base import MISS, Primitive, solve_quadratic
 from .box import Box
-from .csg import CSGDifference, CSGIntersection, convex_interval
 from .cylinder import Cylinder
-from .disc import Disc
-from .mesh import Triangle, TriangleMesh
 from .plane import Plane
 from .rays import RayBatch, RayKind
 from .sphere import Sphere
-from .torus import Torus, solve_quartic_batch
 
 __all__ = [
     "MISS",
     "Box",
-    "CSGDifference",
-    "CSGIntersection",
     "Cylinder",
-    "Disc",
     "Plane",
     "Primitive",
     "RayBatch",
     "RayKind",
     "Sphere",
-    "Torus",
-    "Triangle",
-    "TriangleMesh",
-    "convex_interval",
     "solve_quadratic",
-    "solve_quartic_batch",
 ]

@@ -68,7 +68,7 @@ class Primitive(ABC):
     transform:
         Local-to-world placement.  Defaults to identity.
     name:
-        Optional identifier used in scene files, logs and tests.
+        Optional identifier used in logs and tests.
     """
 
     def __init__(self, material=None, transform: Transform | None = None, name: str | None = None):
@@ -118,17 +118,6 @@ class Primitive(ABC):
             box = self.transform.apply_aabb(self.local_bounds())
             placed = self._placed_bounds = (self.transform, box)
         return placed[1]
-
-    @property
-    def intersect_cost_hint(self) -> float:
-        """Relative cost of one batched intersection test, in sphere units.
-
-        The intersector uses this to decide whether an AABB pre-test pays
-        for itself: a slab test costs about one sphere test, so culling
-        only helps primitives that are meaningfully more expensive (meshes,
-        mostly).
-        """
-        return 1.0
 
     def bounds_pieces(self, n: int = 8) -> list[AABB]:
         """World-space bounds as a set of sub-boxes covering the primitive.

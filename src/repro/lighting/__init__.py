@@ -1,5 +1,5 @@
 """Light sources."""
 
-from .lights import PointLight, fibonacci_sphere
+from .lights import PointLight
 
-__all__ = ["PointLight", "fibonacci_sphere"]
+__all__ = ["PointLight"]

@@ -6,13 +6,8 @@ term carried by the scene.  Each light can answer, for a batch of shading
 points, the direction/distance of its shadow rays — the renderer fires those
 as first-class rays so they are counted in the statistics and marked in the
 coherence voxel map, exactly as the paper describes ("for a given pixel,
-numerous rays may be generated, including ... shadow rays").
-
-POV 3.0's ``area_light`` soft shadows are supported as spherical emitters:
-a light with ``radius > 0`` and ``n_samples > 1`` fires one shadow ray per
-deterministic sample point on the emitter surface and averages the
-attenuations — penumbrae at ``n_samples`` times the shadow-ray cost, with
-all rays counted and voxel-marked as usual.
+numerous rays may be generated, including ... shadow rays").  One shadow
+ray per lit shading point and light, as in the paper's scenes.
 """
 
 from __future__ import annotations
@@ -21,23 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PointLight", "fibonacci_sphere"]
-
-
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """``n`` deterministic, roughly uniform unit vectors (golden spiral)."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    i = np.arange(n, dtype=np.float64)
-    phi = np.pi * (3.0 - np.sqrt(5.0)) * i
-    y = 1.0 - 2.0 * (i + 0.5) / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - y * y))
-    return np.stack([r * np.cos(phi), y, r * np.sin(phi)], axis=-1)
+__all__ = ["PointLight"]
 
 
 @dataclass
 class PointLight:
-    """An isotropic emitter: a point, or a sphere for soft shadows.
+    """An isotropic point emitter.
 
     Attributes
     ----------
@@ -47,17 +31,12 @@ class PointLight:
         POV-style attenuation: at distance d the intensity is scaled by
         ``2 / (1 + (d / fade_distance)**fade_power)`` when enabled
         (``fade_distance > 0``); no attenuation otherwise.
-    radius, n_samples:
-        Soft-shadow emitter size and shadow-sample count; a light is *soft*
-        when both ``radius > 0`` and ``n_samples > 1``.
     """
 
     position: np.ndarray
     color: np.ndarray
     fade_distance: float = 0.0
     fade_power: float = 2.0
-    radius: float = 0.0
-    n_samples: int = 1
     name: str | None = None
 
     def __post_init__(self) -> None:
@@ -67,32 +46,10 @@ class PointLight:
             raise ValueError("light color must be non-negative")
         if self.fade_distance < 0:
             raise ValueError("fade_distance must be >= 0")
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-
-    @property
-    def is_soft(self) -> bool:
-        return self.radius > 0.0 and self.n_samples > 1
-
-    def sample_positions(self) -> np.ndarray:
-        """Emitter sample points, ``(n_samples, 3)`` (one point if hard)."""
-        if not self.is_soft:
-            return self.position[None, :]
-        return self.position + self.radius * fibonacci_sphere(self.n_samples)
 
     def shadow_rays(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Directions (unit) and distances from shading points to the light
-        center (the central ray used for the diffuse/specular geometry)."""
+        """Directions (unit) and distances from shading points to the light."""
         to_light = self.position - np.asarray(points, dtype=np.float64)
-        dist = np.linalg.norm(to_light, axis=-1)
-        safe = np.where(dist > 0, dist, 1.0)
-        return to_light / safe[..., None], dist
-
-    def shadow_rays_to(self, points: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Directions and distances toward one emitter sample point."""
-        to_light = np.asarray(target, dtype=np.float64) - np.asarray(points, dtype=np.float64)
         dist = np.linalg.norm(to_light, axis=-1)
         safe = np.where(dist > 0, dist, 1.0)
         return to_light / safe[..., None], dist

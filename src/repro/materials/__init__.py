@@ -1,15 +1,12 @@
 """Materials: POV-style pigments (textures) and finishes."""
 
 from .material import Finish, Material
-from .texture import Agate, Brick, Checker, Gradient, Marble, SolidColor, Texture
+from .texture import Brick, Checker, SolidColor, Texture
 
 __all__ = [
-    "Agate",
     "Brick",
     "Checker",
     "Finish",
-    "Gradient",
-    "Marble",
     "Material",
     "SolidColor",
     "Texture",

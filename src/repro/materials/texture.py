@@ -12,16 +12,13 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..rmath import Transform, fbm, turbulence
+from ..rmath import Transform
 
 __all__ = [
     "Texture",
     "SolidColor",
     "Checker",
     "Brick",
-    "Marble",
-    "Gradient",
-    "Agate",
 ]
 
 
@@ -126,67 +123,3 @@ class Brick(Texture):
         in_mortar = (fx < mx) | (fy < my) | (fz < mz)
         return np.where(in_mortar[:, None], self.mortar_color, self.brick_color)
 
-
-class Marble(Texture):
-    """Classic marble: turbulence-perturbed sine bands between two colors."""
-
-    def __init__(
-        self,
-        color_a=(1.0, 1.0, 1.0),
-        color_b=(0.2, 0.2, 0.25),
-        turbulence_amount: float = 1.0,
-        octaves: int = 4,
-        transform: Transform | None = None,
-    ):
-        super().__init__(transform)
-        self.color_a = _as_rgb(color_a)
-        self.color_b = _as_rgb(color_b)
-        self.turbulence_amount = float(turbulence_amount)
-        self.octaves = int(octaves)
-
-    def color_local(self, p: np.ndarray) -> np.ndarray:
-        t = turbulence(p, octaves=self.octaves)
-        phase = p[..., 0] + self.turbulence_amount * t
-        band = 0.5 * (1.0 + np.sin(np.pi * phase))
-        return self.color_a + band[:, None] * (self.color_b - self.color_a)
-
-
-class Agate(Texture):
-    """POV ``agate``-style banding driven by fBm noise."""
-
-    def __init__(
-        self,
-        color_a=(0.8, 0.5, 0.3),
-        color_b=(0.3, 0.1, 0.05),
-        frequency: float = 4.0,
-        octaves: int = 4,
-        transform: Transform | None = None,
-    ):
-        super().__init__(transform)
-        self.color_a = _as_rgb(color_a)
-        self.color_b = _as_rgb(color_b)
-        self.frequency = float(frequency)
-        self.octaves = int(octaves)
-
-    def color_local(self, p: np.ndarray) -> np.ndarray:
-        v = fbm(p, octaves=self.octaves)
-        band = 0.5 * (1.0 + np.sin(self.frequency * 2.0 * np.pi * v))
-        return self.color_a + band[:, None] * (self.color_b - self.color_a)
-
-
-class Gradient(Texture):
-    """Linear blend between two colors along an axis, with unit period."""
-
-    def __init__(self, axis, color_a, color_b, transform: Transform | None = None):
-        super().__init__(transform)
-        a = np.asarray(axis, dtype=np.float64).reshape(3)
-        n = np.linalg.norm(a)
-        if n == 0:
-            raise ValueError("gradient axis must be non-zero")
-        self.axis = a / n
-        self.color_a = _as_rgb(color_a)
-        self.color_b = _as_rgb(color_b)
-
-    def color_local(self, p: np.ndarray) -> np.ndarray:
-        t = np.mod(p @ self.axis, 1.0)
-        return self.color_a + t[:, None] * (self.color_b - self.color_a)

@@ -1,6 +1,5 @@
 """Rendering: wavefront Whitted tracer, framebuffer and ray statistics."""
 
-from .antialias import AdaptiveRender, contrast_pixels, render_adaptive
 from .framebuffer import Framebuffer
 from .intersect import HitRecord, SceneIntersector
 from .raytracer import MARK_CLASSES, RayTracer, TraceResult
@@ -9,11 +8,8 @@ from .shadow_cache import ShadowCache
 from .stats import RayStats
 
 __all__ = [
-    "AdaptiveRender",
     "Framebuffer",
     "HitRecord",
-    "contrast_pixels",
-    "render_adaptive",
     "MARK_CLASSES",
     "RayStats",
     "RayTracer",

@@ -8,29 +8,20 @@ Newton scene has 22 objects) this does far less Python-level work than a
 per-ray grid walk would, which is the right trade-off in numpy; the uniform
 grid's job in this system is *coherence tracking*, not hit-finding.
 
-Two bounds tests, neither of which changes a result, keep it from paying
-for what no ray can hit.  The **batch skip** slab-tests the batch's
-componentwise origin and direction intervals against every finite object's
-padded AABB: an object no ray can reach is not evaluated, so a
-frame-division block pays for the few objects it sees.  The **per-ray
-cull** slab-tests objects whose ``intersect_cost_hint`` says the primitive
-is expensive (meshes) ray by ray, and prunes by the best hit so far.
+The **batch skip** keeps it from paying for what no ray can hit, without
+changing a result: it slab-tests the batch's componentwise origin and
+direction intervals against every finite object's padded AABB, and an object
+no ray can reach is not evaluated, so a frame-division block pays for the
+few objects it sees.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-
 import numpy as np
 
 from ..geometry import MISS, Primitive, RayBatch
-from ..rmath import ray_aabb_intersect
 
 __all__ = ["SceneIntersector", "HitRecord", "attenuate"]
-
-#: A slab test costs roughly one sphere test, so only primitives at least
-#: this many times more expensive are worth pre-testing.
-_CULL_COST_THRESHOLD = 4.0
 
 #: Most ray·object pairs one stacked ``local_hit`` call holds: a full frame stacks
 #: about one object per call, a coherent frame's small batches a whole type.
@@ -69,42 +60,25 @@ class SceneIntersector:
     objects:
         The scene's primitives.
     cull_bounds:
-        ``True`` forces per-ray AABB pre-tests on every finite object,
-        ``False`` disables every bounds test, the batch skip included (the
-        no-bounds-test reference; its objects are still stacked by type,
-        not called one by one); ``None`` (default) pre-tests ray by ray only objects
-        whose ``intersect_cost_hint`` says the primitive test is expensive
-        enough to be worth saving (meshes, mainly).
+        ``True`` (default) runs the batch skip; ``False`` runs no bounds test
+        at all (the no-bounds-test reference; its objects are still stacked
+        by type, not called one by one).
     """
 
-    def __init__(self, objects: list[Primitive], cull_bounds: bool | None = None):
+    def __init__(self, objects: list[Primitive], cull_bounds: bool = True):
         self.objects = list(objects)
         #: Running count of per-ray primitive intersection tests actually
-        #: executed (culled rays and skipped objects excluded).  Monotonic;
-        #: readers take deltas.  The increments are O(1) integer adds on
+        #: executed (skipped objects excluded).  Monotonic; readers take
+        #: deltas.  The increments are O(1) integer adds on
         #: already-materialized arrays, so the counter is always on.
         self.n_primitive_tests = 0
-        self._box_lo: list[np.ndarray | None] = []
-        self._box_hi: list[np.ndarray | None] = []
-        self._cull: list[bool] = []
         #: Stack key per object: its type if that overrides ``local_hit``, else its index.
         self._kind = [type(o) if type(o).local_hit is not Primitive.local_hit else i
                       for i, o in enumerate(self.objects)]
-        for obj in self.objects:
-            b = obj.bounds()
-            finite = bool(np.all(np.isfinite(b.lo)) and np.all(np.isfinite(b.hi)))
-            self._box_lo.append(b.lo if finite else None)
-            self._box_hi.append(b.hi if finite else None)
-            if cull_bounds is None:
-                cull = finite and obj.intersect_cost_hint >= _CULL_COST_THRESHOLD
-            else:
-                cull = finite and bool(cull_bounds)
-            self._cull.append(cull)
-        self.cull_bounds = any(self._cull)
-        skip = cull_bounds is not False  # False: the reference, no bounds test at all
-        rows = [i for i, lo in enumerate(self._box_lo) if lo is not None and skip]
+        boxes = [o.bounds() for o in self.objects] if cull_bounds else []
+        rows = [i for i, b in enumerate(boxes) if np.isfinite([b.lo, b.hi]).all()]
         self._skip_rows = np.array(rows, dtype=np.int64)
-        box = np.array([(self._box_lo[i], self._box_hi[i]) for i in rows]).reshape(-1, 2, 3)
+        box = np.array([(boxes[i].lo, boxes[i].hi) for i in rows]).reshape(-1, 2, 3)
         pad = _SKIP_PAD * (1.0 + np.abs(box).max(axis=(1, 2))[:, None])
         self._skip_lo, self._skip_hi = box[:, 0] - pad, box[:, 1] + pad
 
@@ -137,21 +111,6 @@ class SceneIntersector:
         reach[self._skip_rows] = ok
         return np.flatnonzero(reach).tolist()
 
-    def _runs(self, idxs, origins, inv, t_max, live=None):
-        """``(objects, rows)`` to test in index order: each run of unculled objects
-        on every row, each culled one alone on the rows whose ray may reach its
-        box before ``t_max`` (and, given ``live``, is still lit).  Both arrays
-        are read when the object's turn comes, after the earlier updates."""
-        for culled, group in groupby(idxs, self._cull.__getitem__):
-            if not culled:
-                yield list(group), slice(None)
-                continue
-            for idx in group:
-                box = ray_aabb_intersect(origins, inv, self._box_lo[idx], self._box_hi[idx], t_max)
-                rows = np.flatnonzero(box[0] & (box[1] < t_max if live is None else live > 0.0))
-                if rows.size:
-                    yield [idx], rows
-
     def _local_t(self, idxs, origins, dirs, keep=None) -> np.ndarray:
         """``t`` of the objects ``idxs`` over the whole batch, ``(len(idxs), N)``.
 
@@ -179,35 +138,32 @@ class SceneIntersector:
     def nearest(self, batch: RayBatch) -> HitRecord:
         """Closest intersection per ray.
 
-        Each run's ``t`` rows merge by first-index ``argmin``, the strict
-        ``<`` of an object-order scan: ties go to the lowest index.  Normals
-        come last, per winning object on the rows it won, from the local
-        rays its ``t`` was computed on.
+        The reachable objects' ``t`` rows merge by first-index ``argmin``,
+        the strict ``<`` of an object-order scan: ties go to the lowest
+        index.  Normals come last, per winning object on the rows it won,
+        from the local rays its ``t`` was computed on.
         """
         n = len(batch)
         origins, dirs = batch.origins, batch.dirs
         best_t = np.full(n, MISS)
         best_obj = np.full(n, -1, dtype=np.int64)
         best_n = np.zeros((n, 3), dtype=np.float64)
-        inv = batch.inv_dirs if self.cull_bounds else None
-        keep: dict = {}
-        for run, rows in self._runs(self._reachable(origins, dirs), origins, inv, best_t):
-            local: dict = {}
-            t = self._local_t(run, origins[rows], dirs[rows], local)
-            keep.update((idx, (rows, rays)) for idx, rays in local.items())
+        idxs = self._reachable(origins, dirs)
+        local: dict = {}
+        if idxs:
+            t = self._local_t(idxs, origins, dirs, local)
             self.n_primitive_tests += t.size
             first = t.argmin(axis=0)
-            t_min = t[first, np.arange(t.shape[1])]
-            closer = t_min < best_t[rows]
-            best_t[rows] = np.where(closer, t_min, best_t[rows])
-            best_obj[rows] = np.where(closer, np.asarray(run)[first], best_obj[rows])
+            t_min = t[first, np.arange(n)]
+            closer = t_min < best_t
+            best_t = np.where(closer, t_min, best_t)
+            best_obj = np.where(closer, np.asarray(idxs)[first], best_obj)
         for idx in np.unique(best_obj[best_obj >= 0]).tolist():
             won = np.flatnonzero(best_obj == idx)
-            rows, (lo, ld) = keep[idx]
-            at = won if isinstance(rows, slice) else np.searchsorted(rows, won)
+            lo, ld = local[idx]
             # A one-row matmul takes numpy's vector path, whose rounding is
             # not the batched product's; two copies of the row keep the latter.
-            at = np.repeat(at, 2) if at.size == 1 < lo.shape[0] else at
+            at = np.repeat(won, 2) if won.size == 1 < lo.shape[0] else won
             obj = self.objects[idx]
             best_n[won] = obj.world_normals(obj.local_intersect(lo[at], ld[at])[1])[: won.size]
         return HitRecord(best_t, best_obj, best_n)
@@ -239,19 +195,15 @@ class SceneIntersector:
         Opaque occluders block completely (0); transmissive occluders filter
         the light by their finish's ``transmission`` (one factor per occluding
         object, the usual POV-style approximation of filtered shadows),
-        multiplied in object order.  A culled object skips fully shadowed
-        rays, which cannot get darker.
+        multiplied in object order.
         """
         origins = np.asarray(origins, dtype=np.float64)
         dirs = np.asarray(dirs, dtype=np.float64)
         max_dist = np.asarray(max_dist, dtype=np.float64)
         atten = np.ones(origins.shape[0], dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / dirs if self.cull_bounds else None
         idxs = self._reachable(origins, dirs, max_dist)
-        for run, rows in self._runs(idxs, origins, inv, max_dist, atten):
-            found = self.occlusion(run, origins[rows], dirs[rows], max_dist[rows], eps)
-            atten[rows] = attenuate(atten[rows], *found)
+        if idxs:
+            attenuate(atten, *self.occlusion(idxs, origins, dirs, max_dist, eps))
         return atten
 
 

@@ -96,8 +96,8 @@ class TraceResult:
     rays_per_pixel : (K,) total rays fired on behalf of each traced pixel
         (the cost signal consumed by the cluster simulator's oracle)
     n_intersection_tests : per-ray primitive intersection tests executed
-        during this trace (telemetry; culled rays and objects the batch skip
-        proved unreachable excluded)
+        during this trace (telemetry; objects the batch skip proved
+        unreachable excluded)
     """
 
     pixel_ids: np.ndarray
@@ -110,24 +110,10 @@ class TraceResult:
     n_intersection_tests: int = 0
 
 
-def _camera_batch(cam, pixel_ids: np.ndarray, samples_per_axis: int) -> RayBatch:
-    if samples_per_axis <= 1:
-        return cam.rays_for_pixels(pixel_ids)
-    n = samples_per_axis
-    # Deterministic stratified sub-pixel offsets in [-0.5, 0.5).
-    cell = (np.arange(n, dtype=np.float64) + 0.5) / n - 0.5
-    ox, oy = np.meshgrid(cell, cell, indexing="ij")
-    offsets = np.stack([ox.ravel(), oy.ravel()], axis=-1)  # (n^2, 2)
-    rep_pixels = np.repeat(pixel_ids, n * n)
-    rep_jitter = np.tile(offsets, (pixel_ids.size, 1))
-    batch = cam.rays_for_pixels(rep_pixels, jitter=rep_jitter)
-    batch.weight /= float(n * n)
-    return batch
-
-
-def trace(scene, backend, pixel_ids, samples_per_axis: int = 1, chunk_size: int = 32768):
+def trace(scene, backend, pixel_ids, chunk_size: int = 32768):
     """The wavefront loop: a sans-io generator returning a :class:`TraceResult`.
 
+    One camera ray per pixel, through its center, as in the paper's Table 1.
     Camera rays are traced in chunks of ``chunk_size`` pixels, each chunk's
     queue of batches run to completion in FIFO order.  ``backend`` answers
     what the loop cannot (see the module docstring); whatever its two
@@ -144,7 +130,7 @@ def trace(scene, backend, pixel_ids, samples_per_axis: int = 1, chunk_size: int 
     background = scene.background
 
     for start in range(0, pixel_ids.size, chunk_size):
-        first = _camera_batch(cam, pixel_ids[start : start + chunk_size], samples_per_axis)
+        first = cam.rays_for_pixels(pixel_ids[start : start + chunk_size])
         queue: deque[tuple[RayBatch, object]] = deque([(first, None)])  # camera rays: no home
         while queue:
             batch, home = queue.popleft()
@@ -381,8 +367,7 @@ class RayTracer:
         memory (each chunk runs the full wavefront to completion).
     shadow_cache:
         Optional :class:`ShadowCache` enabling the shadow-coherence
-        extension at primary hits.  Incompatible with supersampling (the
-        cache is per pixel, not per sample).
+        extension at primary hits.
     readable:
         Internal to the coherence engine: a boolean voxel mask, the voxels
         whose marks a later frame can read.  With ``track_paths`` only marks
@@ -416,18 +401,12 @@ class RayTracer:
                 raise ValueError("shadow cache sized for a different light count")
 
     # -- public API ---------------------------------------------------------
-    def trace_pixels(self, pixel_ids: np.ndarray, samples_per_axis: int = 1) -> TraceResult:
-        """Trace the given flat pixel indices and return their colors.
-
-        ``samples_per_axis`` > 1 enables stratified supersampling with a
-        deterministic sub-pixel grid (``n^2`` camera rays per pixel).
-        """
-        if samples_per_axis > 1 and self.shadow_cache is not None:
-            raise ValueError("shadow coherence requires samples_per_axis == 1")
+    def trace_pixels(self, pixel_ids: np.ndarray) -> TraceResult:
+        """Trace the given flat pixel indices and return their colors."""
         backend = _LocalBackend(self)
         tests_before = self.intersector.n_primitive_tests
         try:
-            next(trace(self.scene, backend, pixel_ids, samples_per_axis, self.chunk_size))
+            next(trace(self.scene, backend, pixel_ids, self.chunk_size))
         except StopIteration as done:
             result = done.value
         else:
@@ -436,10 +415,10 @@ class RayTracer:
         result.n_intersection_tests = self.intersector.n_primitive_tests - tests_before
         return result
 
-    def render(self, samples_per_axis: int = 1) -> tuple[Framebuffer, TraceResult]:
+    def render(self) -> tuple[Framebuffer, TraceResult]:
         """Trace the full frame into a framebuffer."""
         cam = self.scene.camera
-        result = self.trace_pixels(cam.pixel_grid(), samples_per_axis)
+        result = self.trace_pixels(cam.pixel_grid())
         fb = Framebuffer(cam.width, cam.height)
         fb.scatter(result.pixel_ids, result.colors)
         return fb, result

@@ -98,26 +98,13 @@ def shade_local(
 
         fire = lit & ~reuse
         # POV fires a shadow ray whenever the surface faces the light (and,
-        # with shadow coherence, the cache cannot answer).  Soft (area)
-        # lights fire one ray per emitter sample and average.
+        # with shadow coherence, the cache cannot answer).
         atten = np.zeros(k, dtype=np.float64)
         if np.any(fire):
             origins_f = shadow_origins[fire]
-            if light.is_soft:
-                acc = np.zeros(origins_f.shape[0], dtype=np.float64)
-                targets = light.sample_positions()
-                for target in targets:
-                    s_dirs, s_dists = light.shadow_rays_to(origins_f, target)
-                    if shadow_hook is not None:
-                        shadow_hook(origins_f, s_dirs, s_dists, fire)
-                    acc += intersector.shadow_attenuation(origins_f, s_dirs, s_dists)
-                atten[fire] = acc / len(targets)
-            else:
-                if shadow_hook is not None:
-                    shadow_hook(origins_f, l_dirs[fire], l_dists[fire], fire)
-                atten[fire] = intersector.shadow_attenuation(
-                    origins_f, l_dirs[fire], l_dists[fire]
-                )
+            if shadow_hook is not None:
+                shadow_hook(origins_f, l_dirs[fire], l_dists[fire], fire)
+            atten[fire] = intersector.shadow_attenuation(origins_f, l_dirs[fire], l_dists[fire])
         if cached is not None:
             # Reused rows: the geometry (and therefore the lit mask) is
             # provably unchanged, so the cached attenuation applies exactly

@@ -1,4 +1,4 @@
-"""Math substrate: batched vectors, AABBs, affine transforms and noise."""
+"""Math substrate: batched vectors, AABBs and affine transforms."""
 
 from .vec import (
     EPS,
@@ -20,7 +20,6 @@ from .vec import (
 )
 from .aabb import AABB, ray_aabb_intersect, union
 from .transform import Transform
-from .noise import fbm, turbulence, value_noise
 
 __all__ = [
     "EPS",
@@ -30,7 +29,6 @@ __all__ = [
     "clamp01",
     "cross",
     "dot",
-    "fbm",
     "lerp",
     "norm",
     "norm_sq",
@@ -41,9 +39,7 @@ __all__ = [
     "reflect",
     "refract",
     "reject",
-    "turbulence",
     "union",
-    "value_noise",
     "vec3",
     "vec3s",
 ]

@@ -223,8 +223,8 @@ _SEGMENT_CACHE_LOCK = threading.Lock()
 _SEGMENT_CACHE_MAX = 16
 
 
-def _segment_cache_key(spec, box, grid_resolution, samples, shadow, frame) -> tuple:
-    return (_spec_key(spec), box, int(grid_resolution), int(samples), bool(shadow), int(frame))
+def _segment_cache_key(spec, box, grid_resolution, shadow, frame) -> tuple:
+    return (_spec_key(spec), box, int(grid_resolution), bool(shadow), int(frame))
 
 
 def _reset_caches_after_fork() -> None:
@@ -264,8 +264,7 @@ def _render_segment_task(args, emit_tile=None):
     into the unit's ``(n, h, w, 3)`` output buffer, which rides home in the
     result.  So does one counts row per frame (see :data:`ROW`).
     """
-    (spec, box, f0, f1, horizon, fresh, label, grid, samples, shadow,
-     tel_ctx, profile_dir) = args
+    (spec, box, f0, f1, horizon, fresh, label, grid, shadow, tel_ctx, profile_dir) = args
     anim = _get_anim(spec)
     cam = anim.camera_at(0)
     region = None if box is None else PixelRegion(*box, width=cam.width).pixels
@@ -280,7 +279,7 @@ def _render_segment_task(args, emit_tile=None):
     if not fresh:
         with _SEGMENT_CACHE_LOCK:
             renderer = _SEGMENT_CACHE.pop(
-                _segment_cache_key(spec, box, grid[0], samples, shadow, f0), None
+                _segment_cache_key(spec, box, grid[0], shadow, f0), None
             )
     with profile_into(_worker_profile_path(profile_dir)):
         with tel.span(
@@ -299,7 +298,6 @@ def _render_segment_task(args, emit_tile=None):
                     anim,
                     region=region,
                     grid=_get_grid(spec, grid),
-                    samples_per_axis=samples,
                     first_frame=f0,
                     last_frame=horizon,
                     telemetry=tel,
@@ -326,7 +324,7 @@ def _render_segment_task(args, emit_tile=None):
             sp.attrs["n_computed"] = int(counts[:, COMPUTED].sum())
     if f1 < horizon:
         with _SEGMENT_CACHE_LOCK:
-            key = _segment_cache_key(spec, box, grid[0], samples, shadow, f1)
+            key = _segment_cache_key(spec, box, grid[0], shadow, f1)
             _SEGMENT_CACHE[key] = renderer
             while len(_SEGMENT_CACHE) > _SEGMENT_CACHE_MAX:
                 del _SEGMENT_CACHE[next(iter(_SEGMENT_CACHE))]
@@ -339,10 +337,21 @@ _MANIFEST_NAME = "manifest.json"
 # Format 5 spools one ``(region_index, frame0, frame1, frames, counts,
 # events)`` tuple per unit of the fixed unit list, named by the unit's
 # index in that list; ``frames`` is the unit's box, ``(n, h, w, 3)``, and
-# ``counts`` its ``(n, ROW)`` per-frame rows.  A directory whose manifest
-# differs only by an older format number is treated as an empty spool and
-# re-rendered.
-_SPOOL_FORMAT = 5
+# ``counts`` its ``(n, ROW)`` per-frame rows.  Format 6 dropped the
+# manifest's sample count.  A directory whose manifest is an older format's
+# for the same render (see :func:`_older_manifest`) is treated as an empty
+# spool and re-rendered.
+_SPOOL_FORMAT = 6
+
+
+def _older_manifest(existing, manifest: dict) -> bool:
+    """``existing`` is an older format's manifest of the render ``manifest``
+    describes.  Formats up to 5 recorded ``samples_per_axis``; only a
+    one-sample spool is this render."""
+    if not isinstance(existing, dict) or existing.get("format") not in range(_SPOOL_FORMAT):
+        return False
+    old = {**existing, "format": _SPOOL_FORMAT}
+    return old.pop("samples_per_axis", 1) == 1 and old == manifest
 
 
 def _spool_path(run_dir: Path, idx: int) -> Path:
@@ -642,7 +651,6 @@ class LocalRenderFarm:
             "width": int(self._cam.width),
             "height": int(self._cam.height),
             "grid_resolution": int(self.options.grid_resolution),
-            "samples_per_axis": int(self.options.samples_per_axis),
             "n_tasks": int(n_tasks),
         }
 
@@ -661,12 +669,7 @@ class LocalRenderFarm:
         existing = json.loads(manifest_path.read_text()) if manifest_path.exists() else None
         if existing != manifest:
             if existing is not None:
-                older = (
-                    isinstance(existing, dict)
-                    and existing.get("format") in range(_SPOOL_FORMAT)
-                    and {**existing, "format": _SPOOL_FORMAT} == manifest
-                )
-                if not older:
+                if not _older_manifest(existing, manifest):
                     raise ValueError(
                         f"run directory {run_path} belongs to a different render "
                         "(manifest mismatch); refusing to mix checkpoints"
@@ -746,7 +749,7 @@ class LocalRenderFarm:
         # The grid is a function of every frame: swept once, here, and shipped
         # as (resolution, lo, hi).  An in-process lane finds this very object
         # in the cache; a forked or remote worker builds its own from the bounds.
-        res, samples = int(opts.grid_resolution), opts.samples_per_axis
+        res = int(opts.grid_resolution)
         sweep = lambda: grid_for_animation(self._anim, res)  # noqa: E731
         swept = _cached((*_spec_key(spec), res), sweep) if self._in_process else sweep()
         lo, hi = swept.bounds.lo, swept.bounds.hi
@@ -781,7 +784,7 @@ class LocalRenderFarm:
         def materialize(a, lane):
             horizon = shot_end[a.frame0] if continued else int(a.frame1)
             return (spec_arg, box_of(a.region_index), int(a.frame0), int(a.frame1), horizon,
-                    bool(a.fresh), label, grid, samples, opts.shadow_coherence,
+                    bool(a.fresh), label, grid, opts.shadow_coherence,
                     ctx_of(a, lane), prof)
 
         if opts.transport == "tcp":
@@ -977,9 +980,7 @@ class LocalRenderFarm:
     def render_reference(self) -> FarmResult:
         """A full :class:`~repro.render.RayTracer` render of every frame: the
         ground truth, independent of coherence, scheduling and compositing."""
-        samples = self.options.samples_per_axis
-        renders = [RayTracer(self._anim.scene_at(f)).render(samples_per_axis=samples)
-                   for f in range(self._anim.n_frames)]
+        renders = [RayTracer(self._anim.scene_at(f)).render() for f in range(self._anim.n_frames)]
         return FarmResult(
             frames=np.stack([fb.as_image() for fb, _res in renders]),
             stats=RayStats.merge(res.stats for _fb, res in renders),

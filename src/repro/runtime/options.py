@@ -201,11 +201,11 @@ class FarmOptions:
     block_w, block_h:
         Frame-division block size (defaults to a 4x3 tiling like the paper's
         80x80-of-320x240).
-    grid_resolution, samples_per_axis:
-        Voxel grid resolution of the coherence map; N x N samples per pixel.
+    grid_resolution:
+        Voxel grid resolution of the coherence map.
     shadow_coherence:
         Render with the :class:`~repro.coherence.ShadowCoherentRenderer`,
-        which also reuses primary shadow rays (needs ``samples_per_axis=1``).
+        which also reuses primary shadow rays.
     frames_per_chunk:
         Frames per unit of the ``hybrid`` list (default: half the animation).
     max_attempts, task_timeout:
@@ -251,7 +251,6 @@ class FarmOptions:
     block_w: int | None = None
     block_h: int | None = None
     grid_resolution: int = 24
-    samples_per_axis: int = 1
     shadow_coherence: bool = False
     frames_per_chunk: int | None = None
     max_attempts: int = 3
@@ -278,8 +277,6 @@ class FarmOptions:
             raise ValueError(f"tile_px must be None or >= 1, got {self.tile_px}")
         if self.n_workers is not None and int(self.n_workers) < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.shadow_coherence and self.samples_per_axis != 1:
-            raise ValueError("shadow coherence requires samples_per_axis == 1")
 
     @classmethod
     def project(cls, source) -> dict:

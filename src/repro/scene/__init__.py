@@ -1,18 +1,14 @@
-"""Scene layer: camera, scene container, animation and the scene language."""
+"""Scene layer: camera, scene container and animation."""
 
 from .animation import Animation, FunctionAnimation, StaticAnimation, split_coherent_sequences
 from .camera import Camera
 from .scene import Scene
-from .sdl import SceneParseError, load_scene, parse_scene
 
 __all__ = [
     "Animation",
     "Camera",
     "FunctionAnimation",
     "Scene",
-    "SceneParseError",
     "StaticAnimation",
-    "load_scene",
-    "parse_scene",
     "split_coherent_sequences",
 ]

@@ -85,21 +85,13 @@ class Camera:
         """All flat pixel indices, row-major."""
         return np.arange(self.n_pixels, dtype=np.int64)
 
-    def rays_for_pixels(self, pixel_ids: np.ndarray, jitter: np.ndarray | None = None) -> RayBatch:
-        """Camera rays through the centers of the given flat pixel indices.
-
-        ``jitter``, when given, is an ``(N, 2)`` array of sub-pixel offsets in
-        ``[-0.5, 0.5)`` used by the supersampler.
-        """
+    def rays_for_pixels(self, pixel_ids: np.ndarray) -> RayBatch:
+        """Camera rays through the centers of the given flat pixel indices."""
         pixel_ids = np.asarray(pixel_ids, dtype=np.int64).ravel()
         if pixel_ids.size and (pixel_ids.min() < 0 or pixel_ids.max() >= self.n_pixels):
             raise ValueError("pixel index out of range")
         px = (pixel_ids % self.width).astype(np.float64) + 0.5
         py = (pixel_ids // self.width).astype(np.float64) + 0.5
-        if jitter is not None:
-            jitter = np.asarray(jitter, dtype=np.float64)
-            px = px + jitter[:, 0]
-            py = py + jitter[:, 1]
         # NDC in [-1, 1], y flipped so +v is up in the image.
         sx = (px / self.width) * 2.0 - 1.0
         sy = 1.0 - (py / self.height) * 2.0

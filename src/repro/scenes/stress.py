@@ -3,7 +3,7 @@
 The paper's future work calls for "experimentation with large, complex
 animations that can more fully benefit from the frame coherence
 techniques"; these scenes provide that — a field of many spheres with a
-few movers (exercising bounds culling and tight dirty sets), and a
+few movers (exercising the batch skip and tight dirty sets), and a
 multi-shot animation whose camera cuts force the coherent-sequence
 segmentation machinery.
 """

@@ -65,7 +65,6 @@ SPEC_FIELDS = (
     "width",
     "height",
     "grid_resolution",
-    "samples_per_axis",
     "mode",
     "n_workers",
     "executor",

@@ -206,8 +206,8 @@ class ShardWorker:
 
         The opaque mask and the per-transmissive-occluder masks come from
         the ``t``-only pass the serial ``shadow_attenuation`` runs, over
-        every owned object: its live/cull skips are value-neutral (a skipped
-        ray is either already fully dark or provably unhittable).
+        every owned object: its batch skip is value-neutral (a skipped
+        object is provably unhittable).
         """
         n = payload["origins"].shape[0]
         self.n_rays_served += n
@@ -331,13 +331,7 @@ def _shadow_plan(scene, points: np.ndarray, normals: np.ndarray) -> list[_Shadow
         fire = lit  # no shadow cache in shard mode
         if not np.any(fire):
             continue
-        origins_f = shadow_origins[fire]
-        if light.is_soft:
-            for target in light.sample_positions():
-                s_dirs, s_dists = light.shadow_rays_to(origins_f, target)
-                calls.append(_ShadowCall(origins_f, s_dirs, s_dists, fire))
-        else:
-            calls.append(_ShadowCall(origins_f, l_dirs[fire], l_dists[fire], fire))
+        calls.append(_ShadowCall(shadow_origins[fire], l_dirs[fire], l_dists[fire], fire))
     return calls
 
 
@@ -469,7 +463,6 @@ def sharded_trace(
     smap: ShardMap,
     pixel_ids: np.ndarray,
     *,
-    samples_per_axis: int = 1,
     chunk_size: int = 32768,
     shard_stats: ShardTraceStats | None = None,
 ):
@@ -485,7 +478,7 @@ def sharded_trace(
         raise ValueError("chunk_size must be positive")
     sstats = shard_stats if shard_stats is not None else ShardTraceStats(smap.n_shards)
     backend = _ShardBackend(scene, smap, sstats)
-    result = yield from trace(scene, backend, pixel_ids, samples_per_axis, chunk_size)
+    result = yield from trace(scene, backend, pixel_ids, chunk_size)
     result.n_intersection_tests = backend.n_tests
     return result
 
@@ -535,7 +528,6 @@ def render_frame_sharded(
     scene,
     shards: int | ShardMap = 4,
     *,
-    samples_per_axis: int = 1,
     chunk_size: int = 32768,
     farm: LocalShardFarm | None = None,
 ):
@@ -552,7 +544,6 @@ def render_frame_sharded(
         scene,
         smap,
         scene.camera.pixel_grid(),
-        samples_per_axis=samples_per_axis,
         chunk_size=chunk_size,
         shard_stats=sstats,
     )

@@ -55,8 +55,6 @@ class ShardSession:
         Frames to render (``[0, n_frames)``).
     shards:
         Shard count K; must equal the policy's ``n_shards``.
-    samples_per_axis:
-        Forwarded to :func:`~repro.shard.engine.sharded_trace`.
     """
 
     def __init__(
@@ -65,14 +63,11 @@ class ShardSession:
         animation,
         n_frames: int,
         shards: int,
-        *,
-        samples_per_axis: int = 1,
     ) -> None:
         self.spec_payload = {"factory": spec.factory, "kwargs": dict(spec.kwargs)}
         self.animation = animation
         self.n_frames = int(n_frames)
         self.k = int(shards)
-        self.samples_per_axis = int(samples_per_axis)
         #: Completed frames, in order: one Framebuffer per frame.
         self.frames: list[Framebuffer] = []
         self.results: list = []  # TraceResult per frame
@@ -183,7 +178,6 @@ class ShardSession:
             scene,
             smap,
             scene.camera.pixel_grid(),
-            samples_per_axis=self.samples_per_axis,
             shard_stats=sstats,
         )
 
@@ -303,7 +297,6 @@ def render_sharded_tcp(
     frames: int | None = None,
     shards: int = 4,
     n_workers: int = 2,
-    samples_per_axis: int = 1,
     fault_plan=None,
     telemetry=None,
     blackbox_dir=None,
@@ -333,13 +326,7 @@ def render_sharded_tcp(
     k = partition_scene(anim.scene_at(0), shards).n_shards  # clamped to n_objects
     policy = ObjectSpacePolicy(k, n_frames)
     policy.allow_multi = True  # one TCP lane may own many shards
-    session = ShardSession(
-        spec,
-        anim,
-        n_frames,
-        k,
-        samples_per_axis=samples_per_axis,
-    )
+    session = ShardSession(spec, anim, n_frames, k)
     transport = TcpTransport(
         policy,
         "shard.query",  # never dispatched: the session replaces ASSIGN

@@ -103,14 +103,15 @@ def test_resolution_mismatch_rejected(anim, tmp_path):
 
 
 def test_bad_version_rejected(anim, tmp_path):
-    """An unknown version, and version 1 (the sorted-key map layout), are
-    refused before any field is read."""
+    """An unknown version, version 1 (the sorted-key map layout) and version
+    2 (which may hold a supersampled framebuffer) are refused before any
+    field is read."""
     r = CoherentRenderer(anim, grid_resolution=16)
     r.render_next()
     path = tmp_path / "v.npz"
     save_checkpoint(r, path)
     data = dict(np.load(path))
-    for version in (99, 1):
+    for version in (99, 1, 2):
         data["version"] = np.int64(version)
         np.savez_compressed(path, **data)
         with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):

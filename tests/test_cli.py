@@ -3,30 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.imageio import read_targa
-
-MINI_SCENE = """
-camera { location <0,1,-4> look_at <0,0.5,0> width 32 height 24 }
-light_source { <3,5,-3>, rgb <1,1,1> }
-plane { <0,1,0>, 0 texture { pigment { checker rgb <1,1,1> rgb <0,0,0> } } }
-sphere { <0,0.6,0>, 0.6 texture { finish { reflection 0.4 } } }
-"""
 
 
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
-
-
-def test_render_command(tmp_path, capsys):
-    scene = tmp_path / "s.sdl"
-    scene.write_text(MINI_SCENE)
-    out = tmp_path / "out.tga"
-    rc = main(["render", str(scene), "-o", str(out)])
-    assert rc == 0
-    img = read_targa(out)
-    assert img.shape == (24, 32, 3)
-    assert "parsed 2 objects" in capsys.readouterr().out
 
 
 def test_animate_command(tmp_path, capsys):

@@ -133,13 +133,6 @@ def test_validate_sequence_moving_ball(moving_ball_animation):
     assert rep.mean_overprediction() >= 1.0
 
 
-def test_validate_sequence_supersampled(moving_ball_animation):
-    """Exactness must hold under supersampling too."""
-    rep = validate_sequence(moving_ball_animation, grid_resolution=12, samples_per_axis=2)
-    assert rep.all_exact
-    assert rep.all_conservative
-
-
 def test_computed_fraction(moving_ball_animation):
     r = CoherentRenderer(moving_ball_animation, grid_resolution=12)
     rep0 = r.render_next()

@@ -124,9 +124,9 @@ def test_random_worlds_shadow_coherence_exact(anim):
         np.testing.assert_array_equal(renderer.frame_image(), full.as_image())
 
 
-@given(anim=world(), k=st.sampled_from([1, 2, 3, 5]), samples=st.sampled_from([1, 2]))
+@given(anim=world(), k=st.sampled_from([1, 2, 3, 5]))
 @settings(max_examples=12, deadline=None)
-def test_random_worlds_every_driver_of_the_kernel_agrees(anim, k, samples):
+def test_random_worlds_every_driver_of_the_kernel_agrees(anim, k):
     """Full re-render == coherent == shadow-coherent == sharded composite:
     pixels on every frame, and for the sharded trace (which, like the full
     render, traces every pixel) ray counts by kind and per pixel too."""
@@ -134,18 +134,16 @@ def test_random_worlds_every_driver_of_the_kernel_agrees(anim, k, samples):
     from repro.render import RayTracer
     from repro.shard import render_frame_sharded
 
-    coherent = CoherentRenderer(anim, grid_resolution=12, samples_per_axis=samples)
-    # The shadow cache is per pixel, not per sample: no supersampled variant.
-    shadow = ShadowCoherentRenderer(anim, grid_resolution=12) if samples == 1 else None
+    coherent = CoherentRenderer(anim, grid_resolution=12)
+    shadow = ShadowCoherentRenderer(anim, grid_resolution=12)
     for f in range(anim.n_frames):
         scene = anim.scene_at(f)
-        full, result = RayTracer(scene).render(samples_per_axis=samples)
+        full, result = RayTracer(scene).render()
         coherent.render_next()
         np.testing.assert_array_equal(coherent.frame_image(), full.as_image())
-        if shadow is not None:
-            shadow.render_next()
-            np.testing.assert_array_equal(shadow.frame_image(), full.as_image())
-        fb, sres, _ = render_frame_sharded(scene, shards=k, samples_per_axis=samples)
+        shadow.render_next()
+        np.testing.assert_array_equal(shadow.frame_image(), full.as_image())
+        fb, sres, _ = render_frame_sharded(scene, shards=k)
         np.testing.assert_array_equal(fb.data, full.data)
         np.testing.assert_array_equal(sres.stats.counts, result.stats.counts)
         np.testing.assert_array_equal(sres.rays_per_pixel, result.rays_per_pixel)

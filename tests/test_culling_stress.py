@@ -1,9 +1,9 @@
-"""Tests for bounds culling, the batch skip and the stress workloads."""
+"""Tests for the batch skip and the stress workloads."""
 
 import numpy as np
 import pytest
 
-from repro.geometry import Box, Plane, RayBatch, Sphere, TriangleMesh
+from repro.geometry import Box, Cylinder, Plane, RayBatch, Sphere
 from repro.parallel.partition import PixelRegion
 from repro.render import RayTracer, SceneIntersector
 from repro.rmath import normalize
@@ -13,13 +13,6 @@ from repro.scenes import (
     random_spheres_scene,
     two_shot_animation,
 )
-
-
-def _mesh_at(center, radius=0.5):
-    ring = np.array([[np.cos(a), np.sin(a), 0.0] for a in np.linspace(0, 2 * np.pi, 13)[:-1]])
-    vertices = np.vstack([[0, 0, 1.0], [0, 0, -1.0], ring]) * radius + np.asarray(center)
-    faces = np.array([[0, 2 + i, 2 + (i + 1) % 12] for i in range(12)])
-    return TriangleMesh(vertices, faces)
 
 
 def _batch(n=500, seed=0):
@@ -34,18 +27,26 @@ def _batch(n=500, seed=0):
 def mixed_objects():
     rng = np.random.default_rng(5)
     objs = [Plane.from_normal((0, 1, 0), -7.0)]
-    objs += [_mesh_at(rng.uniform(-5, 5, 3)) for _ in range(6)]
+    for _ in range(6):
+        c = rng.uniform(-5, 5, 3)
+        objs.append(Box.from_corners(c - 0.5, c + rng.uniform(0.2, 0.8, 3)))
     objs += [Sphere.at(rng.uniform(-5, 5, 3), 0.4) for _ in range(6)]
+    objs += [
+        Cylinder.from_endpoints(p, p + rng.normal(size=3), 0.3)
+        for p in rng.uniform(-5, 5, (3, 3))
+    ]
     return objs
 
 
 def test_culling_matches_flat_nearest(mixed_objects):
+    """The batch skip (default) against no bounds test, bit for bit."""
     batch = _batch()
-    culled = SceneIntersector(mixed_objects, cull_bounds=True).nearest(batch)
+    culled = SceneIntersector(mixed_objects).nearest(batch)
     flat = SceneIntersector(mixed_objects, cull_bounds=False).nearest(batch)
+    assert culled.hit.any() and len(set(culled.obj_index.tolist())) > 4
     np.testing.assert_array_equal(culled.t, flat.t)
     np.testing.assert_array_equal(culled.obj_index, flat.obj_index)
-    np.testing.assert_allclose(culled.normals, flat.normals)
+    np.testing.assert_array_equal(culled.normals, flat.normals)
 
 
 def test_culling_matches_flat_shadow(mixed_objects):
@@ -58,26 +59,10 @@ def test_culling_matches_flat_shadow(mixed_objects):
     origins = rng.uniform(-5, 5, (300, 3))
     dirs = normalize(rng.uniform(-1, 1, (300, 3)) + 1e-3)
     dists = rng.uniform(2, 15, 300)
-    a = SceneIntersector(mixed_objects, cull_bounds=True).shadow_attenuation(origins, dirs, dists)
+    a = SceneIntersector(mixed_objects).shadow_attenuation(origins, dirs, dists)
     b = SceneIntersector(mixed_objects, cull_bounds=False).shadow_attenuation(origins, dirs, dists)
-    np.testing.assert_allclose(a, b)
-
-
-def test_auto_mode_culls_only_expensive(mixed_objects):
-    inter = SceneIntersector(mixed_objects)
-    flags = dict(zip((type(o).__name__ for o in mixed_objects), inter._cull))
-    # Meshes get culled; spheres and the (infinite) plane never do.
-    assert any(
-        c for o, c in zip(mixed_objects, inter._cull) if isinstance(o, TriangleMesh)
-    )
-    assert not any(
-        c for o, c in zip(mixed_objects, inter._cull) if isinstance(o, (Sphere, Plane))
-    )
-
-
-def test_cost_hints():
-    assert Sphere.at((0, 0, 0), 1.0).intersect_cost_hint == 1.0
-    assert _mesh_at((0, 0, 0)).intersect_cost_hint == 6.0  # 12 faces / 2
+    assert 0.0 < a.mean() < 1.0
+    np.testing.assert_array_equal(a, b)
 
 
 # -- stress scenes -----------------------------------------------------------------

@@ -91,14 +91,6 @@ def test_pixel_out_of_range():
         cam.rays_for_pixels(np.array([-1]))
 
 
-def test_jitter_moves_rays():
-    cam = _cam()
-    pid = np.array([600])
-    a = cam.rays_for_pixels(pid)
-    b = cam.rays_for_pixels(pid, jitter=np.array([[0.4, -0.4]]))
-    assert not np.allclose(a.dirs, b.dirs)
-
-
 def test_camera_validation():
     with pytest.raises(ValueError):
         _cam(width=0)

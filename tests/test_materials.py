@@ -6,16 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.materials import (
-    Agate,
-    Brick,
-    Checker,
-    Finish,
-    Gradient,
-    Marble,
-    Material,
-    SolidColor,
-)
+from repro.materials import Brick, Checker, Finish, Material, SolidColor
 from repro.rmath import Transform
 
 points = arrays(
@@ -128,41 +119,6 @@ def test_brick_only_two_colors(p):
     t = Brick(brick_color=(1, 0, 0), mortar_color=(0, 0, 1))
     for row in t.color_at(p):
         assert tuple(row) in {(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)}
-
-
-# -- Marble / Agate / Gradient -------------------------------------------------------
-@given(points)
-@settings(max_examples=30)
-def test_marble_in_color_hull(p):
-    t = Marble((1, 1, 1), (0, 0, 0))
-    c = t.color_at(p)
-    assert np.all(c >= -1e-9) and np.all(c <= 1 + 1e-9)
-
-
-def test_marble_deterministic():
-    t = Marble()
-    p = np.random.default_rng(1).uniform(-3, 3, (20, 3))
-    np.testing.assert_array_equal(t.color_at(p), t.color_at(p))
-
-
-@given(points)
-@settings(max_examples=30)
-def test_agate_in_color_hull(p):
-    t = Agate((1, 0.5, 0.25), (0, 0, 0))
-    c = t.color_at(p)
-    assert np.all(c >= -1e-9) and np.all(c <= 1 + 1e-9)
-
-
-def test_gradient_endpoints():
-    t = Gradient((1, 0, 0), (0, 0, 0), (1, 1, 1))
-    c = t.color_at(np.array([[0.0, 0, 0], [0.5, 0, 0]]))
-    np.testing.assert_allclose(c[0], [0, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(c[1], [0.5, 0.5, 0.5], atol=1e-12)
-
-
-def test_gradient_zero_axis_rejected():
-    with pytest.raises(ValueError):
-        Gradient((0, 0, 0), (0, 0, 0), (1, 1, 1))
 
 
 # -- pattern transforms ------------------------------------------------------------

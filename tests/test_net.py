@@ -429,7 +429,7 @@ def test_badly_typed_field_is_a_clean_loss(
         policy,
         "render_segment",
         lambda a, lane: (spec_wire, None, a.frame0, a.frame1, 4, a.fresh, "sequence", tcp_grid,
-                         1, False, False, None),
+                         False, False, None),
         validate=LocalRenderFarm(tcp_spec, transport="tcp", grid_resolution=12)._validator(asm),
         assembler=asm,
         recovery=PATIENT,
@@ -759,7 +759,7 @@ def test_result_carrying_pixels_is_an_invalid_loss_on_a_tiling_master(
         policy,
         "render_segment",
         lambda a, lane: (spec_wire, None, a.frame0, a.frame1, 4, a.fresh, "sequence", tcp_grid,
-                         1, False, False, None),
+                         False, False, None),
         validate=farm._validator(asm),
         assembler=asm,
         recovery=PATIENT,
@@ -852,7 +852,7 @@ def _tile_master(layout, tcp_spec, tcp_grid, asm, tel):
         policy,
         "render_segment",
         lambda a, lane: (spec_wire, box_of(a), a.frame0, a.frame1, 4, a.fresh, layout,
-                         tcp_grid, 1, False, False, None),
+                         tcp_grid, False, False, None),
         validate=LocalRenderFarm(tcp_spec, transport="tcp", grid_resolution=12)._validator(asm),
         assembler=asm,
         tile_px=_TILE_PX,
@@ -956,7 +956,7 @@ def test_worker_lost_mid_stream_after_hold_records(tcp_grid):
         policy,
         "render_segment",
         lambda a, lane: (spec_wire, None, a.frame0, a.frame1, 4, a.fresh, "sequence", tcp_grid,
-                         1, False, False, None),
+                         False, False, None),
         validate=LocalRenderFarm(spec, transport="tcp", grid_resolution=12)._validator(asm),
         assembler=asm,
         tile_px=_TILE_PX,

@@ -79,15 +79,6 @@ def test_pipeline_on_tile_synthesized_whole_frame():
     assert all(t.frame_complete and t.pixels.shape == (24, 32, 3) for t in tiles)
 
 
-def test_pipeline_supersampling():
-    anim = newton_animation(n_frames=2, width=32, height=24)
-    result = run(anim, grid_resolution=12, samples_per_axis=2)
-    full, _ = RayTracer(anim.scene_at(1)).render(samples_per_axis=2)
-    np.testing.assert_array_equal(result.frames[1], full.as_image())
-    with pytest.raises(ValueError):
-        run(anim, shadow_coherence=True, samples_per_axis=2)
-
-
 def test_render_animation_shim_removed():
     """The deprecated entry point's removal timeline has elapsed, and the
     pipeline module that held it is gone with its engine."""

@@ -5,17 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import (
-    MISS,
-    Box,
-    Cylinder,
-    Disc,
-    Plane,
-    Sphere,
-    Triangle,
-    TriangleMesh,
-    solve_quadratic,
-)
+from repro.geometry import MISS, Box, Cylinder, Plane, Sphere, solve_quadratic
 from repro.rmath import Transform, normalize
 
 unit_dir = st.tuples(
@@ -249,72 +239,6 @@ def test_box_rotated():
     # Head-on along z now hits a rotated face at sqrt(2) from origin.
     t, _ = _one_ray(b, (0, 0, -5), (0, 0, 1))
     assert t == pytest.approx(5 - np.sqrt(2), rel=1e-6)
-
-
-# -- disc ------------------------------------------------------------------------
-def test_disc_hit_and_miss_radius():
-    d = Disc.at((0, 1, 0), (0, 1, 0), 1.0)
-    t, n = _one_ray(d, (0.5, 3, 0), (0, -1, 0))
-    assert t == pytest.approx(2.0)
-    np.testing.assert_allclose(np.abs(n), [0, 1, 0], atol=1e-9)
-    t2, _ = _one_ray(d, (1.5, 3, 0), (0, -1, 0))
-    assert t2 == MISS
-
-
-def test_disc_annulus_hole():
-    d = Disc.at((0, 0, 0), (0, 1, 0), 2.0, inner_radius=1.0)
-    t_hole, _ = _one_ray(d, (0.5, 3, 0), (0, -1, 0))
-    assert t_hole == MISS
-    t_ring, _ = _one_ray(d, (1.5, 3, 0), (0, -1, 0))
-    assert np.isfinite(t_ring)
-
-
-def test_disc_validation():
-    with pytest.raises(ValueError):
-        Disc.at((0, 0, 0), (0, 1, 0), -1.0)
-    with pytest.raises(ValueError):
-        Disc.at((0, 0, 0), (0, 1, 0), 1.0, inner_radius=1.5)
-
-
-# -- triangle / mesh ----------------------------------------------------------------
-def test_triangle_hit():
-    tr = Triangle((0, 0, 0), (1, 0, 0), (0, 1, 0))
-    t, n = _one_ray(tr, (0.25, 0.25, -3), (0, 0, 1))
-    assert t == pytest.approx(3.0)
-    np.testing.assert_allclose(np.abs(n), [0, 0, 1], atol=1e-12)
-
-
-def test_triangle_edge_and_outside():
-    tr = Triangle((0, 0, 0), (1, 0, 0), (0, 1, 0))
-    t_out, _ = _one_ray(tr, (0.9, 0.9, -3), (0, 0, 1))
-    assert t_out == MISS
-
-
-def test_mesh_nearest_face_wins():
-    # Two parallel triangles; ray must report the closer one.
-    vertices = np.array(
-        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 2], [1, 0, 2], [0, 1, 2]], dtype=float
-    )
-    faces = np.array([[0, 1, 2], [3, 4, 5]])
-    m = TriangleMesh(vertices, faces)
-    t, _ = _one_ray(m, (0.2, 0.2, -1), (0, 0, 1))
-    assert t == pytest.approx(1.0)
-
-
-def test_mesh_validation():
-    with pytest.raises(ValueError):
-        TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 3]]))  # index out of range
-    with pytest.raises(ValueError):
-        TriangleMesh(
-            np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float), np.array([[0, 1, 2]])
-        )  # degenerate (collinear) triangle
-
-
-def test_mesh_bounds():
-    tr = Triangle((0, 0, 0), (1, 0, 0), (0, 1, 0))
-    b = tr.bounds()
-    np.testing.assert_allclose(b.lo, [0, 0, 0])
-    np.testing.assert_allclose(b.hi, [1, 1, 0])
 
 
 # -- shared Primitive behaviour ------------------------------------------------------

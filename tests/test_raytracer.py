@@ -120,22 +120,6 @@ def test_trace_subset_matches_full(simple_scene):
     np.testing.assert_array_equal(sub.rays_per_pixel, full.rays_per_pixel[sel])
 
 
-def test_supersampling_reduces_to_center_for_flat_background():
-    scene = _scene([], lights=[])
-    fb1, res1 = RayTracer(scene).render(samples_per_axis=1)
-    fb2, res2 = RayTracer(scene).render(samples_per_axis=2)
-    np.testing.assert_allclose(fb1.data, fb2.data, atol=1e-12)
-    assert res2.stats.camera == 4 * res1.stats.camera
-
-
-def test_supersampling_smooths_edges(simple_scene):
-    fb1, _ = RayTracer(simple_scene).render(samples_per_axis=1)
-    fb3, _ = RayTracer(simple_scene).render(samples_per_axis=3)
-    assert not np.array_equal(fb1.data, fb3.data)
-    # Energy should be comparable (within a few percent).
-    assert fb3.data.mean() == pytest.approx(fb1.data.mean(), rel=0.1)
-
-
 def test_rays_per_pixel_accounting(simple_scene):
     tracer = RayTracer(simple_scene)
     res = tracer.trace_pixels(simple_scene.camera.pixel_grid())

@@ -459,6 +459,32 @@ def test_resume_with_torn_ledger_tail(tmp_path):
         resumed.stop()
 
 
+def test_replayed_supersampled_job_dead_letters_without_rendering(tmp_path):
+    """A ledger written while the farm still supersampled can hold a job
+    spec with ``samples_per_axis: 2``.  Replayed, that job fails visibly,
+    naming the field, and is never rendered at one sample."""
+    state = tmp_path / "svc"
+    state.mkdir()
+    with JobLedger(state / "ledger.wal") as led:
+        led.append("submit", job="j0001", spec={**SPEC, "samples_per_axis": 2},
+                   priority=0, owner="", max_attempts=2)
+        led.append("state", job="j0001", state="running", detail="attempt 1/2")
+    svc = make_service(state, resume=True, retry_base=0.0, retry_cap=0.0)
+    try:
+        assert svc.jobs["j0001"].state == "queued"
+        now = time.time()
+        while (job := svc.step(now=now)) is not None and job.state == "queued":
+            now += 1.0
+        assert job.state == "dead-letter"
+        assert "samples_per_axis" in job.detail
+        assert all("samples_per_axis" in a["error"] for a in job.attempts)
+    finally:
+        svc.stop()
+    jobs = fold_jobs(replay_records(state / "ledger.wal")[0])
+    assert jobs["j0001"].state == "dead-letter"
+    assert not list((state / "jobs").rglob("*.npz"))  # no frames, no spooled unit
+
+
 def test_running_jobs_tasks_done_counts_its_spool(tmp_path, monkeypatch):
     """While a job runs, its ``tasks_done`` is the number of unit files in
     its spool — read after every save, through the status snapshot."""

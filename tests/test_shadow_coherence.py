@@ -43,13 +43,6 @@ def test_tracer_rejects_mismatched_cache(simple_scene):
         RayTracer(simple_scene, shadow_cache=cache2)
 
 
-def test_tracer_rejects_supersampling_with_cache(simple_scene):
-    cache = ShadowCache(simple_scene.camera.n_pixels, len(simple_scene.lights))
-    tracer = RayTracer(simple_scene, shadow_cache=cache)
-    with pytest.raises(ValueError, match="samples_per_axis"):
-        tracer.trace_pixels(np.arange(4), samples_per_axis=2)
-
-
 # -- mark segregation -----------------------------------------------------------
 def test_marks_by_class_partition_total(simple_scene):
     tracer = RayTracer(simple_scene, track_paths=True)

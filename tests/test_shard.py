@@ -135,12 +135,6 @@ def test_sharded_stress_bit_identical(stress_scene_small, k):
     assert np.array_equal(serial.data, fb.data)
 
 
-def test_sharded_supersampling_bit_identical(newton_scene_small):
-    serial, _ = RayTracer(newton_scene_small).render(samples_per_axis=2)
-    fb, _, _ = render_frame_sharded(newton_scene_small, shards=3, samples_per_axis=2)
-    assert np.array_equal(serial.data, fb.data)
-
-
 def test_kernel_constant_reaches_the_sharded_trace(newton_scene_small, monkeypatch):
     """One kernel: a tracer constant changed in ``render.raytracer`` changes
     the serial and the sharded render alike (a second loop holding its own

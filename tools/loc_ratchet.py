@@ -17,8 +17,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-CEILING = 21644
-OPTION_CEILING = 96
+CEILING = 19944
+OPTION_CEILING = 94
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
