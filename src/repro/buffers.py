@@ -393,16 +393,16 @@ class FrameRef:
 class SharedFrameStore:
     """One run's family of shared-memory frame segments.
 
-    The master constructs it (minting the run token) and hands the token
-    to pool workers through the initializer; workers ``create`` segments
-    and render straight into them.  At run end the master calls
+    The master mints the run token (led by its pid, so a check can tell its
+    segments from another process's) and hands it to pool workers through
+    the initializer; workers ``create`` segments and render into them.  At run end the master calls
     :meth:`cleanup` to unlink anything a released ref didn't already —
     segments leaked by a crashed worker, or written by a hung one whose
     result never came home.
     """
 
     def __init__(self, token: str | None = None) -> None:
-        self.token = token or uuid.uuid4().hex[:12]
+        self.token = token or f"{os.getpid()}x{uuid.uuid4().hex[:8]}"
         self._lock = threading.Lock()
         self._seq = 0
 

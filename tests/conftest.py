@@ -162,7 +162,7 @@ def _listening_sockets() -> set:
 
 @pytest.fixture
 def no_leaks(monkeypatch):
-    """Fail a test that leaves behind a ``/dev/shm/reprobuf_*`` segment, a
+    """Fail a test that leaves behind a ``/dev/shm/reprobuf_*`` segment of its own, a
     live child process (given two seconds to exit), more ``default_pool()``
     buffers outstanding than it found, or a listening socket — the checks
     the perf ledger runs after every request, so that a dropped late
@@ -184,7 +184,8 @@ def no_leaks(monkeypatch):
     outstanding = default_pool().stats()["n_outstanding"]
     yield
     problems = []
-    segments = glob.glob(f"/dev/shm/{SEGMENT_PREFIX}_*")
+    # /dev/shm is machine-wide: only the segments of farms this process ran.
+    segments = glob.glob(f"/dev/shm/{SEGMENT_PREFIX}_{os.getpid()}x*")
     if segments:
         problems.append(f"shared-memory segments left: {segments[:3]}")
     deadline = time.monotonic() + 2.0
