@@ -3,18 +3,17 @@
 "Our future research goals include ... development of frame coherence
 algorithms with shadow generation."  The extension reuses cached
 primary-hit shadow attenuations for pixels that are dirty only through
-secondary (reflection/refraction) paths; see
-``repro.coherence.shadow_coherence``.
+secondary (reflection/refraction) paths; see ``repro.coherence.engine``.
 
-This bench runs the base and extended engines over the Newton sequence and
-reports shadow rays fired, total rays and the exactness guarantee.
+This bench runs the renderer with ``shadow_coherence`` off and on over the
+Newton sequence and reports shadow rays fired, total rays and the exactness guarantee.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.coherence import CoherentRenderer, ShadowCoherentRenderer
+from repro.coherence import CoherentRenderer
 from repro.render import RayTracer
 from repro.scenes import newton_animation
 
@@ -26,7 +25,7 @@ N_FRAMES, W, H = 12, 128, 96
 def _run():
     anim = newton_animation(n_frames=N_FRAMES, width=W, height=H)
     base = CoherentRenderer(anim, grid_resolution=32)
-    ext = ShadowCoherentRenderer(anim, grid_resolution=32)
+    ext = CoherentRenderer(anim, grid_resolution=32, shadow_coherence=True)
     base_shadow = ext_shadow = base_total = ext_total = 0
     exact = True
     for f in range(N_FRAMES):
@@ -39,7 +38,7 @@ def _run():
         if f in (0, N_FRAMES // 2, N_FRAMES - 1):
             full, _ = RayTracer(anim.scene_at(f)).render()
             exact &= bool(np.array_equal(ext.frame_image(), full.as_image()))
-    return base_shadow, ext_shadow, base_total, ext_total, ext.total_shadow_rays_saved, exact
+    return base_shadow, ext_shadow, base_total, ext_total, ext.shadow_cache.rays_saved, exact
 
 
 def test_shadow_coherence_extension(benchmark, results_dir):

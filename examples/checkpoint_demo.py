@@ -49,7 +49,7 @@ def main() -> None:
         save_checkpoint(first, ckpt)
         size_kb = ckpt.stat().st_size / 1024
         print(f"checkpointed after frame {half - 1}: {size_kb:.0f} KiB "
-              f"({first.pixel_map.n_entries:,} pixel-list marks)")
+              f"({first.primary.n_entries + first.secondary.n_entries:,} pixel-list marks)")
         del first
 
         resumed = load_checkpoint(anim, ckpt)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """The shadow-coherence extension (the paper's future work) in action.
 
-Renders the Newton sequence with the base coherent engine and with the
-shadow-coherent one, verifying both produce identical images while the
+Renders the Newton sequence with the coherent renderer's ``shadow_coherence``
+off and on, verifying both produce identical images while the
 extension fires fewer shadow rays: pixels on static chrome marbles that
 merely *reflect* the swinging end marble reuse their own cached shadow
 attenuations.
@@ -16,7 +16,7 @@ import argparse
 
 import numpy as np
 
-from repro.coherence import CoherentRenderer, ShadowCoherentRenderer
+from repro.coherence import CoherentRenderer
 from repro.scenes import newton_animation
 
 
@@ -30,7 +30,7 @@ def main() -> None:
 
     anim = newton_animation(n_frames=args.frames, width=args.width, height=args.height)
     base = CoherentRenderer(anim, grid_resolution=args.grid)
-    ext = ShadowCoherentRenderer(anim, grid_resolution=args.grid)
+    ext = CoherentRenderer(anim, grid_resolution=args.grid, shadow_coherence=True)
 
     print(f"{'frame':>5s} {'dirty px':>9s} {'reusable':>9s} {'shadow rays':>12s} {'saved':>7s} {'identical':>10s}")
     base_shadow = ext_shadow = 0
@@ -48,7 +48,7 @@ def main() -> None:
         if not same:
             raise SystemExit("images diverged — extension bug!")
 
-    saved = ext.total_shadow_rays_saved
+    saved = ext.shadow_cache.rays_saved
     print(
         f"\nshadow rays: {base_shadow:,} (base) -> {ext_shadow:,} (extension); "
         f"{saved:,} saved ({saved / base_shadow:.1%}), images bit-identical"

@@ -40,7 +40,7 @@ the real farm, and the Table-1 simulator)::
 """
 
 from .api import RenderRequest, RenderResult, render
-from .coherence import CoherentRenderer, ShadowCoherentRenderer, validate_sequence
+from .coherence import CoherentRenderer, validate_sequence
 from .geometry import Box, Cylinder, Plane, RayBatch, RayKind, Sphere
 from .lighting import PointLight
 from .materials import Brick, Checker, Finish, Material, SolidColor
@@ -60,7 +60,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AABB",
     "Animation",
-    "ShadowCoherentRenderer",
     "Box",
     "Brick",
     "Camera",

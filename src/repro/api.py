@@ -113,8 +113,7 @@ class RenderRequest(FarmOptions):
     machines: list | None = None  # default: cluster.ncsu_testbed()
     oracle: Any = None  # AnimationCostOracle, or a saved-oracle path
     sec_per_work_unit: float = 1e-4
-    failures: list[tuple[str, float]] | None = None
-    worker_timeout: float | None = None
+    failures: list[tuple[str, float]] | None = None  # -ft strategies; task_timeout is the deadline
 
     # telemetry
     telemetry: Any = False  # bool, or a ready-made Telemetry instance
@@ -407,7 +406,7 @@ def _run_simulate(req: RenderRequest, tel, label, spec, anim) -> RenderResult:
         machines,
         sec_per_work_unit=req.sec_per_work_unit,
         failures=req.failures,
-        worker_timeout=req.worker_timeout,
+        worker_timeout=req.task_timeout,
         telemetry=tel,
     )
     if req.on_frame is not None:

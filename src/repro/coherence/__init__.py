@@ -1,13 +1,14 @@
 """Frame coherence: the paper's core contribution.
 
 Voxel pixel-lists, inter-frame change detection, the incremental renderer
-and the exactness/conservativeness validator.
+(one class; the paper's shadow-coherence extension is its
+``shadow_coherence`` switch), checkpoints and the exactness/conservativeness
+validator.
 """
 
 from .change_detection import changed_voxels, objects_changed, scene_signature
 from .checkpoint import load_checkpoint, save_checkpoint
 from .engine import CoherentRenderer, FrameReport, grid_for_animation
-from .shadow_coherence import ShadowCoherentRenderer, ShadowFrameReport
 from .validate import FrameValidation, ValidationReport, diff_mask, validate_sequence
 from .voxel_pixel_map import VoxelPixelMap
 
@@ -15,8 +16,6 @@ __all__ = [
     "CoherentRenderer",
     "FrameReport",
     "FrameValidation",
-    "ShadowCoherentRenderer",
-    "ShadowFrameReport",
     "ValidationReport",
     "VoxelPixelMap",
     "changed_voxels",

@@ -2,9 +2,10 @@
 
 A long animation render on a farm should survive interruption without
 paying the full-frame chain restart the paper's adaptive subdivision pays:
-the coherence state (framebuffer + voxel pixel lists + position in the
-sequence) is exactly serializable.  Restoring a checkpoint continues the
-chain bit-exactly — verified by tests against an uninterrupted run.
+the coherence state (framebuffer + both voxel pixel lists + position in
+the sequence, plus the shadow cache when shadow coherence is on) is exactly
+serializable.  Restoring a checkpoint continues the chain bit-exactly —
+verified by tests against an uninterrupted run.
 
 The animation itself is *not* serialized (scenes hold closures); the
 caller re-supplies it, the same way the paper's PVM slaves re-parsed the
@@ -27,14 +28,20 @@ from .voxel_pixel_map import VoxelPixelMap
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
-#: 2: the pixel map as its per-pixel CSR state; 3: no sample count (one per pixel).
-_FORMAT_VERSION = 3
+_MAPS = ("primary", "secondary")
+
+#: 2: the pixel map as its per-pixel CSR state; 3: no sample count (one per
+#: pixel); 4: the primary and secondary maps, the shadow-coherence flag and,
+#: with it on, the shadow cache's attenuations.
+_FORMAT_VERSION = 4
 
 
 def save_checkpoint(renderer: CoherentRenderer, path: str | Path) -> None:
     """Serialize a renderer's sequence state to an ``.npz`` file, atomically:
     a save that fails part-way leaves the previous checkpoint in place."""
     prev_frame = renderer._next_frame - 1 if renderer._prev_scene is not None else -1
+    cache = renderer.shadow_cache
+    maps = {f"{m}_{k}": a for m in _MAPS for k, a in getattr(renderer, m).state().items()}
     arrays = dict(
         version=_FORMAT_VERSION,
         width=renderer.width,
@@ -45,7 +52,9 @@ def save_checkpoint(renderer: CoherentRenderer, path: str | Path) -> None:
         next_frame=renderer._next_frame,
         prev_frame=prev_frame,
         framebuffer=renderer.framebuffer.data,
-        **{f"map_{name}": array for name, array in renderer.pixel_map.state().items()},
+        **maps,
+        shadow_coherence=cache is not None,
+        **({"shadow_atten": cache.atten} if cache is not None else {}),
         grid_lo=renderer.grid.bounds.lo,
         grid_hi=renderer.grid.bounds.hi,
         grid_res=renderer.grid.res,
@@ -82,9 +91,14 @@ def load_checkpoint(
             chunk_size=chunk_size,
             first_frame=int(z["first_frame"]),
             last_frame=int(z["last_frame"]),
+            shadow_coherence=bool(z["shadow_coherence"]),
         )
         renderer.framebuffer.data[:] = z["framebuffer"]
-        renderer.pixel_map = VoxelPixelMap.from_state(grid.n_voxels, z["map_voxels"], z["map_counts"])
+        for m in _MAPS:
+            state = z[f"{m}_voxels"], z[f"{m}_counts"]
+            setattr(renderer, m, VoxelPixelMap.from_state(grid.n_voxels, *state))
+        if renderer.shadow_cache is not None:
+            renderer.shadow_cache.atten[:] = z["shadow_atten"]
         renderer._next_frame = int(z["next_frame"])
         prev_frame = int(z["prev_frame"])
         renderer._prev_scene = animation.scene_at(prev_frame) if prev_frame >= 0 else None

@@ -27,6 +27,14 @@ shot of a moving camera — runs no DDA at all.
 
 A ``region`` restricts the renderer to a pixel subset — this is how frame
 division workers own an 80x80 block while the algorithm stays unchanged.
+
+Marks live in two voxel->pixel maps: ``primary`` (camera and primary-shadow
+segments) and ``secondary`` (everything else); the recompute set is the
+union of both lookups.  With ``shadow_coherence`` (the paper's future work,
+frame coherence "in the generation of shadows") a dirty pixel only the
+secondary map found keeps its hit point, so its cached attenuation toward
+every light (:class:`~repro.render.ShadowCache`) is exact and its primary
+shadow rays are skipped; it keeps its primary marks too (DESIGN §5.2).
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..accel import UniformGrid
-from ..render import Framebuffer, RayStats, RayTracer
+from ..render import Framebuffer, RayStats, RayTracer, ShadowCache
 from ..rmath import AABB, union
 from ..scene import Animation
 from ..telemetry import NULL as NULL_TELEMETRY
@@ -45,6 +53,8 @@ from .change_detection import changed_voxels_once
 from .voxel_pixel_map import VoxelPixelMap
 
 __all__ = ["CoherentRenderer", "FrameReport", "grid_for_animation", "emit_frame_telemetry"]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def grid_for_animation(animation: Animation, resolution: int | tuple[int, int, int] = 16) -> UniformGrid:
@@ -73,6 +83,8 @@ class FrameReport:
     wall_time: float
     map_entries: int = 0
     n_intersection_tests: int = 0
+    n_shadow_reusable: int = 0
+    shadow_rays_saved: int = 0
 
     @property
     def computed_fraction(self) -> float:
@@ -133,6 +145,9 @@ class CoherentRenderer:
         emits the canonical ``frame`` event plus a ``coherence.frame``
         detail event (changed voxels, pixel-list entries, intersection
         tests).  Defaults to the shared disabled instance.
+    shadow_coherence:
+        Reuse cached primary shadow attenuation for shadow-reusable pixels
+        (see the module docstring).
     """
 
     def __init__(
@@ -145,6 +160,7 @@ class CoherentRenderer:
         first_frame: int = 0,
         last_frame: int | None = None,
         telemetry=None,
+        shadow_coherence: bool = False,
     ):
         self.animation = animation
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -166,7 +182,12 @@ class CoherentRenderer:
 
         # The sequence state (what a checkpoint saves and restores).
         self.framebuffer = Framebuffer(self.width, self.height)
-        self.pixel_map = VoxelPixelMap(self.grid.n_voxels, n_pixels)
+        self.primary = VoxelPixelMap(self.grid.n_voxels, n_pixels)
+        self.secondary = VoxelPixelMap(self.grid.n_voxels, n_pixels)
+        self.shadow_cache = None
+        if shadow_coherence:
+            n_lights = len(animation.scene_at(self.first_frame).lights)
+            self.shadow_cache = ShadowCache(n_pixels, n_lights)
         self.reports: list[FrameReport] = []
         self._prev_scene = None
         self._next_frame = self.first_frame
@@ -177,16 +198,26 @@ class CoherentRenderer:
         return self.last_frame - self._next_frame
 
     # -- the algorithm --------------------------------------------------------
-    def predict_dirty_pixels(self, prev_scene, curr_scene) -> tuple[np.ndarray, int]:
-        """Recompute set for the transition prev -> curr, within the region."""
+    def predict(self, prev_scene, curr_scene) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(dirty, shadow_reusable, n_changed_voxels)`` for prev -> curr,
+        within the region (``shadow_reusable`` is empty without
+        ``shadow_coherence``)."""
         vox = changed_voxels_once(self.grid, prev_scene, curr_scene, self.animation.n_frames)
+        if not vox.size:  # a held frame: nothing to look up
+            return _EMPTY, _EMPTY, 0
         if vox.size == self.grid.n_voxels:
             # Full invalidation (light/background edit, moving plane): every
             # pixel of the region must recompute — including pixels whose
-            # rays never enter the grid and therefore carry no marks.
-            return self.region, int(vox.size)
-        # Only traced pixels, all of them in the region, carry marks.
-        return self.pixel_map.pixels_for_voxels(vox), int(vox.size)
+            # rays never enter the grid and therefore carry no marks — and
+            # no cached attenuation survives (a light may have moved).
+            return self.region, _EMPTY, int(vox.size)
+        # Only traced pixels, all of them in the region, carry marks.  A
+        # pixel found by the secondary map alone reads 1, by the primary 2.
+        found = np.zeros(self.primary.n_pixels, dtype=np.int8)
+        found[self.secondary.pixels_for_voxels(vox)] = 1
+        found[self.primary.pixels_for_voxels(vox)] = 2
+        reusable = np.flatnonzero(found == 1) if self.shadow_cache is not None else _EMPTY
+        return np.flatnonzero(found), reusable, int(vox.size)
 
     def _readable(self, frame: int) -> np.ndarray | None:
         """``R_frame``, the voxels whose marks a later frame of the range
@@ -213,19 +244,15 @@ class CoherentRenderer:
             self._readable_sets = sets
         return self._readable_sets[frame]
 
-    # -- what a subclass with other bookkeeping replaces --------------------
-    def _tracer(self, scene, readable: np.ndarray | None) -> RayTracer:
-        """The tracer for one frame's recompute set, recording the marks in
-        ``readable`` (none when it is ``None``)."""
-        return RayTracer(scene, grid=self.grid, track_paths=readable is not None,
-                         chunk_size=self.chunk_size, readable=readable)
-
-    def _absorb_marks(self, result) -> None:
-        """Replace the traced pixels' marks with the ones just recorded."""
-        self.pixel_map.replace_pixel_marks(result.pixel_ids, result.mark_voxels, result.mark_pixels)
-
-    def _report(self, **fields) -> FrameReport:
-        return FrameReport(map_entries=self.pixel_map.n_entries, **fields)
+    def _absorb_marks(self, result, reusable: np.ndarray) -> None:
+        """Replace the traced pixels' marks with the ones just recorded.  A
+        reusable pixel fired no primary shadow ray, so its old primary marks
+        stay (its new camera marks are among them)."""
+        marks = result.marks_by_class
+        self.secondary.replace_pixel_marks(result.pixel_ids, *marks["secondary"])
+        fired = np.setdiff1d(result.pixel_ids, reusable, assume_unique=True)
+        (cv, cp), (sv, sp) = marks["camera"], marks["pshadow"]
+        self.primary.replace_pixel_marks(fired, np.concatenate([cv, sv]), np.concatenate([cp, sp]))
 
     def render_next(self) -> FrameReport:
         """Render the next frame of the owned range incrementally."""
@@ -244,29 +271,34 @@ class CoherentRenderer:
 
         t0 = time.perf_counter()
         if self._prev_scene is None:
-            to_compute = self.region
-            n_changed_vox = self.grid.n_voxels
+            to_compute, reusable, n_changed_vox = self.region, _EMPTY, self.grid.n_voxels
         else:
-            to_compute, n_changed_vox = self.predict_dirty_pixels(self._prev_scene, scene)
+            to_compute, reusable, n_changed_vox = self.predict(self._prev_scene, scene)
 
         readable = self._readable(frame)
+        cache = self.shadow_cache
+        saved_before = cache.rays_saved if cache is not None else 0
         if to_compute.size:
-            tracer = self._tracer(scene, readable)
+            if cache is not None:
+                cache.set_reusable(reusable)
+            tracer = RayTracer(scene, grid=self.grid, track_paths=readable is not None,
+                               chunk_size=self.chunk_size, shadow_cache=cache,
+                               readable=readable)
             result = tracer.trace_pixels(to_compute)
             self.framebuffer.scatter(result.pixel_ids, result.colors)
             if readable is not None:
-                self._absorb_marks(result)
+                self._absorb_marks(result, reusable)
             stats = result.stats
             rays_pp = result.rays_per_pixel
             computed = result.pixel_ids
             n_tests = result.n_intersection_tests
         else:
             stats = RayStats()
-            rays_pp = np.empty(0, dtype=np.int64)
-            computed = np.empty(0, dtype=np.int64)
+            rays_pp = _EMPTY
+            computed = _EMPTY
             n_tests = 0
 
-        report = self._report(
+        report = FrameReport(
             frame=frame,
             n_computed=int(computed.size),
             n_copied=int(self.region.size - computed.size),
@@ -275,12 +307,23 @@ class CoherentRenderer:
             rays_per_pixel=rays_pp,
             n_changed_voxels=n_changed_vox,
             wall_time=time.perf_counter() - t0,
+            map_entries=self.primary.n_entries + self.secondary.n_entries,
             n_intersection_tests=n_tests,
+            n_shadow_reusable=int(reusable.size),
+            shadow_rays_saved=cache.rays_saved - saved_before if cache is not None else 0,
         )
         self.reports.append(report)
         self._prev_scene = scene
         self._next_frame = frame + 1
         emit_frame_telemetry(self.telemetry, report)
+        if cache is not None and self.telemetry.enabled:
+            self.telemetry.event(
+                "shadow.frame",
+                frame=frame,
+                n_shadow_reusable=report.n_shadow_reusable,
+                shadow_rays_saved=report.shadow_rays_saved,
+            )
+            self.telemetry.counter("shadowcache.rays_saved", report.shadow_rays_saved)
         return report
 
     def run(self) -> list[FrameReport]:

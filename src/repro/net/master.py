@@ -739,12 +739,16 @@ class MasterServer:
 
 def _crew_member(listener: socket.socket, port: int, options: dict) -> None:
     """One forked loopback worker: drop the master's listener, go quiet, serve,
-    and leave through ``os._exit`` so the master's exit handlers never run here."""
+    and leave through ``os._exit`` so the master's exit handlers never run here.
+
+    The master listened before forking and closes its listener only when it
+    stops serving, so a refused dial means the run is over: one attempt per
+    (re)connect, where a remote daemon backs off and redials."""
     listener.close()
     with open(os.devnull, "wb") as quiet:
         os.dup2(quiet.fileno(), 1)
         os.dup2(quiet.fileno(), 2)
-    os._exit(WorkerClient("127.0.0.1", port, score=1.0, **options).run())
+    os._exit(WorkerClient("127.0.0.1", port, score=1.0, max_retries=1, **options).run())
 
 
 class TcpTransport:

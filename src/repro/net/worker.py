@@ -306,13 +306,15 @@ class WorkerClient:
             yield min(self.backoff_cap, self.backoff_base * (2.0**attempt) * jitter)
 
     def _connect(self) -> socket.socket | None:
-        """Dial the master, retrying with backoff; None when out of retries."""
+        """Dial the master, retrying with backoff; None when out of retries
+        (at once after the last attempt fails: no wait precedes giving up)."""
         for attempt, delay in enumerate(self.backoff_delays()):
             try:
                 sock = socket.create_connection((self.host, self.port), timeout=10.0)
             except OSError as exc:
-                self._log(f"connect attempt {attempt} failed ({exc}); retry in {delay:.2f}s")
-                time.sleep(delay)
+                if attempt + 1 < self.max_retries:
+                    self._log(f"connect attempt {attempt} failed ({exc}); retry in {delay:.2f}s")
+                    time.sleep(delay)
                 continue
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._tel.event(

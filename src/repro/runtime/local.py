@@ -60,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from ..accel import UniformGrid
-from ..coherence import CoherentRenderer, ShadowCoherentRenderer, grid_for_animation
+from ..coherence import CoherentRenderer, grid_for_animation
 from ..durable import atomic_write
 from ..geometry import RayKind
 from ..obs.trace import TraceContext, flight_span_id, new_run_id, worker_session
@@ -181,8 +181,7 @@ ROW = N_KINDS + 3
 
 
 def _count_row(report) -> list:
-    return [*report.stats.counts, report.n_computed, report.n_copied,
-            getattr(report, "shadow_rays_saved", 0)]
+    return [*report.stats.counts, report.n_computed, report.n_copied, report.shadow_rays_saved]
 
 
 def _worker_profile_path(profile_dir) -> str | None:
@@ -249,8 +248,8 @@ def _render_segment_task(args, emit_tile=None):
     process, evicted, or the previous attempt failed).  ``horizon`` is the
     renderer's ``last_frame``: ``f1`` when nothing continues the unit, so
     its last frame records no marks and the renderer is not parked, and
-    never past the end of the unit's shot.  ``shadow`` picks the
-    :class:`~repro.coherence.ShadowCoherentRenderer`.
+    never past the end of the unit's shot.  ``shadow`` is the renderer's
+    ``shadow_coherence``.
 
     ``grid`` is ``(resolution, lo, hi)``: the voxel grid's bounds come
     with the task (see :func:`_get_grid`).  Each finished frame's box image
@@ -294,13 +293,14 @@ def _render_segment_task(args, emit_tile=None):
             attempt=attempt,
         ) as sp:
             if renderer is None:
-                renderer = (ShadowCoherentRenderer if shadow else CoherentRenderer)(
+                renderer = CoherentRenderer(
                     anim,
                     region=region,
                     grid=_get_grid(spec, grid),
                     first_frame=f0,
                     last_frame=horizon,
                     telemetry=tel,
+                    shadow_coherence=shadow,
                 )
             else:
                 renderer.telemetry = tel

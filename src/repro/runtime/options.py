@@ -204,14 +204,15 @@ class FarmOptions:
     grid_resolution:
         Voxel grid resolution of the coherence map.
     shadow_coherence:
-        Render with the :class:`~repro.coherence.ShadowCoherentRenderer`,
-        which also reuses primary shadow rays.
+        Render with :class:`~repro.coherence.CoherentRenderer`'s
+        ``shadow_coherence`` on, which also reuses primary shadow rays.
     frames_per_chunk:
         Frames per unit of the ``hybrid`` list (default: half the animation).
     max_attempts, task_timeout:
         The run's :class:`RecoveryOptions`: dispatches per unit, and a
         fixed per-unit deadline in seconds (default ``None`` adapts it,
-        see :func:`deadline`).
+        see :func:`deadline`; the simulator's ``-ft`` strategies take it as
+        their ``worker_timeout``).
     degrade_serial:
         Pool only: run a unit in-process after its attempts are exhausted
         instead of raising :class:`SupervisorError`.

@@ -7,8 +7,7 @@ contract every layer reports through:
 * :mod:`~repro.telemetry.core` — hierarchical spans, counters, gauges, and
   point events over a pluggable clock (wall time for real runs, virtual
   time for the cluster simulator), fanned out to pluggable sinks;
-* :mod:`~repro.telemetry.sinks` — in-memory buffer, JSONL event log, and
-  human-readable stream summary;
+* :mod:`~repro.telemetry.sinks` — in-memory buffer and JSONL event log;
 * :mod:`~repro.telemetry.schema` — the versioned event schema both the
   real farm and the simulators must emit, plus a validator;
 * :mod:`~repro.telemetry.fold` — :class:`RunFold`, the one incremental
@@ -46,7 +45,7 @@ from .schema import (
     schema_of_events,
     validate_events,
 )
-from .sinks import InMemorySink, JsonlSink, StreamSink
+from .sinks import InMemorySink, JsonlSink
 
 __all__ = [
     "CORE_EVENTS",
@@ -60,7 +59,6 @@ __all__ = [
     "RunFold",
     "SCHEMA_VERSION",
     "SchemaError",
-    "StreamSink",
     "Telemetry",
     "TelemetryReport",
     "VirtualClock",

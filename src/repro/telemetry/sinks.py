@@ -1,18 +1,17 @@
 """Telemetry sinks: where emitted records go.
 
 A sink is anything with ``emit(record: dict)``; ``close()`` is optional.
-Three are provided: an in-memory buffer (tests, report generation in the
-same process), an append-only JSONL file (the durable event log the
-``repro telemetry`` subcommand replays), and a human stream summary.
+Two are provided: an in-memory buffer (tests, report generation in the
+same process) and an append-only JSONL file (the durable event log the
+``repro telemetry`` subcommand replays).
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
-__all__ = ["InMemorySink", "JsonlSink", "StreamSink"]
+__all__ = ["InMemorySink", "JsonlSink"]
 
 
 class InMemorySink:
@@ -53,23 +52,3 @@ class JsonlSink:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-class StreamSink:
-    """Human-oriented one-line-per-record rendering (progress displays)."""
-
-    def __init__(self, stream=None, types: tuple[str, ...] = ("event", "span")):
-        self.stream = stream if stream is not None else sys.stderr
-        self.types = types
-
-    def emit(self, record: dict) -> None:
-        if record.get("type") not in self.types:
-            return
-        attrs = record.get("attrs") or {}
-        parts = [f"{k}={attrs[k]}" for k in sorted(attrs)]
-        dur = f" dur={record['dur']:.4f}s" if "dur" in record else ""
-        print(
-            f"[telemetry] {record.get('type')}:{record.get('name')}"
-            f" t={record.get('t', 0.0):.4f}{dur} {' '.join(parts)}",
-            file=self.stream,
-        )

@@ -243,10 +243,10 @@ def test_cli_simulate_subcommand(capsys):
 
 
 def test_simulate_rejects_deadline_options_without_a_deadline(tiny_oracle):
-    """``failures`` / ``worker_timeout`` given to a strategy that runs with a
+    """``failures`` / ``task_timeout`` given to a strategy that runs with a
     blocking master would be ignored (or dead-lock the virtual PVM): an
     error that names the strategy to use instead."""
-    for extra in ({"failures": [("indigo-100", 0.5)]}, {"worker_timeout": 5.0}):
+    for extra in ({"failures": [("indigo-100", 0.5)]}, {"task_timeout": 5.0}):
         with pytest.raises(ValueError, match="frame-division-fc-ft"):
             render(
                 RenderRequest(
@@ -261,6 +261,26 @@ def test_simulate_rejects_deadline_options_without_a_deadline(tiny_oracle):
     )
     assert result.outcome.recovery["timeouts"] == result.outcome.recovery["retries"] == 1
     assert len(result.outcome.frame_completion_times) == tiny_oracle.n_frames
+
+
+def test_simulate_takes_task_timeout_as_its_worker_deadline(tiny_oracle):
+    """The farm's fixed per-unit deadline is the simulator's worker deadline:
+    a request's ``task_timeout`` runs exactly as ``simulate(...,
+    worker_timeout=...)``."""
+    from repro.cluster import ncsu_testbed
+    from repro.sched import simulate
+
+    strategy, failures = "sequence-division-fc-ft", [("indigo-100", 0.5)]
+    outcomes = []
+    for timeout in (2.0, 60.0):
+        got = render(
+            RenderRequest(engine="simulate", strategy=strategy, oracle=tiny_oracle,
+                          failures=failures, task_timeout=timeout)
+        ).outcome
+        assert got == simulate(strategy, tiny_oracle, ncsu_testbed(), failures=failures,
+                               worker_timeout=timeout)
+        outcomes.append(got)
+    assert outcomes[0].total_time != outcomes[1].total_time
 
 
 def test_cli_simulate_ft_strategy(capsys, tmp_path, tiny_oracle):

@@ -123,7 +123,7 @@ def test_map_entries_tracked(moving_ball_animation):
     r = CoherentRenderer(moving_ball_animation, grid_resolution=8)
     rep = r.render_next()
     assert rep.map_entries > 0
-    assert r.pixel_map.n_entries == rep.map_entries
+    assert r.primary.n_entries + r.secondary.n_entries == rep.map_entries
 
 
 def test_validate_sequence_moving_ball(moving_ball_animation):

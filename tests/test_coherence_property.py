@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coherence import validate_sequence
+from repro.coherence import CoherentRenderer, validate_sequence
 from repro.geometry import Box, Cylinder, Plane, Sphere
 from repro.lighting import PointLight
 from repro.materials import Finish, Material
@@ -114,10 +114,9 @@ def test_random_worlds_stay_exact_and_conservative(anim):
 @given(anim=world())
 @settings(max_examples=8, deadline=None)
 def test_random_worlds_shadow_coherence_exact(anim):
-    from repro.coherence import ShadowCoherentRenderer
     from repro.render import RayTracer
 
-    renderer = ShadowCoherentRenderer(anim, grid_resolution=12)
+    renderer = CoherentRenderer(anim, grid_resolution=12, shadow_coherence=True)
     for f in range(anim.n_frames):
         renderer.render_next()
         full, _ = RayTracer(anim.scene_at(f)).render()
@@ -130,12 +129,11 @@ def test_random_worlds_every_driver_of_the_kernel_agrees(anim, k):
     """Full re-render == coherent == shadow-coherent == sharded composite:
     pixels on every frame, and for the sharded trace (which, like the full
     render, traces every pixel) ray counts by kind and per pixel too."""
-    from repro.coherence import CoherentRenderer, ShadowCoherentRenderer
     from repro.render import RayTracer
     from repro.shard import render_frame_sharded
 
     coherent = CoherentRenderer(anim, grid_resolution=12)
-    shadow = ShadowCoherentRenderer(anim, grid_resolution=12)
+    shadow = CoherentRenderer(anim, grid_resolution=12, shadow_coherence=True)
     for f in range(anim.n_frames):
         scene = anim.scene_at(f)
         full, result = RayTracer(scene).render()
@@ -149,15 +147,12 @@ def test_random_worlds_every_driver_of_the_kernel_agrees(anim, k):
         np.testing.assert_array_equal(sres.rays_per_pixel, result.rays_per_pixel)
 
 
-def _recording_every_mark(cls):
-    """``cls`` with the bookkeeping of the paper's Figure 3: every frame
-    records the marks of every voxel its rays cross."""
+class _RecordingEveryMark(CoherentRenderer):
+    """The bookkeeping of the paper's Figure 3: every frame records the
+    marks of every voxel its rays cross."""
 
-    class EveryMark(cls):
-        def _readable(self, frame):
-            return np.ones(self.grid.n_voxels, dtype=bool)
-
-    return EveryMark
+    def _readable(self, frame):
+        return np.ones(self.grid.n_voxels, dtype=bool)
 
 
 @pytest.mark.parametrize(
@@ -168,13 +163,12 @@ def _recording_every_mark(cls):
 def test_random_worlds_compute_as_if_every_mark_were_recorded(variant, data):
     """The readable rule drops only marks no later frame reads: each frame
     recomputes the same pixels with the same rays as a renderer recording
-    every mark, on both renderers, and its map is never larger."""
-    from repro.coherence import CoherentRenderer, ShadowCoherentRenderer
-
+    every mark, with shadow coherence off and on, and its maps are never
+    larger."""
     anim = data.draw(world(n_frames=5, **variant))
-    for cls in (CoherentRenderer, ShadowCoherentRenderer):
-        lean = cls(anim, grid_resolution=12)
-        every = _recording_every_mark(cls)(anim, grid_resolution=12)
+    for shadow in (False, True):
+        lean = CoherentRenderer(anim, grid_resolution=12, shadow_coherence=shadow)
+        every = _RecordingEveryMark(anim, grid_resolution=12, shadow_coherence=shadow)
         for f in range(anim.n_frames):
             got, want = lean.render_next(), every.render_next()
             np.testing.assert_array_equal(got.computed_pixels, want.computed_pixels)

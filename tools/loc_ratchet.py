@@ -17,8 +17,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-CEILING = 19944
-OPTION_CEILING = 94
+CEILING = 19851
+OPTION_CEILING = 93
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

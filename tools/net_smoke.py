@@ -20,7 +20,8 @@ non-zero if anything the network layer promises drifts:
   orphan spans / without the victim's final open task span.
 
 A second phase starts ``repro farm --transport tcp --status-port N`` as
-a subprocess, polls the live JSON endpoint while the run is in flight,
+a subprocess (a render sized to stay in flight for many poll periods, see
+``LIVE_FRAMES``), polls the live JSON endpoint while the run is in flight,
 and fails if no mid-run snapshot is served, if the run writes anything
 to stderr, or if its event log has orphan spans.  The same loop polls
 the ``/preview`` endpoint of the distributed framebuffer and fails
@@ -138,7 +139,13 @@ def check_exposition(content_type: str, body: bytes) -> list[str]:
     return problems
 
 
-def live_status_drill(args) -> int:
+#: Phase 2's render, sized to outlast many poll periods (about 2 s of farm
+#: time on two cores of a 2020s x86 box) so the poll loop always sees the
+#: run in flight; the kill drill's tiny render can finish between two polls.
+LIVE_FRAMES, LIVE_WIDTH, LIVE_HEIGHT = 24, 128, 96
+
+
+def live_status_drill() -> int:
     """Phase 2: a real ``repro farm --status-port`` run, polled live."""
     port = _free_port()
     with tempfile.TemporaryDirectory(prefix="net_smoke_") as tmp:
@@ -147,8 +154,8 @@ def live_status_drill(args) -> int:
             [
                 sys.executable, "-m", "repro", "farm", "newton",
                 "--transport", "tcp", "--workers", "2",
-                "--frames", str(args.frames),
-                "--width", str(args.width), "--height", str(args.height),
+                "--frames", str(LIVE_FRAMES),
+                "--width", str(LIVE_WIDTH), "--height", str(LIVE_HEIGHT),
                 "--grid", "12",
                 "--status-port", str(port),
                 "--telemetry", str(run_dir),
@@ -177,7 +184,7 @@ def live_status_drill(args) -> int:
                 pass
             try:
                 prev = json.loads(_fetch_raw(port, "/preview?fmt=json")[1])
-                if prev.get("available") and prev.get("frames_complete", 0) < args.frames:
+                if prev.get("available") and prev.get("frames_complete", 0) < LIVE_FRAMES:
                     previews.append(prev)
                     if png is None:
                         png = _fetch_raw(port, "/preview?fmt=png")
@@ -248,7 +255,7 @@ def live_status_drill(args) -> int:
         print(
             f"  {len(previews)} partial /preview snapshots; peak: frame "
             f"{best.get('frame')} at {best.get('coverage', 0.0):.0%} coverage, "
-            f"{best.get('frames_complete', 0)}/{args.frames} frames complete"
+            f"{best.get('frames_complete', 0)}/{LIVE_FRAMES} frames complete"
         )
         print(f"  /preview?fmt=png served {len(png[1])} bytes of valid PNG")
         print(
@@ -368,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"  master peak allocation {peak_alloc / (1 << 20):.1f} MiB (tracemalloc)")
 
-    return live_status_drill(args)
+    return live_status_drill()
 
 
 if __name__ == "__main__":
