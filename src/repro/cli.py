@@ -108,10 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_farm.add_argument(
         "--schedule", choices=("static", "demand", "adaptive"), default=None,
-        help="task scheduling: static (the fixed unit list --mode implies), "
-             "demand (the hybrid block x frame-chunk list), or adaptive "
-             "sequence chains with tail-stealing; static and demand can "
-             "checkpoint with --run-dir on either transport "
+        help="task scheduling: static or demand (two spellings of the fixed "
+             "unit list --mode implies, handed to whichever worker is free), "
+             "or adaptive sequence chains with tail-stealing; a fixed list "
+             "checkpoints with --run-dir on either transport "
              "(default: static for --transport process, adaptive for tcp)",
     )
     p_farm.add_argument(

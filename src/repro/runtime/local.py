@@ -15,12 +15,12 @@ daemons), one validator gates every result, and one compositor — a
 accepted: wire tiles, pool units and checkpoint loads alike.
 ``schedule`` only chooses the unit list:
 
-* ``"static"`` — the fixed list ``mode`` implies, dispatched FIFO:
-  ``frame`` (frame division: one unit per block, every frame),
-  ``sequence`` (sequence division: one whole-frame unit per contiguous
-  frame range) or ``hybrid`` (the paper's "subarea of a frame for a
-  subsequence of the entire animation": block x frame-chunk);
-* ``"demand"`` — a spelling of the ``hybrid`` list, whatever ``mode`` says;
+* ``"static"`` or ``"demand"`` (two spellings of one schedule) — the
+  fixed list ``mode`` implies, handed to whichever lane is free:
+  ``frame`` (the paper's frame division: one unit per block over its
+  whole shot), ``sequence`` (sequence division: one whole-frame unit per
+  contiguous frame range) or ``hybrid`` (the paper's "subarea of a frame
+  for a subsequence of the entire animation": block x frame-chunk);
 * ``"adaptive"`` — sequence chains cut into segments at run time, with
   tail-stealing and a worker-side renderer-continuation cache so a
   chain's coherence survives across its segment tasks.
@@ -493,12 +493,6 @@ class LocalRenderFarm:
             self._cam.width, self._cam.height, self.options.block_w, self.options.block_h
         )
 
-    @property
-    def _layout(self) -> str:
-        """Which fixed unit list the schedule dispatches (``demand`` is a
-        spelling of the ``hybrid`` list)."""
-        return "hybrid" if self.options.schedule == "demand" else self.options.mode
-
     def _cut(self, ranges) -> list[tuple[int, int]]:
         """``ranges`` of frames, each split where a shot ends."""
         return [
@@ -517,12 +511,12 @@ class LocalRenderFarm:
         if self.options.schedule == "adaptive":
             return None, None
         n_frames = self._anim.n_frames
-        if self._layout == "sequence":
+        if self.options.mode == "sequence":
             spans = self._cut(sequence_ranges(n_frames, self.options.n_workers))
             return [(-1, a, b) for a, b in spans], None
         regions = self._block_layout()
         chunk = n_frames
-        if self._layout == "hybrid":
+        if self.options.mode == "hybrid":
             chunk = self.options.frames_per_chunk or max(1, n_frames // 2)
         spans = self._cut((a, min(a + chunk, n_frames)) for a in range(0, n_frames, chunk))
         return [(ri, a, b) for ri in range(len(regions)) for a, b in spans], regions
@@ -646,7 +640,7 @@ class LocalRenderFarm:
             "format": _SPOOL_FORMAT,
             "factory": self.spec.factory,
             "kwargs": repr(sorted(self.spec.kwargs.items())),
-            "mode": self._layout,
+            "mode": self.options.mode,
             "n_frames": int(self._anim.n_frames),
             "width": int(self._cam.width),
             "height": int(self._cam.height),

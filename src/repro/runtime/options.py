@@ -174,12 +174,14 @@ class FarmOptions:
     n_workers:
         Degree of parallelism; ``None`` is the CPU count (capped at 8).
     mode:
-        The unit list ``schedule="static"`` dispatches: ``"frame"``,
-        ``"sequence"`` (``n_workers`` frame ranges) or ``"hybrid"``.
+        The unit list ``schedule="static"`` or ``"demand"`` dispatches:
+        ``"frame"`` (each block over its whole shot), ``"sequence"``
+        (``n_workers`` frame ranges) or ``"hybrid"``.
     schedule:
-        ``"static"``, ``"demand"`` or ``"adaptive"``.  All three run the
+        ``"static"`` or its spelling ``"demand"`` (the same policy over the
+        list ``mode`` names), or ``"adaptive"``.  All three run the
         :mod:`repro.sched` policies — the same state machines the cluster
-        simulator replays; the two fixed lists can be checkpointed (see
+        simulator replays; the fixed lists can be checkpointed (see
         :meth:`LocalRenderFarm.render`), the adaptive one cannot.
     transport:
         ``"process"`` (the supervised pool on this host) or ``"tcp"`` (a

@@ -255,14 +255,14 @@ class TaskSupervisor:
         inline = self.executor == "serial" or flight.degraded
         payload = (self.fn, flight.args, flight.unit, flight.attempt, self.fault_plan,
                    self.executor == "process" and not inline)
-        if inline:  # completed where it is dispatched
-            fut = Future()
-            try:
+        fut = Future()
+        try:
+            if inline:  # completed where it is dispatched
                 fut.set_result(_run_task(payload))
-            except Exception as exc:  # the task's failure, stored as a pool would
-                fut.set_exception(exc)
-        else:
-            fut = self._pool.submit(_run_task, payload)
+            else:
+                fut = self._pool.submit(_run_task, payload)
+        except Exception as exc:  # the task's failure, or the pool broke since wait()
+            fut.set_exception(exc)  # harvested like a pool future's
         self._running[fut] = flight
 
     def _harvest(self, fut) -> bool:

@@ -182,8 +182,8 @@ class DemandDrivenPolicy(SchedulingPolicy):
     """A flat FIFO queue of independent units, handed out on demand.
 
     Covers frame-division-without-coherence (one unit per (frame, block),
-    frame-major — Table 1 columns 4/5) and the real farm's ``demand``
-    schedule (block x frame-chunk units).  No worker affinity: any unit
+    frame-major — Table 1 columns 4/5) and the real farm's fixed unit
+    lists (``static`` and ``demand``).  No worker affinity: any unit
     suits any worker, so a lost worker's unit simply goes back in the
     queue (fresh).
     """

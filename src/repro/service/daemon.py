@@ -462,9 +462,10 @@ class RenderService:
                      json.dumps(info, indent=1, sort_keys=True).encode())
 
     def _accept_loop(self) -> None:
+        listener = self._listener  # stop() clears the attribute
         while not self._stop.is_set():
             try:
-                conn, _ = self._listener.accept()
+                conn, _ = listener.accept()
             except OSError:
                 return  # listener closed by stop()
             threading.Thread(
@@ -544,10 +545,11 @@ class RenderService:
     def stop(self) -> None:
         self._stop.set()
         if self._listener is not None:
-            try:
-                self._listener.close()
+            try:  # close() alone does not wake a thread blocked in accept()
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
-                pass  # stop() twice, or the accept loop got there first
+                pass  # refused for a listening socket on some platforms
+            self._listener.close()
             self._listener = None
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)

@@ -36,9 +36,10 @@ def test_a_demand_farm_builds_each_scene_and_change_set_once(monkeypatch):
     # builds every scene, and the lanes render with those very scenes.
     farm = LocalRenderFarm(spec, schedule="demand", executor="serial", grid_resolution=12)
     res = farm.render()
-    assert res.n_tasks == 24  # 12 blocks x 2 frame chunks, each chunk one transition
+    assert res.n_tasks == 12  # frame division: one unit per block over the whole shot
     assert builds == Counter({0: 1, 1: 1, 2: 1, 3: 1})
-    assert len(changes) == 2 and set(changes.values()) == {1}  # 0->1 and 2->3
+    # 0->1, 1->2 and 2->3, each computed once across all twelve units
+    assert len(changes) == 3 and set(changes.values()) == {1}
     np.testing.assert_array_equal(res.frames, farm.render_reference().frames)
 
 
@@ -127,7 +128,7 @@ def test_an_in_process_lane_renders_with_the_masters_grid(monkeypatch):
     monkeypatch.setattr(local, "grid_for_animation", sweep)
     monkeypatch.setattr(local, "CoherentRenderer", Spy)
     LocalRenderFarm(spec, schedule="demand", executor="serial", grid_resolution=12).render()
-    assert len(swept) == 1 and len(used) == 24
+    assert len(swept) == 1 and len(used) == 12
     assert all(g is swept[0] for g in used)
 
 

@@ -125,11 +125,14 @@ def test_farm_result_shape(spec, reference):
 def test_fixed_unit_leaves_no_parked_renderer(spec, reference):
     """Nothing continues a ``demand`` unit, so its renderer's horizon is the
     unit's end: its last frame records no marks and nothing is parked in the
-    continuation cache, even for units that end before the animation does."""
+    continuation cache, even for units that end before the animation does
+    (the ``hybrid`` list's frame chunks)."""
     from repro.runtime import local
 
     local._SEGMENT_CACHE.clear()
-    farm = LocalRenderFarm(spec, schedule="demand", executor="serial", grid_resolution=12)
+    farm = LocalRenderFarm(
+        spec, mode="hybrid", schedule="demand", executor="serial", grid_resolution=12
+    )
     res = farm.render()
     assert res.n_tasks == 12 * 3  # 1-frame chunks of a 3-frame animation
     assert local._SEGMENT_CACHE == {}

@@ -404,9 +404,8 @@ def test_farm_dynamic_schedules_bit_identical():
         assert np.array_equal(out.frames, ref.frames)
 
 
-def test_demand_is_the_static_hybrid_unit_list(monkeypatch):
-    """``schedule="demand"`` is a spelling of ``mode="hybrid"`` under the
-    static schedule: same dispatch log, same pixels, same rays."""
+def _capture_policies(monkeypatch) -> list:
+    """Every policy a farm builds from here on, appended as it is built."""
     policies = []
     build = LocalRenderFarm._policy
 
@@ -415,15 +414,47 @@ def test_demand_is_the_static_hybrid_unit_list(monkeypatch):
         return policies[-1]
 
     monkeypatch.setattr(LocalRenderFarm, "_policy", capture)
+    return policies
+
+
+def test_demand_is_the_static_hybrid_unit_list(monkeypatch):
+    """``schedule="demand"`` is a spelling of ``schedule="static"`` for every
+    ``mode`` (``hybrid`` among them): same dispatch log, pixels and rays."""
+    policies = _capture_policies(monkeypatch)
     spec = AnimationSpec.newton(n_frames=3, width=24, height=18)
     kw = dict(n_workers=2, executor="serial", grid_resolution=12, frames_per_chunk=2)
-    static = LocalRenderFarm(spec, mode="hybrid", schedule="static", **kw).render()
-    demand = LocalRenderFarm(spec, mode="sequence", schedule="demand", **kw).render()
-    log_static, log_demand = ([a.key() for a in p.log] for p in policies)
-    assert log_static == log_demand and len(log_static) == 24
-    assert (static.mode, demand.mode) == ("hybrid", "demand")
-    assert np.array_equal(static.frames, demand.frames)
-    assert np.array_equal(static.stats.counts, demand.stats.counts)
+    # frame: 12 blocks x the whole shot; sequence: 2 ranges; hybrid: 12 x 2 chunks
+    for mode, n_units in (("frame", 12), ("sequence", 2), ("hybrid", 24)):
+        policies.clear()
+        static = LocalRenderFarm(spec, mode=mode, schedule="static", **kw).render()
+        demand = LocalRenderFarm(spec, mode=mode, schedule="demand", **kw).render()
+        log_static, log_demand = ([a.key() for a in p.log] for p in policies)
+        assert log_static == log_demand and len(log_static) == n_units, mode
+        assert (static.mode, demand.mode) == (mode, "demand")
+        assert np.array_equal(static.frames, demand.frames)
+        assert np.array_equal(static.stats.counts, demand.stats.counts)
+
+
+def test_demand_frame_division_is_the_serial_render(monkeypatch):
+    """The paper's frame division: on the default ``mode`` a demand farm
+    hands out one unit per block over the whole shot (the chains
+    ``frame-division-fc`` starts from), so it traces exactly the rays of
+    the serial coherent render and composites the same frames."""
+    from repro.api import render
+
+    policies = _capture_policies(monkeypatch)
+    spec = AnimationSpec.newton(n_frames=4, width=48, height=36)
+    farm = LocalRenderFarm(
+        spec, schedule="demand", n_workers=2, executor="serial", grid_resolution=12
+    ).render()
+    chains = make_policy("frame-division-fc", 4, n_regions=12)._supply
+    log = [a.key()[1:4] for a in policies[0].log]
+    assert log == [(c.region_index, c.next_frame, c.end_frame) for c in chains]
+    assert log == [(ri, 0, 4) for ri in range(12)]
+    serial = render(workload=spec, engine="animation", grid_resolution=12)
+    assert farm.stats.total == serial.stats.total
+    assert np.array_equal(farm.stats.counts, serial.stats.counts)
+    assert np.array_equal(farm.frames, serial.frames)
 
 
 def test_static_run_traces_one_flight_per_unit():

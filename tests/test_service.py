@@ -240,7 +240,10 @@ def test_service_renders_submitted_job_over_rpc(tmp_path):
         snap = svc_client.list_jobs(addr)
         assert snap["states"] == {"done": 1}
     finally:
+        accept_thread = svc._accept_thread
         svc.stop()
+    # stop() wakes the blocked accept() instead of waiting out its join.
+    assert not accept_thread.is_alive()
     with np.load(tmp_path / "svc" / "jobs" / "j0001" / "frames.npz") as npz:
         frames = npz["frames"]
     assert frames.shape[0] == SPEC["n_frames"]

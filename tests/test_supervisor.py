@@ -139,6 +139,30 @@ def test_crash_fault_rebuilds_pool_and_recovers():
     assert sup.policy.n_reassigned >= 1  # the lost unit went back to the policy
 
 
+def test_pool_broken_between_wait_and_submit_is_rebuilt(monkeypatch):
+    """A pool can break after ``wait()`` returned (it is marked broken before
+    its futures fail), so the next ``submit`` raises ``BrokenExecutor``: a
+    pool loss like any other, not the end of the run."""
+    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures.thread import BrokenThreadPool
+
+    submits = []
+
+    class BreaksOnThirdSubmit(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submits.append(fn)
+            if len(submits) == 3:
+                raise BrokenThreadPool("broke since the last wait()")
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(
+        TaskSupervisor, "_make_pool", lambda self: BreaksOnThirdSubmit(self.n_workers)
+    )
+    out = _supervise(_double, [1, 2, 3, 4], executor="thread", n_workers=2).run()
+    assert out.results == [2, 4, 6, 8]
+    assert out.supervisor.n_pool_rebuilds == 1
+
+
 def test_crash_fault_not_honoured_in_threads():
     # A thread worker calling os._exit would kill the master: the plan must
     # skip disruptive faults outside sandboxed processes.
