@@ -79,12 +79,13 @@ def traverse(
     step = np.sign(dirs).astype(np.int64)
     # Parametric distance to cross one cell along each axis (inf for axes
     # the ray does not move along), and the t at which the ray crosses the
-    # next cell boundary per axis.
+    # next cell boundary per axis.  A subnormal component's inverse
+    # overflows: that axis never moves either (and 0 * inf would be NaN).
     t_delta = np.abs(grid.cell_size * inv)
     next_boundary = grid.bounds.lo + (cell + (step > 0)) * grid.cell_size
     with np.errstate(invalid="ignore"):
         t_next = (next_boundary - origins) * inv
-    t_next = np.where(dirs != 0.0, t_next, np.inf)
+    t_next = np.where(np.isfinite(inv), t_next, np.inf)
 
     # Per-axis state, one 1-D array per axis: cell, step, next crossing,
     # crossing spacing, and what a step adds to the flat voxel id.

@@ -15,6 +15,11 @@ from ..runtime import AnimationSpec
 
 __all__ = ["cached_oracle", "default_cache_dir"]
 
+#: Part of every cache key: bump it when rendering or change detection
+#: changes what an oracle records, so no entry of the old algorithm is
+#: served.  2: change sets keep only the voxels a moved object may touch.
+_ORACLE_VERSION = 2
+
 
 def default_cache_dir() -> Path:
     """The repository-level ``.oracle_cache/`` directory (created if absent)."""
@@ -31,7 +36,7 @@ def cached_oracle(
 ) -> AnimationCostOracle:
     """Build (or load) the oracle for an animation spec."""
     cache_dir = cache_dir or default_cache_dir()
-    key_src = repr((spec.factory, sorted(spec.kwargs.items()), grid_resolution))
+    key_src = repr((_ORACLE_VERSION, spec.factory, sorted(spec.kwargs.items()), grid_resolution))
     key = hashlib.sha256(key_src.encode()).hexdigest()[:16]
     path = cache_dir / f"oracle_{key}.npz"
     if path.exists():

@@ -7,8 +7,10 @@ that voxel must be updated."
 A voxel *changes* when:
 
 * an object present in both frames moved (transform differs) — every voxel
-  its bounds overlap in **either** frame changes (the region it vacates and
-  the region it enters);
+  it may touch in **either** frame changes (the region it vacates and the
+  region it enters): the voxels under its bounds that pass the primitive's
+  conservative ``may_touch`` test (a ball for a sphere, a capsule for a
+  cylinder), both grown by ``_MARGIN_CELLS``;
 * an object appears or disappears — its voxels change;
 * a light moved or changed color — shading everywhere can change, so every
   voxel changes (full invalidation; the paper's camera-cut rule, applied to
@@ -25,25 +27,18 @@ import weakref
 import numpy as np
 
 from ..accel import UniformGrid
-from ..rmath import AABB
 from ..scene import Scene
 
 __all__ = ["changed_voxels", "changed_voxels_once", "scene_signature", "objects_changed"]
 
-#: Safety margin (in fractions of a voxel edge) added around moved-object
-#: bounds, covering shading-epsilon offsets at surfaces on voxel boundaries.
+#: Safety margin (in fractions of a voxel edge) added around a moved object's
+#: bounds and voxel boxes, covering shading-epsilon offsets at surfaces on
+#: voxel boundaries.
 _MARGIN_CELLS = 0.01
 
 #: Per grid, ``{(id(prev), id(curr)): (prev, curr, voxels)}``; see
 #: :func:`changed_voxels_once`.  Weakly keyed: the entries go with the grid.
 _CHANGE_SETS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _clip_box(grid: UniformGrid, box: AABB) -> AABB:
-    """Replace infinite extents with the grid bounds (planes etc.)."""
-    lo = np.where(np.isfinite(box.lo), box.lo, grid.bounds.lo)
-    hi = np.where(np.isfinite(box.hi), box.hi, grid.bounds.hi)
-    return AABB(lo, hi)
 
 
 def _lights_equal(a, b) -> bool:
@@ -94,7 +89,7 @@ def changed_voxels(grid: UniformGrid, prev: Scene, curr: Scene) -> np.ndarray:
         return np.arange(grid.n_voxels, dtype=np.int64)
 
     margin = float(np.min(grid.cell_size)) * _MARGIN_CELLS
-    boxes: list[AABB] = []
+    mask = np.zeros(grid.n_voxels, dtype=bool)
     for po, co in objects_changed(prev, curr):
         for obj in (po, co):
             if obj is None:
@@ -105,8 +100,10 @@ def changed_voxels(grid: UniformGrid, prev: Scene, curr: Scene) -> np.ndarray:
                 # never enter the voxelized region, which the pixel lists
                 # cannot see.  The only safe answer is full invalidation.
                 return np.arange(grid.n_voxels, dtype=np.int64)
-            boxes.extend(_clip_box(grid, piece).expanded(margin) for piece in obj.bounds_pieces())
-    return grid.voxels_overlapping(*boxes)
+            ids = grid.voxels_overlapping(b.expanded(margin))
+            lo = grid.bounds.lo + grid.unflatten(ids) * grid.cell_size - margin
+            mask[ids[obj.may_touch(lo, lo + grid.cell_size + 2.0 * margin)]] = True
+    return np.flatnonzero(mask)
 
 
 def changed_voxels_once(grid: UniformGrid, prev: Scene, curr: Scene, bound: int) -> np.ndarray:

@@ -82,20 +82,21 @@ class Cylinder(Primitive):
     def local_bounds(self) -> AABB:
         return AABB(vec3(-1, 0, -1), vec3(1, 1, 1))
 
-    def bounds_pieces(self, n: int = 8) -> list[AABB]:
-        """Piecewise cover: ``n`` slabs along the canonical axis.
-
-        A thin diagonal cylinder (e.g. a swinging suspension string) has a
-        world AABB vastly larger than the cylinder itself; slab-wise boxes
-        stay tight under rotation.
-        """
-        if n < 1:
-            raise ValueError("need at least one piece")
-        edges = np.linspace(0.0, 1.0, n + 1)
-        return [
-            self.transform.apply_aabb(AABB(vec3(-1, lo, -1), vec3(1, hi, 1)))
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
+    def may_touch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Slab test of the axis segment against each box grown by the
+        cross-section's largest stretch ``r``: the capsule of radius ``r``
+        around the axis, within ``(sqrt(3) - 1) r``, so a thin diagonal
+        string keeps only the voxels along it."""
+        m = self.transform.m
+        r = np.linalg.norm(m[:3, [0, 2]], 2)
+        d = m[:3, 1]
+        lo, hi = lo - r - m[:3, 3], hi + r - m[:3, 3]
+        with np.errstate(all="ignore"):
+            t0, t1 = lo / d, hi / d
+        inside = (lo <= 0.0) & (hi >= 0.0)
+        enter = np.where(d == 0.0, np.where(inside, 0.0, np.inf), np.minimum(t0, t1))
+        leave = np.where(d == 0.0, 1.0, np.maximum(t0, t1))
+        return np.maximum(enter.max(axis=-1), 0.0) <= np.minimum(leave.min(axis=-1), 1.0)
 
     @staticmethod
     def from_endpoints(p0, p1, radius: float, material=None, name: str | None = None) -> "Cylinder":

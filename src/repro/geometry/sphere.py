@@ -36,6 +36,13 @@ class Sphere(Primitive):
     def local_bounds(self) -> AABB:
         return AABB(vec3(-1, -1, -1), vec3(1, 1, 1))
 
+    def may_touch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Boxes within the transform's largest stretch of the centre: exact
+        for a similarity placement, a covering ball otherwise."""
+        m = self.transform.m
+        gap = np.maximum(lo - m[:3, 3], 0.0) + np.maximum(m[:3, 3] - hi, 0.0)
+        return (gap * gap).sum(axis=-1) <= np.linalg.norm(m[:3, :3], 2) ** 2
+
     @staticmethod
     def at(center, radius: float, material=None, name: str | None = None) -> "Sphere":
         """A sphere with explicit world-space center and radius."""

@@ -161,11 +161,8 @@ class SceneIntersector:
         for idx in np.unique(best_obj[best_obj >= 0]).tolist():
             won = np.flatnonzero(best_obj == idx)
             lo, ld = local[idx]
-            # A one-row matmul takes numpy's vector path, whose rounding is
-            # not the batched product's; two copies of the row keep the latter.
-            at = np.repeat(won, 2) if won.size == 1 < lo.shape[0] else won
             obj = self.objects[idx]
-            best_n[won] = obj.world_normals(obj.local_intersect(lo[at], ld[at])[1])[: won.size]
+            best_n[won] = obj.world_normals(obj.local_intersect(lo[won], ld[won])[1])
         return HitRecord(best_t, best_obj, best_n)
 
     def occlusion(self, idxs, origins, dirs, max_dist, eps: float = 1e-6):

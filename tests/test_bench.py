@@ -9,6 +9,7 @@ from repro.bench import (
     format_table1,
     run_table1,
 )
+from repro.bench import cache
 from repro.runtime import AnimationSpec
 
 
@@ -75,3 +76,24 @@ def test_cached_oracle_corrupt_entry_rebuilt(tmp_path):
     entry.write_bytes(b"garbage")
     again = cached_oracle(spec, grid_resolution=8, cache_dir=tmp_path)
     assert again.n_frames == 2
+
+
+def test_cached_oracle_of_another_version_is_rebuilt(tmp_path, monkeypatch):
+    spec = AnimationSpec.newton(n_frames=2, width=24, height=18)
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(cache._ORACLE_VERSION)
+        return build_oracle(*args, **kwargs)
+
+    build_oracle = cache.build_oracle
+    monkeypatch.setattr(cache, "build_oracle", counting_build)
+    current = cache._ORACLE_VERSION
+    monkeypatch.setattr(cache, "_ORACLE_VERSION", current - 1)
+    cached_oracle(spec, grid_resolution=8, cache_dir=tmp_path)
+    monkeypatch.setattr(cache, "_ORACLE_VERSION", current)
+    fresh = cached_oracle(spec, grid_resolution=8, cache_dir=tmp_path)
+    assert builds == [current - 1, current]
+    again = cached_oracle(spec, grid_resolution=8, cache_dir=tmp_path)
+    assert builds == [current - 1, current]
+    assert (again.full_cost == fresh.full_cost).all()

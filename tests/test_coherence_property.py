@@ -54,9 +54,12 @@ def primitive(draw, index: int):
         s = draw(st.floats(0.3, 1.0))
         y0 = draw(st.floats(0.0, 1.0))
         return Box.from_corners((cx, y0, cz), (cx + s, y0 + s, cz + s), material=mat, name=name)
-    r = draw(st.floats(0.1, 0.4))
+    r = draw(st.floats(0.05, 0.4))
     h = draw(st.floats(0.5, 1.5))
-    return Cylinder.from_endpoints((cx, 0.0, cz), (cx, h, cz), r, material=mat, name=name)
+    top = (cx, h, cz)
+    if draw(st.booleans()):  # tilted: a diagonal mover is what the capsule cover trims
+        top = (cx + draw(st.floats(-1.2, 1.2)), h, cz + draw(st.floats(-0.8, 0.8)))
+    return Cylinder.from_endpoints((cx, 0.0, cz), top, r, material=mat, name=name)
 
 
 @st.composite
@@ -82,17 +85,23 @@ def world(draw, n_frames: int = 3, floor_cut: int | None = None, hold_from: int 
         max_depth=4,
     )
 
-    # Random rigid motions on a random non-empty subset of objects.
+    # Random rigid motions on a random non-empty subset of objects: a slide
+    # with a turn about the world y axis, or a swing about an off-origin
+    # pivot above the object, as the cradle's strings and marbles move.
     n_movers = draw(st.integers(1, n_objects))
     motions = {}
     for i in range(n_movers):
         dx = draw(st.floats(-0.4, 0.4))
         dy = draw(st.floats(0.0, 0.3))
         rot = draw(st.floats(-0.3, 0.3))
+        swing = draw(st.sampled_from([None, Transform.rotate_x, Transform.rotate_z]))
+        pivot = np.array([draw(finite_coord), draw(st.floats(1.5, 3.0)), draw(st.floats(-1.5, 3.0))])
 
-        def motion(frame, dx=dx, dy=dy, rot=rot):
+        def motion(frame, dx=dx, dy=dy, rot=rot, swing=swing, pivot=pivot):
             if hold_from is not None:
                 frame = min(frame, hold_from)
+            if swing is not None:
+                return Transform.translate(*pivot) @ swing(rot * frame) @ Transform.translate(*-pivot)
             return Transform.rotate_y(rot * frame) @ Transform.translate(
                 dx * frame, dy * abs(np.sin(frame)), 0.0
             )

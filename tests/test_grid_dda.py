@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accel import UniformGrid, traverse
@@ -244,6 +244,7 @@ def test_traverse_matches_oracle_on_axis_parallel_and_face_rays(seed):
     dy=st.floats(-1, 1),
     dz=st.floats(-1, 1),
 )
+@example(ox=0.0, oy=0.0, oz=1.0, dx=1.0, dy=1.0, dz=-2.225073858507203e-309)  # on a face, subnormal
 @settings(max_examples=120, deadline=None)
 def test_sampled_ray_points_are_in_visited_voxels(ox, oy, oz, dx, dy, dz):
     """Property: densely sampled points along the clipped ray must lie in

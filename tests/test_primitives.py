@@ -190,16 +190,22 @@ def test_cylinder_validation():
         Cylinder.from_endpoints((0, 0, 0), (0, 1, 0), -1.0)
 
 
-def test_cylinder_bounds_pieces_cover_and_tighten():
+def test_cylinder_may_touch_covers_and_tightens():
+    """The capsule test keeps every box a dense sample of a thin diagonal
+    cylinder falls in, and far fewer than its AABB overlaps."""
     c = Cylinder.from_endpoints((0, 0, 0), (4, 4, 0), 0.1)
     single = c.bounds()
-    pieces = c.bounds_pieces(8)
-    assert len(pieces) == 8
-    # Pieces stay within the single box...
-    for p in pieces:
-        assert np.all(p.lo >= single.lo - 1e-9) and np.all(p.hi <= single.hi + 1e-9)
-    # ...and their total volume is far below the loose single box.
-    assert sum(p.volume for p in pieces) < 0.5 * single.volume
+    res = np.array([64, 64, 4])
+    cell = single.extent / res
+    ijk = np.stack(np.meshgrid(*map(np.arange, res), indexing="ij"), axis=-1).reshape(-1, 3)
+    lo = single.lo + ijk * cell
+    kept = c.may_touch(lo, lo + cell).reshape(tuple(res))
+    ang, y = np.meshgrid(np.linspace(0.0, 2.0 * np.pi, 24), np.linspace(0.0, 1.0, 161))
+    rim = np.stack([np.cos(ang), y, np.sin(ang)], axis=-1).reshape(-1, 3)
+    pts = c.transform.apply_points(np.concatenate([rim, rim * [0, 1, 0]]))  # surface and axis
+    cells = np.clip(np.floor((pts - single.lo) / cell).astype(int), 0, res - 1)
+    assert kept[tuple(cells.T)].all()
+    assert kept.sum() < 0.2 * kept.size
 
 
 # -- box --------------------------------------------------------------------------

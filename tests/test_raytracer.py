@@ -160,3 +160,31 @@ def test_glass_sphere_refracts(simple_scene):
     assert res.stats.refracted > 0
     assert res.stats.reflected > 0
     assert res.stats.shadow > 0
+
+
+def test_a_pixel_traced_alone_gets_its_full_frame_bits():
+    """The coherent renderer re-traces a handful of pixels, so a ray's bits
+    must not depend on its batch: with tilted objects every transform is a
+    full 3x3 product, which numpy rounds differently for a lone row."""
+    from repro.geometry import Cylinder
+    from repro.rmath import Transform
+
+    glass = Material(SolidColor((0.9, 0.9, 1.0)), Finish(diffuse=0.2, reflection=0.3,
+                                                          transmission=0.6, ior=1.4))
+    chrome = Material(SolidColor((0.8, 0.8, 0.8)), Finish(diffuse=0.3, reflection=0.7))
+    scene = Scene(
+        camera=Camera(position=(0, 2, -6), look_at=(0, 0.8, 0), width=20, height=15),
+        objects=[
+            Plane.from_normal((0, 1, 0), 0.0, material=chrome, name="floor"),
+            Cylinder.from_endpoints((-1.2, 0.0, 0.3), (0.4, 1.8, -0.2), 0.35, material=glass),
+            Sphere(material=chrome, transform=Transform.translate(0.9, 0.8, 0.4)
+                   @ Transform.rotate_axis(np.array([1.0, 0.5, 0.2]), 0.6)
+                   @ Transform.scale(0.5, 0.8, 0.6)),
+        ],
+        lights=[PointLight(np.array([3.0, 7.0, -4.0]), np.ones(3))],
+        max_depth=5,
+    )
+    tracer = RayTracer(scene)
+    full = tracer.trace_pixels(scene.camera.pixel_grid())
+    alone = np.concatenate([tracer.trace_pixels(np.array([p])).colors for p in full.pixel_ids])
+    np.testing.assert_array_equal(alone, full.colors)

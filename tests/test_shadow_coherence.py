@@ -106,11 +106,21 @@ def test_is_the_base_renderer_except_for_shadow_rays(shadow_anim):
     assert r.reports[-1] is rep and r.frames_remaining == 0
 
 
-#: Newton, 4 frames at 64x48, grid 24, shadow coherence on, as the earlier
-#: three-map renderer (one map per ray class) rendered it.  Per frame:
+#: Newton, 4 frames at 64x48, grid 24, shadow coherence on.  Per frame:
 #: pixels computed, a digest of their ids, rays by kind (camera, reflected,
 #: refracted, shadow), shadow-reusable pixels and shadow rays saved.
 PINNED = [
+    (3072, "ca92a40c99f822d3", (3072, 2400, 0, 4656), 0, 0),
+    (1258, "100ad60cc81482b1", (1258, 1258, 0, 2158), 146, 276),
+    (1232, "2bbf617e48ddd3f9", (1232, 1245, 0, 2116), 155, 294),
+    (1009, "799373c33083096c", (1009, 1076, 0, 1786), 140, 266),
+]
+
+#: The same rows as the earlier three-map renderer (one map per ray class)
+#: rendered them, when change sets held every voxel under a mover's bounding
+#: boxes; the two maps matched them.  Change sets now keep only the voxels a
+#: mover may touch, so no frame may compute more pixels or rays than these.
+BOX_COVER_BOUND = [
     (3072, "ca92a40c99f822d3", (3072, 2400, 0, 4656), 0, 0),
     (1477, "5b7d1742f1b2ffaf", (1477, 1479, 0, 2451), 212, 402),
     (1450, "63932020c9029b83", (1450, 1477, 0, 2388), 242, 462),
@@ -120,7 +130,8 @@ PINNED = [
 
 def test_two_maps_reuse_what_three_maps_did(shadow_anim):
     """Two maps (primary: camera + primary shadow; secondary: the rest)
-    find the same dirty and shadow-reusable pixels as one map per class."""
+    find the pinned dirty and shadow-reusable pixels, within what one map
+    per class found under bounding-box change sets."""
     r = CoherentRenderer(shadow_anim, grid_resolution=24, shadow_coherence=True)
     got = []
     for _ in range(shadow_anim.n_frames):
@@ -130,6 +141,9 @@ def test_two_maps_reuse_what_three_maps_did(shadow_anim):
                     tuple(int(n) for n in rep.stats.counts),
                     rep.n_shadow_reusable, rep.shadow_rays_saved))
     assert got == PINNED
+    for row, bound in zip(got, BOX_COVER_BOUND):
+        assert row[0] <= bound[0]
+        assert all(n <= b for n, b in zip(row[2], bound[2]))
 
 
 def test_shot_end_records_no_marks_and_changes_nothing(shadow_anim):

@@ -200,3 +200,19 @@ def test_sweeping_an_animation_inverts_nothing(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", counted)
     grid_for_animation(anim, 12)
     assert calls == []
+
+
+@pytest.mark.parametrize("method", ["apply_points", "apply_vectors", "apply_normals",
+                                    "inv_points", "inv_vectors"])
+def test_one_row_rounds_as_in_a_batch(method):
+    """A row transformed alone, or as a one-row slab of a stack, gets the
+    bits it gets inside a batch (numpy's one-row matmul rounds otherwise)."""
+    tf = (Transform.translate(1.5, -2.0, 0.5) @ Transform.rotate_axis(np.array([0.3, 1.0, -0.7]), 0.9)
+          @ Transform.scale(0.1, 0.7, 0.2))
+    rows = np.random.default_rng(5).normal(size=(200, 3)) * 3.0
+    apply = getattr(tf, method)
+    batch = apply(rows)
+    alone = np.concatenate([apply(rows[i : i + 1]) for i in range(len(rows))])
+    stacked = np.concatenate([apply(rows[None, i : i + 1])[0] for i in range(len(rows))])
+    np.testing.assert_array_equal(alone, batch)
+    np.testing.assert_array_equal(stacked, batch)
