@@ -33,8 +33,10 @@ class RenderFarmConfig:
     chain_start_fixed_units: float = 0.0
     #: Per-frame coherence maintenance cost, in work units per owned pixel
     #: (pixel-list deletion/insertion, change detection, framebuffer
-    #: carry-over).  Charged on every coherent step over a region.
-    fc_frame_units_per_pixel: float = 0.015
+    #: carry-over).  Charged on every coherent step over a region, per
+    #: oracle pixel like the rays (``pixel_scale`` sizes memory and messages).
+    #: 0.3 puts column (3) on the paper's 2.93x; this repo's renderer fits 0.3-0.56.
+    fc_frame_units_per_pixel: float = 0.3
 
     # --- message model -------------------------------------------------------
     bytes_per_result_pixel: int = 7  # 3 bytes color + 4 bytes pixel index
@@ -105,7 +107,7 @@ class RenderFarmConfig:
         units = float(rays)
         if coherent_bookkeeping:
             units *= 1.0 + self.fc_overhead
-            units += self.fc_frame_units_per_pixel * region_pixels * self.pixel_scale
+            units += self.fc_frame_units_per_pixel * region_pixels
             if chain_start:
                 units += self.chain_start_fixed_units
         units += self.frame_fixed_units

@@ -18,8 +18,8 @@ job (:mod:`repro.sched.cost`).
 
 The chained policy reproduces the adaptive-subdivision master of the
 original simulator exactly: per-worker chain affinity, a FIFO supply of
-unstarted chains, and tail-stealing of the largest active chain (keep
-``max(1, remaining // 2)`` frames, stolen half restarts fresh) when the
+unstarted chains, and tail-stealing of the largest active chain (the
+stolen tail restarts fresh; by default the victim keeps half) when the
 supply runs dry.
 """
 
@@ -228,7 +228,9 @@ class AdaptiveChainPolicy(SchedulingPolicy):
     is dry it steals the tail half of the largest active chain (if that
     chain still has at least ``min_steal_frames`` frames) — the stolen
     half restarts fresh, which is the coherence cost of adaptive
-    subdivision the paper describes.
+    subdivision the paper describes.  With ``fresh_frames`` (that restart's
+    cost in coherent frames) and ``speeds`` (per worker, default 1) the
+    victim keeps what makes both end together, if the thief still gets a frame.
 
     ``segment_frames`` > 1 dispatches multi-frame steps (the real farm's
     process executor wants coarser tasks); ``continuation_fresh=True``
@@ -247,11 +249,14 @@ class AdaptiveChainPolicy(SchedulingPolicy):
         steal: bool = True,
         segment_frames: int = 1,
         continuation_fresh: bool = False,
+        fresh_frames: float = 1.0,
+        speeds: dict[Worker, float] | None = None,
     ) -> None:
         super().__init__()
         self.use_coherence = bool(use_coherence)
         self.units_per_frame = int(units_per_frame)
         self.min_steal_frames = int(min_steal_frames)
+        self.fresh_frames, self.speeds = float(fresh_frames), dict(speeds or {})
         self.steal = bool(steal)
         self.segment_frames = max(1, int(segment_frames))
         self.continuation_fresh = bool(continuation_fresh)
@@ -290,10 +295,13 @@ class AdaptiveChainPolicy(SchedulingPolicy):
             if other == worker or oc.remaining < self.min_steal_frames:
                 continue
             if victim is None or oc.remaining > victim.remaining:
-                victim = oc
+                victim, owner = oc, other
         if victim is None:
             return None
-        keep = max(1, victim.remaining // 2)
+        sv, st = (self.speeds.get(w, 1.0) for w in (owner, worker))
+        keep = max(1, int(sv * (victim.remaining + self.fresh_frames - 1.0) // (sv + st)))
+        if keep >= victim.remaining:
+            return None
         mid = victim.next_frame + keep
         stolen = Chain(victim.region_index, mid, victim.end_frame, fresh=True)
         victim.end_frame = mid
@@ -513,16 +521,16 @@ def make_policy(
     n_regions: int = 1,
     sequence_ranges: Sequence[tuple[int, int]] | None = None,
     frames_per_chunk: int = 10,
-    min_steal_frames: int = 2,
-    segment_frames: int = 1,
-    continuation_fresh: bool = False,
+    **chain_kw,
 ) -> SchedulingPolicy:
     """Build the policy behind a strategy name (a :data:`STRATEGIES` key).
 
     ``sequence_ranges`` (for the sequence-division strategies) are the
     pre-weighted initial frame ranges; region-indexed strategies take
     ``n_regions`` blocks.  The caller owns the region geometry — policies
-    only ever see indices.
+    only ever see indices.  ``chain_kw`` (``min_steal_frames``,
+    ``segment_frames``, ...) go to a chained strategy's
+    :class:`AdaptiveChainPolicy`.
     """
     try:
         row = STRATEGIES[strategy]
@@ -536,9 +544,5 @@ def make_policy(
         n_regions=n_regions,
         sequence_ranges=sequence_ranges,
         frames_per_chunk=frames_per_chunk,
-        chain_kw=dict(
-            min_steal_frames=min_steal_frames,
-            segment_frames=segment_frames,
-            continuation_fresh=continuation_fresh,
-        ),
+        chain_kw=chain_kw,
     )

@@ -211,6 +211,14 @@ def _effective_rates(
     return [m.speed / th.slowdown(ws, m.memory_mb) for m in machines]
 
 
+def _fresh_frames(oracle: AnimationCostOracle, cfg: RenderFarmConfig) -> float:
+    """A stolen tail's fresh first frame, in coherent frames (whole-frame means)."""
+    n, px = oracle.n_frames, oracle.n_pixels
+    coherent = (oracle.total_coherent_rays() - oracle.full_rays(0)) / max(n - 1, 1)
+    fresh = cfg.task_units(oracle.total_full_rays() / n, True, chain_start=True, region_pixels=px)
+    return fresh / max(cfg.task_units(coherent, True, region_pixels=px), 1e-9)
+
+
 def default_worker_timeout(
     oracle: AnimationCostOracle,
     machines: list[Machine],
@@ -325,7 +333,7 @@ class SimTransport:
                 f"failures/worker_timeout; use one of {ft}"
             )
         cfg = cfg or RenderFarmConfig()
-        ranges = None
+        ranges, weights = None, [m.speed for m in machines]
         if row.single:
             machines, regions = machines[:1], None
         elif row.regions:
@@ -336,7 +344,6 @@ class SimTransport:
             # sized by speed — the paper's "matching the computation of a
             # subproblem to the most appropriate processor".
             regions = None
-            weights = [m.speed for m in machines]
             if row.effective_speed:
                 weights = _effective_rates(machines, cfg, oracle.n_pixels, thrash)
             ranges = sequence_ranges(oracle.n_frames, len(machines), weights=weights)
@@ -347,6 +354,8 @@ class SimTransport:
             sequence_ranges=ranges,
             frames_per_chunk=frames_per_chunk,
             min_steal_frames=cfg.min_steal_frames,
+            fresh_frames=_fresh_frames(oracle, cfg) if row.coherent else 1.0,
+            speeds={m.name: w for m, w in zip(machines, weights)},
         )
         if row.deadline and worker_timeout is None:
             worker_timeout = default_worker_timeout(

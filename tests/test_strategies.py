@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster import ThrashModel, ncsu_testbed
 from repro.parallel import RenderFarmConfig
-from repro.sched import simulate
+from repro.sched import AdaptiveChainPolicy, Chain, simulate
 
 SPU = 1e-4
 NO_THRASH = ThrashModel(alpha=0.0)
@@ -99,6 +99,36 @@ def test_sequence_division_fc(tiny_oracle, machines, cfg):
     # the 45-frame benchmark asserts the full Table-1 ordering.
     base = _single(tiny_oracle, machines, cfg)
     assert out.total_time < base.total_time
+
+
+def _stolen(frames, **kw):
+    """Frames thief ``"t"`` takes from ``"v"``'s chain once ``"v"`` has
+    rendered its first frame (0: no steal)."""
+    policy = AdaptiveChainPolicy([Chain(-1, 0, frames)], use_coherence=True, **kw)
+    policy.next_assignment("v")
+    a = policy.next_assignment("t")
+    assert policy.n_steals == (a is not None)
+    return 0 if a is None else frames - a.frame0
+
+
+def test_steal_splits_the_tail_in_half_by_default():
+    assert _stolen(9) == 4
+    assert _stolen(10) == 5
+
+
+def test_steal_prices_the_thiefs_fresh_frame():
+    # The victim keeps (8 + 5 - 1) / 2 = 6 frames; the thief's 2 cost 5 + 1.
+    assert _stolen(9, fresh_frames=5.0) == 2
+    # Keeping (4 + 4) / 2 = 4 frames leaves the thief nothing: no steal.
+    assert _stolen(5, fresh_frames=5.0) == 0
+
+
+def test_steal_weighs_thief_and_victim_speeds():
+    # 12 frames left, a restart costs 4: a thief twice as fast takes 7
+    # (4 + 6 = 10 coherent frames at speed 2), the victim keeps 5.
+    assert _stolen(13, fresh_frames=4.0, speeds={"v": 1.0, "t": 2.0}) == 7
+    # A thief half as fast takes 2 (4 + 1 = 5 at speed 1); the victim keeps 10.
+    assert _stolen(13, fresh_frames=4.0, speeds={"v": 2.0, "t": 1.0}) == 2
 
 
 def test_sequence_division_nofc(tiny_oracle, machines, cfg):
