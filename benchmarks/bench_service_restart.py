@@ -4,11 +4,11 @@ The persistent service's robustness claim is cheap to state — ``kill -9``
 plus ``--resume`` finishes every job bit-identically — but the paper's
 operators would have asked the next question: *how much render time does
 a crash actually cost?*  This benchmark answers it with the same
-emulated-crash discipline the test suite uses (journal a ``running``
-job, keep only half its checkpoint spool, restart):
+emulated-crash discipline the test suite uses (save a ``running``
+``job.json``, keep only half its checkpoint spool, restart):
 
-* **recovery time** — ledger replay + re-admission (the part a bigger
-  WAL makes slower) and the resumed attempt's wall time;
+* **recovery time** — the restart (reading every ``job.json`` back and
+  re-admitting the unfinished jobs) and the resumed attempt's wall time;
 * **re-rendered-task overhead** — tasks the resumed run had to render
   again vs. the crash-free run, which is the real price of the spool's
   unit granularity (at most the in-flight tasks, never the spooled
@@ -20,13 +20,14 @@ telemetry, recovery numbers in ``extra``) and ``service_restart.txt``.
 
 from __future__ import annotations
 
+import dataclasses
 import shutil
 import time
 
 import numpy as np
 from _bench_utils import write_result
 
-from repro.service import JobLedger, RenderService
+from repro.service import RenderService
 from repro.telemetry import metrics_from_events, read_events, write_bench_json
 
 SPEC = {"workload": "newton", "n_frames": 6, "width": 64, "height": 48,
@@ -55,15 +56,15 @@ def test_service_restart_overhead(results_dir, tmp_path):
     with np.load(free_dir / "jobs" / free_job.job_id / "frames.npz") as npz:
         free_frames = npz["frames"]
 
-    # -- emulated crash: job journaled running, half its spool on disk -------
+    # -- emulated crash: job saved running, half its spool on disk ----------
     crash_dir = tmp_path / "crash"
     service = RenderService(crash_dir, **FARM)
     job, _ = service.submit(SPEC)
     service.stop()
     kept = spooled[: len(spooled) // 2]
-    with JobLedger(crash_dir / "ledger.wal") as led:
-        led.append("state", job=job.job_id, state="running", detail="attempt 1/3")
-    spool = crash_dir / "jobs" / job.job_id / "spool"
+    job_dir = crash_dir / "jobs" / job.job_id
+    dataclasses.replace(job, state="running", detail="attempt 1/3").save(job_dir)
+    spool = job_dir / "spool"
     spool.mkdir(parents=True)
     shutil.copy(free_spool / "manifest.json", spool / "manifest.json")
     for name in kept:
@@ -72,7 +73,7 @@ def test_service_restart_overhead(results_dir, tmp_path):
     # -- resume --------------------------------------------------------------
     t0 = time.perf_counter()
     resumed = RenderService(crash_dir, resume=True, **FARM)
-    replay_wall = time.perf_counter() - t0
+    restart_wall = time.perf_counter() - t0
     t0 = time.perf_counter()
     out = resumed.step()
     resume_wall = time.perf_counter() - t0
@@ -93,14 +94,14 @@ def test_service_restart_overhead(results_dir, tmp_path):
         metrics,
         extra={
             "crash_free_wall": free_wall,
-            "ledger_replay_wall": replay_wall,
+            "restart_wall": restart_wall,
             "resume_wall": resume_wall,
-            "recovery_total_wall": replay_wall + resume_wall,
+            "recovery_total_wall": restart_wall + resume_wall,
             "n_tasks": n_tasks,
             "n_from_checkpoint": out.n_from_checkpoint,
             "re_rendered_tasks": re_rendered,
             "re_render_fraction": re_rendered / n_tasks,
-            "resume_over_crash_free": (replay_wall + resume_wall) / free_wall,
+            "resume_over_crash_free": (restart_wall + resume_wall) / free_wall,
         },
     )
 
@@ -109,10 +110,10 @@ def test_service_restart_overhead(results_dir, tmp_path):
         f"{SPEC['n_frames']}f @ {SPEC['width']}x{SPEC['height']}, "
         f"{FARM['n_workers']} workers, crash at {len(kept)}/{n_tasks} tasks)",
         f"  crash-free render      {free_wall:.3f} s  ({n_tasks} tasks)",
-        f"  ledger replay          {replay_wall * 1e3:.1f} ms",
+        f"  restart                {restart_wall * 1e3:.1f} ms",
         f"  resumed render         {resume_wall:.3f} s  "
         f"({re_rendered} tasks re-rendered, {out.n_from_checkpoint} from spool)",
-        f"  recovery / crash-free  {(replay_wall + resume_wall) / free_wall:.2f}x",
+        f"  recovery / crash-free  {(restart_wall + resume_wall) / free_wall:.2f}x",
         "  frames bit-identical to the crash-free run",
     ]
     write_result(results_dir, "service_restart.txt", "\n".join(lines))

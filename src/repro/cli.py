@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--state-dir", type=Path, required=True, metavar="DIR",
-        help="home of the job ledger, per-job checkpoint spools, and frames",
+        help="home of one jobs/<id>/ directory per job: job.json, checkpoint spool, frames",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--resume", action="store_true",
-        help="replay the ledger in --state-dir and continue every unfinished job",
+        help="read the jobs in --state-dir back and continue every unfinished one",
     )
     p_serve.add_argument(
         "--queue-capacity", type=int, default=16,
@@ -552,7 +552,7 @@ def _cmd_serve(args) -> int:
     try:
         service.serve_forever()
     except KeyboardInterrupt:
-        print("\nshutting down (ledger is durable; restart with --resume)")
+        print("\nshutting down (every job.json is durable; restart with --resume)")
     finally:
         service.stop()
     return 0

@@ -1,14 +1,15 @@
 """repro.service — the persistent multi-job render service.
 
-Three layers, smallest first:
+The service's state is its directories: one ``jobs/<id>/`` per job,
+holding its record (``job.json``), its checkpoint spool and its frames.
 
-* :mod:`~repro.service.ledger` — the crash-safe write-ahead JobLedger
-  (CRC-framed fsync'd journal, torn-tail-tolerant replay, the job fold);
+* :mod:`~repro.service.job` — the :class:`Job` record, atomically
+  replaced at every transition, and :func:`load_jobs`, the restart;
 * :mod:`~repro.service.queue` — bounded priority admission with explicit
   shedding;
 * :mod:`~repro.service.daemon` — :class:`RenderService`, the
-  ``repro serve`` daemon tying ledger + queue + farm together behind an
-  RNW1 control socket;
+  ``repro serve`` daemon tying job records + queue + farm together behind
+  an RNW1 control socket;
 * :mod:`~repro.service.client` — ``submit``/``wait``/``job_status``/
   ``cancel`` RPC helpers (re-exported from :mod:`repro.api`).
 
@@ -17,29 +18,20 @@ See DESIGN §13 for the state machine and the restart-recovery sequence.
 
 from .client import ServiceError, cancel, job_status, list_jobs, submit, wait
 from .daemon import RenderService
-from .ledger import (
-    JOB_STATES,
-    TERMINAL_STATES,
-    Job,
-    JobLedger,
-    fold_jobs,
-    replay_records,
-)
+from .job import JOB_STATES, TERMINAL_STATES, Job, load_jobs
 from .queue import JobQueue
 
 __all__ = [
     "JOB_STATES",
     "TERMINAL_STATES",
     "Job",
-    "JobLedger",
     "JobQueue",
     "RenderService",
     "ServiceError",
     "cancel",
-    "fold_jobs",
     "job_status",
     "list_jobs",
-    "replay_records",
+    "load_jobs",
     "submit",
     "wait",
 ]

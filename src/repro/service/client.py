@@ -27,7 +27,7 @@ import time
 
 from ..net import protocol as wire
 from .daemon import IMPOSED, SPEC_FIELDS
-from .ledger import TERMINAL_STATES
+from .job import TERMINAL_STATES
 
 __all__ = ["ServiceError", "submit", "job_status", "list_jobs", "cancel", "wait"]
 
@@ -67,8 +67,8 @@ def _spec_from_request(request) -> dict:
     Fields left at their RenderRequest default are *not* sent: the
     service owns the defaults for anything the caller didn't touch
     (worker count, executor, transport come from the daemon's own
-    configuration, not from the client's dataclass).  A field the service
-    would drop must be at its default (or at the value the service
+    configuration, not from the client's dataclass).  A field outside the
+    allow-list must be at its default (or at the value the service
     imposes): a job is never accepted and then silently rendered without
     something its request asked for.
     """

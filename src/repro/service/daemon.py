@@ -15,21 +15,22 @@ This module is that master:
   lands there as an atomically renamed file, and that file is the only
   record that the unit is done (a job's ``tasks_done`` is a count of
   them, taken when a status snapshot is built);
-* the **JobLedger** write-ahead discipline: every job transition is
-  durable *before* the service acts on it, so ``kill -9`` plus
-  ``repro serve --resume`` reconstructs the job table and reruns every
-  in-flight job on its spool, which re-renders only the units missing
-  there — the final frames are bit-identical to a crash-free run (the
-  ``service-smoke`` CI drill asserts this);
+* one **job record** per job: every transition atomically replaces
+  ``jobs/<id>/job.json`` *before* the service acts on it, so ``kill -9``
+  plus ``repro serve --resume`` reads the job table back from the job
+  directories and reruns every in-flight job on its spool, which
+  re-renders only the units missing there — the final frames are
+  bit-identical to a crash-free run (the ``service-smoke`` CI drill
+  asserts this);
 * **retry with capped exponential backoff**: a failed attempt re-queues
   the job gated by ``not_before``; the *final* attempt degrades to the
   serial in-process executor (a collapsed worker pool can fail a pooled
   attempt, it should never dead-letter a job the master could render
   alone), and ``max_attempts`` exhausted parks the job in
-  ``dead-letter`` with its full attempt history in the ledger;
+  ``dead-letter`` with its full attempt history in its ``job.json``;
 * **admission control**: the bounded :class:`~repro.service.queue.JobQueue`
-  sheds the lowest-priority job with an explicit ``rejected`` ledger
-  record — never a silent drop.
+  sheds the lowest-priority job, saved as ``rejected`` — never a silent
+  drop.
 
 Synchronous :meth:`RenderService.step` runs exactly one job (what the
 tests drive); :meth:`RenderService.serve_forever` is the daemon loop.
@@ -49,14 +50,14 @@ import numpy as np
 from ..durable import atomic_write
 from ..net import protocol as wire
 from ..telemetry import JsonlSink, RunFold, Telemetry
-from .ledger import TERMINAL_STATES, Job, JobLedger, fold_jobs, replay_records
+from .job import TERMINAL_STATES, Job, load_jobs
 from .queue import JobQueue
 
 __all__ = ["RenderService", "SPEC_FIELDS"]
 
 #: RenderRequest fields a submitted job may set — the one allow-list, read
 #: by the client to project a request and by :meth:`RenderService.submit`
-#: to drop everything else (the service, not the client, owns
+#: to refuse everything else (the service, not the client, owns
 #: engine/schedule/run_dir/telemetry).  Every entry is a field the farm
 #: engine reads.
 SPEC_FIELDS = (
@@ -82,14 +83,14 @@ class RenderService:
     Parameters
     ----------
     state_dir:
-        Home of the ledger (``ledger.wal``), the service event log, and
-        one ``jobs/<id>/`` directory per job (checkpoint spool, per-job
+        Home of the service event log and one ``jobs/<id>/`` directory
+        per job (``job.json``, checkpoint spool, per-job
         ``events.jsonl``, final ``frames.npz``).
     resume:
-        Replay the ledger and re-admit every non-terminal job before
-        serving.  ``False`` requires a fresh state directory — refusing
-        to silently ignore an existing ledger is part of the crash-safety
-        contract.
+        Read every ``jobs/*/job.json`` back and re-admit every
+        non-terminal job before serving.  ``False`` requires a state
+        directory without ``jobs/`` — refusing to silently ignore earlier
+        jobs is part of the crash-safety contract.
     queue_capacity:
         Admission bound; see :class:`~repro.service.queue.JobQueue`.
     n_workers / executor / transport:
@@ -133,28 +134,28 @@ class RenderService:
         self._status_server = None
         self._started_at = time.time()
         self.n_recovered = 0
-        self.n_dropped_records = 0
 
-        ledger_path = self.state_dir / "ledger.wal"
-        if not resume and ledger_path.exists():
+        journal = self.state_dir / "ledger.wal"
+        if journal.exists():
             raise FileExistsError(
-                f"{ledger_path} already exists; pass resume=True "
-                "(repro serve --resume) to continue it, or point --state-dir "
-                "at a fresh directory"
+                f"{journal} is the job journal of an older service, which this "
+                "one does not read; point --state-dir at a fresh directory"
+            )
+        jobs_dir = self.state_dir / "jobs"
+        if not resume and jobs_dir.exists():
+            raise FileExistsError(
+                f"{jobs_dir} already exists; pass resume=True "
+                "(repro serve --resume) to continue its jobs, or point "
+                "--state-dir at a fresh directory"
             )
         self.state_dir.mkdir(parents=True, exist_ok=True)
 
-        self.jobs: dict[str, Job] = {}
+        self.jobs: dict[str, Job] = load_jobs(jobs_dir) if resume else {}
         self.queue = JobQueue(capacity=self.queue_capacity)
-        if resume:
-            records, self.n_dropped_records = replay_records(ledger_path)
-            self.jobs = fold_jobs(records)
-            for job in sorted(self.jobs.values(), key=lambda j: j.submitted_at):
-                if job.state == "queued":
-                    self.queue.requeue(job)
-                    if job.recovered:
-                        self.n_recovered += 1
-        self.ledger = JobLedger(ledger_path)
+        for job in sorted(self.jobs.values(), key=lambda j: j.submitted_at):
+            if job.state == "queued":
+                self.queue.requeue(job)
+                self.n_recovered += job.recovered
 
         self.telemetry = Telemetry(sinks=[JsonlSink(self.state_dir / "service.events.jsonl")])
         # The service's own black box: records everything this process
@@ -168,12 +169,8 @@ class RenderService:
         # served as Prometheus text at /metrics on the status endpoint.
         self.metrics = RunFold(detector=StragglerDetector()).bind(self.telemetry)
         self.telemetry.sinks.append(self.metrics)
-        if resume and self.n_recovered:
-            self._log(
-                f"resume: {len(self.jobs)} jobs replayed, "
-                f"{self.n_recovered} re-queued, "
-                f"{self.n_dropped_records} torn/corrupt records dropped"
-            )
+        if self.n_recovered:
+            self._log(f"resume: {len(self.jobs)} jobs read, {self.n_recovered} re-queued")
 
     # -- logging ---------------------------------------------------------------
     def _log(self, msg: str) -> None:
@@ -189,14 +186,18 @@ class RenderService:
                 n = max(n, int(tail))
         return f"j{n + 1:04d}"
 
-    # -- ledger helpers ---------------------------------------------------------
-    def _set_state(self, job: Job, state: str, detail: str = "", **extra) -> None:
-        """Journal then apply a state transition (lock held by caller)."""
-        self.ledger.append("state", job=job.job_id, state=state, detail=detail, **extra)
+    # -- job records -------------------------------------------------------------
+    def _job_dir(self, job: Job) -> Path:
+        return self.state_dir / "jobs" / job.job_id
+
+    def _set_state(self, job: Job, state: str, detail: str = "") -> None:
+        """Apply a state transition and save the job before anything acts
+        on it (lock held by caller)."""
         job.state = state
         job.detail = detail
         if state in TERMINAL_STATES:
             job.finished_at = time.time()
+        job.save(self._job_dir(job))
         self.telemetry.event("job.state", job=job.job_id, state=state, detail=detail)
         self._log(f"{job.job_id}: {state}" + (f" ({detail})" if detail else ""))
 
@@ -210,39 +211,39 @@ class RenderService:
         max_attempts: int = 3,
     ) -> tuple[Job, Job | None]:
         """Admit one job; returns ``(job, shed)`` where ``shed`` is the
-        job rejected by admission control (possibly the new job itself)."""
-        clean = {k: spec[k] for k in SPEC_FIELDS if k in spec}
+        job rejected by admission control (possibly the new job itself).
+        A spec key outside :data:`SPEC_FIELDS` is a :class:`ValueError`:
+        a job is never rendered without something its spec asked for."""
+        unknown = sorted(set(spec) - set(SPEC_FIELDS))
+        if unknown:
+            raise ValueError(
+                f"the render service does not honour {', '.join(unknown)}; "
+                f"a job may set {', '.join(SPEC_FIELDS)}"
+            )
+        spec = dict(spec)
+        n_frames = int(spec.get("n_frames", 8))
         with self._lock:
             job = Job(
                 job_id=self._next_job_id(),
-                spec=clean,
+                spec=spec,
                 priority=int(priority),
                 owner=str(owner),
                 max_attempts=max(1, int(max_attempts)),
                 submitted_at=time.time(),
             )
+            job.save(self._job_dir(job))
             self.jobs[job.job_id] = job
-            self.ledger.append(
-                "submit",
-                job=job.job_id,
-                spec=clean,
-                priority=job.priority,
-                owner=job.owner,
-                max_attempts=job.max_attempts,
-            )
             self.telemetry.event(
                 "job.submit",
                 job=job.job_id,
-                workload=str(clean.get("workload", "newton")),
+                workload=str(spec.get("workload", "newton")),
                 priority=job.priority,
                 owner=job.owner,
-                n_frames=int(clean.get("n_frames", 8)),
+                n_frames=n_frames,
             )
             shed = self.queue.push(job)
             if shed is not None:
-                self._set_state(
-                    shed, "rejected", "shed by admission control (queue full)"
-                )
+                self._set_state(shed, "rejected", "shed by admission control (queue full)")
             return job, shed
 
     def cancel(self, job_id: str) -> Job:
@@ -259,7 +260,7 @@ class RenderService:
 
     # -- status surfaces -------------------------------------------------------
     def _spool(self, job: Job) -> Path:
-        return self.state_dir / "jobs" / job.job_id / "spool"
+        return self._job_dir(job) / "spool"
 
     def _view(self, job: Job) -> dict:
         """A job's wire form; ``tasks_done`` counts its spooled unit files."""
@@ -281,7 +282,6 @@ class RenderService:
             "n_jobs": len(jobs),
             "states": counts,
             "n_recovered": self.n_recovered,
-            "n_dropped_records": self.n_dropped_records,
             "jobs": sorted(jobs, key=lambda j: j["job_id"]),
         }
 
@@ -330,13 +330,11 @@ class RenderService:
                 return None
             attempt = job.n_attempts + 1
             final = attempt >= job.max_attempts
-            self._set_state(
-                job, "running", f"attempt {attempt}/{job.max_attempts}"
-            )
-        job_dir = self.state_dir / "jobs" / job.job_id
+            self._set_state(job, "running", f"attempt {attempt}/{job.max_attempts}")
+        job_dir = self._job_dir(job)
         # One event log per *attempt*: a killed attempt leaves a truncated
         # trace (its run span never closed), which would read as orphan
-        # spans forever if appended to.  The ledger keeps the attempt
+        # spans forever if appended to.  ``job.json`` keeps the attempt
         # history; the event log describes the attempt that produced the
         # frames on disk — always a complete, connected trace.
         (job_dir / "events.jsonl").unlink(missing_ok=True)
@@ -363,11 +361,7 @@ class RenderService:
             job.n_tasks = result.n_tasks
             job.n_from_checkpoint = result.n_from_checkpoint
             self._set_state(
-                job,
-                "done",
-                f"{result.n_tasks} tasks, {result.n_from_checkpoint} from checkpoint",
-                n_tasks=result.n_tasks,
-                n_from_checkpoint=result.n_from_checkpoint,
+                job, "done", f"{result.n_tasks} tasks, {result.n_from_checkpoint} from checkpoint"
             )
         return job
 
@@ -375,12 +369,9 @@ class RenderService:
         self, job: Job, attempt: int, outcome: str, duration: float,
         error: str = "", backoff: float = 0.0,
     ) -> None:
-        """One attempt's end, written once each to the ledger, the job
-        table and the service's event log (lock held by the caller)."""
-        self.ledger.append(
-            "attempt", job=job.job_id, attempt=attempt, outcome=outcome,
-            duration=round(duration, 6), error=error, backoff=backoff,
-        )
+        """One attempt's end, written to the job table and the service's
+        event log; the transition that follows saves it (lock held by the
+        caller)."""
         job.attempts.append(
             {"attempt": attempt, "outcome": outcome, "error": error,
              "duration": duration, "backoff": backoff}
@@ -395,31 +386,21 @@ class RenderService:
     ) -> None:
         with self._lock:
             retry = attempt < job.max_attempts
-            backoff = (
-                min(self.retry_cap, self.retry_base * (2.0 ** (attempt - 1)))
-                if retry
-                else 0.0
-            )
+            backoff = min(self.retry_cap, self.retry_base * 2.0 ** (attempt - 1)) if retry else 0.0
             self._record_attempt(job, attempt, "error", duration, error, backoff)
             if retry:
                 job.not_before = now + backoff
-                self._set_state(
-                    job,
-                    "queued",
-                    f"retry {attempt + 1}/{job.max_attempts} in {backoff:.2f}s: {error}",
-                )
+                retry_at = f"retry {attempt + 1}/{job.max_attempts} in {backoff:.2f}s"
+                self._set_state(job, "queued", f"{retry_at}: {error}")
                 self.queue.requeue(job)
             else:
-                self._set_state(
-                    job, "dead-letter", f"{attempt} attempts exhausted: {error}"
-                )
+                self._set_state(job, "dead-letter", f"{attempt} attempts exhausted: {error}")
 
     @staticmethod
     def _save_frames(job_dir: Path, frames) -> None:
         """Atomically write the finished frames next to the job's spool."""
         if frames is None:
             return
-        job_dir.mkdir(parents=True, exist_ok=True)
         frames = np.asarray(frames)
         atomic_write(job_dir / "frames.npz", lambda fh: np.savez_compressed(fh, frames=frames))
 
@@ -481,7 +462,7 @@ class RenderService:
                 if got is None:
                     return
                 msg_type, payload = got
-                reply = self._handle(msg_type, payload or {})
+                reply = self._handle(msg_type, payload)
                 wire.send_frame(conn, wire.MSG_JOB_STATUS, reply)
         except (OSError, wire.ProtocolError):
             pass  # a client that hangs up or talks garbage ends its own call only
@@ -491,12 +472,18 @@ class RenderService:
             except OSError:
                 pass  # already closed by the peer
 
-    def _handle(self, msg_type: int, payload: dict) -> dict:
+    def _handle(self, msg_type: int, payload) -> dict:
         service = {"addr": f"{self.host}:{self.port}", "queue_capacity": self.queue_capacity}
+        name = wire.MSG_NAMES.get(msg_type, msg_type)
         try:
+            if not isinstance(payload, dict):
+                raise ValueError(f"{name} payload must be a map, not {type(payload).__name__}")
             if msg_type == wire.MSG_JOB_SUBMIT:
+                spec = payload.get("spec")
+                if not isinstance(spec, dict):
+                    raise ValueError(f"{name} needs a spec map, got {type(spec).__name__}")
                 job, shed = self.submit(
-                    dict(payload.get("spec") or {}),
+                    spec,
                     priority=int(payload.get("priority", 0)),
                     owner=str(payload.get("owner", "")),
                     max_attempts=int(payload.get("max_attempts", 3)),
@@ -528,7 +515,7 @@ class RenderService:
                 return {"ok": True, "job": self._view(job), "service": service}
             return {
                 "ok": False,
-                "error": f"unexpected message type {wire.MSG_NAMES.get(msg_type, msg_type)!r}",
+                "error": f"unexpected message type {name!r}",
                 "service": service,
             }
         except (ValueError, TypeError) as exc:
@@ -558,7 +545,6 @@ class RenderService:
             self._status_server.stop()
             self._status_server = None
         self.telemetry.close()
-        self.ledger.close()
         self.recorder.uninstall()
 
     def __enter__(self) -> "RenderService":

@@ -13,24 +13,24 @@ Policy:
 * :meth:`JobQueue.push` over capacity **sheds the least defensible
   entry**: the lowest-priority job in the queue, newest first among ties
   — and if the incoming job *is* the least defensible, it is shed
-  itself.  The shed job is returned so the service can write an explicit
-  ``rejected`` record to the ledger; admission control is an auditable
-  decision, never a silent drop.
+  itself.  The shed job is returned so the service can save it as
+  ``rejected``; admission control is an auditable decision, never a
+  silent drop.
 
 The queue is a plain data structure — no locks.  The service serializes
-access under its own mutex, which also covers the ledger append that
-must pair with every shed.
+access under its own mutex, which also covers the ``job.json`` save
+that must pair with every shed.
 """
 
 from __future__ import annotations
 
-from .ledger import Job
+from .job import Job
 
 __all__ = ["JobQueue"]
 
 
 class JobQueue:
-    """Bounded priority queue of :class:`~repro.service.ledger.Job`."""
+    """Bounded priority queue of :class:`~repro.service.job.Job`."""
 
     def __init__(self, capacity: int = 16):
         self.capacity = max(1, int(capacity))
@@ -58,10 +58,10 @@ class JobQueue:
         return victim[1]
 
     def requeue(self, job: Job) -> None:
-        """Admit without the capacity check — for retries and ledger-replay
-        re-admission.  A job that already survived admission control keeps
-        its seat; shedding it on a retry (or on ``--resume``) would turn a
-        transient failure into a rejection."""
+        """Admit without the capacity check — for retries and for the jobs
+        a ``--resume`` restart re-admits.  A job that already survived
+        admission control keeps its seat; shedding it on a retry (or on
+        ``--resume``) would turn a transient failure into a rejection."""
         self._items.append(job)
 
     def pop(self, now: float | None = None) -> Job | None:
@@ -87,9 +87,3 @@ class JobQueue:
             if job.job_id == job_id:
                 return self._items.pop(i)
         return None
-
-    def snapshot(self) -> list[Job]:
-        """The queued jobs, most urgent first (for status surfaces)."""
-        return sorted(
-            self._items, key=lambda j: (-j.priority, j.submitted_at, j.job_id)
-        )

@@ -1,10 +1,11 @@
-"""Tests for the persistent render service: ledger, queue, daemon, RPC.
+"""Tests for the persistent render service: job records, queue, daemon, RPC.
 
 The crash-safety contract under test, end to end:
 
-* every intact ledger record survives any corruption of the *tail*
-  (property-style: truncate and flip-a-byte at every offset of the last
-  record);
+* a job's ``job.json`` is replaced atomically and durably, so a restart
+  reads each job's last saved state (a stray temp file from a kill
+  between write and rename is ignored, an unparsable record is an
+  error naming the file);
 * a service killed mid-job and restarted with ``resume=True`` finishes
   the job from its last spooled task, bit-identical to a crash-free run,
   and never re-renders a spooled task;
@@ -13,8 +14,12 @@ The crash-safety contract under test, end to end:
   ``rejected`` record, never silently.
 """
 
+import dataclasses
 import json
+import os
+import re
 import shutil
+import stat
 import time
 import urllib.error
 import urllib.request
@@ -22,17 +27,11 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro import durable
 from repro.api import RenderRequest
+from repro.net import protocol as wire
 from repro.obs import fetch_status
-from repro.service import (
-    Job,
-    JobLedger,
-    JobQueue,
-    RenderService,
-    ServiceError,
-    fold_jobs,
-    replay_records,
-)
+from repro.service import Job, JobQueue, RenderService, ServiceError, load_jobs
 from repro.service import client as svc_client
 from repro.telemetry import read_events, validate_events
 
@@ -49,138 +48,92 @@ def make_service(state_dir, **kwargs) -> RenderService:
     return RenderService(state_dir, **kwargs)
 
 
-# -- ledger ---------------------------------------------------------------------
-def test_ledger_round_trip(tmp_path):
-    path = tmp_path / "ledger.wal"
-    with JobLedger(path) as led:
-        led.append("submit", job="j0001", spec=SPEC, priority=2, owner="ada",
-                   max_attempts=3)
-        led.append("state", job="j0001", state="running", detail="attempt 1/3")
-        led.append("attempt", job="j0001", attempt=1, outcome="ok",
-                   duration=1.5, error="", backoff=0.0)
-        led.append("state", job="j0001", state="done", detail="",
-                   n_tasks=4, n_from_checkpoint=0)
-    records, dropped = replay_records(path)
-    assert dropped == 0
-    assert [r["kind"] for r in records] == ["submit", "state", "attempt", "state"]
-    jobs = fold_jobs(records)
-    job = jobs["j0001"]
-    assert job.state == "done"
-    assert job.priority == 2 and job.owner == "ada"
-    assert job.n_tasks == 4
-    assert job.n_attempts == 1 and job.attempts[0]["outcome"] == "ok"
-    assert not job.recovered
-
-
-def test_ledger_missing_file_is_empty(tmp_path):
-    records, dropped = replay_records(tmp_path / "absent.wal")
-    assert records == [] and dropped == 0
-
-
+# -- job records ------------------------------------------------------------------
 def test_fold_requeues_in_flight_jobs(tmp_path):
-    path = tmp_path / "ledger.wal"
-    with JobLedger(path) as led:
-        led.append("submit", job="j0001", spec=SPEC, priority=0, owner="",
-                   max_attempts=3)
-        led.append("state", job="j0001", state="running", detail="attempt 1/3")
-        led.append("submit", job="j0002", spec=SPEC, priority=1, owner="",
-                   max_attempts=3)
-        led.append("state", job="j0002", state="cancelled", detail="")
-    jobs = fold_jobs(replay_records(path)[0])
+    jobs_dir = tmp_path / "jobs"
+    Job("j0001", SPEC, state="running", detail="attempt 1/3").save(jobs_dir / "j0001")
+    Job("j0002", SPEC, priority=1, state="cancelled").save(jobs_dir / "j0002")
+    between_retries = Job("j0003", SPEC, not_before=1e12, attempts=[
+        {"attempt": 1, "outcome": "error", "error": "boom", "duration": 0.1, "backoff": 2.0}
+    ])
+    between_retries.save(jobs_dir / "j0003")
+    jobs = load_jobs(jobs_dir)
     assert jobs["j0001"].state == "queued"          # back in the queue
     assert jobs["j0001"].recovered
     assert jobs["j0002"].state == "cancelled"       # terminal stays terminal
     assert not jobs["j0002"].recovered
+    # Interrupted between retries: history kept, runs at once.
+    assert jobs["j0003"].recovered and jobs["j0003"].not_before == 0.0
+    assert jobs["j0003"].attempts == between_retries.attempts
 
 
-#: A ledger as the service wrote it while it also journaled one ``task``
-#: record per spooled unit: j0001 finished, j0002 was in flight.
-_LEDGER_WITH_TASK_RECORDS = (
-    'ef6dee3f {"job":"j0001","kind":"submit","max_attempts":3,"owner":"ada","priority":0,"spec":{"grid_resolution":16,"height":36,"n_frames":4,"width":48,"workload":"newton"},"t":1700000000.0}\n'
-    '52e80a85 {"detail":"attempt 1/3","job":"j0001","kind":"state","state":"running","t":1700000001.0}\n'
-    '9e414e40 {"job":"j0001","kind":"task","t":1700000002.0,"task":0}\n'
-    '5acca684 {"job":"j0001","kind":"task","t":1700000003.0,"task":1}\n'
-    '39be3576 {"detail":"","job":"j0001","kind":"state","n_from_checkpoint":0,"n_tasks":2,"state":"done","t":1700000004.0}\n'
-    '1d553d64 {"job":"j0002","kind":"submit","max_attempts":3,"owner":"bob","priority":1,"spec":{"grid_resolution":16,"height":36,"n_frames":4,"width":48,"workload":"newton"},"t":1700000005.0}\n'
-    '4c56e2ff {"detail":"attempt 1/3","job":"j0002","kind":"state","state":"running","t":1700000006.0}\n'
-    '6177b59d {"job":"j0002","kind":"task","t":1700000007.0,"task":3}\n'
-)
+def test_job_record_round_trips(tmp_path):
+    job = Job("j0007", SPEC, priority=2, owner="ada", state="done", n_tasks=4,
+              finished_at=5.0, attempts=[{"attempt": 1, "outcome": "ok"}])
+    job.save(tmp_path / "j0007")
+    assert load_jobs(tmp_path)["j0007"] == job
+    assert json.loads((tmp_path / "j0007" / "job.json").read_text())["owner"] == "ada"
 
 
-def test_ledger_with_task_records_replays_to_the_same_jobs(tmp_path):
-    """An older ledger's per-unit ``task`` records are skipped: the job
-    table is the one its other records describe, with no ``tasks_done``
-    in it (a job's progress is its spool, counted when it is shown)."""
-    path = tmp_path / "ledger.wal"
-    path.write_text(_LEDGER_WITH_TASK_RECORDS)
-    records, dropped = replay_records(path)
-    assert dropped == 0 and sum(r["kind"] == "task" for r in records) == 3
-    jobs = fold_jobs(records)
-    without = fold_jobs([r for r in records if r["kind"] != "task"])
-    assert {k: j.to_dict() for k, j in jobs.items()} == {
-        k: j.to_dict() for k, j in without.items()
-    }
-    assert jobs["j0001"].state == "done" and jobs["j0001"].n_tasks == 2
-    assert jobs["j0002"].state == "queued" and jobs["j0002"].recovered
-    assert all("tasks_done" not in j.to_dict() for j in jobs.values())
+def test_atomic_write_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    """A renamed file is durable only once its directory entry is."""
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def logged_fsync(fd):
+        calls.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        fsync(fd)
+
+    def logged_replace(src, dst):
+        calls.append("replace")
+        replace(src, dst)
+
+    monkeypatch.setattr(durable.os, "fsync", logged_fsync)
+    monkeypatch.setattr(durable.os, "replace", logged_replace)
+    durable.atomic_write(tmp_path / "x.json", b"{}")
+    assert calls == ["file", "replace", "dir"]
+    assert (tmp_path / "x.json").read_bytes() == b"{}"
 
 
-def _intact_ledger(path):
-    """A ledger whose last record is the corruption target."""
-    with JobLedger(path) as led:
-        led.append("submit", job="j0001", spec=SPEC, priority=1, owner="ada",
-                   max_attempts=3)
-        led.append("state", job="j0001", state="running", detail="attempt 1/3")
-        led.append("attempt", job="j0001", attempt=1, outcome="ok",
-                   duration=1.5, error="", backoff=0.0)
-        led.append("state", job="j0001", state="done", detail="",
-                   n_tasks=2, n_from_checkpoint=0)
-        led.append("submit", job="j0002", spec=SPEC, priority=0, owner="bob",
-                   max_attempts=3)
-    raw = path.read_bytes()
-    lines = raw[:-1].split(b"\n")  # strip trailing newline, split records
-    return b"\n".join(lines[:-1]) + b"\n", lines[-1]
+def test_restart_ignores_a_temp_file_left_between_write_and_rename(tmp_path):
+    """``kill -9`` after a new ``job.json`` was written but before it was
+    renamed into place: the restart reads the previous state."""
+    svc = make_service(tmp_path / "svc")
+    job, _ = svc.submit(SPEC)
+    svc.stop()
+    job_dir = tmp_path / "svc" / "jobs" / job.job_id
+    running = dataclasses.replace(job, state="running", detail="attempt 1/3")
+    torn = json.dumps(dataclasses.asdict(running)).encode()
+    (job_dir / f".job.json.{os.getpid()}.0badf00d.tmp").write_bytes(torn)
+    (job_dir / f".job.json.{os.getpid()}.5eed5eed.tmp").write_bytes(torn[:40])
+    resumed = make_service(tmp_path / "svc", resume=True)
+    try:
+        back = resumed.jobs[job.job_id]
+        assert back.state == "queued" and not back.recovered
+        assert back.detail == "" and resumed.n_recovered == 0
+        # The id counter continues from the highest id on disk.
+        assert resumed.submit(SPEC)[0].job_id == "j0002"
+    finally:
+        resumed.stop()
 
 
-def test_torn_tail_truncation_at_every_byte_offset(tmp_path):
-    """A crash mid-append loses at most the record being written.
-
-    Every proper prefix of the final record must be dropped cleanly —
-    no exception, no earlier record lost, no finished job's task count or
-    attempt forgotten, no terminal job resurrected.
-    """
-    path = tmp_path / "ledger.wal"
-    prefix, last_line = _intact_ledger(path)
-    for cut in range(len(last_line)):
-        path.write_bytes(prefix + last_line[:cut])
-        records, dropped = replay_records(path)
-        assert dropped == (1 if cut else 0)
-        jobs = fold_jobs(records)
-        # j0001 finished before the torn record: nothing about it may change.
-        assert jobs["j0001"].state == "done"
-        assert jobs["j0001"].n_tasks == 2 and jobs["j0001"].n_attempts == 1
-        # The torn submit of j0002 is the one acceptable casualty.
-        assert "j0002" not in jobs
+def test_unparsable_job_record_fails_the_restart_naming_the_file(tmp_path):
+    svc = make_service(tmp_path / "svc")
+    job, _ = svc.submit(SPEC)
+    svc.stop()
+    record = tmp_path / "svc" / "jobs" / job.job_id / "job.json"
+    record.write_bytes(record.read_bytes()[:-7])
+    with pytest.raises(ValueError, match=re.escape(f"{record}: unreadable job record")):
+        make_service(tmp_path / "svc", resume=True)
 
 
-def test_corrupt_byte_at_every_offset_drops_only_that_record(tmp_path):
-    """A flipped byte anywhere in a record invalidates exactly that record."""
-    path = tmp_path / "ledger.wal"
-    prefix, last_line = _intact_ledger(path)
-    for i in range(len(last_line)):
-        flipped = bytes([last_line[i] ^ 0x5A])
-        path.write_bytes(prefix + last_line[:i] + flipped + last_line[i + 1:] + b"\n")
-        records, dropped = replay_records(path)
-        jobs = fold_jobs(records)
-        assert jobs["j0001"].state == "done"
-        assert jobs["j0001"].n_tasks == 2 and jobs["j0001"].n_attempts == 1
-        if "j0002" in jobs:
-            # The flip survived framing only if the record still parses
-            # byte-identically — impossible for CRC-mismatched data.
-            assert dropped == 0
-            assert jobs["j0002"].owner == "bob"
-        else:
-            assert dropped == 1
+@pytest.mark.parametrize("resume", [False, True])
+def test_older_services_journal_is_refused(tmp_path, resume):
+    state = tmp_path / "svc"
+    state.mkdir()
+    (state / "ledger.wal").write_text("")
+    with pytest.raises(FileExistsError, match="ledger.wal is the job journal of an older"):
+        make_service(state, resume=resume)
 
 
 # -- queue ----------------------------------------------------------------------
@@ -302,6 +255,28 @@ def test_submit_refuses_what_the_service_will_not_honour():
     assert set(spec) <= set(svc_client.SPEC_FIELDS)
 
 
+@pytest.mark.parametrize("payload, error", [
+    ([1, 2], "job_submit payload must be a map, not list"),
+    ("x", "job_submit payload must be a map, not str"),
+    ({"priority": 1}, "job_submit needs a spec map, got NoneType"),
+    ({"spec": "newton"}, "job_submit needs a spec map, got str"),
+    ({"spec": {**SPEC, "samples_per_axis": 2}}, "does not honour samples_per_axis"),
+], ids=["list", "str", "no-spec", "spec-not-map", "unknown-spec-key"])
+def test_malformed_control_frames_answer_not_ok(tmp_path, payload, error):
+    """A raw-wire frame the client helpers would never send gets an
+    ``ok: False`` reply naming the problem, and creates no job."""
+    svc = make_service(tmp_path / "svc")
+    host, port = svc.start()
+    try:
+        reply = svc_client._rpc(f"{host}:{port}", wire.MSG_JOB_SUBMIT, payload)
+        assert reply["ok"] is False and error in reply["error"]
+        assert svc.jobs == {} and not (tmp_path / "svc" / "jobs").exists()
+        # The connection thread survived: the service still answers.
+        assert svc_client.list_jobs(f"{host}:{port}")["n_jobs"] == 0
+    finally:
+        svc.stop()
+
+
 def test_service_refuses_stale_state_dir_without_resume(tmp_path):
     svc = make_service(tmp_path / "svc")
     svc.submit(SPEC)
@@ -327,9 +302,9 @@ def test_admission_control_sheds_with_explicit_rejection(tmp_path):
         assert shed.priority == 5 and shed.state == "rejected"
     finally:
         svc.stop()
-    jobs = fold_jobs(replay_records(tmp_path / "svc" / "ledger.wal")[0])
+    jobs = load_jobs(tmp_path / "svc" / "jobs")
     rejected = [j for j in jobs.values() if j.state == "rejected"]
-    assert len(rejected) == 2  # both sheds journaled, never silent
+    assert len(rejected) == 2  # both sheds saved, never silent
     for job in rejected:
         assert "admission control" in job.detail
 
@@ -355,7 +330,7 @@ def test_failed_job_retries_with_backoff_then_dead_letters(tmp_path):
     finally:
         svc.stop()
     # The verdict (and the full attempt history) is durable.
-    jobs = fold_jobs(replay_records(tmp_path / "svc" / "ledger.wal")[0])
+    jobs = load_jobs(tmp_path / "svc" / "jobs")
     assert jobs[job.job_id].state == "dead-letter"
     assert [a["outcome"] for a in jobs[job.job_id].attempts] == ["error", "error"]
 
@@ -380,7 +355,7 @@ def test_backoff_is_capped_exponential(tmp_path):
 # -- crash + resume ---------------------------------------------------------------
 def test_resume_continues_mid_job_bit_identically(tmp_path):
     """The headline drill, in-process: a service dies mid-job (emulated by
-    journal + partial spool), and ``resume=True`` finishes from the last
+    a ``running`` job.json + partial spool), and ``resume=True`` finishes from the last
     spooled task — never re-rendering finished work, frames bit-identical
     to the crash-free run."""
     _crash_drill(tmp_path)
@@ -410,15 +385,15 @@ def _crash_drill(tmp_path, **service_kw):
     spooled = sorted(p.name for p in ref_spool.glob("task_*.npz"))
     assert len(spooled) >= 4
 
-    # The "crashed" service: job journaled as running, spool half-written.
+    # The "crashed" service: job saved as running, spool half-written.
     crash_dir = tmp_path / "crash"
     svc = make_service(crash_dir, **service_kw)
     job, _ = svc.submit(SPEC)
-    svc.stop()  # releases the ledger handle; state stays on disk
+    svc.stop()
     done_subset = spooled[: len(spooled) // 2]
-    with JobLedger(crash_dir / "ledger.wal") as led:
-        led.append("state", job=job.job_id, state="running", detail="attempt 1/3")
-    spool = crash_dir / "jobs" / job.job_id / "spool"
+    job_dir = crash_dir / "jobs" / job.job_id
+    dataclasses.replace(job, state="running", detail="attempt 1/3").save(job_dir)
+    spool = job_dir / "spool"
     spool.mkdir(parents=True)
     shutil.copy(ref_spool / "manifest.json", spool / "manifest.json")
     for name in done_subset:
@@ -443,35 +418,13 @@ def _crash_drill(tmp_path, **service_kw):
     return ref_job
 
 
-def test_resume_with_torn_ledger_tail(tmp_path):
-    """resume=True after a crash *mid-append* still replays cleanly."""
-    svc = make_service(tmp_path / "svc")
-    job, _ = svc.submit(SPEC)
-    svc.stop()
-    wal = tmp_path / "svc" / "ledger.wal"
-    with JobLedger(wal) as led:
-        led.append("state", job=job.job_id, state="running", detail="attempt 1/3")
-    raw = wal.read_bytes()
-    wal.write_bytes(raw + raw.splitlines(keepends=True)[-1][: 20])  # torn append
-    resumed = make_service(tmp_path / "svc", resume=True)
-    try:
-        assert resumed.n_dropped_records == 1
-        assert resumed.jobs[job.job_id].state == "queued"
-        assert resumed.step().state == "done"
-    finally:
-        resumed.stop()
-
-
 def test_replayed_supersampled_job_dead_letters_without_rendering(tmp_path):
-    """A ledger written while the farm still supersampled can hold a job
-    spec with ``samples_per_axis: 2``.  Replayed, that job fails visibly,
-    naming the field, and is never rendered at one sample."""
+    """A job saved while the farm still supersampled can hold a spec with
+    ``samples_per_axis: 2``.  Read back, that job fails visibly, naming
+    the field, and is never rendered at one sample."""
     state = tmp_path / "svc"
-    state.mkdir()
-    with JobLedger(state / "ledger.wal") as led:
-        led.append("submit", job="j0001", spec={**SPEC, "samples_per_axis": 2},
-                   priority=0, owner="", max_attempts=2)
-        led.append("state", job="j0001", state="running", detail="attempt 1/2")
+    Job("j0001", {**SPEC, "samples_per_axis": 2}, max_attempts=2, state="running",
+        detail="attempt 1/2").save(state / "jobs" / "j0001")
     svc = make_service(state, resume=True, retry_base=0.0, retry_cap=0.0)
     try:
         assert svc.jobs["j0001"].state == "queued"
@@ -483,7 +436,7 @@ def test_replayed_supersampled_job_dead_letters_without_rendering(tmp_path):
         assert all("samples_per_axis" in a["error"] for a in job.attempts)
     finally:
         svc.stop()
-    jobs = fold_jobs(replay_records(state / "ledger.wal")[0])
+    jobs = load_jobs(state / "jobs")
     assert jobs["j0001"].state == "dead-letter"
     assert not list((state / "jobs").rglob("*.npz"))  # no frames, no spooled unit
 

@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-CEILING = 19874
+CEILING = 19715
 OPTION_CEILING = 93
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -187,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         resumed = done[job_a]["n_from_checkpoint"]
         if resumed < killed_at:
             return fail(f"{job_a} resumed only {resumed} tasks from the "
-                        f"checkpoint spool; {killed_at} were journaled")
+                        f"checkpoint spool; {killed_at} were spooled")
         print(f"both jobs done after --resume; {job_a} reused "
               f"{resumed}/{done[job_a]['n_tasks']} spooled tasks")
 
