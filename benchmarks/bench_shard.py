@@ -54,20 +54,15 @@ def _pixel_oracle(width: int, height: int, n_frames: int):
     return AnimationCostOracle(width, height, n_frames, full, dirty, grid_resolution=4)
 
 
-def run(quick: bool = True, results_dir: Path = RESULTS_DIR) -> dict:
-    from repro.cluster import ThrashModel
-    from repro.parallel import RenderFarmConfig, default_block_layout
+def exchange(width: int, height: int, n_frames: int, k_local: int) -> dict:
+    """Question 1: Newton traced serially and sharded over ``k_local``
+    in-process owners, frame by frame (bit-identity asserted); returns the
+    bench metrics with ``ray_bytes``, the walls and the :class:`ShardProfile`."""
     from repro.render import RayTracer
     from repro.scenes import newton_animation
-    from repro.sched import OracleCostModel, SimTransport, make_policy
-    from repro.shard import ShardOracle, ShardProfile, render_frame_sharded
-    from repro.telemetry import write_bench_json
+    from repro.shard import ShardProfile, render_frame_sharded
 
-    width, height = (64, 48) if quick else (160, 120)
-    n_frames, k_local = 2, 4
     anim = newton_animation(n_frames=n_frames, width=width, height=height)
-
-    # -- 1: measured ray exchange, sharded vs serial, bit-identical --------
     per_frame, serial_wall, shard_wall, ray_bytes = [], 0.0, 0.0, 0
     kinds = {"camera": 0, "reflected": 0, "refracted": 0, "shadow": 0}
     rays_total = 0
@@ -86,7 +81,41 @@ def run(quick: bool = True, results_dir: Path = RESULTS_DIR) -> dict:
         for kind in kinds:
             kinds[kind] += getattr(serial_res.stats, kind, 0)
         ray_bytes += int(stats.total_ray_bytes)
-    profile = ShardProfile.from_stats(per_frame, width * height)
+    metrics = {
+        "rays_total": int(rays_total),
+        "rays_camera": int(kinds["camera"]),
+        "rays_reflected": int(kinds["reflected"]),
+        "rays_refracted": int(kinds["refracted"]),
+        "rays_shadow": int(kinds["shadow"]),
+        "computed_pixels": int(n_frames * width * height),
+        "copied_pixels": 0,
+        "wall_time": shard_wall,
+        "n_frames": n_frames,
+        "n_workers": k_local,
+    }
+    return {
+        "metrics": metrics,
+        "ray_bytes": ray_bytes,
+        "serial_wall": serial_wall,
+        "shard_wall": shard_wall,
+        "profile": ShardProfile.from_stats(per_frame, width * height),
+    }
+
+
+def run(quick: bool = True, results_dir: Path = RESULTS_DIR) -> dict:
+    from repro.cluster import ThrashModel
+    from repro.parallel import RenderFarmConfig, default_block_layout
+    from repro.sched import OracleCostModel, SimTransport, make_policy
+    from repro.shard import ShardOracle
+    from repro.telemetry import write_bench_json
+
+    width, height = (64, 48) if quick else (160, 120)
+    n_frames, k_local = 2, 4
+
+    # -- 1: measured ray exchange, sharded vs serial, bit-identical --------
+    ex = exchange(width, height, n_frames, k_local)
+    metrics, profile, ray_bytes = ex["metrics"], ex["profile"], ex["ray_bytes"]
+    serial_wall, shard_wall = ex["serial_wall"], ex["shard_wall"]
 
     # -- 2: the 100/300/1000 heterogeneous sweep ---------------------------
     cfg = RenderFarmConfig()
@@ -141,18 +170,6 @@ def run(quick: bool = True, results_dir: Path = RESULTS_DIR) -> dict:
         }
         sweep_rows.append(row)
 
-    metrics = {
-        "rays_total": int(rays_total),
-        "rays_camera": int(kinds["camera"]),
-        "rays_reflected": int(kinds["reflected"]),
-        "rays_refracted": int(kinds["refracted"]),
-        "rays_shadow": int(kinds["shadow"]),
-        "computed_pixels": int(n_frames * width * height),
-        "copied_pixels": 0,
-        "wall_time": shard_wall,
-        "n_frames": n_frames,
-        "n_workers": k_local,
-    }
     extra = {
         "quick": quick,
         "resolution": f"{width}x{height}",
@@ -173,7 +190,7 @@ def run(quick: bool = True, results_dir: Path = RESULTS_DIR) -> dict:
         f"object-space sharding (newton {n_frames}f @ {width}x{height}, K={k_local} local)",
         f"  serial wall          {serial_wall:.3f} s",
         f"  sharded wall         {shard_wall:.3f} s (in-process owners, bit-identical)",
-        f"  rays traced          {rays_total:,}",
+        f"  rays traced          {metrics['rays_total']:,}",
         f"  rays routed          {sum(profile.rays_routed):,} "
         f"(fan-out {profile.fanout():.2f} owners/ray)",
         f"  ray exchange         {ray_bytes:,} B "

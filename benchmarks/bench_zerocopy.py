@@ -59,6 +59,21 @@ N_WORKERS = 2
 FARM_KW = dict(n_frames=6, width=96, height=72)
 
 
+def crash_drill(telemetry):
+    """The fidelity drill's farm render, one worker crash recovered; returns
+    ``(farm, result)`` with ``telemetry`` closed."""
+    farm = LocalRenderFarm(
+        AnimationSpec.newton(**FARM_KW),
+        n_workers=2,
+        executor="process",
+        fault_plan=FaultPlan(faults=(FaultPlan.crash(0),)),
+        telemetry=telemetry,
+    )
+    out = farm.render()
+    telemetry.close()
+    return farm, out
+
+
 # -- codec drill -------------------------------------------------------------------
 def _codec_round_trip(payloads) -> tuple[int, float]:
     """Pump payloads through pack -> chunked reassembly -> decode; returns
@@ -149,16 +164,7 @@ def test_zerocopy_gates(results_dir):
 
     # Fidelity: zero-copy through a crash-recovery render changes nothing.
     sink = InMemorySink()
-    tel = Telemetry(sinks=(sink,))
-    farm = LocalRenderFarm(
-        AnimationSpec.newton(**FARM_KW),
-        n_workers=2,
-        executor="process",
-        fault_plan=FaultPlan(faults=(FaultPlan.crash(0),)),
-        telemetry=tel,
-    )
-    out = farm.render()
-    tel.close()
+    farm, out = crash_drill(Telemetry(sinks=(sink,)))
     ref = farm.render_reference()
     assert out.n_crashes >= 1
     assert out.frames.tobytes() == ref.frames.tobytes()

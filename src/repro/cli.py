@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_farm.add_argument("workload", choices=("newton", "brick"))
     _add_size_args(p_farm)
     p_farm.add_argument("--workers", dest="n_workers", type=int, default=4)
-    p_farm.add_argument("--mode", choices=("frame", "sequence", "hybrid"), default="frame")
+    p_farm.add_argument("--mode", choices=("frame", "sequence"), default="frame")
     p_farm.add_argument(
         "--executor", choices=("process", "thread", "serial"), default="process"
     )
@@ -540,7 +540,11 @@ def _cmd_serve(args) -> int:
     from .service import RenderService
 
     # Every serve flag is named after the RenderService keyword it sets.
-    service = RenderService(**{k: v for k, v in vars(args).items() if k != "command"})
+    try:
+        service = RenderService(**{k: v for k, v in vars(args).items() if k != "command"})
+    except FileExistsError as exc:  # a used state dir: a usage error, like argparse's
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     host, port = service.start()
     print(f"repro service on {host}:{port} (state in {args.state_dir})")
     print(f"submit with: repro submit --connect {host}:{port} newton")

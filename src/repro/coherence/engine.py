@@ -180,7 +180,7 @@ class CoherentRenderer:
         if self.region.size and (self.region.min() < 0 or self.region.max() >= n_pixels):
             raise ValueError("region pixel index out of range")
 
-        # The sequence state (what a checkpoint saves and restores).
+        # The sequence state, carried from one frame to the next.
         self.framebuffer = Framebuffer(self.width, self.height)
         self.primary = VoxelPixelMap(self.grid.n_voxels, n_pixels)
         self.secondary = VoxelPixelMap(self.grid.n_voxels, n_pixels)

@@ -123,15 +123,10 @@ class VoxelPixelMap:
         return int(self._voxels.nbytes + self._counts.nbytes)
 
     # -- state ------------------------------------------------------------------
-    def state(self) -> dict[str, np.ndarray]:
-        """The map as two plain arrays: ``voxels`` (every pixel's marks,
-        pixel-major) and ``counts`` (marks per pixel).  A checkpoint saves
-        this; :meth:`from_state` rebuilds the map from it."""
-        return {"voxels": self._voxels, "counts": self._counts}
-
     @classmethod
     def from_state(cls, n_voxels: int, voxels: np.ndarray, counts: np.ndarray) -> "VoxelPixelMap":
-        """The map :meth:`state` described (``n_pixels`` is ``counts.size``)."""
+        """The map whose every pixel's marks, pixel-major, are ``voxels``,
+        ``counts[p]`` of them for pixel ``p`` (``n_pixels`` is ``counts.size``)."""
         m = cls(n_voxels, np.size(counts))
         if np.ndim(counts) != 1 or int(np.sum(counts)) != np.size(voxels):
             raise ValueError("map counts do not add up to the stored marks")

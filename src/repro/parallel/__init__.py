@@ -11,11 +11,9 @@ from .partition import (
     PixelRegion,
     block_regions,
     default_block_layout,
-    hybrid_tasks,
     pixel_regions,
     region_grid_shape,
     sequence_ranges,
-    strip_regions,
 )
 
 __all__ = [
@@ -27,10 +25,8 @@ __all__ = [
     "build_oracle",
     "default_block_layout",
     "format_hms",
-    "hybrid_tasks",
     "load_imbalance",
     "pixel_regions",
     "region_grid_shape",
     "sequence_ranges",
-    "strip_regions",
 ]

@@ -11,7 +11,9 @@ Two axes of decomposition:
   per-node memory ("memory requirements are directly proportional to the
   size of the image area").
 * **Hybrid division** — both axes at once ("each processor computes pixels
-  in a subarea of a frame for a subsequence of the entire animation").
+  in a subarea of a frame for a subsequence of the entire animation"): the
+  simulator's ``hybrid-fc`` strategy (:mod:`repro.sched.core`) builds its
+  block x frame-chunk chains itself.
 * **Pixel division** — the degenerate extreme the paper warns about ("we
   could assign each processor a single pixel ... the overhead of message
   passing ... would result in inefficiency").
@@ -27,10 +29,8 @@ __all__ = [
     "PixelRegion",
     "block_regions",
     "default_block_layout",
-    "strip_regions",
     "pixel_regions",
     "sequence_ranges",
-    "hybrid_tasks",
     "region_grid_shape",
 ]
 
@@ -112,18 +112,6 @@ def default_block_layout(
     return block_regions(width, height, block_w=bw, block_h=bh)
 
 
-def strip_regions(width: int, height: int, n: int) -> list[PixelRegion]:
-    """Split the frame into ``n`` horizontal strips of near-equal height."""
-    if not (1 <= n <= height):
-        raise ValueError("need 1 <= n <= height strips")
-    bounds = np.linspace(0, height, n + 1).astype(int)
-    return [
-        PixelRegion(0, int(bounds[i]), width, int(bounds[i + 1]), width, label=f"strip{i}")
-        for i in range(n)
-        if bounds[i + 1] > bounds[i]
-    ]
-
-
 def pixel_regions(width: int, height: int) -> list[PixelRegion]:
     """One region per pixel — the message-passing-overhead extreme."""
     return [
@@ -160,19 +148,6 @@ def sequence_ranges(n_frames: int, n_parts: int, weights: list[float] | None = N
         last_start = ranges[-1][0]
         ranges[-1] = (last_start, n_frames)
     return ranges
-
-
-def hybrid_tasks(
-    width: int, height: int, n_frames: int, block_w: int, block_h: int, frames_per_chunk: int
-) -> list[tuple[PixelRegion, tuple[int, int]]]:
-    """The hybrid scheme: (subarea, subsequence) task pairs."""
-    if frames_per_chunk < 1:
-        raise ValueError("frames_per_chunk must be >= 1")
-    regions = block_regions(width, height, block_w, block_h)
-    chunks = [
-        (f, min(f + frames_per_chunk, n_frames)) for f in range(0, n_frames, frames_per_chunk)
-    ]
-    return [(r, c) for r in regions for c in chunks]
 
 
 def region_grid_shape(regions: list[PixelRegion]) -> tuple[int, int]:

@@ -17,10 +17,10 @@ accepted: wire tiles, pool units and checkpoint loads alike.
 
 * ``"static"`` or ``"demand"`` (two spellings of one schedule) — the
   fixed list ``mode`` implies, handed to whichever lane is free:
-  ``frame`` (the paper's frame division: one unit per block over its
-  whole shot), ``sequence`` (sequence division: one whole-frame unit per
-  contiguous frame range) or ``hybrid`` (the paper's "subarea of a frame
-  for a subsequence of the entire animation": block x frame-chunk);
+  ``frame`` (the paper's frame division: one unit per block of
+  :func:`~repro.parallel.default_block_layout` over its whole shot) or
+  ``sequence`` (sequence division: one whole-frame unit per contiguous
+  frame range);
 * ``"adaptive"`` — sequence chains cut into segments at run time, with
   tail-stealing and a worker-side renderer-continuation cache so a
   chain's coherence survives across its segment tasks.
@@ -43,9 +43,9 @@ in-process serial execution instead of aborting the render.
 Passing ``run_dir`` to :meth:`LocalRenderFarm.render` spools each
 completed unit of a fixed list (``static`` or ``demand``, either
 transport) to disk as it is accepted; a later render with the same
-``run_dir`` re-renders only the missing units — checkpoint/resume at the
-unit granularity, complementing the intra-chain granularity of
-:mod:`repro.coherence.checkpoint`.
+``run_dir`` re-renders only the missing units: the spool is the one
+resume record, as the paper's master hands out again the work that never
+came back.
 """
 
 from __future__ import annotations
@@ -488,11 +488,6 @@ class LocalRenderFarm:
             )
 
     # -- unit list / policy --------------------------------------------------------
-    def _block_layout(self):
-        return default_block_layout(
-            self._cam.width, self._cam.height, self.options.block_w, self.options.block_h
-        )
-
     def _cut(self, ranges) -> list[tuple[int, int]]:
         """``ranges`` of frames, each split where a shot ends."""
         return [
@@ -514,12 +509,8 @@ class LocalRenderFarm:
         if self.options.mode == "sequence":
             spans = self._cut(sequence_ranges(n_frames, self.options.n_workers))
             return [(-1, a, b) for a, b in spans], None
-        regions = self._block_layout()
-        chunk = n_frames
-        if self.options.mode == "hybrid":
-            chunk = self.options.frames_per_chunk or max(1, n_frames // 2)
-        spans = self._cut((a, min(a + chunk, n_frames)) for a in range(0, n_frames, chunk))
-        return [(ri, a, b) for ri in range(len(regions)) for a, b in spans], regions
+        regions = default_block_layout(self._cam.width, self._cam.height)
+        return [(ri, a, b) for ri in range(len(regions)) for a, b in self._shots], regions
 
     def _policy(self, units, regions):
         """The scheduling policy over ``units`` (``None``: adaptive chains)."""

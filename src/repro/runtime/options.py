@@ -175,8 +175,9 @@ class FarmOptions:
         Degree of parallelism; ``None`` is the CPU count (capped at 8).
     mode:
         The unit list ``schedule="static"`` or ``"demand"`` dispatches:
-        ``"frame"`` (each block over its whole shot), ``"sequence"``
-        (``n_workers`` frame ranges) or ``"hybrid"``.
+        ``"frame"`` (each block of the 4x3 tiling, the paper's 80x80 of
+        320x240, over its whole shot) or ``"sequence"`` (``n_workers``
+        frame ranges).
     schedule:
         ``"static"`` or its spelling ``"demand"`` (the same policy over the
         list ``mode`` names), or ``"adaptive"``.  All three run the
@@ -200,16 +201,11 @@ class FarmOptions:
         continue the cached renderer, preserving coherence), coarser on
         the process executor (each segment renders fresh; fewer, bigger
         tasks).
-    block_w, block_h:
-        Frame-division block size (defaults to a 4x3 tiling like the paper's
-        80x80-of-320x240).
     grid_resolution:
         Voxel grid resolution of the coherence map.
     shadow_coherence:
         Render with :class:`~repro.coherence.CoherentRenderer`'s
         ``shadow_coherence`` on, which also reuses primary shadow rays.
-    frames_per_chunk:
-        Frames per unit of the ``hybrid`` list (default: half the animation).
     max_attempts, task_timeout:
         The run's :class:`RecoveryOptions`: dispatches per unit, and a
         fixed per-unit deadline in seconds (default ``None`` adapts it,
@@ -251,11 +247,8 @@ class FarmOptions:
     transport: str = "process"
     blackbox_dir: str | Path | None = None
     segment_frames: int | None = None
-    block_w: int | None = None
-    block_h: int | None = None
     grid_resolution: int = 24
     shadow_coherence: bool = False
-    frames_per_chunk: int | None = None
     max_attempts: int = 3
     task_timeout: float | None = None
     degrade_serial: bool = True
@@ -268,8 +261,8 @@ class FarmOptions:
     on_frame: Callable | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("frame", "sequence", "hybrid"):
-            raise ValueError("mode must be 'frame', 'sequence' or 'hybrid'")
+        if self.mode not in ("frame", "sequence"):
+            raise ValueError("mode must be 'frame' or 'sequence'")
         if self.executor not in ("process", "thread", "serial"):
             raise ValueError("executor must be 'process', 'thread' or 'serial'")
         if self.schedule not in ("static", "demand", "adaptive"):

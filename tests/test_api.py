@@ -73,7 +73,7 @@ def test_a_farm_option_is_declared_once():
         "self", "spec", "options"
     ]
     bad = {
-        "mode": ("tile", "mode must be 'frame', 'sequence' or 'hybrid'"),
+        "mode": ("tile", "mode must be 'frame' or 'sequence'"),
         "executor": ("gpu", "executor must be 'process', 'thread' or 'serial'"),
         "schedule": ("eager", "schedule must be 'static', 'demand' or 'adaptive'"),
         "transport": ("udp", "transport must be 'process' or 'tcp'"),

@@ -105,18 +105,21 @@ def test_oracle_command(tmp_path, capsys):
     assert (tmp_path / "o.npz").exists()
 
 
-def test_farm_hybrid_mode(capsys):
-    rc = main(
-        [
-            "farm",
-            "newton",
-            "--frames", "2",
-            "--width", "32",
-            "--height", "24",
-            "--grid", "12",
-            "--workers", "2",
-            "--mode", "hybrid",
-        ]
-    )
-    assert rc == 0
-    assert "bit-identical" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "used, hint",
+    [("jobs", "pass resume=True"), ("ledger.wal", "job journal of an older service")],
+    ids=["jobs", "ledger.wal"],
+)
+def test_serve_refuses_a_used_state_dir_in_one_line(tmp_path, capsys, used, hint):
+    """A state dir holding ``jobs/`` (without ``--resume``) or an older
+    service's ``ledger.wal`` is a usage error: one line on stderr, status 2."""
+    state = tmp_path / "state"
+    state.mkdir()
+    if used == "jobs":
+        (state / "jobs").mkdir()
+    else:
+        (state / "ledger.wal").write_bytes(b"")
+    assert main(["serve", "--state-dir", str(state), "--port", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("serve: ") and hint in err

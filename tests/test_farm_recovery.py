@@ -329,19 +329,8 @@ def test_sequence_mode_resume(spec, reference, tmp_path):
     assert res.n_from_checkpoint == res.n_tasks
 
 
-def test_hybrid_mode_resume(spec, reference, tmp_path):
-    run_dir = tmp_path / "run"
-    farm = _farm(spec, mode="hybrid", executor="serial", frames_per_chunk=2)
-    farm.render(run_dir=run_dir)
-    res = _farm(spec, mode="hybrid", executor="serial", frames_per_chunk=2).render(
-        run_dir=run_dir
-    )
-    assert np.array_equal(res.frames, reference.frames)
-    assert res.n_from_checkpoint == res.n_tasks == 24
-
-
 # -- one compositor, one callback contract ---------------------------------------
-@pytest.mark.parametrize("mode", ["frame", "sequence", "hybrid"])
+@pytest.mark.parametrize("mode", ["frame", "sequence"])
 def test_pool_progress_callbacks_follow_the_compositor(spec, reference, tmp_path, mode):
     """The contract the TCP tiles set, on the pool: every (frame, box) of
     the unit list arrives exactly once as a TileEvent, and a FrameEvent

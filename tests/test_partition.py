@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from repro.parallel import (
     PixelRegion,
     block_regions,
-    hybrid_tasks,
     pixel_regions,
     region_grid_shape,
     sequence_ranges,
-    strip_regions,
 )
 
 
@@ -50,20 +48,6 @@ def test_block_regions_clip_at_edges():
 @settings(max_examples=60)
 def test_block_regions_always_tile(width, height, bw, bh):
     assert _coverage_ok(block_regions(width, height, bw, bh), width, height)
-
-
-def test_strip_regions():
-    strips = strip_regions(40, 30, 3)
-    assert len(strips) == 3
-    assert _coverage_ok(strips, 40, 30)
-    assert all(s.x0 == 0 and s.x1 == 40 for s in strips)
-
-
-@given(height=st.integers(1, 50), n=st.integers(1, 10))
-@settings(max_examples=40)
-def test_strip_regions_tile(height, n):
-    n = min(n, height)
-    assert _coverage_ok(strip_regions(8, height, n), 8, height)
 
 
 def test_pixel_regions_extreme():
@@ -120,14 +104,3 @@ def test_sequence_ranges_validation():
     with pytest.raises(ValueError):
         sequence_ranges(10, 2, weights=[1.0, -1.0])
 
-
-def test_hybrid_tasks():
-    tasks = hybrid_tasks(40, 30, 10, block_w=20, block_h=15, frames_per_chunk=4)
-    # 4 blocks x 3 chunks (4+4+2).
-    assert len(tasks) == 12
-    regions = {t[0].label for t in tasks}
-    assert len(regions) == 4
-    chunks = {t[1] for t in tasks}
-    assert chunks == {(0, 4), (4, 8), (8, 10)}
-    with pytest.raises(ValueError):
-        hybrid_tasks(40, 30, 10, 20, 15, 0)

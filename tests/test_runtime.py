@@ -85,27 +85,6 @@ def test_process_executor_matches(spec, reference):
     np.testing.assert_array_equal(res.frames, reference.frames)
 
 
-def test_hybrid_mode_matches_reference(spec, reference, coherent):
-    farm = LocalRenderFarm(
-        spec, mode="hybrid", executor="serial", grid_resolution=12, frames_per_chunk=2
-    )
-    res = farm.render()
-    # 12 blocks x 2 chunks (3 frames -> chunks of 2 and 1).
-    assert res.n_tasks == 24
-    np.testing.assert_array_equal(res.frames, reference.frames)
-    # Chunked chains restart per chunk: strictly more rays than one chain.
-    assert res.stats.total > coherent.total
-
-
-def test_custom_block_size(spec, reference):
-    farm = LocalRenderFarm(
-        spec, mode="frame", executor="serial", block_w=16, block_h=12, grid_resolution=12
-    )
-    res = farm.render()
-    assert res.n_tasks == 9
-    np.testing.assert_array_equal(res.frames, reference.frames)
-
-
 def test_farm_validation(spec):
     with pytest.raises(ValueError):
         LocalRenderFarm(spec, mode="nope")
@@ -125,15 +104,16 @@ def test_farm_result_shape(spec, reference):
 def test_fixed_unit_leaves_no_parked_renderer(spec, reference):
     """Nothing continues a ``demand`` unit, so its renderer's horizon is the
     unit's end: its last frame records no marks and nothing is parked in the
-    continuation cache, even for units that end before the animation does
-    (the ``hybrid`` list's frame chunks)."""
+    continuation cache, even for a unit that ends before the animation does
+    (the first of the ``sequence`` list's frame ranges)."""
     from repro.runtime import local
 
     local._SEGMENT_CACHE.clear()
     farm = LocalRenderFarm(
-        spec, mode="hybrid", schedule="demand", executor="serial", grid_resolution=12
+        spec, n_workers=2, mode="sequence", schedule="demand", executor="serial",
+        grid_resolution=12,
     )
     res = farm.render()
-    assert res.n_tasks == 12 * 3  # 1-frame chunks of a 3-frame animation
+    assert res.n_tasks == 2  # frames [0, 2) and [2, 3)
     assert local._SEGMENT_CACHE == {}
     np.testing.assert_array_equal(res.frames, reference.frames)

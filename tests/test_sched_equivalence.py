@@ -417,14 +417,14 @@ def _capture_policies(monkeypatch) -> list:
     return policies
 
 
-def test_demand_is_the_static_hybrid_unit_list(monkeypatch):
-    """``schedule="demand"`` is a spelling of ``schedule="static"`` for every
-    ``mode`` (``hybrid`` among them): same dispatch log, pixels and rays."""
+def test_demand_is_the_static_unit_list(monkeypatch):
+    """``schedule="demand"`` is a spelling of ``schedule="static"`` for
+    either ``mode``: same dispatch log, pixels and rays."""
     policies = _capture_policies(monkeypatch)
     spec = AnimationSpec.newton(n_frames=3, width=24, height=18)
-    kw = dict(n_workers=2, executor="serial", grid_resolution=12, frames_per_chunk=2)
-    # frame: 12 blocks x the whole shot; sequence: 2 ranges; hybrid: 12 x 2 chunks
-    for mode, n_units in (("frame", 12), ("sequence", 2), ("hybrid", 24)):
+    kw = dict(n_workers=2, executor="serial", grid_resolution=12)
+    # frame: 12 blocks x the whole shot; sequence: 2 ranges
+    for mode, n_units in (("frame", 12), ("sequence", 2)):
         policies.clear()
         static = LocalRenderFarm(spec, mode=mode, schedule="static", **kw).render()
         demand = LocalRenderFarm(spec, mode=mode, schedule="demand", **kw).render()

@@ -95,6 +95,22 @@ def test_atomic_write_syncs_the_directory_after_the_rename(tmp_path, monkeypatch
     assert (tmp_path / "x.json").read_bytes() == b"{}"
 
 
+def test_failed_atomic_write_keeps_the_previous_file(tmp_path):
+    """A writer that dies mid-write (some bytes already out) leaves the
+    earlier file intact and no temp file beside it."""
+    path = tmp_path / "task_0000.npz"
+    durable.atomic_write(path, b"earlier content")
+
+    def dies_mid_write(fh):
+        fh.write(b"half of the new")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        durable.atomic_write(path, dies_mid_write)
+    assert path.read_bytes() == b"earlier content"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_restart_ignores_a_temp_file_left_between_write_and_rename(tmp_path):
     """``kill -9`` after a new ``job.json`` was written but before it was
     renamed into place: the restart reads the previous state."""

@@ -16,7 +16,6 @@ TWO_SHOT = AnimationSpec(
 SCHEDULES = [
     ("static", "frame"),
     ("static", "sequence"),
-    ("static", "hybrid"),
     ("demand", "frame"),
     ("adaptive", "frame"),
 ]

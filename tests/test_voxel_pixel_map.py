@@ -110,7 +110,7 @@ def test_matches_dict_of_sets_model(ops, query, n_vox):
                 np.array([p for _, p in payload], dtype=np.int64))
 
     m = VoxelPixelMap(n_vox, N_PIX)
-    assert m.state()["voxels"].dtype == (np.int16 if n_vox <= 32767 else np.int32)
+    assert m._voxels.dtype == (np.int16 if n_vox <= 32767 else np.int32)
     model: dict[int, set[int]] = {}
     for op, payload in ops:
         if op in ("remove", "replace"):
@@ -135,5 +135,5 @@ def test_matches_dict_of_sets_model(ops, query, n_vox):
     for pixel in range(N_PIX):
         want = sorted(v for v, s in model.items() if pixel in s)
         assert m.voxels_of_pixel(pixel).tolist() == want
-    restored = VoxelPixelMap.from_state(n_vox, **m.state())
+    restored = VoxelPixelMap.from_state(n_vox, m._voxels, m._counts)
     assert restored.pixels_for_voxels(voxels).tolist() == expected

@@ -100,6 +100,23 @@ def _diff_transport_logs() -> list[str]:
     return problems
 
 
+def smoke_request(frames: int = 3, width: int = 48, height: int = 36, **kw) -> RenderRequest:
+    """The smoke render (``BENCH_smoke.json`` records its defaults)."""
+    return RenderRequest(
+        workload="newton",
+        engine="farm",
+        executor="thread",
+        n_workers=2,
+        mode="frame",
+        n_frames=frames,
+        width=width,
+        height=height,
+        grid_resolution=12,
+        telemetry=True,
+        **kw,
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("benchmarks/results"))
@@ -108,21 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--height", type=int, default=36)
     args = ap.parse_args(argv)
 
-    result = render(
-        RenderRequest(
-            workload="newton",
-            engine="farm",
-            executor="thread",
-            n_workers=2,
-            mode="frame",
-            n_frames=args.frames,
-            width=args.width,
-            height=args.height,
-            grid_resolution=12,
-            verify=True,
-            telemetry=True,
-        )
-    )
+    result = render(smoke_request(args.frames, args.width, args.height, verify=True))
     if result.bit_identical is not True:
         print("FAIL: farm output not bit-identical to the serial reference")
         return 1

@@ -17,8 +17,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-CEILING = 19715
-OPTION_CEILING = 93
+CEILING = 19560
+OPTION_CEILING = 87
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
