@@ -16,10 +16,17 @@ The workload is the ``random_spheres`` stress scene — many small objects,
 every frame dirty in patches — rendered through ``engine="animation"``, the
 farm on one inline lane (the instrumentation-densest path: per-frame,
 per-task and per-run hooks all fire in one process).
+
+The estimator is the median, over nine interleaved pairs, of each pair's
+overhead (instrumented / bare − 1), the two sides of a pair taken back to
+back and in alternating order.  A shared machine's speed drifts by more
+than the bounds within seconds, so two blocks of renders taken one after
+the other cannot resolve them; a pair sees the same machine on both sides.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from _bench_utils import write_result
@@ -38,7 +45,7 @@ from repro.telemetry import (
 
 KW = dict(n_frames=6, width=96, height=72)
 GRID = 16
-REPEATS = 5
+PAIRS = 9
 
 
 def _render(telemetry=None) -> float:
@@ -49,31 +56,49 @@ def _render(telemetry=None) -> float:
     return time.perf_counter() - t0
 
 
-def _best(make_telemetry) -> tuple[float, list[dict]]:
-    """Best-of-N wall time (noise floor), plus the event log of one run."""
-    times, events = [], []
-    for i in range(REPEATS):
+def _pairs(make_telemetry, recorder=None) -> tuple[float, float, float, list[dict]]:
+    """``(overhead, bare, instrumented, events)``: the median per-pair
+    overhead, each side's median wall time, and one instrumented run's
+    event log.  ``recorder`` is installed around each instrumented render."""
+    _render()  # warm-up: the first render of a process pays its imports
+    overheads, bare, instrumented, events = [], [], [], []
+    for i in range(PAIRS):
         tel = make_telemetry(i)
-        times.append(_render(tel))
-        if tel is not None:
-            tel.close()
-            if tel.sinks:
-                events = tel.sinks[0].events
-    return min(times), events
+
+        def traced() -> float:
+            if recorder is not None:
+                recorder.install(signals=False)
+            try:
+                return _render(tel)
+            finally:
+                if recorder is not None:
+                    recorder.uninstall()
+
+        if i % 2:
+            t_tel = traced()
+            t_bare = _render()
+        else:
+            t_bare = _render()
+            t_tel = traced()
+        tel.close()
+        events = tel.sinks[0].events
+        overheads.append(t_tel / t_bare - 1.0)
+        bare.append(t_bare)
+        instrumented.append(t_tel)
+    return (statistics.median(overheads), statistics.median(bare),
+            statistics.median(instrumented), events)
 
 
 def test_telemetry_overhead_under_5_percent(results_dir):
-    base, _ = _best(lambda _i: None)
-    instrumented, events = _best(lambda _i: Telemetry(sinks=[InMemorySink()]))
+    overhead, base, instrumented, events = _pairs(lambda _i: Telemetry(sinks=[InMemorySink()]))
     n_events = len(events)
-    overhead = (instrumented - base) / base
     lines = [
         "telemetry overhead (stress scene, single-process engine)",
         f"  workload           random_spheres {KW['n_frames']}f @ {KW['width']}x{KW['height']}",
-        f"  baseline           {base:.3f} s (best of {REPEATS})",
-        f"  instrumented       {instrumented:.3f} s (best of {REPEATS}, "
+        f"  baseline           {base:.3f} s (median of {PAIRS} interleaved pairs)",
+        f"  instrumented       {instrumented:.3f} s (median of {PAIRS}, "
         f"{n_events} events to in-memory sink)",
-        f"  overhead           {100.0 * overhead:+.2f} %",
+        f"  overhead           {100.0 * overhead:+.2f} % (median per-pair overhead)",
     ]
     write_result(results_dir, "telemetry_overhead.txt", "\n".join(lines))
     write_bench_json(
@@ -89,27 +114,18 @@ def test_telemetry_overhead_under_5_percent(results_dir):
 def test_full_obs_stack_overhead_under_8_percent(results_dir, tmp_path):
     """The stack an operator actually runs: memory + JSONL-to-disk + the
     run fold, with a flight recorder tapping every record."""
-    base, _ = _best(lambda _i: None)
-    recorder = FlightRecorder("bench", tmp_path).install(signals=False)
-    try:
-        full, events = _best(
-            lambda i: Telemetry(
-                sinks=[
-                    InMemorySink(),
-                    JsonlSink(tmp_path / f"events_{i}.jsonl"),
-                    RunFold(),
-                ]
-            )
-        )
-    finally:
-        recorder.uninstall()
-    overhead = (full - base) / base
+    overhead, base, full, events = _pairs(
+        lambda i: Telemetry(
+            sinks=[InMemorySink(), JsonlSink(tmp_path / f"events_{i}.jsonl"), RunFold()]
+        ),
+        recorder=FlightRecorder("bench", tmp_path),
+    )
     lines = [
         "full observability stack overhead (memory + jsonl + fold + recorder)",
         f"  workload           random_spheres {KW['n_frames']}f @ {KW['width']}x{KW['height']}",
-        f"  baseline           {base:.3f} s (best of {REPEATS})",
-        f"  full stack         {full:.3f} s (best of {REPEATS}, {len(events)} events)",
-        f"  overhead           {100.0 * overhead:+.2f} %",
+        f"  baseline           {base:.3f} s (median of {PAIRS} interleaved pairs)",
+        f"  full stack         {full:.3f} s (median of {PAIRS}, {len(events)} events)",
+        f"  overhead           {100.0 * overhead:+.2f} % (median per-pair overhead)",
     ]
     write_result(results_dir, "telemetry_overhead_full_stack.txt", "\n".join(lines))
     assert len(events) > 0

@@ -122,20 +122,11 @@ class VoxelPixelMap:
         is modeled from this."""
         return int(self._voxels.nbytes + self._counts.nbytes)
 
-    # -- state ------------------------------------------------------------------
-    @classmethod
-    def from_state(cls, n_voxels: int, voxels: np.ndarray, counts: np.ndarray) -> "VoxelPixelMap":
-        """The map whose every pixel's marks, pixel-major, are ``voxels``,
-        ``counts[p]`` of them for pixel ``p`` (``n_pixels`` is ``counts.size``)."""
-        m = cls(n_voxels, np.size(counts))
-        if np.ndim(counts) != 1 or int(np.sum(counts)) != np.size(voxels):
-            raise ValueError("map counts do not add up to the stored marks")
-        m._voxels, m._counts = np.asarray(voxels, m._voxels.dtype), np.asarray(counts, np.int32)
-        return m
-
     def copy(self) -> "VoxelPixelMap":
         """An independent deep copy of the map."""
-        return VoxelPixelMap.from_state(self.n_voxels, self._voxels.copy(), self._counts.copy())
+        m = VoxelPixelMap(self.n_voxels, self.n_pixels)
+        m._voxels, m._counts = self._voxels.copy(), self._counts.copy()
+        return m
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VoxelPixelMap(entries={self.n_entries})"

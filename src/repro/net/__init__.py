@@ -6,11 +6,12 @@ equivalent, built on nothing but the stdlib socket machinery and numpy:
 * :mod:`~repro.net.protocol` — length-prefixed binary framing with
   optional per-array zlib tile compression (``float64`` framebuffers
   round-trip bit-identically);
-* :mod:`~repro.net.master` — :class:`MasterServer` drives any
-  :class:`~repro.sched.core.SchedulingPolicy` over worker connections
-  (one lane per connection, heartbeats, per-assignment deadlines,
-  loss -> ``on_worker_lost`` reassignment) and :class:`TcpTransport`
-  packages the loopback form: a master plus workers forked from it;
+* :mod:`~repro.net.core` — :class:`~repro.net.core.WireCore`, the
+  master's wire rules without I/O (one lane per connection, heartbeats,
+  tiles, salvage, the :class:`~repro.sched.master.MasterCore`'s dispatch);
+* :mod:`~repro.net.master` — :class:`MasterServer`, its socket shell, and
+  :class:`TcpTransport`, the loopback form: a master plus workers forked
+  from it;
 * :mod:`~repro.net.worker` — the worker daemon, forked or run remotely as
   ``python -m repro.worker`` (reconnect with backoff, heartbeat responder
   thread, continuation cache reuse via the shared segment renderer);

@@ -96,9 +96,7 @@ def block_regions(width: int, height: int, block_w: int = 80, block_h: int = 80)
     return regions
 
 
-def default_block_layout(
-    width: int, height: int, block_w: int | None = None, block_h: int | None = None
-) -> list[PixelRegion]:
+def default_block_layout(width: int, height: int) -> list[PixelRegion]:
     """The canonical farm/simulator block tiling.
 
     The paper renders 320x240 frames in 80x80 blocks — a 4x3 grid; scaled
@@ -107,9 +105,7 @@ def default_block_layout(
     frame-division layout call this, so the two systems always partition
     identically.
     """
-    bw = block_w or max(1, width // 4)
-    bh = block_h or max(1, height // 3)
-    return block_regions(width, height, block_w=bw, block_h=bh)
+    return block_regions(width, height, block_w=max(1, width // 4), block_h=max(1, height // 3))
 
 
 def pixel_regions(width: int, height: int) -> list[PixelRegion]:

@@ -76,6 +76,7 @@ from ..buffers import (
     worker_store,
 )
 from ..telemetry import RunFold, Telemetry
+from ..telemetry.core import parse_records
 from ..telemetry.profiling import profile_into
 from .options import FarmOptions, RecoveryCounts, RecoveryView, TaskAttempt
 from .spec import AnimationSpec
@@ -201,10 +202,10 @@ def _finish_worker_events(tel: Telemetry, sink) -> str:
 
 
 def _task_events(result) -> list:
-    """The worker event buffer a result tuple carries, decoded (``[]``
-    when the task ran untraced)."""
+    """The worker event buffer a result tuple carries, decoded: ``[]`` when
+    the task ran untraced or sent no list of timed records (it is untrusted)."""
     try:
-        return json.loads(result[-1]) if result[-1] else []
+        return parse_records(result[-1]) if result[-1] else []
     except (TypeError, ValueError):
         return []
 
@@ -702,23 +703,24 @@ class LocalRenderFarm:
         return spool
 
     def _acceptor(self, fold: RunFold, spool, fold_unit):
-        """The transports' ``on_result(assignment, result)`` hook, called
-        once the unit has passed the validator.  What the TCP master has
-        already done as the unit's frames arrived, happens here for a pool
-        unit: its pixels are composited (``fold_unit``; the shared-memory
-        segment is released on the spot) and its worker event buffer joins
-        the live stream.  On either transport its counts rows join the
-        tally and its buffer the run's accounting ``fold``, then the unit
-        is spooled."""
+        """The transports' ``on_result(assignment, result, t_offset=0.0)``
+        hook, called once the unit has passed the validator, and the one
+        place a unit's worker event buffer is parsed.  A pool unit's pixels
+        are composited here (``fold_unit``; the shared-memory segment is
+        released on the spot), a TCP unit's were as its tiles arrived.  On
+        either transport its counts rows join the tally, its buffer joins
+        the live stream (shifted by ``t_offset``, a TCP lane's clock
+        offset) and the run's accounting ``fold``, then the unit is
+        spooled."""
         tel = self.options.telemetry
         pooled = self.options.transport != "tcp"
 
-        def on_result(a, result) -> None:
+        def on_result(a, result, t_offset: float = 0.0) -> None:
             events = _task_events(result)
             fold_unit(a.worker, result)
             if pooled:
                 release_refs([result])
-                tel.absorb(events)
+            tel.absorb(events, t_offset=t_offset)
             for rec in events:
                 fold.emit(rec)
             if spool is not None:

@@ -4,9 +4,11 @@ This is the network half of object-space sharding (DESIGN §16).  The
 master owns the camera, the framebuffer and the wavefront generator
 (:func:`~repro.shard.engine.sharded_trace`); workers own scene shards
 and answer intersection/occlusion/shading queries.  The session plugs
-into :class:`~repro.net.master.MasterServer` as its ``session`` hook so
-the star topology, heartbeat machinery and loss detection of the plain
-farm survive unchanged — only the dispatch loop is replaced:
+into the TCP master's :class:`~repro.net.core.WireCore` as its
+``session`` hook, through the core's public calls only, so the star
+topology, heartbeats, the startup gate, the no-worker deadline and loss
+detection of the plain farm survive unchanged — only the dispatch is
+replaced:
 
 * the :class:`~repro.sched.core.ObjectSpacePolicy` stays the ownership
   authority: binding a shard to a lane *is* pulling that shard's unit
@@ -40,7 +42,7 @@ MAX_SENDS = 5
 
 
 class ShardSession:
-    """One sharded render run, pumped by the master's selectors loop.
+    """One sharded render run, pumped by the TCP master's wire core.
 
     Parameters
     ----------
@@ -83,40 +85,24 @@ class ShardSession:
         self._next_rid = 0
         self._bound: dict[str, list] = {}  # lane -> policy assignments held
 
-    # -- master hooks ------------------------------------------------------
-    def pump(self, master, sel, now: float) -> None:
-        """One scheduling beat: bind shards, start frames, flush sends."""
+    # -- core hooks --------------------------------------------------------
+    def pump(self, core, now: float) -> None:
+        """One scheduling beat (the core calls it once the crew is in):
+        bind shards, start frames, queue sends."""
         if self.done:
             return
-        lanes = {
-            c.name: c
-            for c in master._conns.values()
-            if c.registered and not c.closed
-        }
-        if not lanes:
-            if now - master._last_progress > master.accept_timeout:
-                raise RuntimeError(
-                    f"no shard owners connected within {master.accept_timeout:.1f}s "
-                    "with frames still pending"
-                )
-            return
-        if self._gen is None and not master.crew_complete(len(lanes), now):
-            # Deterministic start: binding on the very first join would
-            # hand every shard to whichever worker won the connect race.
-            return
-        self._bind(master, lanes, now)
+        lanes = core.live()
+        self._bind(core, lanes)
         if self._gen is None:
             self._begin()
-            self._step(master, None, first=True)
+            self._step(core, None, first=True)
             if self.done:
                 return
-        self._flush(master, sel, lanes, now)
+        self._flush(core, lanes)
 
-    def on_reply(self, master, conn, msg_type: int, payload, nbytes: int) -> None:
+    def on_reply(self, core, lane: str, msg_type: int, payload: dict, nbytes: int) -> None:
         """A RAYS/SHADE answer landed: settle its ledger entry; advance
         the generator when the round's last answer is in."""
-        if not isinstance(payload, dict):
-            return
         entry = self._outstanding.pop(payload.get("rid"), None)
         if entry is None:
             return  # duplicate after a replay, or a zombie lane's answer
@@ -128,9 +114,9 @@ class ShardSession:
         rnd["missing"] -= 1
         if rnd["missing"] == 0:
             replies, self._round = rnd["replies"], None
-            self._step(master, replies)
+            self._step(core, replies)
 
-    def on_worker_lost(self, master, worker: str) -> None:
+    def on_worker_lost(self, core, worker: str) -> None:
         """Called after ``policy.on_worker_lost`` requeued the lane's
         shard units: orphan its ledger entries so the next pump replays
         them to the reassigned owners."""
@@ -142,16 +128,16 @@ class ShardSession:
                 self.n_replays += 1
 
     # -- internals ---------------------------------------------------------
-    def _bind(self, master, lanes: dict, now: float) -> None:
+    def _bind(self, core, lanes: list) -> None:
         """Pull shard units from the policy onto the least-loaded lanes."""
         while True:
             name = min(lanes, key=lambda n: (len(self._bound.get(n, [])), n))
-            a = master.policy.next_assignment(name)
+            a = core.policy.next_assignment(name)
             if a is None:
                 return
             self._bound.setdefault(name, []).append(a)
-            master.net.n_assignments += 1
-            master.telemetry.event(
+            core.net.n_assignments += 1
+            core.telemetry.event(
                 "net.assign",
                 worker=name,
                 seq=a.seq,
@@ -160,7 +146,6 @@ class ShardSession:
                 region=a.region_index,
                 nbytes=0,
             )
-            master._last_progress = now
 
     def _begin(self) -> None:
         """Set up frame ``self.frame``'s scene, shard map and generator."""
@@ -181,14 +166,14 @@ class ShardSession:
             shard_stats=sstats,
         )
 
-    def _step(self, master, replies, *, first: bool = False) -> None:
+    def _step(self, core, replies, *, first: bool = False) -> None:
         """Advance the generator to its next non-empty round (possibly
         crossing frame boundaries) and ledger the round's requests."""
         while True:
             try:
                 reqs = next(self._gen) if first else self._gen.send(replies)
             except StopIteration as stop:
-                self._finish_frame(master, stop.value)
+                self._finish_frame(core, stop.value)
                 if self.done:
                     return
                 self._begin()
@@ -222,18 +207,18 @@ class ShardSession:
             }
             self._unsent.add(rid)
 
-    def _flush(self, master, sel, lanes: dict, now: float) -> None:
-        """Send every unsent/orphaned ledger entry whose shard has a live
+    def _flush(self, core, lanes: list) -> None:
+        """Queue every unsent/orphaned ledger entry whose shard has a live
         owner.  Entries whose shard is unbound (owner lost, not yet
-        re-pulled) stay queued for the next pump."""
+        re-pulled) stay queued for the next pump; a send the shell cannot
+        make loses the lane, which orphans the entry again."""
         for rid in sorted(self._unsent):
             entry = self._outstanding.get(rid)
             if entry is None or entry["lane"] is not None:
                 self._unsent.discard(rid)
                 continue
-            owner = master.policy.shard_owner.get(entry["shard"])
-            conn = lanes.get(owner) if owner is not None else None
-            if conn is None or conn.closed:
+            owner = core.policy.shard_owner.get(entry["shard"])
+            if owner not in lanes:
                 continue
             entry["attempts"] += 1
             if entry["attempts"] > MAX_SENDS:
@@ -241,16 +226,11 @@ class ShardSession:
                     f"shard request {rid} (shard {entry['shard']}, frame "
                     f"{self.frame}) failed after {MAX_SENDS} attempts"
                 )
-            try:
-                master._send(conn, entry["msg_type"], entry["payload"])
-            except OSError:
-                master._lose(sel, conn, "eof")  # orphans this entry too
-                continue
+            core.send(owner, entry["msg_type"], entry["payload"])
             entry["lane"] = owner
             self._unsent.discard(rid)
-            master._last_progress = now
 
-    def _finish_frame(self, master, result) -> None:
+    def _finish_frame(self, core, result) -> None:
         scene = self._scene
         fb = Framebuffer(scene.camera.width, scene.camera.height)
         fb.scatter(result.pixel_ids, result.colors)
@@ -259,8 +239,8 @@ class ShardSession:
         stats = self._frame_stats
         self.stats.append(stats)
         for s in range(self.k):
-            owner = master.policy.shard_owner.get(s)
-            master.telemetry.event(
+            owner = core.policy.shard_owner.get(s)
+            core.telemetry.event(
                 "shard.rays",
                 worker=owner or "?",
                 shard=s,
@@ -268,7 +248,7 @@ class ShardSession:
                 n_local=int(stats.rays_local[s]),
                 n_forwarded=int(stats.rays_fwd_out[s]),
             )
-            master.telemetry.event(
+            core.telemetry.event(
                 "shard.xfer",
                 worker=owner or "?",
                 shard=s,
@@ -280,14 +260,14 @@ class ShardSession:
         self._scene = None
         self.frame += 1
         if self.frame >= self.n_frames:
-            self._complete(master)
+            self._complete(core)
 
-    def _complete(self, master) -> None:
+    def _complete(self, core) -> None:
         """All frames composited: retire every bound shard unit so the
         policy (and with it the master's serve loop) finishes."""
         for name, held in self._bound.items():
             for a in held:
-                master.policy.on_result(name, a)
+                core.policy.on_result(name, a)
         self.done = True
 
 

@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from .hist import LogHistogram
 from .schema import SCHEMA_VERSION
 
-__all__ = ["Telemetry", "VirtualClock", "NULL", "set_flight_tap", "live_sessions"]
+__all__ = ["Telemetry", "VirtualClock", "NULL", "parse_records", "set_flight_tap", "live_sessions"]
 
 #: Process-global observer called with every record any enabled session
 #: emits.  The flight recorder (:mod:`repro.obs.flight`) installs itself
@@ -45,6 +45,17 @@ _FLIGHT_TAP = None
 #: still-open span stacks and synthesize their close records (none in a fork).
 _LIVE: "weakref.WeakSet[Telemetry]" = weakref.WeakSet()
 os.register_at_fork(after_in_child=_LIVE.clear)
+
+
+def parse_records(buffer) -> list[dict]:
+    """Another process's event buffer (a list of records, or its JSON text)
+    checked whole: records with numeric times, else ``ValueError``."""
+    events = json.loads(buffer) if isinstance(buffer, str) else buffer
+    if not isinstance(events, list) or not all(
+        isinstance(r, dict) and isinstance(r.get("t", 0.0), (int, float)) for r in events
+    ):
+        raise ValueError(f"not an event buffer: {str(buffer)[:80]!r}")
+    return events
 
 
 def set_flight_tap(tap) -> None:

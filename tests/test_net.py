@@ -330,7 +330,7 @@ def test_older_worker_is_turned_away_at_hello():
     thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert replies and replies[0][0] == wire.MSG_SHUTDOWN
-    assert master.workers == {} and policy.log == []
+    assert master.wire_core.lanes == {} and policy.log == []
     lost = [r for r in sink.events if r["name"] == "net.worker.lost"]
     assert [r["attrs"]["reason"] for r in lost] == ["proto"]
 
@@ -527,6 +527,58 @@ def test_malformed_events_are_a_clean_loss(msg_type, events):
 
 
 @pytest.mark.usefixtures("no_leaks")
+def test_pong_that_is_not_a_map_is_a_clean_loss():
+    """A PONG carries a map like every other message: ``[1, 2]`` from a
+    stranger, then from a lane, costs the master that peer (the lane's is
+    an ``error`` loss, its unit requeued) and nothing else, and an honest
+    worker finishes the run.  ``tests/test_wire_core.py`` walks the rule
+    for every message type; this drill runs it through the shell."""
+    sink = InMemorySink()
+    tel = Telemetry(sinks=(sink,))
+    policy = make_policy("frame-division-nofc", 2, n_regions=1)
+    master = MasterServer(
+        policy, "echo", lambda a, lane: (a.seq, lane), recovery=PATIENT, telemetry=tel
+    )
+    host, port = master.listen()
+    bad_sent = threading.Event()
+
+    def rogue():
+        with socket.create_connection((host, port)) as sock:  # before HELLO
+            wire.send_frame(sock, wire.MSG_PONG, [1, 2])
+            sock.settimeout(10.0)
+            assert sock.recv(1) == b""  # the master hung up on us
+        with socket.create_connection((host, port)) as sock:  # after it
+            wire.send_frame(sock, wire.MSG_HELLO, _hello())
+            assert wire.recv_frame(sock)[0] == wire.MSG_WELCOME
+            assert _unpinged(sock)[0] == wire.MSG_ASSIGN
+            wire.send_frame(sock, wire.MSG_PONG, [1, 2])
+            bad_sent.set()
+            sock.settimeout(10.0)
+            while sock.recv(1 << 16):
+                pass  # until the master hangs up on us
+
+    client = WorkerClient(host, port, score=1.0, backoff_base=0.1, max_retries=30)
+
+    def honest():
+        bad_sent.wait(timeout=30.0)
+        client.run()
+
+    threads = [threading.Thread(target=rogue), threading.Thread(target=honest)]
+    for t in threads:
+        t.start()
+    out = master.serve()
+    tel.close()
+    for t in threads:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    assert policy.finished and policy.n_reassigned == 1 and client.n_rendered == 2
+    assert sorted(seq for seq, _lane in out.results) == [1, 2]
+    lost = [r["attrs"] for r in sink.events if r["name"] == "net.worker.lost"]
+    assert [(r["worker"], r["reason"]) for r in lost] == [("w0", "error")]
+    validate_events(sink.events)
+
+
+@pytest.mark.usefixtures("no_leaks")
 def test_task_error_reconnect_then_max_attempts():
     """A worker that errors on its assignment is dropped and reconnects as
     a fresh lane; the same unit failing ``max_attempts`` times fails the
@@ -613,6 +665,23 @@ def test_exec_daemon_serves_its_units_and_exits_on_shutdown():
             proc.wait()
     assert sorted(out.results) == [(seq, "w0") for seq in range(4)]
     assert out.workers["w0"]["n_done"] == 4 and out.net.n_losses == 0
+
+
+def test_a_master_is_freed_without_the_cycle_collector():
+    """Nothing a master owns refers back to it, so a finished run's frames
+    and ledgers go with its last reference, not at the next collection
+    (a bound method handed to its core kept sharded runs' frames alive)."""
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        master = MasterServer(make_policy("single", 1), "echo", lambda a, lane: None)
+        freed = weakref.ref(master)
+        del master
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.usefixtures("no_leaks")

@@ -135,5 +135,5 @@ def test_matches_dict_of_sets_model(ops, query, n_vox):
     for pixel in range(N_PIX):
         want = sorted(v for v, s in model.items() if pixel in s)
         assert m.voxels_of_pixel(pixel).tolist() == want
-    restored = VoxelPixelMap.from_state(n_vox, m._voxels, m._counts)
+    restored = m.copy()
     assert restored.pixels_for_voxels(voxels).tolist() == expected
