@@ -125,50 +125,26 @@ class RenderRequest(FarmOptions):
 
 
 class LazyFrames:
-    """Lazy ``(n, H, W, 3)`` accessor behind :attr:`RenderResult.frames`.
+    """Array-shaped ``(n, H, W, 3)`` accessor behind :attr:`RenderResult.frames`.
 
-    Wraps either a materialized array or a zero-arg thunk producing one;
-    the thunk runs at most once, on first pixel access.  The common
-    ndarray surface (``np.asarray``, ``shape``, indexing, iteration,
-    ``tobytes``) is forwarded so array-shaped callers keep working
-    without materializing explicitly.
-
-    A ``releaser`` callback, when given, returns the backing buffers to
-    their pool.  For a thunk source it fires automatically right after
-    the first materialization (the thunk's shared-memory refs are dead
-    weight once this object owns its own stack); for an array source it
-    fires only on an explicit :meth:`release`, because then the buffer
-    being recycled *is* the one this object serves — after release the
-    frames must not be read through this object again, and any access
-    raises.
+    Wraps the render's frame stack.  The common ndarray surface
+    (``np.asarray``, ``shape``, indexing, iteration, ``tobytes``) is
+    forwarded, so array-shaped callers keep working.  A ``releaser``
+    callback, when given, returns the stack to its pool on an explicit
+    :meth:`release`; after release the frames must not be read through
+    this object again, and any access raises.
     """
 
-    __slots__ = ("_value", "_thunk", "_releaser")
+    __slots__ = ("_value", "_releaser")
 
-    def __init__(self, source, releaser=None):
-        if callable(source):
-            self._value = None
-            self._thunk = source
-        else:
-            self._value = np.asarray(source)
-            self._thunk = None
+    def __init__(self, frames, releaser=None):
+        self._value = np.asarray(frames)
         self._releaser = releaser
 
     def materialize(self) -> np.ndarray:
         if self._value is None:
-            if self._thunk is None:
-                raise RuntimeError(
-                    "frames were released; re-render to read pixels again"
-                )
-            self._value = np.asarray(self._thunk())
-            self._thunk = None
-            self._fire()
+            raise RuntimeError("frames were released; re-render to read pixels again")
         return self._value
-
-    def _fire(self) -> None:
-        releaser, self._releaser = self._releaser, None
-        if releaser is not None:
-            releaser()
 
     def release(self) -> None:
         """Hand the backing storage back to its owner (idempotent).
@@ -179,8 +155,9 @@ class LazyFrames:
         long-lived daemon's resident set stays one job deep.
         """
         self._value = None
-        self._thunk = None
-        self._fire()
+        releaser, self._releaser = self._releaser, None
+        if releaser is not None:
+            releaser()
 
     def __array__(self, dtype=None, copy=None):
         a = self.materialize()
@@ -215,11 +192,9 @@ class LazyFrames:
         return self.materialize().tobytes()
 
     def __repr__(self) -> str:
-        if self._value is not None:
-            return f"LazyFrames(shape={self._value.shape})"
-        if self._thunk is None:
+        if self._value is None:
             return "LazyFrames(<released>)"
-        return "LazyFrames(<unmaterialized>)"
+        return f"LazyFrames(shape={self._value.shape})"
 
 
 @dataclass

@@ -25,20 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..imageio.imagediff import diff_mask
 from ..render import RayTracer
 from ..scene import Animation
 from .engine import CoherentRenderer, grid_for_animation
 
 __all__ = ["FrameValidation", "ValidationReport", "validate_sequence", "diff_mask"]
-
-
-def diff_mask(image_a: np.ndarray, image_b: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Boolean (H, W) mask of pixels that differ between two (H, W, 3) images."""
-    a = np.asarray(image_a, dtype=np.float64)
-    b = np.asarray(image_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("image shapes differ")
-    return np.any(np.abs(a - b) > tol, axis=-1)
 
 
 @dataclass

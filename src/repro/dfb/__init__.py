@@ -12,7 +12,11 @@ This module is the transport-agnostic half of that design:
   a worker's tile boundaries always match the master's bookkeeping.
 * :class:`FrameAssembler` — the per-run compositor, one pixel stack plus
   a coverage mask, that the master folds every tile *and* every whole
-  unit (pool result, checkpoint load) into, idempotently.  A tile may be
+  unit (pool result, checkpoint load) into, idempotently.  It is also the
+  farm's one pixel check: a rectangle outside the frame, of the wrong
+  shape or with a value that is not finite is refused before anything of
+  it is written, and a unit is accepted when its assigned range is
+  covered (``range_complete``), whatever carried it home.  A tile may be
   a **hold record** (``pixels=None``): a worker whose frame recomputed no
   pixel of that tile ships no pixels, and the assembler copies its own
   frame ``f - 1`` — a held frame costs the wire only the pixels that
@@ -161,16 +165,24 @@ class FrameAssembler:
         if self._stack is None:
             raise RuntimeError("framebuffer already released its composite stack")
 
+    @staticmethod
+    def _finite(pixels) -> np.ndarray:
+        """``pixels`` as float64; a NaN or inf among them is refused."""
+        pixels = np.asarray(pixels, dtype=np.float64)
+        if not np.isfinite(pixels).all():
+            raise ValueError("pixels are not finite")
+        return pixels
+
     def _write(self, frame: int, x0: int, y0: int, x1: int, y1: int, pixels) -> tuple[int, bool]:
         """Composite one rectangle of one frame (lock held); returns
         ``(newly covered pixels, frame complete)``.  Malformed deliveries
-        raise instead of clipping."""
+        raise instead of clipping; ``pixels`` passed :meth:`_finite`, or
+        are covered pixels of this stack."""
         self._check_live()
         if not (0 <= x0 < x1 <= self.width and 0 <= y0 < y1 <= self.height):
             raise ValueError(
                 f"tile ({x0},{y0})-({x1},{y1}) outside {self.width}x{self.height} frame"
             )
-        pixels = np.asarray(pixels, dtype=np.float64)
         if pixels.shape != (y1 - y0, x1 - x0, 3):
             raise ValueError(
                 f"tile pixels shape {pixels.shape} != {(y1 - y0, x1 - x0, 3)}"
@@ -188,7 +200,8 @@ class FrameAssembler:
         """Fold one tile in; returns ``(newly_covered, frame_complete)``.
 
         ``pixels=None`` is a hold record: the rectangle is the same as in
-        frame ``frame - 1``, which must already be covered there."""
+        frame ``frame - 1``, which must already be covered there.  Pixels
+        that are not all finite are refused."""
         frame = self._check_frame(frame)
         x0, y0, x1, y1 = int(x0), int(y0), int(x1), int(y1)
         with self._lock:
@@ -196,14 +209,17 @@ class FrameAssembler:
                 if frame < 1 or not self._covered[frame - 1, y0:y1, x0:x1].all():
                     raise ValueError(f"hold of frame {frame} over an uncovered frame {frame - 1}")
                 pixels = self._stack[frame - 1, y0:y1, x0:x1]
+            else:
+                pixels = self._finite(pixels)
             out = self._write(frame, x0, y0, x1, y1, pixels)
             self.n_tiles += 1
             return out
 
     def add_segment(self, box, frame0: int, frame1: int, frames: np.ndarray) -> list[bool]:
         """Fold a whole unit in (a pool result, a checkpoint load):
-        ``frames`` is ``(n, h, w, 3)`` for the box.  Returns, per frame,
-        whether that frame is complete now."""
+        ``frames`` is ``(n, h, w, 3)`` for the box.  The whole block is
+        checked before any frame is written, so a refused call composites
+        nothing.  Returns, per frame, whether that frame is complete now."""
         x0, y0, x1, y1 = self._box(box)
         f0, f1 = self._span(frame0, frame1)
         frames = np.asarray(frames, dtype=np.float64)
@@ -211,6 +227,7 @@ class FrameAssembler:
             raise ValueError(
                 f"segment frames shape {frames.shape} != {(f1 - f0, y1 - y0, x1 - x0, 3)}"
             )
+        frames = self._finite(frames)
         with self._lock:
             return [
                 self._write(f, x0, y0, x1, y1, frames[f - f0])[1] for f in range(f0, f1)

@@ -10,17 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["difference_mask_image", "pixel_set_image", "mask_stats"]
+__all__ = ["diff_mask", "difference_mask_image", "pixel_set_image", "mask_stats"]
 
 
-def difference_mask_image(image_a: np.ndarray, image_b: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """White-on-black ``(H, W)`` uint8 mask of pixels that differ."""
+def diff_mask(image_a: np.ndarray, image_b: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Boolean ``(H, W)`` mask of pixels that differ by more than ``tol``
+    in some channel between two ``(H, W, 3)`` images."""
     a = np.asarray(image_a, dtype=np.float64)
     b = np.asarray(image_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("image shapes differ")
-    changed = np.any(np.abs(a - b) > tol, axis=-1)
-    return np.where(changed, np.uint8(255), np.uint8(0))
+    return np.any(np.abs(a - b) > tol, axis=-1)
+
+
+def difference_mask_image(image_a: np.ndarray, image_b: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """White-on-black ``(H, W)`` uint8 mask of pixels that differ."""
+    return np.where(diff_mask(image_a, image_b, tol), np.uint8(255), np.uint8(0))
 
 
 def pixel_set_image(pixel_ids: np.ndarray, width: int, height: int) -> np.ndarray:

@@ -139,8 +139,8 @@ class WireCore:
         :class:`repro.dfb.FrameAssembler`) turns tile streaming on:
         workers get a tile directive (edge ``tile_px``, default
         :data:`repro.dfb.DEFAULT_TILE_PX`) in every ASSIGN and their TILE
-        frames are composited incrementally, so a streaming task's RESULT
-        carries no pixels (the caller's ``validate`` holds it to that).
+        frames are composited incrementally; the caller's ``validate``
+        accepts a RESULT when the assignment's range is covered.
         ``tile_box(assignment)`` maps an assignment to its pixel box
         (``None`` = whole frame); ``on_tile(worker, frame, box, pixels,
         frame_complete)`` observes every composited tile (``pixels`` is
@@ -483,11 +483,12 @@ class WireCore:
             blackbox=self.blackbox_of(lane.pid),
         )
         self._out.append(Drop(lane, f"worker-lost:{lane.name}:{reason}"))
-        if flight is not None and self.assembler is not None and reason != "invalid":
-            # Partial salvage: frames this worker already streamed in full
-            # stay done; only the remainder is requeued.  An invalid loss
-            # forfeits the salvage — its tiles can't be trusted either
-            # (idempotent overwrite re-covers them).
+        if flight is not None and self.assembler is not None:
+            # Partial salvage, whatever the reason: frames this worker
+            # already streamed in full stay done and only the remainder is
+            # requeued.  Every covered rect passed the compositor's gate, so
+            # the salvage count and the replacement's skip list (built from
+            # the same coverage) agree.
             a = flight.assignment
             frame_done = self.assembler.frames_done(self.tile_box(a), a.frame0, a.frame1)
             if frame_done > a.frame0:

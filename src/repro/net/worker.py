@@ -83,10 +83,6 @@ def calibrate(n: int = 40, size: int = 64) -> float:
     return round(n / elapsed / 2000.0, 4)
 
 
-class _ConnectionLost(Exception):
-    """Reader thread saw EOF or a socket error."""
-
-
 class _TileSink:
     """The worker half of the distributed framebuffer: cut each finished
     frame region into the master's tile grid and stream MSG_TILE frames.

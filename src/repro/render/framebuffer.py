@@ -57,9 +57,3 @@ class Framebuffer:
         fb = Framebuffer(self.width, self.height)
         fb.data[:] = self.data
         return fb
-
-    def diff_mask(self, other: "Framebuffer", tol: float = 0.0) -> np.ndarray:
-        """Boolean mask of pixels whose color differs by more than ``tol``."""
-        if (self.width, self.height) != (other.width, other.height):
-            raise ValueError("framebuffer dimensions differ")
-        return np.any(np.abs(self.data - other.data) > tol, axis=1)

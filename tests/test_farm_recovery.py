@@ -329,6 +329,68 @@ def test_sequence_mode_resume(spec, reference, tmp_path):
     assert res.n_from_checkpoint == res.n_tasks
 
 
+# -- one gate ----------------------------------------------------------------------
+def _refused(validate, args, result) -> bool:
+    try:
+        return not validate(args, result)
+    except ValueError:  # the compositor refused the block
+        return True
+
+
+def _gate(spec):
+    from repro.buffers import BufferPool
+    from repro.dfb import FrameAssembler
+
+    farm = _farm(spec, mode="sequence", n_workers=2, executor="serial")
+    asm = FrameAssembler(3, 48, 36, pool=BufferPool())
+    return farm, asm, farm._validator(asm)
+
+
+def test_pool_result_shaped_for_another_box_or_range_is_refused(spec, reference):
+    """The gate judges a pool result by the box and frames its task tuple
+    assigned, never by what it carries: frames shaped for another block or
+    another frame range, or with one NaN, are refused and composite
+    nothing; the unit's own frames are accepted."""
+    from repro.runtime.local import ROW
+
+    _, asm, validate = _gate(spec)
+    ref = reference.frames
+    args = (spec, (0, 0, 12, 12), 0, 3)  # the task tuple's (spec, box, f0, f1)
+    counts = np.zeros((3, ROW), np.int64)
+    nan = ref[:, :12, :12].copy()
+    nan[2, 5, 5, 1] = np.nan
+    for frames in (ref[:, :12, 12:36], ref[:2, :12, :12], ref, nan):
+        assert _refused(validate, args, (frames, counts, ""))
+        assert not asm._covered.any()
+    assert _refused(validate, args, (ref[:, :12, :12], counts[:2], ""))  # a row per frame
+    assert validate(args, (ref[:, :12, :12], counts, ""))
+    assert asm._covered[:, :12, :12].all() and asm._covered.sum() == 3 * 12 * 12
+
+
+def test_spooled_unit_shaped_for_another_range_is_refused(spec, reference, tmp_path):
+    """A spooled unit is judged against its record in the unit list: a file
+    whose frames belong to another range is refused, composites nothing,
+    and the resumed run renders that unit again."""
+    from repro.runtime.local import _load_task_result, _save_task_result
+
+    run_dir = tmp_path / "run"
+    farm, asm, validate = _gate(spec)
+    farm.render(run_dir=run_dir)
+    units, _regions = farm._unit_list()
+    assert units == [(-1, 0, 2), (-1, 2, 3)]
+    first, second = (_load_task_result(run_dir / f"task_000{i}.npz") for i in (0, 1))
+    _save_task_result(run_dir / "task_0000.npz", (*first[:3], *second[3:]))
+
+    loaded = farm._load_spool(
+        run_dir, units, lambda idx, res: validate((None, None, *units[idx][1:]), res)
+    )
+    assert loaded == {1}
+    assert not asm._covered[:2].any() and asm._covered[2].all()
+    res = _farm(spec, mode="sequence", n_workers=2, executor="serial").render(run_dir=run_dir)
+    assert np.array_equal(res.frames, reference.frames)
+    assert res.n_from_checkpoint == 1 and len(res.attempts) == 1
+
+
 # -- one compositor, one callback contract ---------------------------------------
 @pytest.mark.parametrize("mode", ["frame", "sequence"])
 def test_pool_progress_callbacks_follow_the_compositor(spec, reference, tmp_path, mode):

@@ -42,13 +42,16 @@ def test_to_uint8_clamps_and_rounds():
 
 
 def test_diff_mask():
+    from repro.imageio import diff_mask
+
     a = Framebuffer(2, 2)
     b = a.copy()
     b.scatter(np.array([3]), np.array([[0.5, 0, 0]]))
-    mask = a.diff_mask(b)
-    np.testing.assert_array_equal(mask, [False, False, False, True])
+    mask = diff_mask(a.as_image(), b.as_image())
+    np.testing.assert_array_equal(mask, [[False, False], [False, True]])
+    assert not diff_mask(a.as_image(), b.as_image(), tol=0.5).any()
     with pytest.raises(ValueError):
-        a.diff_mask(Framebuffer(3, 3))
+        diff_mask(a.as_image(), Framebuffer(3, 3).as_image())
 
 
 def test_framebuffer_validation():

@@ -412,10 +412,11 @@ def test_badly_typed_field_is_a_clean_loss(
     tcp_spec, tcp_grid, serial_reference, msg_type, payload, reason
 ):
     """A registered peer whose well-framed message carries a field of the
-    wrong type — a HELLO's core count, a RESULT's duration, a frame number
-    the farm's validator converts — costs the master that lane (``error``
-    for a field, ``invalid`` for a validator that raises) and nothing else:
-    the unit is requeued and an honest worker renders it bit-identically."""
+    wrong type — a HELLO's core count, a RESULT's duration, a result in a
+    layout the farm's validator refuses (six slots, the second not a
+    number) — costs the master that lane (``error`` for a field,
+    ``invalid`` for a refused result) and nothing else: the unit is
+    requeued and an honest worker renders it bit-identically."""
     from repro.buffers import BufferPool
     from repro.dfb import FrameAssembler
     from repro.net.tasks import spec_to_wire
@@ -809,13 +810,11 @@ def test_tile_edge_must_be_positive(tcp_spec, tile_px):
 
 
 @pytest.mark.usefixtures("no_leaks")
-def test_result_carrying_pixels_is_an_invalid_loss_on_a_tiling_master(
-    tcp_spec, tcp_grid, serial_reference
-):
-    """The farm's master composites tiles and nothing else: a worker that
-    ignores the tile directive and ships its pixels in the RESULT loses the
-    lane (``invalid``), nothing of that payload is folded in, and the unit
-    is rendered again."""
+def test_result_carrying_pixels_passes_the_compositor_gate(tcp_spec, tcp_grid, serial_reference):
+    """A worker that ignores the tile directive and ships its pixels in the
+    RESULT meets the gate a pool unit meets: a block with a NaN in it loses
+    the lane (``invalid``) and nothing of it is folded in; an honest block
+    is composited whole, untiled, and accepted."""
     from repro.buffers import BufferPool
     from repro.dfb import FrameAssembler
     from repro.net.tasks import render_segment, spec_to_wire
@@ -838,7 +837,10 @@ def test_result_carrying_pixels_is_an_invalid_loss_on_a_tiling_master(
 
     def stubborn(args, emit_tile=None):
         offered.append(emit_tile is not None)
-        return render_segment(args, emit_tile=emit_tile if len(offered) > 1 else None)
+        frames, counts, events = render_segment(args)
+        if len(offered) == 1:
+            frames[1, 2, 3, 0] = np.nan
+        return frames, counts, events
 
     stubborn.streaming = True
     client = WorkerClient(
@@ -853,7 +855,7 @@ def test_result_carrying_pixels_is_an_invalid_loss_on_a_tiling_master(
     assert offered == [True, True]  # the sink was offered both times
     assert [a.outcome for a in out.supervisor.attempts] == ["invalid", "ok"]
     assert out.supervisor.n_invalid == 1 and out.net.n_losses == 1
-    assert asm.n_tiles == 4  # one tile per 24x18 frame, from the second attempt alone
+    assert asm.n_tiles == 0 and out.net.n_frames_salvaged == 0  # nothing came as tiles
     assert asm.take_frames().tobytes() == serial_reference.frames.tobytes()
 
 
@@ -889,6 +891,9 @@ _TILE_MUTATIONS = {
     "pixels-off-frame": ("sequence", lambda a, ref: [{"frame": a["frame0"], "x0": 16, "y0": 0,
                                                       "x1": 32, "y1": 8,
                                                       "pixels": np.zeros((8, 16, 3))}]),
+    "pixels-nan": ("sequence", lambda a, ref: [{"frame": a["frame0"], "x0": 0, "y0": 0,
+                                                "x1": 8, "y1": 8,
+                                                "pixels": np.full((8, 8, 3), np.nan)}]),
     "frame-not-a-number": ("sequence", lambda a, ref: [_held("one", (0, 0, 8, 8))]),
     "held-not-rects": ("sequence", lambda a, ref: [_held(a["frame0"] + 1, (0, 0, 8))]),
     "hold-frame-0": ("sequence", lambda a, ref: [_held(0, (0, 0, 8, 8))]
@@ -932,21 +937,16 @@ def _tile_master(layout, tcp_spec, tcp_grid, asm, tel):
     return master, policy
 
 
-@pytest.mark.usefixtures("no_leaks")
-@pytest.mark.parametrize("name", _TILE_MUTATIONS, ids=list(_TILE_MUTATIONS))
-def test_malformed_tile_is_an_invalid_loss(tcp_spec, tcp_grid, serial_reference, name):
-    """A TILE, pixel form or hold record, that the master cannot composite
-    honestly costs that lane (``invalid``, "malformed TILE") and nothing
-    else: serve() keeps going, nothing of the record is folded in, and an
-    honest worker finishes the animation bit-identically.  A hold record
-    is accepted only for f >= 1, past a fresh unit's first frame, inside
-    the unit's box and over a frame f-1 the master already covers."""
+def _rogue_drill(layout, mutate, tcp_spec, tcp_grid, ref):
+    """A rogue lane renders honestly until ``mutate(assign, ref)`` returns
+    the payloads it sends instead (a RESULT where one has a ``result``,
+    else a TILE); then an honest worker joins.  Checks that the run ends
+    bit-identical with a valid event stream; returns the outcome and the
+    ``(worker, reason)`` of every lost lane."""
     from repro.buffers import BufferPool
     from repro.dfb import FrameAssembler
     from repro.runtime.local import ROW
 
-    layout, mutate = _TILE_MUTATIONS[name]
-    ref = serial_reference.frames
     sink = InMemorySink()
     tel = Telemetry(sinks=(sink,))
     asm = FrameAssembler(4, 24, 18, pool=BufferPool())
@@ -962,8 +962,8 @@ def test_malformed_tile_is_an_invalid_loss(tcp_spec, tcp_grid, serial_reference,
                 msg, assign = _unpinged(sock)
                 assert msg == wire.MSG_ASSIGN
                 seq, f0, f1 = assign["seq"], assign["frame0"], assign["frame1"]
-                tiles = mutate(assign, ref)
-                if tiles is not None:
+                sends = mutate(assign, ref)
+                if sends is not None:
                     break
                 box = (0, 0, 24, 18)  # an honest unit, streamed from the reference
                 for f in range(f0, f1):
@@ -971,11 +971,11 @@ def test_malformed_tile_is_an_invalid_loss(tcp_spec, tcp_grid, serial_reference,
                         wire.send_frame(sock, wire.MSG_TILE, {"seq": seq, **tile})
                 counts = np.zeros((f1 - f0, ROW), np.int64)
                 wire.send_frame(sock, wire.MSG_RESULT, {
-                    "seq": seq, "result": (None, f0, f1, None, counts, ""), "duration": 0.0,
-                    "events": [],
+                    "seq": seq, "result": (None, counts, ""), "duration": 0.0, "events": [],
                 })
-            for tile in tiles:
-                wire.send_frame(sock, wire.MSG_TILE, {"seq": seq, **tile})
+            for p in sends:
+                msg = wire.MSG_RESULT if "result" in p else wire.MSG_TILE
+                wire.send_frame(sock, msg, {"seq": seq, **p})
             bad_sent.set()
             sock.settimeout(10.0)
             while sock.recv(1 << 16):
@@ -996,11 +996,46 @@ def test_malformed_tile_is_an_invalid_loss(tcp_spec, tcp_grid, serial_reference,
         t.join(timeout=10.0)
         assert not t.is_alive()
     assert policy.finished
-    lost = [r["attrs"] for r in sink.events if r["name"] == "net.worker.lost"]
-    assert [(r["worker"], r["reason"]) for r in lost] == [("w0", "invalid")]
-    assert out.supervisor.n_invalid == 1
     assert asm.take_frames().tobytes() == ref.tobytes()
     validate_events(sink.events)
+    lost = [r["attrs"] for r in sink.events if r["name"] == "net.worker.lost"]
+    return out, [(r["worker"], r["reason"]) for r in lost]
+
+
+@pytest.mark.usefixtures("no_leaks")
+@pytest.mark.parametrize("name", _TILE_MUTATIONS, ids=list(_TILE_MUTATIONS))
+def test_malformed_tile_is_an_invalid_loss(tcp_spec, tcp_grid, serial_reference, name):
+    """A TILE, pixel form or hold record, that the master cannot composite
+    honestly — out of the frame, misshapen, not finite — costs that lane
+    (``invalid``, "malformed TILE") and nothing else: serve() keeps going,
+    nothing of the record is folded in, and an honest worker finishes the
+    animation bit-identically.  A hold record is accepted only for f >= 1,
+    past a fresh unit's first frame, inside the unit's box and over a frame
+    f-1 the master already covers."""
+    layout, mutate = _TILE_MUTATIONS[name]
+    out, lost = _rogue_drill(layout, mutate, tcp_spec, tcp_grid, serial_reference.frames)
+    assert lost == [("w0", "invalid")]
+    assert out.supervisor.n_invalid == 1
+
+
+@pytest.mark.usefixtures("no_leaks")
+def test_result_outside_its_assignment_is_an_invalid_loss(tcp_spec, tcp_grid, serial_reference):
+    """The gate reads a unit's range from its assignment, never from the
+    worker: a lane that streams the first frame of its two-frame unit, then
+    sends a RESULT whose counts cover no frame of it, is lost (``invalid``)
+    instead of accepted.  The frame it streamed is salvaged, and an honest
+    worker renders the rest bit-identically."""
+    from repro.runtime.local import ROW
+
+    def mutate(a, ref):
+        f0 = a["frame0"]
+        return [*_pixel_tiles(ref[f0], f0, (0, 0, 24, 18)), {
+            "result": (None, np.zeros((0, ROW), np.int64), ""), "duration": 0.0, "events": [],
+        }]
+
+    out, lost = _rogue_drill("sequence", mutate, tcp_spec, tcp_grid, serial_reference.frames)
+    assert lost == [("w0", "invalid")]
+    assert out.supervisor.n_invalid == 1 and out.net.n_frames_salvaged == 1
 
 
 @pytest.mark.usefixtures("no_leaks")

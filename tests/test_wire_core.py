@@ -10,13 +10,18 @@ state, each message a worker could send next is tried — its next tile as
 pixels, or as a hold record wherever the pixels did not change (a rule
 may still refuse it), a duplicate of its last message, its RESULT once
 its tiles are out — and a connection may end before or after any tile,
-then reconnect as a new lane.  After each input the walk ticks the core,
-as the shell's loop does, and carries out the actions it returns.
+or be lost ``invalid`` by sending a tile of NaN pixels once it has
+streamed some, then reconnect as a new lane.  After each input the walk
+ticks the core, as the shell's loop does, and carries out the actions it
+returns.
 
 Each walk must composite only reference pixels, accept a hold only for a
 covered frame ``f - 1`` of a unit the lane continues, never hand a lane a
 second unit while it holds one, and end with the reference composite or
-a raised error.  Beside it, every message type with a payload that is
+a raised error.  A lane lost ``invalid`` keeps its salvage: the
+``dfb.salvage`` event names the frames the compositor holds in full, and
+the replacement is handed the rest of the unit with exactly the covered
+tiles to skip.  Beside it, every message type with a payload that is
 not a map — from a stranger and from a lane — costs only that peer.
 """
 
@@ -30,7 +35,7 @@ from repro.net import protocol as wire
 from repro.net.core import Blackbox, Drop, Send, WireCore
 from repro.runtime.options import RecoveryOptions, SupervisorError
 from repro.sched import make_policy
-from repro.telemetry import NULL
+from repro.telemetry import NULL, Telemetry
 
 W, H, T, N_FRAMES = 4, 2, 2, 3  # two 2x2 tiles per frame
 RECTS = [(0, 0, 2, 2), (2, 0, 4, 2)]
@@ -60,6 +65,18 @@ class _HeapPool:
         return True
 
 
+class _Salvages(Telemetry):
+    """Telemetry that is off but keeps each ``dfb.salvage``'s ``frame_done``."""
+
+    def __init__(self) -> None:
+        super().__init__(enabled=False)
+        self.frame_done: list[int] = []
+
+    def event(self, name: str, **attrs) -> None:
+        if name == "dfb.salvage":
+            self.frame_done.append(attrs["frame_done"])
+
+
 class Peer:
     """A scripted worker on one connection."""
 
@@ -67,26 +84,31 @@ class Peer:
         self.lane = lane
         self.unit: dict | None = None  # the ASSIGN it is working on
         self.todo: list = []  # (frame, rect) it has still to stream
+        self.streamed = False  # sent a tile of its unit
         self.last = None  # (msg_type, payload) of its last message
 
 
 class Walk:
     """One path through the state space: the core, and what the world did."""
 
-    def __init__(self, losses: int = 0, dups: int = 0) -> None:
+    def __init__(self, losses: int = 0, dups: int = 0, nans: int = 0) -> None:
         self.asm = FrameAssembler(N_FRAMES, W, H, pool=_HeapPool())
         policy = make_policy("sequence-division-fc", N_FRAMES,
                              sequence_ranges=[(0, 2), (2, 3)], segment_frames=2)
+        self.tel = _Salvages()
         self.core = WireCore(
             policy, "render", lambda a, lane: (a.frame0, a.frame1), validate=self.validate,
             recovery=RecoveryOptions(max_attempts=2), min_lanes=2, on_result=self.accepted,
-            assembler=self.asm, tile_px=T,
+            assembler=self.asm, tile_px=T, telemetry=self.tel,
         )
         self.now = 0.0
         self.core.start(self.now)
         self.peers: list[Peer] = []
-        self.losses, self.dups = losses, dups
+        self.losses, self.dups, self.nans = losses, dups, nans
         self.reconnects = 0  # one per connection lost
+        # frame1 -> (frame0, skip) the replacement of a lane lost to a NaN
+        # tile must be handed: the coverage its salvage read.
+        self.remainder: dict[int, tuple] = {}
         self.n_accepted = 0
         self.error: str | None = None
         for _ in range(2):
@@ -129,7 +151,9 @@ class Walk:
                 assert peer.unit is None, "a lane got a second unit while it held one"
                 a = act.payload
                 skip = {(f, *r) for f, *r in a["tiles"]["skip"]}
-                peer.unit = a
+                if a["frame1"] in self.remainder:
+                    assert (a["frame0"], skip) == self.remainder.pop(a["frame1"])
+                peer.unit, peer.streamed = a, False
                 peer.todo = [(f, r) for f in range(a["frame0"], a["frame1"]) for r in RECTS
                              if (f, *r) not in skip]
 
@@ -150,6 +174,8 @@ class Walk:
                 moves.append(("dup", i))
             if self.losses:
                 moves.append(("lose", i))
+            if self.nans and peer.streamed and peer.todo:
+                moves.append(("nan", i))
         if self.reconnects and len(self.peers) < 2:
             moves.append(("reconnect", None))
         return moves
@@ -162,6 +188,7 @@ class Walk:
             if kind in ("tile", "hold"):
                 f, (x0, y0, x1, y1) = peer.todo.pop(0)
                 seq = peer.unit["seq"]
+                peer.streamed = True
                 if kind == "tile":
                     self.send(peer, wire.MSG_TILE, {"seq": seq, "frame": f, "x0": x0, "y0": y0,
                                                     "x1": x1, "y1": y1,
@@ -180,6 +207,20 @@ class Walk:
             elif kind == "dup":
                 self.dups -= 1
                 self.send(peer, *peer.last)
+            elif kind == "nan":
+                self.nans -= 1
+                self.reconnects += 1
+                a, (f, (x0, y0, x1, y1)) = peer.unit, peer.todo[0]
+                done = self.asm.frames_done(None, a["frame0"], a["frame1"])
+                skip = set(self.asm.covered_tiles(None, done, a["frame1"], T))
+                n_salvages = len(self.tel.frame_done)
+                self.send(peer, wire.MSG_TILE, {"seq": a["seq"], "frame": f, "x0": x0, "y0": y0,
+                                                "x1": x1, "y1": y1,
+                                                "pixels": np.full((y1 - y0, x1 - x0, 3), np.nan)})
+                assert peer not in self.peers  # lost invalid, its tile refused
+                salvaged = [done] if done > a["frame0"] else []
+                assert self.tel.frame_done[n_salvages:] == salvaged
+                self.remainder[a["frame1"]] = (done, skip)
             elif kind == "lose":
                 self.losses -= 1
                 self.reconnects += 1
@@ -231,13 +272,16 @@ def explore(walk: Walk, leaves: dict, asleep: frozenset = frozenset()) -> None:
         tried.append(key)
 
 
-@pytest.mark.parametrize("losses, dups", [(0, 1), (1, 0)], ids=["duplicate", "loss-reconnect"])
-def test_every_interleaving(losses, dups):
+@pytest.mark.parametrize(
+    "losses, dups, nans", [(0, 1, 0), (1, 0, 0), (0, 0, 1)],
+    ids=["duplicate", "loss-reconnect", "nan-tile"],
+)
+def test_every_interleaving(losses, dups, nans):
     """A lost connection may reconnect once as a new lane.  Refused holds
     are ``invalid`` losses outside the budget, so some walks spend a
     unit's two attempts and raise."""
     leaves = {"finished": 0, "raised": 0}
-    explore(Walk(losses, dups), leaves)
+    explore(Walk(losses, dups, nans), leaves)
     assert leaves["finished"] > 0 and leaves["raised"] > 0
 
 

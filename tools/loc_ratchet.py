@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-CEILING = 19558
+CEILING = 19545
 OPTION_CEILING = 87
 
 SRC = Path(__file__).resolve().parent.parent / "src"
